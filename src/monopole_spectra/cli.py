@@ -13,17 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 
 from . import mixing, oracle, radial, spectra, validate
 from .core import QuantumNumberError, Scenario, as_half_integer
-
-THREADS_ENV = "MONOPOLE_SPECTRA_THREADS"
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -90,16 +86,20 @@ def _apply_config_file(argv: list[str]) -> list[str]:
 # --- parsing helpers -------------------------------------------------------------
 
 
+def parse_radial_index(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise ValueError(f"radial index n = {n} must be >= 0")
+    return n
+
+
 def parse_n_range(spec: str) -> list[int]:
-    """'0..3', '2', or '0,2,5'."""
+    """'0..3', '2', or '0,2,5'; every index must be >= 0."""
     spec = spec.strip()
     if ".." in spec:
         lo, _, hi = spec.partition("..")
-        lo_i, hi_i = int(lo), int(hi)
-        return list(range(lo_i, hi_i + 1))
-    if "," in spec:
-        return [int(tok) for tok in spec.split(",")]
-    return [int(spec)]
+        return list(range(parse_radial_index(lo), parse_radial_index(hi) + 1))
+    return [parse_radial_index(tok) for tok in spec.split(",")]
 
 
 def parse_grid_spec(spec: str) -> np.ndarray:
@@ -188,16 +188,7 @@ def cmd_spectrum(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        chans = channels if channels is not None else spectra.default_channels(scen, j)
-        tasks = [(ch, n) for ch in chans for n in n_values]
-        workers = max(1, int(os.environ.get(THREADS_ENV, "1")))
-        if workers > 1 and len(tasks) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                levels = list(pool.map(lambda t: spectra.single_level(scen, j, t[1], t[0]), tasks))
-        else:
-            levels = [spectra.single_level(scen, j, n, ch) for ch, n in tasks]
-        if not args.include_inadmissible:
-            levels = [lv for lv in levels if lv.admissible]
+        levels = spectra.spectrum_levels(scen, j, n_values, channels, args.include_inadmissible)
         _emit(render_levels(levels, args.format), args.output)
         return EXIT_OK
     except (spectra.SpectrumError, QuantumNumberError, ValueError) as exc:
@@ -291,6 +282,7 @@ def cmd_wavefunction(args) -> int:
         scen = _scenario_from_args(args)
         j = as_half_integer(args.j, "j")
         grid = parse_grid_spec(args.grid)
+        n = parse_radial_index(args.n)
         channel = args.channel or spectra.default_channels(scen, j)[0]
     except (ValueError, QuantumNumberError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -302,7 +294,7 @@ def cmd_wavefunction(args) -> int:
                 raise radial.RadialError("the free reduced channel profile needs --energy E < 0")
             level = spectra.peculiar_flat_level(float(args.energy), scen)
         else:
-            level = spectra.single_level(scen, j, int(args.n), channel)
+            level = spectra.single_level(scen, j, n, channel)
         if not level.admissible:
             print(f"error: level inadmissible: {level.reason}", file=sys.stderr)
             return EXIT_COMPUTE

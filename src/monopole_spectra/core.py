@@ -31,15 +31,6 @@ def as_half_integer(value: HalfInt, name: str = "value") -> Fraction:
     return f
 
 
-def is_dirac_charge(k: HalfInt, allow_zero: bool = True) -> bool:
-    """True if 2k is an integer (and nonzero unless the k=0 limit is allowed)."""
-    try:
-        f = as_half_integer(k)
-    except QuantumNumberError:
-        return False
-    return allow_zero or f != 0
-
-
 @dataclass(frozen=True)
 class MonopoleCharge:
     """Monopole charge in units of eg/hbar*c, a half-integer.
@@ -224,6 +215,9 @@ class Scenario:
         if self.potential not in _POTENTIALS:
             raise ValueError(f"unknown potential {self.potential!r}")
         object.__setattr__(self, "charge", as_half_integer(self.charge, "charge"))
+        for name in ("mass", "alpha", "k_osc", "radius"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mass <= 0:
             raise ValueError("mass must be positive")
         if self.geometry == GEOMETRY_LOBACHEVSKY and self.radius <= 0:

@@ -79,17 +79,6 @@ def heun_params_coulomb(energy: float, alpha: float, mass: float, j: HalfInt, ch
     )
 
 
-def solve_coulomb_beta_condition(alpha: float, mass: float, j: HalfInt, n: int, channel: str) -> float:
-    """Energy for which beta = -n in the Coulomb channel:
-    E = -M alpha^2/(2 N^2) - N^2/(2M), N = j + 3/2 + n/2 (channel 1) or
-    j + 1/2 + n/2 (channel 2)."""
-    jf = float(as_half_integer(j, "j"))
-    big_n = jf + 1.5 + 0.5 * n if channel == CH_EVEN_1 else jf + 0.5 + 0.5 * n
-    if channel not in (CH_EVEN_1, CH_EVEN_2):
-        raise SpectrumError(f"unknown even channel {channel!r}")
-    return -mass * alpha * alpha / (2.0 * big_n * big_n) - big_n * big_n / (2.0 * mass)
-
-
 def oscillator_exponents(k_osc: float, mass: float, j: HalfInt, channel: str,
                          branch_override: tuple[int, bool, bool] | None = None) -> tuple[float, float, float]:
     """Bound-branch exponents (A, B, C) for the oscillator channels in x = cosh r:
@@ -132,24 +121,6 @@ def heun_params_oscillator(energy: float, k_osc: float, mass: float, j: HalfInt,
         beta=s - w,
         q=-2.0 * a_exp * (b_exp - c_exp),
     )
-
-
-def solve_oscillator_beta_condition(k_osc: float, mass: float, j: HalfInt, n: int, channel: str) -> float:
-    """Energy for which one exponent at infinity equals -n in the oscillator
-    channel: E = N sqrt(K/M + (1/2M)^2) - (N^2 + 1/4)/(2M) with N = 2 + j + n
-    (channel 1) or 1 + j + n (channel 2).
-
-    The termination root is lam or beta depending on the sign of
-    A + B + C + n; the spectrum formula is the same either way.
-    """
-    jf = float(as_half_integer(j, "j"))
-    if channel == CH_EVEN_1:
-        big_n = 2.0 + jf + n
-    elif channel == CH_EVEN_2:
-        big_n = 1.0 + jf + n
-    else:
-        raise SpectrumError(f"unknown even channel {channel!r}")
-    return big_n * math.sqrt(k_osc / mass + 0.25 / (mass * mass)) - (big_n**2 + 0.25) / (2.0 * mass)
 
 
 def termination_defect(params: HeunParams, n: int) -> float:

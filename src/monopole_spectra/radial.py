@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import ivp
+from . import ivp, specfun
 from .core import (
     GEOMETRY_FLAT,
     GEOMETRY_LOBACHEVSKY,
@@ -198,24 +198,6 @@ def uniform_grid(r0: float, r1: float, n: int) -> np.ndarray:
     return np.linspace(r0, r1, n)
 
 
-def _terminating_series(n: int, ratio, x: np.ndarray) -> np.ndarray:
-    """Polynomial sum_{k=0}^{n} t_k x^k with t_{k+1}/t_k = ratio(k)."""
-    tot = np.ones_like(x)
-    term = np.ones_like(x)
-    for k in range(n):
-        term = term * ratio(k) * x
-        tot = tot + term
-    return tot
-
-
-def _poly_1f1(n: int, b: float, x: np.ndarray) -> np.ndarray:
-    return _terminating_series(n, lambda k: (-n + k) / ((b + k) * (k + 1.0)), x)
-
-
-def _poly_2f1(n: int, beta: float, gamma: float, x: np.ndarray) -> np.ndarray:
-    return _terminating_series(n, lambda k: (-n + k) * (beta + k) / ((gamma + k) * (k + 1.0)), x)
-
-
 def _origin_start(problem: RadialProblem, r0_base: float, h: float) -> float:
     """Push the sampling start away from the origin when the Frobenius exponent
     is non-integer: u ~ r^p then has a singular sixth derivative r^(p-6), and
@@ -283,12 +265,12 @@ def _flat_solution(problem: RadialProblem, level: EnergyLevel, r: np.ndarray):
         lval = level.extras["L"]
         kappa = math.sqrt(-2.0 * m * level.energy)
         z = 2.0 * kappa * r
-        u = r * z**lval * np.exp(-z / 2.0) * _poly_1f1(n, 2.0 * lval + 2.0, z)
+        u = r * z**lval * np.exp(-z / 2.0) * specfun.kummer_1f1(-n, 2.0 * lval + 2.0, z)
         return u, f"u = r z^L e^(-z/2) 1F1(-n; 2L+2; z), z = 2 sqrt(-2ME) r, L = {lval:.12g}"
     if scen.potential == POTENTIAL_OSCILLATOR:
         lval = level.extras["L"]
         x = math.sqrt(m * scen.k_osc) * r**2
-        u = r * x ** (lval / 2.0) * np.exp(-x / 2.0) * _poly_1f1(n, lval + 1.5, x)
+        u = r * x ** (lval / 2.0) * np.exp(-x / 2.0) * specfun.kummer_1f1(-n, lval + 1.5, x)
         return u, f"u = r x^(L/2) e^(-x/2) 1F1(-n; L+3/2; x), x = sqrt(MK) r^2, L = {lval:.12g}"
     # free reduced channel: the peculiar bound-type profile psi = e^(-kappa r)/r
     if level.energy >= 0:
@@ -311,7 +293,7 @@ def _curved_solution(problem: RadialProblem, level: EnergyLevel, r: np.ndarray):
         beta = 2.0 * (a_exp + b_exp) + n
         # (1-x)^B = e^(-2Br) exactly; the direct form avoids the total loss of
         # the tail once x rounds to 1 (r beyond ~18)
-        u = x**a_exp * np.exp(-2.0 * b_exp * r) * _poly_2f1(n, beta, 2.0 * a_exp, x)
+        u = x**a_exp * np.exp(-2.0 * b_exp * r) * specfun.gauss_2f1(-n, beta, 2.0 * a_exp, x)
         return u, (
             f"F = x^A (1-x)^B 2F1(-n, {beta:.12g}; {2*a_exp:.12g}; x), "
             f"x = 1 - e^(-2r), A = {a_exp:.12g}, B = {b_exp:.12g}"
@@ -323,7 +305,7 @@ def _curved_solution(problem: RadialProblem, level: EnergyLevel, r: np.ndarray):
         y = np.cosh(r) ** 2
         gamma = 2.0 * a_exp + 0.5
         beta = 2.0 * (a_exp + b2 / 2.0) + n
-        u = y**a_exp * np.sinh(r) ** b2 * _poly_2f1(n, beta, gamma, y)
+        u = y**a_exp * np.sinh(r) ** b2 * specfun.gauss_2f1(-n, beta, gamma, y)
         return u, (
             f"F = y^a sinh(r)^(2b) 2F1(-n, {beta:.12g}; {gamma:.12g}; y), "
             f"y = cosh^2 r, a = {a_exp:.12g}, 2b = {b2:.12g}"
@@ -334,7 +316,7 @@ def _curved_solution(problem: RadialProblem, level: EnergyLevel, r: np.ndarray):
         x = 1.0 - np.exp(-2.0 * r)
         gamma = 2.0 * (jf + 1.0)
         beta = 2.0 * (jf + 1.0 + b_exp) + n
-        u = x ** (jf + 1.0) * np.exp(-2.0 * b_exp * r) * _poly_2f1(n, beta, gamma, x)
+        u = x ** (jf + 1.0) * np.exp(-2.0 * b_exp * r) * specfun.gauss_2f1(-n, beta, gamma, x)
         return u, (
             f"F = x^(j+1) (1-x)^b 2F1(-n, {beta:.12g}; {gamma:.12g}; x), "
             f"x = 1 - e^(-2r), b = {b_exp:.12g}"

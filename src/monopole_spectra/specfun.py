@@ -55,22 +55,19 @@ def gauss_2f1_dz(a: float, b: float, c: float, z: float) -> float:
 
 def _ratio_series(z: float, ratio, a: float, denom_param: float, label: str) -> float:
     """Sum 1 + sum_k t_k with t_{k+1} = t_k * ratio(k) * z, guarding the
-    polynomial case a = -n and the denominator-parameter poles."""
-    if _is_nonpositive_int(a):
-        n = int(-a)
-        term, tot = 1.0, 1.0
-        for k in range(n):
-            term *= ratio(k) * z
-            tot += term
-        return tot
-    if _is_nonpositive_int(denom_param):
+    polynomial case a = -n and the denominator-parameter poles. The
+    polynomial case also sums elementwise over a numpy array z."""
+    polynomial = _is_nonpositive_int(a)
+    if not polynomial and _is_nonpositive_int(denom_param):
         raise SeriesError(f"{label} undefined: denominator parameter {denom_param} is a non-positive integer")
     term, tot = 1.0, 1.0
-    for k in range(SERIES_CAP):
-        term *= ratio(k) * z
-        tot += term
-        if abs(term) <= SERIES_RTOL * abs(tot) and k > 2:
+    for k in range(int(-a) if polynomial else SERIES_CAP):
+        term = term * ratio(k) * z
+        tot = tot + term
+        if not polynomial and abs(term) <= SERIES_RTOL * abs(tot) and k > 2:
             return tot
+    if polynomial:
+        return tot
     raise SeriesError(f"{label} series failed to converge within {SERIES_CAP} terms at z = {z}")
 
 

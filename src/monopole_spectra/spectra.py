@@ -32,7 +32,7 @@ from .core import (
     channel_kind,
     min_allowed_j,
 )
-from .mixing import mixing_roots
+from .mixing import MixingError, mixing_roots
 
 # channel labels
 CH_MIN_J = "min-j"
@@ -85,23 +85,33 @@ class EnergyLevel:
         return rec
 
 
-def _branch_index(branch: str) -> int:
-    if branch not in CH_BRANCH:
-        raise SpectrumError(f"unknown branch {branch!r}; expected one of {CH_BRANCH} or {CH_MIN_J!r}")
-    return CH_BRANCH.index(branch)
-
-
-def _branch_l(j: HalfInt, k: HalfInt, branch: str) -> tuple[float, float]:
-    from .mixing import MixingError
-
-    try:
-        triple = mixing_roots(j, k)
-    except MixingError as exc:
-        # j = k = 0 leaves a single physical channel (A = 1) and a doubly
-        # degenerate spurious root, outside the three-branch structure
-        raise SpectrumError(f"no three-branch mixing at (j, k) = ({j}, {k}): {exc}") from exc
-    i = _branch_index(branch)
-    return triple.l[i], triple.a[i]
+def _flat_channel(j: Fraction, k: Fraction, branch: str) -> tuple[float, dict]:
+    """Effective L of a flat channel and its extras: 'min-j' (valid only at
+    j = |k| - 1) has L = 0; branches 1..3 take L and A from the mixing root."""
+    kind = channel_kind(j, k)
+    extras: dict = {}
+    if branch == CH_MIN_J:
+        if kind != "min-j":
+            raise SpectrumError(f"min-j channel requires j = |k| - 1, got (j, k) = ({j}, {k})")
+        lval = 0.0
+    else:
+        if kind == "min-j":
+            raise SpectrumError(f"(j, k) = ({j}, {k}) is the reduced channel; use branch 'min-j'")
+        try:
+            triple = mixing_roots(j, k)
+        except MixingError as exc:
+            # j = k = 0 leaves a single physical channel (A = 1) and a doubly
+            # degenerate spurious root, outside the three-branch structure
+            raise SpectrumError(f"no three-branch mixing at (j, k) = ({j}, {k}): {exc}") from exc
+        if branch not in CH_BRANCH:
+            raise SpectrumError(f"unknown branch {branch!r}; expected one of {CH_BRANCH} or {CH_MIN_J!r}")
+        i = CH_BRANCH.index(branch)
+        lval = triple.l[i]
+        extras["A"] = triple.a[i]
+        if kind == "j-equals-k":
+            extras["caution"] = "j = |k|: one mixing root is exactly zero; channel decouples"
+    extras["L"] = lval
+    return lval, extras
 
 
 # --- flat space --------------------------------------------------------------
@@ -116,20 +126,7 @@ def flat_coulomb(alpha: float, mass: float, j: HalfInt, k: HalfInt, n: int, bran
     jf = as_half_integer(j, "j")
     kf = as_half_integer(k, "k")
     scen = Scenario(GEOMETRY_FLAT, POTENTIAL_COULOMB, kf, mass, alpha=alpha)
-    kind = channel_kind(jf, kf)
-    extras: dict = {}
-    if branch == CH_MIN_J:
-        if kind != "min-j":
-            raise SpectrumError(f"min-j channel requires j = |k| - 1, got (j, k) = ({jf}, {kf})")
-        lval = 0.0
-    else:
-        if kind == "min-j":
-            raise SpectrumError(f"(j, k) = ({jf}, {kf}) is the reduced channel; use branch 'min-j'")
-        lval, aval = _branch_l(jf, kf, branch)
-        extras["A"] = aval
-        if kind == "j-equals-k":
-            extras["caution"] = "j = |k|: one mixing root is exactly zero; channel decouples"
-    extras["L"] = lval
+    lval, extras = _flat_channel(jf, kf, branch)
     energy = -0.5 * alpha * alpha * mass / (n + lval + 1.0) ** 2
     return EnergyLevel(
         scenario=scen,
@@ -164,21 +161,8 @@ def flat_oscillator(k_osc: float, mass: float, j: HalfInt, k: HalfInt, n: int, b
     jf = as_half_integer(j, "j")
     kf = as_half_integer(k, "k")
     scen = Scenario(GEOMETRY_FLAT, POTENTIAL_OSCILLATOR, kf, mass, k_osc=k_osc)
-    kind = channel_kind(jf, kf)
-    extras: dict = {}
-    if branch == CH_MIN_J:
-        if kind != "min-j":
-            raise SpectrumError(f"min-j channel requires j = |k| - 1, got (j, k) = ({jf}, {kf})")
-        lval = 0.0
-    else:
-        if kind == "min-j":
-            raise SpectrumError(f"(j, k) = ({jf}, {kf}) is the reduced channel; use branch 'min-j'")
-        lval, aval = _branch_l(jf, kf, branch)
-        extras["A"] = aval
-        if kind == "j-equals-k":
-            extras["caution"] = "j = |k|: one mixing root is exactly zero; channel decouples"
+    lval, extras = _flat_channel(jf, kf, branch)
     cands = oscillator_candidates(lval, n, k_osc, mass)
-    extras["L"] = lval
     extras["candidates"] = cands
     return EnergyLevel(
         scenario=scen,
@@ -258,6 +242,12 @@ def lob_minj_coulomb(alpha: float, mass: float, n: int, charge: HalfInt = 1) -> 
     )
 
 
+def _curved_oscillator_energy(k_osc: float, mass: float, big_n: float) -> float:
+    """Curved oscillator level E = N sqrt(K/M + (1/2M)^2) - (N^2 + 1/4)/(2M),
+    shared by the minimum-j and the no-monopole channels."""
+    return big_n * math.sqrt(k_osc / mass + 0.25 / (mass * mass)) - (big_n**2 + 0.25) / (2.0 * mass)
+
+
 def lob_minj_oscillator(k_osc: float, mass: float, n: int, charge: HalfInt = 1) -> EnergyLevel:
     """Curved minimum-j oscillator level
 
@@ -273,7 +263,7 @@ def lob_minj_oscillator(k_osc: float, mass: float, n: int, charge: HalfInt = 1) 
     scen = Scenario(GEOMETRY_LOBACHEVSKY, POTENTIAL_OSCILLATOR, kf, mass, k_osc=k_osc)
     big_n = 2.0 * n + 1.5
     s_well = (-1.0 + math.sqrt(1.0 + 4.0 * mass * k_osc)) / 2.0
-    energy = big_n * math.sqrt(k_osc / mass + 0.25 / (mass * mass)) - (big_n**2 + 0.25) / (2.0 * mass)
+    energy = _curved_oscillator_energy(k_osc, mass, big_n)
     admissible = 2 * n + 1 < s_well
     reason = "" if admissible else (
         f"{REASON_EXHAUSTED}: decaying-well condition 2n+1 < s fails (s = {s_well:.6g})"
@@ -348,7 +338,7 @@ def lob_nomonopole_oscillator(k_osc: float, mass: float, j: HalfInt, n: int, cha
         raise SpectrumError(f"no-monopole channels need integer j >= 0, got {jf}")
     scen = Scenario(GEOMETRY_LOBACHEVSKY, POTENTIAL_OSCILLATOR, Fraction(0), mass, k_osc=k_osc)
     big_n = _nomonopole_channel_n_oscillator(jf, n, channel)
-    energy = big_n * math.sqrt(k_osc / mass + 0.25 / (mass * mass)) - (big_n**2 + 0.25) / (2.0 * mass)
+    energy = _curved_oscillator_energy(k_osc, mass, big_n)
     limit = math.sqrt(1.0 + 4.0 * k_osc * mass) / 2.0
     admissible = big_n < limit
     reason = "" if admissible else (
@@ -506,9 +496,24 @@ def spectrum_levels(
     return out
 
 
+def admissible_levels(scenario: Scenario, j: HalfInt, channel: str) -> list[EnergyLevel]:
+    """The levels n = 0, 1, ... of one curved channel up to, not including,
+    the first inadmissible one. Flat spectra never end, so they are refused."""
+    if scenario.geometry == GEOMETRY_FLAT:
+        raise SpectrumError("flat spectra are infinite; give the radial indices explicitly")
+    out: list[EnergyLevel] = []
+    while True:
+        lv = single_level(scenario, j, len(out), channel)
+        if not lv.admissible:
+            return out
+        out.append(lv)
+
+
 def single_level(scenario: Scenario, j: HalfInt, n: int, channel: str) -> EnergyLevel:
     """Dispatch one (scenario, j, n, channel) to its closed-form constructor."""
     j = as_half_integer(j, "j")
+    if n < 0:
+        raise SpectrumError(f"radial index n = {n} must be >= 0")
     geom, pot = scenario.geometry, scenario.potential
     if geom == GEOMETRY_FLAT:
         if pot == POTENTIAL_COULOMB:

@@ -337,17 +337,10 @@ def suite_lob_coulomb() -> list[CriterionResult]:
     rows = []
     counts_ok = True
     count_rows = []
+    scen = core.Scenario("lobachevsky", "coulomb", Fraction(0), mass, alpha=alpha)
     for j in range(3):
-        scen = core.Scenario("lobachevsky", "coulomb", Fraction(0), mass, alpha=alpha)
         prob = radial.build_problem(scen, spectra.CH_PARITY_ODD, j)
-        levels = []
-        n = 0
-        while True:
-            lv = spectra.lob_nomonopole_coulomb(alpha, mass, j, n, spectra.CH_PARITY_ODD)
-            if not lv.admissible:
-                break
-            levels.append(lv)
-            n += 1
+        levels = spectra.admissible_levels(scen, j, spectra.CH_PARITY_ODD)
         numeric = oracle.fd_eigen(prob, grid=grid, count=len(levels))
         for lv, e_num in zip(levels, numeric):
             rel = float(abs(e_num - lv.energy) / abs(lv.energy))
@@ -388,17 +381,10 @@ def suite_lob_oscillator() -> list[CriterionResult]:
     rows = []
     count_rows = []
     stable = True
+    scen = core.Scenario("lobachevsky", "oscillator", Fraction(0), mass, k_osc=k_osc)
     for j in range(3):
-        scen = core.Scenario("lobachevsky", "oscillator", Fraction(0), mass, k_osc=k_osc)
         prob = radial.build_problem(scen, spectra.CH_PARITY_ODD, j)
-        levels = []
-        n = 0
-        while True:
-            lv = spectra.lob_nomonopole_oscillator(k_osc, mass, j, n, spectra.CH_PARITY_ODD)
-            if not lv.admissible:
-                break
-            levels.append(lv)
-            n += 1
+        levels = spectra.admissible_levels(scen, j, spectra.CH_PARITY_ODD)
         numeric = oracle.fd_eigen(prob, count=len(levels))
         for lv, e_num in zip(levels, numeric):
             rel = float(abs(e_num - lv.energy) / abs(lv.energy))
@@ -439,43 +425,29 @@ def suite_heun() -> list[CriterionResult]:
     worst_residual = 0.0
     worst_involution = 0.0
     comparisons = []
+    coulomb = core.Scenario("lobachevsky", "coulomb", Fraction(0), mass, alpha=alpha)
+    oscillator = core.Scenario("lobachevsky", "oscillator", Fraction(0), mass, k_osc=k_osc)
     # Coulomb even channels at the formal termination energies
     for channel in (spectra.CH_EVEN_1, spectra.CH_EVEN_2):
         for j in (0, 1):
-            formal = []
-            n = 0
-            while True:
-                lv = spectra.lob_nomonopole_coulomb(alpha, mass, j, n, channel)
-                if not lv.admissible:
-                    break
-                formal.append(lv)
-                n += 1
+            formal = spectra.admissible_levels(coulomb, j, channel)
             for lv in formal:
-                e_solved = heunspec.solve_coulomb_beta_condition(alpha, mass, j, lv.n, channel)
-                params = heunspec.heun_params_coulomb(e_solved, alpha, mass, j, channel)
+                params = heunspec.heun_params_coulomb(lv.energy, alpha, mass, j, channel)
                 worst_fuchs = max(worst_fuchs, abs(params.fuchs_residual()))
                 worst_involution = max(worst_involution, heunspec.termination_defect(params, lv.n))
                 if params.gamma > 0:
                     worst_residual = max(worst_residual, heunspec.heun_residual_on_disc(params))
-            comparisons.append(_heun_fd_comparison("coulomb", channel, j, formal, alpha=alpha, mass=mass))
+            comparisons.append(_heun_fd_comparison(coulomb, channel, j, formal))
     # oscillator even channels
     for channel in (spectra.CH_EVEN_1, spectra.CH_EVEN_2):
         for j in (0, 1):
-            formal = []
-            n = 0
-            while True:
-                lv = spectra.lob_nomonopole_oscillator(k_osc, mass, j, n, channel)
-                if not lv.admissible:
-                    break
-                formal.append(lv)
-                n += 1
+            formal = spectra.admissible_levels(oscillator, j, channel)
             for lv in formal:
-                e_solved = heunspec.solve_oscillator_beta_condition(k_osc, mass, j, lv.n, channel)
-                params = heunspec.heun_params_oscillator(e_solved, k_osc, mass, j, channel)
+                params = heunspec.heun_params_oscillator(lv.energy, k_osc, mass, j, channel)
                 worst_fuchs = max(worst_fuchs, abs(params.fuchs_residual()))
                 worst_involution = max(worst_involution, heunspec.termination_defect(params, lv.n))
                 worst_residual = max(worst_residual, heunspec.heun_residual_on_disc(params))
-            comparisons.append(_heun_fd_comparison("oscillator", channel, j, formal, k_osc=k_osc, mass=mass))
+            comparisons.append(_heun_fd_comparison(oscillator, channel, j, formal))
     agreement = [
         {"potential": c["potential"], "channel": c["channel"], "j": c["j"],
          "worst_rel_dev": c["worst_rel_dev"]}
@@ -495,11 +467,7 @@ def suite_heun() -> list[CriterionResult]:
     ]
 
 
-def _heun_fd_comparison(potential: str, channel: str, j: int, formal_levels, alpha=0.0, mass=1.0, k_osc=0.0) -> dict:
-    if potential == "coulomb":
-        scen = core.Scenario("lobachevsky", "coulomb", Fraction(0), mass, alpha=alpha)
-    else:
-        scen = core.Scenario("lobachevsky", "oscillator", Fraction(0), mass, k_osc=k_osc)
+def _heun_fd_comparison(scen: core.Scenario, channel: str, j: int, formal_levels) -> dict:
     prob = radial.build_problem(scen, channel, j)
     grid = oracle.Grid(r_max=40.0, n=40000)
     fd_count = oracle.count_bound_states(prob, grid=grid)
@@ -514,7 +482,7 @@ def _heun_fd_comparison(potential: str, channel: str, j: int, formal_levels, alp
             pairs.append({"n": i, "formal": formal_levels[i].energy, "numeric": float(numeric[i]),
                           "rel_dev": rel})
     return {
-        "potential": potential,
+        "potential": scen.potential,
         "channel": channel,
         "j": j,
         "fd_bound_count": fd_count,

@@ -156,9 +156,32 @@ def test_config_round_trip_byte_identical():
     assert cli.parse_config_text(cli.serialize_config(parsed)) == parsed
 
 
-def test_threads_env_gives_same_output(capsys, monkeypatch):
-    argv = ["spectrum", "--k", "1", "--j", "2", "--alpha", "1", "--n", "0..3", "--format", "csv"]
-    _, seq, _ = run(argv, capsys)
-    monkeypatch.setenv(cli.THREADS_ENV, "4")
-    _, par, _ = run(argv, capsys)
-    assert seq == par
+def test_spectrum_negative_n_exit_2(capsys):
+    code, out, err = run(["spectrum", "--k", "1", "--j", "2", "--alpha", "1", "--n=-2..0"], capsys)
+    assert code == 2 and out == "" and "n = -2" in err
+
+
+def test_spectrum_negative_n_curved_no_traceback(capsys):
+    code, out, err = run(
+        ["spectrum", "--geometry", "lobachevsky", "--no-monopole", "--alpha", "10", "--n=-1..0"],
+        capsys,
+    )
+    assert code == 2 and out == "" and "must be >= 0" in err
+
+
+def test_wavefunction_negative_n_exit_2(capsys):
+    code, out, err = run(["wavefunction", "--k", "1", "--j", "2", "--alpha", "1", "--n=-1"], capsys)
+    assert code == 2 and out == "" and "must be >= 0" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mass", "nan"],
+    ["--mass", "inf"],
+    ["--mass=-inf"],
+    ["--alpha", "NaN"],
+    ["--potential", "oscillator", "--k-osc", "nan"],
+    ["--geometry", "lobachevsky", "--radius", "Infinity", "--j", "0"],
+])
+def test_spectrum_non_finite_parameter_exit_2(flags, capsys):
+    code, out, err = run(["spectrum", "--k", "1", "--j", "2", "--alpha", "1", *flags], capsys)
+    assert code == 2 and out == "" and "must be finite" in err

@@ -119,3 +119,11 @@ def test_scenario_validation():
     scen = core.Scenario("lobachevsky", "coulomb", F(0), 2.0, alpha=3.0, radius=1.5)
     rec = scen.to_record()
     assert rec["charge2"] == 0 and rec["alpha"] == 3.0 and rec["radius"] == 1.5
+
+
+@pytest.mark.parametrize("field", ["mass", "alpha", "k_osc", "radius"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_scenario_rejects_non_finite(field, value):
+    kwargs = {"mass": 1.0, "alpha": 1.0, "k_osc": 1.0, "radius": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        core.Scenario("lobachevsky", "coulomb", F(1), **kwargs)

@@ -41,8 +41,6 @@ def test_coulomb_beta_condition_reproduces_energy_formula():
             for n in (0, 1):
                 big_n = j + shift + 0.5 * n
                 expected = -mass * alpha**2 / (2 * big_n**2) - big_n**2 / (2 * mass)
-                solved = heunspec.solve_coulomb_beta_condition(alpha, mass, j, n, channel)
-                assert solved == pytest.approx(expected, rel=1e-14)
                 level = spectra.lob_nomonopole_coulomb(alpha, mass, j, n, channel)
                 assert level.energy == pytest.approx(expected, rel=1e-14)
 
@@ -51,7 +49,7 @@ def test_coulomb_involution():
     alpha, mass = 10.0, 1.0
     for channel in ("even-1", "even-2"):
         for (j, n) in [(0, 0), (0, 1), (1, 0)]:
-            e = heunspec.solve_coulomb_beta_condition(alpha, mass, j, n, channel)
+            e = spectra.lob_nomonopole_coulomb(alpha, mass, j, n, channel).energy
             p = heunspec.heun_params_coulomb(e, alpha, mass, j, channel)
             assert abs(p.beta + n) <= 1e-10
 
@@ -79,12 +77,10 @@ def test_oscillator_beta_condition_involution_and_formula():
         for (j, n) in [(0, 0), (1, 1), (2, 0)]:
             big_n = base + j + n
             expected = big_n * math.sqrt(k_osc / mass + 0.25 / mass**2) - (big_n**2 + 0.25) / (2 * mass)
-            solved = heunspec.solve_oscillator_beta_condition(k_osc, mass, j, n, channel)
+            solved = spectra.lob_nomonopole_oscillator(k_osc, mass, j, n, channel).energy
             assert solved == pytest.approx(expected, rel=1e-14)
             p = heunspec.heun_params_oscillator(solved, k_osc, mass, j, channel)
             assert heunspec.termination_defect(p, n) <= 1e-10
-            level = spectra.lob_nomonopole_oscillator(k_osc, mass, j, n, channel)
-            assert level.energy == pytest.approx(expected, rel=1e-14)
 
 
 def test_oscillator_radicand_violation():
@@ -101,16 +97,16 @@ def test_branch_override_exposes_rejected_exponents():
 
 def test_residual_on_disc_for_generated_sets():
     alpha, mass, k_osc = 10.0, 1.0, 100.0
-    e = heunspec.solve_coulomb_beta_condition(alpha, mass, 1, 0, "even-1")
+    e = spectra.lob_nomonopole_coulomb(alpha, mass, 1, 0, "even-1").energy
     p = heunspec.heun_params_coulomb(e, alpha, mass, 1, "even-1")
     assert heunspec.heun_residual_on_disc(p) <= 1e-9
-    e2 = heunspec.solve_oscillator_beta_condition(k_osc, mass, 0, 0, "even-1")
+    e2 = spectra.lob_nomonopole_oscillator(k_osc, mass, 0, 0, "even-1").energy
     p2 = heunspec.heun_params_oscillator(e2, k_osc, mass, 0, "even-1")
     assert heunspec.heun_residual_on_disc(p2) <= 1e-9
 
 
 def test_residual_disc_boundary_enforced():
-    e = heunspec.solve_oscillator_beta_condition(100.0, 1.0, 0, 0, "even-1")
+    e = spectra.lob_nomonopole_oscillator(100.0, 1.0, 0, 0, "even-1").energy
     p = heunspec.heun_params_oscillator(e, 100.0, 1.0, 0, "even-1")
     with pytest.raises(spectra.SpectrumError):
         heunspec.heun_residual_on_disc(p, z_grid=[0.9])

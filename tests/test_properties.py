@@ -1,0 +1,114 @@
+"""Property tests: input rejection, mixing roots, level monotonicity, unit and
+config round-trips, over generated parameters."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from monopole_spectra import cli, core, mixing, spectra  # noqa: E402
+
+# derandomized and without an example database, so that every run checks the
+# same examples
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+positive = st.floats(min_value=1e-2, max_value=1e2, allow_nan=False, allow_infinity=False)
+
+
+@PROPERTY
+@given(field=st.sampled_from(["mass", "alpha", "k_osc", "radius"]), value=st.floats() | st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_scenario_accepts_exactly_the_finite_positive_values(field, value):
+    kwargs = {"mass": 1.0, "alpha": 1.0, "k_osc": 1.0, "radius": 1.0, field: value}
+    potential = "oscillator" if field == "k_osc" else "coulomb"
+    if math.isfinite(value) and value > 0:
+        assert getattr(core.Scenario("lobachevsky", potential, Fraction(1), **kwargs), field) == value
+    else:
+        with pytest.raises(ValueError):
+            core.Scenario("lobachevsky", potential, Fraction(1), **kwargs)
+
+
+@PROPERTY
+@given(n=st.integers(min_value=-10**6, max_value=-1),
+       potential=st.sampled_from(["coulomb", "oscillator"]),
+       geometry=st.sampled_from(["flat", "lobachevsky"]))
+def test_negative_radial_index_rejected(n, potential, geometry):
+    scen = core.Scenario(geometry, potential, Fraction(1), 2.0, alpha=0.2, k_osc=3.0)
+    channel = spectra.default_channels(scen, 0)[0]
+    with pytest.raises(spectra.SpectrumError, match="must be >= 0"):
+        spectra.single_level(scen, 0, n, channel)
+    with pytest.raises(ValueError):
+        cli.parse_n_range(f"{n}..0")
+
+
+@PROPERTY
+@given(k2=st.integers(min_value=-8, max_value=8), dj=st.integers(min_value=0, max_value=6))
+def test_mixing_roots_match_eigensolve(k2, dj):
+    k = Fraction(k2, 2)
+    j = abs(k) + dj
+    if j == 0:
+        return  # j = k = 0 has a single physical channel, no three-root triple
+    cp = core.couplings(j, k)
+    triple = mixing.mixing_roots(j, k)
+    numeric = np.sort(np.linalg.eigvalsh(mixing.build_matrix(cp.c, cp.d)))
+    assert list(triple.a) == sorted(triple.a)
+    assert np.max(np.abs(np.array(triple.a) - numeric)) <= 1e-10
+    assert triple.a[0] >= -1e-12
+
+
+@PROPERTY
+@given(mass=positive, coupling=positive, j=st.integers(min_value=0, max_value=3),
+       potential=st.sampled_from(["coulomb", "oscillator"]),
+       channel=st.sampled_from(["parity-odd", "even-1", "even-2"]))
+def test_curved_no_monopole_levels_increase(mass, coupling, j, potential, channel):
+    scen = core.Scenario("lobachevsky", potential, Fraction(0), mass, alpha=coupling, k_osc=coupling)
+    energies = [lv.energy for lv in spectra.admissible_levels(scen, j, channel)]
+    assert all(math.isfinite(e) for e in energies)
+    assert all(b > a for a, b in zip(energies, energies[1:]))
+
+
+@PROPERTY
+@given(mass=positive, k_osc=positive, alpha=st.floats(min_value=1e-3, max_value=0.49))
+def test_curved_minj_levels_increase(mass, k_osc, alpha):
+    for scen in (core.Scenario("lobachevsky", "coulomb", Fraction(1), mass, alpha=alpha),
+                 core.Scenario("lobachevsky", "oscillator", Fraction(1), mass, k_osc=k_osc)):
+        energies = [lv.energy for lv in spectra.admissible_levels(scen, 0, "min-j")]
+        assert all(math.isfinite(e) for e in energies)
+        assert all(b > a for a, b in zip(energies, energies[1:]))
+
+
+@PROPERTY
+@given(mass=positive, coupling=positive, branch=st.sampled_from(spectra.CH_BRANCH),
+       potential=st.sampled_from(["coulomb", "oscillator"]))
+def test_flat_levels_increase(mass, coupling, branch, potential):
+    scen = core.Scenario("flat", potential, Fraction(1), mass, alpha=coupling, k_osc=coupling)
+    energies = [lv.energy for lv in spectra.spectrum_levels(scen, 2, range(6), [branch])]
+    assert len(energies) == 6
+    assert all(b > a for a, b in zip(energies, energies[1:]))
+
+
+@PROPERTY
+@given(hbar=positive, c=positive, mass=positive, radius=positive, n=st.integers(0, 3))
+def test_unit_round_trip(hbar, c, mass, radius, n):
+    units = spectra.UnitSystem(hbar=hbar, c=c, mass=mass, radius=radius)
+    level = spectra.lob_minj_coulomb(0.3, 30.0, n)
+    back = spectra.from_physical_units(spectra.to_physical_units(level, units), units)
+    assert back.energy == pytest.approx(level.energy, rel=1e-12)
+    assert back.epsilon == pytest.approx(level.epsilon, rel=1e-12)
+    assert back.extras == level.extras
+
+
+_key = st.from_regex(r"[a-z][a-z0-9-]{0,11}", fullmatch=True)
+_value = st.from_regex(r"([A-Za-z0-9./,:=-]([A-Za-z0-9./,:= -]{0,14}[A-Za-z0-9./,:=-])?)?", fullmatch=True)
+
+
+@PROPERTY
+@given(cfg=st.dictionaries(_key, _value, max_size=8))
+def test_config_round_trip(cfg):
+    text = cli.serialize_config(cfg)
+    assert cli.parse_config_text(text) == cfg
+    assert cli.serialize_config(cli.parse_config_text(text)) == text

@@ -284,3 +284,30 @@ def test_flat_no_monopole_branch_structure():
 def test_flat_no_monopole_j0_rejected_clearly():
     with pytest.raises(spectra.SpectrumError, match="three-branch"):
         spectra.flat_coulomb(1.0, 1.0, 0, 0, 0, "branch-1")
+
+
+def test_admissible_levels_stop_at_first_inadmissible():
+    scen = spectra.Scenario("lobachevsky", "coulomb", F(0), 1.0, alpha=10.0)
+    levels = spectra.admissible_levels(scen, 0, "parity-odd")
+    assert [lv.n for lv in levels] == [0, 1, 2]
+    assert levels == [spectra.lob_nomonopole_coulomb(10.0, 1.0, 0, n, "parity-odd") for n in range(3)]
+    assert not spectra.single_level(scen, 0, 3, "parity-odd").admissible
+    minj = spectra.Scenario("lobachevsky", "coulomb", F(1), 10.0, alpha=0.1)
+    assert [lv.n for lv in spectra.admissible_levels(minj, 0, "min-j")] == [0]
+
+
+def test_admissible_levels_refuse_flat_spectra():
+    scen = spectra.Scenario("flat", "coulomb", F(1), 1.0, alpha=1.0)
+    with pytest.raises(spectra.SpectrumError, match="infinite"):
+        spectra.admissible_levels(scen, 2, "branch-1")
+
+
+@pytest.mark.parametrize("scen, j, channel", [
+    (spectra.Scenario("flat", "coulomb", F(1), 1.0, alpha=1.0), 2, "branch-1"),
+    (spectra.Scenario("flat", "oscillator", F(1), 1.0, k_osc=1.0), 0, "min-j"),
+    (spectra.Scenario("lobachevsky", "coulomb", F(0), 1.0, alpha=10.0), 0, "parity-odd"),
+    (spectra.Scenario("lobachevsky", "oscillator", F(1), 1.0, k_osc=100.0), 0, "min-j"),
+])
+def test_single_level_rejects_negative_n(scen, j, channel):
+    with pytest.raises(spectra.SpectrumError, match="n = -1 must be >= 0"):
+        spectra.single_level(scen, j, -1, channel)
