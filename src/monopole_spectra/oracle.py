@@ -163,14 +163,21 @@ class ShootResult:
     far_decay_rate: float
 
 
-def shoot_decay(problem: RadialProblem, epsilon: float, r_max: float = 35.0,
-                r_start: float = 1e-6, rtol: float = 1e-11) -> ShootResult:
-    """Log-derivative mismatch of the regular and decaying solutions of the
-    quadratic channel u'' + ((eps + alpha/tanh r)^2 - M^2) u = 0.
+SHOOT_R_START = 1e-6
 
-    A true eigenvalue gives |mismatch| at integration accuracy, and the
-    mismatch changes sign across it. Non-decaying far fields
-    ((eps + alpha)^2 >= M^2) are rejected.
+
+def shoot_decay(problem: RadialProblem, epsilon: float, r_max: float = 35.0) -> ShootResult:
+    """Log-derivative mismatch of the regular and decaying solutions of the
+    quadratic channel u'' + w u = 0, w = (eps + alpha/tanh r)^2 - M^2.
+
+    The regular solution is integrated outward from a Frobenius start at
+    SHOOT_R_START. The decaying one is integrated inward from r_max as its
+    log-derivative y = u'/u, which obeys the Riccati equation y' = -w - y^2
+    with y(r_max) = -kappa; the legs meet at the outer turning point (kept
+    inside [0.05, r_max/2]), past which w < 0, so y has no poles and stays
+    bounded however large kappa r_max is. A true eigenvalue
+    gives |mismatch| at integration accuracy, and the mismatch changes sign
+    across it. Non-decaying far fields ((eps + alpha)^2 >= M^2) are rejected.
     """
     if problem.linearity != QUADRATIC_IN_EPSILON:
         raise OracleError("shoot_decay expects the quadratic-in-epsilon problem")
@@ -186,6 +193,7 @@ def shoot_decay(problem: RadialProblem, epsilon: float, r_max: float = 35.0,
     # Frobenius start u = r^A (1 + a1 r + a2 r^2) from the Laurent expansion
     # (eps + alpha coth r)^2 - M^2 = alpha^2/r^2 + 2 eps alpha / r + W0 + O(r)
     a_exp = problem.origin_exponent
+    r_start = SHOOT_R_START
     q_lin = 2.0 * epsilon * alpha
     w0 = epsilon * epsilon + 2.0 * alpha * alpha / 3.0 - m * m
     a1 = -q_lin / (2.0 * a_exp)
@@ -196,22 +204,20 @@ def shoot_decay(problem: RadialProblem, epsilon: float, r_max: float = 35.0,
         + r_start**a_exp * (a1 + 2.0 * a2 * r_start)
     )
 
-    # match at the outer classical turning point when one exists
+    # match at the outer classical turning point coth r = (M - eps)/alpha,
+    # which exists whenever the far field decays (|eps + alpha| < M)
     c_turn = (m - epsilon) / alpha
-    if c_turn > 1.0:
-        r_match = 0.5 * math.log((c_turn + 1.0) / (c_turn - 1.0))
-    else:
-        r_match = 1.0
-    r_match = min(max(r_match, 0.05), r_max / 2.0)
+    r_match = min(max(0.5 * math.log((c_turn + 1.0) / (c_turn - 1.0)), 0.05), r_max / 2.0)
 
-    def rhs(r, y):
-        w = (epsilon + alpha / math.tanh(r)) ** 2 - m * m
-        return np.array([y[1], -w * y[0]])
+    def w(r):
+        return (epsilon + alpha / math.tanh(r)) ** 2 - m * m
 
-    y_out, _ = ivp.integrate(rhs, r_start, r_match, [u0, du0], rtol=rtol, max_step=0.05)
-    y_in, _ = ivp.integrate(rhs, r_max, r_match, [1.0, -kappa], rtol=rtol, max_step=0.05)
+    regular = lambda r, y: np.array([y[1], -w(r) * y[0]])
+    riccati = lambda r, y: -w(r) - y * y
+    y_out, _ = ivp.integrate(regular, r_start, r_match, [u0, du0], max_step=0.05)
+    y_in, _ = ivp.integrate(riccati, r_max, r_match, [-kappa], max_step=0.05)
     lam_out = y_out[1] / y_out[0]
-    lam_in = y_in[1] / y_in[0]
+    lam_in = y_in[0]
     mismatch = (lam_out - lam_in) / (1.0 + abs(lam_out) + abs(lam_in))
     return ShootResult(mismatch=float(mismatch), matching_radius=r_match, far_decay_rate=kappa)
 

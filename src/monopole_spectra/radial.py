@@ -412,7 +412,7 @@ def regular_free_solution(j: HalfInt, energy: float, mass: float, sample_points)
     u0 = r0 ** (float(jf) + 1.0) * (1.0 + c2 * r0 * r0)
     du0 = (float(jf) + 1.0) * r0 ** float(jf) * (1.0 + c2 * r0 * r0) + r0 ** (float(jf) + 1.0) * 2.0 * c2 * r0
     f = _free_rhs(problem, energy)
-    _, _, recs = ivp.integrate(f, r0, float(pts[-1]), [u0, du0], rtol=1e-11, max_step=0.02, record_at=pts)
+    _, recs = ivp.integrate(f, r0, float(pts[-1]), [u0, du0], max_step=0.02, record_at=pts)
     vals = np.array([rec[0] for rec in recs])
     ders = np.array([rec[1] for rec in recs])
     scale = np.max(np.abs(vals))

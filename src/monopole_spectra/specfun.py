@@ -1,14 +1,18 @@
 """Series evaluators: confluent/Gauss hypergeometric and the local Heun function.
 
-All three are plain power series around z = 0 in double precision with a hard
-term cap; truncation past the cap is an error, never silent. The Heun
-evaluator is specialized to singular points {0, 1, -1, inf}, the only
-configuration needed here.
+All three are plain power series around z = 0 with a hard term cap;
+truncation past the cap is an error, never silent. The hypergeometric series
+are summed in double precision. The Heun series (singular points
+{0, 1, -1, inf}, the only configuration needed here) has one coefficient
+generator and one term-sum loop, run in double precision or, for the
+compensated residual path, in 30-digit decimal arithmetic.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 SERIES_CAP = 10_000
 SERIES_RTOL = 1e-15
@@ -74,6 +78,8 @@ def _ratio_series(z: float, ratio, a: float, denom_param: float, label: str) -> 
 # --- general Heun, singular points {0, 1, -1, inf} --------------------------
 
 FUCHS_TOL = 1e-12
+HEUN_TAIL_TOL = 1e-11
+DECIMAL_DIGITS = 30
 
 
 @dataclass(frozen=True)
@@ -101,115 +107,85 @@ class HeunParams:
         return (self.gamma + self.delta + self.eps) - (self.lam + self.beta + 1.0)
 
 
-def heun_coefficients(p: HeunParams, n_terms: int) -> list[float]:
-    """Frobenius coefficients c_0..c_{n-1} of the exponent-zero solution at z=0:
+def heun_coefficients(p: HeunParams, num=float):
+    """Frobenius coefficients c_0, c_1, ... of the exponent-zero solution at
+    z = 0, generated without end in the arithmetic type `num` (float or
+    decimal.Decimal; Decimal follows the active context's precision):
 
         (k+1)(k+gamma) c_{k+1} = (k(delta - eps) - q) c_k
                                  + (k-1+lam)(k-1+beta) c_{k-1},  c_0 = 1.
     """
     if _is_nonpositive_int(p.gamma):
         raise SeriesError(f"Heun series degenerate: gamma = {p.gamma} is a non-positive integer")
-    c = [1.0]
-    if n_terms > 1:
-        c.append(-p.q / p.gamma)
-    for k in range(1, n_terms - 1):
-        num = (k * (p.delta - p.eps) - p.q) * c[k] + (k - 1.0 + p.lam) * (k - 1.0 + p.beta) * c[k - 1]
-        c.append(num / ((k + 1.0) * (k + p.gamma)))
-    return c
+    gamma, delta, eps, lam, beta, q = (num(x) for x in (p.gamma, p.delta, p.eps, p.lam, p.beta, p.q))
+    one = num(1)
+    c_prev, c = num(0), one
+    for k in itertools.count():
+        yield c
+        num_k = (k * (delta - eps) - q) * c + (k - one + lam) * (k - one + beta) * c_prev
+        c_prev, c = c, num_k / ((k + one) * (k + gamma))
 
 
-def heun_local(p: HeunParams, z: float, tail_tol: float = 1e-11) -> float:
-    """Local Heun solution normalized H(0) = 1, valid on |z| < 1."""
-    return heun_local_derivatives(p, z, tail_tol)[0]
-
-
-def heun_local_derivatives(p: HeunParams, z: float, tail_tol: float = 1e-11):
-    """The local Heun solution with H' and H'' by term-wise differentiation.
-
-    Returns (H, H', H''). Raises if the running tail estimate still exceeds
-    tail_tol at the term cap.
-    """
+def _heun_sums(p: HeunParams, z: float, num, rtol) -> tuple:
+    """(H, H', H'') as the sums of c_k z^k, k c_k z^(k-1) and k(k-1) c_k z^(k-2)
+    in the arithmetic type `num`. Summation stops once three successive terms
+    of H fall below rtol |H| and the geometric tail estimate is below
+    HEUN_TAIL_TOL; a tail still above it at the term cap raises."""
     if abs(z) >= 1.0:
         raise SeriesError(f"Heun local series restricted to |z| < 1, got {z}")
-    if _is_nonpositive_int(p.gamma):
-        raise SeriesError(f"Heun series degenerate: gamma = {p.gamma} is a non-positive integer")
     az = abs(z)
-    h = h1 = h2 = 0.0
-    ck_m1 = 0.0
-    ck = 1.0
-    zpow = 1.0  # z^k
+    zn, floor = num(z), num(1e-300)
+    h = h1 = h2 = z1 = z2 = num(0)
+    zk = num(1)  # z^k, with z1 = z^(k-1) and z2 = z^(k-2) (zero below k = 1, 2)
     quiet = 0
-    for k in range(SERIES_CAP):
-        term = ck * zpow
+    for k, c in zip(range(SERIES_CAP), heun_coefficients(p, num)):
+        term = c * zk
         h += term
-        if k >= 1:
-            h1 += k * ck * zpow / z if z != 0.0 else (ck if k == 1 else 0.0)
-        if k >= 2:
-            h2 += k * (k - 1.0) * ck * zpow / (z * z) if z != 0.0 else (2.0 * ck if k == 2 else 0.0)
-        if k > 8 and abs(term) <= SERIES_RTOL * max(abs(h), 1e-300):
+        h1 += k * c * z1
+        h2 += k * (k - 1) * c * z2
+        if k > 8 and abs(term) <= rtol * max(abs(h), floor):
             quiet += 1
-            if quiet >= 3 and abs(term) * az / max(1.0 - az, 1e-6) <= tail_tol * max(abs(h), 1.0):
+            tail = float(abs(term)) * az / max(1.0 - az, 1e-6)
+            if quiet >= 3 and tail <= HEUN_TAIL_TOL * max(float(abs(h)), 1.0):
                 return h, h1, h2
         else:
             quiet = 0
-        num = (k * (p.delta - p.eps) - p.q) * ck + (k - 1.0 + p.lam) * (k - 1.0 + p.beta) * ck_m1
-        ck_m1, ck = ck, num / ((k + 1.0) * (k + p.gamma))
-        zpow *= z
-    raise SeriesError(f"Heun series tail above {tail_tol} after {SERIES_CAP} terms at z = {z}")
+        z2, z1, zk = z1, zk, zk * zn
+    raise SeriesError(f"Heun series tail above {HEUN_TAIL_TOL} after {SERIES_CAP} terms at z = {z}")
 
 
-def heun_local_accurate(p: HeunParams, z: float, digits: int = 30) -> tuple[float, float, float]:
+def heun_local(p: HeunParams, z: float) -> float:
+    """Local Heun solution normalized H(0) = 1, valid on |z| < 1."""
+    return heun_local_derivatives(p, z)[0]
+
+
+def heun_local_derivatives(p: HeunParams, z: float) -> tuple[float, float, float]:
+    """The local Heun solution with H' and H'' by term-wise differentiation,
+    summed in double precision. Returns (H, H', H'')."""
+    return _heun_sums(p, z, float, SERIES_RTOL)
+
+
+def heun_local_accurate(p: HeunParams, z: float) -> tuple[float, float, float]:
     """Compensated evaluation path for residual tests: the same coefficient
-    recurrence and term sums carried in fixed-precision decimal arithmetic.
+    recurrence and term sums carried in DECIMAL_DIGITS-digit decimal
+    arithmetic.
 
     Parameter sets with widely split exponents (|delta - eps| large) cancel as
     much as ~1e6 of the peak term at |z| = 0.8, which floors a plain double
     evaluation near 1e-8; thirty digits restore the headroom the pointwise
     residual checks need. Returns (H, H', H'') as floats.
     """
-    from decimal import Decimal, localcontext
-
-    if abs(z) >= 1.0:
-        raise SeriesError(f"Heun local series restricted to |z| < 1, got {z}")
-    if _is_nonpositive_int(p.gamma):
-        raise SeriesError(f"Heun series degenerate: gamma = {p.gamma} is a non-positive integer")
     with localcontext() as ctx:
-        ctx.prec = digits
-        D = Decimal
-        g, de, ep = D(p.gamma), D(p.delta), D(p.eps)
-        lam, beta, q = D(p.lam), D(p.beta), D(p.q)
-        zl = D(z)
-        ck_m1, ck = D(0), D(1)
-        h = h1 = h2 = D(0)
-        zpow = D(1)
-        tiny = D(10) ** (-digits)
-        quiet = 0
-        for k in range(SERIES_CAP):
-            kk = D(k)
-            term = ck * zpow
-            h += term
-            if k >= 1:
-                h1 += kk * term / zl
-            if k >= 2:
-                h2 += kk * (kk - 1) * term / (zl * zl)
-            if k > 8 and abs(term) <= tiny * max(abs(h), D(1)):
-                quiet += 1
-                if quiet >= 3:
-                    return float(h), float(h1), float(h2)
-            else:
-                quiet = 0
-            num = (kk * (de - ep) - q) * ck + (kk - 1 + lam) * (kk - 1 + beta) * ck_m1
-            ck_m1, ck = ck, num / ((kk + 1) * (kk + g))
-            zpow *= zl
-    raise SeriesError(f"compensated Heun series failed to converge at z = {z}")
+        ctx.prec = DECIMAL_DIGITS
+        h, h1, h2 = _heun_sums(p, z, Decimal, Decimal(10) ** -DECIMAL_DIGITS)
+    return float(h), float(h1), float(h2)
 
 
-def heun_ode_residual(p: HeunParams, z: float, compensated: bool = True) -> float:
+def heun_ode_residual(p: HeunParams, z: float) -> float:
     """Relative pointwise residual of the defining ODE at z, evaluated from
-    the series value and its term-wise derivatives (an independent code path
-    from the coefficient recurrence). The compensated path is the default for
-    residual testing; compensated=False exercises the plain double series."""
-    h, h1, h2 = heun_local_accurate(p, z) if compensated else heun_local_derivatives(p, z)
+    the compensated series value and its term-wise derivatives (an
+    independent code path from the coefficient recurrence)."""
+    h, h1, h2 = heun_local_accurate(p, z)
     coef1 = p.gamma / z + p.delta / (z - 1.0) + p.eps / (z + 1.0)
     coef0 = (p.lam * p.beta * z - p.q) / (z * (z - 1.0) * (z + 1.0))
     res = h2 + coef1 * h1 + coef0 * h

@@ -510,10 +510,25 @@ def admissible_levels(scenario: Scenario, j: HalfInt, channel: str) -> list[Ener
 
 
 def single_level(scenario: Scenario, j: HalfInt, n: int, channel: str) -> EnergyLevel:
-    """Dispatch one (scenario, j, n, channel) to its closed-form constructor."""
-    j = as_half_integer(j, "j")
+    """Dispatch one (scenario, j, n, channel) to its closed-form constructor.
+
+    A level whose E or epsilon overflows to +-inf, or is NaN while admissible,
+    is an error rather than a row: finite parameters can still overflow the
+    closed forms. (NaN on an inadmissible level marks an exhausted spectrum.)
+    """
     if n < 0:
         raise SpectrumError(f"radial index n = {n} must be >= 0")
+    level = _closed_form_level(scenario, as_half_integer(j, "j"), n, channel)
+    for name, value in (("E", level.energy), ("epsilon", level.epsilon)):
+        if value is not None and (math.isinf(value) or (level.admissible and math.isnan(value))):
+            raise SpectrumError(
+                f"{name} = {value} at n = {n} in channel {channel!r}: the closed form overflows "
+                "double precision for these parameters"
+            )
+    return level
+
+
+def _closed_form_level(scenario: Scenario, j: Fraction, n: int, channel: str) -> EnergyLevel:
     geom, pot = scenario.geometry, scenario.potential
     if geom == GEOMETRY_FLAT:
         if pot == POTENTIAL_COULOMB:

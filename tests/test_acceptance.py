@@ -19,11 +19,18 @@ from monopole_spectra import core, oracle, radial, spectra, validate
 _cache: dict = {}
 
 
-def suite(name: str):
-    if name not in _cache:
-        fn = validate._SUITES[name] if name != "determinism" else validate.suite_determinism
-        _cache[name] = {r.cid: r for r in fn()}
-    return _cache[name]
+def full_run() -> dict:
+    """One `validate --suite all` run, timed, shared by every criterion test."""
+    if not _cache:
+        t0 = time.monotonic()
+        _cache["report"] = validate.run_suites("all")
+        _cache["elapsed"] = time.monotonic() - t0
+        _cache["records"] = {r.cid: r for r in _cache["report"]["_objects"]}
+    return _cache
+
+
+def criterion(cid: str):
+    return full_run()["records"][cid]
 
 
 def check(result):
@@ -32,27 +39,27 @@ def check(result):
 
 
 def test_criterion_01_root_machinery():
-    check(suite("roots")["1-roots"])
+    check(criterion("1-roots"))
 
 
 def test_criterion_02_parity_split():
-    check(suite("roots")["2-parity"])
+    check(criterion("2-parity"))
 
 
 def test_criterion_03_wigner_recurrences():
-    check(suite("wigner")["3-wigner"])
+    check(criterion("3-wigner"))
 
 
 def test_criterion_04_flat_coulomb():
-    check(suite("flat-coulomb")["4-flat-coulomb"])
+    check(criterion("4-flat-coulomb"))
 
 
 def test_criterion_05_flat_oscillator_arbitration():
-    check(suite("flat-oscillator")["5-flat-oscillator"])
+    check(criterion("5-flat-oscillator"))
 
 
 def test_criterion_06_lob_minj_coulomb_shooting():
-    record = suite("lob-minj")["6-lob-minj-coulomb"]
+    record = criterion("6-lob-minj-coulomb")
     state = "passes" if record.passed else "red as stated"
     print(f"[INFO] {record.cid} record, {state}: {record.description} -- {record.measured}")
     alpha, mass = 0.1, 10.0
@@ -92,31 +99,30 @@ def test_criterion_06_lob_minj_coulomb_shooting():
 
 
 def test_criterion_07_lob_minj_oscillator():
-    check(suite("lob-minj")["7-lob-minj-oscillator"])
+    check(criterion("7-lob-minj-oscillator"))
 
 
 def test_criterion_08_lob_nomonopole_coulomb():
-    check(suite("lob-coulomb")["8-lob-coulomb"])
+    check(criterion("8-lob-coulomb"))
 
 
 def test_criterion_09_lob_nomonopole_oscillator():
-    check(suite("lob-oscillator")["9-lob-oscillator"])
+    check(criterion("9-lob-oscillator"))
 
 
 def test_criterion_10_heun_channels():
-    check(suite("heun")["10-heun"])
+    check(criterion("10-heun"))
 
 
 def test_criterion_11_free_particle():
-    check(suite("lob-coulomb")["11-free-particle"])
+    check(criterion("11-free-particle"))
 
 
 def test_criterion_12_determinism_and_runtime():
-    check(suite("determinism")["12-determinism"])
+    check(criterion("12-determinism"))
     # the full composite must complete well inside five minutes
-    t0 = time.monotonic()
-    report = validate.run_suites("all")
-    elapsed = time.monotonic() - t0
+    run = full_run()
+    report, elapsed = run["report"], run["elapsed"]
     print(f"[INFO] validate --suite all completed in {elapsed:.1f}s (< 300s required)")
     assert elapsed < 300.0
     hard = set(report["results"]["hard_failures"])

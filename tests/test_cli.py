@@ -185,3 +185,14 @@ def test_wavefunction_negative_n_exit_2(capsys):
 def test_spectrum_non_finite_parameter_exit_2(flags, capsys):
     code, out, err = run(["spectrum", "--k", "1", "--j", "2", "--alpha", "1", *flags], capsys)
     assert code == 2 and out == "" and "must be finite" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--k", "1", "--j", "2", "--alpha", "1e200", "--mass", "1e200"],
+    ["--geometry", "lobachevsky", "--no-monopole", "--j", "0", "--alpha", "1e300", "--mass", "1e10",
+     "--channel", "parity-odd"],
+    ["--k", "1", "--j", "2", "--potential", "oscillator", "--k-osc", "1e300", "--mass", "1e-300"],
+])
+def test_spectrum_overflowing_level_exit_1(flags, capsys):
+    code, out, err = run(["spectrum", *flags], capsys)
+    assert code == 1 and out == "" and "overflows" in err

@@ -146,6 +146,17 @@ def test_shoot_decay_strong_coupling_full_series():
     assert lo.mismatch * hi.mismatch < 0.0
 
 
+def test_shoot_decay_far_field_past_double_range():
+    # kappa r_max ~ 854: e^(kappa r_max) overflows a double, so the decaying
+    # leg only works as the bounded Riccati log-derivative
+    alpha, mass = 0.3, 80.0
+    prob = lob_minj_problem(alpha, mass)
+    level = spectra.lob_minj_coulomb(alpha, mass, 0)
+    res = oracle.shoot_decay(prob, level.epsilon)
+    assert res.far_decay_rate * 35.0 > math.log(np.finfo(float).max)
+    assert abs(res.mismatch) <= 1e-9
+
+
 def test_shoot_decay_formal_levels_do_not_match():
     # the closed form at n >= 1 (alpha = 0.1, M = 10) has b < 0: the regular
     # solution grows at infinity and the decaying shoot must fail loudly

@@ -1,5 +1,6 @@
 """Series evaluators: hypergeometric oracles and the local Heun function."""
 
+import itertools
 import math
 
 import numpy as np
@@ -102,12 +103,22 @@ def test_heun_normalization_and_first_coefficient():
 
 def test_heun_coefficients_recurrence_start():
     p = specfun.HeunParams(gamma=2.0, delta=1.1, eps=0.4, lam=1.5, beta=1.0, q=-0.3)
-    c = specfun.heun_coefficients(p, 3)
+    c = list(itertools.islice(specfun.heun_coefficients(p), 3))
     assert c[0] == 1.0 and c[1] == pytest.approx(-p.q / p.gamma, abs=1e-15)
     # k = 1 balance: 2(1+gamma) c2 = (delta - eps - q) c1 + lam*beta c0
     lhs = 2.0 * (1.0 + p.gamma) * c[2]
     rhs = (p.delta - p.eps - p.q) * c[1] + p.lam * p.beta * c[0]
     assert lhs == pytest.approx(rhs, abs=1e-14)
+
+
+def test_heun_accurate_path_at_origin():
+    # derivatives come from z^(k-1), z^(k-2) sums, so z = 0 needs no special case
+    p = specfun.HeunParams(gamma=1.3, delta=0.7, eps=0.5, lam=0.9, beta=0.6, q=0.37)
+    h0, h1, h2 = specfun.heun_local_accurate(p, 0.0)
+    c = list(itertools.islice(specfun.heun_coefficients(p), 3))
+    assert h0 == 1.0
+    assert h1 == pytest.approx(c[1], rel=1e-15)
+    assert h2 == pytest.approx(2.0 * c[2], rel=1e-15)
 
 
 def test_heun_degenerate_gamma_rejected():

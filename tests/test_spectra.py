@@ -311,3 +311,19 @@ def test_admissible_levels_refuse_flat_spectra():
 def test_single_level_rejects_negative_n(scen, j, channel):
     with pytest.raises(spectra.SpectrumError, match="n = -1 must be >= 0"):
         spectra.single_level(scen, j, -1, channel)
+
+
+def test_single_level_rejects_overflowing_energy():
+    # finite parameters whose closed form overflows: an error, never an inf row
+    cases = [
+        (spectra.Scenario("flat", "coulomb", F(1), 1e200, alpha=1e200), 2, "branch-1"),
+        (spectra.Scenario("lobachevsky", "coulomb", F(0), 1e10, alpha=1e300), 0, "parity-odd"),
+        (spectra.Scenario("flat", "oscillator", F(1), 1e-300, k_osc=1e300), 2, "branch-1"),
+    ]
+    for scen, j, channel in cases:
+        with pytest.raises(spectra.SpectrumError, match="overflows"):
+            spectra.single_level(scen, j, 0, channel)
+    # NaN on an inadmissible level is the exhausted-spectrum marker, not an error
+    minj = spectra.Scenario("lobachevsky", "coulomb", F(1), 10.0, alpha=0.1)
+    exhausted = spectra.single_level(minj, 0, 10, "min-j")
+    assert math.isnan(exhausted.energy) and not exhausted.admissible
