@@ -111,15 +111,21 @@ def parse_grid_spec(spec: str) -> np.ndarray:
     return radial.uniform_grid(r0, r1, n)
 
 
+_POTENTIAL_FLAGS = {"coulomb": ("alpha", "--alpha"), "oscillator": ("k_osc", "--k-osc")}
+
+
 def _scenario_from_args(args) -> Scenario:
+    needed = _POTENTIAL_FLAGS.get(args.potential)
+    if needed is not None and getattr(args, needed[0]) is None:
+        raise ValueError(f"--potential {args.potential} needs {needed[1]}")
     charge = Fraction(0) if getattr(args, "no_monopole", False) else as_half_integer(args.k, "k")
     return Scenario(
         geometry=args.geometry,
         potential=args.potential,
         charge=charge,
         mass=float(args.mass),
-        alpha=float(args.alpha),
-        k_osc=float(args.k_osc),
+        alpha=0.0 if args.alpha is None else float(args.alpha),
+        k_osc=0.0 if args.k_osc is None else float(args.k_osc),
         radius=float(args.radius),
     )
 
@@ -349,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", default="1", help="monopole charge, half-integer (e.g. 1/2)")
         p.add_argument("--no-monopole", action="store_true", help="force the k = 0 limit")
         p.add_argument("--j", default="0", help="total angular momentum, half-integer")
-        p.add_argument("--alpha", default="0", help="Coulomb coupling")
-        p.add_argument("--k-osc", dest="k_osc", default="0", help="oscillator constant")
+        p.add_argument("--alpha", help="Coulomb coupling (needed by --potential coulomb)")
+        p.add_argument("--k-osc", dest="k_osc", help="oscillator constant (needed by --potential oscillator)")
         p.add_argument("--mass", default="1", help="particle mass (natural units)")
         p.add_argument("--radius", default="1", help="curvature radius (Lobachevsky)")
         p.add_argument("--output", help="write to file instead of stdout")

@@ -21,11 +21,17 @@ class QuantumNumberError(ValueError):
 
 
 def as_half_integer(value: HalfInt, name: str = "value") -> Fraction:
-    """Coerce to an exact half-integer Fraction; reject anything else."""
-    try:
-        f = Fraction(value)
-    except (TypeError, ValueError) as exc:
-        raise QuantumNumberError(f"{name} = {value!r} is not a number") from exc
+    """Coerce to an exact half-integer Fraction; reject anything else.
+
+    A Fraction that already is a half-integer is returned as it is (Fractions
+    are immutable), so the closed-form hot paths build no copies."""
+    if type(value) is Fraction:
+        f = value
+    else:
+        try:
+            f = Fraction(value)
+        except (TypeError, ValueError) as exc:
+            raise QuantumNumberError(f"{name} = {value!r} is not a number") from exc
     if f.denominator not in (1, 2):
         raise QuantumNumberError(f"{name} = {value} is not a half-integer")
     return f

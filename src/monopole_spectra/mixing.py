@@ -10,10 +10,16 @@ whose eigenvalues A_i solve a cubic with all-real roots; each root defines an
 effective angular momentum L through L(L+1) = 2A. Cubic coefficients are
 computed in exact rational arithmetic from (c^2, d^2) so the closed-form
 cross-check of the reduced coefficients is an exact equality test.
+
+The roots depend on (j, k) alone, so every radial index n of a flat series
+shares them: `mixing_roots` memoizes the `RootTriple` of each canonical
+(j, k) pair (the 128 most recently used), so the exact cubic and its
+cross-check run once per key. Errors are not memoized.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,7 +105,10 @@ def effective_l(a_root: float) -> float:
 
 @dataclass(frozen=True)
 class RootTriple:
-    """Ascending real roots A1 <= A2 <= A3 with effective angular momenta."""
+    """Ascending real roots A1 <= A2 <= A3 with effective angular momenta.
+
+    Frozen and made of tuples, so the one instance `mixing_roots` memoizes
+    per (j, k) is safely shared by every caller."""
 
     a: tuple[float, float, float]
     l: tuple[float, float, float]
@@ -135,9 +144,18 @@ def roots(inv: CubicInvariants) -> RootTriple:
     return RootTriple(a=a_sorted, l=tuple(effective_l(a) for a in a_sorted))
 
 
-def mixing_roots(j: HalfInt, k: HalfInt) -> RootTriple:
-    """Convenience: invariants + trigonometric roots for (j, k)."""
+@functools.lru_cache
+def _memo_roots(j: Fraction, k: Fraction) -> RootTriple:
     return roots(cubic_invariants(j, k))
+
+
+def mixing_roots(j: HalfInt, k: HalfInt) -> RootTriple:
+    """Invariants + trigonometric roots for (j, k), memoized per canonical
+    half-integer pair: 2, "2", 2.0 and Fraction(2) share one entry."""
+    return _memo_roots(as_half_integer(j, "j"), as_half_integer(k, "k"))
+
+
+mixing_roots.cache_clear = _memo_roots.cache_clear
 
 
 _DEGENERACY_TOL = 1e-12

@@ -124,14 +124,18 @@ def flat_coulomb(alpha: float, mass: float, j: HalfInt, k: HalfInt, n: int, bran
     the effective L of the corresponding mixing root.
     """
     jf = as_half_integer(j, "j")
-    kf = as_half_integer(k, "k")
-    scen = Scenario(GEOMETRY_FLAT, POTENTIAL_COULOMB, kf, mass, alpha=alpha)
-    lval, extras = _flat_channel(jf, kf, branch)
+    scen = Scenario(GEOMETRY_FLAT, POTENTIAL_COULOMB, as_half_integer(k, "k"), mass, alpha=alpha)
+    return _flat_coulomb(scen, jf, n, branch)
+
+
+def _flat_coulomb(scen: Scenario, j: Fraction, n: int, branch: str) -> EnergyLevel:
+    alpha, mass = scen.alpha, scen.mass
+    lval, extras = _flat_channel(j, scen.charge, branch)
     energy = -0.5 * alpha * alpha * mass / (n + lval + 1.0) ** 2
     return EnergyLevel(
         scenario=scen,
         channel=branch,
-        j=jf,
+        j=j,
         n=n,
         energy=energy,
         derivation=DERIV_HYPERGEOMETRIC,
@@ -159,15 +163,18 @@ def flat_oscillator(k_osc: float, mass: float, j: HalfInt, k: HalfInt, n: int, b
     condition (prefactor 1); the 1/2-prefactor candidate is retained in
     extras['candidates'] and the two are arbitrated by the oracle."""
     jf = as_half_integer(j, "j")
-    kf = as_half_integer(k, "k")
-    scen = Scenario(GEOMETRY_FLAT, POTENTIAL_OSCILLATOR, kf, mass, k_osc=k_osc)
-    lval, extras = _flat_channel(jf, kf, branch)
-    cands = oscillator_candidates(lval, n, k_osc, mass)
+    scen = Scenario(GEOMETRY_FLAT, POTENTIAL_OSCILLATOR, as_half_integer(k, "k"), mass, k_osc=k_osc)
+    return _flat_oscillator(scen, jf, n, branch)
+
+
+def _flat_oscillator(scen: Scenario, j: Fraction, n: int, branch: str) -> EnergyLevel:
+    lval, extras = _flat_channel(j, scen.charge, branch)
+    cands = oscillator_candidates(lval, n, scen.k_osc, scen.mass)
     extras["candidates"] = cands
     return EnergyLevel(
         scenario=scen,
         channel=branch,
-        j=jf,
+        j=j,
         n=n,
         energy=cands["quantization"],
         derivation=DERIV_HYPERGEOMETRIC,
@@ -211,13 +218,20 @@ def lob_minj_coulomb(alpha: float, mass: float, n: int, charge: HalfInt = 1) -> 
     positive; b <= 0 means the regular solution grows at infinity, so the
     formula value is formal rather than a bound state there.
     """
+    return _lob_minj_coulomb(Scenario(GEOMETRY_LOBACHEVSKY, POTENTIAL_COULOMB, charge, mass, alpha=alpha), n)
+
+
+def _minj_j(charge: Fraction) -> Fraction:
+    if abs(charge) < 1:
+        raise SpectrumError("minimum-j channel needs |k| >= 1")
+    return abs(charge) - 1
+
+
+def _lob_minj_coulomb(scen: Scenario, n: int) -> EnergyLevel:
+    alpha, mass = scen.alpha, scen.mass
     if not 0.0 < alpha < 0.5:
         raise SpectrumError(f"curved minimum-j Coulomb needs 0 < alpha < 1/2, got {alpha}")
-    kf = as_half_integer(charge, "charge")
-    if abs(kf) < 1:
-        raise SpectrumError("minimum-j channel needs |k| >= 1")
-    jf = abs(kf) - 1
-    scen = Scenario(GEOMETRY_LOBACHEVSKY, POTENTIAL_COULOMB, kf, mass, alpha=alpha)
+    jf = _minj_j(scen.charge)
     nu = n + (1.0 + math.sqrt(1.0 - 4.0 * alpha * alpha)) / 2.0
     extras = {"nu": nu}
     formula = "eps = M sqrt(1 - (alpha^2+nu^2)/M^2)/sqrt(1 + alpha^2/nu^2); E = eps - M"
@@ -256,11 +270,12 @@ def lob_minj_oscillator(k_osc: float, mass: float, n: int, charge: HalfInt = 1) 
     equivalent to the odd levels of the sech^2 well: with s(s+1) = M K,
     E = K/2 - (s - (2n+1))^2 / (2M); bound states need 2n + 1 < s.
     """
-    kf = as_half_integer(charge, "charge")
-    if abs(kf) < 1:
-        raise SpectrumError("minimum-j channel needs |k| >= 1")
-    jf = abs(kf) - 1
-    scen = Scenario(GEOMETRY_LOBACHEVSKY, POTENTIAL_OSCILLATOR, kf, mass, k_osc=k_osc)
+    return _lob_minj_oscillator(Scenario(GEOMETRY_LOBACHEVSKY, POTENTIAL_OSCILLATOR, charge, mass, k_osc=k_osc), n)
+
+
+def _lob_minj_oscillator(scen: Scenario, n: int) -> EnergyLevel:
+    k_osc, mass = scen.k_osc, scen.mass
+    jf = _minj_j(scen.charge)
     big_n = 2.0 * n + 1.5
     s_well = (-1.0 + math.sqrt(1.0 + 4.0 * mass * k_osc)) / 2.0
     energy = _curved_oscillator_energy(k_osc, mass, big_n)
@@ -299,17 +314,26 @@ def lob_nomonopole_coulomb(alpha: float, mass: float, j: HalfInt, n: int, channe
     to be positive, i.e. M alpha > N^2 (finite spectrum).
     """
     jf = as_half_integer(j, "j")
-    if jf < 0 or jf.denominator != 1:
-        raise SpectrumError(f"no-monopole channels need integer j >= 0, got {jf}")
     scen = Scenario(GEOMETRY_LOBACHEVSKY, POTENTIAL_COULOMB, Fraction(0), mass, alpha=alpha)
-    big_n = _nomonopole_channel_n_coulomb(jf, n, channel)
+    return _lob_nomonopole_coulomb(scen, jf, n, channel)
+
+
+def _check_nomonopole_j(j: Fraction) -> None:
+    if j < 0 or j.denominator != 1:
+        raise SpectrumError(f"no-monopole channels need integer j >= 0, got {j}")
+
+
+def _lob_nomonopole_coulomb(scen: Scenario, j: Fraction, n: int, channel: str) -> EnergyLevel:
+    alpha, mass = scen.alpha, scen.mass
+    _check_nomonopole_j(j)
+    big_n = _nomonopole_channel_n_coulomb(j, n, channel)
     energy = -mass * alpha * alpha / (2.0 * big_n * big_n) - big_n * big_n / (2.0 * mass)
     b = (mass * alpha - big_n * big_n) / (2.0 * big_n)
     admissible = b > 0.0
     reason = "" if admissible else f"{REASON_EXHAUSTED}: M alpha <= N^2 (b = {b:.6g})"
     deriv = DERIV_HYPERGEOMETRIC if channel == CH_PARITY_ODD else DERIV_HEUN_FORMAL
     return EnergyLevel(
-        scenario=scen, channel=channel, j=jf, n=n, energy=energy,
+        scenario=scen, channel=channel, j=j, n=n, energy=energy,
         derivation=deriv, admissible=admissible, reason=reason,
         formula="E = -M alpha^2/(2 N^2) - N^2/(2M)",
         extras={"N": big_n, "b": b},
@@ -334,10 +358,14 @@ def lob_nomonopole_oscillator(k_osc: float, mass: float, j: HalfInt, n: int, cha
     with parity-odd N = 2n+j+3/2 (restriction N < sqrt(1+4KM)/2 bounds the
     level count) and formal even-channel values N = 2+j+n, N = 1+j+n."""
     jf = as_half_integer(j, "j")
-    if jf < 0 or jf.denominator != 1:
-        raise SpectrumError(f"no-monopole channels need integer j >= 0, got {jf}")
     scen = Scenario(GEOMETRY_LOBACHEVSKY, POTENTIAL_OSCILLATOR, Fraction(0), mass, k_osc=k_osc)
-    big_n = _nomonopole_channel_n_oscillator(jf, n, channel)
+    return _lob_nomonopole_oscillator(scen, jf, n, channel)
+
+
+def _lob_nomonopole_oscillator(scen: Scenario, j: Fraction, n: int, channel: str) -> EnergyLevel:
+    k_osc, mass = scen.k_osc, scen.mass
+    _check_nomonopole_j(j)
+    big_n = _nomonopole_channel_n_oscillator(j, n, channel)
     energy = _curved_oscillator_energy(k_osc, mass, big_n)
     limit = math.sqrt(1.0 + 4.0 * k_osc * mass) / 2.0
     admissible = big_n < limit
@@ -346,7 +374,7 @@ def lob_nomonopole_oscillator(k_osc: float, mass: float, j: HalfInt, n: int, cha
     )
     deriv = DERIV_HYPERGEOMETRIC if channel == CH_PARITY_ODD else DERIV_HEUN_FORMAL
     return EnergyLevel(
-        scenario=scen, channel=channel, j=jf, n=n, energy=energy,
+        scenario=scen, channel=channel, j=j, n=n, energy=energy,
         derivation=deriv, admissible=admissible, reason=reason,
         formula="E = N sqrt(K/M + 1/(2M)^2) - (N^2 + 1/4)/(2M)",
         extras={"N": big_n, "N_limit": limit},
@@ -529,18 +557,20 @@ def single_level(scenario: Scenario, j: HalfInt, n: int, channel: str) -> Energy
 
 
 def _closed_form_level(scenario: Scenario, j: Fraction, n: int, channel: str) -> EnergyLevel:
+    """The closed form for one level; the level carries `scenario` itself, so
+    fields the closed forms do not read (such as the radius) are kept."""
     geom, pot = scenario.geometry, scenario.potential
     if geom == GEOMETRY_FLAT:
         if pot == POTENTIAL_COULOMB:
-            return flat_coulomb(scenario.alpha, scenario.mass, j, scenario.charge, n, channel)
+            return _flat_coulomb(scenario, j, n, channel)
         if pot == POTENTIAL_OSCILLATOR:
-            return flat_oscillator(scenario.k_osc, scenario.mass, j, scenario.charge, n, channel)
+            return _flat_oscillator(scenario, j, n, channel)
         raise SpectrumError("flat free-particle scenarios have a continuum, not discrete levels")
     if scenario.no_monopole:
         if pot == POTENTIAL_COULOMB:
-            return lob_nomonopole_coulomb(scenario.alpha, scenario.mass, j, n, channel)
+            return _lob_nomonopole_coulomb(scenario, j, n, channel)
         if pot == POTENTIAL_OSCILLATOR:
-            return lob_nomonopole_oscillator(scenario.k_osc, scenario.mass, j, n, channel)
+            return _lob_nomonopole_oscillator(scenario, j, n, channel)
         raise SpectrumError("free curved scenarios have a continuum, not discrete levels")
     if channel != CH_MIN_J:
         raise SpectrumError(
@@ -551,7 +581,7 @@ def _closed_form_level(scenario: Scenario, j: Fraction, n: int, channel: str) ->
             f"curved monopole levels exist only at j = |k| - 1 = {min_allowed_j(scenario.charge)}, got j = {j}"
         )
     if pot == POTENTIAL_COULOMB:
-        return lob_minj_coulomb(scenario.alpha, scenario.mass, n, scenario.charge)
+        return _lob_minj_coulomb(scenario, n)
     if pot == POTENTIAL_OSCILLATOR:
-        return lob_minj_oscillator(scenario.k_osc, scenario.mass, n, scenario.charge)
+        return _lob_minj_oscillator(scenario, n)
     raise SpectrumError("the free curved minimum-j channel has no discrete levels")

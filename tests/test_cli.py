@@ -1,9 +1,13 @@
 """CLI surface: subcommands, exit codes, formats, determinism, config files."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import monopole_spectra
 from monopole_spectra import cli
 
 
@@ -196,3 +200,45 @@ def test_spectrum_non_finite_parameter_exit_2(flags, capsys):
 def test_spectrum_overflowing_level_exit_1(flags, capsys):
     code, out, err = run(["spectrum", *flags], capsys)
     assert code == 1 and out == "" and "overflows" in err
+
+
+def test_spectrum_keeps_the_curvature_radius(capsys):
+    code, out, _ = run(
+        ["spectrum", "--geometry", "lobachevsky", "--potential", "oscillator", "--k-osc", "50",
+         "--k", "1", "--j", "0", "--radius", "2", "--n", "0", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    (record,) = json.loads(out)
+    assert record["scenario"]["radius"] == 2.0
+    # energies stay in curvature units: the radius changes only the record
+    _, unit_out, _ = run(
+        ["spectrum", "--geometry", "lobachevsky", "--potential", "oscillator", "--k-osc", "50",
+         "--k", "1", "--j", "0", "--n", "0", "--format", "json"],
+        capsys,
+    )
+    assert record["E"] == json.loads(unit_out)[0]["E"]
+
+
+@pytest.mark.parametrize("potential, flag", [("coulomb", "--alpha"), ("oscillator", "--k-osc")])
+def test_spectrum_missing_potential_strength_names_the_flag(potential, flag, capsys):
+    code, out, err = run(["spectrum", "--potential", potential, "--k", "1", "--j", "2"], capsys)
+    assert code == 2 and out == ""
+    assert f"--potential {potential} needs {flag}" in err
+
+
+def test_spectrum_bytes_agree_across_processes_and_a_warm_memo(capsys):
+    argv = ["spectrum", "--k", "3/2", "--j", "7/2", "--alpha", "1.3", "--mass", "0.9",
+            "--n", "0..40", "--format", "json", "--include-inadmissible"]
+    src = os.path.dirname(os.path.dirname(monopole_spectra.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = [
+        subprocess.run([sys.executable, "-m", "monopole_spectra.cli", *argv],
+                       capture_output=True, check=True, env=env).stdout
+        for _ in range(2)
+    ]
+    for j in ("5/2", "9/2", "3/2"):  # warm the memo with other keys first
+        run(["spectrum", "--k", "3/2", "--j", j, "--alpha", "1", "--n", "0..3"], capsys)
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert fresh[0] == fresh[1] == out.encode("utf-8")

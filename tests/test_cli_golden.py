@@ -45,6 +45,9 @@ CASES.update({
     "spectrum_lob_minj_oscillator_table": ["spectrum", "--geometry", "lobachevsky",
                                            "--potential", "oscillator", "--k", "1", "--j", "0",
                                            "--k-osc", "30", "--n", "0..4", "--include-inadmissible"],
+    "spectrum_flat_coulomb_deep_csv": ["spectrum", "--k", "3/2", "--j", "7/2", "--alpha", "1.3",
+                                       "--mass", "0.9", "--n", "0..199", "--format", "csv",
+                                       "--include-inadmissible"],
     "roots_generic": ["roots", "--k", "1", "--j", "2"],
     "roots_j_equals_k": ["roots", "--k", "3/2", "--j", "3/2"],
     "roots_k0": ["roots", "--k", "0", "--j", "2"],

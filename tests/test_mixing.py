@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from monopole_spectra import core, mixing
+from monopole_spectra import core, mixing, spectra
 
 F = Fraction
 
@@ -153,3 +153,47 @@ def test_roots_rejects_nonnegative_discriminant():
     )
     with pytest.raises(mixing.MixingError):
         mixing.roots(fake)
+
+
+@pytest.fixture
+def cubic_calls(monkeypatch):
+    """Empty the roots memo and record every exact-cubic evaluation."""
+    mixing.mixing_roots.cache_clear()
+    calls = []
+    uncached = mixing.cubic_invariants
+
+    def counting(j, k):
+        calls.append((j, k))
+        return uncached(j, k)
+
+    monkeypatch.setattr(mixing, "cubic_invariants", counting)
+    return calls
+
+
+def test_mixing_roots_memo_runs_exact_cubic_once_per_key(cubic_calls):
+    scen = core.Scenario("flat", "coulomb", F(3, 2), 0.9, alpha=1.3)
+    levels = spectra.spectrum_levels(scen, F(7, 2), range(1000), include_inadmissible=True)
+    assert len(levels) == 3000
+    assert cubic_calls == [(F(7, 2), F(3, 2))]
+
+
+def test_mixing_roots_memo_shares_one_entry_per_value(cubic_calls):
+    first = mixing.mixing_roots(2, 1)
+    for j in ("2", 2.0, F(2)):
+        assert mixing.mixing_roots(j, F(1)) is first
+    assert len(cubic_calls) == 1
+    assert first == mixing.roots(mixing.cubic_invariants(2, 1))
+
+
+def test_mixing_roots_errors_are_not_memoized(cubic_calls):
+    for _ in range(2):
+        with pytest.raises(mixing.MixingError):
+            mixing.mixing_roots(0, 0)
+    assert len(cubic_calls) == 2
+
+
+def test_as_half_integer_returns_an_exact_half_integer_unchanged():
+    x = F(3, 2)
+    assert core.as_half_integer(x) is x
+    with pytest.raises(core.QuantumNumberError, match="not a half-integer"):
+        core.as_half_integer(F(1, 3))

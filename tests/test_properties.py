@@ -61,6 +61,19 @@ def test_mixing_roots_match_eigensolve(k2, dj):
 
 
 @PROPERTY
+@given(k2=st.integers(min_value=-12, max_value=12), dj=st.integers(min_value=0, max_value=8),
+       form=st.sampled_from([Fraction, str, float]))
+def test_memoized_roots_equal_uncached_bit_for_bit(k2, dj, form):
+    k = Fraction(k2, 2)
+    j = abs(k) + dj
+    if j == 0:
+        return  # j = k = 0 has no three-root triple
+    memo = mixing.mixing_roots(form(j), form(k))
+    fresh = mixing.roots(mixing.cubic_invariants(j, k))
+    assert [x.hex() for x in memo.a + memo.l] == [x.hex() for x in fresh.a + fresh.l]
+
+
+@PROPERTY
 @given(mass=positive, coupling=positive, j=st.integers(min_value=0, max_value=3),
        potential=st.sampled_from(["coulomb", "oscillator"]),
        channel=st.sampled_from(["parity-odd", "even-1", "even-2"]))

@@ -327,3 +327,26 @@ def test_single_level_rejects_overflowing_energy():
     minj = spectra.Scenario("lobachevsky", "coulomb", F(1), 10.0, alpha=0.1)
     exhausted = spectra.single_level(minj, 0, 10, "min-j")
     assert math.isnan(exhausted.energy) and not exhausted.admissible
+
+
+@pytest.mark.parametrize("scen, j, channel, closed_form", [
+    (spectra.Scenario("flat", "coulomb", F(1), 1.5, alpha=0.7, radius=3.0), 2, "branch-2",
+     lambda n: spectra.flat_coulomb(0.7, 1.5, 2, 1, n, "branch-2")),
+    (spectra.Scenario("flat", "oscillator", F(1), 1.5, k_osc=2.0, radius=3.0), 0, "min-j",
+     lambda n: spectra.flat_oscillator(2.0, 1.5, 0, 1, n, "min-j")),
+    (spectra.Scenario("lobachevsky", "coulomb", F(0), 1.0, alpha=10.0, radius=3.0), 0, "even-1",
+     lambda n: spectra.lob_nomonopole_coulomb(10.0, 1.0, 0, n, "even-1")),
+    (spectra.Scenario("lobachevsky", "oscillator", F(0), 1.0, k_osc=30.0, radius=3.0), 1, "parity-odd",
+     lambda n: spectra.lob_nomonopole_oscillator(30.0, 1.0, 1, n, "parity-odd")),
+    (spectra.Scenario("lobachevsky", "coulomb", F(2), 10.0, alpha=0.1, radius=3.0), 1, "min-j",
+     lambda n: spectra.lob_minj_coulomb(0.1, 10.0, n, 2)),
+    (spectra.Scenario("lobachevsky", "oscillator", F(-1), 1.0, k_osc=100.0, radius=3.0), 0, "min-j",
+     lambda n: spectra.lob_minj_oscillator(100.0, 1.0, n, -1)),
+])
+def test_single_level_carries_the_callers_scenario(scen, j, channel, closed_form):
+    for n in range(3):
+        lv = spectra.single_level(scen, j, n, channel)
+        assert lv.scenario is scen
+        ref = closed_form(n)
+        assert ref.scenario.radius == 1.0
+        assert (lv.energy, lv.admissible, lv.j, lv.extras) == (ref.energy, ref.admissible, ref.j, ref.extras)
