@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import mixing, oracle, radial, spectra, validate
-from .core import QuantumNumberError, Scenario, as_half_integer
+from .core import QuantumNumberError, Scenario, as_half_integer, channel_kind, couplings
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -93,13 +93,27 @@ def parse_radial_index(text: str) -> int:
     return n
 
 
+def _distinct(values: list, flag: str) -> list:
+    """`values` unchanged, or a ValueError naming the first repeated one."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ValueError(f"{flag} lists {value} twice")
+        seen.add(value)
+    return values
+
+
 def parse_n_range(spec: str) -> list[int]:
-    """'0..3', '2', or '0,2,5'; every index must be >= 0."""
+    """'0..3', '2', or '0,2,5'; every index must be >= 0, a range must not
+    run backwards and a list must not repeat an index."""
     spec = spec.strip()
     if ".." in spec:
         lo, _, hi = spec.partition("..")
-        return list(range(parse_radial_index(lo), parse_radial_index(hi) + 1))
-    return [parse_radial_index(tok) for tok in spec.split(",")]
+        first, last = parse_radial_index(lo), parse_radial_index(hi)
+        if last < first:
+            raise ValueError(f"--n range {spec} runs backwards")
+        return list(range(first, last + 1))
+    return _distinct([parse_radial_index(tok) for tok in spec.split(",")], "--n")
 
 
 def parse_grid_spec(spec: str) -> np.ndarray:
@@ -189,7 +203,7 @@ def cmd_spectrum(args) -> int:
         scen = _scenario_from_args(args)
         j = as_half_integer(args.j, "j")
         n_values = parse_n_range(args.n)
-        channels = args.channel.split(",") if args.channel else None
+        channels = _distinct(args.channel.split(","), "--channel") if args.channel else None
     except (ValueError, QuantumNumberError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -210,8 +224,6 @@ def cmd_roots(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        from .core import channel_kind, couplings
-
         kind = channel_kind(j, k)
         out: dict = {"j2": int(j * 2), "k2": int(k * 2), "channel_kind": kind}
         if kind == "min-j":

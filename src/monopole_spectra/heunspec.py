@@ -30,35 +30,30 @@ def _sqrt_or_raise(radicand: float, label: str) -> float:
     return math.sqrt(radicand)
 
 
-def _even_channel_a_coulomb(j: float, channel: str, bound_branch: bool) -> float:
-    # z = 0 exponents: {j+2, -(j+1)} for channel 1, {j, 1-j} for channel 2
+def _even_channel_a_coulomb(j: float, channel: str) -> float:
+    # bound z = 0 exponent: j+2 of {j+2, -(j+1)} for channel 1, j of {j, 1-j} for channel 2
     if channel == CH_EVEN_1:
-        return j + 2.0 if bound_branch else -(j + 1.0)
+        return j + 2.0
     if channel == CH_EVEN_2:
-        return j if bound_branch else 1.0 - j
+        return j
     raise SpectrumError(f"unknown even channel {channel!r}")
 
 
-def coulomb_exponents(energy: float, alpha: float, mass: float, j: HalfInt, channel: str,
-                      branch_override: tuple[bool, int, int] | None = None) -> tuple[float, float, float]:
+def coulomb_exponents(energy: float, alpha: float, mass: float, j: HalfInt, channel: str) -> tuple[float, float, float]:
     """Bound-branch substitution exponents (A, B, C) for the Coulomb channels:
 
         A = j+2 (channel 1) or j (channel 2),
         B = 1/2 + sqrt(-2M(E+alpha)),  C = 1/2 - sqrt(-2M(E-alpha)).
 
-    Needs E + alpha < 0 and E - alpha < 0. branch_override = (a_bound, b_sign,
-    c_sign) exposes the rejected exponent branches for exploration only.
+    Needs E + alpha < 0 and E - alpha < 0.
     """
     jf = float(as_half_integer(j, "j"))
-    a_bound, b_sign, c_sign = branch_override if branch_override is not None else (True, +1, -1)
     u = _sqrt_or_raise(-2.0 * mass * (energy + alpha), "B: -2M(E+alpha)")
     v = _sqrt_or_raise(-2.0 * mass * (energy - alpha), "C: -2M(E-alpha)")
-    a_exp = _even_channel_a_coulomb(jf, channel, a_bound)
-    return a_exp, 0.5 + b_sign * u, 0.5 + c_sign * v
+    return _even_channel_a_coulomb(jf, channel), 0.5 + u, 0.5 - v
 
 
-def heun_params_coulomb(energy: float, alpha: float, mass: float, j: HalfInt, channel: str,
-                        branch_override: tuple[bool, int, int] | None = None) -> HeunParams:
+def heun_params_coulomb(energy: float, alpha: float, mass: float, j: HalfInt, channel: str) -> HeunParams:
     """Heun parameters of the transformed Coulomb channel in z = tanh(r/2):
 
         gamma = 2A, delta = 2B, eps = 2C, q = 4 M alpha - 2A(B - C),
@@ -67,7 +62,7 @@ def heun_params_coulomb(energy: float, alpha: float, mass: float, j: HalfInt, ch
     The Fuchs relation holds identically (2A + 2B + 2C = 2(A+B+C) + 1 - 1).
     """
     jf = float(as_half_integer(j, "j"))
-    a_exp, b_exp, c_exp = coulomb_exponents(energy, alpha, mass, j, channel, branch_override)
+    a_exp, b_exp, c_exp = coulomb_exponents(energy, alpha, mass, j, channel)
     s = a_exp + b_exp + c_exp
     return HeunParams(
         gamma=2.0 * a_exp,
@@ -79,8 +74,7 @@ def heun_params_coulomb(energy: float, alpha: float, mass: float, j: HalfInt, ch
     )
 
 
-def oscillator_exponents(k_osc: float, mass: float, j: HalfInt, channel: str,
-                         branch_override: tuple[int, bool, bool] | None = None) -> tuple[float, float, float]:
+def oscillator_exponents(k_osc: float, mass: float, j: HalfInt, channel: str) -> tuple[float, float, float]:
     """Bound-branch exponents (A, B, C) for the oscillator channels in x = cosh r:
 
         A = (1 - sqrt(1 + 4MK))/2,
@@ -88,21 +82,19 @@ def oscillator_exponents(k_osc: float, mass: float, j: HalfInt, channel: str,
         C = 1/2 + j/2 (channel 1) or (1+j)/2 (channel 2).
     """
     jf = float(as_half_integer(j, "j"))
-    a_sign, b_bound, c_bound = branch_override if branch_override is not None else (-1, True, True)
-    a_exp = 0.5 + a_sign * 0.5 * _sqrt_or_raise(1.0 + 4.0 * mass * k_osc, "A: 1+4MK")
+    a_exp = 0.5 - 0.5 * _sqrt_or_raise(1.0 + 4.0 * mass * k_osc, "A: 1+4MK")
     if channel == CH_EVEN_1:
-        b_exp = 1.0 + jf / 2.0 if b_bound else -0.5 - jf / 2.0
-        c_exp = 0.5 + jf / 2.0 if c_bound else -jf / 2.0
+        b_exp = 1.0 + jf / 2.0
+        c_exp = 0.5 + jf / 2.0
     elif channel == CH_EVEN_2:
-        b_exp = jf / 2.0 if b_bound else (1.0 - jf) / 2.0
-        c_exp = (1.0 + jf) / 2.0 if c_bound else -jf / 2.0
+        b_exp = jf / 2.0
+        c_exp = (1.0 + jf) / 2.0
     else:
         raise SpectrumError(f"unknown even channel {channel!r}")
     return a_exp, b_exp, c_exp
 
 
-def heun_params_oscillator(energy: float, k_osc: float, mass: float, j: HalfInt, channel: str,
-                           branch_override: tuple[int, bool, bool] | None = None) -> HeunParams:
+def heun_params_oscillator(energy: float, k_osc: float, mass: float, j: HalfInt, channel: str) -> HeunParams:
     """Heun parameters of the transformed oscillator channel in x = cosh r:
 
         gamma = 2A, delta = 2B + 1/2, eps = 2C + 1/2, q = -2A(B - C),
@@ -110,7 +102,7 @@ def heun_params_oscillator(energy: float, k_osc: float, mass: float, j: HalfInt,
 
     Needs E <= K/2 (below the continuum edge) for real lam, beta.
     """
-    a_exp, b_exp, c_exp = oscillator_exponents(k_osc, mass, j, channel, branch_override)
+    a_exp, b_exp, c_exp = oscillator_exponents(k_osc, mass, j, channel)
     w = _sqrt_or_raise(-mass * (2.0 * energy - k_osc), "lam/beta: -M(2E-K)")
     s = a_exp + b_exp + c_exp
     return HeunParams(
@@ -129,16 +121,13 @@ def termination_defect(params: HeunParams, n: int) -> float:
     return min(abs(params.lam + n), abs(params.beta + n))
 
 
-def heun_residual_on_disc(params: HeunParams, z_grid=None) -> float:
-    """Max relative ODE residual of the local Heun series over the grid
-    (default 60 points on [-0.8, 0.8] avoiding 0)."""
-    if z_grid is None:
-        z_grid = np.concatenate([np.linspace(-0.8, -0.02, 30), np.linspace(0.02, 0.8, 30)])
+_DISC_Z = np.concatenate([np.linspace(-0.8, -0.02, 30), np.linspace(0.02, 0.8, 30)])
+
+
+def heun_residual_on_disc(params: HeunParams) -> float:
+    """Max relative ODE residual of the local Heun series over 60 points on
+    [-0.8, 0.8] avoiding 0."""
     worst = 0.0
-    for z in np.asarray(z_grid, dtype=float):
-        if abs(z) > 0.8 + 1e-12:
-            raise SpectrumError("residual disc restricted to |z| <= 0.8")
-        if z == 0.0:
-            continue
+    for z in _DISC_Z:
         worst = max(worst, heun_ode_residual(params, float(z)))
     return worst

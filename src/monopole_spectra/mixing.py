@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import HalfInt, as_half_integer, coupling_squares, couplings
+from .core import HalfInt, as_half_integer, coupling_squares
 
 
 class MixingError(ValueError):
@@ -202,14 +202,6 @@ def transform_residual(c: float, d: float, triple: RootTriple, s: np.ndarray) ->
     """max |Abar S - S diag(A)| over entries."""
     abar = build_matrix(c, d)
     return float(np.max(np.abs(abar @ s - s * np.array(triple.a))))
-
-
-def diagonalize(j: HalfInt, k: HalfInt) -> tuple[RootTriple, np.ndarray, float]:
-    """Roots, transform, and eigen-relation residual for admissible (j, k)."""
-    cp = couplings(j, k)
-    triple = mixing_roots(j, k)
-    s = transform_matrix(cp.c, cp.d, triple)
-    return triple, s, transform_residual(cp.c, cp.d, triple, s)
 
 
 def parity_eigenvalues(j: HalfInt) -> tuple[Fraction, Fraction]:

@@ -1,7 +1,7 @@
 """Independent numerical eigenvalue machinery used to validate every spectrum.
 
 The discretization is the plain 3-point stencil on a uniform Dirichlet grid,
-turning u'' + (2MwE - V)u = 0 into a symmetric tridiagonal eigenproblem whose
+turning u'' + (2ME - V)u = 0 into a symmetric tridiagonal eigenproblem whose
 selected eigenvalues come from bisection on Sturm sequences (LAPACK *stebz via
 scipy); an explicit Sturm counter provides exact bound-state counts below a
 continuum edge. The quadratic-in-energy problem is handled by two-sided
@@ -20,7 +20,7 @@ from scipy.linalg import eigh_tridiagonal
 from . import ivp
 from .core import GEOMETRY_FLAT, POTENTIAL_OSCILLATOR
 from .radial import LINEAR_IN_E, QUADRATIC_IN_EPSILON, RadialProblem
-from .spectra import EnergyLevel, oscillator_candidates
+from .spectra import oscillator_candidates
 
 
 class OracleError(RuntimeError):
@@ -29,26 +29,25 @@ class OracleError(RuntimeError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform Dirichlet box: unknowns at r_i = r_min + i h, i = 1..n,
-    h = (r_max - r_min)/(n + 1); u vanishes at both walls."""
+    """Uniform Dirichlet box: unknowns at r_i = i h, i = 1..n,
+    h = r_max/(n + 1); u vanishes at r = 0 and r = r_max."""
 
     r_max: float
     n: int
-    r_min: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.r_max <= self.r_min or self.r_min < 0.0:
-            raise OracleError("grid needs 0 <= r_min < r_max")
+        if self.r_max <= 0.0:
+            raise OracleError("grid needs r_max > 0")
         if self.n < 16:
             raise OracleError("grid too small")
 
     @property
     def h(self) -> float:
-        return (self.r_max - self.r_min) / (self.n + 1)
+        return self.r_max / (self.n + 1)
 
     @property
     def nodes(self) -> np.ndarray:
-        return self.r_min + np.arange(1, self.n + 1) * self.h
+        return np.arange(1, self.n + 1) * self.h
 
 
 MIN_VALIDATION_POINTS = 2000
@@ -124,14 +123,13 @@ def fd_eigen(problem: RadialProblem, grid: Optional[Grid] = None, count: int = 4
                 f"E = {problem.continuum_edge:.6g}"
             )
     mu = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1), eigvals_only=True)
-    return mu / (2.0 * problem.mass * problem.weight)
+    return mu / (2.0 * problem.mass)
 
 
-def count_bound_states(problem: RadialProblem, grid: Optional[Grid] = None,
-                       continuum_edge: Optional[float] = None) -> int:
-    """Number of FD eigenvalues strictly below the continuum edge, stabilized
-    against the box size (recomputed at 1.5 r_max; counts must agree)."""
-    edge = continuum_edge if continuum_edge is not None else problem.continuum_edge
+def count_bound_states(problem: RadialProblem, grid: Optional[Grid] = None) -> int:
+    """Number of FD eigenvalues strictly below the problem's continuum edge,
+    stabilized against the box size (recomputed at 1.5 r_max; counts must agree)."""
+    edge = problem.continuum_edge
     if edge is None:
         raise OracleError(
             "bound-state counting needs a finite continuum edge (curved potentials only); "
@@ -143,7 +141,7 @@ def count_bound_states(problem: RadialProblem, grid: Optional[Grid] = None,
     mu_edge = problem.eigenvalue_from_energy(edge)
     counts = []
     for scale in (1.0, 1.5):
-        g = Grid(r_max=grid.r_max * scale, n=int(round((grid.n + 1) * scale)) - 1, r_min=grid.r_min)
+        g = Grid(r_max=grid.r_max * scale, n=int(round((grid.n + 1) * scale)) - 1)
         diag, off = _tridiagonal(problem, g)
         counts.append(sturm_count_below(diag, off, mu_edge))
     if counts[0] != counts[1]:
@@ -235,14 +233,6 @@ class OracleReport:
     verdicts: list = field(default_factory=list)
     notes: list = field(default_factory=list)
 
-    def add_comparison(self, label: str, analytic: float, numeric: float) -> dict:
-        dev = abs(numeric - analytic)
-        rel = dev / max(abs(analytic), 1e-300)
-        entry = {"label": label, "analytic": analytic, "numeric": numeric,
-                 "abs_dev": dev, "rel_dev": rel}
-        self.entries.append(entry)
-        return entry
-
     def to_json_dict(self) -> dict:
         return {
             "tag": self.tag,
@@ -251,40 +241,6 @@ class OracleReport:
             "verdicts": self.verdicts,
             "notes": self.notes,
         }
-
-    def text_table(self) -> str:
-        lines = [f"== {self.tag} =="]
-        for e in self.entries:
-            lines.append(
-                f"  {e['label']:<44s} analytic {e['analytic']: .9e}  "
-                f"numeric {e['numeric']: .9e}  rel {e['rel_dev']:.2e}"
-            )
-        for key, val in self.counts.items():
-            lines.append(f"  count {key}: {val}")
-        for v in self.verdicts:
-            lines.append(f"  verdict: {v}")
-        for note in self.notes:
-            lines.append(f"  note: {note}")
-        return "\n".join(lines)
-
-
-def compare_levels(problem: RadialProblem, levels: Sequence[EnergyLevel],
-                   grid: Optional[Grid] = None, report: Optional[OracleReport] = None) -> OracleReport:
-    """FD-eigensolve the problem and compare against analytic levels ordered
-    by n (index n maps to the n-th Dirichlet eigenvalue)."""
-    if report is None:
-        report = OracleReport(tag=problem.tag)
-    levels = sorted(levels, key=lambda lv: lv.n)
-    if not levels:
-        return report
-    count = levels[-1].n + 1
-    e_target = levels[-1].energy
-    numeric = fd_eigen(problem, grid=grid, count=count, e_target=e_target)
-    for lv in levels:
-        report.add_comparison(
-            f"{problem.tag} n={lv.n}", analytic=lv.energy, numeric=float(numeric[lv.n])
-        )
-    return report
 
 
 @dataclass(frozen=True)

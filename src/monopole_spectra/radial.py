@@ -1,6 +1,6 @@
 """Effective one-dimensional radial problems and analytic wavefunctions.
 
-Every channel reduces to Liouville normal form u'' + (2 M w E - V_eff(r)) u = 0
+Every channel reduces to Liouville normal form u'' + (2 M E - V_eff(r)) u = 0
 (the flat channels after u = r f), except the curved minimum-j Coulomb channel
 which is quadratic in the relativistic energy:
 u'' + ((eps + alpha/tanh r)^2 - M^2) u = 0. Analytic solutions are assembled
@@ -29,12 +29,13 @@ from .core import (
     as_half_integer,
 )
 from .spectra import (
-    CH_BRANCH,
     CH_EVEN_1,
     CH_EVEN_2,
     CH_MIN_J,
     CH_PARITY_ODD,
     EnergyLevel,
+    SpectrumError,
+    _flat_channel,
 )
 
 LINEAR_IN_E = "linear-in-E"
@@ -50,9 +51,9 @@ class RadialProblem:
     """A radial eigenproblem in normal form on (0, infinity).
 
     For linearity == 'linear-in-E' the equation is
-        u'' + (2 * mass * weight * E - v_eff(r)) u = 0,
+        u'' + (2 * mass * E - v_eff(r)) u = 0,
     and `continuum_edge` (set for curved geometries) is the E value of
-    lim_{r->inf} v_eff/(2 M w); eigenvalues below it are genuine bound states.
+    lim_{r->inf} v_eff/(2 M); eigenvalues below it are genuine bound states.
     For 'quadratic-in-epsilon' the equation is u'' + quad_coeff(r, eps) u = 0.
     """
 
@@ -61,19 +62,14 @@ class RadialProblem:
     channel: str
     j: Fraction
     mass: float
-    weight: float = 1.0
     v_eff: Optional[Callable] = None
     quad_coeff: Optional[Callable] = None
     linearity: str = LINEAR_IN_E
     origin_exponent: float = 1.0
     continuum_edge: Optional[float] = None
-    peculiar_origin: bool = False  # u(0) != 0 admitted (reduced free channel)
-
-    def energy_from_eigenvalue(self, mu: float) -> float:
-        return mu / (2.0 * self.mass * self.weight)
 
     def eigenvalue_from_energy(self, energy: float) -> float:
-        return 2.0 * self.mass * self.weight * energy
+        return 2.0 * self.mass * energy
 
 
 def _coth(r):
@@ -95,19 +91,17 @@ def build_problem(scenario: Scenario, channel: str, j: HalfInt) -> RadialProblem
     common = dict(tag=tag, scenario=scenario, channel=channel, j=jf, mass=m)
 
     if scenario.geometry == GEOMETRY_FLAT:
-        lval = _flat_channel_l(scenario, channel, jf)
+        try:
+            lval, _ = _flat_channel(jf, scenario.charge, channel)
+        except SpectrumError as exc:
+            raise RadialError(str(exc)) from exc
         if scenario.potential == POTENTIAL_COULOMB:
             vr = lambda r, L=lval: L * (L + 1.0) / r**2 - 2.0 * m * al / r
         elif scenario.potential == POTENTIAL_OSCILLATOR:
             vr = lambda r, L=lval: L * (L + 1.0) / r**2 + m * ko * r**2
         else:
             vr = lambda r, L=lval: L * (L + 1.0) / r**2
-        return RadialProblem(
-            **common,
-            v_eff=vr,
-            origin_exponent=lval + 1.0,
-            peculiar_origin=(channel == CH_MIN_J and scenario.potential == POTENTIAL_NONE),
-        )
+        return RadialProblem(**common, v_eff=vr, origin_exponent=lval + 1.0)
 
     # Lobachevsky geometry
     if channel == CH_MIN_J:
@@ -158,19 +152,6 @@ def build_problem(scenario: Scenario, channel: str, j: HalfInt) -> RadialProblem
     return RadialProblem(**common, v_eff=vr, origin_exponent=exponent, continuum_edge=edge)
 
 
-def _flat_channel_l(scenario: Scenario, channel: str, j: Fraction) -> float:
-    from .core import channel_kind
-    from .mixing import mixing_roots
-
-    if channel == CH_MIN_J:
-        if scenario.charge == 0 or channel_kind(j, scenario.charge) != "min-j":
-            raise RadialError(f"min-j channel invalid at (j, k) = ({j}, {scenario.charge})")
-        return 0.0
-    if channel in CH_BRANCH:
-        return mixing_roots(j, scenario.charge).l[CH_BRANCH.index(channel)]
-    raise RadialError(f"unknown flat channel {channel!r}")
-
-
 # --- analytic solutions -------------------------------------------------------
 
 
@@ -184,10 +165,8 @@ class RadialSolution:
     norm: Optional[float] = None
     auxiliary: dict = field(default_factory=dict)
 
-    def node_count(self, skip_fraction: float = 0.0) -> int:
+    def node_count(self) -> int:
         v = self.values
-        n0 = int(len(v) * skip_fraction)
-        v = v[n0:]
         signs = np.sign(v[np.abs(v) > 1e-12 * np.max(np.abs(v))])
         return int(np.sum(signs[1:] != signs[:-1]))
 
@@ -224,7 +203,7 @@ def default_solution_grid(problem: RadialProblem, level: EnergyLevel, h: float =
     else:
         r0 = _origin_start(problem, 1e-3, h)
         edge = problem.continuum_edge if problem.continuum_edge is not None else 0.0
-        gap = max(edge - level.energy, 0.05) if level.energy is not None else 1.0
+        gap = max(edge - level.energy, 0.05)
         kappa = math.sqrt(2.0 * problem.mass * gap)
         r1 = min(12.0 / kappa + 8.0, 60.0)
     n = max(int((r1 - r0) / h) + 1, 1001)
@@ -424,90 +403,22 @@ def regular_free_solution(j: HalfInt, energy: float, mass: float, sample_points)
     )
 
 
-def standing_wave_check(j: HalfInt, energy: float, mass: float = 1.0,
-                        window: tuple[float, float] = (8.0, 12.0), n_window: int = 81) -> float:
+def standing_wave_check(j: HalfInt, energy: float, mass: float = 1.0) -> float:
     """Envelope flatness ratio max/min of sqrt(u^2 + (u'/omega)^2) over the far
-    window; a value near 1 indicates a pure standing wave."""
+    window 8 <= r <= 12; a value near 1 indicates a pure standing wave."""
     if energy <= 0.0:
         raise RadialError("standing-wave check needs E > 0")
-    if window[0] < 5.0:
-        raise RadialError("window too close to origin; start at r >= 5")
-    pts = np.linspace(window[0], window[1], n_window)
+    pts = np.linspace(8.0, 12.0, 81)
     sol = regular_free_solution(j, energy, mass, pts)
     omega = math.sqrt(2.0 * mass * energy)
     env = np.sqrt(sol.values**2 + (sol.auxiliary["derivatives"] / omega) ** 2)
     return float(np.max(env) / np.min(env))
 
 
-def origin_exponent_fit(j: HalfInt, energy: float, mass: float = 1.0,
-                        fit_range: tuple[float, float] = (1e-3, 1e-2), n_fit: int = 25) -> float:
-    """Log-log slope of the regular free curved solution near the origin."""
-    pts = np.geomspace(fit_range[0], fit_range[1], n_fit)
+def origin_exponent_fit(j: HalfInt, energy: float, mass: float = 1.0) -> float:
+    """Log-log slope of the regular free curved solution over 1e-3 <= r <= 1e-2."""
+    pts = np.geomspace(1e-3, 1e-2, 25)
     sol = regular_free_solution(j, energy, mass, pts)
     slope = np.polyfit(np.log(pts), np.log(np.abs(sol.values)), 1)[0]
     return float(slope)
 
-
-# --- relativistic reduced channel ----------------------------------------------
-
-
-def relativistic_minj(epsilon: float, mass: float, k_sign: int = 1,
-                      geometry: str = GEOMETRY_FLAT, grid: Optional[np.ndarray] = None) -> RadialSolution:
-    """Solutions of F'' + (eps^2 - M^2) F = 0 for the reduced j = |k|-1 channel.
-
-    eps^2 > M^2: oscillatory sin(p r); eps^2 = M^2: linear in r; 0 < eps < M:
-    the decaying exponential that plays the role of a bound-type state. In the
-    curved geometry the physical component carries the extra factor
-    (1 + cosh r)/(2 sinh r), returned in auxiliary['f2'].
-    """
-    if mass <= 0:
-        raise RadialError("mass must be positive")
-    if grid is None:
-        grid = uniform_grid(1e-3, 20.0, 4001)
-    r = np.asarray(grid, dtype=float)
-    w2 = epsilon * epsilon - mass * mass
-    if w2 > 0:
-        p = math.sqrt(w2)
-        vals = np.sin(p * r)
-        form = f"F = sin(p r), p = sqrt(eps^2 - M^2) = {p:.12g}"
-    elif w2 == 0.0:
-        vals = r.copy()
-        form = "F = r (eps^2 = M^2)"
-    else:
-        kappa = math.sqrt(-w2)
-        vals = np.exp(-kappa * r)
-        form = f"F = e^(-kappa r), kappa = sqrt(M^2 - eps^2) = {kappa:.12g} (bound-type)"
-    aux = {}
-    if geometry == GEOMETRY_LOBACHEVSKY:
-        aux["f2"] = (1.0 + np.cosh(r)) / (2.0 * np.sinh(r)) * vals
-    return RadialSolution(grid=r, values=vals, closed_form=form, auxiliary=aux)
-
-
-def relativistic_minj_residual(epsilon: float, mass: float, sol: RadialSolution) -> float:
-    """Residual of F'' + (eps^2 - M^2) F = 0 along the solution's grid.
-
-    The samples are regenerated in extended precision before differencing:
-    double-rounded samples through a 1/h^2 stencil would floor the residual
-    near 1e-9, above the 1e-10 this check asserts.
-    """
-    ld = np.longdouble
-    # regenerate an exactly uniform extended-precision grid over the same span;
-    # double-rounded linspace abscissae carry ~1 ulp jitter that the 1/h^2
-    # stencil would amplify to ~1e-9
-    n_pts = len(sol.grid)
-    h_ld = (ld(sol.grid[-1]) - ld(sol.grid[0])) / ld(n_pts - 1)
-    r = ld(sol.grid[0]) + np.arange(n_pts, dtype=ld) * h_ld
-    w2 = ld(epsilon) * ld(epsilon) - ld(mass) * ld(mass)
-    if w2 > 0:
-        vals = np.sin(np.sqrt(w2) * r)
-    elif w2 == 0:
-        vals = r.copy()
-    else:
-        vals = np.exp(-np.sqrt(-w2) * r)
-    h = r[1] - r[0]
-    d2 = (-vals[:-4] + 16.0 * vals[1:-3] - 30.0 * vals[2:-2] + 16.0 * vals[3:-1] - vals[4:]) / (
-        12.0 * h * h
-    )
-    res = d2 + w2 * vals[2:-2]
-    scale = np.max(np.abs(d2) + np.abs(w2 * vals[2:-2]))
-    return float(np.max(np.abs(res)) / max(scale, ld(1e-300)))

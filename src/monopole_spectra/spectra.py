@@ -190,7 +190,7 @@ def peculiar_flat_level(energy: float, scenario: Scenario) -> EnergyLevel:
     finite); the record reports it rather than classifying it."""
     if energy >= 0.0:
         raise SpectrumError("the bound-type reduced-channel profile needs E < 0")
-    if scenario.charge == 0 or abs(scenario.charge) < 1:
+    if abs(scenario.charge) < 1:
         raise SpectrumError("the reduced channel needs a monopole charge |k| >= 1")
     return EnergyLevel(
         scenario=scenario,

@@ -11,6 +11,7 @@ shoot to a match with a sign change across them, formal levels are marked
 inadmissible and miss, and admissibility terminates.
 """
 
+import re
 import time
 from fractions import Fraction
 
@@ -116,6 +117,13 @@ def test_criterion_10_heun_channels():
 
 def test_criterion_11_free_particle():
     check(criterion("11-free-particle"))
+
+
+def test_measured_texts_carry_no_wall_time():
+    # wall time lives in the envelope's timing_s, so two reports of the same
+    # code agree on every record
+    for rec in full_run()["report"]["results"]["criteria"]:
+        assert not re.search(r"\d\s?s\b", rec["measured"]), f"{rec['id']}: {rec['measured']}"
 
 
 def test_criterion_12_determinism_and_runtime():

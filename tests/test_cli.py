@@ -43,12 +43,35 @@ def test_spectrum_admissibility_flags(capsys):
 
 
 def test_spectrum_empty_range(capsys):
-    code, out, _ = run(
+    code, out, err = run(
         ["spectrum", "--k", "1", "--j", "2", "--alpha", "1", "--n", "1..0", "--format", "csv"],
         capsys,
     )
-    assert code == 0
-    assert out.strip().splitlines() == ["channel,j2,n,E,admissible,derivation,reason"]
+    assert code == 2 and out == ""
+    assert "--n range 1..0 runs backwards" in err
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--n", "1,1"], "--n lists 1 twice"),
+    (["--n", "0,2,00"], "--n lists 0 twice"),
+    (["--channel", "branch-1,branch-1"], "--channel lists branch-1 twice"),
+])
+def test_spectrum_rejects_repeated_requests(flags, named, capsys):
+    code, out, err = run(["spectrum", "--k", "1", "--j", "2", "--alpha", "1", *flags], capsys)
+    assert code == 2 and out == ""
+    assert named in err
+
+
+@pytest.mark.parametrize("channel, named", [
+    ("parity-odd", "unknown branch 'parity-odd'"),
+    ("min-j", "min-j channel requires j = |k| - 1"),
+])
+def test_wavefunction_invalid_flat_channel_exit_1(channel, named, capsys):
+    code, out, err = run(
+        ["wavefunction", "--k", "1", "--j", "2", "--alpha", "1", "--channel", channel], capsys
+    )
+    assert code == 1 and out == ""
+    assert named in err
 
 
 def test_spectrum_byte_identical(capsys):

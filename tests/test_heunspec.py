@@ -88,13 +88,6 @@ def test_oscillator_radicand_violation():
         heunspec.heun_params_oscillator(60.0, 100.0, 1.0, 0, "even-1")  # E > K/2
 
 
-def test_branch_override_exposes_rejected_exponents():
-    e, alpha, mass, j = -23.0, 10.0, 1.0, 1
-    a, b, c = heunspec.coulomb_exponents(e, alpha, mass, j, "even-1", branch_override=(False, -1, +1))
-    assert a == -(j + 1)
-    assert b < 0.5 < c
-
-
 def test_residual_on_disc_for_generated_sets():
     alpha, mass, k_osc = 10.0, 1.0, 100.0
     e = spectra.lob_nomonopole_coulomb(alpha, mass, 1, 0, "even-1").energy
@@ -104,9 +97,3 @@ def test_residual_on_disc_for_generated_sets():
     p2 = heunspec.heun_params_oscillator(e2, k_osc, mass, 0, "even-1")
     assert heunspec.heun_residual_on_disc(p2) <= 1e-9
 
-
-def test_residual_disc_boundary_enforced():
-    e = spectra.lob_nomonopole_oscillator(100.0, 1.0, 0, 0, "even-1").energy
-    p = heunspec.heun_params_oscillator(e, 100.0, 1.0, 0, "even-1")
-    with pytest.raises(spectra.SpectrumError):
-        heunspec.heun_residual_on_disc(p, z_grid=[0.9])

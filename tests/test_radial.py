@@ -51,6 +51,13 @@ def test_unknown_channel_rejected():
         radial.build_problem(scen("lobachevsky", "coulomb", charge=0, alpha=1.0), "branch-1", 1)
     with pytest.raises(radial.RadialError):
         radial.build_problem(scen("lobachevsky", "coulomb", charge=1, alpha=0.1), "parity-odd", 1)
+    flat = scen("flat", "coulomb", alpha=1.0)
+    with pytest.raises(radial.RadialError, match="unknown branch 'parity-odd'"):
+        radial.build_problem(flat, "parity-odd", 2)
+    with pytest.raises(radial.RadialError, match="min-j channel requires j = |k| - 1"):
+        radial.build_problem(flat, "min-j", 2)
+    with pytest.raises(radial.RadialError, match="reduced channel"):
+        radial.build_problem(flat, "branch-1", 0)
 
 
 def test_flat_coulomb_min_j_residual():
@@ -91,7 +98,6 @@ def test_flat_oscillator_residual_identifies_confirmed_candidate():
 def test_peculiar_flat_profile():
     sc = scen("flat", "none")
     problem = radial.build_problem(sc, "min-j", 0)
-    assert problem.peculiar_origin
     level = spectra.peculiar_flat_level(-0.5, sc)
     grid = radial.uniform_grid(1e-3, 15.0, 15001)
     sol = radial.analytic_solution(problem, level, grid=grid)
@@ -189,15 +195,13 @@ def test_bound_solutions_decay_monotonically_past_last_node():
 
 
 def test_standing_wave_envelope_flat():
-    ratio = radial.standing_wave_check(1, 0.5, 1.0, window=(8.0, 12.0))
+    ratio = radial.standing_wave_check(1, 0.5, 1.0)
     assert ratio <= 1.01
 
 
 def test_standing_wave_rejects_bad_requests():
     with pytest.raises(radial.RadialError):
         radial.standing_wave_check(1, 0.0, 1.0)
-    with pytest.raises(radial.RadialError):
-        radial.standing_wave_check(1, 0.5, 1.0, window=(1.0, 3.0))
 
 
 def test_origin_exponent_slope():
@@ -205,19 +209,3 @@ def test_origin_exponent_slope():
     assert slope == pytest.approx(2.0, abs=0.05)
     slope2 = radial.origin_exponent_fit(2, 0.5, 1.0)
     assert slope2 == pytest.approx(3.0, abs=0.05)
-
-
-def test_relativistic_minj_regimes():
-    mass = 1.0
-    grid = radial.uniform_grid(1e-3, 10.0, 10001)
-    osc = radial.relativistic_minj(1.5, mass, grid=grid)
-    assert radial.relativistic_minj_residual(1.5, mass, osc) <= 1e-10
-    assert "sin" in osc.closed_form
-    lin = radial.relativistic_minj(1.0, mass, grid=grid)
-    assert lin.values == pytest.approx(grid, abs=0.0)
-    bound = radial.relativistic_minj(0.6, mass, grid=grid)
-    assert radial.relativistic_minj_residual(0.6, mass, bound) <= 1e-10
-    assert "bound-type" in bound.closed_form
-    curved = radial.relativistic_minj(0.6, mass, geometry="lobachevsky", grid=grid)
-    pref = (1.0 + np.cosh(grid)) / (2.0 * np.sinh(grid))
-    assert curved.auxiliary["f2"] == pytest.approx(pref * curved.values, rel=1e-14)
