@@ -1,71 +1,29 @@
 """Energy spectra of a nonrelativistic spin-1 particle in a Dirac monopole
-field, in flat and Lobachevsky geometry, with independent numerical validation."""
+field, in flat and Lobachevsky geometry, with independent numerical validation.
 
-from .core import (
-    Couplings,
-    MonopoleCharge,
-    QuantumNumberError,
-    QuantumNumbers,
-    Scenario,
-    allowed_j,
-    couplings,
-)
-from .mixing import CubicInvariants, RootTriple, cubic_invariants, mixing_roots, parity_eigenvalues
-from .oracle import Grid, OracleReport, count_bound_states, fd_eigen, shoot_decay
-from .radial import RadialProblem, RadialSolution, analytic_solution, build_problem, residual
-from .spectra import (
-    EnergyLevel,
-    UnitSystem,
-    flat_coulomb,
-    flat_oscillator,
-    lob_minj_coulomb,
-    lob_minj_oscillator,
-    lob_nomonopole_coulomb,
-    lob_nomonopole_oscillator,
-    single_level,
-    spectrum_levels,
-    to_physical_units,
-)
-from .specfun import HeunParams, gauss_2f1, heun_local, kummer_1f1
+Exports resolve lazily (PEP 562): a name imports its submodule on first use."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Couplings",
-    "CubicInvariants",
-    "EnergyLevel",
-    "Grid",
-    "HeunParams",
-    "MonopoleCharge",
-    "OracleReport",
-    "QuantumNumberError",
-    "QuantumNumbers",
-    "RadialProblem",
-    "RadialSolution",
-    "RootTriple",
-    "Scenario",
-    "UnitSystem",
-    "allowed_j",
-    "analytic_solution",
-    "build_problem",
-    "count_bound_states",
-    "couplings",
-    "cubic_invariants",
-    "fd_eigen",
-    "flat_coulomb",
-    "flat_oscillator",
-    "gauss_2f1",
-    "heun_local",
-    "kummer_1f1",
-    "lob_minj_coulomb",
-    "lob_minj_oscillator",
-    "lob_nomonopole_coulomb",
-    "lob_nomonopole_oscillator",
-    "mixing_roots",
-    "parity_eigenvalues",
-    "residual",
-    "shoot_decay",
-    "single_level",
-    "spectrum_levels",
-    "to_physical_units",
-]
+_EXPORTS = {
+    "core": ("Couplings", "MonopoleCharge", "QuantumNumberError", "QuantumNumbers", "Scenario",
+             "allowed_j", "couplings"),
+    "mixing": ("CubicInvariants", "RootTriple", "cubic_invariants", "mixing_roots", "parity_eigenvalues"),
+    "oracle": ("Grid", "OracleReport", "count_bound_states", "fd_eigen", "shoot_decay"),
+    "radial": ("RadialProblem", "RadialSolution", "analytic_solution", "build_problem", "residual"),
+    "spectra": ("EnergyLevel", "UnitSystem", "flat_coulomb", "flat_oscillator", "lob_minj_coulomb",
+                "lob_minj_oscillator", "lob_nomonopole_coulomb", "lob_nomonopole_oscillator",
+                "single_level", "spectrum_levels", "to_physical_units"),
+    "specfun": ("HeunParams", "gauss_2f1", "heun_local", "kummer_1f1"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)

@@ -7,6 +7,9 @@ deterministic: numbers are printed with 12 significant digits, rows are
 sorted by (channel, j, n), and no timestamps enter data records.
 
 Exit codes: 0 success, 1 computation error, 2 configuration error.
+
+Only `validate` and `wavefunction` import the oracle modules (and scipy), when
+they run; `spectrum` and `roots` start without them.
 """
 
 from __future__ import annotations
@@ -16,9 +19,7 @@ import json
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import mixing, oracle, radial, spectra, validate
+from . import mixing, spectra
 from .core import QuantumNumberError, Scenario, as_half_integer, channel_kind, couplings
 
 EXIT_OK = 0
@@ -116,8 +117,19 @@ def parse_n_range(spec: str) -> list[int]:
     return _distinct([parse_radial_index(tok) for tok in spec.split(",")], "--n")
 
 
-def parse_grid_spec(spec: str) -> np.ndarray:
+def parse_channels(spec: str) -> list[str]:
+    """'branch-1, branch-2' -> channel labels, stripped; each must be one of
+    `spectra.CHANNELS` and named once."""
+    labels = [tok.strip() for tok in spec.split(",")]
+    for label in labels:
+        if label not in spectra.CHANNELS:
+            raise ValueError(f"unknown channel {label!r}; expected one of {', '.join(spectra.CHANNELS)}")
+    return _distinct(labels, "--channel")
+
+
+def parse_grid_spec(spec: str):
     """'r0:r1:N' -> N uniformly spaced radii from r0 to r1 inclusive."""
+    from . import radial
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid spec must be r0:r1:N, got {spec!r}")
@@ -203,7 +215,7 @@ def cmd_spectrum(args) -> int:
         scen = _scenario_from_args(args)
         j = as_half_integer(args.j, "j")
         n_values = parse_n_range(args.n)
-        channels = _distinct(args.channel.split(","), "--channel") if args.channel else None
+        channels = parse_channels(args.channel) if args.channel else None
     except (ValueError, QuantumNumberError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -275,6 +287,7 @@ def cmd_roots(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import validate
     try:
         report = validate.run_suites([args.suite] if args.suite != "all" else "all")
     except KeyError as exc:
@@ -296,6 +309,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_wavefunction(args) -> int:
+    from . import oracle, radial
     try:
         scen = _scenario_from_args(args)
         j = as_half_integer(args.j, "j")
@@ -342,6 +356,7 @@ def cmd_wavefunction(args) -> int:
 def _wavefunction_residual(problem, level):
     """Validation residual on the solver's own grid (the export grid may be
     too coarse near a fractional-power origin to reflect the closed form)."""
+    from . import radial
     try:
         check_sol = radial.analytic_solution(problem, level)
         return radial.residual(problem, check_sol, level)
@@ -389,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_roots.set_defaults(func=cmd_roots)
 
     p_val = sub.add_parser("validate", help="run validation suites against the oracle")
-    p_val.add_argument("--suite", choices=list(validate.SUITE_NAMES) + ["all"], default="all")
+    p_val.add_argument("--suite", default="all", help="one suite name, or all")
     p_val.add_argument("--report", help="write the JSON report here")
     p_val.set_defaults(func=cmd_validate)
 

@@ -8,6 +8,7 @@ radicand is evaluated from exact rationals before any float conversion.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,8 +76,14 @@ class QuantumNumbers:
 
 
 def min_allowed_j(k: HalfInt) -> Fraction:
-    """Smallest admissible j: |k| for |k| <= 1/2, else |k| - 1."""
-    kf = abs(as_half_integer(k, "k"))
+    """Smallest admissible j: |k| for |k| <= 1/2, else |k| - 1; memoized per
+    canonical half-integer k."""
+    return _memo_min_allowed_j(as_half_integer(k, "k"))
+
+
+@functools.lru_cache
+def _memo_min_allowed_j(k: Fraction) -> Fraction:
+    kf = abs(k)
     if kf <= Fraction(1, 2):
         return kf
     return kf - 1
@@ -119,9 +126,16 @@ def channel_kind(j: HalfInt, k: HalfInt) -> str:
     'j-equals-k' : j = |k|, the 3x3 system has a decoupled zero row (handle
                    with caution, one mixing root is exactly zero);
     'generic'    : j > |k|, full 3x3 mixing.
+
+    Memoized per canonical (j, k); an inadmissible pair is not memoized and
+    raises on every call.
     """
-    jf = as_half_integer(j, "j")
-    kf = abs(as_half_integer(k, "k"))
+    return _memo_channel_kind(as_half_integer(j, "j"), as_half_integer(k, "k"))
+
+
+@functools.lru_cache
+def _memo_channel_kind(jf: Fraction, k: Fraction) -> str:
+    kf = abs(k)
     if not j_is_allowed(jf, kf):
         raise QuantumNumberError(f"(j, k) = ({jf}, {kf}) not admissible")
     if kf >= 1 and jf == kf - 1:
@@ -129,6 +143,9 @@ def channel_kind(j: HalfInt, k: HalfInt) -> str:
     if jf == kf:
         return "j-equals-k"
     return "generic"
+
+
+channel_kind.cache_clear = _memo_channel_kind.cache_clear
 
 
 @dataclass(frozen=True)

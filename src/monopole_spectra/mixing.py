@@ -23,10 +23,12 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import HalfInt, as_half_integer, coupling_squares
+
+if TYPE_CHECKING:  # numpy is imported where the matrices are built, not by the closed forms
+    import numpy as np
 
 
 class MixingError(ValueError):
@@ -35,6 +37,7 @@ class MixingError(ValueError):
 
 def build_matrix(c: float, d: float) -> np.ndarray:
     """The mixing matrix for coupling coefficients c, d >= 0."""
+    import numpy as np
     if c < 0 or d < 0:
         raise MixingError("couplings c, d must be non-negative")
     s2 = math.sqrt(2.0)
@@ -173,6 +176,7 @@ def transform_matrix(c: float, d: float, triple: RootTriple) -> np.ndarray:
     root named; that happens exactly in the cautioned j = |k| channel where
     one root coincides with 2d^2 (or 2c^2 for the mirrored charge).
     """
+    import numpy as np
     a1, a2, a3 = triple.a
     s2 = math.sqrt(2.0)
     tc, td = 2.0 * c * c, 2.0 * d * d
@@ -200,6 +204,7 @@ def transform_matrix(c: float, d: float, triple: RootTriple) -> np.ndarray:
 
 def transform_residual(c: float, d: float, triple: RootTriple, s: np.ndarray) -> float:
     """max |Abar S - S diag(A)| over entries."""
+    import numpy as np
     abar = build_matrix(c, d)
     return float(np.max(np.abs(abar @ s - s * np.array(triple.a))))
 

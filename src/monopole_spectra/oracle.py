@@ -225,10 +225,9 @@ def shoot_decay(problem: RadialProblem, epsilon: float, r_max: float = 35.0) -> 
 
 @dataclass
 class OracleReport:
-    """Deterministic record of analytic-vs-numeric comparisons."""
+    """Deterministic record of an oracle run: counts, verdicts and notes."""
 
     tag: str
-    entries: list = field(default_factory=list)
     counts: dict = field(default_factory=dict)
     verdicts: list = field(default_factory=list)
     notes: list = field(default_factory=list)
@@ -236,7 +235,6 @@ class OracleReport:
     def to_json_dict(self) -> dict:
         return {
             "tag": self.tag,
-            "entries": self.entries,
             "counts": self.counts,
             "verdicts": self.verdicts,
             "notes": self.notes,

@@ -40,6 +40,7 @@ CH_BRANCH = ("branch-1", "branch-2", "branch-3")
 CH_PARITY_ODD = "parity-odd"
 CH_EVEN_1 = "even-1"
 CH_EVEN_2 = "even-2"
+CHANNELS = (CH_MIN_J, *CH_BRANCH, CH_PARITY_ODD, CH_EVEN_1, CH_EVEN_2)
 
 # derivation labels
 DERIV_HYPERGEOMETRIC = "hypergeometric-polynomial"

@@ -62,6 +62,24 @@ def test_spectrum_rejects_repeated_requests(flags, named, capsys):
     assert named in err
 
 
+def test_spectrum_channel_list_tolerates_spaces(capsys):
+    spaced = run(["spectrum", "--k", "1", "--j", "2", "--alpha", "1", "--channel", " branch-1, branch-2"], capsys)
+    plain = run(["spectrum", "--k", "1", "--j", "2", "--alpha", "1", "--channel", "branch-1,branch-2"], capsys)
+    assert spaced == plain and plain[0] == 0
+    assert "branch-2" in plain[1] and "branch-3" not in plain[1]
+
+
+@pytest.mark.parametrize("channel, code, named", [
+    ("branch-1,bogus", 2, "unknown channel 'bogus'; expected one of min-j, branch-1,"),
+    ("branch-1,", 2, "unknown channel ''"),
+    ("parity-odd", 1, "unknown branch 'parity-odd'"),
+])
+def test_spectrum_unknown_channel_exit_2_inapplicable_channel_exit_1(channel, code, named, capsys):
+    result = run(["spectrum", "--k", "1", "--j", "2", "--alpha", "1", "--channel", channel], capsys)
+    assert result[:2] == (code, "")
+    assert named in result[2]
+
+
 @pytest.mark.parametrize("channel, named", [
     ("parity-odd", "unknown branch 'parity-odd'"),
     ("min-j", "min-j channel requires j = |k| - 1"),
@@ -122,8 +140,9 @@ def test_validate_single_suite(capsys, tmp_path):
 
 
 def test_validate_unknown_suite_exit_2(capsys):
-    code, _, _ = run(["validate", "--suite", "nonsense"], capsys)
-    assert code == 2
+    code, out, err = run(["validate", "--suite", "nonsense"], capsys)
+    assert code == 2 and out == ""
+    assert "unknown suite 'nonsense'" in err
 
 
 def test_wavefunction_peculiar_profile(capsys, tmp_path):

@@ -127,3 +127,37 @@ def test_scenario_rejects_non_finite(field, value):
     kwargs = {"mass": 1.0, "alpha": 1.0, "k_osc": 1.0, "radius": 1.0, field: value}
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         core.Scenario("lobachevsky", "coulomb", F(1), **kwargs)
+
+
+@pytest.fixture
+def admissibility_calls(monkeypatch):
+    """Empty the channel-kind memo and record every admissibility check."""
+    core.channel_kind.cache_clear()
+    calls = []
+    uncached = core.j_is_allowed
+
+    def counting(j, k):
+        calls.append((j, k))
+        return uncached(j, k)
+
+    monkeypatch.setattr(core, "j_is_allowed", counting)
+    return calls
+
+
+def test_channel_kind_memo_checks_admissibility_once_per_key(admissibility_calls):
+    for j in (2, "2", 2.0, F(2)):
+        assert core.channel_kind(j, F(1)) == "generic"
+    assert admissibility_calls == [(F(2), F(1))]
+
+
+def test_channel_kind_rejects_an_inadmissible_pair_on_every_call(admissibility_calls):
+    for _ in range(2):
+        with pytest.raises(core.QuantumNumberError, match="not admissible"):
+            core.channel_kind(F(1, 2), 1)
+    assert len(admissibility_calls) == 2
+
+
+def test_min_allowed_j_is_memoized_per_value():
+    first = core.min_allowed_j(F(5, 2))
+    assert first == F(3, 2)
+    assert all(core.min_allowed_j(k) is first for k in ("5/2", 2.5, F(5, 2)))

@@ -190,7 +190,7 @@ def test_oracle_report_roundtrip():
     rep.verdicts.append("verdict")
     rep.notes.append("note")
     blob = rep.to_json_dict()
-    assert blob == {"tag": "demo", "entries": [], "counts": {"bound": 3},
+    assert blob == {"tag": "demo", "counts": {"bound": 3},
                     "verdicts": ["verdict"], "notes": ["note"]}
     assert json.loads(json.dumps(blob)) == blob
 

@@ -1,4 +1,13 @@
-"""The package's public surface: every exported name resolves."""
+"""The package's public surface: every exported name resolves, lazily, and
+the closed-form commands load neither the oracle's scipy nor, for
+`spectrum`, numpy."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 import monopole_spectra
 
@@ -8,3 +17,58 @@ def test_every_exported_name_resolves():
     assert len(set(exported)) == len(exported)
     missing = [name for name in exported if not hasattr(monopole_spectra, name)]
     assert missing == []
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter with `args`, importing the package under test."""
+    src = os.path.dirname(os.path.dirname(monopole_spectra.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["spectrum", "--k", "1", "--j", "2", "--alpha", "1", "--n", "0..3", "--format", "json"], ["scipy", "numpy"]),
+    (["spectrum", "--geometry", "lobachevsky", "--no-monopole", "--potential", "oscillator",
+      "--k-osc", "50", "--j", "1"], ["scipy", "numpy"]),
+    (["roots", "--k", "1", "--j", "2"], ["scipy"]),
+])
+def test_closed_form_commands_do_not_import_the_oracle(argv, absent):
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from monopole_spectra import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    status = cli.main({argv!r})\n"
+        "print(json.dumps([status, sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'numpy'})]))\n"
+    )
+    out = fresh_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    status, loaded = json.loads(out.stdout)
+    assert status == 0
+    assert set(loaded).isdisjoint(absent), loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--suite", "roots"],
+    ["wavefunction", "--k", "1", "--j", "2", "--alpha", "1", "--grid", "0.5:20:40"],
+])
+def test_oracle_commands_still_run_in_a_fresh_process(argv):
+    out = fresh_python("-m", "monopole_spectra.cli", *argv)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout
+
+
+def test_exports_resolve_lazily_and_unknown_names_raise():
+    code = (
+        "import sys\n"
+        "import monopole_spectra\n"
+        "before = 'monopole_spectra.oracle' in sys.modules\n"
+        "from monopole_spectra import fd_eigen\n"
+        "try:\n"
+        "    monopole_spectra.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(before, fd_eigen.__module__, exc)\n"
+    )
+    out = fresh_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split()[:2] == ["False", "monopole_spectra.oracle"]
+    assert "has no attribute 'no_such_name'" in out.stdout
