@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import HalfInt, as_half_integer
 from .spectra import CH_EVEN_1, CH_EVEN_2, SpectrumError
-from .specfun import HeunParams, heun_ode_residual
+from .specfun import HeunParams, heun_ode_residuals
 
 
 class HeunDomainError(ValueError):
@@ -121,13 +121,10 @@ def termination_defect(params: HeunParams, n: int) -> float:
     return min(abs(params.lam + n), abs(params.beta + n))
 
 
-_DISC_Z = np.concatenate([np.linspace(-0.8, -0.02, 30), np.linspace(0.02, 0.8, 30)])
+_DISC_Z = tuple(np.concatenate([np.linspace(-0.8, -0.02, 30), np.linspace(0.02, 0.8, 30)]).tolist())
 
 
 def heun_residual_on_disc(params: HeunParams) -> float:
     """Max relative ODE residual of the local Heun series over 60 points on
-    [-0.8, 0.8] avoiding 0."""
-    worst = 0.0
-    for z in _DISC_Z:
-        worst = max(worst, heun_ode_residual(params, float(z)))
-    return worst
+    [-0.8, 0.8] avoiding 0; the 60 sums share one coefficient sequence."""
+    return max([0.0, *heun_ode_residuals(params, _DISC_Z)])

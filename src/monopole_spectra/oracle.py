@@ -86,16 +86,21 @@ def _tridiagonal(problem: RadialProblem, grid: Grid) -> tuple[np.ndarray, np.nda
 
 def sturm_count_below(diag: np.ndarray, off: np.ndarray, x: float) -> int:
     """Number of eigenvalues of the symmetric tridiagonal matrix strictly
-    below x, by the Sturm sign-agreement count of the shifted LDL^T pivots."""
-    count = 0
-    d = diag[0] - x
-    if d < 0:
-        count += 1
+    below x, by the Sturm sign-agreement count of the shifted LDL^T pivots.
+
+    The pivot recurrence d_i = (diag_i - x) - off_{i-1}^2 / d_{i-1} runs over
+    memoryviews of the two precomputed arrays, which yield Python floats (a
+    numpy scalar per element costs several times more, and a .tolist() copy
+    raises peak memory)."""
+    shifted = memoryview(np.asarray(diag, dtype=float) - x)
+    off = np.asarray(off, dtype=float)
+    d = shifted[0]
+    count = 1 if d < 0 else 0
     tiny = 1e-300
-    for i in range(1, len(diag)):
+    for s, o2 in zip(shifted[1:], memoryview(off * off)):
         if d == 0.0:
             d = tiny
-        d = (diag[i] - x) - off[i - 1] * off[i - 1] / d
+        d = s - o2 / d
         if d < 0:
             count += 1
     return count
@@ -210,8 +215,8 @@ def shoot_decay(problem: RadialProblem, epsilon: float, r_max: float = 35.0) -> 
     def w(r):
         return (epsilon + alpha / math.tanh(r)) ** 2 - m * m
 
-    regular = lambda r, y: np.array([y[1], -w(r) * y[0]])
-    riccati = lambda r, y: -w(r) - y * y
+    regular = lambda r, y: (y[1], -w(r) * y[0])
+    riccati = lambda r, y: (-w(r) - y[0] * y[0],)
     y_out, _ = ivp.integrate(regular, r_start, r_match, [u0, du0], max_step=0.05)
     y_in, _ = ivp.integrate(riccati, r_max, r_match, [-kappa], max_step=0.05)
     lam_out = y_out[1] / y_out[0]

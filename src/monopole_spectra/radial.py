@@ -370,7 +370,7 @@ def _free_rhs(problem: RadialProblem, energy: float):
     v = problem.v_eff
 
     def f(r, y):
-        return np.array([y[1], (v(r) - mu) * y[0]])
+        return (y[1], (v(r) - mu) * y[0])
 
     return f
 

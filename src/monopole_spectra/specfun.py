@@ -126,11 +126,12 @@ def heun_coefficients(p: HeunParams, num=float):
         c_prev, c = c, num_k / ((k + one) * (k + gamma))
 
 
-def _heun_sums(p: HeunParams, z: float, num, rtol) -> tuple:
+def _heun_sums(z: float, coefficients, num, rtol) -> tuple:
     """(H, H', H'') as the sums of c_k z^k, k c_k z^(k-1) and k(k-1) c_k z^(k-2)
-    in the arithmetic type `num`. Summation stops once three successive terms
-    of H fall below rtol |H| and the geometric tail estimate is below
-    HEUN_TAIL_TOL; a tail still above it at the term cap raises."""
+    over the coefficient sequence `coefficients` of arithmetic type `num`.
+    Summation stops once three successive terms of H fall below rtol |H| and
+    the geometric tail estimate is below HEUN_TAIL_TOL; a tail still above it
+    at the term cap raises."""
     if abs(z) >= 1.0:
         raise SeriesError(f"Heun local series restricted to |z| < 1, got {z}")
     az = abs(z)
@@ -138,7 +139,7 @@ def _heun_sums(p: HeunParams, z: float, num, rtol) -> tuple:
     h = h1 = h2 = z1 = z2 = num(0)
     zk = num(1)  # z^k, with z1 = z^(k-1) and z2 = z^(k-2) (zero below k = 1, 2)
     quiet = 0
-    for k, c in zip(range(SERIES_CAP), heun_coefficients(p, num)):
+    for k, c in zip(range(SERIES_CAP), coefficients):
         term = c * zk
         h += term
         h1 += k * c * z1
@@ -162,7 +163,20 @@ def heun_local(p: HeunParams, z: float) -> float:
 def heun_local_derivatives(p: HeunParams, z: float) -> tuple[float, float, float]:
     """The local Heun solution with H' and H'' by term-wise differentiation,
     summed in double precision. Returns (H, H', H'')."""
-    return _heun_sums(p, z, float, SERIES_RTOL)
+    return _heun_sums(z, heun_coefficients(p), float, SERIES_RTOL)
+
+
+def _accurate_sums(p: HeunParams, zs) -> list[tuple[float, float, float]]:
+    """(H, H', H'') at each z of the sequence `zs`, summed in DECIMAL_DIGITS-digit
+    decimal arithmetic. The coefficients do not depend on z, so they are
+    generated once, in the one context, and every z reads the same terms
+    (itertools.tee keeps each term until the last z has summed it)."""
+    with localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        rtol = Decimal(10) ** -DECIMAL_DIGITS
+        shared = itertools.tee(heun_coefficients(p, Decimal), len(zs))
+        sums = [_heun_sums(z, coefficients, Decimal, rtol) for z, coefficients in zip(zs, shared)]
+    return [(float(h), float(h1), float(h2)) for h, h1, h2 in sums]
 
 
 def heun_local_accurate(p: HeunParams, z: float) -> tuple[float, float, float]:
@@ -175,22 +189,28 @@ def heun_local_accurate(p: HeunParams, z: float) -> tuple[float, float, float]:
     evaluation near 1e-8; thirty digits restore the headroom the pointwise
     residual checks need. Returns (H, H', H'') as floats.
     """
-    with localcontext() as ctx:
-        ctx.prec = DECIMAL_DIGITS
-        h, h1, h2 = _heun_sums(p, z, Decimal, Decimal(10) ** -DECIMAL_DIGITS)
-    return float(h), float(h1), float(h2)
+    return _accurate_sums(p, (z,))[0]
+
+
+def heun_ode_residuals(p: HeunParams, zs) -> list[float]:
+    """Relative pointwise residuals of the defining ODE at each z of `zs`,
+    evaluated from the compensated series value and its term-wise
+    derivatives (an independent code path from the coefficient recurrence).
+    One coefficient sequence serves every z."""
+    out = []
+    for z, (h, h1, h2) in zip(zs, _accurate_sums(p, zs)):
+        coef1 = p.gamma / z + p.delta / (z - 1.0) + p.eps / (z + 1.0)
+        coef0 = (p.lam * p.beta * z - p.q) / (z * (z - 1.0) * (z + 1.0))
+        res = h2 + coef1 * h1 + coef0 * h
+        scale = abs(h2) + abs(coef1 * h1) + abs(coef0 * h)
+        out.append(abs(res) / max(scale, 1e-300))
+    return out
 
 
 def heun_ode_residual(p: HeunParams, z: float) -> float:
-    """Relative pointwise residual of the defining ODE at z, evaluated from
-    the compensated series value and its term-wise derivatives (an
-    independent code path from the coefficient recurrence)."""
-    h, h1, h2 = heun_local_accurate(p, z)
-    coef1 = p.gamma / z + p.delta / (z - 1.0) + p.eps / (z + 1.0)
-    coef0 = (p.lam * p.beta * z - p.q) / (z * (z - 1.0) * (z + 1.0))
-    res = h2 + coef1 * h1 + coef0 * h
-    scale = abs(h2) + abs(coef1 * h1) + abs(coef0 * h)
-    return abs(res) / max(scale, 1e-300)
+    """Relative pointwise residual of the defining ODE at z (see
+    heun_ode_residuals)."""
+    return heun_ode_residuals(p, (z,))[0]
 
 
 def ode_residual_1f1(a: float, b: float, z: float) -> float:

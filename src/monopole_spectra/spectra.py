@@ -47,6 +47,9 @@ DERIV_HYPERGEOMETRIC = "hypergeometric-polynomial"
 DERIV_HEUN_FORMAL = "heun-formal-beta"
 
 REASON_EXHAUSTED = "finite spectrum exhausted"
+# carried by admissible heun-formal-beta levels, so every output format shows
+# that the level is not confirmed
+REASON_FORMAL = "formal: beta = -n only, accessory condition unchecked"
 
 
 class SpectrumError(ValueError):
@@ -331,14 +334,20 @@ def _lob_nomonopole_coulomb(scen: Scenario, j: Fraction, n: int, channel: str) -
     energy = -mass * alpha * alpha / (2.0 * big_n * big_n) - big_n * big_n / (2.0 * mass)
     b = (mass * alpha - big_n * big_n) / (2.0 * big_n)
     admissible = b > 0.0
-    reason = "" if admissible else f"{REASON_EXHAUSTED}: M alpha <= N^2 (b = {b:.6g})"
     deriv = DERIV_HYPERGEOMETRIC if channel == CH_PARITY_ODD else DERIV_HEUN_FORMAL
+    reason = _admissible_reason(deriv) if admissible else f"{REASON_EXHAUSTED}: M alpha <= N^2 (b = {b:.6g})"
     return EnergyLevel(
         scenario=scen, channel=channel, j=j, n=n, energy=energy,
         derivation=deriv, admissible=admissible, reason=reason,
         formula="E = -M alpha^2/(2 N^2) - N^2/(2M)",
         extras={"N": big_n, "b": b},
     )
+
+
+def _admissible_reason(derivation: str) -> str:
+    """The reason of an admissible no-monopole level: REASON_FORMAL for one
+    from the formal Heun condition, empty for a hypergeometric one."""
+    return REASON_FORMAL if derivation == DERIV_HEUN_FORMAL else ""
 
 
 def _nomonopole_channel_n_oscillator(j: Fraction, n: int, channel: str) -> float:
@@ -370,10 +379,10 @@ def _lob_nomonopole_oscillator(scen: Scenario, j: Fraction, n: int, channel: str
     energy = _curved_oscillator_energy(k_osc, mass, big_n)
     limit = math.sqrt(1.0 + 4.0 * k_osc * mass) / 2.0
     admissible = big_n < limit
-    reason = "" if admissible else (
+    deriv = DERIV_HYPERGEOMETRIC if channel == CH_PARITY_ODD else DERIV_HEUN_FORMAL
+    reason = _admissible_reason(deriv) if admissible else (
         f"{REASON_EXHAUSTED}: restriction N < sqrt(1 + 4 K M)/2 = {limit:.6g} violated"
     )
-    deriv = DERIV_HYPERGEOMETRIC if channel == CH_PARITY_ODD else DERIV_HEUN_FORMAL
     return EnergyLevel(
         scenario=scen, channel=channel, j=j, n=n, energy=energy,
         derivation=deriv, admissible=admissible, reason=reason,

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from monopole_spectra import heunspec, spectra
+from monopole_spectra import heunspec, specfun, spectra
 
 
 def test_coulomb_params_fuchs_and_values():
@@ -96,4 +96,26 @@ def test_residual_on_disc_for_generated_sets():
     e2 = spectra.lob_nomonopole_oscillator(k_osc, mass, 0, 0, "even-1").energy
     p2 = heunspec.heun_params_oscillator(e2, k_osc, mass, 0, "even-1")
     assert heunspec.heun_residual_on_disc(p2) <= 1e-9
+
+
+def test_residual_on_disc_equals_the_pointwise_maximum():
+    # the disc shares one coefficient sequence between its 60 points; each
+    # residual must be the one a lone evaluation at that z gives, bit for bit
+    alpha, mass, k_osc = 10.0, 1.0, 100.0
+    e = spectra.lob_nomonopole_coulomb(alpha, mass, 1, 1, "even-2").energy
+    coulomb = heunspec.heun_params_coulomb(e, alpha, mass, 1, "even-2")
+    e2 = spectra.lob_nomonopole_oscillator(k_osc, mass, 1, 1, "even-2").energy
+    oscillator = heunspec.heun_params_oscillator(e2, k_osc, mass, 1, "even-2")
+    assert len(heunspec._DISC_Z) == 60
+    for p in (coulomb, oscillator):
+        pointwise = max(specfun.heun_ode_residual(p, z) for z in heunspec._DISC_Z)
+        assert heunspec.heun_residual_on_disc(p) == pointwise
+
+
+@pytest.mark.parametrize("gamma", [0.0, -2.0])
+def test_residual_on_disc_rejects_a_degenerate_gamma(gamma):
+    # Fuchs: gamma + delta + eps = lam + beta + 1
+    p = specfun.HeunParams(gamma=gamma, delta=1.0, eps=1.0, lam=gamma - 1.0, beta=2.0, q=0.5)
+    with pytest.raises(specfun.SeriesError, match="non-positive integer"):
+        heunspec.heun_residual_on_disc(p)
 

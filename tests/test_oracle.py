@@ -52,6 +52,44 @@ def test_eigenvalues_monotone_and_sturm_consistent():
         assert oracle.sturm_count_below(diag, off, mu + shift) == i + 1
 
 
+def _eigvalsh_count(diag, off, x):
+    mat = np.diag(np.asarray(diag, dtype=float))
+    mat += np.diag(off, 1) + np.diag(off, -1)
+    return int(np.sum(np.linalg.eigvalsh(mat) < x))
+
+
+def test_sturm_count_matches_eigvalsh_on_random_tridiagonals():
+    rng = np.random.default_rng(20261018)
+    for n in (1, 2, 3, 7, 40, 200):
+        diag = rng.normal(size=n) * 3.0
+        off = rng.normal(size=n - 1)
+        evs = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        # shifts away from the eigenvalues, so rounding cannot flip a count
+        gaps = np.concatenate([[evs[0] - 1.0], 0.5 * (evs[:-1] + evs[1:]), [evs[-1] + 1.0]])
+        for x in np.concatenate([gaps, rng.normal(size=4) * 4.0]):
+            if np.min(np.abs(evs - x)) < 1e-9:
+                continue
+            assert oracle.sturm_count_below(diag, off, float(x)) == _eigvalsh_count(diag, off, x)
+
+
+def test_sturm_count_survives_an_exact_zero_pivot():
+    # diag = 1, off = 1, x = 0: the first pivot is 1, the second 1 - 1/1 = 0
+    # exactly, so the tiny-pivot branch runs; eigenvalues of the 3x3 matrix
+    # are 1 - sqrt(2), 1, 1 + sqrt(2), so one lies below 0
+    diag, off = [1.0, 1.0, 1.0], [1.0, 1.0]
+    assert oracle.sturm_count_below(diag, off, 0.0) == _eigvalsh_count(diag, off, 0.0) == 1
+
+
+def test_sturm_count_is_an_int_for_lists_and_arrays():
+    diag, off = [2.0, 2.0, 2.0, 2.0], [-1.0, -1.0, -1.0]
+    for d, o in ((diag, off), (np.array(diag), np.array(off))):
+        zero = oracle.sturm_count_below(d, o, 0.0)
+        assert zero == 0 and type(zero) is int
+        full = oracle.sturm_count_below(d, o, 5.0)
+        assert full == 4 and type(full) is int
+    assert oracle.sturm_count_below([-1.0], [], 0.0) == 1
+
+
 def test_flat_coulomb_ground_state_default_grid():
     scen = core.Scenario("flat", "coulomb", F(1), 1.0, alpha=1.0)
     prob = radial.build_problem(scen, "min-j", 0)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from monopole_spectra import mixing, spectra
+from monopole_spectra import core, mixing, spectra
 
 F = Fraction
 
@@ -155,6 +155,27 @@ def test_lob_nomonopole_oscillator_values():
 def test_lob_nomonopole_oscillator_restriction():
     lv = spectra.lob_nomonopole_oscillator(100.0, 1.0, 0, 5, "parity-odd")  # N = 11.5
     assert not lv.admissible and "restriction" in lv.reason
+
+
+def test_admissible_formal_heun_levels_carry_the_formal_marker():
+    coulomb = core.Scenario("lobachevsky", "coulomb", F(0), 1.0, alpha=10.0)
+    oscillator = core.Scenario("lobachevsky", "oscillator", F(0), 1.0, k_osc=100.0)
+    for scen in (coulomb, oscillator):
+        for j in (0, 1):
+            for channel in ("even-1", "even-2"):
+                levels = spectra.admissible_levels(scen, j, channel)
+                assert levels
+                for lv in levels:
+                    assert lv.admissible and lv.derivation == "heun-formal-beta"
+                    assert lv.reason == spectra.REASON_FORMAL
+                    assert lv.to_record()["reason"] == spectra.REASON_FORMAL
+                # the first rejected level keeps its exhaustion reason
+                rejected = spectra.single_level(scen, j, len(levels), channel)
+                assert not rejected.admissible
+                assert rejected.reason.startswith(spectra.REASON_EXHAUSTED)
+            for lv in spectra.admissible_levels(scen, j, "parity-odd"):
+                assert lv.reason == ""
+    assert spectra.REASON_FORMAL.startswith("formal: ")
 
 
 def test_monotonicity_within_channels():
