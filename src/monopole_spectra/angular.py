@@ -8,6 +8,7 @@ with log-factorial stabilization, adequate up to j ~ 20.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -151,6 +152,7 @@ def check_recurrences(j: HalfInt, k: HalfInt, m: HalfInt, theta_grid) -> float:
         c = 0.0
         d = 0.0
 
+    @functools.cache  # the rows share their sigma = k-2 .. k+2 values
     def dval(sigma):
         return small_d(jf, row, sigma, th)
 

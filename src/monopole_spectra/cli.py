@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
 
 from . import mixing, spectra
 from .core import QuantumNumberError, Scenario, as_half_integer, channel_kind, couplings
@@ -161,50 +164,100 @@ def _scenario_from_args(args) -> Scenario:
 _LEVEL_COLUMNS = ("channel", "j2", "n", "E", "admissible", "derivation", "reason")
 
 
-def _level_rows(levels) -> list[dict]:
+def _json_float(x: float) -> str:
+    """`x` rounded to 12 digits and written as `json.dumps` writes a float."""
+    x = _round12(x)
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _sorted_levels(levels) -> list[tuple[tuple[str, int, int], object]]:
+    """((channel, 2j, n), level) pairs in row order. 2j is computed once per
+    distinct `j` object: the levels of one table share it."""
+    j2_of: dict[int, int] = {}
+    keyed = []
+    for lv in levels:
+        j2 = j2_of.get(id(lv.j))
+        if j2 is None:
+            j2 = j2_of[id(lv.j)] = int(lv.j * 2)
+        keyed.append(((lv.channel, j2, lv.n), lv))
+    keyed.sort(key=itemgetter(0))
+    return keyed
+
+
+def _json_rows(keyed) -> str:
+    """The rows as `json.dumps([lv.to_record() ...], sort_keys=True, indent=1)`
+    writes them, with E and epsilon rounded to 12 digits. The keys are
+    written in the sorted order of `EnergyLevel.to_record`, and each
+    scenario's block is encoded once."""
+    if not keyed:
+        return "[]\n"
+    blocks: dict[int, str] = {}
     rows = []
-    for lv in sorted(levels, key=lambda lv: (lv.channel, lv.j, lv.n)):
-        rec = lv.to_record()
-        rec["E"] = _round12(rec["E"]) if rec["E"] == rec["E"] else rec["E"]  # keep NaN as-is
-        if "epsilon" in rec:
-            rec["epsilon"] = _round12(rec["epsilon"])
-        rows.append(rec)
-    return rows
+    for (channel, j2, n), lv in keyed:
+        block = blocks.get(id(lv.scenario))
+        if block is None:
+            block = json.dumps(lv.scenario.to_record(), sort_keys=True, indent=1)
+            block = blocks[id(lv.scenario)] = block.replace("\n", "\n  ")
+        eps = "" if lv.epsilon is None else f'  "epsilon": {_json_float(lv.epsilon)},\n'
+        rows.append(
+            f' {{\n  "E": {_json_float(lv.energy)},\n'
+            f'  "admissible": {"true" if lv.admissible else "false"},\n'
+            f'  "channel": {_json_str(channel)},\n  "derivation": {_json_str(lv.derivation)},\n'
+            f'{eps}  "formula": {_json_str(lv.formula)},\n  "j2": {j2},\n  "n": {n},\n'
+            f'  "reason": {_json_str(lv.reason)},\n  "scenario": {block}\n }}'
+        )
+    return "[\n" + ",\n".join(rows) + "\n]\n"
+
+
+def _csv_rows(keyed) -> str:
+    lines = [",".join(_LEVEL_COLUMNS)]
+    for (channel, j2, n), lv in keyed:
+        reason = '"' + lv.reason.replace('"', "'") + '"' if lv.reason else ""
+        lines.append(f"{channel},{j2},{n},{fmt12(lv.energy)},{'true' if lv.admissible else 'false'},"
+                     f"{lv.derivation},{reason}")
+    return "\n".join(lines) + "\n"
+
+
+def _table_rows(keyed) -> str:
+    header = f"{'channel':<12} {'j2':>3} {'n':>3} {'E':>20} {'ok':>3}  reason"
+    lines = [header, "-" * len(header)]
+    for (channel, j2, n), lv in keyed:
+        lines.append(f"{channel:<12} {j2:>3} {n:>3} {fmt12(lv.energy):>20} "
+                     f"{'y' if lv.admissible else 'n':>3}  {lv.reason}")
+    return "\n".join(lines) + "\n"
+
+
+_RENDERERS = {"json": _json_rows, "csv": _csv_rows, "table": _table_rows}
 
 
 def render_levels(levels, fmt: str) -> str:
-    rows = _level_rows(levels)
-    if fmt == "json":
-        return json.dumps(rows, sort_keys=True, indent=1) + "\n"
-    if fmt == "csv":
-        lines = [",".join(_LEVEL_COLUMNS)]
-        for rec in rows:
-            lines.append(
-                ",".join(
-                    [rec["channel"], str(rec["j2"]), str(rec["n"]), fmt12(rec["E"]),
-                     str(rec["admissible"]).lower(), rec["derivation"],
-                     '"' + rec["reason"].replace('"', "'") + '"' if rec["reason"] else ""]
-                )
-            )
-        return "\n".join(lines) + "\n"
-    if fmt == "table":
-        header = f"{'channel':<12} {'j2':>3} {'n':>3} {'E':>20} {'ok':>3}  reason"
-        lines = [header, "-" * len(header)]
-        for rec in rows:
-            lines.append(
-                f"{rec['channel']:<12} {rec['j2']:>3} {rec['n']:>3} {fmt12(rec['E']):>20} "
-                f"{'y' if rec['admissible'] else 'n':>3}  {rec['reason']}"
-            )
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+    """The levels as one table, rows sorted by (channel, j, n)."""
+    render = _RENDERERS.get(fmt)
+    if render is None:
+        raise ValueError(f"unknown format {fmt!r}")
+    return render(_sorted_levels(levels))
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
+def _emit(text: str, output: str | None) -> int:
+    """Write `text` to the file `output`, or to stdout when there is none.
+    A file that cannot be written is a configuration error: one line on
+    stderr and EXIT_CONFIG."""
+    if not output:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {output}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return EXIT_OK
 
 
 # --- subcommands -------------------------------------------------------------------
@@ -221,8 +274,7 @@ def cmd_spectrum(args) -> int:
         return EXIT_CONFIG
     try:
         levels = spectra.spectrum_levels(scen, j, n_values, channels, args.include_inadmissible)
-        _emit(render_levels(levels, args.format), args.output)
-        return EXIT_OK
+        return _emit(render_levels(levels, args.format), args.output)
     except (spectra.SpectrumError, QuantumNumberError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
@@ -242,9 +294,7 @@ def cmd_roots(args) -> int:
             out["notice"] = (
                 "j = |k| - 1 is the reduced single-component channel; no 3x3 mixing system exists"
             )
-            text = json.dumps(out, sort_keys=True, indent=1) + "\n"
-            _emit(text, args.output)
-            return EXIT_OK
+            return _emit(json.dumps(out, sort_keys=True, indent=1) + "\n", args.output)
         cp = couplings(j, k)
         inv = mixing.cubic_invariants(j, k)
         triple = mixing.mixing_roots(j, k)
@@ -279,8 +329,7 @@ def cmd_roots(args) -> int:
             s = mixing.transform_matrix(cp.c, cp.d, triple)
             out["transform"] = [[_round12(v) for v in row] for row in s.tolist()]
             out["eigen_residual"] = _round12(mixing.transform_residual(cp.c, cp.d, triple, s))
-        _emit(json.dumps(out, sort_keys=True, indent=1) + "\n", args.output)
-        return EXIT_OK
+        return _emit(json.dumps(out, sort_keys=True, indent=1) + "\n", args.output)
     except (mixing.MixingError, QuantumNumberError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
@@ -298,9 +347,8 @@ def cmd_validate(args) -> int:
         print(res.line())
     if args.report:
         payload = {"envelope": report["envelope"], "results": report["results"]}
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        if _emit(json.dumps(payload, sort_keys=True, indent=1) + "\n", args.report) != EXIT_OK:
+            return EXIT_CONFIG
     if report["results"]["passed"]:
         print("all hard criteria passed")
         return EXIT_OK
@@ -346,8 +394,7 @@ def cmd_wavefunction(args) -> int:
         lines = [json.dumps(header, sort_keys=True), "r,u"]
         for r, u in zip(sol.grid, sol.values):
             lines.append(f"{fmt12(r)},{fmt12(u)}")
-        _emit("\n".join(lines) + "\n", args.output)
-        return EXIT_OK
+        return _emit("\n".join(lines) + "\n", args.output)
     except (radial.RadialError, spectra.SpectrumError, oracle.OracleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE

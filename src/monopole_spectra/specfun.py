@@ -126,9 +126,17 @@ def heun_coefficients(p: HeunParams, num=float):
         c_prev, c = c, num_k / ((k + one) * (k + gamma))
 
 
-def _heun_sums(z: float, coefficients, num, rtol) -> tuple:
+def _weighted(coefficients):
+    """(c_k, k c_k, k(k-1) c_k) for each coefficient c_k: the z-independent
+    factors of the terms of H, H' and H''."""
+    for k, c in enumerate(coefficients):
+        yield c, k * c, k * (k - 1) * c
+
+
+def _heun_sums(z: float, weighted, num, rtol) -> tuple:
     """(H, H', H'') as the sums of c_k z^k, k c_k z^(k-1) and k(k-1) c_k z^(k-2)
-    over the coefficient sequence `coefficients` of arithmetic type `num`.
+    over the sequence `weighted` of (c_k, k c_k, k(k-1) c_k) of arithmetic
+    type `num`.
     Summation stops once three successive terms of H fall below rtol |H| and
     the geometric tail estimate is below HEUN_TAIL_TOL; a tail still above it
     at the term cap raises."""
@@ -139,11 +147,11 @@ def _heun_sums(z: float, coefficients, num, rtol) -> tuple:
     h = h1 = h2 = z1 = z2 = num(0)
     zk = num(1)  # z^k, with z1 = z^(k-1) and z2 = z^(k-2) (zero below k = 1, 2)
     quiet = 0
-    for k, c in zip(range(SERIES_CAP), coefficients):
+    for k, (c, kc, kkc) in zip(range(SERIES_CAP), weighted):
         term = c * zk
         h += term
-        h1 += k * c * z1
-        h2 += k * (k - 1) * c * z2
+        h1 += kc * z1
+        h2 += kkc * z2
         if k > 8 and abs(term) <= rtol * max(abs(h), floor):
             quiet += 1
             tail = float(abs(term)) * az / max(1.0 - az, 1e-6)
@@ -163,19 +171,20 @@ def heun_local(p: HeunParams, z: float) -> float:
 def heun_local_derivatives(p: HeunParams, z: float) -> tuple[float, float, float]:
     """The local Heun solution with H' and H'' by term-wise differentiation,
     summed in double precision. Returns (H, H', H'')."""
-    return _heun_sums(z, heun_coefficients(p), float, SERIES_RTOL)
+    return _heun_sums(z, _weighted(heun_coefficients(p)), float, SERIES_RTOL)
 
 
 def _accurate_sums(p: HeunParams, zs) -> list[tuple[float, float, float]]:
     """(H, H', H'') at each z of the sequence `zs`, summed in DECIMAL_DIGITS-digit
-    decimal arithmetic. The coefficients do not depend on z, so they are
-    generated once, in the one context, and every z reads the same terms
-    (itertools.tee keeps each term until the last z has summed it)."""
+    decimal arithmetic. The coefficients and their products with k and
+    k(k-1) do not depend on z, so they are computed once, in the one context,
+    and every z reads the same terms (itertools.tee keeps each term until the
+    last z has summed it)."""
     with localcontext() as ctx:
         ctx.prec = DECIMAL_DIGITS
         rtol = Decimal(10) ** -DECIMAL_DIGITS
-        shared = itertools.tee(heun_coefficients(p, Decimal), len(zs))
-        sums = [_heun_sums(z, coefficients, Decimal, rtol) for z, coefficients in zip(zs, shared)]
+        shared = itertools.tee(_weighted(heun_coefficients(p, Decimal)), len(zs))
+        sums = [_heun_sums(z, weighted, Decimal, rtol) for z, weighted in zip(zs, shared)]
     return [(float(h), float(h1), float(h2)) for h, h1, h2 in sums]
 
 

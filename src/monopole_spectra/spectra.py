@@ -226,9 +226,10 @@ def lob_minj_coulomb(alpha: float, mass: float, n: int, charge: HalfInt = 1) -> 
 
 
 def _minj_j(charge: Fraction) -> Fraction:
+    """j = |k| - 1, one memoized object per k, so a table's levels share it."""
     if abs(charge) < 1:
         raise SpectrumError("minimum-j channel needs |k| >= 1")
-    return abs(charge) - 1
+    return min_allowed_j(charge)
 
 
 def _lob_minj_coulomb(scen: Scenario, n: int) -> EnergyLevel:
@@ -530,7 +531,7 @@ def spectrum_levels(
             out.append(single_level(scenario, jf, int(n), ch))
     if not include_inadmissible:
         out = [lv for lv in out if lv.admissible]
-    out.sort(key=lambda lv: (lv.channel, lv.j, lv.n))
+    out.sort(key=lambda lv: (lv.channel, lv.n))  # every level has j = jf
     return out
 
 

@@ -284,3 +284,20 @@ def test_spectrum_bytes_agree_across_processes_and_a_warm_memo(capsys):
     code, out, _ = run(argv, capsys)
     assert code == 0
     assert fresh[0] == fresh[1] == out.encode("utf-8")
+
+
+@pytest.mark.parametrize("argv, out_flag", [
+    (["spectrum", "--k", "1", "--j", "2", "--alpha", "1", "--n", "0..3"], "--output"),
+    (["roots", "--k", "1", "--j", "2"], "--output"),
+    (["wavefunction", "--k", "1", "--j", "2", "--alpha", "1", "--n", "0", "--grid", "0.01:10:20"],
+     "--output"),
+    (["validate", "--suite", "roots"], "--report"),
+], ids=["spectrum", "roots", "wavefunction", "validate"])
+def test_unwritable_output_path_exit_2(argv, out_flag, capsys, tmp_path):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run([*argv, out_flag, str(target)], capsys)
+    assert code == 2
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
+    if argv[0] != "validate":  # validate prints its criteria before writing the report
+        assert out == ""

@@ -48,6 +48,14 @@ CASES.update({
     "spectrum_flat_coulomb_deep_csv": ["spectrum", "--k", "3/2", "--j", "7/2", "--alpha", "1.3",
                                        "--mass", "0.9", "--n", "0..199", "--format", "csv",
                                        "--include-inadmissible"],
+    "spectrum_lob_nomonopole_oscillator_deep_json": ["spectrum", "--geometry", "lobachevsky",
+                                                     "--potential", "oscillator", "--no-monopole",
+                                                     "--j", "2", "--k-osc", "150", "--n", "0..40",
+                                                     "--format", "json", "--include-inadmissible"],
+    "spectrum_lob_minj_coulomb_deep_json": ["spectrum", "--geometry", "lobachevsky", "--k", "2",
+                                            "--j", "1", "--alpha", "0.3", "--mass", "5",
+                                            "--n", "0..12", "--format", "json",
+                                            "--include-inadmissible"],
     "roots_generic": ["roots", "--k", "1", "--j", "2"],
     "roots_j_equals_k": ["roots", "--k", "3/2", "--j", "3/2"],
     "roots_k0": ["roots", "--k", "0", "--j", "2"],
