@@ -338,10 +338,14 @@ def cmd_roots(args) -> int:
 def cmd_validate(args) -> int:
     from . import validate
     try:
-        report = validate.run_suites([args.suite] if args.suite != "all" else "all")
+        selected = validate.selected_suites([args.suite] if args.suite != "all" else "all")
     except KeyError as exc:
         print(f"error: unknown suite {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    # an unwritable report path fails before any suite runs
+    if args.report and _emit("", args.report) != EXIT_OK:
+        return EXIT_CONFIG
+    report = validate.run_suites(selected)
     results = report.pop("_objects")
     for res in results:
         print(res.line())

@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional
+from operator import attrgetter
+from typing import Callable, Optional
 
 from .core import (
     GEOMETRY_FLAT,
@@ -118,6 +119,15 @@ def _flat_channel(j: Fraction, k: Fraction, branch: str) -> tuple[float, dict]:
     return lval, extras
 
 
+# Each closed form below comes in two stages. `_<form>_levels(scenario, ...)`
+# does everything that does not depend on n (the channel checks, the mixing
+# root, the n-independent square roots and texts) and returns a LevelAt; the
+# LevelAt then does only the float arithmetic of one level. Hoisted values are
+# leading sub-expressions of the formulas, so every float is bit-identical to
+# evaluating the whole formula per level, and every level gets its own extras.
+LevelAt = Callable[[int], EnergyLevel]
+
+
 # --- flat space --------------------------------------------------------------
 
 
@@ -129,23 +139,27 @@ def flat_coulomb(alpha: float, mass: float, j: HalfInt, k: HalfInt, n: int, bran
     """
     jf = as_half_integer(j, "j")
     scen = Scenario(GEOMETRY_FLAT, POTENTIAL_COULOMB, as_half_integer(k, "k"), mass, alpha=alpha)
-    return _flat_coulomb(scen, jf, n, branch)
+    return _flat_coulomb_levels(scen, jf, branch)(n)
 
 
-def _flat_coulomb(scen: Scenario, j: Fraction, n: int, branch: str) -> EnergyLevel:
-    alpha, mass = scen.alpha, scen.mass
+def _flat_coulomb_levels(scen: Scenario, j: Fraction, branch: str) -> LevelAt:
     lval, extras = _flat_channel(j, scen.charge, branch)
-    energy = -0.5 * alpha * alpha * mass / (n + lval + 1.0) ** 2
-    return EnergyLevel(
-        scenario=scen,
-        channel=branch,
-        j=j,
-        n=n,
-        energy=energy,
-        derivation=DERIV_HYPERGEOMETRIC,
-        formula="E = -alpha^2 M / (2 (n+L+1)^2)",
-        extras=extras,
-    )
+    scale = -0.5 * scen.alpha * scen.alpha * scen.mass
+    formula = "E = -alpha^2 M / (2 (n+L+1)^2)"
+
+    def level(n: int) -> EnergyLevel:
+        return EnergyLevel(
+            scenario=scen,
+            channel=branch,
+            j=j,
+            n=n,
+            energy=scale / (n + lval + 1.0) ** 2,
+            derivation=DERIV_HYPERGEOMETRIC,
+            formula=formula,
+            extras=dict(extras),
+        )
+
+    return level
 
 
 def oscillator_candidates(l_value: float, n: int, k_osc: float, mass: float) -> dict[str, float]:
@@ -157,8 +171,11 @@ def oscillator_candidates(l_value: float, n: int, k_osc: float, mass: float) -> 
                      confluent series at a = -n in
                      a = (1/2)(3/2 + L - E sqrt(M/K)).
     """
-    omega = math.sqrt(k_osc / mass)
-    base = 1.5 + l_value + 2.0 * n
+    return _candidates(math.sqrt(k_osc / mass), 1.5 + l_value + 2.0 * n)
+
+
+def _candidates(omega: float, base: float) -> dict[str, float]:
+    """Both oscillator candidates from omega = sqrt(K/M) and base = 3/2 + L + 2n."""
     return {"printed": 0.5 * omega * base, "quantization": omega * base}
 
 
@@ -168,23 +185,29 @@ def flat_oscillator(k_osc: float, mass: float, j: HalfInt, k: HalfInt, n: int, b
     extras['candidates'] and the two are arbitrated by the oracle."""
     jf = as_half_integer(j, "j")
     scen = Scenario(GEOMETRY_FLAT, POTENTIAL_OSCILLATOR, as_half_integer(k, "k"), mass, k_osc=k_osc)
-    return _flat_oscillator(scen, jf, n, branch)
+    return _flat_oscillator_levels(scen, jf, branch)(n)
 
 
-def _flat_oscillator(scen: Scenario, j: Fraction, n: int, branch: str) -> EnergyLevel:
+def _flat_oscillator_levels(scen: Scenario, j: Fraction, branch: str) -> LevelAt:
     lval, extras = _flat_channel(j, scen.charge, branch)
-    cands = oscillator_candidates(lval, n, scen.k_osc, scen.mass)
-    extras["candidates"] = cands
-    return EnergyLevel(
-        scenario=scen,
-        channel=branch,
-        j=j,
-        n=n,
-        energy=cands["quantization"],
-        derivation=DERIV_HYPERGEOMETRIC,
-        formula="E = sqrt(K/M) (3/2 + L + 2n)  [1/2-prefactor variant kept as metadata]",
-        extras=extras,
-    )
+    omega = math.sqrt(scen.k_osc / scen.mass)
+    base_0 = 1.5 + lval
+    formula = "E = sqrt(K/M) (3/2 + L + 2n)  [1/2-prefactor variant kept as metadata]"
+
+    def level(n: int) -> EnergyLevel:
+        candidates = _candidates(omega, base_0 + 2.0 * n)
+        return EnergyLevel(
+            scenario=scen,
+            channel=branch,
+            j=j,
+            n=n,
+            energy=candidates["quantization"],
+            derivation=DERIV_HYPERGEOMETRIC,
+            formula=formula,
+            extras={**extras, "candidates": candidates},
+        )
+
+    return level
 
 
 def peculiar_flat_level(energy: float, scenario: Scenario) -> EnergyLevel:
@@ -222,7 +245,8 @@ def lob_minj_coulomb(alpha: float, mass: float, n: int, charge: HalfInt = 1) -> 
     positive; b <= 0 means the regular solution grows at infinity, so the
     formula value is formal rather than a bound state there.
     """
-    return _lob_minj_coulomb(Scenario(GEOMETRY_LOBACHEVSKY, POTENTIAL_COULOMB, charge, mass, alpha=alpha), n)
+    scen = Scenario(GEOMETRY_LOBACHEVSKY, POTENTIAL_COULOMB, charge, mass, alpha=alpha)
+    return _lob_minj_coulomb_levels(scen)(n)
 
 
 def _minj_j(charge: Fraction) -> Fraction:
@@ -232,39 +256,48 @@ def _minj_j(charge: Fraction) -> Fraction:
     return min_allowed_j(charge)
 
 
-def _lob_minj_coulomb(scen: Scenario, n: int) -> EnergyLevel:
+def _lob_minj_coulomb_levels(scen: Scenario) -> LevelAt:
     alpha, mass = scen.alpha, scen.mass
     if not 0.0 < alpha < 0.5:
         raise SpectrumError(f"curved minimum-j Coulomb needs 0 < alpha < 1/2, got {alpha}")
     jf = _minj_j(scen.charge)
-    nu = n + (1.0 + math.sqrt(1.0 - 4.0 * alpha * alpha)) / 2.0
-    extras = {"nu": nu}
+    nu_0 = (1.0 + math.sqrt(1.0 - 4.0 * alpha * alpha)) / 2.0
+    alpha_sq, mass_sq = alpha * alpha, mass * mass
     formula = "eps = M sqrt(1 - (alpha^2+nu^2)/M^2)/sqrt(1 + alpha^2/nu^2); E = eps - M"
-    rad = 1.0 - (alpha * alpha + nu * nu) / (mass * mass)
-    if rad < 0.0:
-        return EnergyLevel(
-            scenario=scen, channel=CH_MIN_J, j=jf, n=n, energy=math.nan,
-            derivation=DERIV_HYPERGEOMETRIC, admissible=False,
-            reason=f"{REASON_EXHAUSTED}: alpha^2 + nu^2 > M^2", formula=formula, extras=extras,
+    exhausted = f"{REASON_EXHAUSTED}: alpha^2 + nu^2 > M^2"
+
+    def level(n: int) -> EnergyLevel:
+        nu = n + nu_0
+        extras = {"nu": nu}
+        rad = 1.0 - (alpha_sq + nu * nu) / mass_sq
+        if rad < 0.0:
+            return EnergyLevel(
+                scenario=scen, channel=CH_MIN_J, j=jf, n=n, energy=math.nan,
+                derivation=DERIV_HYPERGEOMETRIC, admissible=False,
+                reason=exhausted, formula=formula, extras=extras,
+            )
+        eps = mass / math.sqrt(1.0 + alpha_sq / (nu * nu)) * math.sqrt(rad)
+        b = (eps * alpha - nu * nu) / (2.0 * nu)
+        extras["b"] = b
+        admissible = b > 0.0
+        reason = "" if admissible else (
+            f"far-field exponent b = {b:.6g} <= 0: regular solution is non-decaying, formal level only"
         )
-    eps = mass / math.sqrt(1.0 + alpha * alpha / (nu * nu)) * math.sqrt(rad)
-    b = (eps * alpha - nu * nu) / (2.0 * nu)
-    extras["b"] = b
-    admissible = b > 0.0
-    reason = "" if admissible else (
-        f"far-field exponent b = {b:.6g} <= 0: regular solution is non-decaying, formal level only"
-    )
-    return EnergyLevel(
-        scenario=scen, channel=CH_MIN_J, j=jf, n=n, energy=eps - mass,
-        derivation=DERIV_HYPERGEOMETRIC, admissible=admissible, reason=reason,
-        formula=formula, epsilon=eps, extras=extras,
-    )
+        return EnergyLevel(
+            scenario=scen, channel=CH_MIN_J, j=jf, n=n, energy=eps - mass,
+            derivation=DERIV_HYPERGEOMETRIC, admissible=admissible, reason=reason,
+            formula=formula, epsilon=eps, extras=extras,
+        )
+
+    return level
 
 
-def _curved_oscillator_energy(k_osc: float, mass: float, big_n: float) -> float:
-    """Curved oscillator level E = N sqrt(K/M + (1/2M)^2) - (N^2 + 1/4)/(2M),
-    shared by the minimum-j and the no-monopole channels."""
-    return big_n * math.sqrt(k_osc / mass + 0.25 / (mass * mass)) - (big_n**2 + 0.25) / (2.0 * mass)
+def _curved_oscillator_energy(k_osc: float, mass: float) -> Callable[[float], float]:
+    """N -> E = N sqrt(K/M + (1/2M)^2) - (N^2 + 1/4)/(2M), shared by the
+    minimum-j and the no-monopole channels; the root and 2M are computed once."""
+    root = math.sqrt(k_osc / mass + 0.25 / (mass * mass))
+    two_mass = 2.0 * mass
+    return lambda big_n: big_n * root - (big_n**2 + 0.25) / two_mass
 
 
 def lob_minj_oscillator(k_osc: float, mass: float, n: int, charge: HalfInt = 1) -> EnergyLevel:
@@ -275,38 +308,46 @@ def lob_minj_oscillator(k_osc: float, mass: float, n: int, charge: HalfInt = 1) 
     equivalent to the odd levels of the sech^2 well: with s(s+1) = M K,
     E = K/2 - (s - (2n+1))^2 / (2M); bound states need 2n + 1 < s.
     """
-    return _lob_minj_oscillator(Scenario(GEOMETRY_LOBACHEVSKY, POTENTIAL_OSCILLATOR, charge, mass, k_osc=k_osc), n)
+    scen = Scenario(GEOMETRY_LOBACHEVSKY, POTENTIAL_OSCILLATOR, charge, mass, k_osc=k_osc)
+    return _lob_minj_oscillator_levels(scen)(n)
 
 
-def _lob_minj_oscillator(scen: Scenario, n: int) -> EnergyLevel:
+def _lob_minj_oscillator_levels(scen: Scenario) -> LevelAt:
     k_osc, mass = scen.k_osc, scen.mass
     jf = _minj_j(scen.charge)
-    big_n = 2.0 * n + 1.5
     s_well = (-1.0 + math.sqrt(1.0 + 4.0 * mass * k_osc)) / 2.0
-    energy = _curved_oscillator_energy(k_osc, mass, big_n)
-    admissible = 2 * n + 1 < s_well
-    reason = "" if admissible else (
-        f"{REASON_EXHAUSTED}: decaying-well condition 2n+1 < s fails (s = {s_well:.6g})"
-    )
-    return EnergyLevel(
-        scenario=scen, channel=CH_MIN_J, j=jf, n=n, energy=energy,
-        derivation=DERIV_HYPERGEOMETRIC, admissible=admissible, reason=reason,
-        formula="E = N sqrt(K/M + 1/(2M)^2) - (N^2 + 1/4)/(2M), N = 2n + 3/2",
-        extras={"N": big_n, "s": s_well},
-    )
+    energy_at = _curved_oscillator_energy(k_osc, mass)
+    formula = "E = N sqrt(K/M + 1/(2M)^2) - (N^2 + 1/4)/(2M), N = 2n + 3/2"
+    exhausted = f"{REASON_EXHAUSTED}: decaying-well condition 2n+1 < s fails (s = {s_well:.6g})"
+
+    def level(n: int) -> EnergyLevel:
+        big_n = 2.0 * n + 1.5
+        admissible = 2 * n + 1 < s_well
+        return EnergyLevel(
+            scenario=scen, channel=CH_MIN_J, j=jf, n=n, energy=energy_at(big_n),
+            derivation=DERIV_HYPERGEOMETRIC, admissible=admissible,
+            reason="" if admissible else exhausted,
+            formula=formula, extras={"N": big_n, "s": s_well},
+        )
+
+    return level
 
 
 # --- Lobachevsky, no monopole -------------------------------------------------
 
 
-def _nomonopole_channel_n_coulomb(j: Fraction, n: int, channel: str) -> float:
+def _nomonopole_n_coulomb(j: Fraction, channel: str) -> Callable[[int], float]:
+    """n -> N of a no-monopole Coulomb channel."""
     if channel == CH_PARITY_ODD:
-        return float(j) + 1.0 + n
+        offset = float(j) + 1.0
+        return lambda n: offset + n
     if channel == CH_EVEN_1:
-        return float(j) + 1.5 + 0.5 * n
-    if channel == CH_EVEN_2:
-        return float(j) + 0.5 + 0.5 * n
-    raise SpectrumError(f"unknown no-monopole channel {channel!r}")
+        offset = float(j) + 1.5
+    elif channel == CH_EVEN_2:
+        offset = float(j) + 0.5
+    else:
+        raise SpectrumError(f"unknown no-monopole channel {channel!r}")
+    return lambda n: offset + 0.5 * n
 
 
 def lob_nomonopole_coulomb(alpha: float, mass: float, j: HalfInt, n: int, channel: str) -> EnergyLevel:
@@ -320,7 +361,7 @@ def lob_nomonopole_coulomb(alpha: float, mass: float, j: HalfInt, n: int, channe
     """
     jf = as_half_integer(j, "j")
     scen = Scenario(GEOMETRY_LOBACHEVSKY, POTENTIAL_COULOMB, Fraction(0), mass, alpha=alpha)
-    return _lob_nomonopole_coulomb(scen, jf, n, channel)
+    return _lob_nomonopole_coulomb_levels(scen, jf, channel)(n)
 
 
 def _check_nomonopole_j(j: Fraction) -> None:
@@ -328,21 +369,32 @@ def _check_nomonopole_j(j: Fraction) -> None:
         raise SpectrumError(f"no-monopole channels need integer j >= 0, got {j}")
 
 
-def _lob_nomonopole_coulomb(scen: Scenario, j: Fraction, n: int, channel: str) -> EnergyLevel:
+def _lob_nomonopole_coulomb_levels(scen: Scenario, j: Fraction, channel: str) -> LevelAt:
     alpha, mass = scen.alpha, scen.mass
     _check_nomonopole_j(j)
-    big_n = _nomonopole_channel_n_coulomb(j, n, channel)
-    energy = -mass * alpha * alpha / (2.0 * big_n * big_n) - big_n * big_n / (2.0 * mass)
-    b = (mass * alpha - big_n * big_n) / (2.0 * big_n)
-    admissible = b > 0.0
+    big_n_at = _nomonopole_n_coulomb(j, channel)
+    scale = -mass * alpha * alpha
+    two_mass = 2.0 * mass
+    mass_alpha = mass * alpha
     deriv = DERIV_HYPERGEOMETRIC if channel == CH_PARITY_ODD else DERIV_HEUN_FORMAL
-    reason = _admissible_reason(deriv) if admissible else f"{REASON_EXHAUSTED}: M alpha <= N^2 (b = {b:.6g})"
-    return EnergyLevel(
-        scenario=scen, channel=channel, j=j, n=n, energy=energy,
-        derivation=deriv, admissible=admissible, reason=reason,
-        formula="E = -M alpha^2/(2 N^2) - N^2/(2M)",
-        extras={"N": big_n, "b": b},
-    )
+    bound = _admissible_reason(deriv)
+    formula = "E = -M alpha^2/(2 N^2) - N^2/(2M)"
+
+    def level(n: int) -> EnergyLevel:
+        big_n = big_n_at(n)
+        big_n_sq = big_n * big_n
+        b = (mass_alpha - big_n_sq) / (2.0 * big_n)
+        admissible = b > 0.0
+        return EnergyLevel(
+            scenario=scen, channel=channel, j=j, n=n,
+            # (2N) N, not 2 N^2: each formula keeps its operation order
+            energy=scale / (2.0 * big_n * big_n) - big_n_sq / two_mass,
+            derivation=deriv, admissible=admissible,
+            reason=bound if admissible else f"{REASON_EXHAUSTED}: M alpha <= N^2 (b = {b:.6g})",
+            formula=formula, extras={"N": big_n, "b": b},
+        )
+
+    return level
 
 
 def _admissible_reason(derivation: str) -> str:
@@ -351,14 +403,18 @@ def _admissible_reason(derivation: str) -> str:
     return REASON_FORMAL if derivation == DERIV_HEUN_FORMAL else ""
 
 
-def _nomonopole_channel_n_oscillator(j: Fraction, n: int, channel: str) -> float:
+def _nomonopole_n_oscillator(j: Fraction, channel: str) -> Callable[[int], float]:
+    """n -> N of a no-monopole oscillator channel."""
+    fj = float(j)
     if channel == CH_PARITY_ODD:
-        return 2.0 * n + float(j) + 1.5
+        return lambda n: 2.0 * n + fj + 1.5
     if channel == CH_EVEN_1:
-        return 2.0 + float(j) + n
-    if channel == CH_EVEN_2:
-        return 1.0 + float(j) + n
-    raise SpectrumError(f"unknown no-monopole channel {channel!r}")
+        offset = 2.0 + fj
+    elif channel == CH_EVEN_2:
+        offset = 1.0 + fj
+    else:
+        raise SpectrumError(f"unknown no-monopole channel {channel!r}")
+    return lambda n: offset + n
 
 
 def lob_nomonopole_oscillator(k_osc: float, mass: float, j: HalfInt, n: int, channel: str) -> EnergyLevel:
@@ -370,26 +426,30 @@ def lob_nomonopole_oscillator(k_osc: float, mass: float, j: HalfInt, n: int, cha
     level count) and formal even-channel values N = 2+j+n, N = 1+j+n."""
     jf = as_half_integer(j, "j")
     scen = Scenario(GEOMETRY_LOBACHEVSKY, POTENTIAL_OSCILLATOR, Fraction(0), mass, k_osc=k_osc)
-    return _lob_nomonopole_oscillator(scen, jf, n, channel)
+    return _lob_nomonopole_oscillator_levels(scen, jf, channel)(n)
 
 
-def _lob_nomonopole_oscillator(scen: Scenario, j: Fraction, n: int, channel: str) -> EnergyLevel:
+def _lob_nomonopole_oscillator_levels(scen: Scenario, j: Fraction, channel: str) -> LevelAt:
     k_osc, mass = scen.k_osc, scen.mass
     _check_nomonopole_j(j)
-    big_n = _nomonopole_channel_n_oscillator(j, n, channel)
-    energy = _curved_oscillator_energy(k_osc, mass, big_n)
+    big_n_at = _nomonopole_n_oscillator(j, channel)
+    energy_at = _curved_oscillator_energy(k_osc, mass)
     limit = math.sqrt(1.0 + 4.0 * k_osc * mass) / 2.0
-    admissible = big_n < limit
     deriv = DERIV_HYPERGEOMETRIC if channel == CH_PARITY_ODD else DERIV_HEUN_FORMAL
-    reason = _admissible_reason(deriv) if admissible else (
-        f"{REASON_EXHAUSTED}: restriction N < sqrt(1 + 4 K M)/2 = {limit:.6g} violated"
-    )
-    return EnergyLevel(
-        scenario=scen, channel=channel, j=j, n=n, energy=energy,
-        derivation=deriv, admissible=admissible, reason=reason,
-        formula="E = N sqrt(K/M + 1/(2M)^2) - (N^2 + 1/4)/(2M)",
-        extras={"N": big_n, "N_limit": limit},
-    )
+    bound = _admissible_reason(deriv)
+    exhausted = f"{REASON_EXHAUSTED}: restriction N < sqrt(1 + 4 K M)/2 = {limit:.6g} violated"
+    formula = "E = N sqrt(K/M + 1/(2M)^2) - (N^2 + 1/4)/(2M)"
+
+    def level(n: int) -> EnergyLevel:
+        big_n = big_n_at(n)
+        admissible = big_n < limit
+        return EnergyLevel(
+            scenario=scen, channel=channel, j=j, n=n, energy=energy_at(big_n),
+            derivation=deriv, admissible=admissible, reason=bound if admissible else exhausted,
+            formula=formula, extras={"N": big_n, "N_limit": limit},
+        )
+
+    return level
 
 
 # --- unit conversion ----------------------------------------------------------
@@ -522,66 +582,100 @@ def spectrum_levels(
     include_inadmissible: bool = False,
 ) -> list[EnergyLevel]:
     """All levels for one (scenario, j) over the given radial indices,
-    sorted by (channel, j, n)."""
+    sorted by (channel, j, n). A channel's first level comes from
+    `single_level`, which checks n and the channel and raises their errors in
+    that order; the channel is then resolved once more for the other levels,
+    so per-table work does not grow with n, and an empty `n_values` resolves
+    nothing. Going through `single_level` once per channel also keeps every
+    table visible to the benchmark's tracer, which wraps that function."""
     jf = as_half_integer(j, "j")
     chans = channels if channels is not None else default_channels(scenario, jf)
     out: list[EnergyLevel] = []
     for ch in chans:
+        level_at = None
         for n in n_values:
-            out.append(single_level(scenario, jf, int(n), ch))
+            n = int(n)
+            if level_at is None:
+                out.append(single_level(scenario, jf, n, ch))
+                level_at = _resolve_channel(scenario, jf, ch)
+                continue
+            _check_radial_index(n)
+            out.append(level_at(n))
     if not include_inadmissible:
         out = [lv for lv in out if lv.admissible]
-    out.sort(key=lambda lv: (lv.channel, lv.n))  # every level has j = jf
+    out.sort(key=attrgetter("channel", "n"))  # every level has j = jf
     return out
 
 
 def admissible_levels(scenario: Scenario, j: HalfInt, channel: str) -> list[EnergyLevel]:
     """The levels n = 0, 1, ... of one curved channel up to, not including,
-    the first inadmissible one. Flat spectra never end, so they are refused."""
+    the first inadmissible one. Flat spectra never end, so they are refused.
+    Level 0 comes from `single_level`, the rest from the resolved closed form,
+    as in `spectrum_levels`."""
     if scenario.geometry == GEOMETRY_FLAT:
         raise SpectrumError("flat spectra are infinite; give the radial indices explicitly")
+    lv = single_level(scenario, j, 0, channel)
+    level_at = _resolve_channel(scenario, j, channel)
     out: list[EnergyLevel] = []
-    while True:
-        lv = single_level(scenario, j, len(out), channel)
-        if not lv.admissible:
-            return out
+    while lv.admissible:
         out.append(lv)
+        lv = level_at(len(out))
+    return out
 
 
 def single_level(scenario: Scenario, j: HalfInt, n: int, channel: str) -> EnergyLevel:
-    """Dispatch one (scenario, j, n, channel) to its closed-form constructor.
+    """The level of one (scenario, j, n, channel), with its errors in order:
+    n < 0 first, then the channel, then an overflowing level. Tables take
+    each channel's first level from here."""
+    _check_radial_index(n)
+    return _resolve_channel(scenario, j, channel)(n)
+
+
+def _check_radial_index(n: int) -> None:
+    if n < 0:
+        raise SpectrumError(f"radial index n = {n} must be >= 0")
+
+
+def _resolve_channel(scenario: Scenario, j: HalfInt, channel: str) -> LevelAt:
+    """Resolve (scenario, j, channel) to its closed form, as n -> level.
 
     A level whose E or epsilon overflows to +-inf, or is NaN while admissible,
     is an error rather than a row: finite parameters can still overflow the
     closed forms. (NaN on an inadmissible level marks an exhausted spectrum.)
     """
-    if n < 0:
-        raise SpectrumError(f"radial index n = {n} must be >= 0")
-    level = _closed_form_level(scenario, as_half_integer(j, "j"), n, channel)
-    for name, value in (("E", level.energy), ("epsilon", level.epsilon)):
-        if value is not None and (math.isinf(value) or (level.admissible and math.isnan(value))):
-            raise SpectrumError(
-                f"{name} = {value} at n = {n} in channel {channel!r}: the closed form overflows "
-                "double precision for these parameters"
-            )
-    return level
+    level_at = _closed_form(scenario, as_half_integer(j, "j"), channel)
+    inf = math.inf
+
+    def checked(n: int) -> EnergyLevel:
+        level = level_at(n)
+        if level.epsilon is None and -inf < level.energy < inf:
+            return level  # the common case: one finite E
+        for name, value in (("E", level.energy), ("epsilon", level.epsilon)):
+            if value is not None and (math.isinf(value) or (level.admissible and math.isnan(value))):
+                raise SpectrumError(
+                    f"{name} = {value} at n = {n} in channel {channel!r}: the closed form overflows "
+                    "double precision for these parameters"
+                )
+        return level
+
+    return checked
 
 
-def _closed_form_level(scenario: Scenario, j: Fraction, n: int, channel: str) -> EnergyLevel:
-    """The closed form for one level; the level carries `scenario` itself, so
+def _closed_form(scenario: Scenario, j: Fraction, channel: str) -> LevelAt:
+    """The closed form of one channel; its levels carry `scenario` itself, so
     fields the closed forms do not read (such as the radius) are kept."""
     geom, pot = scenario.geometry, scenario.potential
     if geom == GEOMETRY_FLAT:
         if pot == POTENTIAL_COULOMB:
-            return _flat_coulomb(scenario, j, n, channel)
+            return _flat_coulomb_levels(scenario, j, channel)
         if pot == POTENTIAL_OSCILLATOR:
-            return _flat_oscillator(scenario, j, n, channel)
+            return _flat_oscillator_levels(scenario, j, channel)
         raise SpectrumError("flat free-particle scenarios have a continuum, not discrete levels")
     if scenario.no_monopole:
         if pot == POTENTIAL_COULOMB:
-            return _lob_nomonopole_coulomb(scenario, j, n, channel)
+            return _lob_nomonopole_coulomb_levels(scenario, j, channel)
         if pot == POTENTIAL_OSCILLATOR:
-            return _lob_nomonopole_oscillator(scenario, j, n, channel)
+            return _lob_nomonopole_oscillator_levels(scenario, j, channel)
         raise SpectrumError("free curved scenarios have a continuum, not discrete levels")
     if channel != CH_MIN_J:
         raise SpectrumError(
@@ -592,7 +686,7 @@ def _closed_form_level(scenario: Scenario, j: Fraction, n: int, channel: str) ->
             f"curved monopole levels exist only at j = |k| - 1 = {min_allowed_j(scenario.charge)}, got j = {j}"
         )
     if pot == POTENTIAL_COULOMB:
-        return _lob_minj_coulomb(scenario, n)
+        return _lob_minj_coulomb_levels(scenario)
     if pot == POTENTIAL_OSCILLATOR:
-        return _lob_minj_oscillator(scenario, n)
+        return _lob_minj_oscillator_levels(scenario)
     raise SpectrumError("the free curved minimum-j channel has no discrete levels")

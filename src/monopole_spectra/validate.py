@@ -515,19 +515,25 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suites(names) -> dict:
-    """Run the requested suites ('all' expands to every one plus the
-    determinism check) and assemble the deterministic report."""
+def selected_suites(names) -> list[str]:
+    """The suite names `run_suites(names)` runs: 'all' expands to every suite
+    plus the determinism check. An unknown name raises KeyError before any
+    suite runs."""
     if names == "all" or names == ["all"]:
-        selected = list(SUITE_NAMES) + ["determinism"]
-    else:
-        selected = list(names)
+        return list(SUITE_NAMES) + ["determinism"]
+    for name in names:
+        if name not in _SUITES and name != "determinism":
+            raise KeyError(name)
+    return list(names)
+
+
+def run_suites(names) -> dict:
+    """Run the requested suites (see `selected_suites`) and assemble the
+    deterministic report."""
     results: list[CriterionResult] = []
     timing = {}
-    for name in selected:
-        fn = _SUITES.get(name, suite_determinism if name == "determinism" else None)
-        if fn is None:
-            raise KeyError(name)
+    for name in selected_suites(names):
+        fn = _SUITES.get(name, suite_determinism)
         t0 = time.monotonic()
         results.extend(fn())
         timing[name] = round(time.monotonic() - t0, 3)

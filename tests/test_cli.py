@@ -1,5 +1,7 @@
 """CLI surface: subcommands, exit codes, formats, determinism, config files."""
 
+import errno
+import io
 import json
 import os
 import subprocess
@@ -139,10 +141,14 @@ def test_validate_single_suite(capsys, tmp_path):
     assert payload["results"]["passed"] is True
 
 
-def test_validate_unknown_suite_exit_2(capsys):
+def test_validate_unknown_suite_exit_2(capsys, tmp_path):
     code, out, err = run(["validate", "--suite", "nonsense"], capsys)
     assert code == 2 and out == ""
     assert "unknown suite 'nonsense'" in err
+    report = tmp_path / "r.json"
+    code, out, err = run(["validate", "--suite", "nonsense", "--report", str(report)], capsys)
+    assert (code, out, err) == (2, "", "error: unknown suite 'nonsense'\n")
+    assert not report.exists()
 
 
 def test_wavefunction_peculiar_profile(capsys, tmp_path):
@@ -299,5 +305,41 @@ def test_unwritable_output_path_exit_2(argv, out_flag, capsys, tmp_path):
     assert code == 2
     assert err == f"error: cannot write {target}: No such file or directory\n"
     assert not target.parent.exists()
-    if argv[0] != "validate":  # validate prints its criteria before writing the report
-        assert out == ""
+    assert out == ""
+
+
+def test_validate_checks_the_report_path_before_any_suite(capsys, tmp_path, monkeypatch):
+    from monopole_spectra import validate
+
+    def no_suites(names):
+        raise AssertionError(f"suites {names} ran before the report path was checked")
+
+    monkeypatch.setattr(validate, "run_suites", no_suites)
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(["validate", "--suite", "heun", "--report", str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+
+def test_validate_report_failing_at_close_exit_2(capsys, tmp_path, monkeypatch):
+    # a full disk: opening and an empty write succeed, the flush of the
+    # report's text at close fails
+    class FullDisk(io.StringIO):
+        def close(self):
+            if self.getvalue():
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            super().close()
+
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullDisk(), raising=False)
+    target = tmp_path / "r.json"
+    code, out, err = run(["validate", "--suite", "roots", "--report", str(target)], capsys)
+    assert code == 2
+    assert "[PASS] 1-roots" in out  # the criteria print before the report is written
+    assert err == f"error: cannot write {target}: {os.strerror(errno.ENOSPC)}\n"
+
+def test_spectrum_channel_off_minimum_j_exit_1(capsys):
+    code, out, err = run(["spectrum", "--k", "1", "--j", "2", "--alpha", "1",
+                          "--channel", "branch-1,min-j"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: min-j channel requires j = |k| - 1, got (j, k) = (2, 1)\n"

@@ -5,9 +5,15 @@ and compares its stdout byte for byte with `tests/golden/<name>.txt`. The
 files pin the output across refactors, not just across repeats in one run.
 
 Regenerate the files only for an intended output change, and say so in
-CHANGES.md:
+CHANGES.md. With no argument every case is rewritten; with names, only those
+cases are (this is how a new case gets its file without touching the others),
+and an unknown name exits non-zero before any file is written:
 
     PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py spectrum_flat_oscillator_deep_table
+
+Every `CASES` entry has its file under `tests/golden/` and every file there
+has an entry; `test_golden_files_match_cases` checks both directions.
 """
 
 import contextlib
@@ -56,6 +62,18 @@ CASES.update({
                                             "--j", "1", "--alpha", "0.3", "--mass", "5",
                                             "--n", "0..12", "--format", "json",
                                             "--include-inadmissible"],
+    "spectrum_lob_nomonopole_coulomb_deep_csv": ["spectrum", "--geometry", "lobachevsky",
+                                                 "--no-monopole", "--j", "3", "--alpha", "40",
+                                                 "--mass", "2", "--n", "0..150",
+                                                 "--include-inadmissible", "--format", "csv"],
+    "spectrum_lob_minj_oscillator_deep_csv": ["spectrum", "--geometry", "lobachevsky",
+                                              "--potential", "oscillator", "--k", "5/2",
+                                              "--j", "3/2", "--k-osc", "400", "--mass", "3",
+                                              "--n", "0..60", "--include-inadmissible",
+                                              "--format", "csv"],
+    "spectrum_flat_oscillator_deep_table": ["spectrum", "--potential", "oscillator", "--k", "1/2",
+                                            "--j", "5/2", "--k-osc", "3", "--mass", "0.7",
+                                            "--n", "0..199", "--format", "table"],
     "roots_generic": ["roots", "--k", "1", "--j", "2"],
     "roots_j_equals_k": ["roots", "--k", "3/2", "--j", "3/2"],
     "roots_k0": ["roots", "--k", "0", "--j", "2"],
@@ -81,16 +99,24 @@ def test_cli_output_matches_golden(name, capsys):
     assert _run(CASES[name], capsys) == expected
 
 
-def _regenerate() -> None:
+def test_golden_files_match_cases():
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(CASES)
+    assert [p.name for p in GOLDEN.iterdir() if p.suffix != ".txt"] == []
+
+
+def _regenerate(names) -> None:
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown golden case(s): {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in sorted(CASES.items()):
+    for name in sorted(names or CASES):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            code = cli.main(list(argv))
+            code = cli.main(list(CASES[name]))
         if code != 0:
             sys.exit(f"{name}: exit {code}")
         (GOLDEN / f"{name}.txt").write_bytes(buf.getvalue().encode("utf-8"))
 
 
 if __name__ == "__main__":
-    _regenerate()
+    _regenerate(sys.argv[1:])

@@ -307,6 +307,64 @@ def test_flat_no_monopole_j0_rejected_clearly():
         spectra.flat_coulomb(1.0, 1.0, 0, 0, 0, "branch-1")
 
 
+@pytest.fixture
+def resolution_counts(monkeypatch):
+    """Count channel resolutions (flat `_flat_channel`, no-monopole
+    `_check_nomonopole_j`) and half-integer coercions in every module that
+    binds `as_half_integer`."""
+    counts = dict.fromkeys(("flat", "nomonopole", "coerce"), 0)
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(spectra, "_flat_channel", counting("flat", spectra._flat_channel))
+    monkeypatch.setattr(spectra, "_check_nomonopole_j", counting("nomonopole", spectra._check_nomonopole_j))
+    coerce = counting("coerce", core.as_half_integer)
+    for module in (core, mixing, spectra):
+        monkeypatch.setattr(module, "as_half_integer", coerce)
+    return counts
+
+
+@pytest.mark.parametrize("scen, j, key", [
+    (core.Scenario("flat", "coulomb", F(3, 2), 0.9, alpha=1.3), F(7, 2), "flat"),
+    (core.Scenario("lobachevsky", "oscillator", F(0), 1.0, k_osc=150.0), F(2), "nomonopole"),
+])
+def test_spectrum_levels_resolve_each_channel_a_fixed_number_of_times(resolution_counts, scen, j, key):
+    spectra.spectrum_levels(scen, j, range(1))  # fills the per-key memos
+    seen = []
+    for size in (1000, 1):
+        for name in resolution_counts:
+            resolution_counts[name] = 0
+        levels = spectra.spectrum_levels(scen, j, range(size), include_inadmissible=True)
+        assert len(levels) == 3 * size
+        seen.append(dict(resolution_counts))
+    # per channel: one in single_level for the first n, one for the rest
+    assert seen[0][key] == seen[1][key] == 2 * 3
+    assert seen[0]["coerce"] == seen[1]["coerce"]  # coercions do not grow with n
+
+
+def test_spectrum_levels_resolve_a_channel_at_its_first_n():
+    flat = spectra.Scenario("flat", "coulomb", F(1), 1.0, alpha=1.0)
+    curved = spectra.Scenario("lobachevsky", "coulomb", F(1), 10.0, alpha=0.1)
+    # no n, no resolution: an inapplicable channel gives an empty table
+    assert spectra.spectrum_levels(flat, 2, [], channels=["min-j"]) == []
+    assert spectra.spectrum_levels(curved, 0, [], channels=["parity-odd"]) == []
+    # the radial index is checked before the channel
+    with pytest.raises(spectra.SpectrumError, match="n = -1 must be >= 0"):
+        spectra.spectrum_levels(flat, 2, [-1], channels=["min-j"])
+    with pytest.raises(spectra.SpectrumError, match="n = -1 must be >= 0"):
+        spectra.spectrum_levels(flat, 2, [0, -1], channels=["branch-1"])
+    with pytest.raises(spectra.SpectrumError, match="min-j channel requires"):
+        spectra.spectrum_levels(flat, 2, [0, -1], channels=["min-j"])
+    # a valid channel's levels come first, then the inapplicable one fails
+    with pytest.raises(spectra.SpectrumError) as info:
+        spectra.spectrum_levels(flat, 2, range(3), channels=["branch-1", "min-j"])
+    assert str(info.value) == "min-j channel requires j = |k| - 1, got (j, k) = (2, 1)"
+
+
 def test_admissible_levels_stop_at_first_inadmissible():
     scen = spectra.Scenario("lobachevsky", "coulomb", F(0), 1.0, alpha=10.0)
     levels = spectra.admissible_levels(scen, 0, "parity-odd")
@@ -371,3 +429,85 @@ def test_single_level_carries_the_callers_scenario(scen, j, channel, closed_form
         ref = closed_form(n)
         assert ref.scenario.radius == 1.0
         assert (lv.energy, lv.admissible, lv.j, lv.extras) == (ref.energy, ref.admissible, ref.j, ref.extras)
+
+
+# The closed forms written out per level, in the operation order of their
+# formulas: the two-stage closed forms must reproduce every float bit for bit.
+# Each reference returns (E, epsilon, {extra: value}).
+def _reference_flat(scen, j, channel, n):
+    if channel == "min-j":
+        lval, extras = 0.0, {}
+    else:
+        triple, i = mixing.mixing_roots(j, scen.charge), spectra.CH_BRANCH.index(channel)
+        lval, extras = triple.l[i], {"A": triple.a[i]}
+    extras["L"] = lval
+    if scen.potential == "coulomb":
+        return -0.5 * scen.alpha * scen.alpha * scen.mass / (n + lval + 1.0) ** 2, None, extras
+    omega = math.sqrt(scen.k_osc / scen.mass)
+    base = 1.5 + lval + 2.0 * n
+    return omega * base, None, {**extras, "printed": 0.5 * omega * base, "quantization": omega * base}
+
+
+def _reference_curved_oscillator(scen, big_n):
+    k_osc, mass = scen.k_osc, scen.mass
+    return big_n * math.sqrt(k_osc / mass + 0.25 / (mass * mass)) - (big_n**2 + 0.25) / (2.0 * mass)
+
+
+def _reference_minj(scen, j, channel, n):
+    alpha, mass = scen.alpha, scen.mass
+    if scen.potential == "oscillator":
+        big_n = 2.0 * n + 1.5
+        s_well = (-1.0 + math.sqrt(1.0 + 4.0 * mass * scen.k_osc)) / 2.0
+        return _reference_curved_oscillator(scen, big_n), None, {"N": big_n, "s": s_well}
+    nu = n + (1.0 + math.sqrt(1.0 - 4.0 * alpha * alpha)) / 2.0
+    rad = 1.0 - (alpha * alpha + nu * nu) / (mass * mass)
+    if rad < 0.0:
+        return math.nan, None, {"nu": nu}
+    eps = mass / math.sqrt(1.0 + alpha * alpha / (nu * nu)) * math.sqrt(rad)
+    return eps - mass, eps, {"nu": nu, "b": (eps * alpha - nu * nu) / (2.0 * nu)}
+
+
+def _reference_nomonopole(scen, j, channel, n):
+    alpha, mass, fj = scen.alpha, scen.mass, float(j)
+    if scen.potential == "oscillator":
+        big_n = {"parity-odd": 2.0 * n + fj + 1.5, "even-1": 2.0 + fj + n, "even-2": 1.0 + fj + n}[channel]
+        limit = math.sqrt(1.0 + 4.0 * scen.k_osc * mass) / 2.0
+        return _reference_curved_oscillator(scen, big_n), None, {"N": big_n, "N_limit": limit}
+    big_n = {"parity-odd": fj + 1.0 + n, "even-1": fj + 1.5 + 0.5 * n, "even-2": fj + 0.5 + 0.5 * n}[channel]
+    energy = -mass * alpha * alpha / (2.0 * big_n * big_n) - big_n * big_n / (2.0 * mass)
+    return energy, None, {"N": big_n, "b": (mass * alpha - big_n * big_n) / (2.0 * big_n)}
+
+
+def _float_extras(extras):
+    out = {}
+    for key, value in extras.items():
+        if isinstance(value, dict):
+            out.update(value)
+        elif isinstance(value, float):
+            out[key] = value
+    return out
+
+
+@pytest.mark.parametrize("scen, j, reference", [
+    (spectra.Scenario("flat", "coulomb", F(3, 2), 0.937, alpha=1.317), F(7, 2), _reference_flat),
+    (spectra.Scenario("flat", "coulomb", F(5, 2), 1.71, alpha=0.613), F(3, 2), _reference_flat),
+    (spectra.Scenario("flat", "oscillator", F(1, 2), 0.7, k_osc=3.0), F(5, 2), _reference_flat),
+    (spectra.Scenario("flat", "oscillator", F(3), 1.33, k_osc=0.271), F(2), _reference_flat),
+    (spectra.Scenario("lobachevsky", "coulomb", F(2), 7.3, alpha=0.317), F(1), _reference_minj),
+    (spectra.Scenario("lobachevsky", "coulomb", F(1), 253.7, alpha=0.0917), F(0), _reference_minj),
+    (spectra.Scenario("lobachevsky", "oscillator", F(5, 2), 3.0, k_osc=400.0), F(3, 2), _reference_minj),
+    (spectra.Scenario("lobachevsky", "coulomb", F(0), 2.0, alpha=40.0), F(3), _reference_nomonopole),
+    (spectra.Scenario("lobachevsky", "coulomb", F(0), 1.37, alpha=17.3), F(0), _reference_nomonopole),
+    (spectra.Scenario("lobachevsky", "oscillator", F(0), 0.83, k_osc=151.7), F(2), _reference_nomonopole),
+])
+def test_closed_forms_match_the_per_level_formulas(scen, j, reference):
+    # regrouping a sum changes its rounding mostly where it crosses a power of two
+    ns = sorted({*range(64), *(2**e + d for e in range(6, 31, 2) for d in range(-4, 2))})
+    levels = spectra.spectrum_levels(scen, j, ns, include_inadmissible=True)
+    assert len(levels) == len(spectra.default_channels(scen, j)) * len(ns)
+    assert len({id(lv.extras) for lv in levels}) == len(levels)  # each level owns its extras
+    for lv in levels:
+        energy, epsilon, extras = reference(scen, j, lv.channel, lv.n)
+        assert lv.energy.hex() == energy.hex(), (lv.channel, lv.n)
+        assert lv.epsilon == epsilon
+        assert {k: v.hex() for k, v in _float_extras(lv.extras).items()} == {k: v.hex() for k, v in extras.items()}
