@@ -179,26 +179,18 @@ def _accurate_sums(p: HeunParams, zs) -> list[tuple[float, float, float]]:
     decimal arithmetic. The coefficients and their products with k and
     k(k-1) do not depend on z, so they are computed once, in the one context,
     and every z reads the same terms (itertools.tee keeps each term until the
-    last z has summed it)."""
+    last z has summed it).
+
+    Parameter sets with widely split exponents (|delta - eps| large) cancel as
+    much as ~1e6 of the peak term at |z| = 0.8, which floors a plain double
+    evaluation near 1e-8; thirty digits restore the headroom the pointwise
+    residual checks need."""
     with localcontext() as ctx:
         ctx.prec = DECIMAL_DIGITS
         rtol = Decimal(10) ** -DECIMAL_DIGITS
         shared = itertools.tee(_weighted(heun_coefficients(p, Decimal)), len(zs))
         sums = [_heun_sums(z, weighted, Decimal, rtol) for z, weighted in zip(zs, shared)]
     return [(float(h), float(h1), float(h2)) for h, h1, h2 in sums]
-
-
-def heun_local_accurate(p: HeunParams, z: float) -> tuple[float, float, float]:
-    """Compensated evaluation path for residual tests: the same coefficient
-    recurrence and term sums carried in DECIMAL_DIGITS-digit decimal
-    arithmetic.
-
-    Parameter sets with widely split exponents (|delta - eps| large) cancel as
-    much as ~1e6 of the peak term at |z| = 0.8, which floors a plain double
-    evaluation near 1e-8; thirty digits restore the headroom the pointwise
-    residual checks need. Returns (H, H', H'') as floats.
-    """
-    return _accurate_sums(p, (z,))[0]
 
 
 def heun_ode_residuals(p: HeunParams, zs) -> list[float]:

@@ -119,7 +119,8 @@ def _flat_channel(j: Fraction, k: Fraction, branch: str) -> tuple[float, dict]:
     return lval, extras
 
 
-# Each closed form below comes in two stages. `_<form>_levels(scenario, ...)`
+# Each closed form below comes in two stages and is reached only through
+# `_resolve_channel`, which checks its levels. `_<form>_levels(scenario, ...)`
 # does everything that does not depend on n (the channel checks, the mixing
 # root, the n-independent square roots and texts) and returns a LevelAt; the
 # LevelAt then does only the float arithmetic of one level. Hoisted values are
@@ -131,18 +132,12 @@ LevelAt = Callable[[int], EnergyLevel]
 # --- flat space --------------------------------------------------------------
 
 
-def flat_coulomb(alpha: float, mass: float, j: HalfInt, k: HalfInt, n: int, branch: str) -> EnergyLevel:
+def _flat_coulomb_levels(scen: Scenario, j: Fraction, branch: str) -> LevelAt:
     """Flat-space Coulomb level E = -alpha^2 M / (2 (n + L + 1)^2).
 
     branch 'min-j' uses L = 0 (valid only at j = |k| - 1); branches 1..3 use
     the effective L of the corresponding mixing root.
     """
-    jf = as_half_integer(j, "j")
-    scen = Scenario(GEOMETRY_FLAT, POTENTIAL_COULOMB, as_half_integer(k, "k"), mass, alpha=alpha)
-    return _flat_coulomb_levels(scen, jf, branch)(n)
-
-
-def _flat_coulomb_levels(scen: Scenario, j: Fraction, branch: str) -> LevelAt:
     lval, extras = _flat_channel(j, scen.charge, branch)
     scale = -0.5 * scen.alpha * scen.alpha * scen.mass
     formula = "E = -alpha^2 M / (2 (n+L+1)^2)"
@@ -179,16 +174,10 @@ def _candidates(omega: float, base: float) -> dict[str, float]:
     return {"printed": 0.5 * omega * base, "quantization": omega * base}
 
 
-def flat_oscillator(k_osc: float, mass: float, j: HalfInt, k: HalfInt, n: int, branch: str) -> EnergyLevel:
+def _flat_oscillator_levels(scen: Scenario, j: Fraction, branch: str) -> LevelAt:
     """Flat-space oscillator level, default value from the termination
     condition (prefactor 1); the 1/2-prefactor candidate is retained in
     extras['candidates'] and the two are arbitrated by the oracle."""
-    jf = as_half_integer(j, "j")
-    scen = Scenario(GEOMETRY_FLAT, POTENTIAL_OSCILLATOR, as_half_integer(k, "k"), mass, k_osc=k_osc)
-    return _flat_oscillator_levels(scen, jf, branch)(n)
-
-
-def _flat_oscillator_levels(scen: Scenario, j: Fraction, branch: str) -> LevelAt:
     lval, extras = _flat_channel(j, scen.charge, branch)
     omega = math.sqrt(scen.k_osc / scen.mass)
     base_0 = 1.5 + lval
@@ -234,7 +223,14 @@ def peculiar_flat_level(energy: float, scenario: Scenario) -> EnergyLevel:
 # --- Lobachevsky, minimum j (monopole present) -------------------------------
 
 
-def lob_minj_coulomb(alpha: float, mass: float, n: int, charge: HalfInt = 1) -> EnergyLevel:
+def _minj_j(charge: Fraction) -> Fraction:
+    """j = |k| - 1, one memoized object per k, so a table's levels share it."""
+    if abs(charge) < 1:
+        raise SpectrumError("minimum-j channel needs |k| >= 1")
+    return min_allowed_j(charge)
+
+
+def _lob_minj_coulomb_levels(scen: Scenario) -> LevelAt:
     """Curved minimum-j Coulomb level (relativistic form).
 
         epsilon = M / sqrt(1 + alpha^2/nu^2) * sqrt(1 - (alpha^2 + nu^2)/M^2),
@@ -245,18 +241,6 @@ def lob_minj_coulomb(alpha: float, mass: float, n: int, charge: HalfInt = 1) -> 
     positive; b <= 0 means the regular solution grows at infinity, so the
     formula value is formal rather than a bound state there.
     """
-    scen = Scenario(GEOMETRY_LOBACHEVSKY, POTENTIAL_COULOMB, charge, mass, alpha=alpha)
-    return _lob_minj_coulomb_levels(scen)(n)
-
-
-def _minj_j(charge: Fraction) -> Fraction:
-    """j = |k| - 1, one memoized object per k, so a table's levels share it."""
-    if abs(charge) < 1:
-        raise SpectrumError("minimum-j channel needs |k| >= 1")
-    return min_allowed_j(charge)
-
-
-def _lob_minj_coulomb_levels(scen: Scenario) -> LevelAt:
     alpha, mass = scen.alpha, scen.mass
     if not 0.0 < alpha < 0.5:
         raise SpectrumError(f"curved minimum-j Coulomb needs 0 < alpha < 1/2, got {alpha}")
@@ -300,7 +284,7 @@ def _curved_oscillator_energy(k_osc: float, mass: float) -> Callable[[float], fl
     return lambda big_n: big_n * root - (big_n**2 + 0.25) / two_mass
 
 
-def lob_minj_oscillator(k_osc: float, mass: float, n: int, charge: HalfInt = 1) -> EnergyLevel:
+def _lob_minj_oscillator_levels(scen: Scenario) -> LevelAt:
     """Curved minimum-j oscillator level
 
         E = N sqrt(K/M + (1/2M)^2) - (N^2 + 1/4)/(2M),  N = 2n + 3/2,
@@ -308,11 +292,6 @@ def lob_minj_oscillator(k_osc: float, mass: float, n: int, charge: HalfInt = 1) 
     equivalent to the odd levels of the sech^2 well: with s(s+1) = M K,
     E = K/2 - (s - (2n+1))^2 / (2M); bound states need 2n + 1 < s.
     """
-    scen = Scenario(GEOMETRY_LOBACHEVSKY, POTENTIAL_OSCILLATOR, charge, mass, k_osc=k_osc)
-    return _lob_minj_oscillator_levels(scen)(n)
-
-
-def _lob_minj_oscillator_levels(scen: Scenario) -> LevelAt:
     k_osc, mass = scen.k_osc, scen.mass
     jf = _minj_j(scen.charge)
     s_well = (-1.0 + math.sqrt(1.0 + 4.0 * mass * k_osc)) / 2.0
@@ -350,7 +329,12 @@ def _nomonopole_n_coulomb(j: Fraction, channel: str) -> Callable[[int], float]:
     return lambda n: offset + 0.5 * n
 
 
-def lob_nomonopole_coulomb(alpha: float, mass: float, j: HalfInt, n: int, channel: str) -> EnergyLevel:
+def _check_nomonopole_j(j: Fraction) -> None:
+    if j < 0 or j.denominator != 1:
+        raise SpectrumError(f"no-monopole channels need integer j >= 0, got {j}")
+
+
+def _lob_nomonopole_coulomb_levels(scen: Scenario, j: Fraction, channel: str) -> LevelAt:
     """No-monopole curved Coulomb level E = -M alpha^2/(2 N^2) - N^2/(2M).
 
     N is channel specific: parity-odd N = j+1+n (hypergeometric polynomial);
@@ -359,17 +343,6 @@ def lob_nomonopole_coulomb(alpha: float, mass: float, j: HalfInt, n: int, channe
     admissibility needs the substitution exponent b = (M alpha - N^2)/(2N)
     to be positive, i.e. M alpha > N^2 (finite spectrum).
     """
-    jf = as_half_integer(j, "j")
-    scen = Scenario(GEOMETRY_LOBACHEVSKY, POTENTIAL_COULOMB, Fraction(0), mass, alpha=alpha)
-    return _lob_nomonopole_coulomb_levels(scen, jf, channel)(n)
-
-
-def _check_nomonopole_j(j: Fraction) -> None:
-    if j < 0 or j.denominator != 1:
-        raise SpectrumError(f"no-monopole channels need integer j >= 0, got {j}")
-
-
-def _lob_nomonopole_coulomb_levels(scen: Scenario, j: Fraction, channel: str) -> LevelAt:
     alpha, mass = scen.alpha, scen.mass
     _check_nomonopole_j(j)
     big_n_at = _nomonopole_n_coulomb(j, channel)
@@ -417,19 +390,13 @@ def _nomonopole_n_oscillator(j: Fraction, channel: str) -> Callable[[int], float
     return lambda n: offset + n
 
 
-def lob_nomonopole_oscillator(k_osc: float, mass: float, j: HalfInt, n: int, channel: str) -> EnergyLevel:
+def _lob_nomonopole_oscillator_levels(scen: Scenario, j: Fraction, channel: str) -> LevelAt:
     """No-monopole curved oscillator level
 
         E = N sqrt(K/M + (1/2M)^2) - (N^2 + 1/4)/(2M)
 
     with parity-odd N = 2n+j+3/2 (restriction N < sqrt(1+4KM)/2 bounds the
     level count) and formal even-channel values N = 2+j+n, N = 1+j+n."""
-    jf = as_half_integer(j, "j")
-    scen = Scenario(GEOMETRY_LOBACHEVSKY, POTENTIAL_OSCILLATOR, Fraction(0), mass, k_osc=k_osc)
-    return _lob_nomonopole_oscillator_levels(scen, jf, channel)(n)
-
-
-def _lob_nomonopole_oscillator_levels(scen: Scenario, j: Fraction, channel: str) -> LevelAt:
     k_osc, mass = scen.k_osc, scen.mass
     _check_nomonopole_j(j)
     big_n_at = _nomonopole_n_oscillator(j, channel)
@@ -642,23 +609,33 @@ def _resolve_channel(scenario: Scenario, j: HalfInt, channel: str) -> LevelAt:
     A level whose E or epsilon overflows to +-inf, or is NaN while admissible,
     is an error rather than a row: finite parameters can still overflow the
     closed forms. (NaN on an inadmissible level marks an exhausted spectrum.)
+    So is a division by zero, which a tiny mass raises once M^2 underflows.
     """
-    level_at = _closed_form(scenario, as_half_integer(j, "j"), channel)
+    try:
+        level_at = _closed_form(scenario, as_half_integer(j, "j"), channel)
+    except ZeroDivisionError as exc:
+        raise _overflow_error("division by zero", channel) from exc
     inf = math.inf
 
     def checked(n: int) -> EnergyLevel:
-        level = level_at(n)
+        try:
+            level = level_at(n)
+        except ZeroDivisionError as exc:
+            raise _overflow_error(f"division by zero at n = {n}", channel) from exc
         if level.epsilon is None and -inf < level.energy < inf:
             return level  # the common case: one finite E
         for name, value in (("E", level.energy), ("epsilon", level.epsilon)):
             if value is not None and (math.isinf(value) or (level.admissible and math.isnan(value))):
-                raise SpectrumError(
-                    f"{name} = {value} at n = {n} in channel {channel!r}: the closed form overflows "
-                    "double precision for these parameters"
-                )
+                raise _overflow_error(f"{name} = {value} at n = {n}", channel)
         return level
 
     return checked
+
+
+def _overflow_error(what: str, channel: str) -> SpectrumError:
+    return SpectrumError(
+        f"{what} in channel {channel!r}: the closed form overflows double precision for these parameters"
+    )
 
 
 def _closed_form(scenario: Scenario, j: Fraction, channel: str) -> LevelAt:

@@ -150,15 +150,12 @@ def suite_flat_coulomb() -> list[CriterionResult]:
     alpha = mass = 1.0
     worst = 0.0
     rows = []
-    scen_minj = core.Scenario("flat", "coulomb", Fraction(1), mass, alpha=alpha)
-    prob_minj = radial.build_problem(scen_minj, spectra.CH_MIN_J, 0)
-    channels = [(spectra.CH_MIN_J, 0, prob_minj)]
     scen = core.Scenario("flat", "coulomb", Fraction(1), mass, alpha=alpha)
-    for br in spectra.CH_BRANCH:
-        channels.append((br, 2, radial.build_problem(scen, br, 2)))
-    for ch, j, prob in channels:
+    channels = [(spectra.CH_MIN_J, 0), *((br, 2) for br in spectra.CH_BRANCH)]
+    for ch, j in channels:
+        prob = radial.build_problem(scen, ch, j)
         for n in range(4):
-            lv = spectra.flat_coulomb(alpha, mass, j, 1, n, ch)
+            lv = spectra.single_level(scen, j, n, ch)
             e_num, rel = _fd_level_rel_dev(prob, lv)
             worst = max(worst, rel)
             rows.append({"channel": ch, "n": n, "L": lv.extras["L"], "analytic": lv.energy,
@@ -228,7 +225,7 @@ def _criterion_minj_coulomb() -> CriterionResult:
     parts: dict = {"mismatch": {}, "bracketing": {}}
     ok = True
     for n in range(3):
-        lv = spectra.lob_minj_coulomb(alpha, mass, n)
+        lv = spectra.single_level(scen, 0, n, spectra.CH_MIN_J)
         try:
             res = oracle.shoot_decay(prob, lv.epsilon)
             mism = abs(res.mismatch)
@@ -256,7 +253,7 @@ def _criterion_minj_coulomb() -> CriterionResult:
     n_admissible = []
     n = 0
     while n < 64:
-        lv = spectra.lob_minj_coulomb(alpha, mass, n)
+        lv = spectra.single_level(scen, 0, n, spectra.CH_MIN_J)
         if lv.admissible:
             n_admissible.append(n)
         n += 1
@@ -295,7 +292,7 @@ def _criterion_minj_oscillator() -> CriterionResult:
         s_well = (-1.0 + math.sqrt(1.0 + 4.0 * mass * k_osc)) / 2.0
         n = 0
         while 2 * n + 1 < s_well:
-            lv = spectra.lob_minj_oscillator(k_osc, mass, n)
+            lv = spectra.single_level(scen, 0, n, spectra.CH_MIN_J)
             sol = radial.analytic_solution(prob, lv)
             res = radial.residual(prob, sol, lv)
             e_num, rel = _fd_level_rel_dev(prob, lv)

@@ -71,7 +71,7 @@ def test_criterion_06_lob_minj_coulomb_shooting():
     bound = []
     for n, row in sorted(rows.items()):
         assert "error" not in row, f"n = {n}: {row.get('error')}"
-        level = spectra.lob_minj_coulomb(alpha, mass, n)
+        level = spectra.single_level(scen, 0, n, spectra.CH_MIN_J)
         assert row["epsilon"] == level.epsilon
         if row["b"] <= 0.0:
             # formal level: the regular solution grows, so the decaying shoot misses

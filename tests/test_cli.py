@@ -244,10 +244,17 @@ def test_spectrum_non_finite_parameter_exit_2(flags, capsys):
     ["--geometry", "lobachevsky", "--no-monopole", "--j", "0", "--alpha", "1e300", "--mass", "1e10",
      "--channel", "parity-odd"],
     ["--k", "1", "--j", "2", "--potential", "oscillator", "--k-osc", "1e300", "--mass", "1e-300"],
+    # M^2 underflows to 0 in the curved closed forms
+    ["--geometry", "lobachevsky", "--k", "1", "--j", "0", "--alpha", "0.1", "--mass", "1e-200"],
+    ["--geometry", "lobachevsky", "--potential", "oscillator", "--k", "1", "--j", "0", "--k-osc", "1",
+     "--mass", "1e-200"],
+    ["--geometry", "lobachevsky", "--no-monopole", "--potential", "oscillator", "--j", "0", "--k-osc", "1",
+     "--mass", "1e-200"],
 ])
 def test_spectrum_overflowing_level_exit_1(flags, capsys):
     code, out, err = run(["spectrum", *flags], capsys)
     assert code == 1 and out == "" and "overflows" in err
+    assert err.count("\n") == 1
 
 
 def test_spectrum_keeps_the_curvature_radius(capsys):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from monopole_spectra import heunspec, specfun, spectra
+from monopole_spectra import core, heunspec, specfun, spectra
 
 
 def test_coulomb_params_fuchs_and_values():
@@ -36,20 +36,22 @@ def test_coulomb_radicand_violation_named():
 
 def test_coulomb_beta_condition_reproduces_energy_formula():
     alpha, mass = 10.0, 1.0
+    scen = core.Scenario("lobachevsky", "coulomb", 0, mass, alpha=alpha)
     for channel, shift in (("even-1", 1.5), ("even-2", 0.5)):
         for j in (0, 1, 2):
             for n in (0, 1):
                 big_n = j + shift + 0.5 * n
                 expected = -mass * alpha**2 / (2 * big_n**2) - big_n**2 / (2 * mass)
-                level = spectra.lob_nomonopole_coulomb(alpha, mass, j, n, channel)
+                level = spectra.single_level(scen, j, n, channel)
                 assert level.energy == pytest.approx(expected, rel=1e-14)
 
 
 def test_coulomb_involution():
     alpha, mass = 10.0, 1.0
+    scen = core.Scenario("lobachevsky", "coulomb", 0, mass, alpha=alpha)
     for channel in ("even-1", "even-2"):
         for (j, n) in [(0, 0), (0, 1), (1, 0)]:
-            e = spectra.lob_nomonopole_coulomb(alpha, mass, j, n, channel).energy
+            e = spectra.single_level(scen, j, n, channel).energy
             p = heunspec.heun_params_coulomb(e, alpha, mass, j, channel)
             assert abs(p.beta + n) <= 1e-10
 
@@ -73,11 +75,12 @@ def test_oscillator_channel2_exponents():
 
 def test_oscillator_beta_condition_involution_and_formula():
     k_osc, mass = 100.0, 1.0
+    scen = core.Scenario("lobachevsky", "oscillator", 0, mass, k_osc=k_osc)
     for channel, base in (("even-1", 2.0), ("even-2", 1.0)):
         for (j, n) in [(0, 0), (1, 1), (2, 0)]:
             big_n = base + j + n
             expected = big_n * math.sqrt(k_osc / mass + 0.25 / mass**2) - (big_n**2 + 0.25) / (2 * mass)
-            solved = spectra.lob_nomonopole_oscillator(k_osc, mass, j, n, channel).energy
+            solved = spectra.single_level(scen, j, n, channel).energy
             assert solved == pytest.approx(expected, rel=1e-14)
             p = heunspec.heun_params_oscillator(solved, k_osc, mass, j, channel)
             assert heunspec.termination_defect(p, n) <= 1e-10
@@ -90,10 +93,12 @@ def test_oscillator_radicand_violation():
 
 def test_residual_on_disc_for_generated_sets():
     alpha, mass, k_osc = 10.0, 1.0, 100.0
-    e = spectra.lob_nomonopole_coulomb(alpha, mass, 1, 0, "even-1").energy
+    coulomb_scen = core.Scenario("lobachevsky", "coulomb", 0, mass, alpha=alpha)
+    oscillator_scen = core.Scenario("lobachevsky", "oscillator", 0, mass, k_osc=k_osc)
+    e = spectra.single_level(coulomb_scen, 1, 0, "even-1").energy
     p = heunspec.heun_params_coulomb(e, alpha, mass, 1, "even-1")
     assert heunspec.heun_residual_on_disc(p) <= 1e-9
-    e2 = spectra.lob_nomonopole_oscillator(k_osc, mass, 0, 0, "even-1").energy
+    e2 = spectra.single_level(oscillator_scen, 0, 0, "even-1").energy
     p2 = heunspec.heun_params_oscillator(e2, k_osc, mass, 0, "even-1")
     assert heunspec.heun_residual_on_disc(p2) <= 1e-9
 
@@ -102,9 +107,11 @@ def test_residual_on_disc_equals_the_pointwise_maximum():
     # the disc shares one coefficient sequence between its 60 points; each
     # residual must be the one a lone evaluation at that z gives, bit for bit
     alpha, mass, k_osc = 10.0, 1.0, 100.0
-    e = spectra.lob_nomonopole_coulomb(alpha, mass, 1, 1, "even-2").energy
+    coulomb_scen = core.Scenario("lobachevsky", "coulomb", 0, mass, alpha=alpha)
+    oscillator_scen = core.Scenario("lobachevsky", "oscillator", 0, mass, k_osc=k_osc)
+    e = spectra.single_level(coulomb_scen, 1, 1, "even-2").energy
     coulomb = heunspec.heun_params_coulomb(e, alpha, mass, 1, "even-2")
-    e2 = spectra.lob_nomonopole_oscillator(k_osc, mass, 1, 1, "even-2").energy
+    e2 = spectra.single_level(oscillator_scen, 1, 1, "even-2").energy
     oscillator = heunspec.heun_params_oscillator(e2, k_osc, mass, 1, "even-2")
     assert len(heunspec._DISC_Z) == 60
     for p in (coulomb, oscillator):

@@ -83,7 +83,7 @@ def test_oracle_paths_do_not_import_scipy_integrate():
         "from monopole_spectra import core, oracle, radial, spectra\n"
         "scen = core.Scenario('lobachevsky', 'coulomb', Fraction(1), 10.0, alpha=0.1)\n"
         "prob = radial.build_problem(scen, spectra.CH_MIN_J, 0)\n"
-        "oracle.shoot_decay(prob, spectra.lob_minj_coulomb(0.1, 10.0, 0).epsilon)\n"
+        "oracle.shoot_decay(prob, spectra.single_level(scen, 0, 0, spectra.CH_MIN_J).epsilon)\n"
         "radial.origin_exponent_fit(1, 0.5, 1.0)\n"
         "assert 'scipy.linalg' in sys.modules\n"
         "print('scipy.integrate' in sys.modules)\n"

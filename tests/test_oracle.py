@@ -154,14 +154,14 @@ def lob_minj_problem(alpha, mass):
 
 def test_shoot_decay_ground_state():
     prob = lob_minj_problem(0.1, 10.0)
-    level = spectra.lob_minj_coulomb(0.1, 10.0, 0)
+    level = spectra.single_level(prob.scenario, 0, 0, "min-j")
     res = oracle.shoot_decay(prob, level.epsilon)
     assert abs(res.mismatch) <= 1e-5
 
 
 def test_shoot_decay_bracketing_feasible_side():
     prob = lob_minj_problem(0.1, 10.0)
-    level = spectra.lob_minj_coulomb(0.1, 10.0, 0)
+    level = spectra.single_level(prob.scenario, 0, 0, "min-j")
     below = oracle.shoot_decay(prob, level.epsilon * 0.99).mismatch
     just_above = oracle.shoot_decay(prob, level.epsilon + 2e-6).mismatch
     assert below * just_above < 0.0
@@ -178,11 +178,12 @@ def test_shoot_decay_strong_coupling_full_series():
     alpha, mass = 0.3, 30.0
     prob = lob_minj_problem(alpha, mass)
     for n in range(3):
-        level = spectra.lob_minj_coulomb(alpha, mass, n, charge=1)
+        level = spectra.single_level(prob.scenario, 0, n, "min-j")
         assert level.admissible
         assert abs(oracle.shoot_decay(prob, level.epsilon, r_max=25.0).mismatch) <= 1e-5
-    lo = oracle.shoot_decay(prob, spectra.lob_minj_coulomb(alpha, mass, 0).epsilon * 0.99, r_max=25.0)
-    hi = oracle.shoot_decay(prob, spectra.lob_minj_coulomb(alpha, mass, 0).epsilon * 1.01, r_max=25.0)
+    eps_0 = spectra.single_level(prob.scenario, 0, 0, "min-j").epsilon
+    lo = oracle.shoot_decay(prob, eps_0 * 0.99, r_max=25.0)
+    hi = oracle.shoot_decay(prob, eps_0 * 1.01, r_max=25.0)
     assert lo.mismatch * hi.mismatch < 0.0
 
 
@@ -191,7 +192,7 @@ def test_shoot_decay_far_field_past_double_range():
     # leg only works as the bounded Riccati log-derivative
     alpha, mass = 0.3, 80.0
     prob = lob_minj_problem(alpha, mass)
-    level = spectra.lob_minj_coulomb(alpha, mass, 0)
+    level = spectra.single_level(prob.scenario, 0, 0, "min-j")
     res = oracle.shoot_decay(prob, level.epsilon)
     assert res.far_decay_rate * 35.0 > math.log(np.finfo(float).max)
     assert abs(res.mismatch) <= 1e-9
@@ -201,7 +202,7 @@ def test_shoot_decay_formal_levels_do_not_match():
     # the closed form at n >= 1 (alpha = 0.1, M = 10) has b < 0: the regular
     # solution grows at infinity and the decaying shoot must fail loudly
     prob = lob_minj_problem(0.1, 10.0)
-    level = spectra.lob_minj_coulomb(0.1, 10.0, 1)
+    level = spectra.single_level(prob.scenario, 0, 1, "min-j")
     assert not level.admissible
     assert abs(oracle.shoot_decay(prob, level.epsilon).mismatch) > 0.1
 

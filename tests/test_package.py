@@ -4,8 +4,10 @@ the closed-form commands load neither the oracle's scipy nor, for
 
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +57,15 @@ def test_oracle_commands_still_run_in_a_fresh_process(argv):
     out = fresh_python("-m", "monopole_spectra.cli", *argv)
     assert out.returncode == 0, out.stderr
     assert out.stdout
+
+
+def test_readme_quick_start_runs():
+    # every name the README documents must still exist
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (code,) = re.findall(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S)
+    out = fresh_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert "-50.5" in out.stdout
 
 
 def test_exports_resolve_lazily_and_unknown_names_raise():

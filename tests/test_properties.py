@@ -108,7 +108,8 @@ def test_flat_levels_increase(mass, coupling, branch, potential):
 @given(hbar=positive, c=positive, mass=positive, radius=positive, n=st.integers(0, 3))
 def test_unit_round_trip(hbar, c, mass, radius, n):
     units = spectra.UnitSystem(hbar=hbar, c=c, mass=mass, radius=radius)
-    level = spectra.lob_minj_coulomb(0.3, 30.0, n)
+    scen = core.Scenario("lobachevsky", "coulomb", Fraction(1), 30.0, alpha=0.3)
+    level = spectra.single_level(scen, 0, n, "min-j")
     back = spectra.from_physical_units(spectra.to_physical_units(level, units), units)
     assert back.energy == pytest.approx(level.energy, rel=1e-12)
     assert back.epsilon == pytest.approx(level.epsilon, rel=1e-12)

@@ -61,16 +61,18 @@ def test_unknown_channel_rejected():
 
 
 def test_flat_coulomb_min_j_residual():
-    problem = radial.build_problem(scen("flat", "coulomb", alpha=1.0), "min-j", 0)
-    level = spectra.flat_coulomb(1.0, 1.0, 0, 1, 0, "min-j")
+    sc = scen("flat", "coulomb", alpha=1.0)
+    problem = radial.build_problem(sc, "min-j", 0)
+    level = spectra.single_level(sc, 0, 0, "min-j")
     sol = radial.analytic_solution(problem, level)
     assert radial.residual(problem, sol, level) <= 1e-8
     assert sol.node_count() == 0
 
 
 def test_residual_sensitivity_to_energy_perturbation():
-    problem = radial.build_problem(scen("flat", "coulomb", alpha=1.0), "min-j", 0)
-    level = spectra.flat_coulomb(1.0, 1.0, 0, 1, 0, "min-j")
+    sc = scen("flat", "coulomb", alpha=1.0)
+    problem = radial.build_problem(sc, "min-j", 0)
+    level = spectra.single_level(sc, 0, 0, "min-j")
     sol = radial.analytic_solution(problem, level)
     base = radial.residual(problem, sol, level)
     perturbed = dataclasses.replace(level, energy=level.energy * 1.01)
@@ -78,17 +80,19 @@ def test_residual_sensitivity_to_energy_perturbation():
 
 
 def test_flat_branch_solutions_nodes_and_residuals():
-    problem = radial.build_problem(scen("flat", "coulomb", alpha=1.0), "branch-2", 2)
+    sc = scen("flat", "coulomb", alpha=1.0)
+    problem = radial.build_problem(sc, "branch-2", 2)
     for n in range(3):
-        level = spectra.flat_coulomb(1.0, 1.0, 2, 1, n, "branch-2")
+        level = spectra.single_level(sc, 2, n, "branch-2")
         sol = radial.analytic_solution(problem, level)
         assert radial.residual(problem, sol, level) <= 1e-7
         assert sol.node_count() == n
 
 
 def test_flat_oscillator_residual_identifies_confirmed_candidate():
-    problem = radial.build_problem(scen("flat", "oscillator", k_osc=1.0), "min-j", 0)
-    level = spectra.flat_oscillator(1.0, 1.0, 0, 1, 1, "min-j")
+    sc = scen("flat", "oscillator", k_osc=1.0)
+    problem = radial.build_problem(sc, "min-j", 0)
+    level = spectra.single_level(sc, 0, 1, "min-j")
     sol = radial.analytic_solution(problem, level)
     assert radial.residual(problem, sol, level) <= 1e-7
     printed = dataclasses.replace(level, energy=level.extras["candidates"]["printed"])
@@ -109,8 +113,9 @@ def test_peculiar_flat_profile():
 
 
 def test_lob_minj_coulomb_quadratic_residual():
-    problem = radial.build_problem(scen("lobachevsky", "coulomb", alpha=0.1, mass=10.0), "min-j", 0)
-    level = spectra.lob_minj_coulomb(0.1, 10.0, 0)
+    sc = scen("lobachevsky", "coulomb", alpha=0.1, mass=10.0)
+    problem = radial.build_problem(sc, "min-j", 0)
+    level = spectra.single_level(sc, 0, 0, "min-j")
     sol = radial.analytic_solution(problem, level)
     assert radial.residual(problem, sol, level) <= 1e-7
     worse = dataclasses.replace(level, epsilon=level.epsilon * 1.001)
@@ -119,8 +124,9 @@ def test_lob_minj_coulomb_quadratic_residual():
 
 def test_lob_minj_coulomb_n0_polynomial_is_constant():
     # n = 0: the terminating series is the constant 1, so F = x^A (1-x)^B exactly
-    problem = radial.build_problem(scen("lobachevsky", "coulomb", alpha=0.1, mass=10.0), "min-j", 0)
-    level = spectra.lob_minj_coulomb(0.1, 10.0, 0)
+    sc = scen("lobachevsky", "coulomb", alpha=0.1, mass=10.0)
+    problem = radial.build_problem(sc, "min-j", 0)
+    level = spectra.single_level(sc, 0, 0, "min-j")
     grid = radial.uniform_grid(0.1, 5.0, 300)
     sol = radial.analytic_solution(problem, level, grid=grid)
     a_exp = (1.0 + math.sqrt(0.96)) / 2.0
@@ -131,23 +137,26 @@ def test_lob_minj_coulomb_n0_polynomial_is_constant():
 
 
 def test_lob_minj_oscillator_solution():
-    problem = radial.build_problem(scen("lobachevsky", "oscillator", k_osc=100.0), "min-j", 0)
+    sc = scen("lobachevsky", "oscillator", k_osc=100.0)
+    problem = radial.build_problem(sc, "min-j", 0)
     for n in range(3):
-        level = spectra.lob_minj_oscillator(100.0, 1.0, n)
+        level = spectra.single_level(sc, 0, n, "min-j")
         sol = radial.analytic_solution(problem, level)
         assert radial.residual(problem, sol, level) <= 1e-7
         assert sol.node_count() == n
 
 
 def test_lob_parity_odd_solutions():
-    problem = radial.build_problem(scen("lobachevsky", "coulomb", charge=0, alpha=10.0), "parity-odd", 1)
+    sc = scen("lobachevsky", "coulomb", charge=0, alpha=10.0)
+    problem = radial.build_problem(sc, "parity-odd", 1)
     for n in range(2):
-        level = spectra.lob_nomonopole_coulomb(10.0, 1.0, 1, n, "parity-odd")
+        level = spectra.single_level(sc, 1, n, "parity-odd")
         sol = radial.analytic_solution(problem, level)
         assert radial.residual(problem, sol, level) <= 1e-7
         assert sol.node_count() == n
-    problem_o = radial.build_problem(scen("lobachevsky", "oscillator", charge=0, k_osc=100.0), "parity-odd", 2)
-    level_o = spectra.lob_nomonopole_oscillator(100.0, 1.0, 2, 1, "parity-odd")
+    sc_o = scen("lobachevsky", "oscillator", charge=0, k_osc=100.0)
+    problem_o = radial.build_problem(sc_o, "parity-odd", 2)
+    level_o = spectra.single_level(sc_o, 2, 1, "parity-odd")
     sol_o = radial.analytic_solution(problem_o, level_o)
     assert radial.residual(problem_o, sol_o, level_o) <= 1e-7
 
@@ -155,39 +164,44 @@ def test_lob_parity_odd_solutions():
 def test_even_channel_heun_solutions_satisfy_radial_ode():
     # validates the full substitution, including the accessory parameter, for
     # both even channels against the untransformed radial operator
+    sc = scen("lobachevsky", "coulomb", charge=0, alpha=10.0)
     for (j, ch) in [(0, "even-1"), (1, "even-1"), (1, "even-2")]:
-        problem = radial.build_problem(scen("lobachevsky", "coulomb", charge=0, alpha=10.0), ch, j)
-        level = spectra.lob_nomonopole_coulomb(10.0, 1.0, j, 0, ch)
+        problem = radial.build_problem(sc, ch, j)
+        level = spectra.single_level(sc, j, 0, ch)
         grid = radial.uniform_grid(1e-3, 2.19, 2200)
         sol = radial.analytic_solution(problem, level, grid=grid)
         assert radial.residual(problem, sol, level) <= 1e-8
 
 
 def test_even_channel_oscillator_sampler_unavailable():
-    problem = radial.build_problem(scen("lobachevsky", "oscillator", charge=0, k_osc=100.0), "even-1", 1)
-    level = spectra.lob_nomonopole_oscillator(100.0, 1.0, 1, 0, "even-1")
+    sc = scen("lobachevsky", "oscillator", charge=0, k_osc=100.0)
+    problem = radial.build_problem(sc, "even-1", 1)
+    level = spectra.single_level(sc, 1, 0, "even-1")
     with pytest.raises(radial.RadialError):
         radial.analytic_solution(problem, level)
 
 
 def test_inadmissible_level_rejected():
-    problem = radial.build_problem(scen("lobachevsky", "coulomb", charge=0, alpha=10.0), "parity-odd", 0)
-    level = spectra.lob_nomonopole_coulomb(10.0, 1.0, 0, 5, "parity-odd")
+    sc = scen("lobachevsky", "coulomb", charge=0, alpha=10.0)
+    problem = radial.build_problem(sc, "parity-odd", 0)
+    level = spectra.single_level(sc, 0, 5, "parity-odd")
     with pytest.raises(radial.RadialError):
         radial.analytic_solution(problem, level)
 
 
 def test_residual_grid_contracts():
-    problem = radial.build_problem(scen("flat", "coulomb", alpha=1.0), "min-j", 0)
-    level = spectra.flat_coulomb(1.0, 1.0, 0, 1, 0, "min-j")
+    sc = scen("flat", "coulomb", alpha=1.0)
+    problem = radial.build_problem(sc, "min-j", 0)
+    level = spectra.single_level(sc, 0, 0, "min-j")
     small = radial.analytic_solution(problem, level, grid=radial.uniform_grid(0.1, 5.0, 100))
     with pytest.raises(radial.RadialError, match="coarse"):
         radial.residual(problem, small, level)
 
 
 def test_bound_solutions_decay_monotonically_past_last_node():
-    problem = radial.build_problem(scen("flat", "coulomb", alpha=1.0), "branch-1", 2)
-    level = spectra.flat_coulomb(1.0, 1.0, 2, 1, 2, "branch-1")
+    sc = scen("flat", "coulomb", alpha=1.0)
+    problem = radial.build_problem(sc, "branch-1", 2)
+    level = spectra.single_level(sc, 2, 2, "branch-1")
     sol = radial.analytic_solution(problem, level)
     u = np.abs(sol.values)
     tail = u[int(0.7 * len(u)):]

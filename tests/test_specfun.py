@@ -114,7 +114,7 @@ def test_heun_coefficients_recurrence_start():
 def test_heun_accurate_path_at_origin():
     # derivatives come from z^(k-1), z^(k-2) sums, so z = 0 needs no special case
     p = specfun.HeunParams(gamma=1.3, delta=0.7, eps=0.5, lam=0.9, beta=0.6, q=0.37)
-    h0, h1, h2 = specfun.heun_local_accurate(p, 0.0)
+    h0, h1, h2 = specfun._accurate_sums(p, (0.0,))[0]
     c = list(itertools.islice(specfun.heun_coefficients(p), 3))
     assert h0 == 1.0
     assert h1 == pytest.approx(c[1], rel=1e-15)
@@ -162,5 +162,5 @@ def test_heun_compensated_path_matches_double_path():
     p = specfun.HeunParams(gamma=1.3, delta=0.7, eps=0.5, lam=0.9, beta=0.6, q=0.37)
     for z in (-0.5, 0.3, 0.75):
         hd = specfun.heun_local(p, z)
-        ha = specfun.heun_local_accurate(p, z)[0]
+        ha = specfun._accurate_sums(p, (z,))[0][0]
         assert hd == pytest.approx(ha, rel=1e-12)

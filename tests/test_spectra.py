@@ -9,21 +9,27 @@ from monopole_spectra import core, mixing, spectra
 
 F = Fraction
 
+FLAT_COULOMB = core.Scenario("flat", "coulomb", F(1), 1.0, alpha=1.0)
+MINJ_COULOMB = core.Scenario("lobachevsky", "coulomb", F(1), 10.0, alpha=0.1)
+NOMONOPOLE_COULOMB = core.Scenario("lobachevsky", "coulomb", F(0), 1.0, alpha=10.0)
+NOMONOPOLE_OSCILLATOR = core.Scenario("lobachevsky", "oscillator", F(0), 1.0, k_osc=100.0)
+
 
 def test_flat_coulomb_min_j_ground_state():
-    lv = spectra.flat_coulomb(1.0, 1.0, 0, 1, 0, "min-j")
+    lv = spectra.single_level(FLAT_COULOMB, 0, 0, "min-j")
     assert lv.energy == -0.5
     assert lv.admissible and lv.derivation == "hypergeometric-polynomial"
 
 
 def test_flat_coulomb_free_limit():
+    scen = core.Scenario("flat", "coulomb", F(1), 1.0, alpha=1e-8)
     for n in range(4):
-        lv = spectra.flat_coulomb(1e-8, 1.0, 0, 1, n, "min-j")
+        lv = spectra.single_level(scen, 0, n, "min-j")
         assert abs(lv.energy) < 1e-15
 
 
 def test_flat_coulomb_branch_composition():
-    lv = spectra.flat_coulomb(1.0, 1.0, 2, 1, 0, "branch-3")
+    lv = spectra.single_level(FLAT_COULOMB, 2, 0, "branch-3")
     a3 = mixing.mixing_roots(2, 1).a[2]
     l3 = -0.5 + math.sqrt(0.25 + 2 * a3)
     assert lv.energy == pytest.approx(-0.5 / (l3 + 1.0) ** 2, abs=1e-14)
@@ -32,26 +38,28 @@ def test_flat_coulomb_branch_composition():
 
 def test_flat_coulomb_channel_misuse_rejected():
     with pytest.raises(spectra.SpectrumError):
-        spectra.flat_coulomb(1.0, 1.0, 2, 1, 0, "min-j")
+        spectra.single_level(FLAT_COULOMB, 2, 0, "min-j")
     with pytest.raises(spectra.SpectrumError):
-        spectra.flat_coulomb(1.0, 1.0, 0, 1, 0, "branch-1")
+        spectra.single_level(FLAT_COULOMB, 0, 0, "branch-1")
 
 
 def test_flat_oscillator_candidates_min_j():
-    lv = spectra.flat_oscillator(1.0, 1.0, 0, 1, 0, "min-j")
+    scen = core.Scenario("flat", "oscillator", F(1), 1.0, k_osc=1.0)
+    lv = spectra.single_level(scen, 0, 0, "min-j")
     assert lv.extras["candidates"] == {"printed": 0.75, "quantization": 1.5}
     assert lv.energy == 1.5  # oracle-confirmed default
 
 
 def test_flat_oscillator_level_spacing_branch_independent():
+    scen = core.Scenario("flat", "oscillator", F(1), 1.5, k_osc=2.0)
     for branch in ("branch-1", "branch-2", "branch-3"):
-        e0 = spectra.flat_oscillator(2.0, 1.5, 2, 1, 0, branch).energy
-        e1 = spectra.flat_oscillator(2.0, 1.5, 2, 1, 1, branch).energy
+        e0 = spectra.single_level(scen, 2, 0, branch).energy
+        e1 = spectra.single_level(scen, 2, 1, branch).energy
         assert e1 - e0 == pytest.approx(2.0 * math.sqrt(2.0 / 1.5), rel=1e-13)
 
 
 def test_lob_minj_coulomb_ground_state():
-    lv = spectra.lob_minj_coulomb(0.1, 10.0, 0)
+    lv = spectra.single_level(MINJ_COULOMB, 0, 0, "min-j")
     nu = (1.0 + math.sqrt(0.96)) / 2.0
     eps = 10.0 / math.sqrt(1 + 0.01 / nu**2) * math.sqrt(1 - (0.01 + nu**2) / 100.0)
     assert lv.extras["nu"] == pytest.approx(nu, abs=1e-15)
@@ -62,29 +70,32 @@ def test_lob_minj_coulomb_ground_state():
 
 def test_lob_minj_coulomb_free_limit():
     # alpha -> 0: nu -> 1 and eps -> M sqrt(1 - 1/M^2)
-    lv = spectra.lob_minj_coulomb(1e-9, 10.0, 0)
+    scen = core.Scenario("lobachevsky", "coulomb", F(1), 10.0, alpha=1e-9)
+    lv = spectra.single_level(scen, 0, 0, "min-j")
     assert lv.extras["nu"] == pytest.approx(1.0, abs=1e-12)
     assert lv.epsilon == pytest.approx(10.0 * math.sqrt(1 - 0.01), rel=1e-9)
 
 
 def test_lob_minj_coulomb_finite_spectrum():
-    lv = spectra.lob_minj_coulomb(0.1, 10.0, 10)
+    lv = spectra.single_level(MINJ_COULOMB, 0, 10, "min-j")
     assert not lv.admissible and "finite spectrum exhausted" in lv.reason
 
 
 def test_lob_minj_coulomb_nondecaying_levels_flagged():
     # n >= 1 at these parameters has b < 0: the closed form is formal only
-    lv = spectra.lob_minj_coulomb(0.1, 10.0, 1)
+    lv = spectra.single_level(MINJ_COULOMB, 0, 1, "min-j")
     assert not lv.admissible and lv.extras["b"] < 0
 
 
 def test_lob_minj_coulomb_alpha_domain():
+    scen = core.Scenario("lobachevsky", "coulomb", F(1), 10.0, alpha=0.6)
     with pytest.raises(spectra.SpectrumError):
-        spectra.lob_minj_coulomb(0.6, 10.0, 0)
+        spectra.single_level(scen, 0, 0, "min-j")
 
 
 def test_lob_minj_oscillator_value():
-    lv = spectra.lob_minj_oscillator(10.0, 1.0, 0)
+    scen = core.Scenario("lobachevsky", "oscillator", F(1), 1.0, k_osc=10.0)
+    lv = spectra.single_level(scen, 0, 0, "min-j")
     assert lv.energy == pytest.approx(1.5 * math.sqrt(10.25) - 1.25, abs=1e-14)
     assert lv.energy == pytest.approx(3.55234, abs=1e-5)
     assert lv.admissible
@@ -93,32 +104,34 @@ def test_lob_minj_oscillator_value():
 def test_lob_minj_oscillator_well_identity():
     # E = K/2 - (s - (2n+1))^2/(2M) with s(s+1) = M K
     for (k_osc, mass) in [(10.0, 1.0), (100.0, 1.0), (25.0, 2.0)]:
+        scen = core.Scenario("lobachevsky", "oscillator", F(1), mass, k_osc=k_osc)
         s = (-1.0 + math.sqrt(1.0 + 4.0 * mass * k_osc)) / 2.0
         n = 0
         while 2 * n + 1 < s:
-            lv = spectra.lob_minj_oscillator(k_osc, mass, n)
+            lv = spectra.single_level(scen, 0, n, "min-j")
             ident = k_osc / 2.0 - (s - (2 * n + 1)) ** 2 / (2.0 * mass)
             assert lv.energy == pytest.approx(ident, abs=1e-12)
             n += 1
 
 
 def test_lob_minj_oscillator_free_limit_inadmissible():
-    lv = spectra.lob_minj_oscillator(1e-12, 1.0, 0)
+    scen = core.Scenario("lobachevsky", "oscillator", F(1), 1.0, k_osc=1e-12)
+    lv = spectra.single_level(scen, 0, 0, "min-j")
     assert not lv.admissible
 
 
 def test_lob_nomonopole_coulomb_values_and_admissibility():
-    lv = spectra.lob_nomonopole_coulomb(10.0, 1.0, 0, 0, "parity-odd")
+    lv = spectra.single_level(NOMONOPOLE_COULOMB, 0, 0, "parity-odd")
     assert lv.energy == -50.5 and lv.admissible
-    lv3 = spectra.lob_nomonopole_coulomb(10.0, 1.0, 0, 3, "parity-odd")
+    lv3 = spectra.single_level(NOMONOPOLE_COULOMB, 0, 3, "parity-odd")
     assert not lv3.admissible  # M alpha = 10 < N^2 = 16
 
 
 def test_lob_nomonopole_coulomb_channel_shift():
     # even-1 and even-2 differ only through N shifted by one unit
     for n in range(3):
-        l1 = spectra.lob_nomonopole_coulomb(10.0, 1.0, 1, n, "even-1")
-        l2 = spectra.lob_nomonopole_coulomb(10.0, 1.0, 1, n + 2, "even-2")
+        l1 = spectra.single_level(NOMONOPOLE_COULOMB, 1, n, "even-1")
+        l2 = spectra.single_level(NOMONOPOLE_COULOMB, 1, n + 2, "even-2")
         assert l1.extras["N"] == pytest.approx(l2.extras["N"], abs=1e-15)
         assert l1.energy == pytest.approx(l2.energy, abs=1e-12)
 
@@ -129,31 +142,32 @@ def test_lob_nomonopole_coulomb_exponent_identity():
         (10.0, 1.0, 0, 0, "parity-odd"), (10.0, 1.0, 1, 1, "parity-odd"),
         (10.0, 1.0, 0, 1, "even-1"), (10.0, 1.0, 0, 2, "even-2"),
     ]:
-        lv = spectra.lob_nomonopole_coulomb(alpha, mass, j, n, ch)
+        scen = core.Scenario("lobachevsky", "coulomb", F(0), mass, alpha=alpha)
+        lv = spectra.single_level(scen, j, n, ch)
         b = lv.extras["b"]
         assert lv.energy == pytest.approx(-alpha - 2.0 * b * b / mass, abs=1e-12)
 
 
 def test_lob_nomonopole_coulomb_derivation_labels():
-    assert spectra.lob_nomonopole_coulomb(10.0, 1.0, 0, 0, "parity-odd").derivation == \
+    assert spectra.single_level(NOMONOPOLE_COULOMB, 0, 0, "parity-odd").derivation == \
         "hypergeometric-polynomial"
-    assert spectra.lob_nomonopole_coulomb(10.0, 1.0, 0, 0, "even-1").derivation == \
+    assert spectra.single_level(NOMONOPOLE_COULOMB, 0, 0, "even-1").derivation == \
         "heun-formal-beta"
 
 
 def test_lob_nomonopole_oscillator_values():
-    lv = spectra.lob_nomonopole_oscillator(100.0, 1.0, 0, 0, "parity-odd")
+    lv = spectra.single_level(NOMONOPOLE_OSCILLATOR, 0, 0, "parity-odd")
     assert lv.extras["N"] == 1.5
     assert lv.energy == pytest.approx(1.5 * math.sqrt(100.25) - (2.25 + 0.25) / 2.0, abs=1e-12)
     assert lv.admissible  # 1.5 < sqrt(401)/2 ~ 10.01
     # even channels: N differs by exactly one at equal (j, n)
-    n1 = spectra.lob_nomonopole_oscillator(100.0, 1.0, 1, 2, "even-1").extras["N"]
-    n2 = spectra.lob_nomonopole_oscillator(100.0, 1.0, 1, 2, "even-2").extras["N"]
+    n1 = spectra.single_level(NOMONOPOLE_OSCILLATOR, 1, 2, "even-1").extras["N"]
+    n2 = spectra.single_level(NOMONOPOLE_OSCILLATOR, 1, 2, "even-2").extras["N"]
     assert n1 - n2 == 1.0
 
 
 def test_lob_nomonopole_oscillator_restriction():
-    lv = spectra.lob_nomonopole_oscillator(100.0, 1.0, 0, 5, "parity-odd")  # N = 11.5
+    lv = spectra.single_level(NOMONOPOLE_OSCILLATOR, 0, 5, "parity-odd")  # N = 11.5
     assert not lv.admissible and "restriction" in lv.reason
 
 
@@ -179,21 +193,17 @@ def test_admissible_formal_heun_levels_carry_the_formal_marker():
 
 
 def test_monotonicity_within_channels():
-    def energies(maker, count):
-        out = []
-        for n in range(count):
-            lv = maker(n)
-            if lv.admissible:
-                out.append(lv.energy)
-        return out
+    def energies(scen, j, channel, count):
+        levels = (spectra.single_level(scen, j, n, channel) for n in range(count))
+        return [lv.energy for lv in levels if lv.admissible]
 
     seqs = [
-        energies(lambda n: spectra.flat_coulomb(1.0, 1.0, 2, 1, n, "branch-2"), 6),
-        energies(lambda n: spectra.flat_oscillator(1.0, 1.0, 2, 1, n, "branch-1"), 6),
-        energies(lambda n: spectra.lob_minj_oscillator(100.0, 1.0, n), 8),
-        energies(lambda n: spectra.lob_nomonopole_coulomb(10.0, 1.0, 0, n, "parity-odd"), 8),
-        energies(lambda n: spectra.lob_nomonopole_oscillator(100.0, 1.0, 0, n, "parity-odd"), 8),
-        energies(lambda n: spectra.lob_minj_coulomb(0.3, 30.0, n), 8),
+        energies(FLAT_COULOMB, 2, "branch-2", 6),
+        energies(core.Scenario("flat", "oscillator", F(1), 1.0, k_osc=1.0), 2, "branch-1", 6),
+        energies(core.Scenario("lobachevsky", "oscillator", F(1), 1.0, k_osc=100.0), 0, "min-j", 8),
+        energies(NOMONOPOLE_COULOMB, 0, "parity-odd", 8),
+        energies(NOMONOPOLE_OSCILLATOR, 0, "parity-odd", 8),
+        energies(core.Scenario("lobachevsky", "coulomb", F(1), 30.0, alpha=0.3), 0, "min-j", 8),
     ]
     for seq in seqs:
         assert len(seq) >= 1
@@ -202,15 +212,15 @@ def test_monotonicity_within_channels():
 
 def test_unit_conversion_identity_is_noop():
     units = spectra.UnitSystem(hbar=1.0, c=1.0, mass=1.0, radius=1.0)
-    lv = spectra.lob_nomonopole_coulomb(10.0, 1.0, 0, 0, "parity-odd")
+    lv = spectra.single_level(NOMONOPOLE_COULOMB, 0, 0, "parity-odd")
     assert spectra.to_physical_units(lv, units).energy == lv.energy
 
 
 def test_unit_conversion_requires_radius_for_curved():
-    lv = spectra.lob_nomonopole_coulomb(10.0, 1.0, 0, 0, "parity-odd")
+    lv = spectra.single_level(NOMONOPOLE_COULOMB, 0, 0, "parity-odd")
     with pytest.raises(spectra.SpectrumError, match="curvature radius"):
         spectra.to_physical_units(lv, spectra.UnitSystem())
-    flat = spectra.flat_coulomb(1.0, 1.0, 0, 1, 0, "min-j")
+    flat = spectra.single_level(FLAT_COULOMB, 0, 0, "min-j")
     assert spectra.to_physical_units(flat, spectra.UnitSystem()).energy == flat.energy
 
 
@@ -224,7 +234,9 @@ def test_fine_structure_default_coupling():
 
 def test_unit_conversion_involutive():
     units = spectra.UnitSystem(hbar=1.0546e-34, c=2.9979e8, mass=9.109e-31, radius=5.29e-11)
-    lv = spectra.lob_nomonopole_coulomb(units.natural_mass * 1e-3, units.natural_mass, 0, 0, "parity-odd")
+    m_nat = units.natural_mass
+    scen = core.Scenario("lobachevsky", "coulomb", F(0), m_nat, alpha=m_nat * 1e-3)
+    lv = spectra.single_level(scen, 0, 0, "parity-odd")
     there = spectra.to_physical_units(lv, units)
     back = spectra.from_physical_units(there, units)
     assert back.energy == pytest.approx(lv.energy, rel=1e-12)
@@ -234,9 +246,10 @@ def test_unit_conversion_reproduces_printed_coulomb_form():
     units = spectra.UnitSystem(hbar=1.3, c=0.8, mass=2.1, radius=3.7)
     alpha = 1.0 / 137.0
     m_nat = units.natural_mass
+    scen = core.Scenario("lobachevsky", "coulomb", F(0), m_nat, alpha=alpha)
     for big_n in (1.0, 2.0, 3.0):
         j, n = 0, int(big_n) - 1
-        lv = spectra.lob_nomonopole_coulomb(alpha, m_nat, j, n, "parity-odd")
+        lv = spectra.single_level(scen, j, n, "parity-odd")
         phys = spectra.to_physical_units(lv, units)
         assert phys.energy == pytest.approx(
             spectra.usual_units_coulomb_energy(units, alpha, big_n), rel=1e-12
@@ -248,7 +261,8 @@ def test_unit_conversion_reproduces_printed_oscillator_form():
     k_phys = 0.37
     k_nat = units.natural_oscillator_constant(k_phys)
     m_nat = units.natural_mass
-    lv = spectra.lob_minj_oscillator(k_nat, m_nat, 1)
+    scen = core.Scenario("lobachevsky", "oscillator", F(1), m_nat, k_osc=k_nat)
+    lv = spectra.single_level(scen, 0, 1, "min-j")
     phys = spectra.to_physical_units(lv, units)
     assert phys.energy == pytest.approx(
         spectra.usual_units_oscillator_energy(units, k_phys, 2 * 1 + 1.5), rel=1e-12
@@ -259,7 +273,8 @@ def test_unit_conversion_reproduces_printed_relativistic_form():
     units = spectra.UnitSystem(hbar=1.1, c=2.0, mass=0.8, radius=4.0)
     m_nat = units.natural_mass
     alpha = 0.05
-    lv = spectra.lob_minj_coulomb(alpha, m_nat, 0)
+    scen = core.Scenario("lobachevsky", "coulomb", F(1), m_nat, alpha=alpha)
+    lv = spectra.single_level(scen, 0, 0, "min-j")
     phys = spectra.to_physical_units(lv, units)
     assert phys.epsilon == pytest.approx(
         spectra.usual_units_minj_coulomb_epsilon(units, alpha, lv.extras["nu"]), rel=1e-12
@@ -267,7 +282,7 @@ def test_unit_conversion_reproduces_printed_relativistic_form():
 
 
 def test_level_record_schema():
-    lv = spectra.lob_minj_coulomb(0.1, 10.0, 0)
+    lv = spectra.single_level(MINJ_COULOMB, 0, 0, "min-j")
     rec = lv.to_record()
     assert set(rec) == {"scenario", "channel", "j2", "n", "E", "derivation",
                         "admissible", "reason", "formula", "epsilon"}
@@ -296,15 +311,17 @@ def test_curved_monopole_requires_minimum_j():
 
 def test_flat_no_monopole_branch_structure():
     # k = 0: the three effective L are exactly {j-1, j, j+1}
+    scen = core.Scenario("flat", "coulomb", F(0), 1.0, alpha=1.0)
     for j in (1, 2, 3):
-        ls = sorted(spectra.flat_coulomb(1.0, 1.0, j, 0, 0, br).extras["L"]
+        ls = sorted(spectra.single_level(scen, j, 0, br).extras["L"]
                     for br in ("branch-1", "branch-2", "branch-3"))
         assert ls == pytest.approx([j - 1, j, j + 1], abs=1e-9)
 
 
 def test_flat_no_monopole_j0_rejected_clearly():
+    scen = core.Scenario("flat", "coulomb", F(0), 1.0, alpha=1.0)
     with pytest.raises(spectra.SpectrumError, match="three-branch"):
-        spectra.flat_coulomb(1.0, 1.0, 0, 0, 0, "branch-1")
+        spectra.single_level(scen, 0, 0, "branch-1")
 
 
 @pytest.fixture
@@ -369,7 +386,7 @@ def test_admissible_levels_stop_at_first_inadmissible():
     scen = spectra.Scenario("lobachevsky", "coulomb", F(0), 1.0, alpha=10.0)
     levels = spectra.admissible_levels(scen, 0, "parity-odd")
     assert [lv.n for lv in levels] == [0, 1, 2]
-    assert levels == [spectra.lob_nomonopole_coulomb(10.0, 1.0, 0, n, "parity-odd") for n in range(3)]
+    assert levels == [spectra.single_level(scen, 0, n, "parity-odd") for n in range(3)]
     assert not spectra.single_level(scen, 0, 3, "parity-odd").admissible
     minj = spectra.Scenario("lobachevsky", "coulomb", F(1), 10.0, alpha=0.1)
     assert [lv.n for lv in spectra.admissible_levels(minj, 0, "min-j")] == [0]
@@ -386,6 +403,8 @@ def test_admissible_levels_refuse_flat_spectra():
     (spectra.Scenario("flat", "oscillator", F(1), 1.0, k_osc=1.0), 0, "min-j"),
     (spectra.Scenario("lobachevsky", "coulomb", F(0), 1.0, alpha=10.0), 0, "parity-odd"),
     (spectra.Scenario("lobachevsky", "oscillator", F(1), 1.0, k_osc=100.0), 0, "min-j"),
+    (spectra.Scenario("lobachevsky", "coulomb", F(1), 10.0, alpha=0.1), 0, "min-j"),
+    (spectra.Scenario("lobachevsky", "oscillator", F(0), 1.0, k_osc=100.0), 0, "even-1"),
 ])
 def test_single_level_rejects_negative_n(scen, j, channel):
     with pytest.raises(spectra.SpectrumError, match="n = -1 must be >= 0"):
@@ -398,6 +417,10 @@ def test_single_level_rejects_overflowing_energy():
         (spectra.Scenario("flat", "coulomb", F(1), 1e200, alpha=1e200), 2, "branch-1"),
         (spectra.Scenario("lobachevsky", "coulomb", F(0), 1e10, alpha=1e300), 0, "parity-odd"),
         (spectra.Scenario("flat", "oscillator", F(1), 1e-300, k_osc=1e300), 2, "branch-1"),
+        # M^2 underflows to 0: a division by zero inside the closed form
+        (spectra.Scenario("lobachevsky", "coulomb", F(1), 1e-200, alpha=0.1), 0, "min-j"),
+        (spectra.Scenario("lobachevsky", "oscillator", F(1), 1e-200, k_osc=1.0), 0, "min-j"),
+        (spectra.Scenario("lobachevsky", "oscillator", F(0), 1e-200, k_osc=1.0), 0, "parity-odd"),
     ]
     for scen, j, channel in cases:
         with pytest.raises(spectra.SpectrumError, match="overflows"):
@@ -410,19 +433,24 @@ def test_single_level_rejects_overflowing_energy():
 
 @pytest.mark.parametrize("scen, j, channel, closed_form", [
     (spectra.Scenario("flat", "coulomb", F(1), 1.5, alpha=0.7, radius=3.0), 2, "branch-2",
-     lambda n: spectra.flat_coulomb(0.7, 1.5, 2, 1, n, "branch-2")),
+     lambda n: spectra.single_level(spectra.Scenario("flat", "coulomb", F(1), 1.5, alpha=0.7), 2, n, "branch-2")),
     (spectra.Scenario("flat", "oscillator", F(1), 1.5, k_osc=2.0, radius=3.0), 0, "min-j",
-     lambda n: spectra.flat_oscillator(2.0, 1.5, 0, 1, n, "min-j")),
+     lambda n: spectra.single_level(spectra.Scenario("flat", "oscillator", F(1), 1.5, k_osc=2.0), 0, n, "min-j")),
     (spectra.Scenario("lobachevsky", "coulomb", F(0), 1.0, alpha=10.0, radius=3.0), 0, "even-1",
-     lambda n: spectra.lob_nomonopole_coulomb(10.0, 1.0, 0, n, "even-1")),
+     lambda n: spectra.single_level(spectra.Scenario("lobachevsky", "coulomb", F(0), 1.0, alpha=10.0), 0, n,
+                                    "even-1")),
     (spectra.Scenario("lobachevsky", "oscillator", F(0), 1.0, k_osc=30.0, radius=3.0), 1, "parity-odd",
-     lambda n: spectra.lob_nomonopole_oscillator(30.0, 1.0, 1, n, "parity-odd")),
+     lambda n: spectra.single_level(spectra.Scenario("lobachevsky", "oscillator", F(0), 1.0, k_osc=30.0), 1, n,
+                                    "parity-odd")),
     (spectra.Scenario("lobachevsky", "coulomb", F(2), 10.0, alpha=0.1, radius=3.0), 1, "min-j",
-     lambda n: spectra.lob_minj_coulomb(0.1, 10.0, n, 2)),
+     lambda n: spectra.single_level(spectra.Scenario("lobachevsky", "coulomb", F(2), 10.0, alpha=0.1), 1, n,
+                                    "min-j")),
     (spectra.Scenario("lobachevsky", "oscillator", F(-1), 1.0, k_osc=100.0, radius=3.0), 0, "min-j",
-     lambda n: spectra.lob_minj_oscillator(100.0, 1.0, n, -1)),
+     lambda n: spectra.single_level(spectra.Scenario("lobachevsky", "oscillator", F(-1), 1.0, k_osc=100.0), 0, n,
+                                    "min-j")),
 ])
 def test_single_level_carries_the_callers_scenario(scen, j, channel, closed_form):
+    # closed_form: the same level from the same parameters at the default radius 1
     for n in range(3):
         lv = spectra.single_level(scen, j, n, channel)
         assert lv.scenario is scen
