@@ -191,10 +191,11 @@ def _sorted_levels(levels) -> list[tuple[tuple[str, int, int], object]]:
 
 
 def _json_rows(keyed) -> str:
-    """The rows as `json.dumps([lv.to_record() ...], sort_keys=True, indent=1)`
-    writes them, with E and epsilon rounded to 12 digits. The keys are
-    written in the sorted order of `EnergyLevel.to_record`, and each
-    scenario's block is encoded once."""
+    """The rows as `json.dumps(records, sort_keys=True, indent=1)` writes
+    them, with E and epsilon rounded to 12 digits. A record holds the
+    scenario's record, 2j and the printed fields of the level, its keys
+    written here in sorted order; each scenario's block is encoded once.
+    `tests/test_render.py` builds the same records independently."""
     if not keyed:
         return "[]\n"
     blocks: dict[int, str] = {}

@@ -17,10 +17,12 @@ finite-difference oracle confirms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, Optional
+from types import MappingProxyType
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
     GEOMETRY_FLAT,
@@ -57,9 +59,12 @@ class SpectrumError(ValueError):
     """Inadmissible channel request or invalid physical parameters."""
 
 
-@dataclass(frozen=True)
-class EnergyLevel:
-    """One analytic eigenvalue with its channel label and admissibility."""
+class EnergyLevel(NamedTuple):
+    """One analytic eigenvalue with its channel label and admissibility.
+
+    An immutable tuple of its 11 fields in this order, which the closed forms
+    build positionally, one per level; `_replace` gives a changed copy. As a
+    tuple, a level equals the plain tuple of its values."""
 
     scenario: Scenario
     channel: str
@@ -71,23 +76,7 @@ class EnergyLevel:
     reason: str = ""
     formula: str = ""
     epsilon: Optional[float] = None  # relativistic energy, where one exists
-    extras: dict = field(default_factory=dict)
-
-    def to_record(self) -> dict:
-        rec = {
-            "scenario": self.scenario.to_record(),
-            "channel": self.channel,
-            "j2": int(self.j * 2),
-            "n": self.n,
-            "E": self.energy,
-            "derivation": self.derivation,
-            "admissible": self.admissible,
-            "reason": self.reason,
-            "formula": self.formula,
-        }
-        if self.epsilon is not None:
-            rec["epsilon"] = self.epsilon
-        return rec
+    extras: Mapping = MappingProxyType({})  # read-only default; each closed-form level owns a dict
 
 
 def _flat_channel(j: Fraction, k: Fraction, branch: str) -> tuple[float, dict]:
@@ -126,6 +115,9 @@ def _flat_channel(j: Fraction, k: Fraction, branch: str) -> tuple[float, dict]:
 # LevelAt then does only the float arithmetic of one level. Hoisted values are
 # leading sub-expressions of the formulas, so every float is bit-identical to
 # evaluating the whole formula per level, and every level gets its own extras.
+# Levels are built positionally, in EnergyLevel's field order, so a slip in
+# that order swaps two fields silently: tests/test_spectra.py checks every
+# field of every closed form against a per-level reference.
 LevelAt = Callable[[int], EnergyLevel]
 
 
@@ -143,16 +135,8 @@ def _flat_coulomb_levels(scen: Scenario, j: Fraction, branch: str) -> LevelAt:
     formula = "E = -alpha^2 M / (2 (n+L+1)^2)"
 
     def level(n: int) -> EnergyLevel:
-        return EnergyLevel(
-            scenario=scen,
-            channel=branch,
-            j=j,
-            n=n,
-            energy=scale / (n + lval + 1.0) ** 2,
-            derivation=DERIV_HYPERGEOMETRIC,
-            formula=formula,
-            extras=dict(extras),
-        )
+        return EnergyLevel(scen, branch, j, n, scale / (n + lval + 1.0) ** 2, DERIV_HYPERGEOMETRIC,
+                           True, "", formula, None, dict(extras))
 
     return level
 
@@ -185,16 +169,8 @@ def _flat_oscillator_levels(scen: Scenario, j: Fraction, branch: str) -> LevelAt
 
     def level(n: int) -> EnergyLevel:
         candidates = _candidates(omega, base_0 + 2.0 * n)
-        return EnergyLevel(
-            scenario=scen,
-            channel=branch,
-            j=j,
-            n=n,
-            energy=candidates["quantization"],
-            derivation=DERIV_HYPERGEOMETRIC,
-            formula=formula,
-            extras={**extras, "candidates": candidates},
-        )
+        return EnergyLevel(scen, branch, j, n, candidates["quantization"], DERIV_HYPERGEOMETRIC,
+                           True, "", formula, None, {**extras, "candidates": candidates})
 
     return level
 
@@ -255,11 +231,8 @@ def _lob_minj_coulomb_levels(scen: Scenario) -> LevelAt:
         extras = {"nu": nu}
         rad = 1.0 - (alpha_sq + nu * nu) / mass_sq
         if rad < 0.0:
-            return EnergyLevel(
-                scenario=scen, channel=CH_MIN_J, j=jf, n=n, energy=math.nan,
-                derivation=DERIV_HYPERGEOMETRIC, admissible=False,
-                reason=exhausted, formula=formula, extras=extras,
-            )
+            return EnergyLevel(scen, CH_MIN_J, jf, n, math.nan, DERIV_HYPERGEOMETRIC,
+                               False, exhausted, formula, None, extras)
         eps = mass / math.sqrt(1.0 + alpha_sq / (nu * nu)) * math.sqrt(rad)
         b = (eps * alpha - nu * nu) / (2.0 * nu)
         extras["b"] = b
@@ -267,11 +240,8 @@ def _lob_minj_coulomb_levels(scen: Scenario) -> LevelAt:
         reason = "" if admissible else (
             f"far-field exponent b = {b:.6g} <= 0: regular solution is non-decaying, formal level only"
         )
-        return EnergyLevel(
-            scenario=scen, channel=CH_MIN_J, j=jf, n=n, energy=eps - mass,
-            derivation=DERIV_HYPERGEOMETRIC, admissible=admissible, reason=reason,
-            formula=formula, epsilon=eps, extras=extras,
-        )
+        return EnergyLevel(scen, CH_MIN_J, jf, n, eps - mass, DERIV_HYPERGEOMETRIC,
+                           admissible, reason, formula, eps, extras)
 
     return level
 
@@ -302,12 +272,9 @@ def _lob_minj_oscillator_levels(scen: Scenario) -> LevelAt:
     def level(n: int) -> EnergyLevel:
         big_n = 2.0 * n + 1.5
         admissible = 2 * n + 1 < s_well
-        return EnergyLevel(
-            scenario=scen, channel=CH_MIN_J, j=jf, n=n, energy=energy_at(big_n),
-            derivation=DERIV_HYPERGEOMETRIC, admissible=admissible,
-            reason="" if admissible else exhausted,
-            formula=formula, extras={"N": big_n, "s": s_well},
-        )
+        return EnergyLevel(scen, CH_MIN_J, jf, n, energy_at(big_n), DERIV_HYPERGEOMETRIC,
+                           admissible, "" if admissible else exhausted, formula, None,
+                           {"N": big_n, "s": s_well})
 
     return level
 
@@ -359,12 +326,11 @@ def _lob_nomonopole_coulomb_levels(scen: Scenario, j: Fraction, channel: str) ->
         b = (mass_alpha - big_n_sq) / (2.0 * big_n)
         admissible = b > 0.0
         return EnergyLevel(
-            scenario=scen, channel=channel, j=j, n=n,
+            scen, channel, j, n,
             # (2N) N, not 2 N^2: each formula keeps its operation order
-            energy=scale / (2.0 * big_n * big_n) - big_n_sq / two_mass,
-            derivation=deriv, admissible=admissible,
-            reason=bound if admissible else f"{REASON_EXHAUSTED}: M alpha <= N^2 (b = {b:.6g})",
-            formula=formula, extras={"N": big_n, "b": b},
+            scale / (2.0 * big_n * big_n) - big_n_sq / two_mass, deriv,
+            admissible, bound if admissible else f"{REASON_EXHAUSTED}: M alpha <= N^2 (b = {b:.6g})",
+            formula, None, {"N": big_n, "b": b},
         )
 
     return level
@@ -410,11 +376,9 @@ def _lob_nomonopole_oscillator_levels(scen: Scenario, j: Fraction, channel: str)
     def level(n: int) -> EnergyLevel:
         big_n = big_n_at(n)
         admissible = big_n < limit
-        return EnergyLevel(
-            scenario=scen, channel=channel, j=j, n=n, energy=energy_at(big_n),
-            derivation=deriv, admissible=admissible, reason=bound if admissible else exhausted,
-            formula=formula, extras={"N": big_n, "N_limit": limit},
-        )
+        return EnergyLevel(scen, channel, j, n, energy_at(big_n), deriv,
+                           admissible, bound if admissible else exhausted, formula, None,
+                           {"N": big_n, "N_limit": limit})
 
     return level
 
@@ -474,12 +438,10 @@ def to_physical_units(level: EnergyLevel, units: UnitSystem) -> EnergyLevel:
     """Convert a natural-unit level to physical units (multiplicative map;
     involutive with from_physical_units). Lobachevsky scenarios require the
     curvature radius to be set on the unit system."""
-    if level.scenario.geometry == GEOMETRY_LOBACHEVSKY and units.radius is None:
-        raise SpectrumError("Lobachevsky conversion needs the curvature radius")
+    _check_units(level, units)
     extras = dict(level.extras)
     extras["units"] = "physical"
-    return replace(
-        level,
+    return level._replace(
         energy=units.to_physical_energy(level.energy),
         epsilon=None if level.epsilon is None else units.to_physical_energy(level.epsilon),
         extras=extras,
@@ -487,14 +449,21 @@ def to_physical_units(level: EnergyLevel, units: UnitSystem) -> EnergyLevel:
 
 
 def from_physical_units(level: EnergyLevel, units: UnitSystem) -> EnergyLevel:
+    """Convert a physical-unit level back to natural units; the inverse of
+    to_physical_units, with the same curvature-radius requirement."""
+    _check_units(level, units)
     extras = dict(level.extras)
     extras.pop("units", None)
-    return replace(
-        level,
+    return level._replace(
         energy=units.from_physical_energy(level.energy),
         epsilon=None if level.epsilon is None else units.from_physical_energy(level.epsilon),
         extras=extras,
     )
+
+
+def _check_units(level: EnergyLevel, units: UnitSystem) -> None:
+    if level.scenario.geometry == GEOMETRY_LOBACHEVSKY and units.radius is None:
+        raise SpectrumError("Lobachevsky conversion needs the curvature radius")
 
 
 def usual_units_coulomb_energy(units: UnitSystem, alpha: Optional[float] = None, big_n: float = 1.0) -> float:
@@ -557,15 +526,15 @@ def spectrum_levels(
     table visible to the benchmark's tracer, which wraps that function."""
     jf = as_half_integer(j, "j")
     chans = channels if channels is not None else default_channels(scenario, jf)
+    ns = [int(n) for n in n_values]  # once: every channel reads all of them
     out: list[EnergyLevel] = []
+    if not ns:
+        return out
+    first, rest = ns[0], ns[1:]
     for ch in chans:
-        level_at = None
-        for n in n_values:
-            n = int(n)
-            if level_at is None:
-                out.append(single_level(scenario, jf, n, ch))
-                level_at = _resolve_channel(scenario, jf, ch)
-                continue
+        out.append(single_level(scenario, jf, first, ch))
+        level_at = _resolve_channel(scenario, jf, ch)
+        for n in rest:
             _check_radial_index(n)
             out.append(level_at(n))
     if not include_inadmissible:

@@ -1,6 +1,5 @@
 """Radial problems, analytic wavefunctions, pointwise residuals, free states."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -75,7 +74,7 @@ def test_residual_sensitivity_to_energy_perturbation():
     level = spectra.single_level(sc, 0, 0, "min-j")
     sol = radial.analytic_solution(problem, level)
     base = radial.residual(problem, sol, level)
-    perturbed = dataclasses.replace(level, energy=level.energy * 1.01)
+    perturbed = level._replace(energy=level.energy * 1.01)
     assert radial.residual(problem, sol, perturbed) >= 10.0 * base
 
 
@@ -95,7 +94,7 @@ def test_flat_oscillator_residual_identifies_confirmed_candidate():
     level = spectra.single_level(sc, 0, 1, "min-j")
     sol = radial.analytic_solution(problem, level)
     assert radial.residual(problem, sol, level) <= 1e-7
-    printed = dataclasses.replace(level, energy=level.extras["candidates"]["printed"])
+    printed = level._replace(energy=level.extras["candidates"]["printed"])
     assert radial.residual(problem, sol, printed) > 1e-2
 
 
@@ -118,7 +117,7 @@ def test_lob_minj_coulomb_quadratic_residual():
     level = spectra.single_level(sc, 0, 0, "min-j")
     sol = radial.analytic_solution(problem, level)
     assert radial.residual(problem, sol, level) <= 1e-7
-    worse = dataclasses.replace(level, epsilon=level.epsilon * 1.001)
+    worse = level._replace(epsilon=level.epsilon * 1.001)
     assert radial.residual(problem, sol, worse) >= 10.0 * radial.residual(problem, sol, level)
 
 

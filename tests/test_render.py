@@ -1,8 +1,9 @@
 """`cli.render_levels` against the renderer it replaced: a per-level dict from
-`EnergyLevel.to_record`, then `json.dumps(..., sort_keys=True, indent=1)`, or
-the CSV and table lines built from the same dicts. The reference is copied
-here so that the renderer is checked against an independent path, byte for
-byte, on generated and hand-picked levels in all three formats."""
+`level_record`, then `json.dumps(..., sort_keys=True, indent=1)`, or the CSV
+and table lines built from the same dicts. The reference is copied here so
+that the renderer is checked against an independent path, byte for byte, on
+generated and hand-picked levels in all three formats; `level_record` is the
+one statement of the JSON record's keys outside the renderer."""
 
 import json
 import math
@@ -31,10 +32,29 @@ def _round12(x: float) -> float:
     return float(_fmt12(x))
 
 
+def level_record(lv) -> dict:
+    """One level as the JSON record `spectrum --format json` writes, before
+    rounding: the scenario's record, 2j, and the level's printed fields."""
+    rec = {
+        "scenario": lv.scenario.to_record(),
+        "channel": lv.channel,
+        "j2": int(lv.j * 2),
+        "n": lv.n,
+        "E": lv.energy,
+        "derivation": lv.derivation,
+        "admissible": lv.admissible,
+        "reason": lv.reason,
+        "formula": lv.formula,
+    }
+    if lv.epsilon is not None:
+        rec["epsilon"] = lv.epsilon
+    return rec
+
+
 def reference_render(levels, fmt: str) -> str:
     rows = []
     for lv in sorted(levels, key=lambda lv: (lv.channel, lv.j, lv.n)):
-        rec = lv.to_record()
+        rec = level_record(lv)
         rec["E"] = _round12(rec["E"]) if rec["E"] == rec["E"] else rec["E"]  # keep NaN as-is
         if "epsilon" in rec:
             rec["epsilon"] = _round12(rec["epsilon"])

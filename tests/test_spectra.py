@@ -1,11 +1,12 @@
 """Closed-form spectra: values, admissibility, monotonicity, units, records."""
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
-from monopole_spectra import core, mixing, spectra
+from monopole_spectra import cli, core, mixing, spectra
 
 F = Fraction
 
@@ -182,7 +183,8 @@ def test_admissible_formal_heun_levels_carry_the_formal_marker():
                 for lv in levels:
                     assert lv.admissible and lv.derivation == "heun-formal-beta"
                     assert lv.reason == spectra.REASON_FORMAL
-                    assert lv.to_record()["reason"] == spectra.REASON_FORMAL
+                records = json.loads(cli.render_levels(levels, "json"))
+                assert [rec["reason"] for rec in records] == [spectra.REASON_FORMAL] * len(levels)
                 # the first rejected level keeps its exhaustion reason
                 rejected = spectra.single_level(scen, j, len(levels), channel)
                 assert not rejected.admissible
@@ -218,10 +220,12 @@ def test_unit_conversion_identity_is_noop():
 
 def test_unit_conversion_requires_radius_for_curved():
     lv = spectra.single_level(NOMONOPOLE_COULOMB, 0, 0, "parity-odd")
-    with pytest.raises(spectra.SpectrumError, match="curvature radius"):
-        spectra.to_physical_units(lv, spectra.UnitSystem())
+    for convert in (spectra.to_physical_units, spectra.from_physical_units):
+        with pytest.raises(spectra.SpectrumError, match="^Lobachevsky conversion needs the curvature radius$"):
+            convert(lv, spectra.UnitSystem())
     flat = spectra.single_level(FLAT_COULOMB, 0, 0, "min-j")
     assert spectra.to_physical_units(flat, spectra.UnitSystem()).energy == flat.energy
+    assert spectra.from_physical_units(flat, spectra.UnitSystem()).energy == flat.energy
 
 
 def test_fine_structure_default_coupling():
@@ -283,10 +287,32 @@ def test_unit_conversion_reproduces_printed_relativistic_form():
 
 def test_level_record_schema():
     lv = spectra.single_level(MINJ_COULOMB, 0, 0, "min-j")
-    rec = lv.to_record()
+    (rec,) = json.loads(cli.render_levels([lv], "json"))
     assert set(rec) == {"scenario", "channel", "j2", "n", "E", "derivation",
                         "admissible", "reason", "formula", "epsilon"}
     assert rec["j2"] == 0 and rec["channel"] == "min-j"
+
+
+def test_level_is_an_immutable_named_tuple():
+    assert spectra.EnergyLevel._fields == ("scenario", "channel", "j", "n", "energy", "derivation",
+                                           "admissible", "reason", "formula", "epsilon", "extras")
+    lv = spectra.single_level(MINJ_COULOMB, 0, 0, "min-j")
+    for name in spectra.EnergyLevel._fields:
+        with pytest.raises(AttributeError):
+            setattr(lv, name, None)
+    shifted = lv._replace(energy=1.0)
+    assert type(shifted) is spectra.EnergyLevel and shifted.energy == 1.0 and shifted[1:4] == lv[1:4]
+    made = spectra.EnergyLevel(FLAT_COULOMB, "min-j", F(0), 0, -0.5, "hypergeometric-polynomial")
+    assert made.extras == {} and made.epsilon is None
+    with pytest.raises(TypeError):
+        made.extras["L"] = 0.0  # the default extras is read-only, not one shared dict
+
+
+def test_spectrum_levels_read_a_one_shot_iterator_of_n_for_every_channel():
+    levels = spectra.spectrum_levels(FLAT_COULOMB, 2, (n for n in range(3)))
+    assert len(levels) == 9  # 3 branches x 3 n
+    assert levels == spectra.spectrum_levels(FLAT_COULOMB, 2, [0, 1, 2])
+    assert [(lv.channel, lv.n) for lv in levels] == [(ch, n) for ch in spectra.CH_BRANCH for n in range(3)]
 
 
 def test_spectrum_levels_driver():
@@ -461,7 +487,11 @@ def test_single_level_carries_the_callers_scenario(scen, j, channel, closed_form
 
 # The closed forms written out per level, in the operation order of their
 # formulas: the two-stage closed forms must reproduce every float bit for bit.
-# Each reference returns (E, epsilon, {extra: value}).
+# Each reference returns (E, epsilon, {extra: value}, admissible, reason,
+# formula), so a level built with two fields swapped shows.
+EXHAUSTED = "finite spectrum exhausted: "
+
+
 def _reference_flat(scen, j, channel, n):
     if channel == "min-j":
         lval, extras = 0.0, {}
@@ -470,10 +500,12 @@ def _reference_flat(scen, j, channel, n):
         lval, extras = triple.l[i], {"A": triple.a[i]}
     extras["L"] = lval
     if scen.potential == "coulomb":
-        return -0.5 * scen.alpha * scen.alpha * scen.mass / (n + lval + 1.0) ** 2, None, extras
+        energy = -0.5 * scen.alpha * scen.alpha * scen.mass / (n + lval + 1.0) ** 2
+        return energy, None, extras, True, "", "E = -alpha^2 M / (2 (n+L+1)^2)"
     omega = math.sqrt(scen.k_osc / scen.mass)
     base = 1.5 + lval + 2.0 * n
-    return omega * base, None, {**extras, "printed": 0.5 * omega * base, "quantization": omega * base}
+    return (omega * base, None, {**extras, "printed": 0.5 * omega * base, "quantization": omega * base}, True, "",
+            "E = sqrt(K/M) (3/2 + L + 2n)  [1/2-prefactor variant kept as metadata]")
 
 
 def _reference_curved_oscillator(scen, big_n):
@@ -486,24 +518,37 @@ def _reference_minj(scen, j, channel, n):
     if scen.potential == "oscillator":
         big_n = 2.0 * n + 1.5
         s_well = (-1.0 + math.sqrt(1.0 + 4.0 * mass * scen.k_osc)) / 2.0
-        return _reference_curved_oscillator(scen, big_n), None, {"N": big_n, "s": s_well}
+        ok = 2 * n + 1 < s_well
+        return (_reference_curved_oscillator(scen, big_n), None, {"N": big_n, "s": s_well}, ok,
+                "" if ok else f"{EXHAUSTED}decaying-well condition 2n+1 < s fails (s = {s_well:.6g})",
+                "E = N sqrt(K/M + 1/(2M)^2) - (N^2 + 1/4)/(2M), N = 2n + 3/2")
+    formula = "eps = M sqrt(1 - (alpha^2+nu^2)/M^2)/sqrt(1 + alpha^2/nu^2); E = eps - M"
     nu = n + (1.0 + math.sqrt(1.0 - 4.0 * alpha * alpha)) / 2.0
     rad = 1.0 - (alpha * alpha + nu * nu) / (mass * mass)
     if rad < 0.0:
-        return math.nan, None, {"nu": nu}
+        return math.nan, None, {"nu": nu}, False, f"{EXHAUSTED}alpha^2 + nu^2 > M^2", formula
     eps = mass / math.sqrt(1.0 + alpha * alpha / (nu * nu)) * math.sqrt(rad)
-    return eps - mass, eps, {"nu": nu, "b": (eps * alpha - nu * nu) / (2.0 * nu)}
+    b = (eps * alpha - nu * nu) / (2.0 * nu)
+    reason = "" if b > 0 else (
+        f"far-field exponent b = {b:.6g} <= 0: regular solution is non-decaying, formal level only")
+    return eps - mass, eps, {"nu": nu, "b": b}, b > 0, reason, formula
 
 
 def _reference_nomonopole(scen, j, channel, n):
     alpha, mass, fj = scen.alpha, scen.mass, float(j)
+    formal = "" if channel == "parity-odd" else spectra.REASON_FORMAL
     if scen.potential == "oscillator":
         big_n = {"parity-odd": 2.0 * n + fj + 1.5, "even-1": 2.0 + fj + n, "even-2": 1.0 + fj + n}[channel]
         limit = math.sqrt(1.0 + 4.0 * scen.k_osc * mass) / 2.0
-        return _reference_curved_oscillator(scen, big_n), None, {"N": big_n, "N_limit": limit}
+        ok = big_n < limit
+        return (_reference_curved_oscillator(scen, big_n), None, {"N": big_n, "N_limit": limit}, ok,
+                formal if ok else f"{EXHAUSTED}restriction N < sqrt(1 + 4 K M)/2 = {limit:.6g} violated",
+                "E = N sqrt(K/M + 1/(2M)^2) - (N^2 + 1/4)/(2M)")
     big_n = {"parity-odd": fj + 1.0 + n, "even-1": fj + 1.5 + 0.5 * n, "even-2": fj + 0.5 + 0.5 * n}[channel]
     energy = -mass * alpha * alpha / (2.0 * big_n * big_n) - big_n * big_n / (2.0 * mass)
-    return energy, None, {"N": big_n, "b": (mass * alpha - big_n * big_n) / (2.0 * big_n)}
+    b = (mass * alpha - big_n * big_n) / (2.0 * big_n)
+    return (energy, None, {"N": big_n, "b": b}, b > 0, formal if b > 0 else f"{EXHAUSTED}M alpha <= N^2 (b = {b:.6g})",
+            "E = -M alpha^2/(2 N^2) - N^2/(2M)")
 
 
 def _float_extras(extras):
@@ -532,10 +577,14 @@ def test_closed_forms_match_the_per_level_formulas(scen, j, reference):
     # regrouping a sum changes its rounding mostly where it crosses a power of two
     ns = sorted({*range(64), *(2**e + d for e in range(6, 31, 2) for d in range(-4, 2))})
     levels = spectra.spectrum_levels(scen, j, ns, include_inadmissible=True)
-    assert len(levels) == len(spectra.default_channels(scen, j)) * len(ns)
+    channels = sorted(spectra.default_channels(scen, j))
+    assert [(lv.channel, lv.n) for lv in levels] == [(ch, n) for ch in channels for n in ns]
     assert len({id(lv.extras) for lv in levels}) == len(levels)  # each level owns its extras
     for lv in levels:
-        energy, epsilon, extras = reference(scen, j, lv.channel, lv.n)
+        energy, epsilon, extras, admissible, reason, formula = reference(scen, j, lv.channel, lv.n)
         assert lv.energy.hex() == energy.hex(), (lv.channel, lv.n)
         assert lv.epsilon == epsilon
         assert {k: v.hex() for k, v in _float_extras(lv.extras).items()} == {k: v.hex() for k, v in extras.items()}
+        assert lv.scenario is scen and lv.j == j and type(lv.n) is int
+        assert lv.derivation == ("heun-formal-beta" if lv.channel.startswith("even") else "hypergeometric-polynomial")
+        assert (lv.admissible, lv.reason, lv.formula) == (admissible, reason, formula), (lv.channel, lv.n)
