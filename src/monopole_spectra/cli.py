@@ -6,10 +6,13 @@ Configuration comes from flags plus an optional plain key-value file (one
 deterministic: numbers are printed with 12 significant digits, rows are
 sorted by (channel, j, n), and no timestamps enter data records.
 
-Exit codes: 0 success, 1 computation error, 2 configuration error.
+Exit codes: 0 success, 1 computation error, 2 configuration error. A request
+whose closed forms overflow double precision (j of about 1e52 and up for
+`roots`, far larger j for `spectrum` and `wavefunction`) is a computation
+error.
 
-Only `validate` and `wavefunction` import the oracle modules (and scipy), when
-they run; `spectrum` and `roots` start without them.
+Only `validate` and `wavefunction` import the oracle modules (and numpy and
+scipy), when they run; neither `spectrum` nor `roots` loads numpy or scipy.
 """
 
 from __future__ import annotations
@@ -245,6 +248,13 @@ def render_levels(levels, fmt: str) -> str:
     return render(_sorted_levels(levels))
 
 
+def _overflow(args) -> int:
+    """One stderr line for a request whose closed forms leave double range."""
+    print(f"error: j = {args.j}: the closed form overflows double precision for these parameters",
+          file=sys.stderr)
+    return EXIT_COMPUTE
+
+
 def _emit(text: str, output: str | None) -> int:
     """Write `text` to the file `output`, or to stdout when there is none.
     A file that cannot be written is a configuration error: one line on
@@ -279,6 +289,8 @@ def cmd_spectrum(args) -> int:
     except (spectra.SpectrumError, QuantumNumberError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    except OverflowError:
+        return _overflow(args)
 
 
 def cmd_roots(args) -> int:
@@ -328,12 +340,14 @@ def cmd_roots(args) -> int:
                 out["parity_pair"] = [str(pair[0]), str(pair[1])]
         else:
             s = mixing.transform_matrix(cp.c, cp.d, triple)
-            out["transform"] = [[_round12(v) for v in row] for row in s.tolist()]
+            out["transform"] = [[_round12(v) for v in row] for row in s]
             out["eigen_residual"] = _round12(mixing.transform_residual(cp.c, cp.d, triple, s))
         return _emit(json.dumps(out, sort_keys=True, indent=1) + "\n", args.output)
     except (mixing.MixingError, QuantumNumberError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    except OverflowError:
+        return _overflow(args)
 
 
 def cmd_validate(args) -> int:
@@ -403,6 +417,8 @@ def cmd_wavefunction(args) -> int:
     except (radial.RadialError, spectra.SpectrumError, oracle.OracleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    except OverflowError:
+        return _overflow(args)
 
 
 def _wavefunction_residual(problem, level):

@@ -11,6 +11,10 @@ effective angular momentum L through L(L+1) = 2A. Cubic coefficients are
 computed in exact rational arithmetic from (c^2, d^2) so the closed-form
 cross-check of the reduced coefficients is an exact equality test.
 
+The diagonalizing transform S and its eigen-residual are closed forms too,
+built in plain floats: only `build_matrix`, the numpy array that the oracle
+and the tests eigensolve, needs numpy.
+
 The roots depend on (j, k) alone, so every radial index n of a flat series
 shares them: `mixing_roots` memoizes the `RootTriple` of each canonical
 (j, k) pair (the 128 most recently used), so the exact cubic and its
@@ -27,27 +31,32 @@ from typing import TYPE_CHECKING
 
 from .core import HalfInt, as_half_integer, coupling_squares
 
-if TYPE_CHECKING:  # numpy is imported where the matrices are built, not by the closed forms
+if TYPE_CHECKING:  # only `build_matrix` imports numpy, when it is called
     import numpy as np
+
+Rows3 = tuple[tuple[float, float, float], tuple[float, float, float], tuple[float, float, float]]
 
 
 class MixingError(ValueError):
     """Internal inconsistency or degenerate request in the mixing machinery."""
 
 
-def build_matrix(c: float, d: float) -> np.ndarray:
-    """The mixing matrix for coupling coefficients c, d >= 0."""
-    import numpy as np
+def _matrix_rows(c: float, d: float) -> Rows3:
+    """The rows of the mixing matrix for coupling coefficients c, d >= 0."""
     if c < 0 or d < 0:
         raise MixingError("couplings c, d must be non-negative")
     s2 = math.sqrt(2.0)
-    return np.array(
-        [
-            [2.0 * c * c, s2 * c, 0.0],
-            [s2 * c, c * c + d * d + 1.0, s2 * d],
-            [0.0, s2 * d, 2.0 * d * d],
-        ]
+    return (
+        (2.0 * c * c, s2 * c, 0.0),
+        (s2 * c, c * c + d * d + 1.0, s2 * d),
+        (0.0, s2 * d, 2.0 * d * d),
     )
+
+
+def build_matrix(c: float, d: float) -> np.ndarray:
+    """The mixing matrix for coupling coefficients c, d >= 0, as a numpy array."""
+    import numpy as np
+    return np.array(_matrix_rows(c, d))
 
 
 @dataclass(frozen=True)
@@ -164,9 +173,9 @@ mixing_roots.cache_clear = _memo_roots.cache_clear
 _DEGENERACY_TOL = 1e-12
 
 
-def transform_matrix(c: float, d: float, triple: RootTriple) -> np.ndarray:
+def transform_matrix(c: float, d: float, triple: RootTriple) -> Rows3:
     """Unit-diagonal transformation S whose columns are eigenvectors of the
-    mixing matrix, entry by entry:
+    mixing matrix, as three row tuples (S[i][j] is row i, column j):
 
         s21 = -(2c^2 - A1)/(sqrt(2) c)     s31 = d (2c^2 - A1)/((2d^2 - A1) c)
         s12 = -sqrt(2) c/(2c^2 - A2)       s32 = -sqrt(2) d/(2d^2 - A2)
@@ -176,7 +185,6 @@ def transform_matrix(c: float, d: float, triple: RootTriple) -> np.ndarray:
     root named; that happens exactly in the cautioned j = |k| channel where
     one root coincides with 2d^2 (or 2c^2 for the mirrored charge).
     """
-    import numpy as np
     a1, a2, a3 = triple.a
     s2 = math.sqrt(2.0)
     tc, td = 2.0 * c * c, 2.0 * d * d
@@ -192,21 +200,47 @@ def transform_matrix(c: float, d: float, triple: RootTriple) -> np.ndarray:
         if abs(val) < _DEGENERACY_TOL:
             where = f" (root A = {root})" if root is not None else ""
             raise MixingError(f"degenerate transform denominator {label} ~ 0{where}")
-    s = np.eye(3)
-    s[1, 0] = -(tc - a1) / (s2 * c)
-    s[2, 0] = d * (tc - a1) / ((td - a1) * c)
-    s[0, 1] = -s2 * c / (tc - a2)
-    s[2, 1] = -s2 * d / (td - a2)
-    s[0, 2] = c * (td - a3) / ((tc - a3) * d)
-    s[1, 2] = -(td - a3) / (s2 * d)
-    return s
+    return (
+        (1.0, -s2 * c / (tc - a2), c * (td - a3) / ((tc - a3) * d)),
+        (-(tc - a1) / (s2 * c), 1.0, -(td - a3) / (s2 * d)),
+        (d * (tc - a1) / ((td - a1) * c), -s2 * d / (td - a2), 1.0),
+    )
 
 
-def transform_residual(c: float, d: float, triple: RootTriple, s: np.ndarray) -> float:
-    """max |Abar S - S diag(A)| over entries."""
-    import numpy as np
-    abar = build_matrix(c, d)
-    return float(np.max(np.abs(abar @ s - s * np.array(triple.a))))
+def _fma(x: float, y: float, z: float) -> float:
+    """x*y + z rounded once, as a fused multiply-add does, for finite operands.
+
+    Python 3.11 has no `math.fma`. Each float is an exact ratio of integers
+    with a power-of-two denominator, so the exact sum sits over the larger of
+    the two denominators, and int / int true division rounds it correctly.
+    `Fraction` would give the same result at several times the cost.
+    """
+    xn, xd = x.as_integer_ratio()
+    yn, yd = y.as_integer_ratio()
+    zn, zd = z.as_integer_ratio()
+    pd = xd * yd
+    if pd < zd:
+        return (xn * yn * (zd // pd) + zn) / zd
+    return (xn * yn + zn * (pd // zd)) / pd
+
+
+def transform_residual(c: float, d: float, triple: RootTriple, s: Rows3) -> float:
+    """max |Abar S - S diag(A)| over entries.
+
+    Each entry of Abar S is summed in k order as one product followed by two
+    fused multiply-adds: the chain that numpy's 3x3 matmul runs (OpenBLAS on
+    an FMA-capable x86-64). The printed residual thus keeps the digits it had
+    when S was a numpy array, now on any platform; plain left-to-right
+    summation rounds about one entry in eight differently.
+    """
+    worst = 0.0
+    for row, s_row in zip(_matrix_rows(c, d), s):
+        for col, a in enumerate(triple.a):
+            acc = row[0] * s[0][col]
+            acc = _fma(row[1], s[1][col], acc)
+            acc = _fma(row[2], s[2][col], acc)
+            worst = max(worst, abs(acc - s_row[col] * a))
+    return worst
 
 
 def parity_eigenvalues(j: HalfInt) -> tuple[Fraction, Fraction]:

@@ -257,6 +257,27 @@ def test_spectrum_overflowing_level_exit_1(flags, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["roots", "--k", "1", "--j", "1e52"],  # the cubic discriminant ~ j^6 leaves double range
+    ["roots", "--k", "1", "--j", "1e200"],  # so do the coupling radicands ~ j^2
+    ["spectrum", "--k", "1", "--j", "1e200", "--alpha", "1", "--n", "0..1"],
+    ["wavefunction", "--k", "1", "--j", "1e200", "--alpha", "1", "--grid", "0.5:2:3"],
+])
+def test_overflowing_quantum_numbers_exit_1_without_traceback(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "overflows double precision" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--k", "1", "--j", "1e50"],
+    ["spectrum", "--k", "1", "--j", "1e52", "--alpha", "1", "--n", "0..1"],
+])
+def test_large_but_representable_quantum_numbers_still_exit_0(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "") and out
+
+
 def test_spectrum_keeps_the_curvature_radius(capsys):
     code, out, _ = run(
         ["spectrum", "--geometry", "lobachevsky", "--potential", "oscillator", "--k-osc", "50",

@@ -75,6 +75,8 @@ CASES.update({
                                             "--j", "5/2", "--k-osc", "3", "--mass", "0.7",
                                             "--n", "0..199", "--format", "table"],
     "roots_generic": ["roots", "--k", "1", "--j", "2"],
+    "roots_generic_large_j": ["roots", "--k", "3", "--j", "12"],
+    "roots_half_integer_k": ["roots", "--k", "1/2", "--j", "3/2"],
     "roots_j_equals_k": ["roots", "--k", "3/2", "--j", "3/2"],
     "roots_k0": ["roots", "--k", "0", "--j", "2"],
     "roots_minj": ["roots", "--k", "1", "--j", "0"],

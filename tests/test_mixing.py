@@ -91,11 +91,34 @@ def test_transform_matrix_j2_k1():
     cp = core.couplings(2, 1)
     triple = mixing.mixing_roots(2, 1)
     s = mixing.transform_matrix(cp.c, cp.d, triple)
-    assert np.all(np.diag(s) == 1.0)
+    assert [s[i][i] for i in range(3)] == [1.0, 1.0, 1.0]
     # symbolic form of the first column entry
     a1 = triple.a[0]
-    assert s[1, 0] == pytest.approx(-(2 * cp.c**2 - a1) / (math.sqrt(2) * cp.c), abs=1e-14)
+    assert s[1][0] == pytest.approx(-(2 * cp.c**2 - a1) / (math.sqrt(2) * cp.c), abs=1e-14)
     assert mixing.transform_residual(cp.c, cp.d, triple, s) <= 1e-10
+
+
+def test_transform_matches_its_entry_formulas_and_the_numpy_residual():
+    """Over every generic key with 0 < 2|k| <= 20 and |k| < j <= |k| + 10,
+    each entry of S equals its docstring formula, and the plain-float
+    residual equals the numpy matmul expression it replaced, bit for bit."""
+    s2 = math.sqrt(2.0)
+    keys = [(abs(F(twok, 2)) + dj, F(twok, 2)) for twok in range(-20, 21) if twok for dj in range(1, 11)]
+    for j, k in keys:
+        cp = core.couplings(j, k)
+        c, d = cp.c, cp.d
+        triple = mixing.mixing_roots(j, k)
+        a1, a2, a3 = triple.a
+        s = mixing.transform_matrix(c, d, triple)
+        expected = (
+            (1.0, -s2 * c / (2.0 * c * c - a2), c * (2.0 * d * d - a3) / ((2.0 * c * c - a3) * d)),
+            (-(2.0 * c * c - a1) / (s2 * c), 1.0, -(2.0 * d * d - a3) / (s2 * d)),
+            (d * (2.0 * c * c - a1) / ((2.0 * d * d - a1) * c), -s2 * d / (2.0 * d * d - a2), 1.0),
+        )
+        assert s == expected, (j, k)
+        sa = np.array(s)
+        reference = float(np.max(np.abs(mixing.build_matrix(c, d) @ sa - sa * np.array(triple.a))))
+        assert mixing.transform_residual(c, d, triple, s) == reference, (j, k)
 
 
 def test_transform_degenerate_root_reported():

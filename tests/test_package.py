@@ -32,7 +32,8 @@ def fresh_python(*args: str) -> subprocess.CompletedProcess:
     (["spectrum", "--k", "1", "--j", "2", "--alpha", "1", "--n", "0..3", "--format", "json"], ["scipy", "numpy"]),
     (["spectrum", "--geometry", "lobachevsky", "--no-monopole", "--potential", "oscillator",
       "--k-osc", "50", "--j", "1"], ["scipy", "numpy"]),
-    (["roots", "--k", "1", "--j", "2"], ["scipy"]),
+    (["roots", "--k", "1", "--j", "2"], ["scipy", "numpy"]),
+    (["roots", "--k", "3/2", "--j", "7/2"], ["scipy", "numpy"]),
 ])
 def test_closed_form_commands_do_not_import_the_oracle(argv, absent):
     code = (
