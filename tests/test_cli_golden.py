@@ -85,6 +85,15 @@ CASES.update({
     "wavefunction_lob_minj_oscillator_n1": ["wavefunction", "--geometry", "lobachevsky",
                                             "--potential", "oscillator", "--k", "1", "--j", "0",
                                             "--k-osc", "100", "--n", "1", "--grid", "0.001:4:150"],
+    "wavefunction_lob_minj_coulomb_n0": ["wavefunction", "--geometry", "lobachevsky", "--k", "1",
+                                         "--j", "0", "--alpha", "0.1", "--mass", "10", "--n", "0",
+                                         "--grid", "0.001:20:150"],
+    "wavefunction_lob_nomonopole_coulomb_n1": ["wavefunction", "--geometry", "lobachevsky",
+                                               "--no-monopole", "--j", "1", "--alpha", "10",
+                                               "--n", "1", "--grid", "0.001:20:150"],
+    "wavefunction_flat_oscillator_n1": ["wavefunction", "--potential", "oscillator", "--k", "1",
+                                        "--j", "2", "--k-osc", "2", "--mass", "1.5", "--n", "1",
+                                        "--channel", "branch-2", "--grid", "0.01:8:150"],
 })
 
 
