@@ -382,6 +382,11 @@ def cmd_wavefunction(args) -> int:
         j = as_half_integer(args.j, "j")
         grid = parse_grid_spec(args.grid)
         n = parse_radial_index(args.n)
+        energy = None if args.energy is None else float(args.energy)
+        if energy is not None and not math.isfinite(energy):
+            raise ValueError(f"--energy must be finite, got {args.energy}")
+        if scen.potential == "none" and (energy is None or energy >= 0.0):
+            raise ValueError("the free reduced channel profile needs --energy E < 0")
         channel = args.channel or spectra.default_channels(scen, j)[0]
     except (ValueError, QuantumNumberError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -389,9 +394,7 @@ def cmd_wavefunction(args) -> int:
     try:
         problem = radial.build_problem(scen, channel, j)
         if scen.potential == "none":
-            if args.energy is None or float(args.energy) >= 0:
-                raise radial.RadialError("the free reduced channel profile needs --energy E < 0")
-            level = spectra.peculiar_flat_level(float(args.energy), scen)
+            level = spectra.peculiar_flat_level(energy, scen)
         else:
             level = spectra.single_level(scen, j, n, channel)
         if not level.admissible:

@@ -35,7 +35,10 @@ from .spectra import (
     CH_PARITY_ODD,
     EnergyLevel,
     SpectrumError,
-    _flat_channel,
+    flat_channel_l,
+    minj_coulomb_b,
+    nomonopole_coulomb_b,
+    nomonopole_n_coulomb,
 )
 
 LINEAR_IN_E = "linear-in-E"
@@ -92,7 +95,7 @@ def build_problem(scenario: Scenario, channel: str, j: HalfInt) -> RadialProblem
 
     if scenario.geometry == GEOMETRY_FLAT:
         try:
-            lval, _ = _flat_channel(jf, scenario.charge, channel)
+            lval = flat_channel_l(jf, scenario.charge, channel)
         except SpectrumError as exc:
             raise RadialError(str(exc)) from exc
         if scenario.potential == POTENTIAL_COULOMB:
@@ -241,13 +244,13 @@ def _flat_solution(problem: RadialProblem, level: EnergyLevel, r: np.ndarray):
     m = problem.mass
     n = level.n
     if scen.potential == POTENTIAL_COULOMB:
-        lval = level.extras["L"]
+        lval = flat_channel_l(level.j, scen.charge, level.channel)
         kappa = math.sqrt(-2.0 * m * level.energy)
         z = 2.0 * kappa * r
         u = r * z**lval * np.exp(-z / 2.0) * specfun.kummer_1f1(-n, 2.0 * lval + 2.0, z)
         return u, f"u = r z^L e^(-z/2) 1F1(-n; 2L+2; z), z = 2 sqrt(-2ME) r, L = {lval:.12g}"
     if scen.potential == POTENTIAL_OSCILLATOR:
-        lval = level.extras["L"]
+        lval = flat_channel_l(level.j, scen.charge, level.channel)
         x = math.sqrt(m * scen.k_osc) * r**2
         u = r * x ** (lval / 2.0) * np.exp(-x / 2.0) * specfun.kummer_1f1(-n, lval + 1.5, x)
         return u, f"u = r x^(L/2) e^(-x/2) 1F1(-n; L+3/2; x), x = sqrt(MK) r^2, L = {lval:.12g}"
@@ -267,7 +270,7 @@ def _curved_solution(problem: RadialProblem, level: EnergyLevel, r: np.ndarray):
     if ch == CH_MIN_J and scen.potential == POTENTIAL_COULOMB:
         al = scen.alpha
         a_exp = (1.0 + math.sqrt(1.0 - 4.0 * al * al)) / 2.0
-        b_exp = level.extras["b"]
+        b_exp = minj_coulomb_b(level.epsilon, al, n)
         x = 1.0 - np.exp(-2.0 * r)
         beta = 2.0 * (a_exp + b_exp) + n
         # (1-x)^B = e^(-2Br) exactly; the direct form avoids the total loss of
@@ -291,7 +294,7 @@ def _curved_solution(problem: RadialProblem, level: EnergyLevel, r: np.ndarray):
         )
     if ch == CH_PARITY_ODD and scen.potential == POTENTIAL_COULOMB:
         jf = float(level.j)
-        b_exp = level.extras["b"]
+        b_exp = nomonopole_coulomb_b(scen, nomonopole_n_coulomb(level.j, ch)(n))
         x = 1.0 - np.exp(-2.0 * r)
         gamma = 2.0 * (jf + 1.0)
         beta = 2.0 * (jf + 1.0 + b_exp) + n

@@ -9,19 +9,21 @@ nonrelativistic (rest energy excluded) except the explicitly relativistic
 Flat-space oscillator levels are subject to a prefactor arbitration: the
 closed form circulates both with and without a 1/2 prefactor, and only one
 variant is consistent with the series-termination condition it derives from
-(termination implies prefactor 1). Both candidates are recorded on every
-level; the default `energy` is the termination-condition value, which the
+(termination implies prefactor 1). `oscillator_candidates` gives both; a
+level's `energy` is the termination-condition value, which the
 finite-difference oracle confirms.
+
+A level stores no inputs of its formula: L, N and the far-field exponent b
+come from `flat_channel_l`, `nomonopole_n_coulomb`, `nomonopole_n_oscillator`,
+`minj_coulomb_b` and `nomonopole_coulomb_b`, which the closed forms use too.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from types import MappingProxyType
 from typing import Callable, NamedTuple, Optional
 
 from .core import (
@@ -62,9 +64,9 @@ class SpectrumError(ValueError):
 class EnergyLevel(NamedTuple):
     """One analytic eigenvalue with its channel label and admissibility.
 
-    An immutable tuple of its 11 fields in this order, which the closed forms
-    build positionally, one per level; `_replace` gives a changed copy. As a
-    tuple, a level equals the plain tuple of its values."""
+    An immutable, hashable tuple of its 10 fields in this order, which the
+    closed forms build positionally, one per level; `_replace` gives a changed
+    copy. As a tuple, a level equals the plain tuple of its values."""
 
     scenario: Scenario
     channel: str
@@ -76,36 +78,27 @@ class EnergyLevel(NamedTuple):
     reason: str = ""
     formula: str = ""
     epsilon: Optional[float] = None  # relativistic energy, where one exists
-    extras: Mapping = MappingProxyType({})  # read-only default; each closed-form level owns a dict
 
 
-def _flat_channel(j: Fraction, k: Fraction, branch: str) -> tuple[float, dict]:
-    """Effective L of a flat channel and its extras: 'min-j' (valid only at
-    j = |k| - 1) has L = 0; branches 1..3 take L and A from the mixing root."""
+def flat_channel_l(j: Fraction, k: Fraction, branch: str) -> float:
+    """Effective L of a flat channel: 'min-j' (valid only at j = |k| - 1) has
+    L = 0; branches 1..3 take L from the mixing root (memoized per (j, k))."""
     kind = channel_kind(j, k)
-    extras: dict = {}
     if branch == CH_MIN_J:
         if kind != "min-j":
             raise SpectrumError(f"min-j channel requires j = |k| - 1, got (j, k) = ({j}, {k})")
-        lval = 0.0
-    else:
-        if kind == "min-j":
-            raise SpectrumError(f"(j, k) = ({j}, {k}) is the reduced channel; use branch 'min-j'")
-        try:
-            triple = mixing_roots(j, k)
-        except MixingError as exc:
-            # j = k = 0 leaves a single physical channel (A = 1) and a doubly
-            # degenerate spurious root, outside the three-branch structure
-            raise SpectrumError(f"no three-branch mixing at (j, k) = ({j}, {k}): {exc}") from exc
-        if branch not in CH_BRANCH:
-            raise SpectrumError(f"unknown branch {branch!r}; expected one of {CH_BRANCH} or {CH_MIN_J!r}")
-        i = CH_BRANCH.index(branch)
-        lval = triple.l[i]
-        extras["A"] = triple.a[i]
-        if kind == "j-equals-k":
-            extras["caution"] = "j = |k|: one mixing root is exactly zero; channel decouples"
-    extras["L"] = lval
-    return lval, extras
+        return 0.0
+    if kind == "min-j":
+        raise SpectrumError(f"(j, k) = ({j}, {k}) is the reduced channel; use branch 'min-j'")
+    try:
+        triple = mixing_roots(j, k)
+    except MixingError as exc:
+        # j = k = 0 leaves a single physical channel (A = 1) and a doubly
+        # degenerate spurious root, outside the three-branch structure
+        raise SpectrumError(f"no three-branch mixing at (j, k) = ({j}, {k}): {exc}") from exc
+    if branch not in CH_BRANCH:
+        raise SpectrumError(f"unknown branch {branch!r}; expected one of {CH_BRANCH} or {CH_MIN_J!r}")
+    return triple.l[CH_BRANCH.index(branch)]
 
 
 # Each closed form below comes in two stages and is reached only through
@@ -114,7 +107,8 @@ def _flat_channel(j: Fraction, k: Fraction, branch: str) -> tuple[float, dict]:
 # root, the n-independent square roots and texts) and returns a LevelAt; the
 # LevelAt then does only the float arithmetic of one level. Hoisted values are
 # leading sub-expressions of the formulas, so every float is bit-identical to
-# evaluating the whole formula per level, and every level gets its own extras.
+# evaluating the whole formula per level; L, N and b come from the functions
+# that `radial` and `validate` call too.
 # Levels are built positionally, in EnergyLevel's field order, so a slip in
 # that order swaps two fields silently: tests/test_spectra.py checks every
 # field of every closed form against a per-level reference.
@@ -130,13 +124,13 @@ def _flat_coulomb_levels(scen: Scenario, j: Fraction, branch: str) -> LevelAt:
     branch 'min-j' uses L = 0 (valid only at j = |k| - 1); branches 1..3 use
     the effective L of the corresponding mixing root.
     """
-    lval, extras = _flat_channel(j, scen.charge, branch)
+    lval = flat_channel_l(j, scen.charge, branch)
     scale = -0.5 * scen.alpha * scen.alpha * scen.mass
     formula = "E = -alpha^2 M / (2 (n+L+1)^2)"
 
     def level(n: int) -> EnergyLevel:
         return EnergyLevel(scen, branch, j, n, scale / (n + lval + 1.0) ** 2, DERIV_HYPERGEOMETRIC,
-                           True, "", formula, None, dict(extras))
+                           True, "", formula)
 
     return level
 
@@ -150,27 +144,23 @@ def oscillator_candidates(l_value: float, n: int, k_osc: float, mass: float) -> 
                      confluent series at a = -n in
                      a = (1/2)(3/2 + L - E sqrt(M/K)).
     """
-    return _candidates(math.sqrt(k_osc / mass), 1.5 + l_value + 2.0 * n)
-
-
-def _candidates(omega: float, base: float) -> dict[str, float]:
-    """Both oscillator candidates from omega = sqrt(K/M) and base = 3/2 + L + 2n."""
+    omega = math.sqrt(k_osc / mass)
+    base = 1.5 + l_value + 2.0 * n
     return {"printed": 0.5 * omega * base, "quantization": omega * base}
 
 
 def _flat_oscillator_levels(scen: Scenario, j: Fraction, branch: str) -> LevelAt:
     """Flat-space oscillator level, default value from the termination
-    condition (prefactor 1); the 1/2-prefactor candidate is retained in
-    extras['candidates'] and the two are arbitrated by the oracle."""
-    lval, extras = _flat_channel(j, scen.charge, branch)
+    condition (prefactor 1), the 'quantization' value of
+    `oscillator_candidates`; the oracle arbitrates between the two."""
+    lval = flat_channel_l(j, scen.charge, branch)
     omega = math.sqrt(scen.k_osc / scen.mass)
     base_0 = 1.5 + lval
     formula = "E = sqrt(K/M) (3/2 + L + 2n)  [1/2-prefactor variant kept as metadata]"
 
     def level(n: int) -> EnergyLevel:
-        candidates = _candidates(omega, base_0 + 2.0 * n)
-        return EnergyLevel(scen, branch, j, n, candidates["quantization"], DERIV_HYPERGEOMETRIC,
-                           True, "", formula, None, {**extras, "candidates": candidates})
+        return EnergyLevel(scen, branch, j, n, omega * (base_0 + 2.0 * n), DERIV_HYPERGEOMETRIC,
+                           True, "", formula)
 
     return level
 
@@ -180,20 +170,12 @@ def peculiar_flat_level(energy: float, scenario: Scenario) -> EnergyLevel:
     which exists at any E < 0 without quantization. Its normalizability at the
     origin is ambiguous (psi diverges there while the L2(r^2 dr) norm stays
     finite); the record reports it rather than classifying it."""
-    if energy >= 0.0:
-        raise SpectrumError("the bound-type reduced-channel profile needs E < 0")
+    if not -math.inf < energy < 0.0:
+        raise SpectrumError(f"the bound-type reduced-channel profile needs a finite E < 0, got {energy}")
     if abs(scenario.charge) < 1:
         raise SpectrumError("the reduced channel needs a monopole charge |k| >= 1")
-    return EnergyLevel(
-        scenario=scenario,
-        channel=CH_MIN_J,
-        j=abs(scenario.charge) - 1,
-        n=0,
-        energy=energy,
-        derivation=DERIV_HYPERGEOMETRIC,
-        formula="psi = e^(-sqrt(-2EM) r)/r (any E < 0; origin regularity ambiguous)",
-        extras={"L": 0.0},
-    )
+    return EnergyLevel(scenario, CH_MIN_J, abs(scenario.charge) - 1, 0, energy, DERIV_HYPERGEOMETRIC,
+                       formula="psi = e^(-sqrt(-2EM) r)/r (any E < 0; origin regularity ambiguous)")
 
 
 # --- Lobachevsky, minimum j (monopole present) -------------------------------
@@ -204,6 +186,19 @@ def _minj_j(charge: Fraction) -> Fraction:
     if abs(charge) < 1:
         raise SpectrumError("minimum-j channel needs |k| >= 1")
     return min_allowed_j(charge)
+
+
+def _minj_nu_0(alpha: float) -> float:
+    """nu of the minimum-j Coulomb level n = 0."""
+    return (1.0 + math.sqrt(1.0 - 4.0 * alpha * alpha)) / 2.0
+
+
+def minj_coulomb_b(epsilon: float, alpha: float, n: int) -> float:
+    """Far-field exponent b = (eps alpha - nu^2)/(2 nu) of the curved minimum-j
+    Coulomb level n, from its epsilon, with nu = n + (1 + sqrt(1 - 4 alpha^2))/2;
+    the level is a bound state only while b > 0."""
+    nu = n + _minj_nu_0(alpha)
+    return (epsilon * alpha - nu * nu) / (2.0 * nu)
 
 
 def _lob_minj_coulomb_levels(scen: Scenario) -> LevelAt:
@@ -221,27 +216,25 @@ def _lob_minj_coulomb_levels(scen: Scenario) -> LevelAt:
     if not 0.0 < alpha < 0.5:
         raise SpectrumError(f"curved minimum-j Coulomb needs 0 < alpha < 1/2, got {alpha}")
     jf = _minj_j(scen.charge)
-    nu_0 = (1.0 + math.sqrt(1.0 - 4.0 * alpha * alpha)) / 2.0
+    nu_0 = _minj_nu_0(alpha)
     alpha_sq, mass_sq = alpha * alpha, mass * mass
     formula = "eps = M sqrt(1 - (alpha^2+nu^2)/M^2)/sqrt(1 + alpha^2/nu^2); E = eps - M"
     exhausted = f"{REASON_EXHAUSTED}: alpha^2 + nu^2 > M^2"
 
     def level(n: int) -> EnergyLevel:
         nu = n + nu_0
-        extras = {"nu": nu}
         rad = 1.0 - (alpha_sq + nu * nu) / mass_sq
         if rad < 0.0:
             return EnergyLevel(scen, CH_MIN_J, jf, n, math.nan, DERIV_HYPERGEOMETRIC,
-                               False, exhausted, formula, None, extras)
+                               False, exhausted, formula)
         eps = mass / math.sqrt(1.0 + alpha_sq / (nu * nu)) * math.sqrt(rad)
-        b = (eps * alpha - nu * nu) / (2.0 * nu)
-        extras["b"] = b
+        b = minj_coulomb_b(eps, alpha, n)
         admissible = b > 0.0
         reason = "" if admissible else (
             f"far-field exponent b = {b:.6g} <= 0: regular solution is non-decaying, formal level only"
         )
         return EnergyLevel(scen, CH_MIN_J, jf, n, eps - mass, DERIV_HYPERGEOMETRIC,
-                           admissible, reason, formula, eps, extras)
+                           admissible, reason, formula, eps)
 
     return level
 
@@ -273,8 +266,7 @@ def _lob_minj_oscillator_levels(scen: Scenario) -> LevelAt:
         big_n = 2.0 * n + 1.5
         admissible = 2 * n + 1 < s_well
         return EnergyLevel(scen, CH_MIN_J, jf, n, energy_at(big_n), DERIV_HYPERGEOMETRIC,
-                           admissible, "" if admissible else exhausted, formula, None,
-                           {"N": big_n, "s": s_well})
+                           admissible, "" if admissible else exhausted, formula)
 
     return level
 
@@ -282,7 +274,7 @@ def _lob_minj_oscillator_levels(scen: Scenario) -> LevelAt:
 # --- Lobachevsky, no monopole -------------------------------------------------
 
 
-def _nomonopole_n_coulomb(j: Fraction, channel: str) -> Callable[[int], float]:
+def nomonopole_n_coulomb(j: Fraction, channel: str) -> Callable[[int], float]:
     """n -> N of a no-monopole Coulomb channel."""
     if channel == CH_PARITY_ODD:
         offset = float(j) + 1.0
@@ -294,6 +286,12 @@ def _nomonopole_n_coulomb(j: Fraction, channel: str) -> Callable[[int], float]:
     else:
         raise SpectrumError(f"unknown no-monopole channel {channel!r}")
     return lambda n: offset + 0.5 * n
+
+
+def nomonopole_coulomb_b(scenario: Scenario, big_n: float) -> float:
+    """Substitution exponent b = (M alpha - N^2)/(2N) of a no-monopole curved
+    Coulomb level, from its N; the level is a bound state only while b > 0."""
+    return (scenario.mass * scenario.alpha - big_n * big_n) / (2.0 * big_n)
 
 
 def _check_nomonopole_j(j: Fraction) -> None:
@@ -312,10 +310,9 @@ def _lob_nomonopole_coulomb_levels(scen: Scenario, j: Fraction, channel: str) ->
     """
     alpha, mass = scen.alpha, scen.mass
     _check_nomonopole_j(j)
-    big_n_at = _nomonopole_n_coulomb(j, channel)
+    big_n_at = nomonopole_n_coulomb(j, channel)
     scale = -mass * alpha * alpha
     two_mass = 2.0 * mass
-    mass_alpha = mass * alpha
     deriv = DERIV_HYPERGEOMETRIC if channel == CH_PARITY_ODD else DERIV_HEUN_FORMAL
     bound = _admissible_reason(deriv)
     formula = "E = -M alpha^2/(2 N^2) - N^2/(2M)"
@@ -323,15 +320,12 @@ def _lob_nomonopole_coulomb_levels(scen: Scenario, j: Fraction, channel: str) ->
     def level(n: int) -> EnergyLevel:
         big_n = big_n_at(n)
         big_n_sq = big_n * big_n
-        b = (mass_alpha - big_n_sq) / (2.0 * big_n)
+        b = nomonopole_coulomb_b(scen, big_n)
         admissible = b > 0.0
-        return EnergyLevel(
-            scen, channel, j, n,
-            # (2N) N, not 2 N^2: each formula keeps its operation order
-            scale / (2.0 * big_n * big_n) - big_n_sq / two_mass, deriv,
-            admissible, bound if admissible else f"{REASON_EXHAUSTED}: M alpha <= N^2 (b = {b:.6g})",
-            formula, None, {"N": big_n, "b": b},
-        )
+        reason = bound if admissible else f"{REASON_EXHAUSTED}: M alpha <= N^2 (b = {b:.6g})"
+        # (2N) N, not 2 N^2: each formula keeps its operation order
+        return EnergyLevel(scen, channel, j, n, scale / (2.0 * big_n * big_n) - big_n_sq / two_mass,
+                           deriv, admissible, reason, formula)
 
     return level
 
@@ -342,7 +336,7 @@ def _admissible_reason(derivation: str) -> str:
     return REASON_FORMAL if derivation == DERIV_HEUN_FORMAL else ""
 
 
-def _nomonopole_n_oscillator(j: Fraction, channel: str) -> Callable[[int], float]:
+def nomonopole_n_oscillator(j: Fraction, channel: str) -> Callable[[int], float]:
     """n -> N of a no-monopole oscillator channel."""
     fj = float(j)
     if channel == CH_PARITY_ODD:
@@ -365,7 +359,7 @@ def _lob_nomonopole_oscillator_levels(scen: Scenario, j: Fraction, channel: str)
     level count) and formal even-channel values N = 2+j+n, N = 1+j+n."""
     k_osc, mass = scen.k_osc, scen.mass
     _check_nomonopole_j(j)
-    big_n_at = _nomonopole_n_oscillator(j, channel)
+    big_n_at = nomonopole_n_oscillator(j, channel)
     energy_at = _curved_oscillator_energy(k_osc, mass)
     limit = math.sqrt(1.0 + 4.0 * k_osc * mass) / 2.0
     deriv = DERIV_HYPERGEOMETRIC if channel == CH_PARITY_ODD else DERIV_HEUN_FORMAL
@@ -377,8 +371,7 @@ def _lob_nomonopole_oscillator_levels(scen: Scenario, j: Fraction, channel: str)
         big_n = big_n_at(n)
         admissible = big_n < limit
         return EnergyLevel(scen, channel, j, n, energy_at(big_n), deriv,
-                           admissible, bound if admissible else exhausted, formula, None,
-                           {"N": big_n, "N_limit": limit})
+                           admissible, bound if admissible else exhausted, formula)
 
     return level
 
@@ -438,32 +431,20 @@ def to_physical_units(level: EnergyLevel, units: UnitSystem) -> EnergyLevel:
     """Convert a natural-unit level to physical units (multiplicative map;
     involutive with from_physical_units). Lobachevsky scenarios require the
     curvature radius to be set on the unit system."""
-    _check_units(level, units)
-    extras = dict(level.extras)
-    extras["units"] = "physical"
-    return level._replace(
-        energy=units.to_physical_energy(level.energy),
-        epsilon=None if level.epsilon is None else units.to_physical_energy(level.epsilon),
-        extras=extras,
-    )
+    return _map_energies(level, units, units.to_physical_energy)
 
 
 def from_physical_units(level: EnergyLevel, units: UnitSystem) -> EnergyLevel:
     """Convert a physical-unit level back to natural units; the inverse of
     to_physical_units, with the same curvature-radius requirement."""
-    _check_units(level, units)
-    extras = dict(level.extras)
-    extras.pop("units", None)
-    return level._replace(
-        energy=units.from_physical_energy(level.energy),
-        epsilon=None if level.epsilon is None else units.from_physical_energy(level.epsilon),
-        extras=extras,
-    )
+    return _map_energies(level, units, units.from_physical_energy)
 
 
-def _check_units(level: EnergyLevel, units: UnitSystem) -> None:
+def _map_energies(level: EnergyLevel, units: UnitSystem, convert: Callable[[float], float]) -> EnergyLevel:
     if level.scenario.geometry == GEOMETRY_LOBACHEVSKY and units.radius is None:
         raise SpectrumError("Lobachevsky conversion needs the curvature radius")
+    epsilon = None if level.epsilon is None else convert(level.epsilon)
+    return level._replace(energy=convert(level.energy), epsilon=epsilon)
 
 
 def usual_units_coulomb_energy(units: UnitSystem, alpha: Optional[float] = None, big_n: float = 1.0) -> float:

@@ -154,11 +154,12 @@ def suite_flat_coulomb() -> list[CriterionResult]:
     channels = [(spectra.CH_MIN_J, 0), *((br, 2) for br in spectra.CH_BRANCH)]
     for ch, j in channels:
         prob = radial.build_problem(scen, ch, j)
+        lval = spectra.flat_channel_l(j, scen.charge, ch)
         for n in range(4):
             lv = spectra.single_level(scen, j, n, ch)
             e_num, rel = _fd_level_rel_dev(prob, lv)
             worst = max(worst, rel)
-            rows.append({"channel": ch, "n": n, "L": lv.extras["L"], "analytic": lv.energy,
+            rows.append({"channel": ch, "n": n, "L": lval, "analytic": lv.energy,
                          "numeric": e_num, "rel_dev": rel})
     elapsed = time.monotonic() - t0
     return [
@@ -229,7 +230,8 @@ def _criterion_minj_coulomb() -> CriterionResult:
         try:
             res = oracle.shoot_decay(prob, lv.epsilon)
             mism = abs(res.mismatch)
-            parts["mismatch"][n] = {"epsilon": lv.epsilon, "abs_mismatch": mism, "b": lv.extras["b"]}
+            b = spectra.minj_coulomb_b(lv.epsilon, alpha, n)
+            parts["mismatch"][n] = {"epsilon": lv.epsilon, "abs_mismatch": mism, "b": b}
             ok_n = mism <= 1e-5
         except oracle.OracleError as exc:
             parts["mismatch"][n] = {"epsilon": lv.epsilon, "error": str(exc)}
@@ -328,10 +330,11 @@ def suite_lob_coulomb() -> list[CriterionResult]:
         prob = radial.build_problem(scen, spectra.CH_PARITY_ODD, j)
         levels = spectra.admissible_levels(scen, j, spectra.CH_PARITY_ODD)
         numeric = oracle.fd_eigen(prob, grid=grid, count=len(levels))
+        big_n_at = spectra.nomonopole_n_coulomb(j, spectra.CH_PARITY_ODD)
         for lv, e_num in zip(levels, numeric):
             rel = float(abs(e_num - lv.energy) / abs(lv.energy))
             worst_rel = max(worst_rel, rel)
-            rows.append({"j": j, "n": lv.n, "N": lv.extras["N"], "analytic": lv.energy,
+            rows.append({"j": j, "n": lv.n, "N": big_n_at(lv.n), "analytic": lv.energy,
                          "numeric": float(e_num), "rel_dev": rel})
         fd_count = oracle.count_bound_states(prob, grid=grid)
         predicted = len(levels)
@@ -372,10 +375,11 @@ def suite_lob_oscillator() -> list[CriterionResult]:
         prob = radial.build_problem(scen, spectra.CH_PARITY_ODD, j)
         levels = spectra.admissible_levels(scen, j, spectra.CH_PARITY_ODD)
         numeric = oracle.fd_eigen(prob, count=len(levels))
+        big_n_at = spectra.nomonopole_n_oscillator(j, spectra.CH_PARITY_ODD)
         for lv, e_num in zip(levels, numeric):
             rel = float(abs(e_num - lv.energy) / abs(lv.energy))
             worst_rel = max(worst_rel, rel)
-            rows.append({"j": j, "n": lv.n, "N": lv.extras["N"], "analytic": lv.energy,
+            rows.append({"j": j, "n": lv.n, "N": big_n_at(lv.n), "analytic": lv.energy,
                          "numeric": float(e_num), "rel_dev": rel})
         inequality_count = len(levels)
         fd_counts = [

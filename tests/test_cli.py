@@ -226,6 +226,22 @@ def test_wavefunction_negative_n_exit_2(capsys):
     assert code == 2 and out == "" and "must be >= 0" in err
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--potential", "none", "--energy", "abc"], "'abc'"),
+    (["--potential", "none", "--energy=-inf"], "--energy must be finite, got -inf"),
+    (["--potential", "none", "--energy", "nan"], "--energy must be finite, got nan"),
+    (["--potential", "none"], "needs --energy E < 0"),
+    (["--potential", "none", "--energy", "0"], "needs --energy E < 0"),
+    (["--potential", "none", "--energy", "0.5"], "needs --energy E < 0"),
+    (["--alpha", "1", "--energy", "abc"], "'abc'"),
+    (["--alpha", "1", "--energy", "inf"], "--energy must be finite, got inf"),
+])
+def test_wavefunction_bad_energy_exit_2(flags, named, capsys):
+    code, out, err = run(["wavefunction", "--k", "1", "--j", "0", "--grid", "0.1:2:3", *flags], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
 @pytest.mark.parametrize("flags", [
     ["--mass", "nan"],
     ["--mass", "inf"],

@@ -94,7 +94,7 @@ def test_flat_oscillator_residual_identifies_confirmed_candidate():
     level = spectra.single_level(sc, 0, 1, "min-j")
     sol = radial.analytic_solution(problem, level)
     assert radial.residual(problem, sol, level) <= 1e-7
-    printed = level._replace(energy=level.extras["candidates"]["printed"])
+    printed = level._replace(energy=spectra.oscillator_candidates(0.0, 1, 1.0, 1.0)["printed"])
     assert radial.residual(problem, sol, printed) > 1e-2
 
 
@@ -129,7 +129,7 @@ def test_lob_minj_coulomb_n0_polynomial_is_constant():
     grid = radial.uniform_grid(0.1, 5.0, 300)
     sol = radial.analytic_solution(problem, level, grid=grid)
     a_exp = (1.0 + math.sqrt(0.96)) / 2.0
-    b_exp = level.extras["b"]
+    b_exp = spectra.minj_coulomb_b(level.epsilon, 0.1, 0)
     x = 1.0 - np.exp(-2.0 * grid)
     direct = x**a_exp * (1.0 - x) ** b_exp
     assert sol.values == pytest.approx(direct / np.max(np.abs(direct)), rel=1e-12)

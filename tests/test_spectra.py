@@ -34,7 +34,7 @@ def test_flat_coulomb_branch_composition():
     a3 = mixing.mixing_roots(2, 1).a[2]
     l3 = -0.5 + math.sqrt(0.25 + 2 * a3)
     assert lv.energy == pytest.approx(-0.5 / (l3 + 1.0) ** 2, abs=1e-14)
-    assert lv.extras["L"] == pytest.approx(l3, abs=1e-14)
+    assert spectra.flat_channel_l(F(2), F(1), "branch-3") == pytest.approx(l3, abs=1e-14)
 
 
 def test_flat_coulomb_channel_misuse_rejected():
@@ -47,7 +47,7 @@ def test_flat_coulomb_channel_misuse_rejected():
 def test_flat_oscillator_candidates_min_j():
     scen = core.Scenario("flat", "oscillator", F(1), 1.0, k_osc=1.0)
     lv = spectra.single_level(scen, 0, 0, "min-j")
-    assert lv.extras["candidates"] == {"printed": 0.75, "quantization": 1.5}
+    assert spectra.oscillator_candidates(0.0, 0, 1.0, 1.0) == {"printed": 0.75, "quantization": 1.5}
     assert lv.energy == 1.5  # oracle-confirmed default
 
 
@@ -63,7 +63,7 @@ def test_lob_minj_coulomb_ground_state():
     lv = spectra.single_level(MINJ_COULOMB, 0, 0, "min-j")
     nu = (1.0 + math.sqrt(0.96)) / 2.0
     eps = 10.0 / math.sqrt(1 + 0.01 / nu**2) * math.sqrt(1 - (0.01 + nu**2) / 100.0)
-    assert lv.extras["nu"] == pytest.approx(nu, abs=1e-15)
+    assert spectra.minj_coulomb_b(lv.epsilon, 0.1, 0) == pytest.approx((eps * 0.1 - nu**2) / (2 * nu), abs=1e-12)
     assert lv.epsilon == pytest.approx(eps, abs=1e-12)
     assert lv.energy == pytest.approx(eps - 10.0, abs=1e-12)
     assert lv.admissible
@@ -73,7 +73,7 @@ def test_lob_minj_coulomb_free_limit():
     # alpha -> 0: nu -> 1 and eps -> M sqrt(1 - 1/M^2)
     scen = core.Scenario("lobachevsky", "coulomb", F(1), 10.0, alpha=1e-9)
     lv = spectra.single_level(scen, 0, 0, "min-j")
-    assert lv.extras["nu"] == pytest.approx(1.0, abs=1e-12)
+    assert spectra.minj_coulomb_b(lv.epsilon, 1e-9, 0) == pytest.approx(-0.5, abs=1e-8)  # b -> -nu/2
     assert lv.epsilon == pytest.approx(10.0 * math.sqrt(1 - 0.01), rel=1e-9)
 
 
@@ -85,7 +85,7 @@ def test_lob_minj_coulomb_finite_spectrum():
 def test_lob_minj_coulomb_nondecaying_levels_flagged():
     # n >= 1 at these parameters has b < 0: the closed form is formal only
     lv = spectra.single_level(MINJ_COULOMB, 0, 1, "min-j")
-    assert not lv.admissible and lv.extras["b"] < 0
+    assert not lv.admissible and spectra.minj_coulomb_b(lv.epsilon, 0.1, 1) < 0
 
 
 def test_lob_minj_coulomb_alpha_domain():
@@ -130,10 +130,12 @@ def test_lob_nomonopole_coulomb_values_and_admissibility():
 
 def test_lob_nomonopole_coulomb_channel_shift():
     # even-1 and even-2 differ only through N shifted by one unit
+    n_even_1 = spectra.nomonopole_n_coulomb(F(1), "even-1")
+    n_even_2 = spectra.nomonopole_n_coulomb(F(1), "even-2")
     for n in range(3):
         l1 = spectra.single_level(NOMONOPOLE_COULOMB, 1, n, "even-1")
         l2 = spectra.single_level(NOMONOPOLE_COULOMB, 1, n + 2, "even-2")
-        assert l1.extras["N"] == pytest.approx(l2.extras["N"], abs=1e-15)
+        assert n_even_1(n) == pytest.approx(n_even_2(n + 2), abs=1e-15)
         assert l1.energy == pytest.approx(l2.energy, abs=1e-12)
 
 
@@ -145,7 +147,7 @@ def test_lob_nomonopole_coulomb_exponent_identity():
     ]:
         scen = core.Scenario("lobachevsky", "coulomb", F(0), mass, alpha=alpha)
         lv = spectra.single_level(scen, j, n, ch)
-        b = lv.extras["b"]
+        b = spectra.nomonopole_coulomb_b(scen, spectra.nomonopole_n_coulomb(F(j), ch)(n))
         assert lv.energy == pytest.approx(-alpha - 2.0 * b * b / mass, abs=1e-12)
 
 
@@ -158,12 +160,12 @@ def test_lob_nomonopole_coulomb_derivation_labels():
 
 def test_lob_nomonopole_oscillator_values():
     lv = spectra.single_level(NOMONOPOLE_OSCILLATOR, 0, 0, "parity-odd")
-    assert lv.extras["N"] == 1.5
+    assert spectra.nomonopole_n_oscillator(F(0), "parity-odd")(0) == 1.5
     assert lv.energy == pytest.approx(1.5 * math.sqrt(100.25) - (2.25 + 0.25) / 2.0, abs=1e-12)
     assert lv.admissible  # 1.5 < sqrt(401)/2 ~ 10.01
     # even channels: N differs by exactly one at equal (j, n)
-    n1 = spectra.single_level(NOMONOPOLE_OSCILLATOR, 1, 2, "even-1").extras["N"]
-    n2 = spectra.single_level(NOMONOPOLE_OSCILLATOR, 1, 2, "even-2").extras["N"]
+    n1 = spectra.nomonopole_n_oscillator(F(1), "even-1")(2)
+    n2 = spectra.nomonopole_n_oscillator(F(1), "even-2")(2)
     assert n1 - n2 == 1.0
 
 
@@ -280,9 +282,8 @@ def test_unit_conversion_reproduces_printed_relativistic_form():
     scen = core.Scenario("lobachevsky", "coulomb", F(1), m_nat, alpha=alpha)
     lv = spectra.single_level(scen, 0, 0, "min-j")
     phys = spectra.to_physical_units(lv, units)
-    assert phys.epsilon == pytest.approx(
-        spectra.usual_units_minj_coulomb_epsilon(units, alpha, lv.extras["nu"]), rel=1e-12
-    )
+    nu = (1.0 + math.sqrt(1.0 - 4.0 * alpha * alpha)) / 2.0
+    assert phys.epsilon == pytest.approx(spectra.usual_units_minj_coulomb_epsilon(units, alpha, nu), rel=1e-12)
 
 
 def test_level_record_schema():
@@ -295,7 +296,7 @@ def test_level_record_schema():
 
 def test_level_is_an_immutable_named_tuple():
     assert spectra.EnergyLevel._fields == ("scenario", "channel", "j", "n", "energy", "derivation",
-                                           "admissible", "reason", "formula", "epsilon", "extras")
+                                           "admissible", "reason", "formula", "epsilon")
     lv = spectra.single_level(MINJ_COULOMB, 0, 0, "min-j")
     for name in spectra.EnergyLevel._fields:
         with pytest.raises(AttributeError):
@@ -303,9 +304,17 @@ def test_level_is_an_immutable_named_tuple():
     shifted = lv._replace(energy=1.0)
     assert type(shifted) is spectra.EnergyLevel and shifted.energy == 1.0 and shifted[1:4] == lv[1:4]
     made = spectra.EnergyLevel(FLAT_COULOMB, "min-j", F(0), 0, -0.5, "hypergeometric-polynomial")
-    assert made.extras == {} and made.epsilon is None
-    with pytest.raises(TypeError):
-        made.extras["L"] = 0.0  # the default extras is read-only, not one shared dict
+    assert (made.admissible, made.reason, made.formula, made.epsilon) == (True, "", "", None)
+
+
+def test_levels_are_hashable():
+    again = spectra.single_level(MINJ_COULOMB, 0, 0, "min-j")
+    lv = spectra.single_level(MINJ_COULOMB, 0, 0, "min-j")
+    assert lv == again and lv is not again and hash(lv) == hash(again)
+    for scen, j in ((FLAT_COULOMB, 2), (MINJ_COULOMB, 0), (NOMONOPOLE_COULOMB, 1), (NOMONOPOLE_OSCILLATOR, 1)):
+        levels = spectra.spectrum_levels(scen, j, range(20), include_inadmissible=True)
+        assert len(set(levels)) == len(levels)
+        assert set(levels) == set(spectra.spectrum_levels(scen, j, range(20), include_inadmissible=True))
 
 
 def test_spectrum_levels_read_a_one_shot_iterator_of_n_for_every_channel():
@@ -339,8 +348,7 @@ def test_flat_no_monopole_branch_structure():
     # k = 0: the three effective L are exactly {j-1, j, j+1}
     scen = core.Scenario("flat", "coulomb", F(0), 1.0, alpha=1.0)
     for j in (1, 2, 3):
-        ls = sorted(spectra.single_level(scen, j, 0, br).extras["L"]
-                    for br in ("branch-1", "branch-2", "branch-3"))
+        ls = sorted(spectra.flat_channel_l(F(j), scen.charge, br) for br in ("branch-1", "branch-2", "branch-3"))
         assert ls == pytest.approx([j - 1, j, j + 1], abs=1e-9)
 
 
@@ -352,7 +360,7 @@ def test_flat_no_monopole_j0_rejected_clearly():
 
 @pytest.fixture
 def resolution_counts(monkeypatch):
-    """Count channel resolutions (flat `_flat_channel`, no-monopole
+    """Count channel resolutions (flat `flat_channel_l`, no-monopole
     `_check_nomonopole_j`) and half-integer coercions in every module that
     binds `as_half_integer`."""
     counts = dict.fromkeys(("flat", "nomonopole", "coerce"), 0)
@@ -363,7 +371,7 @@ def resolution_counts(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(spectra, "_flat_channel", counting("flat", spectra._flat_channel))
+    monkeypatch.setattr(spectra, "flat_channel_l", counting("flat", spectra.flat_channel_l))
     monkeypatch.setattr(spectra, "_check_nomonopole_j", counting("nomonopole", spectra._check_nomonopole_j))
     coerce = counting("coerce", core.as_half_integer)
     for module in (core, mixing, spectra):
@@ -482,29 +490,28 @@ def test_single_level_carries_the_callers_scenario(scen, j, channel, closed_form
         assert lv.scenario is scen
         ref = closed_form(n)
         assert ref.scenario.radius == 1.0
-        assert (lv.energy, lv.admissible, lv.j, lv.extras) == (ref.energy, ref.admissible, ref.j, ref.extras)
+        assert lv._replace(scenario=ref.scenario) == ref
 
 
 # The closed forms written out per level, in the operation order of their
 # formulas: the two-stage closed forms must reproduce every float bit for bit.
-# Each reference returns (E, epsilon, {extra: value}, admissible, reason,
-# formula), so a level built with two fields swapped shows.
+# Each reference returns (E, epsilon, {input: value}, admissible, reason,
+# formula), so a level built with two fields swapped shows. The inputs are the
+# values that `_inputs` reads from the public L, N and b functions.
 EXHAUSTED = "finite spectrum exhausted: "
 
 
 def _reference_flat(scen, j, channel, n):
     if channel == "min-j":
-        lval, extras = 0.0, {}
+        lval = 0.0
     else:
-        triple, i = mixing.mixing_roots(j, scen.charge), spectra.CH_BRANCH.index(channel)
-        lval, extras = triple.l[i], {"A": triple.a[i]}
-    extras["L"] = lval
+        lval = mixing.mixing_roots(j, scen.charge).l[spectra.CH_BRANCH.index(channel)]
     if scen.potential == "coulomb":
         energy = -0.5 * scen.alpha * scen.alpha * scen.mass / (n + lval + 1.0) ** 2
-        return energy, None, extras, True, "", "E = -alpha^2 M / (2 (n+L+1)^2)"
+        return energy, None, {"L": lval}, True, "", "E = -alpha^2 M / (2 (n+L+1)^2)"
     omega = math.sqrt(scen.k_osc / scen.mass)
     base = 1.5 + lval + 2.0 * n
-    return (omega * base, None, {**extras, "printed": 0.5 * omega * base, "quantization": omega * base}, True, "",
+    return (omega * base, None, {"L": lval, "printed": 0.5 * omega * base, "quantization": omega * base}, True, "",
             "E = sqrt(K/M) (3/2 + L + 2n)  [1/2-prefactor variant kept as metadata]")
 
 
@@ -519,19 +526,19 @@ def _reference_minj(scen, j, channel, n):
         big_n = 2.0 * n + 1.5
         s_well = (-1.0 + math.sqrt(1.0 + 4.0 * mass * scen.k_osc)) / 2.0
         ok = 2 * n + 1 < s_well
-        return (_reference_curved_oscillator(scen, big_n), None, {"N": big_n, "s": s_well}, ok,
+        return (_reference_curved_oscillator(scen, big_n), None, {}, ok,
                 "" if ok else f"{EXHAUSTED}decaying-well condition 2n+1 < s fails (s = {s_well:.6g})",
                 "E = N sqrt(K/M + 1/(2M)^2) - (N^2 + 1/4)/(2M), N = 2n + 3/2")
     formula = "eps = M sqrt(1 - (alpha^2+nu^2)/M^2)/sqrt(1 + alpha^2/nu^2); E = eps - M"
     nu = n + (1.0 + math.sqrt(1.0 - 4.0 * alpha * alpha)) / 2.0
     rad = 1.0 - (alpha * alpha + nu * nu) / (mass * mass)
     if rad < 0.0:
-        return math.nan, None, {"nu": nu}, False, f"{EXHAUSTED}alpha^2 + nu^2 > M^2", formula
+        return math.nan, None, {}, False, f"{EXHAUSTED}alpha^2 + nu^2 > M^2", formula
     eps = mass / math.sqrt(1.0 + alpha * alpha / (nu * nu)) * math.sqrt(rad)
     b = (eps * alpha - nu * nu) / (2.0 * nu)
     reason = "" if b > 0 else (
         f"far-field exponent b = {b:.6g} <= 0: regular solution is non-decaying, formal level only")
-    return eps - mass, eps, {"nu": nu, "b": b}, b > 0, reason, formula
+    return eps - mass, eps, {"b": b}, b > 0, reason, formula
 
 
 def _reference_nomonopole(scen, j, channel, n):
@@ -541,7 +548,7 @@ def _reference_nomonopole(scen, j, channel, n):
         big_n = {"parity-odd": 2.0 * n + fj + 1.5, "even-1": 2.0 + fj + n, "even-2": 1.0 + fj + n}[channel]
         limit = math.sqrt(1.0 + 4.0 * scen.k_osc * mass) / 2.0
         ok = big_n < limit
-        return (_reference_curved_oscillator(scen, big_n), None, {"N": big_n, "N_limit": limit}, ok,
+        return (_reference_curved_oscillator(scen, big_n), None, {"N": big_n}, ok,
                 formal if ok else f"{EXHAUSTED}restriction N < sqrt(1 + 4 K M)/2 = {limit:.6g} violated",
                 "E = N sqrt(K/M + 1/(2M)^2) - (N^2 + 1/4)/(2M)")
     big_n = {"parity-odd": fj + 1.0 + n, "even-1": fj + 1.5 + 0.5 * n, "even-2": fj + 0.5 + 0.5 * n}[channel]
@@ -551,14 +558,23 @@ def _reference_nomonopole(scen, j, channel, n):
             "E = -M alpha^2/(2 N^2) - N^2/(2M)")
 
 
-def _float_extras(extras):
-    out = {}
-    for key, value in extras.items():
-        if isinstance(value, dict):
-            out.update(value)
-        elif isinstance(value, float):
-            out[key] = value
-    return out
+def _inputs(lv):
+    """L (with both oscillator candidates), N and b of a level, from the
+    functions that `radial` and `validate` call."""
+    scen = lv.scenario
+    if scen.geometry == "flat":
+        lval = spectra.flat_channel_l(lv.j, scen.charge, lv.channel)
+        if scen.potential == "coulomb":
+            return {"L": lval}
+        return {"L": lval, **spectra.oscillator_candidates(lval, lv.n, scen.k_osc, scen.mass)}
+    if not scen.no_monopole:
+        if scen.potential == "oscillator" or lv.epsilon is None:
+            return {}
+        return {"b": spectra.minj_coulomb_b(lv.epsilon, scen.alpha, lv.n)}
+    if scen.potential == "oscillator":
+        return {"N": spectra.nomonopole_n_oscillator(lv.j, lv.channel)(lv.n)}
+    big_n = spectra.nomonopole_n_coulomb(lv.j, lv.channel)(lv.n)
+    return {"N": big_n, "b": spectra.nomonopole_coulomb_b(scen, big_n)}
 
 
 @pytest.mark.parametrize("scen, j, reference", [
@@ -579,12 +595,17 @@ def test_closed_forms_match_the_per_level_formulas(scen, j, reference):
     levels = spectra.spectrum_levels(scen, j, ns, include_inadmissible=True)
     channels = sorted(spectra.default_channels(scen, j))
     assert [(lv.channel, lv.n) for lv in levels] == [(ch, n) for ch in channels for n in ns]
-    assert len({id(lv.extras) for lv in levels}) == len(levels)  # each level owns its extras
     for lv in levels:
-        energy, epsilon, extras, admissible, reason, formula = reference(scen, j, lv.channel, lv.n)
+        energy, epsilon, inputs, admissible, reason, formula = reference(scen, j, lv.channel, lv.n)
         assert lv.energy.hex() == energy.hex(), (lv.channel, lv.n)
         assert lv.epsilon == epsilon
-        assert {k: v.hex() for k, v in _float_extras(lv.extras).items()} == {k: v.hex() for k, v in extras.items()}
+        assert {k: v.hex() for k, v in _inputs(lv).items()} == {k: v.hex() for k, v in inputs.items()}
         assert lv.scenario is scen and lv.j == j and type(lv.n) is int
         assert lv.derivation == ("heun-formal-beta" if lv.channel.startswith("even") else "hypergeometric-polynomial")
         assert (lv.admissible, lv.reason, lv.formula) == (admissible, reason, formula), (lv.channel, lv.n)
+
+
+@pytest.mark.parametrize("energy", [math.nan, -math.inf, math.inf, 0.0, 0.5])
+def test_peculiar_flat_level_needs_a_finite_negative_energy(energy):
+    with pytest.raises(spectra.SpectrumError, match="needs a finite E < 0"):
+        spectra.peculiar_flat_level(energy, core.Scenario("flat", "none", F(1), 1.0))
