@@ -23,7 +23,8 @@ import math
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import itemgetter
+from itertools import groupby
+from operator import attrgetter
 
 from . import mixing, spectra
 from .core import QuantumNumberError, Scenario, as_half_integer, channel_kind, couplings
@@ -93,8 +94,16 @@ def _apply_config_file(argv: list[str]) -> list[str]:
 # --- parsing helpers -------------------------------------------------------------
 
 
+def parse_number(text: str, flag: str, kind=float):
+    """`text` as a `kind` (float or int), or a ValueError naming `flag`."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{flag} must be {'an integer' if kind is int else 'a number'}, got {text!r}") from None
+
+
 def parse_radial_index(text: str) -> int:
-    n = int(text)
+    n = parse_number(text, "--n", int)
     if n < 0:
         raise ValueError(f"radial index n = {n} must be >= 0")
     return n
@@ -139,8 +148,8 @@ def parse_grid_spec(spec: str):
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid spec must be r0:r1:N, got {spec!r}")
-    r0, r1, n = float(parts[0]), float(parts[1]), int(parts[2])
-    return radial.uniform_grid(r0, r1, n)
+    r0, r1 = parse_number(parts[0], "--grid r0"), parse_number(parts[1], "--grid r1")
+    return radial.uniform_grid(r0, r1, parse_number(parts[2], "--grid N", int))
 
 
 _POTENTIAL_FLAGS = {"coulomb": ("alpha", "--alpha"), "oscillator": ("k_osc", "--k-osc")}
@@ -155,10 +164,10 @@ def _scenario_from_args(args) -> Scenario:
         geometry=args.geometry,
         potential=args.potential,
         charge=charge,
-        mass=float(args.mass),
-        alpha=0.0 if args.alpha is None else float(args.alpha),
-        k_osc=0.0 if args.k_osc is None else float(args.k_osc),
-        radius=float(args.radius),
+        mass=parse_number(args.mass, "--mass"),
+        alpha=0.0 if args.alpha is None else parse_number(args.alpha, "--alpha"),
+        k_osc=0.0 if args.k_osc is None else parse_number(args.k_osc, "--k-osc"),
+        radius=parse_number(args.radius, "--radius"),
     )
 
 
@@ -169,83 +178,75 @@ _LEVEL_COLUMNS = ("channel", "j2", "n", "E", "admissible", "derivation", "reason
 
 def _json_float(x: float) -> str:
     """`x` rounded to 12 digits and written as `json.dumps` writes a float."""
-    x = _round12(x)
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
+    x = float(fmt12(x))
+    if -math.inf < x < math.inf:
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
-def _sorted_levels(levels) -> list[tuple[tuple[str, int, int], object]]:
-    """((channel, 2j, n), level) pairs in row order. 2j is computed once per
-    distinct `j` object: the levels of one table share it."""
-    j2_of: dict[int, int] = {}
-    keyed = []
-    for lv in levels:
-        j2 = j2_of.get(id(lv.j))
-        if j2 is None:
-            j2 = j2_of[id(lv.j)] = int(lv.j * 2)
-        keyed.append(((lv.channel, j2, lv.n), lv))
-    keyed.sort(key=itemgetter(0))
-    return keyed
-
-
-def _json_rows(keyed) -> str:
+def _json_rows(blocks) -> str:
     """The rows as `json.dumps(records, sort_keys=True, indent=1)` writes
     them, with E and epsilon rounded to 12 digits. A record holds the
     scenario's record, 2j and the printed fields of the level, its keys
-    written here in sorted order; each scenario's block is encoded once.
+    written here in sorted order; each scenario's record is encoded once, and
+    the channel and j2 lines once per (channel, j) block.
     `tests/test_render.py` builds the same records independently."""
-    if not keyed:
-        return "[]\n"
-    blocks: dict[int, str] = {}
+    scenario_json: dict[int, str] = {}
     rows = []
-    for (channel, j2, n), lv in keyed:
-        block = blocks.get(id(lv.scenario))
-        if block is None:
-            block = json.dumps(lv.scenario.to_record(), sort_keys=True, indent=1)
-            block = blocks[id(lv.scenario)] = block.replace("\n", "\n  ")
-        eps = "" if lv.epsilon is None else f'  "epsilon": {_json_float(lv.epsilon)},\n'
-        rows.append(
-            f' {{\n  "E": {_json_float(lv.energy)},\n'
-            f'  "admissible": {"true" if lv.admissible else "false"},\n'
-            f'  "channel": {_json_str(channel)},\n  "derivation": {_json_str(lv.derivation)},\n'
-            f'{eps}  "formula": {_json_str(lv.formula)},\n  "j2": {j2},\n  "n": {n},\n'
-            f'  "reason": {_json_str(lv.reason)},\n  "scenario": {block}\n }}'
-        )
-    return "[\n" + ",\n".join(rows) + "\n]\n"
+    for (channel, j), levels in blocks:
+        channel_line = f'  "channel": {_json_str(channel)},\n'
+        j2_line = f'  "j2": {int(j * 2)},\n  "n": '
+        for lv in levels:
+            scen = scenario_json.get(id(lv.scenario))
+            if scen is None:
+                scen = json.dumps(lv.scenario.to_record(), sort_keys=True, indent=1)
+                scen = scenario_json[id(lv.scenario)] = scen.replace("\n", "\n  ")
+            eps = "" if lv.epsilon is None else f'  "epsilon": {_json_float(lv.epsilon)},\n'
+            rows.append(
+                f' {{\n  "E": {_json_float(lv.energy)},\n'
+                f'  "admissible": {"true" if lv.admissible else "false"},\n'
+                f'{channel_line}  "derivation": {_json_str(lv.derivation)},\n'
+                f'{eps}  "formula": {_json_str(lv.formula)},\n{j2_line}{lv.n},\n'
+                f'  "reason": {_json_str(lv.reason)},\n  "scenario": {scen}\n }}'
+            )
+    return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
 
 
-def _csv_rows(keyed) -> str:
+def _csv_rows(blocks) -> str:
     lines = [",".join(_LEVEL_COLUMNS)]
-    for (channel, j2, n), lv in keyed:
-        reason = '"' + lv.reason.replace('"', "'") + '"' if lv.reason else ""
-        lines.append(f"{channel},{j2},{n},{fmt12(lv.energy)},{'true' if lv.admissible else 'false'},"
-                     f"{lv.derivation},{reason}")
+    for (channel, j), levels in blocks:
+        prefix = f"{channel},{int(j * 2)},"
+        for lv in levels:
+            reason = '"' + lv.reason.replace('"', "'") + '"' if lv.reason else ""
+            lines.append(f"{prefix}{lv.n},{float(lv.energy):.12g},{'true' if lv.admissible else 'false'},"
+                         f"{lv.derivation},{reason}")
     return "\n".join(lines) + "\n"
 
 
-def _table_rows(keyed) -> str:
+def _table_rows(blocks) -> str:
     header = f"{'channel':<12} {'j2':>3} {'n':>3} {'E':>20} {'ok':>3}  reason"
     lines = [header, "-" * len(header)]
-    for (channel, j2, n), lv in keyed:
-        lines.append(f"{channel:<12} {j2:>3} {n:>3} {fmt12(lv.energy):>20} "
-                     f"{'y' if lv.admissible else 'n':>3}  {lv.reason}")
+    for (channel, j), levels in blocks:
+        prefix = f"{channel:<12} {int(j * 2):>3} "
+        for lv in levels:
+            lines.append(f"{prefix}{lv.n:>3} {float(lv.energy):>20.12g} "
+                         f"{'y' if lv.admissible else 'n':>3}  {lv.reason}")
     return "\n".join(lines) + "\n"
 
 
 _RENDERERS = {"json": _json_rows, "csv": _csv_rows, "table": _table_rows}
+_ROW_ORDER = attrgetter("channel", "j", "n")
+_BLOCK = attrgetter("channel", "j")
 
 
 def render_levels(levels, fmt: str) -> str:
-    """The levels as one table, rows sorted by (channel, j, n)."""
+    """The levels as one table, rows sorted by (channel, j, n), which for a
+    `spectra.spectrum_levels` table is one linear pass. Each renderer writes
+    the columns shared by a (channel, j) block once per block."""
     render = _RENDERERS.get(fmt)
     if render is None:
         raise ValueError(f"unknown format {fmt!r}")
-    return render(_sorted_levels(levels))
+    return render(groupby(sorted(levels, key=_ROW_ORDER), key=_BLOCK))
 
 
 def _overflow(args) -> int:
@@ -382,7 +383,7 @@ def cmd_wavefunction(args) -> int:
         j = as_half_integer(args.j, "j")
         grid = parse_grid_spec(args.grid)
         n = parse_radial_index(args.n)
-        energy = None if args.energy is None else float(args.energy)
+        energy = None if args.energy is None else parse_number(args.energy, "--energy")
         if energy is not None and not math.isfinite(energy):
             raise ValueError(f"--energy must be finite, got {args.energy}")
         if scen.potential == "none" and (energy is None or energy >= 0.0):

@@ -37,6 +37,7 @@ from .spectra import (
     SpectrumError,
     flat_channel_l,
     minj_coulomb_b,
+    minj_nu_0,
     nomonopole_coulomb_b,
     nomonopole_n_coulomb,
 )
@@ -111,6 +112,8 @@ def build_problem(scenario: Scenario, channel: str, j: HalfInt) -> RadialProblem
         if scenario.no_monopole:
             raise RadialError("minimum-j channel needs a monopole charge |k| >= 1")
         if scenario.potential == POTENTIAL_COULOMB:
+            # the oracle's own Frobenius exponent, not spectra.minj_nu_0: the
+            # oracle stays independent of the closed form it checks
             a_exp = (1.0 + math.sqrt(1.0 - 4.0 * al * al)) / 2.0
             return RadialProblem(
                 **common,
@@ -269,7 +272,7 @@ def _curved_solution(problem: RadialProblem, level: EnergyLevel, r: np.ndarray):
     ch = problem.channel
     if ch == CH_MIN_J and scen.potential == POTENTIAL_COULOMB:
         al = scen.alpha
-        a_exp = (1.0 + math.sqrt(1.0 - 4.0 * al * al)) / 2.0
+        a_exp = minj_nu_0(al)
         b_exp = minj_coulomb_b(level.epsilon, al, n)
         x = 1.0 - np.exp(-2.0 * r)
         beta = 2.0 * (a_exp + b_exp) + n

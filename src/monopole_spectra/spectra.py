@@ -101,14 +101,14 @@ def flat_channel_l(j: Fraction, k: Fraction, branch: str) -> float:
     return triple.l[CH_BRANCH.index(branch)]
 
 
-# Each closed form below comes in two stages and is reached only through
-# `_resolve_channel`, which checks its levels. `_<form>_levels(scenario, ...)`
-# does everything that does not depend on n (the channel checks, the mixing
-# root, the n-independent square roots and texts) and returns a LevelAt; the
-# LevelAt then does only the float arithmetic of one level. Hoisted values are
-# leading sub-expressions of the formulas, so every float is bit-identical to
-# evaluating the whole formula per level; L, N and b come from the functions
-# that `radial` and `validate` call too.
+# Each closed form below comes in two stages, picked by `_resolve_channel` and
+# called only by `_channel_levels`, which checks n and each level inline.
+# `_<form>_levels(scenario, ...)` does everything that does not depend on n
+# (the channel checks, the mixing root, the n-independent square roots and
+# texts) and returns a LevelAt; the LevelAt then does only the float arithmetic
+# of one level. Hoisted values are leading sub-expressions of the formulas, so
+# every float is bit-identical to evaluating the whole formula per level; L, N
+# and b come from the functions that `radial` and `validate` call too.
 # Levels are built positionally, in EnergyLevel's field order, so a slip in
 # that order swaps two fields silently: tests/test_spectra.py checks every
 # field of every closed form against a per-level reference.
@@ -188,8 +188,9 @@ def _minj_j(charge: Fraction) -> Fraction:
     return min_allowed_j(charge)
 
 
-def _minj_nu_0(alpha: float) -> float:
-    """nu of the minimum-j Coulomb level n = 0."""
+def minj_nu_0(alpha: float) -> float:
+    """nu of the minimum-j Coulomb level n = 0, (1 + sqrt(1 - 4 alpha^2))/2;
+    also the exponent A of the closed-form solution x^A (1-x)^B 2F1(...)."""
     return (1.0 + math.sqrt(1.0 - 4.0 * alpha * alpha)) / 2.0
 
 
@@ -197,7 +198,7 @@ def minj_coulomb_b(epsilon: float, alpha: float, n: int) -> float:
     """Far-field exponent b = (eps alpha - nu^2)/(2 nu) of the curved minimum-j
     Coulomb level n, from its epsilon, with nu = n + (1 + sqrt(1 - 4 alpha^2))/2;
     the level is a bound state only while b > 0."""
-    nu = n + _minj_nu_0(alpha)
+    nu = n + minj_nu_0(alpha)
     return (epsilon * alpha - nu * nu) / (2.0 * nu)
 
 
@@ -216,7 +217,7 @@ def _lob_minj_coulomb_levels(scen: Scenario) -> LevelAt:
     if not 0.0 < alpha < 0.5:
         raise SpectrumError(f"curved minimum-j Coulomb needs 0 < alpha < 1/2, got {alpha}")
     jf = _minj_j(scen.charge)
-    nu_0 = _minj_nu_0(alpha)
+    nu_0 = minj_nu_0(alpha)
     alpha_sq, mass_sq = alpha * alpha, mass * mass
     formula = "eps = M sqrt(1 - (alpha^2+nu^2)/M^2)/sqrt(1 + alpha^2/nu^2); E = eps - M"
     exhausted = f"{REASON_EXHAUSTED}: alpha^2 + nu^2 > M^2"
@@ -498,37 +499,34 @@ def spectrum_levels(
     channels: Optional[list[str]] = None,
     include_inadmissible: bool = False,
 ) -> list[EnergyLevel]:
-    """All levels for one (scenario, j) over the given radial indices,
-    sorted by (channel, j, n). A channel's first level comes from
-    `single_level`, which checks n and the channel and raises their errors in
-    that order; the channel is then resolved once more for the other levels,
-    so per-table work does not grow with n, and an empty `n_values` resolves
-    nothing. Going through `single_level` once per channel also keeps every
-    table visible to the benchmark's tracer, which wraps that function."""
+    """All levels for one (scenario, j) at the given radial indices: the stable
+    (channel, n) sort of the levels in request order, built channel by channel
+    in request order, so sorted n and distinct channels need no sort. Each
+    channel's first level comes from `single_level` (errors: n, then the
+    channel, then overflow; the benchmark's tracer wraps it), the others from
+    one more resolution, so per-table work does not grow with n."""
     jf = as_half_integer(j, "j")
     chans = channels if channels is not None else default_channels(scenario, jf)
     ns = [int(n) for n in n_values]  # once: every channel reads all of them
-    out: list[EnergyLevel] = []
     if not ns:
-        return out
-    first, rest = ns[0], ns[1:]
+        return []
+    blocks: dict[str, list[EnergyLevel]] = {}
     for ch in chans:
-        out.append(single_level(scenario, jf, first, ch))
-        level_at = _resolve_channel(scenario, jf, ch)
-        for n in rest:
-            _check_radial_index(n)
-            out.append(level_at(n))
-    if not include_inadmissible:
-        out = [lv for lv in out if lv.admissible]
-    out.sort(key=attrgetter("channel", "n"))  # every level has j = jf
-    return out
+        block = blocks.setdefault(ch, [])
+        lv = single_level(scenario, jf, ns[0], ch)
+        if include_inadmissible or lv.admissible:
+            block.append(lv)
+        block += _channel_levels(_resolve_channel(scenario, jf, ch), ch, ns[1:], include_inadmissible)
+    if len(blocks) < len(chans) or ns != sorted(ns):
+        for block in blocks.values():
+            block.sort(key=attrgetter("n"))
+    return [lv for ch in sorted(blocks) for lv in blocks[ch]]  # every level has j = jf
 
 
 def admissible_levels(scenario: Scenario, j: HalfInt, channel: str) -> list[EnergyLevel]:
     """The levels n = 0, 1, ... of one curved channel up to, not including,
     the first inadmissible one. Flat spectra never end, so they are refused.
-    Level 0 comes from `single_level`, the rest from the resolved closed form,
-    as in `spectrum_levels`."""
+    Level 0 comes from `single_level`, as in `spectrum_levels`."""
     if scenario.geometry == GEOMETRY_FLAT:
         raise SpectrumError("flat spectra are infinite; give the radial indices explicitly")
     lv = single_level(scenario, j, 0, channel)
@@ -536,16 +534,17 @@ def admissible_levels(scenario: Scenario, j: HalfInt, channel: str) -> list[Ener
     out: list[EnergyLevel] = []
     while lv.admissible:
         out.append(lv)
-        lv = level_at(len(out))
+        (lv,) = _channel_levels(level_at, channel, (len(out),))
     return out
 
 
 def single_level(scenario: Scenario, j: HalfInt, n: int, channel: str) -> EnergyLevel:
-    """The level of one (scenario, j, n, channel), with its errors in order:
-    n < 0 first, then the channel, then an overflowing level. Tables take
-    each channel's first level from here."""
+    """The level of one (scenario, j, n, channel), built and checked by
+    `_channel_levels`, with its errors in order: n < 0 first, then the channel,
+    then an overflowing level. Tables take each channel's first level here."""
     _check_radial_index(n)
-    return _resolve_channel(scenario, j, channel)(n)
+    (level,) = _channel_levels(_resolve_channel(scenario, j, channel), channel, (n,))
+    return level
 
 
 def _check_radial_index(n: int) -> None:
@@ -553,33 +552,36 @@ def _check_radial_index(n: int) -> None:
         raise SpectrumError(f"radial index n = {n} must be >= 0")
 
 
-def _resolve_channel(scenario: Scenario, j: HalfInt, channel: str) -> LevelAt:
-    """Resolve (scenario, j, channel) to its closed form, as n -> level.
-
-    A level whose E or epsilon overflows to +-inf, or is NaN while admissible,
-    is an error rather than a row: finite parameters can still overflow the
-    closed forms. (NaN on an inadmissible level marks an exhausted spectrum.)
-    So is a division by zero, which a tiny mass raises once M^2 underflows.
-    """
+def _channel_levels(level_at: LevelAt, channel: str, ns, keep_inadmissible: bool = True) -> list[EnergyLevel]:
+    """The levels of a resolved channel at `ns`, in that order, inadmissible ones
+    only if kept. Errors: n < 0; E or epsilon at +-inf (finite parameters can overflow)
+    or NaN while admissible (NaN marks an exhausted spectrum); a division by zero (M^2 underflow)."""
+    out: list[EnergyLevel] = []
+    append = out.append
+    lo, hi = -math.inf, math.inf
     try:
-        level_at = _closed_form(scenario, as_half_integer(j, "j"), channel)
+        for n in ns:
+            if n < 0:
+                _check_radial_index(n)
+            level = level_at(n)
+            if level.epsilon is not None or not lo < level.energy < hi:
+                for name, value in (("E", level.energy), ("epsilon", level.epsilon)):
+                    if value is not None and (math.isinf(value) or (level.admissible and math.isnan(value))):
+                        raise _overflow_error(f"{name} = {value} at n = {n}", channel)
+            if keep_inadmissible or level.admissible:
+                append(level)
+    except ZeroDivisionError as exc:
+        raise _overflow_error(f"division by zero at n = {n}", channel) from exc
+    return out
+
+
+def _resolve_channel(scenario: Scenario, j: HalfInt, channel: str) -> LevelAt:
+    """(scenario, j, channel) -> its bare closed form n -> level, unchecked:
+    `_channel_levels` checks. A division by zero here is an overflow error."""
+    try:
+        return _closed_form(scenario, as_half_integer(j, "j"), channel)
     except ZeroDivisionError as exc:
         raise _overflow_error("division by zero", channel) from exc
-    inf = math.inf
-
-    def checked(n: int) -> EnergyLevel:
-        try:
-            level = level_at(n)
-        except ZeroDivisionError as exc:
-            raise _overflow_error(f"division by zero at n = {n}", channel) from exc
-        if level.epsilon is None and -inf < level.energy < inf:
-            return level  # the common case: one finite E
-        for name, value in (("E", level.energy), ("epsilon", level.epsilon)):
-            if value is not None and (math.isinf(value) or (level.admissible and math.isnan(value))):
-                raise _overflow_error(f"{name} = {value} at n = {n}", channel)
-        return level
-
-    return checked
 
 
 def _overflow_error(what: str, channel: str) -> SpectrumError:

@@ -252,13 +252,7 @@ def _criterion_minj_coulomb() -> CriterionResult:
         )
         ok = ok and signs_flip
     # finite termination of admissibility
-    n_admissible = []
-    n = 0
-    while n < 64:
-        lv = spectra.single_level(scen, 0, n, spectra.CH_MIN_J)
-        if lv.admissible:
-            n_admissible.append(n)
-        n += 1
+    n_admissible = [lv.n for lv in spectra.spectrum_levels(scen, 0, range(64), [spectra.CH_MIN_J])]
     terminated = bool(n_admissible) and max(n_admissible) < 63 and n_admissible == list(range(len(n_admissible)))
     parts["admissible_n"] = n_admissible
     ok = ok and terminated

@@ -242,6 +242,24 @@ def test_wavefunction_bad_energy_exit_2(flags, named, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("spectrum", ["--mass", "abc"], "--mass must be a number, got 'abc'"),
+    ("spectrum", ["--alpha", "1,5"], "--alpha must be a number, got '1,5'"),
+    ("spectrum", ["--potential", "oscillator", "--k-osc", "x"], "--k-osc must be a number, got 'x'"),
+    ("spectrum", ["--geometry", "lobachevsky", "--j", "0", "--radius", ""], "--radius must be a number, got ''"),
+    ("wavefunction", ["--potential", "none", "--energy=-1e"], "--energy must be a number, got '-1e'"),
+    ("wavefunction", ["--grid", "a:2:3"], "--grid r0 must be a number, got 'a'"),
+    ("wavefunction", ["--grid", "0.1:2x:3"], "--grid r1 must be a number, got '2x'"),
+    ("wavefunction", ["--grid", "0.1:2:x"], "--grid N must be an integer, got 'x'"),
+    ("wavefunction", ["--grid", "0.1:2:3.5"], "--grid N must be an integer, got '3.5'"),
+    ("wavefunction", ["--n", "one"], "--n must be an integer, got 'one'"),
+    ("spectrum", ["--n", "0..x"], "--n must be an integer, got 'x'"),
+])
+def test_non_numeric_flag_is_named_exit_2(command, flags, message, capsys):
+    code, out, err = run([command, "--k", "1", "--j", "2", "--alpha", "1", *flags], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("flags", [
     ["--mass", "nan"],
     ["--mass", "inf"],
@@ -271,6 +289,15 @@ def test_spectrum_overflowing_level_exit_1(flags, capsys):
     code, out, err = run(["spectrum", *flags], capsys)
     assert code == 1 and out == "" and "overflows" in err
     assert err.count("\n") == 1
+
+
+def test_spectrum_overflow_past_the_first_n_exit_1(capsys):
+    code, out, err = run(["spectrum", "--geometry", "lobachevsky", "--no-monopole", "--alpha", "10",
+                          "--j", "0", "--channel", "parity-odd", "--n", f"0,{10**160}",
+                          "--include-inadmissible"], capsys)
+    assert (code, out) == (1, "")
+    assert err == (f"error: E = -inf at n = {10**160} in channel 'parity-odd': "
+                   "the closed form overflows double precision for these parameters\n")
 
 
 @pytest.mark.parametrize("argv", [

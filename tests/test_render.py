@@ -7,6 +7,7 @@ one statement of the JSON record's keys outside the renderer."""
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,16 @@ def test_render_matches_the_reference_on_hand_picked_levels(fmt):
     assert any(lv.energy != lv.energy and not lv.admissible for lv in batch)
     assert any(lv.epsilon is None for lv in batch) and any(lv.epsilon is not None for lv in batch)
     assert cli.render_levels(batch, fmt) == reference_render(batch, fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_render_of_a_shuffled_table_matches_the_ordered_table(fmt):
+    table = spectra.spectrum_levels(FLAT, Fraction(7, 2), range(1000), None, True)
+    assert len(table) == 3000
+    shuffled = list(table)
+    random.Random(15).shuffle(shuffled)
+    assert shuffled != table
+    assert cli.render_levels(shuffled, fmt) == cli.render_levels(table, fmt)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)

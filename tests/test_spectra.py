@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
 
@@ -324,6 +325,39 @@ def test_spectrum_levels_read_a_one_shot_iterator_of_n_for_every_channel():
     assert [(lv.channel, lv.n) for lv in levels] == [(ch, n) for ch in spectra.CH_BRANCH for n in range(3)]
 
 
+_KINDS = [
+    (core.Scenario("flat", "coulomb", F(3, 2), 0.9, alpha=1.3), F(7, 2)),
+    (core.Scenario("flat", "oscillator", F(1), 1.2, k_osc=2.0), F(0)),
+    (core.Scenario("lobachevsky", "coulomb", F(1), 10.0, alpha=0.1), F(0)),
+    (core.Scenario("lobachevsky", "oscillator", F(1), 1.0, k_osc=100.0), F(0)),
+    (core.Scenario("lobachevsky", "coulomb", F(0), 1.0, alpha=10.0), F(1)),
+    (core.Scenario("lobachevsky", "oscillator", F(0), 1.0, k_osc=100.0), F(2)),
+]
+
+
+@pytest.mark.parametrize("scen, j", _KINDS)
+@pytest.mark.parametrize("include_inadmissible", [False, True])
+def test_spectrum_levels_rows_are_the_stably_sorted_per_level_references(scen, j, include_inadmissible):
+    # the row order is a stable (channel, n) sort of the levels in request
+    # order, whatever the order or repetition of the requested n and channels
+    chans = spectra.default_channels(scen, j)
+    requests = [
+        (range(12), chans),
+        ([5, 0, 3], chans),
+        ([7, 2, 2, 0, 7, 1], chans[::-1]),
+        ([4, 1, 0], [*chans, chans[0]]),
+        ([3, 3], [chans[-1], *chans, chans[-1]]),
+    ]
+    for ns, channels in requests:
+        refs = [spectra.single_level(scen, j, n, ch) for ch in channels for n in ns]
+        refs = [lv for lv in refs if include_inadmissible or lv.admissible]
+        expected = sorted(refs, key=attrgetter("channel", "n"))
+        assert spectra.spectrum_levels(scen, j, ns, channels, include_inadmissible) == expected
+    if include_inadmissible:
+        assert any(not lv.admissible for lv in spectra.spectrum_levels(scen, j, range(12), None, True)) \
+            == (scen.geometry != "flat")
+
+
 def test_spectrum_levels_driver():
     scen = spectra.Scenario("flat", "coulomb", F(1), 1.0, alpha=1.0)
     levels = spectra.spectrum_levels(scen, 2, range(4))
@@ -463,6 +497,17 @@ def test_single_level_rejects_overflowing_energy():
     minj = spectra.Scenario("lobachevsky", "coulomb", F(1), 10.0, alpha=0.1)
     exhausted = spectra.single_level(minj, 0, 10, "min-j")
     assert math.isnan(exhausted.energy) and not exhausted.admissible
+
+
+def test_spectrum_levels_reject_an_overflow_past_the_first_n():
+    # level 0 is finite; N^2 overflows at n = 10^160, so E = -inf there
+    scen = spectra.Scenario("lobachevsky", "coulomb", F(0), 1.0, alpha=10.0)
+    with pytest.raises(spectra.SpectrumError) as info:
+        spectra.spectrum_levels(scen, 0, [0, 10**160], ["parity-odd"], True)
+    assert str(info.value) == (
+        f"E = -inf at n = {10**160} in channel 'parity-odd': "
+        "the closed form overflows double precision for these parameters"
+    )
 
 
 @pytest.mark.parametrize("scen, j, channel, closed_form", [
