@@ -8,8 +8,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "core": ("Couplings", "MonopoleCharge", "QuantumNumberError", "QuantumNumbers", "Scenario",
-             "allowed_j", "couplings"),
+    "core": ("Couplings", "QuantumNumberError", "Scenario", "couplings"),
     "mixing": ("CubicInvariants", "RootTriple", "cubic_invariants", "mixing_roots", "parity_eigenvalues"),
     "oracle": ("Grid", "OracleReport", "count_bound_states", "fd_eigen", "shoot_decay"),
     "radial": ("RadialProblem", "RadialSolution", "analytic_solution", "build_problem", "residual"),

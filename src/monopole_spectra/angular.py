@@ -10,40 +10,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .core import HalfInt, QuantumNumberError, as_half_integer, couplings, j_is_allowed
-
-
-@dataclass(frozen=True)
-class WignerIndex:
-    """(j, m1, m2) for d^j_{m1,m2}; all half-integers, |m1|, |m2| <= j."""
-
-    j: Fraction
-    m1: Fraction
-    m2: Fraction
-
-    def __post_init__(self) -> None:
-        j = as_half_integer(self.j, "j")
-        m1 = as_half_integer(self.m1, "m1")
-        m2 = as_half_integer(self.m2, "m2")
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "m1", m1)
-        object.__setattr__(self, "m2", m2)
-        for name, m in (("m1", m1), ("m2", m2)):
-            if (j - m).denominator != 1:
-                raise QuantumNumberError(f"j - {name} must be an integer, got {j} - {m}")
-            if abs(m) > j:
-                raise QuantumNumberError(f"|{name}| = {abs(m)} exceeds j = {j}")
-
-    def value(self, theta):
-        return small_d(self.j, self.m1, self.m2, theta)
-
-    def derivative(self, theta):
-        return small_d_dtheta(self.j, self.m1, self.m2, theta)
 
 
 def _doubled(x: HalfInt) -> int:

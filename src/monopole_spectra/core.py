@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 HalfInt = Union[Fraction, int, float, str]
 
@@ -38,43 +37,6 @@ def as_half_integer(value: HalfInt, name: str = "value") -> Fraction:
     return f
 
 
-@dataclass(frozen=True)
-class MonopoleCharge:
-    """Monopole charge in units of eg/hbar*c, a half-integer.
-
-    k = 0 is admitted as the explicit no-monopole limit; a physical monopole
-    requires 2k to be a nonzero integer.
-    """
-
-    k: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k", as_half_integer(self.k, "k"))
-
-    @property
-    def is_monopole(self) -> bool:
-        return self.k != 0
-
-
-@dataclass(frozen=True)
-class QuantumNumbers:
-    """(k, j, n) with the admissibility rules enforced at construction."""
-
-    k: Fraction
-    j: Fraction
-    n: int = 0
-
-    def __post_init__(self) -> None:
-        k = as_half_integer(self.k, "k")
-        j = as_half_integer(self.j, "j")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "j", j)
-        if self.n < 0:
-            raise QuantumNumberError(f"radial index n = {self.n} must be >= 0")
-        if not j_is_allowed(j, k):
-            raise QuantumNumberError(f"j = {j} is not admissible for k = {k}")
-
-
 def min_allowed_j(k: HalfInt) -> Fraction:
     """Smallest admissible j: |k| for |k| <= 1/2, else |k| - 1; memoized per
     canonical half-integer k."""
@@ -98,25 +60,6 @@ def j_is_allowed(j: HalfInt, k: HalfInt) -> bool:
     if (jf - kf).denominator != 1:  # j and k must share integer/half-odd parity
         return False
     return jf >= min_allowed_j(kf)
-
-
-def allowed_j(k: HalfInt, j_max: HalfInt) -> list[Fraction]:
-    """All admissible j values up to j_max, ascending.
-
-    For |k| = 1/2 the list starts at |k|; for |k| >= 1 it starts at |k| - 1;
-    for the no-monopole limit k = 0 it starts at 0.
-    """
-    kf = as_half_integer(k, "k")
-    jmax = as_half_integer(j_max, "j_max")
-    j0 = min_allowed_j(kf)
-    if jmax < j0:
-        raise QuantumNumberError(f"j_max = {jmax} below the smallest admissible j = {j0}")
-    out = []
-    j = j0
-    while j <= jmax:
-        out.append(j)
-        j += 1
-    return out
 
 
 def channel_kind(j: HalfInt, k: HalfInt) -> str:
@@ -148,8 +91,7 @@ def _memo_channel_kind(jf: Fraction, k: Fraction) -> str:
 channel_kind.cache_clear = _memo_channel_kind.cache_clear
 
 
-@dataclass(frozen=True)
-class Couplings:
+class Couplings(NamedTuple):
     """The four angular coupling coefficients a, b, c, d (dimensionless).
 
     a = sqrt((j+k-1)(j-k+2))/2,  b = sqrt((j-k-1)(j+k+2))/2,
@@ -214,41 +156,54 @@ _GEOMETRIES = (GEOMETRY_FLAT, GEOMETRY_LOBACHEVSKY)
 _POTENTIALS = (POTENTIAL_NONE, POTENTIAL_COULOMB, POTENTIAL_OSCILLATOR)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class _ScenarioFields(NamedTuple):
+    geometry: str
+    potential: str
+    charge: Fraction
+    mass: float
+    alpha: float
+    k_osc: float
+    radius: float
+
+
+class Scenario(_ScenarioFields):
     """Geometry x potential x charge x mass, in natural units (hbar = c = 1).
 
     Lobachevsky radial problems are written in curvature units (radius = 1
     internally); all radius dependence enters through unit conversion. The
     oscillator spring constant is named k_osc throughout to keep it apart
     from the monopole charge k.
+
+    An immutable tuple of its 7 fields, checked at construction, with the
+    charge kept as an exact half-integer Fraction; `_replace` checks its copy.
     """
 
-    geometry: str
-    potential: str
-    charge: Fraction
-    mass: float
-    alpha: float = 0.0
-    k_osc: float = 0.0
-    radius: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.geometry not in _GEOMETRIES:
-            raise ValueError(f"unknown geometry {self.geometry!r}")
-        if self.potential not in _POTENTIALS:
-            raise ValueError(f"unknown potential {self.potential!r}")
-        object.__setattr__(self, "charge", as_half_integer(self.charge, "charge"))
-        for name in ("mass", "alpha", "k_osc", "radius"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.mass <= 0:
+    def __new__(cls, geometry: str, potential: str, charge: HalfInt, mass: float,
+                alpha: float = 0.0, k_osc: float = 0.0, radius: float = 1.0) -> Scenario:
+        if geometry not in _GEOMETRIES:
+            raise ValueError(f"unknown geometry {geometry!r}")
+        if potential not in _POTENTIALS:
+            raise ValueError(f"unknown potential {potential!r}")
+        charge = as_half_integer(charge, "charge")
+        for name, value in (("mass", mass), ("alpha", alpha), ("k_osc", k_osc), ("radius", radius)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if mass <= 0:
             raise ValueError("mass must be positive")
-        if self.geometry == GEOMETRY_LOBACHEVSKY and self.radius <= 0:
+        if geometry == GEOMETRY_LOBACHEVSKY and radius <= 0:
             raise ValueError("curvature radius must be positive")
-        if self.potential == POTENTIAL_COULOMB and self.alpha <= 0:
+        if potential == POTENTIAL_COULOMB and alpha <= 0:
             raise ValueError("attractive Coulomb coupling alpha must be positive")
-        if self.potential == POTENTIAL_OSCILLATOR and self.k_osc <= 0:
+        if potential == POTENTIAL_OSCILLATOR and k_osc <= 0:
             raise ValueError("oscillator constant k_osc must be positive")
+        return super().__new__(cls, geometry, potential, charge, mass, alpha, k_osc, radius)
+
+    @classmethod
+    def _make(cls, iterable) -> Scenario:
+        # namedtuple's own `_make`, which `_replace` calls, skips `__new__`
+        return cls(*iterable)
 
     @property
     def no_monopole(self) -> bool:

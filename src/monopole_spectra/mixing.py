@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import HalfInt, as_half_integer, coupling_squares
 
@@ -59,8 +58,7 @@ def build_matrix(c: float, d: float) -> np.ndarray:
     return np.array(_matrix_rows(c, d))
 
 
-@dataclass(frozen=True)
-class CubicInvariants:
+class CubicInvariants(NamedTuple):
     """Coefficients of the characteristic cubic A^3 + r A^2 + s A + t = 0.
 
     (r, s, t) come from trace / principal minors / determinant in exact
@@ -115,18 +113,14 @@ def effective_l(a_root: float) -> float:
     return -0.5 + math.sqrt(0.25 + 2.0 * a_root)
 
 
-@dataclass(frozen=True)
-class RootTriple:
+class RootTriple(NamedTuple):
     """Ascending real roots A1 <= A2 <= A3 with effective angular momenta.
 
-    Frozen and made of tuples, so the one instance `mixing_roots` memoizes
-    per (j, k) is safely shared by every caller."""
+    A tuple of tuples, so the one instance `mixing_roots` memoizes per (j, k)
+    is safely shared by every caller; it unpacks as (a, l)."""
 
     a: tuple[float, float, float]
     l: tuple[float, float, float]
-
-    def __iter__(self):
-        return iter(self.a)
 
 
 _CLAMP_TOL = 1e-14

@@ -208,12 +208,6 @@ def heun_ode_residuals(p: HeunParams, zs) -> list[float]:
     return out
 
 
-def heun_ode_residual(p: HeunParams, z: float) -> float:
-    """Relative pointwise residual of the defining ODE at z (see
-    heun_ode_residuals)."""
-    return heun_ode_residuals(p, (z,))[0]
-
-
 def ode_residual_1f1(a: float, b: float, z: float) -> float:
     """Relative residual of z F'' + (b - z) F' - a F = 0 for the 1F1 series."""
     f = kummer_1f1(a, b, z)

@@ -21,7 +21,7 @@ come from `flat_channel_l`, `nomonopole_n_coulomb`, `nomonopole_n_oscillator`,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, NamedTuple, Optional
@@ -135,6 +135,19 @@ def _flat_coulomb_levels(scen: Scenario, j: Fraction, branch: str) -> LevelAt:
     return level
 
 
+def _flat_omega(k_osc: float, mass: float) -> float:
+    """omega = sqrt(K/M), or sqrt(K)/sqrt(M) where K/M underflows the normal
+    double range; an omega that still underflows is refused. (An overflowing
+    K/M gives an infinite level, which `_channel_levels` refuses.)"""
+    ratio = k_osc / mass
+    if ratio >= sys.float_info.min:
+        return math.sqrt(ratio)
+    omega = math.sqrt(k_osc) / math.sqrt(mass)
+    if omega < sys.float_info.min:
+        raise SpectrumError(f"oscillator frequency sqrt(K/M) = {omega:.6g} underflows double precision")
+    return omega
+
+
 def oscillator_candidates(l_value: float, n: int, k_osc: float, mass: float) -> dict[str, float]:
     """Both closed-form candidates for the flat oscillator level.
 
@@ -144,7 +157,7 @@ def oscillator_candidates(l_value: float, n: int, k_osc: float, mass: float) -> 
                      confluent series at a = -n in
                      a = (1/2)(3/2 + L - E sqrt(M/K)).
     """
-    omega = math.sqrt(k_osc / mass)
+    omega = _flat_omega(k_osc, mass)
     base = 1.5 + l_value + 2.0 * n
     return {"printed": 0.5 * omega * base, "quantization": omega * base}
 
@@ -154,7 +167,7 @@ def _flat_oscillator_levels(scen: Scenario, j: Fraction, branch: str) -> LevelAt
     condition (prefactor 1), the 'quantization' value of
     `oscillator_candidates`; the oracle arbitrates between the two."""
     lval = flat_channel_l(j, scen.charge, branch)
-    omega = math.sqrt(scen.k_osc / scen.mass)
+    omega = _flat_omega(scen.k_osc, scen.mass)
     base_0 = 1.5 + lval
     formula = "E = sqrt(K/M) (3/2 + L + 2n)  [1/2-prefactor variant kept as metadata]"
 
@@ -383,8 +396,15 @@ def _lob_nomonopole_oscillator_levels(scen: Scenario, j: Fraction, channel: str)
 FINE_STRUCTURE = 0.0072973525693  # e^2/(hbar c)
 
 
-@dataclass(frozen=True)
-class UnitSystem:
+class _UnitFields(NamedTuple):
+    hbar: float
+    c: float
+    mass: float
+    radius: Optional[float]
+    alpha_fs: float
+
+
+class UnitSystem(_UnitFields):
     """Physical constants defining the natural <-> physical map.
 
     Natural mass M = m*c*R/hbar, natural energy unit hbar*c/R, natural
@@ -392,19 +412,24 @@ class UnitSystem:
     arbitrary reference length that drops out of physical observables and may
     stay unset; Lobachevsky conversions require it. alpha_fs is the physical
     Coulomb coupling e^2/(hbar c), carried for the usual-units expressions.
+    An immutable tuple of its 5 fields, checked at construction, as is a
+    copy from `_replace`.
     """
 
-    hbar: float = 1.0
-    c: float = 1.0
-    mass: float = 1.0
-    radius: Optional[float] = None
-    alpha_fs: float = FINE_STRUCTURE
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if min(self.hbar, self.c, self.mass) <= 0:
+    def __new__(cls, hbar: float = 1.0, c: float = 1.0, mass: float = 1.0,
+                radius: Optional[float] = None, alpha_fs: float = FINE_STRUCTURE) -> UnitSystem:
+        if min(hbar, c, mass) <= 0:
             raise ValueError("unit-system constants must be positive")
-        if self.radius is not None and self.radius <= 0:
+        if radius is not None and radius <= 0:
             raise ValueError("curvature radius must be positive when set")
+        return super().__new__(cls, hbar, c, mass, radius, alpha_fs)
+
+    @classmethod
+    def _make(cls, iterable) -> UnitSystem:
+        # namedtuple's own `_make`, which `_replace` calls, skips `__new__`
+        return cls(*iterable)
 
     @property
     def reference_radius(self) -> float:

@@ -6,11 +6,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import monopole_spectra
-from monopole_spectra import cli
+from monopole_spectra import cli, spectra
 
 
 def run(argv, capsys):
@@ -201,13 +202,6 @@ def test_config_file_defaults_and_flag_override(capsys, tmp_path):
     assert len(out.strip().splitlines()) == 1 + 12  # flag wins over file
 
 
-def test_config_round_trip_byte_identical():
-    text = "geometry = flat\nk = 1/2\nn = 0..3\n"
-    parsed = cli.parse_config_text(text)
-    assert cli.serialize_config(parsed) == text
-    assert cli.parse_config_text(cli.serialize_config(parsed)) == parsed
-
-
 def test_spectrum_negative_n_exit_2(capsys):
     code, out, err = run(["spectrum", "--k", "1", "--j", "2", "--alpha", "1", "--n=-2..0"], capsys)
     assert code == 2 and out == "" and "n = -2" in err
@@ -298,6 +292,27 @@ def test_spectrum_overflow_past_the_first_n_exit_1(capsys):
     assert (code, out) == (1, "")
     assert err == (f"error: E = -inf at n = {10**160} in channel 'parity-odd': "
                    "the closed form overflows double precision for these parameters\n")
+
+
+def test_flat_oscillator_frequency_below_the_normal_range_exit_0(capsys):
+    # K/M = 1e-600 underflows to 0, but omega = sqrt(K)/sqrt(M) = 1e-300 is a normal double
+    code, out, err = run(["spectrum", "--geometry", "flat", "--potential", "oscillator", "--k", "1",
+                          "--j", "2", "--k-osc", "1e-300", "--mass", "1e300", "--n", "0..1",
+                          "--format", "csv"], capsys)
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 6
+    for channel, _, n, energy, admissible, _, _ in rows:
+        big_l = spectra.flat_channel_l(Fraction(2), Fraction(1), channel)
+        assert admissible == "true"
+        assert float(energy) == pytest.approx(1e-300 * (1.5 + big_l + 2 * int(n)), rel=1e-11, abs=0.0)
+
+
+def test_flat_oscillator_frequency_that_still_underflows_exit_1(capsys):
+    code, out, err = run(["spectrum", "--potential", "oscillator", "--k", "1", "--j", "2",
+                          "--k-osc", "1e-310", "--mass", "1e307"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: oscillator frequency sqrt(K/M) = 3.16228e-309 underflows double precision\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from monopole_spectra import core
+from monopole_spectra import core, mixing, spectra
 
 
 F = Fraction
@@ -13,30 +13,40 @@ F = Fraction
 
 def test_allowed_j_half_charge():
     # |k| = 1/2 starts at |k|
-    assert core.allowed_j(F(1, 2), F(5, 2)) == [F(1, 2), F(3, 2), F(5, 2)]
+    assert core.min_allowed_j(F(1, 2)) == F(1, 2)
+    candidates = (0, F(1, 2), 1, F(3, 2), 2, F(5, 2))
+    assert [j for j in candidates if core.j_is_allowed(j, F(1, 2))] == [F(1, 2), F(3, 2), F(5, 2)]
 
 
 def test_allowed_j_integer_charge_starts_below_k():
-    assert core.allowed_j(1, 2) == [F(0), F(1), F(2)]
+    assert core.min_allowed_j(1) == 0
+    assert [j for j in (0, F(1, 2), 1, F(3, 2), 2) if core.j_is_allowed(j, 1)] == [0, 1, 2]
 
 
 def test_allowed_j_no_monopole_limit():
-    assert core.allowed_j(0, 2) == [F(0), F(1), F(2)]
+    assert core.min_allowed_j(0) == 0
+    assert [j for j in (0, F(1, 2), 1, F(3, 2), 2) if core.j_is_allowed(j, 0)] == [0, 1, 2]
 
 
 def test_allowed_j_rejects_non_half_integer():
     with pytest.raises(core.QuantumNumberError):
-        core.allowed_j(0.3, 2)
+        core.j_is_allowed(2, 0.3)
+    with pytest.raises(core.QuantumNumberError):
+        core.min_allowed_j(0.3)
 
 
 def test_allowed_j_rejects_too_small_jmax():
-    with pytest.raises(core.QuantumNumberError):
-        core.allowed_j(3, 1)
+    # no j <= 1 is admissible for k = 3: the smallest is |k| - 1 = 2
+    assert core.min_allowed_j(3) == 2
+    assert not any(core.j_is_allowed(j, 3) for j in (-1, 0, 1))
 
 
 @pytest.mark.parametrize("k", [F(1, 2), 1, F(3, 2), 2, 3])
 def test_allowed_j_strictly_increasing_same_parity(k):
-    js = core.allowed_j(k, k + 6)
+    j0 = core.min_allowed_j(k)
+    steps = [j0 + F(i, 2) for i in range(13)]
+    js = [j for j in steps if core.j_is_allowed(j, k)]
+    assert js[0] == j0 and len(js) == 7
     assert all(b - a == 1 for a, b in zip(js, js[1:]))
     assert all((j - k).denominator == 1 for j in js)
 
@@ -93,20 +103,20 @@ def test_channel_kind():
 
 
 def test_monopole_charge_validation():
-    assert core.MonopoleCharge(F(1, 2)).is_monopole
-    assert not core.MonopoleCharge(0).is_monopole
+    # the charge is a half-integer; k = 0 is the no-monopole limit
+    assert not core.Scenario("flat", "coulomb", F(1, 2), 1.0, alpha=1.0).no_monopole
+    assert core.Scenario("flat", "coulomb", 0, 1.0, alpha=1.0).no_monopole
     with pytest.raises(core.QuantumNumberError):
-        core.MonopoleCharge(F(1, 3))
+        core.Scenario("flat", "coulomb", F(1, 3), 1.0, alpha=1.0)
 
 
 def test_quantum_numbers_validation():
-    core.QuantumNumbers(k=F(1), j=F(0), n=0)  # j = |k| - 1 admissible
-    with pytest.raises(core.QuantumNumberError):
-        core.QuantumNumbers(k=F(1, 2), j=F(0), n=0)  # below |k| for half charge
-    with pytest.raises(core.QuantumNumberError):
-        core.QuantumNumbers(k=F(1), j=F(1, 2), n=0)  # parity mismatch
-    with pytest.raises(core.QuantumNumberError):
-        core.QuantumNumbers(k=F(1), j=F(1), n=-1)
+    assert core.j_is_allowed(F(0), F(1))  # j = |k| - 1 admissible
+    assert not core.j_is_allowed(F(0), F(1, 2))  # below |k| for half charge
+    assert not core.j_is_allowed(F(1, 2), F(1))  # parity mismatch
+    scen = core.Scenario("flat", "coulomb", F(1), 1.0, alpha=1.0)
+    with pytest.raises(spectra.SpectrumError, match="n = -1 must be >= 0"):
+        spectra.single_level(scen, F(2), -1, "branch-1")
 
 
 def test_scenario_validation():
@@ -161,3 +171,38 @@ def test_min_allowed_j_is_memoized_per_value():
     first = core.min_allowed_j(F(5, 2))
     assert first == F(3, 2)
     assert all(core.min_allowed_j(k) is first for k in ("5/2", 2.5, F(5, 2)))
+
+
+def test_scenario_charge_is_stored_as_a_fraction():
+    scen = core.Scenario("flat", "coulomb", 1, 1.0, alpha=1.0)
+    assert type(scen.charge) is Fraction and scen.charge == 1
+    assert core.Scenario("flat", "coulomb", "3/2", 1.0, alpha=1.0).charge == F(3, 2)
+
+
+def test_scenario_replace_checks_the_copy():
+    scen = core.Scenario("lobachevsky", "coulomb", F(1), 2.0, alpha=0.3, radius=1.5)
+    assert scen._replace(mass=3.0) == core.Scenario("lobachevsky", "coulomb", F(1), 3.0, alpha=0.3, radius=1.5)
+    assert type(scen._replace(charge="1/2").charge) is Fraction
+    with pytest.raises(ValueError, match="mass must be positive"):
+        scen._replace(mass=-1.0)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        core.Scenario._make(("flat", "coulomb", F(1), 1.0, math.nan))
+
+
+@pytest.mark.parametrize("record", [
+    core.Scenario("flat", "coulomb", F(1), 1.0, alpha=1.0),
+    core.couplings(2, 1),
+    mixing.cubic_invariants(2, 1),
+    mixing.mixing_roots(2, 1),
+    spectra.UnitSystem(radius=2.0),
+])
+def test_records_are_immutable(record):
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
+def test_shared_root_triple_unpacks_as_roots_and_l():
+    a, l = mixing.mixing_roots(2, 1)
+    assert a == mixing.mixing_roots(2, 1).a and l == mixing.mixing_roots(2, 1).l
+    assert len(a) == len(l) == 3

@@ -115,7 +115,7 @@ def test_residual_on_disc_equals_the_pointwise_maximum():
     oscillator = heunspec.heun_params_oscillator(e2, k_osc, mass, 1, "even-2")
     assert len(heunspec._DISC_Z) == 60
     for p in (coulomb, oscillator):
-        pointwise = max(specfun.heun_ode_residual(p, z) for z in heunspec._DISC_Z)
+        pointwise = max(specfun.heun_ode_residuals(p, (z,))[0] for z in heunspec._DISC_Z)
         assert heunspec.heun_residual_on_disc(p) == pointwise
 
 

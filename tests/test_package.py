@@ -1,6 +1,6 @@
 """The package's public surface: every exported name resolves, lazily, and
-the closed-form commands load neither the oracle's scipy nor, for
-`spectrum`, numpy."""
+the closed-form commands `spectrum` and `roots` load neither the oracle's
+numpy and scipy nor `dataclasses` and `inspect`."""
 
 import json
 import os
@@ -28,12 +28,16 @@ def fresh_python(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
+# the oracle's numpy and scipy, and `dataclasses` with the `inspect` it imports
+_NOT_LOADED = ["scipy", "numpy", "dataclasses", "inspect"]
+
+
 @pytest.mark.parametrize("argv, absent", [
-    (["spectrum", "--k", "1", "--j", "2", "--alpha", "1", "--n", "0..3", "--format", "json"], ["scipy", "numpy"]),
+    (["spectrum", "--k", "1", "--j", "2", "--alpha", "1", "--n", "0..3", "--format", "json"], _NOT_LOADED),
     (["spectrum", "--geometry", "lobachevsky", "--no-monopole", "--potential", "oscillator",
-      "--k-osc", "50", "--j", "1"], ["scipy", "numpy"]),
-    (["roots", "--k", "1", "--j", "2"], ["scipy", "numpy"]),
-    (["roots", "--k", "3/2", "--j", "7/2"], ["scipy", "numpy"]),
+      "--k-osc", "50", "--j", "1"], _NOT_LOADED),
+    (["roots", "--k", "1", "--j", "2"], _NOT_LOADED),
+    (["roots", "--k", "3/2", "--j", "7/2"], _NOT_LOADED),
 ])
 def test_closed_form_commands_do_not_import_the_oracle(argv, absent):
     code = (
@@ -41,7 +45,7 @@ def test_closed_form_commands_do_not_import_the_oracle(argv, absent):
         "from monopole_spectra import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    status = cli.main({argv!r})\n"
-        "print(json.dumps([status, sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'numpy'})]))\n"
+        f"print(json.dumps([status, sorted({{m.split('.')[0] for m in sys.modules}} & {set(absent)!r})]))\n"
     )
     out = fresh_python("-c", code)
     assert out.returncode == 0, out.stderr

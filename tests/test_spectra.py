@@ -231,6 +231,30 @@ def test_unit_conversion_requires_radius_for_curved():
     assert spectra.from_physical_units(flat, spectra.UnitSystem()).energy == flat.energy
 
 
+def test_oscillator_candidates_frequency_below_the_normal_range():
+    # K/M = 1e-600 underflows; omega = sqrt(K)/sqrt(M) = 1e-300 does not
+    both = spectra.oscillator_candidates(0.0, 1, 1e-300, 1e300)
+    assert both["quantization"] == pytest.approx(3.5e-300, rel=1e-15, abs=0.0)
+    assert both["printed"] == pytest.approx(1.75e-300, rel=1e-15, abs=0.0)
+    with pytest.raises(spectra.SpectrumError, match="underflows double precision"):
+        spectra.oscillator_candidates(0.0, 1, 1e-310, 1e307)
+
+
+@pytest.mark.parametrize("field", ["hbar", "c", "mass", "radius"])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_unit_system_rejects_a_non_positive_constant(field, value):
+    with pytest.raises(ValueError, match="must be positive"):
+        spectra.UnitSystem(**{field: value})
+    with pytest.raises(ValueError, match="must be positive"):
+        spectra.UnitSystem(radius=2.0)._replace(**{field: value})
+
+
+def test_unit_system_is_a_tuple_of_its_constants():
+    units = spectra.UnitSystem(radius=2.0)
+    assert units == (1.0, 1.0, 1.0, 2.0, spectra.FINE_STRUCTURE)
+    assert units._replace(c=3.0).energy_unit == 1.5
+
+
 def test_fine_structure_default_coupling():
     units = spectra.UnitSystem(radius=2.0)
     assert spectra.usual_units_coulomb_energy(units, big_n=1.0) == pytest.approx(
