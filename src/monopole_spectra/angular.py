@@ -8,8 +8,9 @@ with log-factorial stabilization, adequate up to j ~ 20.
 
 from __future__ import annotations
 
-import functools
 import math
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +43,30 @@ def _d_terms(j2: int, m12: int, m22: int):
         yield sign, pref - den, ncos, nsin
 
 
+def _d_sums(j2: int, m12: int, m22: int, c, s):
+    """(d^j_{m1,m2}, its theta-derivative) on doubled in-range indices, from
+    c = cos(theta/2) and s = sin(theta/2)."""
+    tot = np.zeros_like(c)
+    der = np.zeros_like(c)
+    for sign, lg, p, q in _d_terms(j2, m12, m22):
+        coeff = sign * np.exp(lg)
+        tot = tot + coeff * c**p * s**q
+        if q > 0:
+            der = der + coeff * (q / 2.0) * c ** (p + 1) * s ** (q - 1)
+        if p > 0:
+            der = der - coeff * (p / 2.0) * c ** (p - 1) * s ** (q + 1)
+    return tot, der
+
+
+def _small_d_pair(j: HalfInt, m1: HalfInt, m2: HalfInt, theta, which: int):
+    j2, m12, m22 = _doubled(j), _doubled(m1), _doubled(m2)
+    th = np.asarray(theta, dtype=float)
+    if abs(m12) > j2 or abs(m22) > j2 or (j2 - m12) % 2 or (j2 - m22) % 2:
+        return np.zeros_like(th) if th.ndim else 0.0
+    out = _d_sums(j2, m12, m22, np.cos(th / 2.0), np.sin(th / 2.0))[which]
+    return out if th.ndim else float(out)
+
+
 def small_d(j: HalfInt, m1: HalfInt, m2: HalfInt, theta):
     """d^j_{m1,m2}(theta) = <j m1| exp(-i theta J_y) |j m2>.
 
@@ -49,16 +74,7 @@ def small_d(j: HalfInt, m1: HalfInt, m2: HalfInt, theta):
     wrong-parity indices return 0, which is the natural convention for the
     recurrence identities at edge indices.
     """
-    j2, m12, m22 = _doubled(j), _doubled(m1), _doubled(m2)
-    th = np.asarray(theta, dtype=float)
-    if abs(m12) > j2 or abs(m22) > j2 or (j2 - m12) % 2 or (j2 - m22) % 2:
-        return np.zeros_like(th) if th.ndim else 0.0
-    c = np.cos(th / 2.0)
-    s = np.sin(th / 2.0)
-    tot = np.zeros_like(th)
-    for sign, lg, ncos, nsin in _d_terms(j2, m12, m22):
-        tot = tot + sign * np.exp(lg) * c**ncos * s**nsin
-    return tot if th.ndim else float(tot)
+    return _small_d_pair(j, m1, m2, theta, 0)
 
 
 def small_d_dtheta(j: HalfInt, m1: HalfInt, m2: HalfInt, theta):
@@ -68,20 +84,64 @@ def small_d_dtheta(j: HalfInt, m1: HalfInt, m2: HalfInt, theta):
     C [ q/2 cos^{p+1} sin^{q-1} - p/2 cos^{p-1} sin^{q+1} ], staying exact;
     this route is independent of the differential recurrences under test.
     """
-    j2, m12, m22 = _doubled(j), _doubled(m1), _doubled(m2)
-    th = np.asarray(theta, dtype=float)
-    if abs(m12) > j2 or abs(m22) > j2 or (j2 - m12) % 2 or (j2 - m22) % 2:
-        return np.zeros_like(th) if th.ndim else 0.0
-    c = np.cos(th / 2.0)
-    s = np.sin(th / 2.0)
-    tot = np.zeros_like(th)
-    for sign, lg, p, q in _d_terms(j2, m12, m22):
-        coeff = sign * np.exp(lg)
-        if q > 0:
-            tot = tot + coeff * (q / 2.0) * c ** (p + 1) * s ** (q - 1)
-        if p > 0:
-            tot = tot - coeff * (p / 2.0) * c ** (p - 1) * s ** (q + 1)
-    return tot if th.ndim else float(tot)
+    return _small_d_pair(j, m1, m2, theta, 1)
+
+
+class _Grid(NamedTuple):
+    """A theta grid with the trigonometric arrays every row and residual reads."""
+
+    zero: np.ndarray
+    cos_half: np.ndarray
+    sin_half: np.ndarray
+    cos_t: np.ndarray
+    sin_t: np.ndarray
+
+
+def _theta_grid(theta_grid) -> _Grid:
+    th = np.asarray(theta_grid, dtype=float)
+    if th.size == 0 or th.min() <= 0.0 or th.max() >= math.pi:
+        raise ValueError("theta grid must be interior to (0, pi)")
+    return _Grid(np.zeros_like(th), np.cos(th / 2.0), np.sin(th / 2.0), np.cos(th), np.sin(th))
+
+
+def _d_row(j2: int, row2: int, grid: _Grid) -> tuple[list, list]:
+    """d^j_{row,sigma} and its theta-derivative for sigma = -j..j, at list
+    index (j2 + sigma2) // 2; one row serves every k at this (j, m)."""
+    pairs = [_d_sums(j2, row2, s2, grid.cos_half, grid.sin_half) for s2 in range(-j2, j2 + 1, 2)]
+    return [v for v, _ in pairs], [d for _, d in pairs]
+
+
+def _coefficients(jf: Fraction, kf: Fraction) -> tuple[float, float, float, float]:
+    """(a, b, c, d) at admissible (j, k); the minimum-j channel keeps a or b only."""
+    if jf >= abs(kf):
+        return couplings(jf, kf)
+    # j = |k| - 1: only the sigma = k-1 (or k+1 for k < 0) row survives
+    a = math.sqrt(float((jf + kf - 1) * (jf - kf + 2))) / 2.0 if jf + kf >= 1 else 0.0
+    b = math.sqrt(float((jf - kf - 1) * (jf + kf + 2))) / 2.0 if jf - kf >= 1 else 0.0
+    return a, b, 0.0, 0.0
+
+
+def _recurrence_residual(j2: int, k2: int, m2: int, coeffs, row, grid: _Grid) -> float:
+    """Worst residual of the six identities at (j, k, m), on doubled indices,
+    from the (j, m) row of d^j_{-m,sigma} values and derivatives."""
+    a, b, c, d = coeffs
+    vals, ders = row
+
+    def dval(s2):
+        return vals[(j2 + s2) // 2] if abs(s2) <= j2 else grid.zero
+
+    worst = 0.0
+    rows = ((k2 - 2, a, k2 - 4, c, k2), (k2, c, k2 - 2, d, k2 + 2), (k2 + 2, d, k2, b, k2 + 4))
+    for s2, lo_coeff, lo2, hi_coeff, hi2 in rows:
+        if abs(s2) > j2:  # j and k share parity, so an in-range sigma is a valid index
+            continue
+        lhs_d = ders[(j2 + s2) // 2]
+        lhs_m = (-(m2 / 2) - s2 / 2 * grid.cos_t) / grid.sin_t * dval(s2)
+        lo = lo_coeff * dval(lo2)
+        hi = hi_coeff * dval(hi2)
+        worst = max(worst, float(np.max(np.abs(lhs_d - (lo - hi)))))
+        worst = max(worst, float(np.max(np.abs(lhs_m - (-lo - hi)))))
+    return worst
 
 
 def check_recurrences(j: HalfInt, k: HalfInt, m: HalfInt, theta_grid) -> float:
@@ -108,40 +168,34 @@ def check_recurrences(j: HalfInt, k: HalfInt, m: HalfInt, theta_grid) -> float:
         raise QuantumNumberError(f"(j, k) = ({jf}, {kf}) not admissible")
     if abs(mf) > jf or (jf - mf).denominator != 1:
         raise QuantumNumberError(f"m = {mf} invalid for j = {jf}")
-    th = np.asarray(theta_grid, dtype=float)
-    if th.size == 0 or th.min() <= 0.0 or th.max() >= math.pi:
-        raise ValueError("theta grid must be interior to (0, pi)")
+    grid = _theta_grid(theta_grid)
+    j2, k2, m2 = int(2 * jf), int(2 * kf), int(2 * mf)
+    return _recurrence_residual(j2, k2, m2, _coefficients(jf, kf), _d_row(j2, -m2, grid), grid)
 
-    row = -mf
-    if jf >= abs(kf):
-        cp = couplings(jf, kf)
-        a, b, c, d = cp.a, cp.b, cp.c, cp.d
-    else:  # j = |k| - 1: only the sigma = k-1 (or k+1 for k < 0) row survives
-        a = math.sqrt(float((jf + kf - 1) * (jf - kf + 2))) / 2.0 if jf + kf >= 1 else 0.0
-        b = math.sqrt(float((jf - kf - 1) * (jf + kf + 2))) / 2.0 if jf - kf >= 1 else 0.0
-        c = 0.0
-        d = 0.0
 
-    @functools.cache  # the rows share their sigma = k-2 .. k+2 values
-    def dval(sigma):
-        return small_d(jf, row, sigma, th)
+def scan_recurrences(j: HalfInt, theta_grid) -> tuple[float, int]:
+    """The worst `check_recurrences` residual over every admissible (k, m)
+    at one j, and the number of (k, m) pairs checked.
 
-    def dder(sigma):
-        return small_d_dtheta(jf, row, sigma, th)
-
-    cos_t, sin_t = np.cos(th), np.sin(th)
+    Each (j, m) row of d-functions and derivatives is built once and shared
+    by every k, so the result equals the maximum of the per-triple checks
+    bit for bit."""
+    jf = as_half_integer(j, "j")
+    if jf < 0:
+        raise QuantumNumberError(f"j = {jf} must be non-negative")
+    grid = _theta_grid(theta_grid)
+    j2 = int(2 * jf)
+    charges = [
+        (k2, _coefficients(jf, Fraction(k2, 2)))
+        for k2 in range(-j2 - 2, j2 + 3, 2)  # j >= |k| - 1 bounds |k| by j + 1
+        if j_is_allowed(jf, Fraction(k2, 2))
+    ]
     worst = 0.0
-    rows = ((kf - 1, a, kf - 2, c, kf), (kf, c, kf - 1, d, kf + 1), (kf + 1, d, kf, b, kf + 2))
-    for sigma, lo_coeff, lo_idx, hi_coeff, hi_idx in rows:
-        if abs(sigma) > jf or (jf - sigma).denominator != 1:
-            continue
-        lhs_d = dder(sigma)
-        lhs_m = (-float(mf) - float(sigma) * cos_t) / sin_t * dval(sigma)
-        lo = lo_coeff * dval(lo_idx)
-        hi = hi_coeff * dval(hi_idx)
-        worst = max(worst, float(np.max(np.abs(lhs_d - (lo - hi)))))
-        worst = max(worst, float(np.max(np.abs(lhs_m - (-lo - hi)))))
-    return worst
+    for m2 in range(-j2, j2 + 1, 2):
+        row = _d_row(j2, -m2, grid)
+        for k2, coeffs in charges:
+            worst = max(worst, _recurrence_residual(j2, k2, m2, coeffs, row, grid))
+    return worst, len(charges) * (j2 + 1)
 
 
 def orthogonality_defect(j: HalfInt, jp: HalfInt, m1: HalfInt, m2: HalfInt, n_nodes: int = 200) -> float:

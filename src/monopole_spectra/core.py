@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from fractions import Fraction
 from typing import NamedTuple, Union
 
@@ -190,6 +191,9 @@ class Scenario(_ScenarioFields):
         for name, value in (("mass", mass), ("alpha", alpha), ("k_osc", k_osc), ("radius", radius)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+            if 0 < abs(value) < sys.float_info.min:
+                raise ValueError(f"{name} = {value:g} is subnormal (|x| < {sys.float_info.min:g}) "
+                                 "and keeps too few significant bits")
         if mass <= 0:
             raise ValueError("mass must be positive")
         if geometry == GEOMETRY_LOBACHEVSKY and radius <= 0:

@@ -107,27 +107,36 @@ def sturm_count_below(diag: np.ndarray, off: np.ndarray, x: float) -> int:
 
 
 def fd_eigen(problem: RadialProblem, grid: Optional[Grid] = None, count: int = 4,
-             e_target: Optional[float] = None) -> np.ndarray:
-    """Lowest `count` energies of a linear-in-E problem on the Dirichlet grid.
+             e_target: Optional[float] = None, first: int = 0) -> np.ndarray:
+    """Energies of the Dirichlet-grid levels with indices first..count-1
+    (0-based, ascending) of a linear-in-E problem; the default is the lowest
+    `count`. Bisection works only on the requested indices, so
+    `first=n, count=n+1` returns the n-th level alone.
 
     For curved problems, eigenvalues at or above the continuum edge are box
     artifacts; requesting more levels than exist below the edge is an error.
+    The solve comes first: only when the highest returned eigenvalue is not
+    strictly below the edge does a Sturm count decide how many levels lie
+    below it, and the error names that count.
     """
     if problem.linearity != LINEAR_IN_E:
         raise OracleError("fd_eigen handles linear-in-E problems; use shoot_decay for the quadratic one")
+    if not 0 <= first < count:
+        raise OracleError(f"fd_eigen needs 0 <= first < count, got first = {first}, count = {count}")
     if grid is None:
         grid = default_grid(problem, e_target)
     check_resolution(problem, grid)
     diag, off = _tridiagonal(problem, grid)
+    mu = eigh_tridiagonal(diag, off, select="i", select_range=(first, count - 1), eigvals_only=True)
     if problem.continuum_edge is not None:
         mu_edge = problem.eigenvalue_from_energy(problem.continuum_edge)
-        available = sturm_count_below(diag, off, mu_edge)
-        if count > available:
-            raise OracleError(
-                f"requested {count} levels but only {available} lie below the continuum edge "
-                f"E = {problem.continuum_edge:.6g}"
-            )
-    mu = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1), eigvals_only=True)
+        if not mu[-1] < mu_edge:
+            available = sturm_count_below(diag, off, mu_edge)
+            if count > available:
+                raise OracleError(
+                    f"requested {count} levels but only {available} lie below the continuum edge "
+                    f"E = {problem.continuum_edge:.6g}"
+                )
     return mu / (2.0 * problem.mass)
 
 

@@ -45,8 +45,8 @@ class CriterionResult:
 
 
 def _fd_level_rel_dev(problem, level, grid=None) -> tuple[float, float]:
-    numeric = oracle.fd_eigen(problem, grid=grid, count=level.n + 1, e_target=level.energy)
-    e_num = float(numeric[level.n])
+    numeric = oracle.fd_eigen(problem, grid=grid, count=level.n + 1, e_target=level.energy, first=level.n)
+    e_num = float(numeric[0])
     return e_num, abs(e_num - level.energy) / abs(level.energy)
 
 
@@ -120,16 +120,9 @@ def suite_wigner() -> list[CriterionResult]:
     worst = 0.0
     cases = 0
     for j2 in range(0, 13):
-        j = Fraction(j2, 2)
-        for k2 in range(-j2 - 2, j2 + 3):
-            if (k2 - j2) % 2 != 0:
-                continue
-            k = Fraction(k2, 2)
-            if not core.j_is_allowed(j, k):
-                continue
-            for m2 in range(-j2, j2 + 1, 2):
-                cases += 1
-                worst = max(worst, angular.check_recurrences(j, k, Fraction(m2, 2), grid))
+        worst_j, cases_j = angular.scan_recurrences(Fraction(j2, 2), grid)
+        worst = max(worst, worst_j)
+        cases += cases_j
     return [
         CriterionResult(
             cid="3-wigner",

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from monopole_spectra import angular, core
+from monopole_spectra import angular, core, validate
 
 F = Fraction
 
@@ -98,11 +98,27 @@ def test_recurrences_reject_endpoint_grid():
 def test_recurrence_scan_residuals():
     grid = np.linspace(0.03, math.pi - 0.03, 50)
     worst = 0.0
+    cases = 0
     for j2 in range(0, 13):
         j = F(j2, 2)
         for k2 in range(-j2 - 2, j2 + 3):
             if (k2 - j2) % 2 != 0 or not core.j_is_allowed(j, F(k2, 2)):
                 continue
             for m2 in range(-j2, j2 + 1, 2):
+                cases += 1
                 worst = max(worst, angular.check_recurrences(j, F(k2, 2), F(m2, 2), grid))
     assert worst <= 1e-10
+    # criterion 3 shares each (j, m) row across k and must see the same residuals bit for bit
+    detail = validate.suite_wigner()[0].detail
+    assert detail == {"worst_residual": worst, "cases": cases}
+    assert cases == 1001
+
+
+def test_scan_matches_the_per_triple_checks_at_each_j():
+    grid = np.linspace(0.05, math.pi - 0.05, 20)
+    for j in (0, F(1, 2), 3, F(9, 2)):
+        j2 = int(2 * j)
+        triples = [(k2, m2) for k2 in range(-20, 21) for m2 in range(-j2, j2 + 1, 2)
+                   if core.j_is_allowed(j, F(k2, 2))]
+        expected = max(angular.check_recurrences(j, F(k2, 2), F(m2, 2), grid) for k2, m2 in triples)
+        assert angular.scan_recurrences(j, grid) == (expected, len(triples))

@@ -309,10 +309,37 @@ def test_flat_oscillator_frequency_below_the_normal_range_exit_0(capsys):
 
 
 def test_flat_oscillator_frequency_that_still_underflows_exit_1(capsys):
+    # both inputs are normal doubles; omega = sqrt(K)/sqrt(M) is not
     code, out, err = run(["spectrum", "--potential", "oscillator", "--k", "1", "--j", "2",
-                          "--k-osc", "1e-310", "--mass", "1e307"], capsys)
+                          "--k-osc", "2.5e-308", "--mass", "1.7e308"], capsys)
     assert (code, out) == (1, "")
-    assert err == "error: oscillator frequency sqrt(K/M) = 3.16228e-309 underflows double precision\n"
+    assert err == "error: oscillator frequency sqrt(K/M) = 1.21268e-308 underflows double precision\n"
+
+
+def test_subnormal_spring_constant_exit_2(capsys):
+    # 1e-320 is stored as 9.99989e-321, which would print E = 2.27225611276e-150 for 2.27226876117e-150
+    code, out, err = run(["spectrum", "--potential", "oscillator", "--k", "1", "--j", "2",
+                          "--k-osc", "1e-320", "--mass", "1e-20"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: k_osc = 9.99989e-321 is subnormal (|x| < 2.22507e-308) and keeps too few significant bits\n"
+
+
+def test_subnormal_coupling_exit_2(capsys):
+    # the smallest subnormal alpha once printed E = -0 as an admissible level
+    code, out, err = run(["spectrum", "--k", "1", "--j", "2", "--alpha", "5e-324"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: alpha = 4.94066e-324 is subnormal (|x| < 2.22507e-308) and keeps too few significant bits\n"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mass", "1e-310"],
+    ["--mass=-1e-310"],
+    ["--geometry", "lobachevsky", "--radius", "2e-320", "--j", "0"],
+])
+def test_spectrum_subnormal_parameter_exit_2(flags, capsys):
+    code, out, err = run(["spectrum", "--k", "1", "--j", "2", "--alpha", "1", *flags], capsys)
+    assert code == 2 and out == "" and "is subnormal" in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

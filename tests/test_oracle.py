@@ -114,8 +114,47 @@ def test_fd_rejects_quadratic_problem():
 def test_fd_rejects_overcount_beyond_edge():
     scen = core.Scenario("lobachevsky", "coulomb", F(0), 1.0, alpha=10.0)
     prob = radial.build_problem(scen, "parity-odd", 0)
-    with pytest.raises(oracle.OracleError, match="below the continuum edge"):
-        oracle.fd_eigen(prob, grid=oracle.Grid(r_max=40.0, n=20000), count=10)
+    grid = oracle.Grid(r_max=40.0, n=20000)
+    with pytest.raises(oracle.OracleError) as err:
+        oracle.fd_eigen(prob, grid=grid, count=10)
+    available = oracle.sturm_count_below(*oracle._tridiagonal(prob, grid),
+                                         prob.eigenvalue_from_energy(prob.continuum_edge))
+    assert 0 < available < 10
+    assert str(err.value) == (f"requested 10 levels but only {available} lie below the continuum edge "
+                              f"E = {prob.continuum_edge:.6g}")
+
+
+def test_fd_in_edge_solve_needs_no_sturm_count(monkeypatch):
+    scen = core.Scenario("lobachevsky", "coulomb", F(0), 1.0, alpha=10.0)
+    prob = radial.build_problem(scen, "parity-odd", 0)
+    grid = oracle.Grid(r_max=40.0, n=20000)
+    expected = oracle.fd_eigen(prob, grid=grid, count=2)
+
+    def refuse(*args):
+        raise AssertionError("Sturm count on an in-edge solve")
+
+    monkeypatch.setattr(oracle, "sturm_count_below", refuse)
+    assert np.array_equal(oracle.fd_eigen(prob, grid=grid, count=2), expected)
+    assert oracle.fd_eigen(prob, grid=grid, count=2, first=1) == pytest.approx(expected[1:], rel=1e-10)
+
+
+@pytest.mark.parametrize("scen, channel, j, n", [
+    (core.Scenario("flat", "coulomb", F(1), 1.0, alpha=1.0), "branch-2", 2, 3),
+    (core.Scenario("lobachevsky", "oscillator", F(1), 1.0, k_osc=100.0), "min-j", 0, 4),
+])
+def test_fd_single_index_solve_matches_the_full_one(scen, channel, j, n):
+    prob = radial.build_problem(scen, channel, j)
+    e_target = spectra.single_level(scen, j, n, channel).energy
+    full = oracle.fd_eigen(prob, count=n + 1, e_target=e_target)
+    alone = oracle.fd_eigen(prob, count=n + 1, e_target=e_target, first=n)
+    assert alone.shape == (1,)
+    assert abs(alone[0] - full[n]) <= 1e-10 * abs(full[n])
+
+
+@pytest.mark.parametrize("first, count", [(-1, 2), (2, 2), (0, 0)])
+def test_fd_rejects_an_empty_or_negative_index_range(first, count):
+    with pytest.raises(oracle.OracleError, match="0 <= first < count"):
+        oracle.fd_eigen(box_problem(), oracle.Grid(r_max=1.0, n=4000), count=count, first=first)
 
 
 def test_resolution_heuristic_enforced():

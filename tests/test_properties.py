@@ -2,13 +2,14 @@
 config round-trips, over generated parameters."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from monopole_spectra import cli, core, mixing, spectra  # noqa: E402
@@ -22,10 +23,12 @@ positive = st.floats(min_value=1e-2, max_value=1e2, allow_nan=False, allow_infin
 
 @PROPERTY
 @given(field=st.sampled_from(["mass", "alpha", "k_osc", "radius"]), value=st.floats() | st.sampled_from([math.nan, math.inf, -math.inf]))
+@example(field="k_osc", value=5e-324)
+@example(field="radius", value=sys.float_info.min)
 def test_scenario_accepts_exactly_the_finite_positive_values(field, value):
     kwargs = {"mass": 1.0, "alpha": 1.0, "k_osc": 1.0, "radius": 1.0, field: value}
     potential = "oscillator" if field == "k_osc" else "coulomb"
-    if math.isfinite(value) and value > 0:
+    if math.isfinite(value) and value >= sys.float_info.min:  # a subnormal value is refused
         assert getattr(core.Scenario("lobachevsky", potential, Fraction(1), **kwargs), field) == value
     else:
         with pytest.raises(ValueError):
