@@ -371,12 +371,10 @@ def cmd_validate(args) -> int:
     if args.report and _emit("", args.report) != EXIT_OK:
         return EXIT_CONFIG
     report = validate.run_suites(selected)
-    results = report.pop("_objects")
-    for res in results:
-        print(res.line())
+    for record in report["results"]["criteria"]:
+        print(validate.line(record))
     if args.report:
-        payload = {"envelope": report["envelope"], "results": report["results"]}
-        if _emit(json.dumps(payload, sort_keys=True, indent=1) + "\n", args.report) != EXIT_OK:
+        if _emit(json.dumps(report, sort_keys=True, indent=1) + "\n", args.report) != EXIT_OK:
             return EXIT_CONFIG
     if report["results"]["passed"]:
         print("all hard criteria passed")

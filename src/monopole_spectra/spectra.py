@@ -125,7 +125,7 @@ def _flat_coulomb_levels(scen: Scenario, j: Fraction, branch: str) -> LevelAt:
     the effective L of the corresponding mixing root.
     """
     lval = flat_channel_l(j, scen.charge, branch)
-    scale = -0.5 * scen.alpha * scen.alpha * scen.mass
+    scale = _flat_coulomb_scale(scen.alpha, scen.mass)
     formula = "E = -alpha^2 M / (2 (n+L+1)^2)"
 
     def level(n: int) -> EnergyLevel:
@@ -135,12 +135,25 @@ def _flat_coulomb_levels(scen: Scenario, j: Fraction, branch: str) -> LevelAt:
     return level
 
 
+def _flat_coulomb_scale(alpha: float, mass: float) -> float:
+    """-alpha^2 M / 2, or -alpha/2 (alpha M) where alpha^2/2 leaves the normal
+    double range; a scale that underflows is refused. (An overflowing scale
+    gives an infinite level, which `_channel_levels` refuses.)"""
+    half_square = -0.5 * alpha * alpha
+    if sys.float_info.min <= -half_square < math.inf:
+        scale = half_square * mass
+    else:
+        scale = -0.5 * alpha * (alpha * mass)
+    if -scale < sys.float_info.min:
+        raise SpectrumError(f"Coulomb scale alpha^2 M / 2 = {-scale:.6g} underflows double precision")
+    return scale
+
+
 def _flat_omega(k_osc: float, mass: float) -> float:
-    """omega = sqrt(K/M), or sqrt(K)/sqrt(M) where K/M underflows the normal
-    double range; an omega that still underflows is refused. (An overflowing
-    K/M gives an infinite level, which `_channel_levels` refuses.)"""
+    """omega = sqrt(K/M), or sqrt(K)/sqrt(M) where K/M leaves the normal
+    double range; an omega that underflows is refused."""
     ratio = k_osc / mass
-    if ratio >= sys.float_info.min:
+    if sys.float_info.min <= ratio < math.inf:
         return math.sqrt(ratio)
     omega = math.sqrt(k_osc) / math.sqrt(mass)
     if omega < sys.float_info.min:

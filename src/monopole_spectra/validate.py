@@ -1,9 +1,11 @@
 """Validation suites: every closed-form spectrum against the numerical oracle.
 
-Each suite returns CriterionResult records; `run_suites` assembles them into a
-deterministic report (timing lives in the envelope, never in the results).
-Hard criteria gate the exit status; arbitration and formal-Heun comparisons
-are informational. Known-infeasible sub-checks are still executed and
+Each suite returns report records, plain dicts with the keys id, description,
+passed, hard, measured and detail (`line` gives a record's one-line summary);
+`run_suites` assembles them into a deterministic report (timing lives in the
+envelope, never in the results). Every criterion is hard and gates the exit
+status; the formal-Heun FD comparison is informational and lives only in
+criterion 10's detail. Known-infeasible sub-checks are still executed and
 reported as failures rather than being weakened (see README, "Known
 limitations").
 """
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -20,40 +21,31 @@ import numpy as np
 from . import angular, core, heunspec, mixing, oracle, radial, spectra
 
 
-@dataclass
-class CriterionResult:
-    cid: str
-    description: str
-    passed: bool
-    hard: bool = True
-    measured: str = ""
-    detail: dict = field(default_factory=dict)
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else ("FAIL" if self.hard else "INFO")
-        return f"[{status}] {self.cid}: {self.description} -- {self.measured}"
-
-    def to_record(self) -> dict:
-        return {
-            "id": self.cid,
-            "description": self.description,
-            "passed": self.passed,
-            "hard": self.hard,
-            "measured": self.measured,
-            "detail": self.detail,
-        }
+def _criterion(cid: str, description: str, passed: bool, measured: str = "", detail: dict | None = None) -> dict:
+    return {"id": cid, "description": description, "passed": passed, "hard": True,
+            "measured": measured, "detail": {} if detail is None else detail}
 
 
-def _fd_level_rel_dev(problem, level, grid=None) -> tuple[float, float]:
-    numeric = oracle.fd_eigen(problem, grid=grid, count=level.n + 1, e_target=level.energy, first=level.n)
-    e_num = float(numeric[0])
-    return e_num, abs(e_num - level.energy) / abs(level.energy)
+def line(record: dict) -> str:
+    """One record's pass/fail line, as `validate` prints it."""
+    status = "PASS" if record["passed"] else "FAIL"
+    return f"[{status}] {record['id']}: {record['description']} -- {record['measured']}"
+
+
+def _fd_compare(problem, levels, grid=None) -> list[tuple[float, float]]:
+    """(FD energy, relative deviation) for each closed-form level, from one FD
+    solve; the levels' n must run consecutively. Only the FD levels from the
+    first level's n up are bisected for."""
+    first = levels[0].n
+    numeric = oracle.fd_eigen(problem, grid=grid, count=first + len(levels), e_target=levels[0].energy,
+                              first=first)
+    return [(float(e), float(abs(e - lv.energy) / abs(lv.energy))) for e, lv in zip(numeric, levels)]
 
 
 # --- criterion 1 + 2: root machinery and parity split ---------------------------
 
 
-def suite_roots() -> list[CriterionResult]:
+def suite_roots() -> list[dict]:
     t0 = time.monotonic()
     worst_root_dev = 0.0
     worst_s_res = 0.0
@@ -87,7 +79,7 @@ def suite_roots() -> list[CriterionResult]:
                 worst_s_res = max(worst_s_res, mixing.transform_residual(cp.c, cp.d, triple, s))
             j += 1
     elapsed = time.monotonic() - t0
-    c1 = CriterionResult(
+    c1 = _criterion(
         cid="1-roots",
         description="trigonometric roots vs 3x3 eigensolve (|k| <= 5, j <= |k|+8), "
         "positivity, exact reduced-cubic cross-check, transform residual",
@@ -103,7 +95,7 @@ def suite_roots() -> list[CriterionResult]:
         },
     )
     exact = all(mixing.parity_eigenvalues(j) == (Fraction(j + 1), Fraction(-j)) for j in range(1, 11))
-    c2 = CriterionResult(
+    c2 = _criterion(
         cid="2-parity",
         description="even-parity 2x2 eigenvalues equal {j+1, -j} exactly for j = 1..10",
         passed=exact,
@@ -115,7 +107,7 @@ def suite_roots() -> list[CriterionResult]:
 # --- criterion 3: Wigner recurrences ---------------------------------------------
 
 
-def suite_wigner() -> list[CriterionResult]:
+def suite_wigner() -> list[dict]:
     grid = np.linspace(0.03, math.pi - 0.03, 50)
     worst = 0.0
     cases = 0
@@ -124,7 +116,7 @@ def suite_wigner() -> list[CriterionResult]:
         worst = max(worst, worst_j)
         cases += cases_j
     return [
-        CriterionResult(
+        _criterion(
             cid="3-wigner",
             description="all six d-function recurrences (plus the reduced-channel pair) "
             "to 1e-10 for j <= 6, every admissible (k, m), 50-point interior grid",
@@ -138,7 +130,7 @@ def suite_wigner() -> list[CriterionResult]:
 # --- criterion 4: flat Coulomb vs FD ----------------------------------------------
 
 
-def suite_flat_coulomb() -> list[CriterionResult]:
+def suite_flat_coulomb() -> list[dict]:
     t0 = time.monotonic()
     alpha = mass = 1.0
     worst = 0.0
@@ -150,13 +142,13 @@ def suite_flat_coulomb() -> list[CriterionResult]:
         lval = spectra.flat_channel_l(j, scen.charge, ch)
         for n in range(4):
             lv = spectra.single_level(scen, j, n, ch)
-            e_num, rel = _fd_level_rel_dev(prob, lv)
+            ((e_num, rel),) = _fd_compare(prob, [lv])
             worst = max(worst, rel)
             rows.append({"channel": ch, "n": n, "L": lval, "analytic": lv.energy,
                          "numeric": e_num, "rel_dev": rel})
     elapsed = time.monotonic() - t0
     return [
-        CriterionResult(
+        _criterion(
             cid="4-flat-coulomb",
             description="FD oracle reproduces the flat Coulomb series at L in {0, L1, L2, L3}, "
             "(j,k) = (2,1), n = 0..3, rel 1e-4",
@@ -170,7 +162,7 @@ def suite_flat_coulomb() -> list[CriterionResult]:
 # --- criterion 5: flat oscillator arbitration --------------------------------------
 
 
-def suite_flat_oscillator() -> list[CriterionResult]:
+def suite_flat_oscillator() -> list[dict]:
     k_osc = mass = 1.0
     l2 = mixing.mixing_roots(2, 1).l[1]
     report = oracle.OracleReport(tag="flat-oscillator-arbitration")
@@ -178,7 +170,7 @@ def suite_flat_oscillator() -> list[CriterionResult]:
         verdicts = oracle.arbitrate_oscillator_prefactor(k_osc, mass, [0.0, l2], n_max=3, report=report)
     except oracle.OracleError as exc:
         return [
-            CriterionResult(
+            _criterion(
                 cid="5-flat-oscillator",
                 description="exactly one oscillator closed-form candidate matches the FD oracle",
                 passed=False,
@@ -188,7 +180,7 @@ def suite_flat_oscillator() -> list[CriterionResult]:
     unanimous = len({v.confirmed for v in verdicts}) == 1
     stable = all(v.stable for v in verdicts)
     return [
-        CriterionResult(
+        _criterion(
             cid="5-flat-oscillator",
             description="oscillator prefactor arbitration: exactly one candidate matches FD "
             "to rel 1e-4 at two L values, n = 0..3, stable across two grids",
@@ -206,13 +198,11 @@ def suite_flat_oscillator() -> list[CriterionResult]:
 # --- criteria 6 + 7: curved minimum-j channels --------------------------------------
 
 
-def suite_lob_minj() -> list[CriterionResult]:
-    out = [_criterion_minj_coulomb()]
-    out.append(_criterion_minj_oscillator())
-    return out
+def suite_lob_minj() -> list[dict]:
+    return [_criterion_minj_coulomb(), _criterion_minj_oscillator()]
 
 
-def _criterion_minj_coulomb() -> CriterionResult:
+def _criterion_minj_coulomb() -> dict:
     alpha, mass = 0.1, 10.0
     scen = core.Scenario("lobachevsky", "coulomb", Fraction(1), mass, alpha=alpha)
     prob = radial.build_problem(scen, spectra.CH_MIN_J, 0)
@@ -255,7 +245,7 @@ def _criterion_minj_coulomb() -> CriterionResult:
         f"n = {m} {sgn}" for m, bracket in parts["bracketing"].items()
         for sgn, value in bracket.items() if not isinstance(value, float)
     ]
-    return CriterionResult(
+    return _criterion(
         cid="6-lob-minj-coulomb",
         description="shooting mismatch <= 1e-5 at the closed-form epsilon for alpha = 0.1, "
         "M = 10, n = 0..2, +-1% sign-change bracketing, finite admissibility",
@@ -271,7 +261,7 @@ def _criterion_minj_coulomb() -> CriterionResult:
     )
 
 
-def _criterion_minj_oscillator() -> CriterionResult:
+def _criterion_minj_oscillator() -> dict:
     mass = 1.0
     worst_res, worst_rel, worst_ident = 0.0, 0.0, 0.0
     rows = []
@@ -284,7 +274,7 @@ def _criterion_minj_oscillator() -> CriterionResult:
             lv = spectra.single_level(scen, 0, n, spectra.CH_MIN_J)
             sol = radial.analytic_solution(prob, lv)
             res = radial.residual(prob, sol, lv)
-            e_num, rel = _fd_level_rel_dev(prob, lv)
+            ((e_num, rel),) = _fd_compare(prob, [lv])
             ident = abs(lv.energy - (k_osc / 2.0 - (s_well - (2 * n + 1)) ** 2 / (2.0 * mass)))
             worst_res = max(worst_res, res)
             worst_rel = max(worst_rel, rel)
@@ -292,7 +282,7 @@ def _criterion_minj_oscillator() -> CriterionResult:
             rows.append({"k_osc": k_osc, "n": n, "analytic": lv.energy, "numeric": e_num,
                          "rel_dev": rel, "ode_residual": res, "well_identity_dev": ident})
             n += 1
-    return CriterionResult(
+    return _criterion(
         cid="7-lob-minj-oscillator",
         description="curved minimum-j oscillator: analytic residual <= 1e-7, FD match rel 1e-4, "
         "sech^2-well identity to 1e-12, K M in {10, 100}",
@@ -305,7 +295,7 @@ def _criterion_minj_oscillator() -> CriterionResult:
 # --- criterion 8 (+11): curved no-monopole Coulomb and the free particle -------------
 
 
-def suite_lob_coulomb() -> list[CriterionResult]:
+def suite_lob_coulomb() -> list[dict]:
     alpha, mass = 10.0, 1.0
     grid = oracle.Grid(r_max=40.0, n=40000)
     worst_rel = 0.0
@@ -316,18 +306,16 @@ def suite_lob_coulomb() -> list[CriterionResult]:
     for j in range(3):
         prob = radial.build_problem(scen, spectra.CH_PARITY_ODD, j)
         levels = spectra.admissible_levels(scen, j, spectra.CH_PARITY_ODD)
-        numeric = oracle.fd_eigen(prob, grid=grid, count=len(levels))
         big_n_at = spectra.nomonopole_n_coulomb(j, spectra.CH_PARITY_ODD)
-        for lv, e_num in zip(levels, numeric):
-            rel = float(abs(e_num - lv.energy) / abs(lv.energy))
+        for lv, (e_num, rel) in zip(levels, _fd_compare(prob, levels, grid)):
             worst_rel = max(worst_rel, rel)
             rows.append({"j": j, "n": lv.n, "N": big_n_at(lv.n), "analytic": lv.energy,
-                         "numeric": float(e_num), "rel_dev": rel})
+                         "numeric": e_num, "rel_dev": rel})
         fd_count = oracle.count_bound_states(prob, grid=grid)
         predicted = len(levels)
         counts_ok = counts_ok and fd_count == predicted
         count_rows.append({"j": j, "fd_count": fd_count, "predicted_count": predicted})
-    c8 = CriterionResult(
+    c8 = _criterion(
         cid="8-lob-coulomb",
         description="no-monopole curved Coulomb: FD matches the closed form to rel 1e-4 for "
         "alpha = 10, M = 1, j = 0..2, all admissible n; FD bound count equals #{N : M alpha > N^2}",
@@ -337,7 +325,7 @@ def suite_lob_coulomb() -> list[CriterionResult]:
     )
     flat_ratio = radial.standing_wave_check(1, 0.5, 1.0)
     slope = radial.origin_exponent_fit(1, 0.5, 1.0)
-    c11 = CriterionResult(
+    c11 = _criterion(
         cid="11-free-particle",
         description="free curved particle (j = 1, 2ME = 1): origin exponent j+1 by slope fit "
         "(+-0.05) and far-window envelope flatness within 1%",
@@ -351,7 +339,7 @@ def suite_lob_coulomb() -> list[CriterionResult]:
 # --- criterion 9: curved no-monopole oscillator ---------------------------------------
 
 
-def suite_lob_oscillator() -> list[CriterionResult]:
+def suite_lob_oscillator() -> list[dict]:
     k_osc, mass = 100.0, 1.0
     worst_rel = 0.0
     rows = []
@@ -361,13 +349,11 @@ def suite_lob_oscillator() -> list[CriterionResult]:
     for j in range(3):
         prob = radial.build_problem(scen, spectra.CH_PARITY_ODD, j)
         levels = spectra.admissible_levels(scen, j, spectra.CH_PARITY_ODD)
-        numeric = oracle.fd_eigen(prob, count=len(levels))
         big_n_at = spectra.nomonopole_n_oscillator(j, spectra.CH_PARITY_ODD)
-        for lv, e_num in zip(levels, numeric):
-            rel = float(abs(e_num - lv.energy) / abs(lv.energy))
+        for lv, (e_num, rel) in zip(levels, _fd_compare(prob, levels)):
             worst_rel = max(worst_rel, rel)
             rows.append({"j": j, "n": lv.n, "N": big_n_at(lv.n), "analytic": lv.energy,
-                         "numeric": float(e_num), "rel_dev": rel})
+                         "numeric": e_num, "rel_dev": rel})
         inequality_count = len(levels)
         fd_counts = [
             oracle.count_bound_states(prob, grid=oracle.Grid(r_max=40.0, n=n_pts))
@@ -381,7 +367,7 @@ def suite_lob_oscillator() -> list[CriterionResult]:
             "deviation": fd_counts[0] - inequality_count,
         })
     return [
-        CriterionResult(
+        _criterion(
             cid="9-lob-oscillator",
             description="no-monopole curved oscillator: FD matches the closed form to rel 1e-4 "
             "for K M = 100, j = 0..2; FD count vs restriction-inequality count reported, "
@@ -396,7 +382,7 @@ def suite_lob_oscillator() -> list[CriterionResult]:
 # --- criterion 10: Heun channels -------------------------------------------------------
 
 
-def suite_heun() -> list[CriterionResult]:
+def suite_heun() -> list[dict]:
     alpha, mass, k_osc = 10.0, 1.0, 100.0
     worst_fuchs = 0.0
     worst_residual = 0.0
@@ -404,34 +390,29 @@ def suite_heun() -> list[CriterionResult]:
     comparisons = []
     coulomb = core.Scenario("lobachevsky", "coulomb", Fraction(0), mass, alpha=alpha)
     oscillator = core.Scenario("lobachevsky", "oscillator", Fraction(0), mass, k_osc=k_osc)
-    # Coulomb even channels at the formal termination energies
-    for channel in (spectra.CH_EVEN_1, spectra.CH_EVEN_2):
-        for j in (0, 1):
-            formal = spectra.admissible_levels(coulomb, j, channel)
-            for lv in formal:
-                params = heunspec.heun_params_coulomb(lv.energy, alpha, mass, j, channel)
-                worst_fuchs = max(worst_fuchs, abs(params.fuchs_residual()))
-                worst_involution = max(worst_involution, heunspec.termination_defect(params, lv.n))
-                if params.gamma > 0:
-                    worst_residual = max(worst_residual, heunspec.heun_residual_on_disc(params))
-            comparisons.append(_heun_fd_comparison(coulomb, channel, j, formal))
-    # oscillator even channels
-    for channel in (spectra.CH_EVEN_1, spectra.CH_EVEN_2):
-        for j in (0, 1):
-            formal = spectra.admissible_levels(oscillator, j, channel)
-            for lv in formal:
-                params = heunspec.heun_params_oscillator(lv.energy, k_osc, mass, j, channel)
-                worst_fuchs = max(worst_fuchs, abs(params.fuchs_residual()))
-                worst_involution = max(worst_involution, heunspec.termination_defect(params, lv.n))
-                worst_residual = max(worst_residual, heunspec.heun_residual_on_disc(params))
-            comparisons.append(_heun_fd_comparison(oscillator, channel, j, formal))
+    # even channels of both potentials at the formal termination energies
+    for scen, params_at in (
+        (coulomb, lambda e, j, ch: heunspec.heun_params_coulomb(e, alpha, mass, j, ch)),
+        (oscillator, lambda e, j, ch: heunspec.heun_params_oscillator(e, k_osc, mass, j, ch)),
+    ):
+        for channel in (spectra.CH_EVEN_1, spectra.CH_EVEN_2):
+            for j in (0, 1):
+                formal = spectra.admissible_levels(scen, j, channel)
+                for lv in formal:
+                    params = params_at(lv.energy, j, channel)
+                    worst_fuchs = max(worst_fuchs, abs(params.fuchs_residual()))
+                    worst_involution = max(worst_involution, heunspec.termination_defect(params, lv.n))
+                    # the local series at z = 0 needs gamma off the non-positive integers
+                    if params.gamma > 0 or not params.gamma.is_integer():
+                        worst_residual = max(worst_residual, heunspec.heun_residual_on_disc(params))
+                comparisons.append(_heun_fd_comparison(scen, channel, j, formal))
     agreement = [
         {"potential": c["potential"], "channel": c["channel"], "j": c["j"],
          "worst_rel_dev": c["worst_rel_dev"]}
         for c in comparisons
     ]
     return [
-        CriterionResult(
+        _criterion(
             cid="10-heun",
             description="Heun channels: exact Fuchs relation, local-series ODE residual <= 1e-9 "
             "on |z| <= 0.8, termination-condition involution, and a deterministic FD comparison "
@@ -448,16 +429,11 @@ def _heun_fd_comparison(scen: core.Scenario, channel: str, j: int, formal_levels
     prob = radial.build_problem(scen, channel, j)
     grid = oracle.Grid(r_max=40.0, n=40000)
     fd_count = oracle.count_bound_states(prob, grid=grid)
-    pairs = []
-    worst = 0.0
-    n_compare = min(fd_count, len(formal_levels))
-    if n_compare > 0:
-        numeric = oracle.fd_eigen(prob, grid=grid, count=n_compare)
-        for i in range(n_compare):
-            rel = float(abs(numeric[i] - formal_levels[i].energy) / abs(formal_levels[i].energy))
-            worst = max(worst, rel)
-            pairs.append({"n": i, "formal": formal_levels[i].energy, "numeric": float(numeric[i]),
-                          "rel_dev": rel})
+    compared = formal_levels[:fd_count]
+    pairs = [
+        {"n": lv.n, "formal": lv.energy, "numeric": e_num, "rel_dev": rel}
+        for lv, (e_num, rel) in zip(compared, _fd_compare(prob, compared, grid) if compared else [])
+    ]
     return {
         "potential": scen.potential,
         "channel": channel,
@@ -465,14 +441,14 @@ def _heun_fd_comparison(scen: core.Scenario, channel: str, j: int, formal_levels
         "fd_bound_count": fd_count,
         "formal_admissible_count": len(formal_levels),
         "pairs": pairs,
-        "worst_rel_dev": worst if pairs else None,
+        "worst_rel_dev": max((p["rel_dev"] for p in pairs), default=None),
     }
 
 
 # --- criterion 12: determinism -----------------------------------------------------------
 
 
-def suite_determinism() -> list[CriterionResult]:
+def suite_determinism() -> list[dict]:
     from .cli import render_levels
 
     scen = core.Scenario("flat", "coulomb", Fraction(1), 1.0, alpha=1.0)
@@ -481,7 +457,7 @@ def suite_determinism() -> list[CriterionResult]:
     again = {render_levels(levels, "json"), render_levels(levels, "csv")}
     identical = blobs == again and len(blobs) == 2
     return [
-        CriterionResult(
+        _criterion(
             cid="12-determinism",
             description="identical configurations produce byte-identical JSON/CSV payloads",
             passed=identical,
@@ -517,21 +493,16 @@ def selected_suites(names) -> list[str]:
 
 def run_suites(names) -> dict:
     """Run the requested suites (see `selected_suites`) and assemble the
-    deterministic report."""
-    results: list[CriterionResult] = []
+    deterministic report: `envelope` (timing) and `results` (the records)."""
+    results: list[dict] = []
     timing = {}
     for name in selected_suites(names):
         fn = _SUITES.get(name, suite_determinism)
         t0 = time.monotonic()
         results.extend(fn())
         timing[name] = round(time.monotonic() - t0, 3)
-    hard_failures = [r.cid for r in results if r.hard and not r.passed]
+    hard_failures = [r["id"] for r in results if not r["passed"]]
     return {
         "envelope": {"tool": "monopole-spectra", "timing_s": timing},
-        "results": {
-            "criteria": [r.to_record() for r in results],
-            "hard_failures": hard_failures,
-            "passed": not hard_failures,
-        },
-        "_objects": results,
+        "results": {"criteria": results, "hard_failures": hard_failures, "passed": not hard_failures},
     }

@@ -109,7 +109,7 @@ def test_recurrence_scan_residuals():
                 worst = max(worst, angular.check_recurrences(j, F(k2, 2), F(m2, 2), grid))
     assert worst <= 1e-10
     # criterion 3 shares each (j, m) row across k and must see the same residuals bit for bit
-    detail = validate.suite_wigner()[0].detail
+    detail = validate.suite_wigner()[0]["detail"]
     assert detail == {"worst_residual": worst, "cases": cases}
     assert cases == 1001
 

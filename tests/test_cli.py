@@ -271,7 +271,8 @@ def test_spectrum_non_finite_parameter_exit_2(flags, capsys):
     ["--k", "1", "--j", "2", "--alpha", "1e200", "--mass", "1e200"],
     ["--geometry", "lobachevsky", "--no-monopole", "--j", "0", "--alpha", "1e300", "--mass", "1e10",
      "--channel", "parity-odd"],
-    ["--k", "1", "--j", "2", "--potential", "oscillator", "--k-osc", "1e300", "--mass", "1e-300"],
+    ["--k", "1", "--j", "2", "--potential", "oscillator", "--k-osc", "1e300", "--mass", "1e-300",
+     "--n", "10000000000"],
     # M^2 underflows to 0 in the curved closed forms
     ["--geometry", "lobachevsky", "--k", "1", "--j", "0", "--alpha", "0.1", "--mass", "1e-200"],
     ["--geometry", "lobachevsky", "--potential", "oscillator", "--k", "1", "--j", "0", "--k-osc", "1",
@@ -306,6 +307,50 @@ def test_flat_oscillator_frequency_below_the_normal_range_exit_0(capsys):
         big_l = spectra.flat_channel_l(Fraction(2), Fraction(1), channel)
         assert admissible == "true"
         assert float(energy) == pytest.approx(1e-300 * (1.5 + big_l + 2 * int(n)), rel=1e-11, abs=0.0)
+
+
+def test_flat_oscillator_frequency_above_the_normal_range_exit_0(capsys):
+    # K/M = 1e600 overflows, but omega = sqrt(K)/sqrt(M) = 1e300 and its levels are finite
+    code, out, err = run(["spectrum", "--geometry", "flat", "--potential", "oscillator", "--k", "1",
+                          "--j", "2", "--k-osc", "1e300", "--mass", "1e-300", "--n", "0..1",
+                          "--format", "csv"], capsys)
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 6
+    for channel, _, n, energy, admissible, _, _ in rows:
+        big_l = Fraction(spectra.flat_channel_l(Fraction(2), Fraction(1), channel))
+        exact = 10**300 * (Fraction(3, 2) + big_l + 2 * int(n))
+        assert admissible == "true"
+        assert energy == f"{float(exact):.12g}"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--alpha", "1e-170", "--mass", "1"],  # alpha^2 M / 2 = 5e-341 underflows to 0
+    ["--alpha", "1e-160", "--mass", "1"],  # alpha^2 M / 2 = 5e-321 is subnormal
+])
+def test_flat_coulomb_scale_below_the_normal_range_exit_1(flags, capsys):
+    code, out, err = run(["spectrum", "--k", "1", "--j", "2", *flags], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Coulomb scale alpha^2 M / 2 = ") and err.endswith(" underflows double precision\n")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("alpha, mass", [
+    ("1e-160", "1e100"),  # alpha^2 = 1e-320 is subnormal, alpha^2 M / 2 = 5e-221 is not
+    ("1e200", "1e-200"),  # alpha^2 overflows, alpha^2 M / 2 = 5e199 does not
+])
+def test_flat_coulomb_alpha_squared_outside_the_normal_range_exit_0(alpha, mass, capsys):
+    code, out, err = run(["spectrum", "--k", "1", "--j", "2", "--alpha", alpha, "--mass", mass,
+                          "--n", "0..1", "--format", "csv"], capsys)
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 6
+    alpha, mass = Fraction(float(alpha)), Fraction(float(mass))
+    for channel, _, n, energy, admissible, _, _ in rows:
+        big_l = Fraction(spectra.flat_channel_l(Fraction(2), Fraction(1), channel))
+        exact = -alpha * alpha * mass / (2 * (int(n) + big_l + 1) ** 2)
+        assert admissible == "true"
+        assert energy == f"{float(exact):.12g}"
 
 
 def test_flat_oscillator_frequency_that_still_underflows_exit_1(capsys):

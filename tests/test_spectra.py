@@ -508,7 +508,6 @@ def test_single_level_rejects_overflowing_energy():
     cases = [
         (spectra.Scenario("flat", "coulomb", F(1), 1e200, alpha=1e200), 2, "branch-1"),
         (spectra.Scenario("lobachevsky", "coulomb", F(0), 1e10, alpha=1e300), 0, "parity-odd"),
-        (spectra.Scenario("flat", "oscillator", F(1), 1e-300, k_osc=1e300), 2, "branch-1"),
         # M^2 underflows to 0: a division by zero inside the closed form
         (spectra.Scenario("lobachevsky", "coulomb", F(1), 1e-200, alpha=0.1), 0, "min-j"),
         (spectra.Scenario("lobachevsky", "oscillator", F(1), 1e-200, k_osc=1.0), 0, "min-j"),
@@ -517,6 +516,11 @@ def test_single_level_rejects_overflowing_energy():
     for scen, j, channel in cases:
         with pytest.raises(spectra.SpectrumError, match="overflows"):
             spectra.single_level(scen, j, 0, channel)
+    # K/M overflows, but omega = sqrt(K)/sqrt(M) = 1e300 is finite: only a large n overflows
+    oscillator = spectra.Scenario("flat", "oscillator", F(1), 1e-300, k_osc=1e300)
+    assert math.isfinite(spectra.single_level(oscillator, 2, 0, "branch-1").energy)
+    with pytest.raises(spectra.SpectrumError, match="overflows"):
+        spectra.single_level(oscillator, 2, 10**10, "branch-1")
     # NaN on an inadmissible level is the exhausted-spectrum marker, not an error
     minj = spectra.Scenario("lobachevsky", "coulomb", F(1), 10.0, alpha=0.1)
     exhausted = spectra.single_level(minj, 0, 10, "min-j")
