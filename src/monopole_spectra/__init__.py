@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "core": ("Couplings", "QuantumNumberError", "Scenario", "couplings"),
     "mixing": ("CubicInvariants", "RootTriple", "cubic_invariants", "mixing_roots", "parity_eigenvalues"),
-    "oracle": ("Grid", "OracleReport", "count_bound_states", "fd_eigen", "shoot_decay"),
+    "oracle": ("Grid", "count_bound_states", "fd_eigen", "shoot_decay"),
     "radial": ("RadialProblem", "RadialSolution", "analytic_solution", "build_problem", "residual"),
     "spectra": ("EnergyLevel", "UnitSystem", "flat_channel_l", "minj_coulomb_b", "minj_nu_0",
                 "nomonopole_coulomb_b", "nomonopole_n_coulomb", "nomonopole_n_oscillator", "single_level",

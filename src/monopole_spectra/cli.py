@@ -6,13 +6,16 @@ Configuration comes from flags plus an optional plain key-value file (one
 deterministic: numbers are printed with 12 significant digits, rows are
 sorted by (channel, j, n), and no timestamps enter data records.
 
-Exit codes: 0 success, 1 computation error, 2 configuration error. A request
-whose closed forms overflow double precision (j of about 1e52 and up for
-`roots`, far larger j for `spectrum` and `wavefunction`) is a computation
-error.
+Exit codes: 0 success, 1 computation error, 2 configuration error. `main`
+alone maps errors to them, each with one stderr line: a subcommand reads its
+options inside `with _options():`, which makes any ValueError or
+OverflowError there a `ConfigError` (exit 2), and then computes unguarded, so
+a ValueError from the computation exits 1. A request whose closed forms
+overflow double precision (j of about 1e52 and up for `roots`, far larger j
+for `spectrum` and `wavefunction`) is a computation error.
 
-Only `validate` and `wavefunction` import the oracle modules (and numpy and
-scipy), when they run. Neither `spectrum` nor `roots` loads numpy, scipy,
+Only `validate` imports the oracle (and with it scipy), when it runs;
+`wavefunction` loads numpy. Neither `spectrum` nor `roots` loads numpy, scipy,
 `dataclasses` or `inspect`: their records are NamedTuples. Their cold start,
 median of 40 fresh processes on a 2-vCPU VM (Python 3.11.7), is 78-80 ms
 under PYTHONDONTWRITEBYTECODE=1 and 62-65 ms with bytecode cached (92-96
@@ -25,17 +28,32 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from itertools import groupby
 from operator import attrgetter
 
 from . import mixing, spectra
-from .core import QuantumNumberError, Scenario, as_half_integer, channel_kind, couplings
+from .core import Scenario, as_half_integer, channel_kind, couplings
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_CONFIG = 2
+
+
+class ConfigError(Exception):
+    """Bad input: `main` prints it as one line and exits EXIT_CONFIG."""
+
+
+@contextmanager
+def _options():
+    """Read options: a ValueError or OverflowError raised in the block, or an
+    OSError from reading a config file, becomes a ConfigError."""
+    try:
+        yield
+    except (ValueError, OverflowError, OSError) as exc:
+        raise ConfigError(exc) from exc
 
 
 def fmt12(x) -> str:
@@ -82,7 +100,7 @@ def _apply_config_file(argv: list[str]) -> list[str]:
             if value.lower() in ("1", "true", "yes", "on"):
                 injected.append(f"--{key}")
         else:
-            injected.extend([f"--{key}", value])
+            injected.append(f"--{key}={value}")  # one token: a value may start with '-'
     out = list(argv)
     for i, tok in enumerate(out):
         if not tok.startswith("-"):  # the subcommand
@@ -127,7 +145,10 @@ def parse_n_range(spec: str) -> list[int]:
         first, last = parse_radial_index(lo), parse_radial_index(hi)
         if last < first:
             raise ValueError(f"--n range {spec} runs backwards")
-        return list(range(first, last + 1))
+        try:
+            return list(range(first, last + 1))
+        except OverflowError:
+            raise ValueError(f"--n range {spec} is too long") from None
     return _distinct([parse_radial_index(tok) for tok in spec.split(",")], "--n")
 
 
@@ -258,17 +279,9 @@ def render_levels(levels, fmt: str) -> str:
     return render(groupby(sorted(levels, key=_ROW_ORDER), key=_BLOCK))
 
 
-def _overflow(args) -> int:
-    """One stderr line for a request whose closed forms leave double range."""
-    print(f"error: j = {args.j}: the closed form overflows double precision for these parameters",
-          file=sys.stderr)
-    return EXIT_COMPUTE
-
-
 def _emit(text: str, output: str | None) -> int:
-    """Write `text` to the file `output`, or to stdout when there is none.
-    A file that cannot be written is a configuration error: one line on
-    stderr and EXIT_CONFIG."""
+    """Write `text` to the file `output`, or to stdout when there is none. A
+    file that cannot be written raises ConfigError."""
     if not output:
         sys.stdout.write(text)
         return EXIT_OK
@@ -276,8 +289,7 @@ def _emit(text: str, output: str | None) -> int:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write {output}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"cannot write {output}: {exc.strerror or exc}") from exc
     return EXIT_OK
 
 
@@ -285,97 +297,73 @@ def _emit(text: str, output: str | None) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    try:
+    with _options():
         scen = _scenario_from_args(args)
         j = as_half_integer(args.j, "j")
         n_values = parse_n_range(args.n)
         channels = parse_channels(args.channel) if args.channel else None
-    except (ValueError, QuantumNumberError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        levels = spectra.spectrum_levels(scen, j, n_values, channels, args.include_inadmissible)
-        return _emit(render_levels(levels, args.format), args.output)
-    except (spectra.SpectrumError, QuantumNumberError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    except OverflowError:
-        return _overflow(args)
+    levels = spectra.spectrum_levels(scen, j, n_values, channels, args.include_inadmissible)
+    return _emit(render_levels(levels, args.format), args.output)
 
 
 def cmd_roots(args) -> int:
-    try:
+    with _options():
         k = as_half_integer(args.k, "k")
         j = as_half_integer(args.j, "j")
-    except QuantumNumberError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        kind = channel_kind(j, k)
-        out: dict = {"j2": int(j * 2), "k2": int(k * 2), "channel_kind": kind}
-        if kind == "min-j":
-            out["notice"] = (
-                "j = |k| - 1 is the reduced single-component channel; no 3x3 mixing system exists"
-            )
-            return _emit(json.dumps(out, sort_keys=True, indent=1) + "\n", args.output)
-        cp = couplings(j, k)
-        inv = mixing.cubic_invariants(j, k)
-        triple = mixing.mixing_roots(j, k)
-        out.update(
-            {
-                "c": _round12(cp.c),
-                "d": _round12(cp.d),
-                "cubic": {
-                    "r": _round12(float(inv.r)),
-                    "s": _round12(float(inv.s)),
-                    "t": _round12(float(inv.t)),
-                    "p_from_matrix": _round12(float(inv.p)),
-                    "q_from_matrix": _round12(float(inv.q)),
-                    "p_closed_form": _round12(float(inv.p_closed)),
-                    "q_closed_form": _round12(float(inv.q_closed)),
-                    "discriminant": _round12(float(inv.disc)),
-                },
-                "roots": [_round12(a) for a in triple.a],
-                "L": [_round12(l) for l in triple.l],
-            }
-        )
-        if kind == "j-equals-k":
-            out["caution"] = "j = |k|: one root is exactly zero and the transform is degenerate"
-        elif k == 0:
-            # c = d makes the middle root equal 2c^2 exactly: the unit-diagonal
-            # transform degenerates and the parity split takes its place
-            out["caution"] = "k = 0: parity split diagonalizes the system (transform degenerate)"
-            if j >= 1:
-                pair = mixing.parity_eigenvalues(j)
-                out["parity_pair"] = [str(pair[0]), str(pair[1])]
-        else:
-            s = mixing.transform_matrix(cp.c, cp.d, triple)
-            out["transform"] = [[_round12(v) for v in row] for row in s]
-            out["eigen_residual"] = _round12(mixing.transform_residual(cp.c, cp.d, triple, s))
+    kind = channel_kind(j, k)
+    out: dict = {"j2": int(j * 2), "k2": int(k * 2), "channel_kind": kind}
+    if kind == "min-j":
+        out["notice"] = "j = |k| - 1 is the reduced single-component channel; no 3x3 mixing system exists"
         return _emit(json.dumps(out, sort_keys=True, indent=1) + "\n", args.output)
-    except (mixing.MixingError, QuantumNumberError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    except OverflowError:
-        return _overflow(args)
+    cp = couplings(j, k)
+    inv = mixing.cubic_invariants(j, k)
+    triple = mixing.mixing_roots(j, k)
+    out.update(
+        {
+            "c": _round12(cp.c),
+            "d": _round12(cp.d),
+            "cubic": {
+                "r": _round12(float(inv.r)),
+                "s": _round12(float(inv.s)),
+                "t": _round12(float(inv.t)),
+                "p_from_matrix": _round12(float(inv.p)),
+                "q_from_matrix": _round12(float(inv.q)),
+                "p_closed_form": _round12(float(inv.p_closed)),
+                "q_closed_form": _round12(float(inv.q_closed)),
+                "discriminant": _round12(float(inv.disc)),
+            },
+            "roots": [_round12(a) for a in triple.a],
+            "L": [_round12(l) for l in triple.l],
+        }
+    )
+    if kind == "j-equals-k":
+        out["caution"] = "j = |k|: one root is exactly zero and the transform is degenerate"
+    elif k == 0:
+        # c = d makes the middle root equal 2c^2 exactly: the unit-diagonal
+        # transform degenerates and the parity split takes its place
+        out["caution"] = "k = 0: parity split diagonalizes the system (transform degenerate)"
+        if j >= 1:
+            pair = mixing.parity_eigenvalues(j)
+            out["parity_pair"] = [str(pair[0]), str(pair[1])]
+    else:
+        s = mixing.transform_matrix(cp.c, cp.d, triple)
+        out["transform"] = [[_round12(v) for v in row] for row in s]
+        out["eigen_residual"] = _round12(mixing.transform_residual(cp.c, cp.d, triple, s))
+    return _emit(json.dumps(out, sort_keys=True, indent=1) + "\n", args.output)
 
 
 def cmd_validate(args) -> int:
     from . import validate
-    try:
-        selected = validate.selected_suites([args.suite] if args.suite != "all" else "all")
-    except KeyError as exc:
-        print(f"error: unknown suite {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    with _options():
+        selected = validate.selected_suites([args.suite])
     # an unwritable report path fails before any suite runs
-    if args.report and _emit("", args.report) != EXIT_OK:
-        return EXIT_CONFIG
+    if args.report:
+        _emit("", args.report)
     report = validate.run_suites(selected)
     for record in report["results"]["criteria"]:
         print(validate.line(record))
     if args.report:
-        if _emit(json.dumps(report, sort_keys=True, indent=1) + "\n", args.report) != EXIT_OK:
-            return EXIT_CONFIG
+        _emit(json.dumps(report, sort_keys=True, indent=1) + "\n", args.report)
     if report["results"]["passed"]:
         print("all hard criteria passed")
         return EXIT_OK
@@ -384,8 +372,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_wavefunction(args) -> int:
-    from . import oracle, radial
-    try:
+    from . import radial
+    with _options():
         scen = _scenario_from_args(args)
         j = as_half_integer(args.j, "j")
         grid = parse_grid_spec(args.grid)
@@ -396,40 +384,30 @@ def cmd_wavefunction(args) -> int:
         if scen.potential == "none" and (energy is None or energy >= 0.0):
             raise ValueError("the free reduced channel profile needs --energy E < 0")
         channel = args.channel or spectra.default_channels(scen, j)[0]
-    except (ValueError, QuantumNumberError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        problem = radial.build_problem(scen, channel, j)
-        if scen.potential == "none":
-            level = spectra.peculiar_flat_level(energy, scen)
-        else:
-            level = spectra.single_level(scen, j, n, channel)
-        if not level.admissible:
-            print(f"error: level inadmissible: {level.reason}", file=sys.stderr)
-            return EXIT_COMPUTE
-        sol = radial.analytic_solution(problem, level, grid=grid)
-        res = _wavefunction_residual(problem, level)
-        header = {
-            "closed_form": sol.closed_form,
-            "channel": channel,
-            "j2": int(j * 2),
-            "n": level.n,
-            "E": _round12(level.energy),
-            "l2_norm": _round12(sol.norm),
-            "nodes": sol.node_count(),
-        }
-        if res is not None:
-            header["ode_residual"] = _round12(res)
-        lines = [json.dumps(header, sort_keys=True), "r,u"]
-        for r, u in zip(sol.grid, sol.values):
-            lines.append(f"{fmt12(r)},{fmt12(u)}")
-        return _emit("\n".join(lines) + "\n", args.output)
-    except (radial.RadialError, spectra.SpectrumError, oracle.OracleError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    except OverflowError:
-        return _overflow(args)
+    problem = radial.build_problem(scen, channel, j)
+    if scen.potential == "none":
+        level = spectra.peculiar_flat_level(energy, scen)
+    else:
+        level = spectra.single_level(scen, j, n, channel)
+    if not level.admissible:
+        raise spectra.SpectrumError(f"level inadmissible: {level.reason}")
+    sol = radial.analytic_solution(problem, level, grid=grid)
+    res = _wavefunction_residual(problem, level)
+    header = {
+        "closed_form": sol.closed_form,
+        "channel": channel,
+        "j2": int(j * 2),
+        "n": level.n,
+        "E": _round12(level.energy),
+        "l2_norm": _round12(sol.norm),
+        "nodes": sol.node_count(),
+    }
+    if res is not None:
+        header["ode_residual"] = _round12(res)
+    lines = [json.dumps(header, sort_keys=True), "r,u"]
+    for r, u in zip(sol.grid, sol.values):
+        lines.append(f"{fmt12(r)},{fmt12(u)}")
+    return _emit("\n".join(lines) + "\n", args.output)
 
 
 def _wavefunction_residual(problem, level):
@@ -498,17 +476,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. This is the one place an error becomes an exit
+    code and one stderr line: ConfigError exits 2; an OverflowError, or a
+    ValueError from the computation (every package error the subcommands
+    can raise is one), exits 1."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        argv = _apply_config_file(argv)
-        args = parser.parse_args(argv)
+        with _options():
+            args = build_parser().parse_args(_apply_config_file(argv))
+        return args.func(args)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    except (OSError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return args.func(args)
+    except OverflowError:
+        print(f"error: j = {args.j}: the closed form overflows double precision for these parameters",
+              file=sys.stderr)
+        return EXIT_COMPUTE
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
 
 
 if __name__ == "__main__":

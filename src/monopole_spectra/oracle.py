@@ -11,7 +11,7 @@ shooting with log-derivative matching instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -234,25 +234,7 @@ def shoot_decay(problem: RadialProblem, epsilon: float, r_max: float = 35.0) -> 
     return ShootResult(mismatch=float(mismatch), matching_radius=r_match, far_decay_rate=kappa)
 
 
-# --- reports and arbitration ----------------------------------------------------
-
-
-@dataclass
-class OracleReport:
-    """Deterministic record of an oracle run: counts, verdicts and notes."""
-
-    tag: str
-    counts: dict = field(default_factory=dict)
-    verdicts: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "tag": self.tag,
-            "counts": self.counts,
-            "verdicts": self.verdicts,
-            "notes": self.notes,
-        }
+# --- arbitration -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -277,7 +259,7 @@ def _match_candidates(numeric: np.ndarray, l_value: float, k_osc: float, mass: f
 
 
 def arbitrate_oscillator_prefactor(k_osc: float, mass: float, l_values: Sequence[float],
-                                   n_max: int = 3, report: Optional[OracleReport] = None) -> list[ArbitrationVerdict]:
+                                   n_max: int = 3) -> list[ArbitrationVerdict]:
     """Decide which flat-oscillator closed form the FD oracle confirms.
 
     For each effective L, the lowest n_max+1 FD eigenvalues are compared with
@@ -320,10 +302,4 @@ def arbitrate_oscillator_prefactor(k_osc: float, mass: float, l_values: Sequence
             stable=stable,
         )
         verdicts.append(verdict)
-        if report is not None:
-            report.verdicts.append(
-                f"flat oscillator L = {lval:.6g}: '{name}' form confirmed "
-                f"(rel dev {verdict.matched_rel_dev:.2e}; rejected '{other}' off by "
-                f"{verdict.rejected_rel_dev:.2e}; stable across grids: {stable})"
-            )
     return verdicts

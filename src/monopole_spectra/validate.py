@@ -162,12 +162,19 @@ def suite_flat_coulomb() -> list[dict]:
 # --- criterion 5: flat oscillator arbitration --------------------------------------
 
 
+def _arbitration_sentence(v) -> str:
+    """One arbitration verdict in words, as criterion 5's detail reports it."""
+    other = "printed" if v.confirmed == "quantization" else "quantization"
+    return (f"flat oscillator L = {v.l_value:.6g}: '{v.confirmed}' form confirmed "
+            f"(rel dev {v.matched_rel_dev:.2e}; rejected '{other}' off by "
+            f"{v.rejected_rel_dev:.2e}; stable across grids: {v.stable})")
+
+
 def suite_flat_oscillator() -> list[dict]:
     k_osc = mass = 1.0
     l2 = mixing.mixing_roots(2, 1).l[1]
-    report = oracle.OracleReport(tag="flat-oscillator-arbitration")
     try:
-        verdicts = oracle.arbitrate_oscillator_prefactor(k_osc, mass, [0.0, l2], n_max=3, report=report)
+        verdicts = oracle.arbitrate_oscillator_prefactor(k_osc, mass, [0.0, l2], n_max=3)
     except oracle.OracleError as exc:
         return [
             _criterion(
@@ -190,7 +197,9 @@ def suite_flat_oscillator() -> list[dict]:
                 f"other {v.rejected_rel_dev:.1e})"
                 for v in verdicts
             ),
-            detail={"verdicts": [v.__dict__ for v in verdicts], "report": report.to_json_dict()},
+            detail={"verdicts": [v.__dict__ for v in verdicts],
+                    "report": {"tag": "flat-oscillator-arbitration", "counts": {},
+                               "verdicts": [_arbitration_sentence(v) for v in verdicts], "notes": []}},
         )
     ]
 
@@ -475,19 +484,18 @@ _SUITES = {
     "lob-coulomb": suite_lob_coulomb,
     "lob-oscillator": suite_lob_oscillator,
     "heun": suite_heun,
+    "determinism": suite_determinism,
 }
-SUITE_NAMES = tuple(_SUITES)
 
 
 def selected_suites(names) -> list[str]:
-    """The suite names `run_suites(names)` runs: 'all' expands to every suite
-    plus the determinism check. An unknown name raises KeyError before any
-    suite runs."""
+    """The suite names `run_suites(names)` runs: 'all' expands to every suite.
+    An unknown name raises ValueError before any suite runs."""
     if names == "all" or names == ["all"]:
-        return list(SUITE_NAMES) + ["determinism"]
+        return list(_SUITES)
     for name in names:
-        if name not in _SUITES and name != "determinism":
-            raise KeyError(name)
+        if name not in _SUITES:
+            raise ValueError(f"unknown suite {name!r}")
     return list(names)
 
 
@@ -497,9 +505,8 @@ def run_suites(names) -> dict:
     results: list[dict] = []
     timing = {}
     for name in selected_suites(names):
-        fn = _SUITES.get(name, suite_determinism)
         t0 = time.monotonic()
-        results.extend(fn())
+        results.extend(_SUITES[name]())
         timing[name] = round(time.monotonic() - t0, 3)
     hard_failures = [r["id"] for r in results if not r["passed"]]
     return {

@@ -202,6 +202,25 @@ def test_config_file_defaults_and_flag_override(capsys, tmp_path):
     assert len(out.strip().splitlines()) == 1 + 12  # flag wins over file
 
 
+def test_spectrum_n_range_too_long_to_build_exit_2(capsys):
+    code, out, err = run(["spectrum", "--k", "1", "--j", "2", "--alpha", "1",
+                          "--n", "0..100000000000000000000"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: --n range 0..100000000000000000000 is too long\n"
+
+
+def test_config_file_negative_value_in_scientific_notation(capsys, tmp_path):
+    # each value is injected as one --key=value token, so argparse does not
+    # take "-1e-3" for a flag
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("geometry = flat\npotential = none\nk = 1\nj = 0\nenergy = -1e-3\ngrid = 0.5:20:5\n")
+    code, out, err = run(["wavefunction", "--config", str(cfg)], capsys)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert json.loads(lines[0])["E"] == -0.001
+    assert lines[1] == "r,u" and len(lines) == 2 + 5
+
+
 def test_spectrum_negative_n_exit_2(capsys):
     code, out, err = run(["spectrum", "--k", "1", "--j", "2", "--alpha", "1", "--n=-2..0"], capsys)
     assert code == 2 and out == "" and "n = -2" in err

@@ -1,7 +1,6 @@
 """FD eigensolver, Sturm counts, bound-state counting, shooting, arbitration."""
 
 import dataclasses
-import json
 import math
 from fractions import Fraction
 
@@ -260,17 +259,6 @@ def test_arbitration_level_spacing():
     evs = oracle.fd_eigen(prob, oracle.Grid(r_max=12.0, n=16000), count=3)
     spacings = np.diff(evs)
     assert spacings == pytest.approx([2.0, 2.0], rel=1e-4)  # 2 sqrt(K/M), not sqrt(K/M)
-
-
-def test_oracle_report_roundtrip():
-    rep = oracle.OracleReport(tag="demo")
-    rep.counts["bound"] = 3
-    rep.verdicts.append("verdict")
-    rep.notes.append("note")
-    blob = rep.to_json_dict()
-    assert blob == {"tag": "demo", "counts": {"bound": 3},
-                    "verdicts": ["verdict"], "notes": ["note"]}
-    assert json.loads(json.dumps(blob)) == blob
 
 
 def test_count_accepts_explicit_edge():

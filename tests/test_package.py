@@ -1,6 +1,7 @@
 """The package's public surface: every exported name resolves, lazily, and
 the closed-form commands `spectrum` and `roots` load neither the oracle's
-numpy and scipy nor `dataclasses` and `inspect`."""
+numpy and scipy nor `dataclasses` and `inspect`, and `wavefunction` loads
+neither the oracle nor scipy."""
 
 import json
 import os
@@ -62,6 +63,20 @@ def test_oracle_commands_still_run_in_a_fresh_process(argv):
     out = fresh_python("-m", "monopole_spectra.cli", *argv)
     assert out.returncode == 0, out.stderr
     assert out.stdout
+
+
+def test_wavefunction_does_not_import_scipy():
+    # the oracle, and with it scipy, is validate's alone
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from monopole_spectra import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = cli.main(['wavefunction', '--k', '1', '--j', '2', '--alpha', '1', '--grid', '0.5:20:40'])\n"
+        "print(json.dumps([status, 'scipy' in sys.modules, 'monopole_spectra.oracle' in sys.modules]))\n"
+    )
+    out = fresh_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [0, False, False]
 
 
 def test_readme_quick_start_runs():
