@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from .core import HalfInt, as_half_integer
-from .spectra import CH_EVEN_1, CH_EVEN_2, SpectrumError
+from .core import POTENTIAL_COULOMB, POTENTIAL_OSCILLATOR, HalfInt, as_half_integer
+from .spectra import curved_row
 from .specfun import HeunParams, heun_ode_residuals
 
 
@@ -30,19 +30,11 @@ def _sqrt_or_raise(radicand: float, label: str) -> float:
     return math.sqrt(radicand)
 
 
-def _even_channel_a_coulomb(j: float, channel: str) -> float:
-    # bound z = 0 exponent: j+2 of {j+2, -(j+1)} for channel 1, j of {j, 1-j} for channel 2
-    if channel == CH_EVEN_1:
-        return j + 2.0
-    if channel == CH_EVEN_2:
-        return j
-    raise SpectrumError(f"unknown even channel {channel!r}")
-
-
 def coulomb_exponents(energy: float, alpha: float, mass: float, j: HalfInt, channel: str) -> tuple[float, float, float]:
     """Bound-branch substitution exponents (A, B, C) for the Coulomb channels:
 
-        A = j+2 (channel 1) or j (channel 2),
+        A = j+2 (channel 1) or j (channel 2), the bound z = 0 exponent of
+        {j+2, -(j+1)} and {j, 1-j}, from the channel's row;
         B = 1/2 + sqrt(-2M(E+alpha)),  C = 1/2 - sqrt(-2M(E-alpha)).
 
     Needs E + alpha < 0 and E - alpha < 0.
@@ -50,7 +42,8 @@ def coulomb_exponents(energy: float, alpha: float, mass: float, j: HalfInt, chan
     jf = float(as_half_integer(j, "j"))
     u = _sqrt_or_raise(-2.0 * mass * (energy + alpha), "B: -2M(E+alpha)")
     v = _sqrt_or_raise(-2.0 * mass * (energy - alpha), "C: -2M(E-alpha)")
-    return _even_channel_a_coulomb(jf, channel), 0.5 + u, 0.5 - v
+    (a_exp,) = curved_row(POTENTIAL_COULOMB, channel, "heun_exponents", "even").heun_exponents(jf)
+    return a_exp, 0.5 + u, 0.5 - v
 
 
 def heun_params_coulomb(energy: float, alpha: float, mass: float, j: HalfInt, channel: str) -> HeunParams:
@@ -77,20 +70,12 @@ def heun_params_coulomb(energy: float, alpha: float, mass: float, j: HalfInt, ch
 def oscillator_exponents(k_osc: float, mass: float, j: HalfInt, channel: str) -> tuple[float, float, float]:
     """Bound-branch exponents (A, B, C) for the oscillator channels in x = cosh r:
 
-        A = (1 - sqrt(1 + 4MK))/2,
-        B = 1 + j/2 (channel 1) or j/2 (channel 2),
-        C = 1/2 + j/2 (channel 1) or (1+j)/2 (channel 2).
+        A = (1 - sqrt(1 + 4MK))/2, and from the channel's row
+        B = 1 + j/2, C = 1/2 + j/2 (channel 1) or B = j/2, C = (1+j)/2 (channel 2).
     """
     jf = float(as_half_integer(j, "j"))
     a_exp = 0.5 - 0.5 * _sqrt_or_raise(1.0 + 4.0 * mass * k_osc, "A: 1+4MK")
-    if channel == CH_EVEN_1:
-        b_exp = 1.0 + jf / 2.0
-        c_exp = 0.5 + jf / 2.0
-    elif channel == CH_EVEN_2:
-        b_exp = jf / 2.0
-        c_exp = (1.0 + jf) / 2.0
-    else:
-        raise SpectrumError(f"unknown even channel {channel!r}")
+    b_exp, c_exp = curved_row(POTENTIAL_OSCILLATOR, channel, "heun_exponents", "even").heun_exponents(jf)
     return a_exp, b_exp, c_exp
 
 

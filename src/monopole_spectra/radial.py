@@ -29,12 +29,11 @@ from .core import (
     as_half_integer,
 )
 from .spectra import (
-    CH_EVEN_1,
-    CH_EVEN_2,
-    CH_MIN_J,
     CH_PARITY_ODD,
+    CHANNEL_TABLE,
     EnergyLevel,
     SpectrumError,
+    channel_row,
     flat_channel_l,
     minj_coulomb_b,
     minj_nu_0,
@@ -76,21 +75,16 @@ class RadialProblem:
         return 2.0 * self.mass * energy
 
 
-def _coth(r):
-    return np.cosh(r) / np.sinh(r)
-
-
 def build_problem(scenario: Scenario, channel: str, j: HalfInt) -> RadialProblem:
     """Effective radial problem for (scenario, channel, j).
 
     Flat channels carry V = L(L+1)/r^2 plus -2 M alpha / r or M K r^2; curved
     channels are built from j(j+1)/sinh^2 r, +-(1+cosh r)/sinh^2 r couplings,
-    -2 M alpha / tanh r, and M K tanh^2 r.
+    -2 M alpha / tanh r, and M K tanh^2 r. The curved coupling and origin
+    exponent come from the channel's row in `spectra.CHANNEL_TABLE`.
     """
     jf = as_half_integer(j, "j")
-    m = scenario.mass
-    al = scenario.alpha
-    ko = scenario.k_osc
+    m, al = scenario.mass, scenario.alpha
     tag = f"{scenario.geometry}/{scenario.potential}/{channel}[j={jf},k={scenario.charge}]"
     common = dict(tag=tag, scenario=scenario, channel=channel, j=jf, mass=m)
 
@@ -99,63 +93,49 @@ def build_problem(scenario: Scenario, channel: str, j: HalfInt) -> RadialProblem
             lval = flat_channel_l(jf, scenario.charge, channel)
         except SpectrumError as exc:
             raise RadialError(str(exc)) from exc
-        if scenario.potential == POTENTIAL_COULOMB:
-            vr = lambda r, L=lval: L * (L + 1.0) / r**2 - 2.0 * m * al / r
-        elif scenario.potential == POTENTIAL_OSCILLATOR:
-            vr = lambda r, L=lval: L * (L + 1.0) / r**2 + m * ko * r**2
-        else:
-            vr = lambda r, L=lval: L * (L + 1.0) / r**2
+        vr, _ = _with_potential(scenario, lambda r, L=lval: L * (L + 1.0) / r**2, lambda r: r)
         return RadialProblem(**common, v_eff=vr, origin_exponent=lval + 1.0)
 
     # Lobachevsky geometry
-    if channel == CH_MIN_J:
-        if scenario.no_monopole:
+    row = channel_row(scenario, channel)
+    if row is None:
+        if not scenario.no_monopole:
+            raise RadialError("curved channels beyond minimum j do not decouple in a monopole field")
+        if (scenario.geometry, scenario.potential, channel) in CHANNEL_TABLE:
             raise RadialError("minimum-j channel needs a monopole charge |k| >= 1")
-        if scenario.potential == POTENTIAL_COULOMB:
-            # the oracle's own Frobenius exponent, not spectra.minj_nu_0: the
-            # oracle stays independent of the closed form it checks
-            a_exp = (1.0 + math.sqrt(1.0 - 4.0 * al * al)) / 2.0
-            return RadialProblem(
-                **common,
-                quad_coeff=lambda r, eps: (eps + al * _coth(r)) ** 2 - m * m,
-                linearity=QUADRATIC_IN_EPSILON,
-                origin_exponent=a_exp,
-            )
-        if scenario.potential == POTENTIAL_OSCILLATOR:
-            return RadialProblem(
-                **common,
-                v_eff=lambda r: m * ko * np.tanh(r) ** 2,
-                origin_exponent=1.0,
-                continuum_edge=ko / 2.0,
-            )
-        raise RadialError("free curved minimum-j channel: use the relativistic reduction")
-
-    if not scenario.no_monopole:
-        raise RadialError("curved channels beyond minimum j do not decouple in a monopole field")
-
-    jj1 = float(jf * (jf + 1))
-    if channel == CH_PARITY_ODD:
-        angular = lambda r: jj1 / np.sinh(r) ** 2
-        exponent = float(jf) + 1.0
-    elif channel == CH_EVEN_1:
-        angular = lambda r: (jj1 + (float(jf) + 1.0) * (1.0 + np.cosh(r))) / np.sinh(r) ** 2
-        exponent = float(jf) + 2.0
-    elif channel == CH_EVEN_2:
-        angular = lambda r: (jj1 - float(jf) * (1.0 + np.cosh(r))) / np.sinh(r) ** 2
-        exponent = max(float(jf), 1.0 - float(jf))
-    else:
         raise RadialError(f"unknown channel {channel!r} for {scenario.geometry}")
-
-    if scenario.potential == POTENTIAL_COULOMB:
-        vr = lambda r: angular(r) - 2.0 * m * al / np.tanh(r)
-        edge = -al
-    elif scenario.potential == POTENTIAL_OSCILLATOR:
-        vr = lambda r: angular(r) + m * ko * np.tanh(r) ** 2
-        edge = ko / 2.0
+    if row.origin_exponent is None:
+        raise RadialError("free curved minimum-j channel: use the relativistic reduction")
+    exponent = row.origin_exponent(float(jf), scenario)
+    if row.relativistic:
+        return RadialProblem(
+            **common,
+            quad_coeff=lambda r, eps: (eps + al * (np.cosh(r) / np.sinh(r))) ** 2 - m * m,
+            linearity=QUADRATIC_IN_EPSILON,
+            origin_exponent=exponent,
+        )
+    jj1 = float(jf * (jf + 1))
+    if row.monopole:  # the reduced min-j channel has no angular term
+        angular = lambda r: 0.0
+    elif row.coupling is None:
+        angular = lambda r: jj1 / np.sinh(r) ** 2
     else:
-        vr = angular
-        edge = 0.0
+        c = row.coupling(float(jf))
+        angular = lambda r: (jj1 + c * (1.0 + np.cosh(r))) / np.sinh(r) ** 2
+    vr, edge = _with_potential(scenario, angular, np.tanh)
     return RadialProblem(**common, v_eff=vr, origin_exponent=exponent, continuum_edge=edge)
+
+
+def _with_potential(scenario: Scenario, angular: Callable, x: Callable) -> tuple[Callable, float]:
+    """V_eff = angular(r) plus the scenario's potential, -2 M alpha / x(r) or
+    M K x(r)^2 with x(r) = r (flat) or tanh r (curved), and the curved
+    continuum edge lim V/(2M): -alpha, K/2, or 0 for the free particle."""
+    m, al, ko = scenario.mass, scenario.alpha, scenario.k_osc
+    if scenario.potential == POTENTIAL_COULOMB:
+        return (lambda r: angular(r) - 2.0 * m * al / x(r)), -al
+    if scenario.potential == POTENTIAL_OSCILLATOR:
+        return (lambda r: angular(r) + m * ko * x(r) ** 2), ko / 2.0
+    return angular, 0.0
 
 
 # --- analytic solutions -------------------------------------------------------
@@ -201,8 +181,13 @@ def default_solution_grid(problem: RadialProblem, level: EnergyLevel, h: float =
     if problem.scenario.geometry == GEOMETRY_FLAT:
         r0 = _origin_start(problem, 1e-4, h)
         if problem.scenario.potential == POTENTIAL_OSCILLATOR:
-            om = math.sqrt(problem.scenario.k_osc / problem.mass)
-            r1 = max(3.0 * math.sqrt(2.0 * max(level.energy, om) / om**2 / problem.mass), 6.0 / math.sqrt(problem.mass * om))
+            k_osc, mass = problem.scenario.k_osc, problem.mass
+            om = math.sqrt(k_osc / mass)
+            r1 = max(3.0 * math.sqrt(2.0 * max(level.energy, om) / om**2 / mass), 6.0 / math.sqrt(mass * om)) if om else 0
+            if not 0.0 < r1 < math.inf:
+                # omega = sqrt(K/M) left the double range: the same extent in oscillator lengths (MK)^(-1/4)
+                e_per_omega = level.energy / (math.sqrt(k_osc) / math.sqrt(mass))
+                r1 = mass**-0.25 * k_osc**-0.25 * max(3.0 * math.sqrt(2.0 * max(e_per_omega, 1.0)), 6.0)
         else:
             kappa = math.sqrt(2.0 * problem.mass * e_ref)
             r1 = min(12.0 / kappa + 10.0, 400.0)
@@ -217,11 +202,10 @@ def default_solution_grid(problem: RadialProblem, level: EnergyLevel, h: float =
 
 
 def analytic_solution(problem: RadialProblem, level: EnergyLevel, grid: Optional[np.ndarray] = None) -> RadialSolution:
-    """Closed-form bound-state solution sampled on the grid.
-
-    Raises for inadmissible levels and for channels whose closed form is only
-    a local series off the physical domain (curved oscillator even channels).
-    """
+    """Closed-form bound-state solution sampled on the grid by the sampler that
+    the channel's row names. Raises for inadmissible levels and for channels
+    without one, such as the curved oscillator even channels, whose closed form
+    is only a local series off the physical domain."""
     if not level.admissible:
         raise RadialError(f"level is not a bound state: {level.reason}")
     scen = problem.scenario
@@ -229,10 +213,14 @@ def analytic_solution(problem: RadialProblem, level: EnergyLevel, grid: Optional
         grid = default_solution_grid(problem, level)
     r = np.asarray(grid, dtype=float)
 
-    if scen.geometry == GEOMETRY_FLAT:
-        u, form = _flat_solution(problem, level, r)
-    else:
-        u, form = _curved_solution(problem, level, r)
+    row = channel_row(scen, problem.channel)
+    reason = row.sampler if row else "the channel has no row"
+    sample = _SAMPLERS.get(reason)
+    if sample is None:
+        raise RadialError(
+            f"no closed-form sampler for channel {problem.channel!r} with potential {scen.potential!r}; {reason}"
+        )
+    u, form = sample(problem, level, r)
     scale = np.max(np.abs(u))
     if not np.isfinite(scale) or scale == 0.0:
         raise RadialError("analytic solution degenerate on this grid")
@@ -242,76 +230,63 @@ def analytic_solution(problem: RadialProblem, level: EnergyLevel, grid: Optional
     return RadialSolution(grid=r, values=u, closed_form=form, norm=norm)
 
 
-def _flat_solution(problem: RadialProblem, level: EnergyLevel, r: np.ndarray):
-    scen = problem.scenario
-    m = problem.mass
-    n = level.n
-    if scen.potential == POTENTIAL_COULOMB:
-        lval = flat_channel_l(level.j, scen.charge, level.channel)
-        kappa = math.sqrt(-2.0 * m * level.energy)
-        z = 2.0 * kappa * r
-        u = r * z**lval * np.exp(-z / 2.0) * specfun.kummer_1f1(-n, 2.0 * lval + 2.0, z)
-        return u, f"u = r z^L e^(-z/2) 1F1(-n; 2L+2; z), z = 2 sqrt(-2ME) r, L = {lval:.12g}"
-    if scen.potential == POTENTIAL_OSCILLATOR:
-        lval = flat_channel_l(level.j, scen.charge, level.channel)
-        x = math.sqrt(m * scen.k_osc) * r**2
-        u = r * x ** (lval / 2.0) * np.exp(-x / 2.0) * specfun.kummer_1f1(-n, lval + 1.5, x)
-        return u, f"u = r x^(L/2) e^(-x/2) 1F1(-n; L+3/2; x), x = sqrt(MK) r^2, L = {lval:.12g}"
-    # free reduced channel: the peculiar bound-type profile psi = e^(-kappa r)/r
+def _flat_coulomb_solution(problem: RadialProblem, level: EnergyLevel, r: np.ndarray):
+    lval = flat_channel_l(level.j, problem.scenario.charge, level.channel)
+    z = 2.0 * math.sqrt(-2.0 * problem.mass * level.energy) * r
+    u = r * z**lval * np.exp(-z / 2.0) * specfun.kummer_1f1(-level.n, 2.0 * lval + 2.0, z)
+    return u, f"u = r z^L e^(-z/2) 1F1(-n; 2L+2; z), z = 2 sqrt(-2ME) r, L = {lval:.12g}"
+
+
+def _flat_oscillator_solution(problem: RadialProblem, level: EnergyLevel, r: np.ndarray):
+    lval = flat_channel_l(level.j, problem.scenario.charge, level.channel)
+    x = math.sqrt(problem.mass * problem.scenario.k_osc) * r**2
+    u = r * x ** (lval / 2.0) * np.exp(-x / 2.0) * specfun.kummer_1f1(-level.n, lval + 1.5, x)
+    return u, f"u = r x^(L/2) e^(-x/2) 1F1(-n; L+3/2; x), x = sqrt(MK) r^2, L = {lval:.12g}"
+
+
+def _flat_free_solution(problem: RadialProblem, level: EnergyLevel, r: np.ndarray):
+    # the reduced free channel's peculiar bound-type profile psi = e^(-kappa r)/r
     if level.energy >= 0:
         raise RadialError("the reduced free channel bound profile needs E < 0")
-    kappa = math.sqrt(-2.0 * m * level.energy)
-    u = np.exp(-kappa * r)
-    return u, f"u = e^(-kappa r) (psi = u/r), kappa = sqrt(-2ME) = {kappa:.12g}"
+    kappa = math.sqrt(-2.0 * problem.mass * level.energy)
+    return np.exp(-kappa * r), f"u = e^(-kappa r) (psi = u/r), kappa = sqrt(-2ME) = {kappa:.12g}"
 
 
-def _curved_solution(problem: RadialProblem, level: EnergyLevel, r: np.ndarray):
-    scen = problem.scenario
-    m = problem.mass
+def _x_series(r: np.ndarray, a_exp: float, b_exp: float, n: int):
+    """x^A (1-x)^B 2F1(-n, 2(A+B)+n; 2A; x), x = 1 - e^(-2r), and its beta; (1-x)^B is
+    e^(-2Br), which keeps the tail once x rounds to 1 (r beyond ~18)."""
+    x = 1.0 - np.exp(-2.0 * r)
+    beta = 2.0 * (a_exp + b_exp) + n
+    return x**a_exp * np.exp(-2.0 * b_exp * r) * specfun.gauss_2f1(-n, beta, 2.0 * a_exp, x), beta
+
+
+def _minj_coulomb_solution(problem: RadialProblem, level: EnergyLevel, r: np.ndarray):
+    a_exp = minj_nu_0(problem.scenario.alpha)
+    b_exp = minj_coulomb_b(level.epsilon, problem.scenario.alpha, level.n)
+    u, beta = _x_series(r, a_exp, b_exp, level.n)
+    return u, (f"F = x^A (1-x)^B 2F1(-n, {beta:.12g}; {2*a_exp:.12g}; x), "
+               f"x = 1 - e^(-2r), A = {a_exp:.12g}, B = {b_exp:.12g}")
+
+
+def _parity_odd_coulomb_solution(problem: RadialProblem, level: EnergyLevel, r: np.ndarray):
+    b_exp = nomonopole_coulomb_b(problem.scenario, nomonopole_n_coulomb(level.j, problem.channel)(level.n))
+    a_exp = float(level.j) + 1.0
+    u, beta = _x_series(r, a_exp, b_exp, level.n)
+    return u, (f"F = x^(j+1) (1-x)^b 2F1(-n, {beta:.12g}; {2.0 * a_exp:.12g}; x), "
+               f"x = 1 - e^(-2r), b = {b_exp:.12g}")
+
+
+def _cosh_oscillator_solution(problem: RadialProblem, level: EnergyLevel, r: np.ndarray):
+    # curved oscillator, min-j and parity-odd: 2b is the origin exponent, 1 and j + 1
     n = level.n
-    ch = problem.channel
-    if ch == CH_MIN_J and scen.potential == POTENTIAL_COULOMB:
-        al = scen.alpha
-        a_exp = minj_nu_0(al)
-        b_exp = minj_coulomb_b(level.epsilon, al, n)
-        x = 1.0 - np.exp(-2.0 * r)
-        beta = 2.0 * (a_exp + b_exp) + n
-        # (1-x)^B = e^(-2Br) exactly; the direct form avoids the total loss of
-        # the tail once x rounds to 1 (r beyond ~18)
-        u = x**a_exp * np.exp(-2.0 * b_exp * r) * specfun.gauss_2f1(-n, beta, 2.0 * a_exp, x)
-        return u, (
-            f"F = x^A (1-x)^B 2F1(-n, {beta:.12g}; {2*a_exp:.12g}; x), "
-            f"x = 1 - e^(-2r), A = {a_exp:.12g}, B = {b_exp:.12g}"
-        )
-    if ch in (CH_MIN_J, CH_PARITY_ODD) and scen.potential == POTENTIAL_OSCILLATOR:
-        jf = 0.0 if ch == CH_MIN_J else float(level.j)
-        a_exp = (1.0 - math.sqrt(1.0 + 4.0 * scen.k_osc * m)) / 4.0
-        b2 = 1.0 + jf  # 2b
-        y = np.cosh(r) ** 2
-        gamma = 2.0 * a_exp + 0.5
-        beta = 2.0 * (a_exp + b2 / 2.0) + n
-        u = y**a_exp * np.sinh(r) ** b2 * specfun.gauss_2f1(-n, beta, gamma, y)
-        return u, (
-            f"F = y^a sinh(r)^(2b) 2F1(-n, {beta:.12g}; {gamma:.12g}; y), "
-            f"y = cosh^2 r, a = {a_exp:.12g}, 2b = {b2:.12g}"
-        )
-    if ch == CH_PARITY_ODD and scen.potential == POTENTIAL_COULOMB:
-        jf = float(level.j)
-        b_exp = nomonopole_coulomb_b(scen, nomonopole_n_coulomb(level.j, ch)(n))
-        x = 1.0 - np.exp(-2.0 * r)
-        gamma = 2.0 * (jf + 1.0)
-        beta = 2.0 * (jf + 1.0 + b_exp) + n
-        u = x ** (jf + 1.0) * np.exp(-2.0 * b_exp * r) * specfun.gauss_2f1(-n, beta, gamma, x)
-        return u, (
-            f"F = x^(j+1) (1-x)^b 2F1(-n, {beta:.12g}; {gamma:.12g}; x), "
-            f"x = 1 - e^(-2r), b = {b_exp:.12g}"
-        )
-    if ch in (CH_EVEN_1, CH_EVEN_2) and scen.potential == POTENTIAL_COULOMB:
-        return _even_coulomb_solution(problem, level, r)
-    raise RadialError(
-        f"no closed-form sampler for channel {ch!r} with potential {scen.potential!r}; "
-        "even-channel oscillator solutions exist only as local series off the physical domain"
-    )
+    a_exp = (1.0 - math.sqrt(1.0 + 4.0 * problem.scenario.k_osc * problem.mass)) / 4.0
+    b2 = problem.origin_exponent
+    y = np.cosh(r) ** 2
+    gamma = 2.0 * a_exp + 0.5
+    beta = 2.0 * (a_exp + b2 / 2.0) + n
+    u = y**a_exp * np.sinh(r) ** b2 * specfun.gauss_2f1(-n, beta, gamma, y)
+    return u, (f"F = y^a sinh(r)^(2b) 2F1(-n, {beta:.12g}; {gamma:.12g}; y), "
+               f"y = cosh^2 r, a = {a_exp:.12g}, 2b = {b2:.12g}")
 
 
 def _even_coulomb_solution(problem: RadialProblem, level: EnergyLevel, r: np.ndarray):
@@ -332,6 +307,18 @@ def _even_coulomb_solution(problem: RadialProblem, level: EnergyLevel, r: np.nda
         f"F = z^A (1-z)^(B-1/2) (1+z)^(C-1/2) H(z), z = tanh(r/2), "
         f"A = {a_exp:.12g}, B = {b_exp:.12g}, C = {c_exp:.12g}"
     )
+
+
+# the samplers, by the names that the rows of `spectra.CHANNEL_TABLE` give
+_SAMPLERS = {
+    "flat-coulomb": _flat_coulomb_solution,
+    "flat-oscillator": _flat_oscillator_solution,
+    "flat-free": _flat_free_solution,
+    "minj-coulomb": _minj_coulomb_solution,
+    "cosh-oscillator": _cosh_oscillator_solution,
+    "parity-odd-coulomb": _parity_odd_coulomb_solution,
+    "even-coulomb": _even_coulomb_solution,
+}
 
 
 # --- pointwise ODE residual ---------------------------------------------------
@@ -371,16 +358,6 @@ def residual(problem: RadialProblem, solution: RadialSolution, level: EnergyLeve
 # --- free curved particle: regular solution and standing-wave envelope ---------
 
 
-def _free_rhs(problem: RadialProblem, energy: float):
-    mu = problem.eigenvalue_from_energy(energy)
-    v = problem.v_eff
-
-    def f(r, y):
-        return (y[1], (v(r) - mu) * y[0])
-
-    return f
-
-
 def regular_free_solution(j: HalfInt, energy: float, mass: float, sample_points) -> RadialSolution:
     """Regular solution of the free curved parity-odd channel, u ~ r^{j+1} at the
     origin, continued outward by adaptive RK4 from a series start."""
@@ -396,8 +373,9 @@ def regular_free_solution(j: HalfInt, energy: float, mass: float, sample_points)
     c2 = -(2.0 * mass * energy + jj1 / 3.0) / (4.0 * float(jf) + 6.0)
     u0 = r0 ** (float(jf) + 1.0) * (1.0 + c2 * r0 * r0)
     du0 = (float(jf) + 1.0) * r0 ** float(jf) * (1.0 + c2 * r0 * r0) + r0 ** (float(jf) + 1.0) * 2.0 * c2 * r0
-    f = _free_rhs(problem, energy)
-    _, recs = ivp.integrate(f, r0, float(pts[-1]), [u0, du0], max_step=0.02, record_at=pts)
+    mu, v = problem.eigenvalue_from_energy(energy), problem.v_eff
+    rhs = lambda r, y: (y[1], (v(r) - mu) * y[0])
+    _, recs = ivp.integrate(rhs, r0, float(pts[-1]), [u0, du0], max_step=0.02, record_at=pts)
     vals = np.array([rec[0] for rec in recs])
     ders = np.array([rec[1] for rec in recs])
     scale = np.max(np.abs(vals))

@@ -16,6 +16,9 @@ finite-difference oracle confirms.
 A level stores no inputs of its formula: L, N and the far-field exponent b
 come from `flat_channel_l`, `nomonopole_n_coulomb`, `nomonopole_n_oscillator`,
 `minj_coulomb_b` and `nomonopole_coulomb_b`, which the closed forms use too.
+
+`CHANNEL_TABLE` names each (geometry, potential, channel) case of the paper
+once; `radial` and `heunspec` read its rows instead of testing channel names.
 """
 
 from __future__ import annotations
@@ -23,13 +26,15 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from operator import attrgetter
+from functools import partial
+from operator import add, attrgetter
 from typing import Callable, NamedTuple, Optional
 
 from .core import (
     GEOMETRY_FLAT,
     GEOMETRY_LOBACHEVSKY,
     POTENTIAL_COULOMB,
+    POTENTIAL_NONE,
     POTENTIAL_OSCILLATOR,
     HalfInt,
     Scenario,
@@ -45,7 +50,6 @@ CH_BRANCH = ("branch-1", "branch-2", "branch-3")
 CH_PARITY_ODD = "parity-odd"
 CH_EVEN_1 = "even-1"
 CH_EVEN_2 = "even-2"
-CHANNELS = (CH_MIN_J, *CH_BRANCH, CH_PARITY_ODD, CH_EVEN_1, CH_EVEN_2)
 
 # derivation labels
 DERIV_HYPERGEOMETRIC = "hypergeometric-polynomial"
@@ -101,14 +105,14 @@ def flat_channel_l(j: Fraction, k: Fraction, branch: str) -> float:
     return triple.l[CH_BRANCH.index(branch)]
 
 
-# Each closed form below comes in two stages, picked by `_resolve_channel` and
-# called only by `_channel_levels`, which checks n and each level inline.
-# `_<form>_levels(scenario, ...)` does everything that does not depend on n
-# (the channel checks, the mixing root, the n-independent square roots and
-# texts) and returns a LevelAt; the LevelAt then does only the float arithmetic
-# of one level. Hoisted values are leading sub-expressions of the formulas, so
-# every float is bit-identical to evaluating the whole formula per level; L, N
-# and b come from the functions that `radial` and `validate` call too.
+# Each closed form below comes in two stages, named by the channel's row in
+# CHANNEL_TABLE and called only by `_channel_levels`, which checks n and each
+# level inline. `_<form>_levels(scenario, j, channel)` does everything that
+# does not depend on n (the channel checks, the mixing root, the n-independent
+# square roots and texts) and returns a LevelAt; the LevelAt then does only the
+# float arithmetic of one level. Hoisted values are leading sub-expressions of
+# the formulas, so every float is bit-identical to evaluating the whole formula
+# per level; L, N and b come from the functions that `radial` and `validate` call.
 # Levels are built positionally, in EnergyLevel's field order, so a slip in
 # that order swaps two fields silently: tests/test_spectra.py checks every
 # field of every closed form against a per-level reference.
@@ -228,7 +232,7 @@ def minj_coulomb_b(epsilon: float, alpha: float, n: int) -> float:
     return (epsilon * alpha - nu * nu) / (2.0 * nu)
 
 
-def _lob_minj_coulomb_levels(scen: Scenario) -> LevelAt:
+def _lob_minj_coulomb_levels(scen: Scenario, j: Fraction, channel: str) -> LevelAt:
     """Curved minimum-j Coulomb level (relativistic form).
 
         epsilon = M / sqrt(1 + alpha^2/nu^2) * sqrt(1 - (alpha^2 + nu^2)/M^2),
@@ -274,7 +278,7 @@ def _curved_oscillator_energy(k_osc: float, mass: float) -> Callable[[float], fl
     return lambda big_n: big_n * root - (big_n**2 + 0.25) / two_mass
 
 
-def _lob_minj_oscillator_levels(scen: Scenario) -> LevelAt:
+def _lob_minj_oscillator_levels(scen: Scenario, j: Fraction, channel: str) -> LevelAt:
     """Curved minimum-j oscillator level
 
         E = N sqrt(K/M + (1/2M)^2) - (N^2 + 1/4)/(2M),  N = 2n + 3/2,
@@ -303,15 +307,10 @@ def _lob_minj_oscillator_levels(scen: Scenario) -> LevelAt:
 
 def nomonopole_n_coulomb(j: Fraction, channel: str) -> Callable[[int], float]:
     """n -> N of a no-monopole Coulomb channel."""
-    if channel == CH_PARITY_ODD:
-        offset = float(j) + 1.0
-        return lambda n: offset + n
-    if channel == CH_EVEN_1:
-        offset = float(j) + 1.5
-    elif channel == CH_EVEN_2:
-        offset = float(j) + 0.5
-    else:
-        raise SpectrumError(f"unknown no-monopole channel {channel!r}")
+    return curved_row(POTENTIAL_COULOMB, channel, "big_n", "no-monopole").big_n(float(j))
+
+
+def _n_half_step(offset: float) -> Callable[[int], float]:
     return lambda n: offset + 0.5 * n
 
 
@@ -327,21 +326,18 @@ def _check_nomonopole_j(j: Fraction) -> None:
 
 
 def _lob_nomonopole_coulomb_levels(scen: Scenario, j: Fraction, channel: str) -> LevelAt:
-    """No-monopole curved Coulomb level E = -M alpha^2/(2 N^2) - N^2/(2M).
-
-    N is channel specific: parity-odd N = j+1+n (hypergeometric polynomial);
-    even-1 N = j+3/2+n/2 and even-2 N = j+1/2+n/2 come from the formal Heun
-    termination condition beta = -n and are flagged as such. Bound-state
-    admissibility needs the substitution exponent b = (M alpha - N^2)/(2N)
-    to be positive, i.e. M alpha > N^2 (finite spectrum).
+    """No-monopole curved Coulomb level E = -M alpha^2/(2 N^2) - N^2/(2M), with
+    the channel's N from its row (the even channels' N come from the formal
+    Heun condition beta = -n). Bound-state admissibility needs the substitution
+    exponent b = (M alpha - N^2)/(2N) > 0, i.e. M alpha > N^2 (finite spectrum).
     """
     alpha, mass = scen.alpha, scen.mass
     _check_nomonopole_j(j)
-    big_n_at = nomonopole_n_coulomb(j, channel)
+    row = curved_row(POTENTIAL_COULOMB, channel, "big_n", "no-monopole")
+    big_n_at = row.big_n(float(j))
     scale = -mass * alpha * alpha
     two_mass = 2.0 * mass
-    deriv = DERIV_HYPERGEOMETRIC if channel == CH_PARITY_ODD else DERIV_HEUN_FORMAL
-    bound = _admissible_reason(deriv)
+    deriv, bound = row.derivation
     formula = "E = -M alpha^2/(2 N^2) - N^2/(2M)"
 
     def level(n: int) -> EnergyLevel:
@@ -357,40 +353,22 @@ def _lob_nomonopole_coulomb_levels(scen: Scenario, j: Fraction, channel: str) ->
     return level
 
 
-def _admissible_reason(derivation: str) -> str:
-    """The reason of an admissible no-monopole level: REASON_FORMAL for one
-    from the formal Heun condition, empty for a hypergeometric one."""
-    return REASON_FORMAL if derivation == DERIV_HEUN_FORMAL else ""
-
-
 def nomonopole_n_oscillator(j: Fraction, channel: str) -> Callable[[int], float]:
     """n -> N of a no-monopole oscillator channel."""
-    fj = float(j)
-    if channel == CH_PARITY_ODD:
-        return lambda n: 2.0 * n + fj + 1.5
-    if channel == CH_EVEN_1:
-        offset = 2.0 + fj
-    elif channel == CH_EVEN_2:
-        offset = 1.0 + fj
-    else:
-        raise SpectrumError(f"unknown no-monopole channel {channel!r}")
-    return lambda n: offset + n
+    return curved_row(POTENTIAL_OSCILLATOR, channel, "big_n", "no-monopole").big_n(float(j))
 
 
 def _lob_nomonopole_oscillator_levels(scen: Scenario, j: Fraction, channel: str) -> LevelAt:
-    """No-monopole curved oscillator level
-
-        E = N sqrt(K/M + (1/2M)^2) - (N^2 + 1/4)/(2M)
-
-    with parity-odd N = 2n+j+3/2 (restriction N < sqrt(1+4KM)/2 bounds the
-    level count) and formal even-channel values N = 2+j+n, N = 1+j+n."""
+    """No-monopole curved oscillator level E = N sqrt(K/M + (1/2M)^2) - (N^2 + 1/4)/(2M)
+    with the channel's N from its row; the restriction N < sqrt(1+4KM)/2 bounds
+    the level count."""
     k_osc, mass = scen.k_osc, scen.mass
     _check_nomonopole_j(j)
-    big_n_at = nomonopole_n_oscillator(j, channel)
+    row = curved_row(POTENTIAL_OSCILLATOR, channel, "big_n", "no-monopole")
+    big_n_at = row.big_n(float(j))
     energy_at = _curved_oscillator_energy(k_osc, mass)
     limit = math.sqrt(1.0 + 4.0 * k_osc * mass) / 2.0
-    deriv = DERIV_HYPERGEOMETRIC if channel == CH_PARITY_ODD else DERIV_HEUN_FORMAL
-    bound = _admissible_reason(deriv)
+    deriv, bound = row.derivation
     exhausted = f"{REASON_EXHAUSTED}: restriction N < sqrt(1 + 4 K M)/2 = {limit:.6g} violated"
     formula = "E = N sqrt(K/M + 1/(2M)^2) - (N^2 + 1/4)/(2M)"
 
@@ -401,6 +379,90 @@ def _lob_nomonopole_oscillator_levels(scen: Scenario, j: Fraction, channel: str)
                            admissible, bound if admissible else exhausted, formula)
 
     return level
+
+
+# --- the channel table --------------------------------------------------------
+
+
+class ChannelRow(NamedTuple):
+    """One (geometry, potential, channel) case of the paper, as pure-Python
+    data that `spectra`, `radial` and `heunspec` read instead of names."""
+
+    levels: Callable[[Scenario, Fraction, str], LevelAt] | str  # the stage one, or why there is none
+    sampler: str  # the name of the `radial` sampler, or why the case has none
+    derivation: tuple[str, str] = (DERIV_HYPERGEOMETRIC, "")  # label, and reason an admissible level carries
+    monopole: Optional[bool] = None  # curved: the case needs the monopole (min-j), or needs none
+    big_n: Optional[Callable[[float], Callable[[int], float]]] = None  # no-monopole N rule, j -> (n -> N)
+    origin_exponent: Optional[Callable[[float, Scenario], float]] = None  # curved Frobenius exponent at r = 0
+    coupling: Optional[Callable[[float], float]] = None  # even: c in (j(j+1) + c (1 + cosh r)) / sinh^2 r
+    heun_exponents: Optional[Callable[[float], tuple[float, ...]]] = None  # even: j -> (A,) or (B, C)
+    relativistic: bool = False  # the radial equation is quadratic in the relativistic energy
+
+
+_FREE = "a free particle has a continuum, not bound states"
+_LOCAL_SERIES = "even-channel oscillator solutions exist only as local series off the physical domain"
+_FLAT, _LOB = GEOMETRY_FLAT, GEOMETRY_LOBACHEVSKY
+_NONE, _COUL, _OSC = POTENTIAL_NONE, POTENTIAL_COULOMB, POTENTIAL_OSCILLATOR
+_HEUN = (DERIV_HEUN_FORMAL, REASON_FORMAL)
+# each no-monopole channel's derivation, coupling and origin exponent, the same under every potential
+_ODD = dict(monopole=False, origin_exponent=lambda fj, scen: fj + 1.0)
+_EVEN_1 = dict(monopole=False, origin_exponent=lambda fj, scen: fj + 2.0, coupling=lambda fj: fj + 1.0,
+               derivation=_HEUN)
+_EVEN_2 = dict(monopole=False, origin_exponent=lambda fj, scen: max(fj, 1.0 - fj), coupling=lambda fj: -fj,
+               derivation=_HEUN)
+
+CHANNEL_TABLE: dict[tuple[str, str, str], ChannelRow] = {
+    # flat space: the reduced min-j channel and the three mixing-root series
+    **{(_FLAT, pot, ch): ChannelRow(levels, sampler) for pot, levels, sampler in (
+        (_NONE, "flat free-particle scenarios have a continuum, not discrete levels", "flat-free"),
+        (_COUL, _flat_coulomb_levels, "flat-coulomb"), (_OSC, _flat_oscillator_levels, "flat-oscillator"),
+    ) for ch in (CH_MIN_J, *CH_BRANCH)},
+    # curved space with the monopole: the min-j channel only; the Coulomb origin exponent is
+    # written apart from `minj_nu_0`, so that the oracle stays independent of the closed form
+    (_LOB, _NONE, CH_MIN_J): ChannelRow("the free curved minimum-j channel has no discrete levels", _FREE,
+                                        monopole=True),
+    (_LOB, _COUL, CH_MIN_J): ChannelRow(
+        _lob_minj_coulomb_levels, "minj-coulomb", monopole=True, relativistic=True,
+        origin_exponent=lambda fj, scen: (1.0 + math.sqrt(1.0 - 4.0 * scen.alpha * scen.alpha)) / 2.0),
+    (_LOB, _OSC, CH_MIN_J): ChannelRow(_lob_minj_oscillator_levels, "cosh-oscillator", monopole=True,
+                                       origin_exponent=lambda fj, scen: 1.0),
+    # curved space without the monopole: one hypergeometric and two Heun channels
+    **{(_LOB, _NONE, ch): ChannelRow("free curved scenarios have a continuum, not discrete levels", _FREE, **consts)
+       for ch, consts in ((CH_PARITY_ODD, _ODD), (CH_EVEN_1, _EVEN_1), (CH_EVEN_2, _EVEN_2))},
+    (_LOB, _COUL, CH_PARITY_ODD): ChannelRow(_lob_nomonopole_coulomb_levels, "parity-odd-coulomb",
+                                             big_n=lambda fj: partial(add, fj + 1.0), **_ODD),
+    (_LOB, _COUL, CH_EVEN_1): ChannelRow(_lob_nomonopole_coulomb_levels, "even-coulomb",
+                                         big_n=lambda fj: _n_half_step(fj + 1.5),
+                                         heun_exponents=lambda fj: (fj + 2.0,), **_EVEN_1),
+    (_LOB, _COUL, CH_EVEN_2): ChannelRow(_lob_nomonopole_coulomb_levels, "even-coulomb",
+                                         big_n=lambda fj: _n_half_step(fj + 0.5),
+                                         heun_exponents=lambda fj: (fj,), **_EVEN_2),
+    (_LOB, _OSC, CH_PARITY_ODD): ChannelRow(_lob_nomonopole_oscillator_levels, "cosh-oscillator",
+                                            big_n=lambda fj: lambda n: 2.0 * n + fj + 1.5, **_ODD),
+    (_LOB, _OSC, CH_EVEN_1): ChannelRow(_lob_nomonopole_oscillator_levels, _LOCAL_SERIES,
+                                        big_n=lambda fj: partial(add, 2.0 + fj),
+                                        heun_exponents=lambda fj: (1.0 + fj / 2.0, 0.5 + fj / 2.0), **_EVEN_1),
+    (_LOB, _OSC, CH_EVEN_2): ChannelRow(_lob_nomonopole_oscillator_levels, _LOCAL_SERIES,
+                                        big_n=lambda fj: partial(add, 1.0 + fj),
+                                        heun_exponents=lambda fj: (fj / 2.0, (1.0 + fj) / 2.0), **_EVEN_2),
+}
+CHANNELS = tuple(dict.fromkeys(ch for _, _, ch in CHANNEL_TABLE))
+
+
+def channel_row(scenario: Scenario, channel: str) -> Optional[ChannelRow]:
+    """The row of (scenario, channel), or None where the scenario's family has
+    no such channel: a curved row fits by the charge, a flat row any charge."""
+    row = CHANNEL_TABLE.get((scenario.geometry, scenario.potential, channel))
+    return None if row is None or row.monopole == scenario.no_monopole else row
+
+
+def curved_row(potential: str, channel: str, field: str, family: str) -> ChannelRow:
+    """The curved row of (potential, channel) if it sets `field`, else the
+    error that names the channel unknown to the `family` of rows that do."""
+    row = CHANNEL_TABLE.get((GEOMETRY_LOBACHEVSKY, potential, channel))
+    if row is None or getattr(row, field) is None:
+        raise SpectrumError(f"unknown {family} channel {channel!r}")
+    return row
 
 
 # --- unit conversion ----------------------------------------------------------
@@ -521,13 +583,9 @@ def usual_units_minj_coulomb_epsilon(units: UnitSystem, alpha: float, nu: float)
 def default_channels(scenario: Scenario, j: HalfInt) -> list[str]:
     """Channels that produce closed-form levels for this scenario and j."""
     jf = as_half_integer(j, "j")
-    if scenario.geometry == GEOMETRY_FLAT:
-        if scenario.charge != 0 and jf == min_allowed_j(scenario.charge) and abs(scenario.charge) >= 1:
-            return [CH_MIN_J]
-        return list(CH_BRANCH)
-    if scenario.no_monopole:
-        return [CH_PARITY_ODD, CH_EVEN_1, CH_EVEN_2]
-    return [CH_MIN_J]
+    if scenario.geometry == GEOMETRY_FLAT:  # the reduced channel, or the mixing-root branches
+        return [CH_MIN_J] if abs(scenario.charge) >= 1 and jf == min_allowed_j(scenario.charge) else list(CH_BRANCH)
+    return [ch for ch in CHANNELS if channel_row(scenario, ch)]
 
 
 def spectrum_levels(
@@ -614,10 +672,21 @@ def _channel_levels(level_at: LevelAt, channel: str, ns, keep_inadmissible: bool
 
 
 def _resolve_channel(scenario: Scenario, j: HalfInt, channel: str) -> LevelAt:
-    """(scenario, j, channel) -> its bare closed form n -> level, unchecked:
-    `_channel_levels` checks. A division by zero here is an overflow error."""
+    """(scenario, j, channel) -> the stage one of its row, n -> level, unchecked:
+    `_channel_levels` checks. A channel with no row in the scenario's family
+    goes to the family's first row, whose checks raise the error naming it. A
+    division by zero here is an overflow error."""
+    jf = as_half_integer(j, "j")
+    row = channel_row(scenario, channel) or channel_row(scenario, default_channels(scenario, jf)[0])
+    if row.monopole and channel != CH_MIN_J:  # the curved monopole family: min-j at j = |k| - 1 only
+        raise SpectrumError("curved monopole channels beyond minimum j have no closed form; only 'min-j' is available")
+    if row.monopole and jf != min_allowed_j(scenario.charge):
+        raise SpectrumError(f"curved monopole levels exist only at j = |k| - 1 = {min_allowed_j(scenario.charge)}, "
+                            f"got j = {jf}")
+    if isinstance(row.levels, str):
+        raise SpectrumError(row.levels)
     try:
-        return _closed_form(scenario, as_half_integer(j, "j"), channel)
+        return row.levels(scenario, jf, channel)
     except ZeroDivisionError as exc:
         raise _overflow_error("division by zero", channel) from exc
 
@@ -626,34 +695,3 @@ def _overflow_error(what: str, channel: str) -> SpectrumError:
     return SpectrumError(
         f"{what} in channel {channel!r}: the closed form overflows double precision for these parameters"
     )
-
-
-def _closed_form(scenario: Scenario, j: Fraction, channel: str) -> LevelAt:
-    """The closed form of one channel; its levels carry `scenario` itself, so
-    fields the closed forms do not read (such as the radius) are kept."""
-    geom, pot = scenario.geometry, scenario.potential
-    if geom == GEOMETRY_FLAT:
-        if pot == POTENTIAL_COULOMB:
-            return _flat_coulomb_levels(scenario, j, channel)
-        if pot == POTENTIAL_OSCILLATOR:
-            return _flat_oscillator_levels(scenario, j, channel)
-        raise SpectrumError("flat free-particle scenarios have a continuum, not discrete levels")
-    if scenario.no_monopole:
-        if pot == POTENTIAL_COULOMB:
-            return _lob_nomonopole_coulomb_levels(scenario, j, channel)
-        if pot == POTENTIAL_OSCILLATOR:
-            return _lob_nomonopole_oscillator_levels(scenario, j, channel)
-        raise SpectrumError("free curved scenarios have a continuum, not discrete levels")
-    if channel != CH_MIN_J:
-        raise SpectrumError(
-            "curved monopole channels beyond minimum j have no closed form; only 'min-j' is available"
-        )
-    if j != min_allowed_j(scenario.charge):
-        raise SpectrumError(
-            f"curved monopole levels exist only at j = |k| - 1 = {min_allowed_j(scenario.charge)}, got j = {j}"
-        )
-    if pot == POTENTIAL_COULOMB:
-        return _lob_minj_coulomb_levels(scenario)
-    if pot == POTENTIAL_OSCILLATOR:
-        return _lob_minj_oscillator_levels(scenario)
-    raise SpectrumError("the free curved minimum-j channel has no discrete levels")

@@ -278,9 +278,8 @@ def _criterion_minj_oscillator() -> dict:
         scen = core.Scenario("lobachevsky", "oscillator", Fraction(1), mass, k_osc=k_osc)
         prob = radial.build_problem(scen, spectra.CH_MIN_J, 0)
         s_well = (-1.0 + math.sqrt(1.0 + 4.0 * mass * k_osc)) / 2.0
-        n = 0
-        while 2 * n + 1 < s_well:
-            lv = spectra.single_level(scen, 0, n, spectra.CH_MIN_J)
+        for lv in spectra.admissible_levels(scen, 0, spectra.CH_MIN_J):  # while 2n + 1 < s
+            n = lv.n
             sol = radial.analytic_solution(prob, lv)
             res = radial.residual(prob, sol, lv)
             ((e_num, rel),) = _fd_compare(prob, [lv])
@@ -290,7 +289,6 @@ def _criterion_minj_oscillator() -> dict:
             worst_ident = max(worst_ident, ident)
             rows.append({"k_osc": k_osc, "n": n, "analytic": lv.energy, "numeric": e_num,
                          "rel_dev": rel, "ode_residual": res, "well_identity_dev": ident})
-            n += 1
     return _criterion(
         cid="7-lob-minj-oscillator",
         description="curved minimum-j oscillator: analytic residual <= 1e-7, FD match rel 1e-4, "

@@ -12,6 +12,7 @@ import pytest
 
 import monopole_spectra
 from monopole_spectra import cli, spectra
+from monopole_spectra.core import Scenario
 
 
 def run(argv, capsys):
@@ -190,6 +191,24 @@ def test_wavefunction_inadmissible_exit_1(capsys):
         capsys,
     )
     assert code == 1 and "inadmissible" in err
+
+
+@pytest.mark.parametrize("k_osc, mass", [
+    ("1e-200", "1e200"),  # K/M underflows to 0: omega^2 was a division by zero
+    ("1e200", "1e-200"),  # K/M overflows: omega = inf made the grid extent NaN
+], ids=["omega-underflow", "omega-overflow"])
+def test_wavefunction_flat_oscillator_frequency_outside_the_double_range_exit_0(k_osc, mass, capsys):
+    # the default solution grid takes its extent from the oscillator length
+    # (MK)^(-1/4) = 1 where sqrt(K/M) leaves the double range
+    code, out, err = run(["wavefunction", "--potential", "oscillator", "--k", "1", "--j", "2",
+                          "--k-osc", k_osc, "--mass", mass, "--grid", "0.1:2:5"], capsys)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    header = json.loads(lines[0])
+    scen = Scenario("flat", "oscillator", 1, float(mass), k_osc=float(k_osc))
+    assert header["E"] == float(cli.fmt12(spectra.single_level(scen, 2, 0, "branch-1").energy))
+    assert header["ode_residual"] <= 1e-8
+    assert lines[1] == "r,u" and len(lines) == 2 + 5
 
 
 def test_config_file_defaults_and_flag_override(capsys, tmp_path):

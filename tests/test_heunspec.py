@@ -29,6 +29,17 @@ def test_coulomb_channel2_uses_j_exponent():
     assert a1 == j + 2 and a2 == j
 
 
+@pytest.mark.parametrize("channel", ["parity-odd", "min-j", "branch-1", "bogus"])
+def test_exponents_name_a_channel_without_heun_exponents(channel):
+    # the radicand checks come first, then the channel
+    with pytest.raises(spectra.SpectrumError, match=f"^unknown even channel '{channel}'$"):
+        heunspec.coulomb_exponents(-23.0, 10.0, 1.0, 1, channel)
+    with pytest.raises(spectra.SpectrumError, match=f"^unknown even channel '{channel}'$"):
+        heunspec.oscillator_exponents(100.0, 1.0, 1, channel)
+    with pytest.raises(heunspec.HeunDomainError):
+        heunspec.coulomb_exponents(-5.0, 10.0, 1.0, 1, channel)
+
+
 def test_coulomb_radicand_violation_named():
     with pytest.raises(heunspec.HeunDomainError, match="E\\+alpha"):
         heunspec.heun_params_coulomb(-5.0, 10.0, 1.0, 0, "even-1")

@@ -37,6 +37,8 @@ _NOT_LOADED = ["scipy", "numpy", "dataclasses", "inspect"]
     (["spectrum", "--k", "1", "--j", "2", "--alpha", "1", "--n", "0..3", "--format", "json"], _NOT_LOADED),
     (["spectrum", "--geometry", "lobachevsky", "--no-monopole", "--potential", "oscillator",
       "--k-osc", "50", "--j", "1"], _NOT_LOADED),
+    (["spectrum", "--geometry", "lobachevsky", "--k", "1", "--j", "0", "--alpha", "0.1", "--mass", "10"],
+     _NOT_LOADED),
     (["roots", "--k", "1", "--j", "2"], _NOT_LOADED),
     (["roots", "--k", "3/2", "--j", "7/2"], _NOT_LOADED),
 ])
