@@ -109,7 +109,8 @@ def termination_defect(params: HeunParams, n: int) -> float:
 _DISC_Z = tuple(np.concatenate([np.linspace(-0.8, -0.02, 30), np.linspace(0.02, 0.8, 30)]).tolist())
 
 
-def heun_residual_on_disc(params: HeunParams) -> float:
-    """Max relative ODE residual of the local Heun series over 60 points on
-    [-0.8, 0.8] avoiding 0; the 60 sums share one coefficient sequence."""
-    return max([0.0, *heun_ode_residuals(params, _DISC_Z)])
+def heun_residual_on_disc(params) -> list[float]:
+    """For each parameter set of `params`, the max relative ODE residual of
+    the local Heun series over 60 points on [-0.8, 0.8] avoiding 0; all sets
+    and points are summed in one pass."""
+    return [max([0.0, *residuals]) for residuals in heun_ode_residuals(params, _DISC_Z)]

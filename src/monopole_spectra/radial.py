@@ -175,8 +175,16 @@ def _origin_start(problem: RadialProblem, r0_base: float, h: float) -> float:
     return max(r0_base, bound)
 
 
+# The largest default grid: 8 MB per float64 array. The flat Coulomb extent
+# cap of 400 at h = 1e-3 takes 400,001 points.
+GRID_POINT_BUDGET = 1_000_000
+
+
 def default_solution_grid(problem: RadialProblem, level: EnergyLevel, h: float = 1e-3) -> np.ndarray:
-    """Uniform sampling grid with spacing <= h, spanning the decay region."""
+    """Uniform sampling grid with spacing <= h, spanning the decay region.
+    A grid of more than GRID_POINT_BUDGET points, or one whose extent is
+    undefined because the decay rate underflows to zero, raises RadialError
+    before anything is allocated."""
     e_ref = abs(level.energy) if level.energy and not math.isnan(level.energy) else 1.0
     if problem.scenario.geometry == GEOMETRY_FLAT:
         r0 = _origin_start(problem, 1e-4, h)
@@ -190,6 +198,8 @@ def default_solution_grid(problem: RadialProblem, level: EnergyLevel, h: float =
                 r1 = mass**-0.25 * k_osc**-0.25 * max(3.0 * math.sqrt(2.0 * max(e_per_omega, 1.0)), 6.0)
         else:
             kappa = math.sqrt(2.0 * problem.mass * e_ref)
+            if kappa == 0.0:
+                raise RadialError("no default grid: the decay rate sqrt(2M|E|) underflows to 0")
             r1 = min(12.0 / kappa + 10.0, 400.0)
     else:
         r0 = _origin_start(problem, 1e-3, h)
@@ -197,8 +207,10 @@ def default_solution_grid(problem: RadialProblem, level: EnergyLevel, h: float =
         gap = max(edge - level.energy, 0.05)
         kappa = math.sqrt(2.0 * problem.mass * gap)
         r1 = min(12.0 / kappa + 8.0, 60.0)
-    n = max(int((r1 - r0) / h) + 1, 1001)
-    return uniform_grid(r0, r1, n)
+    span = (r1 - r0) / h
+    if not span < GRID_POINT_BUDGET:
+        raise RadialError(f"default grid needs {span + 1:.4g} points, more than the {GRID_POINT_BUDGET:,} allowed")
+    return uniform_grid(r0, r1, max(int(span) + 1, 1001))
 
 
 def analytic_solution(problem: RadialProblem, level: EnergyLevel, grid: Optional[np.ndarray] = None) -> RadialSolution:

@@ -4,8 +4,10 @@ All three are plain power series around z = 0 with a hard term cap;
 truncation past the cap is an error, never silent. The hypergeometric series
 are summed in double precision. The Heun series (singular points
 {0, 1, -1, inf}, the only configuration needed here) has one coefficient
-generator and one term-sum loop, run in double precision or, for the
-compensated residual path, in 30-digit decimal arithmetic.
+generator, run in double precision or in 30-digit decimal arithmetic, and
+two ways to sum its terms: a double-precision loop for one z, and, for the
+residual checks, one numpy pass in double-double arithmetic (about 32
+digits) over many parameter sets and points at once.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+
+import numpy as np
 
 SERIES_CAP = 10_000
 SERIES_RTOL = 1e-15
@@ -133,33 +137,31 @@ def _weighted(coefficients):
         yield c, k * c, k * (k - 1) * c
 
 
-def _heun_sums(z: float, weighted, num, rtol) -> tuple:
+def _heun_sums(z: float, weighted) -> tuple[float, float, float]:
     """(H, H', H'') as the sums of c_k z^k, k c_k z^(k-1) and k(k-1) c_k z^(k-2)
-    over the sequence `weighted` of (c_k, k c_k, k(k-1) c_k) of arithmetic
-    type `num`.
-    Summation stops once three successive terms of H fall below rtol |H| and
-    the geometric tail estimate is below HEUN_TAIL_TOL; a tail still above it
-    at the term cap raises."""
+    over the sequence `weighted` of float (c_k, k c_k, k(k-1) c_k).
+    Summation stops once three successive terms of H fall below SERIES_RTOL |H|
+    and the geometric tail estimate is below HEUN_TAIL_TOL; a tail still above
+    it at the term cap raises."""
     if abs(z) >= 1.0:
         raise SeriesError(f"Heun local series restricted to |z| < 1, got {z}")
     az = abs(z)
-    zn, floor = num(z), num(1e-300)
-    h = h1 = h2 = z1 = z2 = num(0)
-    zk = num(1)  # z^k, with z1 = z^(k-1) and z2 = z^(k-2) (zero below k = 1, 2)
+    h = h1 = h2 = z1 = z2 = 0.0
+    zk = 1.0  # z^k, with z1 = z^(k-1) and z2 = z^(k-2) (zero below k = 1, 2)
     quiet = 0
     for k, (c, kc, kkc) in zip(range(SERIES_CAP), weighted):
         term = c * zk
         h += term
         h1 += kc * z1
         h2 += kkc * z2
-        if k > 8 and abs(term) <= rtol * max(abs(h), floor):
+        if k > 8 and abs(term) <= SERIES_RTOL * max(abs(h), 1e-300):
             quiet += 1
-            tail = float(abs(term)) * az / max(1.0 - az, 1e-6)
-            if quiet >= 3 and tail <= HEUN_TAIL_TOL * max(float(abs(h)), 1.0):
+            tail = abs(term) * az / max(1.0 - az, 1e-6)
+            if quiet >= 3 and tail <= HEUN_TAIL_TOL * max(abs(h), 1.0):
                 return h, h1, h2
         else:
             quiet = 0
-        z2, z1, zk = z1, zk, zk * zn
+        z2, z1, zk = z1, zk, zk * z
     raise SeriesError(f"Heun series tail above {HEUN_TAIL_TOL} after {SERIES_CAP} terms at z = {z}")
 
 
@@ -171,40 +173,171 @@ def heun_local(p: HeunParams, z: float) -> float:
 def heun_local_derivatives(p: HeunParams, z: float) -> tuple[float, float, float]:
     """The local Heun solution with H' and H'' by term-wise differentiation,
     summed in double precision. Returns (H, H', H'')."""
-    return _heun_sums(z, _weighted(heun_coefficients(p)), float, SERIES_RTOL)
+    return _heun_sums(z, _weighted(heun_coefficients(p)))
 
 
-def _accurate_sums(p: HeunParams, zs) -> list[tuple[float, float, float]]:
-    """(H, H', H'') at each z of the sequence `zs`, summed in DECIMAL_DIGITS-digit
-    decimal arithmetic. The coefficients and their products with k and
-    k(k-1) do not depend on z, so they are computed once, in the one context,
-    and every z reads the same terms (itertools.tee keeps each term until the
-    last z has summed it).
+# --- double-double sums ---------------------------------------------------------
+#
+# A double-double is an unevaluated sum hi + lo of two doubles with
+# |lo| <= ulp(hi)/2, about 32 significant digits. numpy has no fused
+# multiply-add, so exact products use Dekker's split of each factor into two
+# 26-bit halves (Dekker, Numer. Math. 18 (1971)); sums use Knuth's error-free
+# two-sum (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26 (2005)).
+
+_SPLITTER = 134217729.0  # 2^27 + 1
+_SPLIT_MAX = 2.0**996  # beyond this, _SPLITTER * x overflows
+_CHUNK = 32  # terms per block of coefficients and powers
+
+
+def _split(a):
+    """Dekker's split a = hi + lo, each half holding at most 26 significant bits."""
+    t = _SPLITTER * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _dd_product(x_hi, x_lo, xs_hi, xs_lo, y_hi, y_lo, ys_hi, ys_lo):
+    """(x_hi + x_lo)(y_hi + y_lo) as p + e, with p = fl(x_hi y_hi) and e its
+    exact error (from the splits xs, ys of x_hi, y_hi) plus the cross terms."""
+    p = x_hi * y_hi
+    e = ((xs_hi * ys_hi - p) + xs_hi * ys_lo + xs_lo * ys_hi) + xs_lo * ys_lo
+    e += x_hi * y_lo + x_lo * y_hi
+    return p, e
+
+
+def _dd_add(a_hi, a_lo, p, e):
+    """The normalized double-double (a_hi + a_lo) + (p + e), by two-sum."""
+    s = a_hi + p
+    v = s - a_hi
+    err = (a_hi - (s - v)) + (p - v)
+    err += a_lo + e
+    hi = s + err
+    return hi, err - (hi - s)
+
+
+def _dd_rows(hi, lo) -> np.ndarray:
+    """The normalized pair hi + lo with the split of its hi part: rows hi, lo,
+    split hi, split lo. Values beyond the split range raise."""
+    if not np.all(np.abs(hi) <= _SPLIT_MAX):
+        raise SeriesError("Heun series coefficient or power beyond 2^996, the double-double split range")
+    hi, lo = _dd_add(hi, lo, 0.0, 0.0)
+    return np.stack([hi, lo, *_split(hi)])
+
+
+def _dd_coefficients(k0: int, blocks) -> np.ndarray:
+    """Frobenius coefficients c_k, k = k0 .. k0 + _CHUNK - 1, for each list of
+    Decimal coefficients in `blocks`, as a (_CHUNK, 4, 3, len(blocks)) array:
+    double-double rows (`_dd_rows`) of c_k, k c_k and k(k-1) c_k. Each Decimal
+    c_k becomes hi = float(c_k), lo = float(c_k - hi); its integer multiples
+    are formed from that pair with Dekker's exact product."""
+    cs = [c for block in blocks for c in block]
+    hi = np.array(cs, dtype=float)
+    lo = np.array([float(c - Decimal(h)) for c, h in zip(cs, hi.tolist())])
+    c = _dd_rows(hi.reshape(len(blocks), _CHUNK).T, lo.reshape(len(blocks), _CHUNK).T)
+    ks = np.arange(k0, k0 + _CHUNK, dtype=float)[:, None]
+    rows = [c]
+    for m in (ks, ks * (ks - 1.0)):
+        # m <= k(k-1) < 2^27 is exact, with the split (m, 0)
+        rows.append(_dd_rows(*_dd_product(*c, m, 0.0, m, 0.0)))
+    return np.stack(rows, axis=2).transpose(1, 0, 2, 3)
+
+
+def _dd_powers(z: np.ndarray):
+    """Blocks of the powers of each z: for k = k0 .. k0 + _CHUNK - 1, the
+    double-double rows of z^k, z^(k-1) and z^(k-2) (zero below z^0) as a
+    (_CHUNK, 4, 3, len(z)) array, one block per iteration. A block is its
+    first power times the fixed powers z^0 .. z^(_CHUNK + 1)."""
+    z_rows = _dd_rows(z, 0.0)
+    steps = [_dd_rows(np.ones_like(z), 0.0)]
+    for _ in range(_CHUNK + 1):
+        steps.append(_dd_rows(*_dd_product(*steps[-1], *z_rows)))
+    steps = np.stack(steps, axis=1)  # (4, _CHUNK + 2, len(z)): z^0 .. z^(_CHUNK + 1)
+    table = np.zeros_like(steps)  # z^(k0 - 2) .. z^(k0 + _CHUNK - 1)
+    table[:, 2:] = steps[:, :_CHUNK]
+    while True:
+        yield np.stack([table[:, 2:], table[:, 1:-1], table[:, :-2]], axis=2).transpose(1, 0, 2, 3)
+        first = table[:, _CHUNK]  # z^(k0 - 2) of the next block
+        table = _dd_rows(*_dd_product(*first, *steps))
+
+
+def _accurate_sums(params, zs) -> list[list[tuple[float, float, float]]]:
+    """(H, H', H'') for each parameter set of `params` at each z of `zs`,
+    summed in double-double arithmetic from coefficients computed in
+    DECIMAL_DIGITS-digit decimal arithmetic.
 
     Parameter sets with widely split exponents (|delta - eps| large) cancel as
     much as ~1e6 of the peak term at |z| = 0.8, which floors a plain double
-    evaluation near 1e-8; thirty digits restore the headroom the pointwise
-    residual checks need."""
+    evaluation near 1e-8; about 32 digits restore the headroom the pointwise
+    residual checks need.
+
+    Every (set, z) pair is one lane of a single numpy pass over k. A lane
+    stops on the rule of `_heun_sums`, with 1e-30 in place of SERIES_RTOL,
+    and leaves the pass. The powers of z are shared by all sets, and each
+    set's coefficients are generated a block at a time while any of its
+    lanes runs."""
+    zs = [float(z) for z in zs]
+    for z in zs:
+        if abs(z) >= 1.0:
+            raise SeriesError(f"Heun local series restricted to |z| < 1, got {z}")
+    n_sets, n_z = len(params), len(zs)
+    if n_sets * n_z == 0:
+        return [[] for _ in params]
+    out = np.empty((3, n_sets * n_z))
+    lane = np.arange(out.shape[1])
+    set_of, z_of = np.divmod(lane, n_z)
+    az = np.abs(np.array(zs))
+    tail_factor = az / np.maximum(1.0 - az, 1e-6)
+    sum_hi = np.zeros((3, lane.size))
+    sum_lo = np.zeros((3, lane.size))
+    quiet = np.zeros(lane.size)
+    powers = _dd_powers(np.array(zs))
     with localcontext() as ctx:
         ctx.prec = DECIMAL_DIGITS
-        rtol = Decimal(10) ** -DECIMAL_DIGITS
-        shared = itertools.tee(_weighted(heun_coefficients(p, Decimal)), len(zs))
-        sums = [_heun_sums(z, weighted, Decimal, rtol) for z, weighted in zip(zs, shared)]
-    return [(float(h), float(h1), float(h2)) for h, h1, h2 in sums]
+        series = [heun_coefficients(p, Decimal) for p in params]
+        for k in range(SERIES_CAP):
+            j = k % _CHUNK
+            if j == 0:
+                live = np.unique(set_of)
+                blocks = [list(itertools.islice(series[s], _CHUNK)) for s in live.tolist()]
+                coefficients = np.zeros((_CHUNK, 4, 3, n_sets))
+                coefficients[..., live] = _dd_coefficients(k, blocks)
+                power_block = next(powers)
+            c = coefficients[j].take(set_of, axis=2)
+            x = power_block[j].take(z_of, axis=2)
+            p, e = _dd_product(*c, *x)
+            sum_hi, sum_lo = _dd_add(sum_hi, sum_lo, p, e)
+            if k > 8:
+                term = np.abs(p[0] + e[0])
+                h = np.abs(sum_hi[0])
+                quiet = np.where(term <= 1e-30 * np.maximum(h, 1e-300), quiet + 1.0, 0.0)
+                stop = (quiet >= 3.0) & (term * tail_factor[z_of] <= HEUN_TAIL_TOL * np.maximum(h, 1.0))
+                if stop.any():
+                    out[:, lane[stop]] = sum_hi[:, stop]
+                    keep = np.flatnonzero(~stop)
+                    if keep.size == 0:
+                        break
+                    lane, set_of, z_of, quiet = lane[keep], set_of[keep], z_of[keep], quiet[keep]
+                    sum_hi, sum_lo = sum_hi[:, keep], sum_lo[:, keep]
+        else:
+            raise SeriesError(f"Heun series tail above {HEUN_TAIL_TOL} after {SERIES_CAP} terms at z = {zs[z_of[0]]}")
+    return [[tuple(h) for h in rows] for rows in out.T.reshape(n_sets, n_z, 3).tolist()]
 
 
-def heun_ode_residuals(p: HeunParams, zs) -> list[float]:
-    """Relative pointwise residuals of the defining ODE at each z of `zs`,
-    evaluated from the compensated series value and its term-wise
-    derivatives (an independent code path from the coefficient recurrence).
-    One coefficient sequence serves every z."""
+def heun_ode_residuals(params, zs) -> list[list[float]]:
+    """Relative pointwise residuals of the defining ODE for each parameter set
+    of `params` at each z of `zs`, evaluated from the double-double series
+    value and its term-wise derivatives (an independent code path from the
+    coefficient recurrence). All sets and points share one summation pass."""
     out = []
-    for z, (h, h1, h2) in zip(zs, _accurate_sums(p, zs)):
-        coef1 = p.gamma / z + p.delta / (z - 1.0) + p.eps / (z + 1.0)
-        coef0 = (p.lam * p.beta * z - p.q) / (z * (z - 1.0) * (z + 1.0))
-        res = h2 + coef1 * h1 + coef0 * h
-        scale = abs(h2) + abs(coef1 * h1) + abs(coef0 * h)
-        out.append(abs(res) / max(scale, 1e-300))
+    for p, sums in zip(params, _accurate_sums(params, zs)):
+        row = []
+        for z, (h, h1, h2) in zip(zs, sums):
+            coef1 = p.gamma / z + p.delta / (z - 1.0) + p.eps / (z + 1.0)
+            coef0 = (p.lam * p.beta * z - p.q) / (z * (z - 1.0) * (z + 1.0))
+            res = h2 + coef1 * h1 + coef0 * h
+            scale = abs(h2) + abs(coef1 * h1) + abs(coef0 * h)
+            row.append(abs(res) / max(scale, 1e-300))
+        out.append(row)
     return out
 
 

@@ -389,12 +389,10 @@ def suite_lob_oscillator() -> list[dict]:
 # --- criterion 10: Heun channels -------------------------------------------------------
 
 
-def suite_heun() -> list[dict]:
+def _heun_cases():
+    """Criterion 10's cases, the even channels of both curved potentials at
+    j = 0, 1: (scenario, channel, j, formal levels, their Heun parameter sets)."""
     alpha, mass, k_osc = 10.0, 1.0, 100.0
-    worst_fuchs = 0.0
-    worst_residual = 0.0
-    worst_involution = 0.0
-    comparisons = []
     coulomb = core.Scenario("lobachevsky", "coulomb", Fraction(0), mass, alpha=alpha)
     oscillator = core.Scenario("lobachevsky", "oscillator", Fraction(0), mass, k_osc=k_osc)
     # even channels of both potentials at the formal termination energies
@@ -405,14 +403,23 @@ def suite_heun() -> list[dict]:
         for channel in (spectra.CH_EVEN_1, spectra.CH_EVEN_2):
             for j in (0, 1):
                 formal = spectra.admissible_levels(scen, j, channel)
-                for lv in formal:
-                    params = params_at(lv.energy, j, channel)
-                    worst_fuchs = max(worst_fuchs, abs(params.fuchs_residual()))
-                    worst_involution = max(worst_involution, heunspec.termination_defect(params, lv.n))
-                    # the local series at z = 0 needs gamma off the non-positive integers
-                    if params.gamma > 0 or not params.gamma.is_integer():
-                        worst_residual = max(worst_residual, heunspec.heun_residual_on_disc(params))
-                comparisons.append(_heun_fd_comparison(scen, channel, j, formal))
+                yield scen, channel, j, formal, [params_at(lv.energy, j, channel) for lv in formal]
+
+
+def suite_heun() -> list[dict]:
+    worst_fuchs = 0.0
+    worst_involution = 0.0
+    disc_sets = []
+    comparisons = []
+    for scen, channel, j, formal, param_sets in _heun_cases():
+        for lv, params in zip(formal, param_sets):
+            worst_fuchs = max(worst_fuchs, abs(params.fuchs_residual()))
+            worst_involution = max(worst_involution, heunspec.termination_defect(params, lv.n))
+            # the local series at z = 0 needs gamma off the non-positive integers
+            if params.gamma > 0 or not params.gamma.is_integer():
+                disc_sets.append(params)
+        comparisons.append(_heun_fd_comparison(scen, channel, j, formal))
+    worst_residual = max([0.0, *heunspec.heun_residual_on_disc(disc_sets)])
     agreement = [
         {"potential": c["potential"], "channel": c["channel"], "j": c["j"],
          "worst_rel_dev": c["worst_rel_dev"]}

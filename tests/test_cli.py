@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import monopole_spectra
-from monopole_spectra import cli, spectra
+from monopole_spectra import cli, radial, spectra
 from monopole_spectra.core import Scenario
 
 
@@ -208,6 +208,25 @@ def test_wavefunction_flat_oscillator_frequency_outside_the_double_range_exit_0(
     scen = Scenario("flat", "oscillator", 1, float(mass), k_osc=float(k_osc))
     assert header["E"] == float(cli.fmt12(spectra.single_level(scen, 2, 0, "branch-1").energy))
     assert header["ode_residual"] <= 1e-8
+    assert lines[1] == "r,u" and len(lines) == 2 + 5
+
+
+def test_wavefunction_oversize_residual_grid_omits_the_residual_exit_0(monkeypatch, capsys):
+    # the oscillator length (MK)^(-1/4) = 1e5 asks for a 6.4e8-point default
+    # grid (~5 GB); the guard makes that request fail instead of allocating it
+    real = radial.uniform_grid
+
+    def bounded(r0, r1, n):
+        if n > 1_000_000:
+            pytest.fail(f"asked for a {n}-point grid")
+        return real(r0, r1, n)
+
+    monkeypatch.setattr(radial, "uniform_grid", bounded)
+    code, out, err = run(["wavefunction", "--potential", "oscillator", "--k", "1", "--j", "2",
+                          "--k-osc", "1e-10", "--mass", "1e-10", "--grid", "0.1:2:5"], capsys)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert "ode_residual" not in json.loads(lines[0])
     assert lines[1] == "r,u" and len(lines) == 2 + 5
 
 

@@ -108,10 +108,10 @@ def test_residual_on_disc_for_generated_sets():
     oscillator_scen = core.Scenario("lobachevsky", "oscillator", 0, mass, k_osc=k_osc)
     e = spectra.single_level(coulomb_scen, 1, 0, "even-1").energy
     p = heunspec.heun_params_coulomb(e, alpha, mass, 1, "even-1")
-    assert heunspec.heun_residual_on_disc(p) <= 1e-9
+    assert heunspec.heun_residual_on_disc([p])[0] <= 1e-9
     e2 = spectra.single_level(oscillator_scen, 0, 0, "even-1").energy
     p2 = heunspec.heun_params_oscillator(e2, k_osc, mass, 0, "even-1")
-    assert heunspec.heun_residual_on_disc(p2) <= 1e-9
+    assert heunspec.heun_residual_on_disc([p2])[0] <= 1e-9
 
 
 def test_residual_on_disc_equals_the_pointwise_maximum():
@@ -126,8 +126,8 @@ def test_residual_on_disc_equals_the_pointwise_maximum():
     oscillator = heunspec.heun_params_oscillator(e2, k_osc, mass, 1, "even-2")
     assert len(heunspec._DISC_Z) == 60
     for p in (coulomb, oscillator):
-        pointwise = max(specfun.heun_ode_residuals(p, (z,))[0] for z in heunspec._DISC_Z)
-        assert heunspec.heun_residual_on_disc(p) == pointwise
+        pointwise = max(specfun.heun_ode_residuals([p], (z,))[0][0] for z in heunspec._DISC_Z)
+        assert heunspec.heun_residual_on_disc([p])[0] == pointwise
 
 
 @pytest.mark.parametrize("gamma", [0.0, -2.0])
@@ -135,5 +135,5 @@ def test_residual_on_disc_rejects_a_degenerate_gamma(gamma):
     # Fuchs: gamma + delta + eps = lam + beta + 1
     p = specfun.HeunParams(gamma=gamma, delta=1.0, eps=1.0, lam=gamma - 1.0, beta=2.0, q=0.5)
     with pytest.raises(specfun.SeriesError, match="non-positive integer"):
-        heunspec.heun_residual_on_disc(p)
+        heunspec.heun_residual_on_disc([p])
 

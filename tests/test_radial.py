@@ -188,6 +188,39 @@ def test_inadmissible_level_rejected():
         radial.analytic_solution(problem, level)
 
 
+def test_default_grid_refuses_an_underflowing_decay_rate():
+    # 2M|E| underflows at M = 1e-200, so kappa = 0 and 12/kappa divided by zero
+    sc = scen("flat", "coulomb", mass=1e-200, alpha=1.0)
+    problem = radial.build_problem(sc, "branch-1", 2)
+    level = spectra.single_level(sc, 2, 0, "branch-1")
+    with pytest.raises(radial.RadialError, match="underflows to 0"):
+        radial.default_solution_grid(problem, level)
+
+
+def test_default_grid_refuses_a_grid_over_the_point_budget(monkeypatch):
+    # M K = 1e-20 gives an extent of 6.4e5 at h = 1e-3; the guard makes the
+    # request fail instead of allocating it
+    real = radial.uniform_grid
+
+    def bounded(r0, r1, n):
+        if n > 1_000_000:
+            pytest.fail(f"asked for a {n}-point grid")
+        return real(r0, r1, n)
+
+    monkeypatch.setattr(radial, "uniform_grid", bounded)
+    sc = scen("flat", "oscillator", mass=1e-10, k_osc=1e-10)
+    problem = radial.build_problem(sc, "branch-1", 2)
+    level = spectra.single_level(sc, 2, 0, "branch-1")
+    with pytest.raises(radial.RadialError, match="more than the 1,000,000 allowed"):
+        radial.default_solution_grid(problem, level)
+    assert radial.GRID_POINT_BUDGET == 1_000_000
+    # the flat Coulomb extent cap stays inside the budget
+    coulomb = scen("flat", "coulomb", mass=1e-6, alpha=1e-3)
+    grid = radial.default_solution_grid(radial.build_problem(coulomb, "branch-1", 2),
+                                        spectra.single_level(coulomb, 2, 0, "branch-1"))
+    assert grid[-1] == 400.0 and 300_000 < len(grid) <= radial.GRID_POINT_BUDGET
+
+
 def test_residual_grid_contracts():
     sc = scen("flat", "coulomb", alpha=1.0)
     problem = radial.build_problem(sc, "min-j", 0)

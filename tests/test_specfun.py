@@ -2,11 +2,12 @@
 
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from monopole_spectra import specfun
+from monopole_spectra import heunspec, specfun, validate
 
 
 def test_1f1_polynomial_degree_one():
@@ -114,7 +115,7 @@ def test_heun_coefficients_recurrence_start():
 def test_heun_accurate_path_at_origin():
     # derivatives come from z^(k-1), z^(k-2) sums, so z = 0 needs no special case
     p = specfun.HeunParams(gamma=1.3, delta=0.7, eps=0.5, lam=0.9, beta=0.6, q=0.37)
-    h0, h1, h2 = specfun._accurate_sums(p, (0.0,))[0]
+    h0, h1, h2 = specfun._accurate_sums([p], (0.0,))[0][0]
     c = list(itertools.islice(specfun.heun_coefficients(p), 3))
     assert h0 == 1.0
     assert h1 == pytest.approx(c[1], rel=1e-15)
@@ -143,7 +144,7 @@ def test_heun_ode_residual_random_params():
         beta = gamma + delta + eps - lam - 1.0
         q = -1.0 + 2.0 * rng.random()
         p = specfun.HeunParams(gamma=gamma, delta=delta, eps=eps, lam=lam, beta=beta, q=q)
-        assert max(specfun.heun_ode_residuals(p, (-0.7, 0.35, 0.8))) <= 1e-9
+        assert max(specfun.heun_ode_residuals([p], (-0.7, 0.35, 0.8))[0]) <= 1e-9
 
 
 def test_heun_degenerates_to_2f1_when_third_singularity_removable():
@@ -161,5 +162,85 @@ def test_heun_compensated_path_matches_double_path():
     p = specfun.HeunParams(gamma=1.3, delta=0.7, eps=0.5, lam=0.9, beta=0.6, q=0.37)
     for z in (-0.5, 0.3, 0.75):
         hd = specfun.heun_local(p, z)
-        ha = specfun._accurate_sums(p, (z,))[0][0]
+        ha = specfun._accurate_sums([p], (z,))[0][0][0]
         assert hd == pytest.approx(ha, rel=1e-12)
+
+
+# --- the double-double pass against the same sums in 30-digit Decimal ----------------
+
+
+def _decimal_heun_sums(z, weighted, rtol):
+    """Reference: the term-sum loop of `specfun._heun_sums`, run on Decimal
+    terms to the 1e-30 relative stop."""
+    az = abs(z)
+    zn, floor = Decimal(z), Decimal(1e-300)
+    h = h1 = h2 = z1 = z2 = Decimal(0)
+    zk = Decimal(1)
+    quiet = 0
+    for k, (c, kc, kkc) in zip(range(specfun.SERIES_CAP), weighted):
+        term = c * zk
+        h += term
+        h1 += kc * z1
+        h2 += kkc * z2
+        if k > 8 and abs(term) <= rtol * max(abs(h), floor):
+            quiet += 1
+            tail = float(abs(term)) * az / max(1.0 - az, 1e-6)
+            if quiet >= 3 and tail <= specfun.HEUN_TAIL_TOL * max(float(abs(h)), 1.0):
+                return float(h), float(h1), float(h2)
+        else:
+            quiet = 0
+        z2, z1, zk = z1, zk, zk * zn
+    raise specfun.SeriesError(f"reference sum did not stop at z = {z}")
+
+
+def _decimal_sums(p, zs):
+    """Reference (H, H', H'') at each z, every term and product in
+    DECIMAL_DIGITS-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = specfun.DECIMAL_DIGITS
+        rtol = Decimal(10) ** -specfun.DECIMAL_DIGITS
+        shared = itertools.tee(specfun._weighted(specfun.heun_coefficients(p, Decimal)), len(zs))
+        return [_decimal_heun_sums(z, weighted, rtol) for z, weighted in zip(zs, shared)]
+
+
+def _hex(sums):
+    return [[float(x).hex() for x in triple] for triple in sums]
+
+
+def _random_params(rng):
+    gamma = 0.5 + 2.0 * rng.random()
+    delta = -1.0 + 2.0 * rng.random()
+    eps = -1.0 + 2.0 * rng.random()
+    lam = -2.0 + 4.0 * rng.random()
+    beta = gamma + delta + eps - lam - 1.0
+    q = -1.0 + 2.0 * rng.random()
+    return specfun.HeunParams(gamma=gamma, delta=delta, eps=eps, lam=lam, beta=beta, q=q)
+
+
+def test_double_double_sums_equal_the_decimal_sums_on_criterion_10():
+    # the 46 formal even-channel sets of the Heun criterion, at all 60 disc points
+    sets = [
+        p for *_, param_sets in validate._heun_cases() for p in param_sets
+        if p.gamma > 0 or not p.gamma.is_integer()
+    ]
+    assert len(sets) == 46
+    got = specfun._accurate_sums(sets, heunspec._DISC_Z)
+    for p, sums in zip(sets, got):
+        assert _hex(sums) == _hex(_decimal_sums(p, heunspec._DISC_Z))
+
+
+def test_double_double_sums_equal_the_decimal_sums_on_random_params():
+    rng = np.random.default_rng(7)
+    sets = [_random_params(rng) for _ in range(40)]
+    zs = (-0.7, -0.3, 0.0, 0.35, 0.8)
+    for p, sums in zip(sets, specfun._accurate_sums(sets, zs)):
+        assert _hex(sums) == _hex(_decimal_sums(p, zs))
+
+
+def test_double_double_sums_refuse_a_coefficient_beyond_the_split_range():
+    # c_1 = -q/gamma = 1e300 > 2^996, where Dekker's split overflows to NaN
+    p = specfun.HeunParams(gamma=1.0, delta=0.5, eps=0.5, lam=0.5, beta=0.5, q=-1e300)
+    with pytest.raises(specfun.SeriesError, match="2\\^996"):
+        specfun._accurate_sums([p], (0.3,))
+    with pytest.raises(specfun.SeriesError, match="2\\^996"):
+        heunspec.heun_residual_on_disc([p])
