@@ -186,7 +186,7 @@ def heun_local_derivatives(p: HeunParams, z: float) -> tuple[float, float, float
 
 _SPLITTER = 134217729.0  # 2^27 + 1
 _SPLIT_MAX = 2.0**996  # beyond this, _SPLITTER * x overflows
-_CHUNK = 32  # terms per block of coefficients and powers
+_CHUNK = 16  # terms per block of coefficients and powers
 
 
 def _split(a):
@@ -205,23 +205,26 @@ def _dd_product(x_hi, x_lo, xs_hi, xs_lo, y_hi, y_lo, ys_hi, ys_lo):
     return p, e
 
 
-def _dd_add(a_hi, a_lo, p, e):
-    """The normalized double-double (a_hi + a_lo) + (p + e), by two-sum."""
-    s = a_hi + p
-    v = s - a_hi
-    err = (a_hi - (s - v)) + (p - v)
-    err += a_lo + e
-    hi = s + err
-    return hi, err - (hi - s)
+def _dd_accumulate(hi, lo, p, e) -> None:
+    """hi + lo += p + e in place: the two-sum of hi and p, its error plus
+    lo + e, then the renormalized pair."""
+    s = hi + p
+    v = s - hi
+    err = hi - (s - v)
+    err += p - v
+    err += lo + e
+    np.add(s, err, out=hi)
+    s -= hi
+    np.add(err, s, out=lo)  # err - (hi - s)
 
 
 def _dd_rows(hi, lo) -> np.ndarray:
-    """The normalized pair hi + lo with the split of its hi part: rows hi, lo,
-    split hi, split lo. Values beyond the split range raise."""
+    """The pair hi + lo renormalized (fast two-sum), with the split of its hi
+    part: rows hi, lo, split hi, split lo. Values beyond the split range raise."""
     if not np.all(np.abs(hi) <= _SPLIT_MAX):
         raise SeriesError("Heun series coefficient or power beyond 2^996, the double-double split range")
-    hi, lo = _dd_add(hi, lo, 0.0, 0.0)
-    return np.stack([hi, lo, *_split(hi)])
+    s = hi + lo
+    return np.stack([s, lo - (s - hi), *_split(s)])
 
 
 def _dd_coefficients(k0: int, blocks) -> np.ndarray:
@@ -243,53 +246,74 @@ def _dd_coefficients(k0: int, blocks) -> np.ndarray:
 
 
 def _dd_powers(z: np.ndarray):
-    """Blocks of the powers of each z: for k = k0 .. k0 + _CHUNK - 1, the
-    double-double rows of z^k, z^(k-1) and z^(k-2) (zero below z^0) as a
-    (_CHUNK, 4, 3, len(z)) array, one block per iteration. A block is its
-    first power times the fixed powers z^0 .. z^(_CHUNK + 1)."""
+    """Blocks of the powers of each z: the double-double rows (`_dd_rows`) of
+    z^(k0-2) .. z^(k0+_CHUNK-1) as a (_CHUNK + 2, 4, len(z)) array for
+    k0 = 0, _CHUNK, 2 _CHUNK, ..., one block per iteration; powers below
+    z^0 are zero. A block is its first power times the fixed z^0 .. z^(_CHUNK+1)."""
     z_rows = _dd_rows(z, 0.0)
     steps = [_dd_rows(np.ones_like(z), 0.0)]
     for _ in range(_CHUNK + 1):
         steps.append(_dd_rows(*_dd_product(*steps[-1], *z_rows)))
-    steps = np.stack(steps, axis=1)  # (4, _CHUNK + 2, len(z)): z^0 .. z^(_CHUNK + 1)
-    table = np.zeros_like(steps)  # z^(k0 - 2) .. z^(k0 + _CHUNK - 1)
-    table[:, 2:] = steps[:, :_CHUNK]
+    steps = np.stack(steps, axis=1)  # (4, _CHUNK + 2, len(z))
+    block = np.zeros((_CHUNK + 2, 4, len(z)))
+    block[2:] = steps[:, :_CHUNK].transpose(1, 0, 2)
     while True:
-        yield np.stack([table[:, 2:], table[:, 1:-1], table[:, :-2]], axis=2).transpose(1, 0, 2, 3)
-        first = table[:, _CHUNK]  # z^(k0 - 2) of the next block
-        table = _dd_rows(*_dd_product(*first, *steps))
+        yield block
+        block = _dd_rows(*_dd_product(*block[_CHUNK], *steps)).transpose(1, 0, 2)
 
 
-def _accurate_sums(params, zs) -> list[list[tuple[float, float, float]]]:
-    """(H, H', H'') for each parameter set of `params` at each z of `zs`,
-    summed in double-double arithmetic from coefficients computed in
-    DECIMAL_DIGITS-digit decimal arithmetic.
+def _accumulate_terms(sum_hi, sum_lo, coefficients, powers) -> np.ndarray:
+    """Add the terms of one k to the double-double sums of H, H' and H''
+    (the rows of sum_hi, sum_lo), from that k's coefficient rows (4, 3, sets)
+    and the rows (4, points) of z^(k-2), z^(k-1), z^k in `powers`. Returns
+    |term| of H."""
+    for r in range(3):
+        p, e = _dd_product(*coefficients[:, r, :, None], *powers[2 - r, :, None, :])
+        if r == 0:
+            term = np.abs(p + e)
+        _dd_accumulate(sum_hi[r], sum_lo[r], p, e)
+    return term
+
+
+def _stop_test(term, h, tail_factor, quiet):
+    """The stop rule of `_heun_sums` on a grid, with 1e-30 for SERIES_RTOL:
+    the updated count of quiet terms, and where the sum stops."""
+    h = np.abs(h)
+    quiet = np.where(term <= 1e-30 * np.maximum(h, 1e-300), quiet + 1, 0)
+    return quiet, (quiet >= 3) & (term * tail_factor <= HEUN_TAIL_TOL * np.maximum(h, 1.0))
+
+
+def _accurate_sums(params, zs) -> np.ndarray:
+    """(H, H', H'') for each parameter set of `params` at each z of `zs`, as a
+    (len(params), len(zs), 3) array, summed in double-double arithmetic from
+    coefficients computed in DECIMAL_DIGITS-digit decimal arithmetic.
 
     Parameter sets with widely split exponents (|delta - eps| large) cancel as
     much as ~1e6 of the peak term at |z| = 0.8, which floors a plain double
     evaluation near 1e-8; about 32 digits restore the headroom the pointwise
     residual checks need.
 
-    Every (set, z) pair is one lane of a single numpy pass over k. A lane
-    stops on the rule of `_heun_sums`, with 1e-30 in place of SERIES_RTOL,
-    and leaves the pass. The powers of z are shared by all sets, and each
-    set's coefficients are generated a block at a time while any of its
-    lanes runs."""
+    The (set, z) pairs form a grid that one numpy pass over k sums, H, H'
+    and H'' in turn, so each array holds one value per pair. A pair stops on
+    the rule of `_heun_sums`, with 1e-30 in place of SERIES_RTOL, and its
+    sums are read then; a set leaves the grid once all its points have
+    stopped, and a point once it has stopped for every set. The powers of z
+    are shared by all sets; the coefficients of the sets still in the grid
+    are generated _CHUNK terms at a time."""
     zs = [float(z) for z in zs]
     for z in zs:
         if abs(z) >= 1.0:
             raise SeriesError(f"Heun local series restricted to |z| < 1, got {z}")
-    n_sets, n_z = len(params), len(zs)
-    if n_sets * n_z == 0:
-        return [[] for _ in params]
-    out = np.empty((3, n_sets * n_z))
-    lane = np.arange(out.shape[1])
-    set_of, z_of = np.divmod(lane, n_z)
+    out = np.zeros((len(params), len(zs), 3))
+    if out.size == 0:
+        return out
+    rows, cols = np.arange(len(params)), np.arange(len(zs))  # the sets and points still summed
     az = np.abs(np.array(zs))
     tail_factor = az / np.maximum(1.0 - az, 1e-6)
-    sum_hi = np.zeros((3, lane.size))
-    sum_lo = np.zeros((3, lane.size))
-    quiet = np.zeros(lane.size)
+    sum_hi = np.zeros((3, len(params), len(zs)))
+    sum_lo = np.zeros_like(sum_hi)
+    quiet = np.zeros(sum_hi.shape[1:], dtype=np.int16)
+    done = np.zeros(sum_hi.shape[1:], dtype=bool)
     powers = _dd_powers(np.array(zs))
     with localcontext() as ctx:
         ctx.prec = DECIMAL_DIGITS
@@ -297,30 +321,32 @@ def _accurate_sums(params, zs) -> list[list[tuple[float, float, float]]]:
         for k in range(SERIES_CAP):
             j = k % _CHUNK
             if j == 0:
-                live = np.unique(set_of)
-                blocks = [list(itertools.islice(series[s], _CHUNK)) for s in live.tolist()]
-                coefficients = np.zeros((_CHUNK, 4, 3, n_sets))
-                coefficients[..., live] = _dd_coefficients(k, blocks)
-                power_block = next(powers)
-            c = coefficients[j].take(set_of, axis=2)
-            x = power_block[j].take(z_of, axis=2)
-            p, e = _dd_product(*c, *x)
-            sum_hi, sum_lo = _dd_add(sum_hi, sum_lo, p, e)
-            if k > 8:
-                term = np.abs(p[0] + e[0])
-                h = np.abs(sum_hi[0])
-                quiet = np.where(term <= 1e-30 * np.maximum(h, 1e-300), quiet + 1.0, 0.0)
-                stop = (quiet >= 3.0) & (term * tail_factor[z_of] <= HEUN_TAIL_TOL * np.maximum(h, 1.0))
-                if stop.any():
-                    out[:, lane[stop]] = sum_hi[:, stop]
-                    keep = np.flatnonzero(~stop)
-                    if keep.size == 0:
-                        break
-                    lane, set_of, z_of, quiet = lane[keep], set_of[keep], z_of[keep], quiet[keep]
-                    sum_hi, sum_lo = sum_hi[:, keep], sum_lo[:, keep]
+                coefficients = _dd_coefficients(k, [list(itertools.islice(series[s], _CHUNK)) for s in rows])
+                power_block = next(powers)[:, :, cols]
+            # c_k z^k, k c_k z^(k-1), k(k-1) c_k z^(k-2); sets down, points across
+            term = _accumulate_terms(sum_hi, sum_lo, coefficients[j], power_block[j:j + 3])
+            if k <= 8:
+                continue
+            quiet, stop = _stop_test(term, sum_hi[0], tail_factor, quiet)
+            stop &= ~done
+            if not stop.any():
+                continue
+            set_i, z_i = np.nonzero(stop)
+            out[rows[set_i], cols[z_i]] = sum_hi[:, set_i, z_i].T
+            done |= stop
+            keep_rows, keep_cols = ~done.all(axis=1), ~done.all(axis=0)
+            if not keep_rows.any():
+                break
+            if keep_rows.all() and keep_cols.all():
+                continue
+            rows, cols, tail_factor = rows[keep_rows], cols[keep_cols], tail_factor[keep_cols]
+            coefficients, power_block = coefficients[..., keep_rows], power_block[..., keep_cols]
+            quiet, done = quiet[keep_rows][:, keep_cols], done[keep_rows][:, keep_cols]
+            sum_hi, sum_lo = sum_hi[:, keep_rows][:, :, keep_cols], sum_lo[:, keep_rows][:, :, keep_cols]
         else:
-            raise SeriesError(f"Heun series tail above {HEUN_TAIL_TOL} after {SERIES_CAP} terms at z = {zs[z_of[0]]}")
-    return [[tuple(h) for h in rows] for rows in out.T.reshape(n_sets, n_z, 3).tolist()]
+            set_i, z_i = np.argwhere(~done)[0]
+            raise SeriesError(f"Heun series tail above {HEUN_TAIL_TOL} after {SERIES_CAP} terms at z = {zs[cols[z_i]]}")
+    return out
 
 
 def heun_ode_residuals(params, zs) -> list[list[float]]:
@@ -331,7 +357,7 @@ def heun_ode_residuals(params, zs) -> list[list[float]]:
     out = []
     for p, sums in zip(params, _accurate_sums(params, zs)):
         row = []
-        for z, (h, h1, h2) in zip(zs, sums):
+        for z, (h, h1, h2) in zip(zs, sums.tolist()):
             coef1 = p.gamma / z + p.delta / (z - 1.0) + p.eps / (z + 1.0)
             coef0 = (p.lam * p.beta * z - p.q) / (z * (z - 1.0) * (z + 1.0))
             res = h2 + coef1 * h1 + coef0 * h
