@@ -186,7 +186,7 @@ def heun_local_derivatives(p: HeunParams, z: float) -> tuple[float, float, float
 
 _SPLITTER = 134217729.0  # 2^27 + 1
 _SPLIT_MAX = 2.0**996  # beyond this, _SPLITTER * x overflows
-_CHUNK = 16  # terms per block of coefficients and powers
+_CHUNK = 8  # terms per block of coefficients and powers
 
 
 def _split(a):
@@ -198,10 +198,21 @@ def _split(a):
 
 def _dd_product(x_hi, x_lo, xs_hi, xs_lo, y_hi, y_lo, ys_hi, ys_lo):
     """(x_hi + x_lo)(y_hi + y_lo) as p + e, with p = fl(x_hi y_hi) and e its
-    exact error (from the splits xs, ys of x_hi, y_hi) plus the cross terms."""
+    exact error (from the splits xs, ys of x_hi, y_hi) plus the cross terms:
+    e = ((xs_hi ys_hi - p) + xs_hi ys_lo + xs_lo ys_hi) + xs_lo ys_lo
+    + (x_hi y_lo + x_lo y_hi), summed in that order in two work arrays."""
     p = x_hi * y_hi
-    e = ((xs_hi * ys_hi - p) + xs_hi * ys_lo + xs_lo * ys_hi) + xs_lo * ys_lo
-    e += x_hi * y_lo + x_lo * y_hi
+    e = xs_hi * ys_hi
+    e -= p
+    t = xs_hi * ys_lo
+    e += t
+    np.multiply(xs_lo, ys_hi, out=t)
+    e += t
+    np.multiply(xs_lo, ys_lo, out=t)
+    e += t
+    np.multiply(x_hi, y_lo, out=t)
+    t += x_lo * y_hi
+    e += t
     return p, e
 
 
@@ -262,19 +273,6 @@ def _dd_powers(z: np.ndarray):
         block = _dd_rows(*_dd_product(*block[_CHUNK], *steps)).transpose(1, 0, 2)
 
 
-def _accumulate_terms(sum_hi, sum_lo, coefficients, powers) -> np.ndarray:
-    """Add the terms of one k to the double-double sums of H, H' and H''
-    (the rows of sum_hi, sum_lo), from that k's coefficient rows (4, 3, sets)
-    and the rows (4, points) of z^(k-2), z^(k-1), z^k in `powers`. Returns
-    |term| of H."""
-    for r in range(3):
-        p, e = _dd_product(*coefficients[:, r, :, None], *powers[2 - r, :, None, :])
-        if r == 0:
-            term = np.abs(p + e)
-        _dd_accumulate(sum_hi[r], sum_lo[r], p, e)
-    return term
-
-
 def _stop_test(term, h, tail_factor, quiet):
     """The stop rule of `_heun_sums` on a grid, with 1e-30 for SERIES_RTOL:
     the updated count of quiet terms, and where the sum stops."""
@@ -322,12 +320,19 @@ def _accurate_sums(params, zs) -> np.ndarray:
             j = k % _CHUNK
             if j == 0:
                 coefficients = _dd_coefficients(k, [list(itertools.islice(series[s], _CHUNK)) for s in rows])
-                power_block = next(powers)[:, :, cols]
-            # c_k z^k, k c_k z^(k-1), k(k-1) c_k z^(k-2); sets down, points across
-            term = _accumulate_terms(sum_hi, sum_lo, coefficients[j], power_block[j:j + 3])
+                power_block = next(powers)
+            x = power_block[j:j + 3, :, cols]  # z^(k-2), z^(k-1), z^k
+            for r in range(3):
+                # c_k z^k, k c_k z^(k-1), k(k-1) c_k z^(k-2); sets down, points across
+                p, e = _dd_product(*coefficients[j, :, r, :, None], *x[2 - r, :, None, :])
+                if r == 0:
+                    term = np.abs(p + e)
+                _dd_accumulate(sum_hi[r], sum_lo[r], p, e)
+                del p, e  # each work array is freed before the next is made
             if k <= 8:
                 continue
             quiet, stop = _stop_test(term, sum_hi[0], tail_factor, quiet)
+            del term
             stop &= ~done
             if not stop.any():
                 continue
@@ -340,9 +345,11 @@ def _accurate_sums(params, zs) -> np.ndarray:
             if keep_rows.all() and keep_cols.all():
                 continue
             rows, cols, tail_factor = rows[keep_rows], cols[keep_cols], tail_factor[keep_cols]
-            coefficients, power_block = coefficients[..., keep_rows], power_block[..., keep_cols]
+            coefficients = coefficients[..., keep_rows]
+            # one array at a time, so that at most one old copy is alive
             quiet, done = quiet[keep_rows][:, keep_cols], done[keep_rows][:, keep_cols]
-            sum_hi, sum_lo = sum_hi[:, keep_rows][:, :, keep_cols], sum_lo[:, keep_rows][:, :, keep_cols]
+            sum_hi = sum_hi.compress(keep_rows, axis=1).compress(keep_cols, axis=2)
+            sum_lo = sum_lo.compress(keep_rows, axis=1).compress(keep_cols, axis=2)
         else:
             set_i, z_i = np.argwhere(~done)[0]
             raise SeriesError(f"Heun series tail above {HEUN_TAIL_TOL} after {SERIES_CAP} terms at z = {zs[cols[z_i]]}")

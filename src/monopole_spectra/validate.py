@@ -410,16 +410,16 @@ def suite_heun() -> list[dict]:
     worst_fuchs = 0.0
     worst_involution = 0.0
     disc_sets = []
-    comparisons = []
-    for scen, channel, j, formal, param_sets in _heun_cases():
+    cases = list(_heun_cases())
+    for _, _, _, formal, param_sets in cases:
         for lv, params in zip(formal, param_sets):
             worst_fuchs = max(worst_fuchs, abs(params.fuchs_residual()))
             worst_involution = max(worst_involution, heunspec.termination_defect(params, lv.n))
             # the local series at z = 0 needs gamma off the non-positive integers
             if params.gamma > 0 or not params.gamma.is_integer():
                 disc_sets.append(params)
-        comparisons.append(_heun_fd_comparison(scen, channel, j, formal))
     worst_residual = max([0.0, *heunspec.heun_residual_on_disc(disc_sets)])
+    comparisons = [_heun_fd_comparison(scen, channel, j, formal) for scen, channel, j, formal, _ in cases]
     agreement = [
         {"potential": c["potential"], "channel": c["channel"], "j": c["j"],
          "worst_rel_dev": c["worst_rel_dev"]}
