@@ -189,7 +189,7 @@ def test_inadmissible_level_rejected():
 
 
 def test_default_grid_refuses_an_underflowing_decay_rate():
-    # 2M|E| underflows at M = 1e-200, so kappa = 0 and 12/kappa divided by zero
+    # 2M|E| underflows at M = 1e-200: kappa = 0 leaves the extent 12/kappa undefined
     sc = scen("flat", "coulomb", mass=1e-200, alpha=1.0)
     problem = radial.build_problem(sc, "branch-1", 2)
     level = spectra.single_level(sc, 2, 0, "branch-1")
