@@ -12,9 +12,11 @@ digits) over many parameter sets and points at once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -187,6 +189,7 @@ def heun_local_derivatives(p: HeunParams, z: float) -> tuple[float, float, float
 _SPLITTER = 134217729.0  # 2^27 + 1
 _SPLIT_MAX = 2.0**996  # beyond this, _SPLITTER * x overflows
 _CHUNK = 8  # terms per block of coefficients and powers
+_BEYOND_SPLIT = "Heun series coefficient or power beyond 2^996, the double-double split range"
 
 
 def _split(a):
@@ -233,21 +236,39 @@ def _dd_rows(hi, lo) -> np.ndarray:
     """The pair hi + lo renormalized (fast two-sum), with the split of its hi
     part: rows hi, lo, split hi, split lo. Values beyond the split range raise."""
     if not np.all(np.abs(hi) <= _SPLIT_MAX):
-        raise SeriesError("Heun series coefficient or power beyond 2^996, the double-double split range")
+        raise SeriesError(_BEYOND_SPLIT)
     s = hi + lo
     return np.stack([s, lo - (s - hi), *_split(s)])
+
+
+@functools.lru_cache(maxsize=None)
+def _pow10(e: int) -> tuple[float, float]:
+    """10^e as a double-double (hi, lo), from the exact rational."""
+    f = Fraction(10) ** e
+    hi = float(f)
+    return hi, float(f - Fraction(hi))
 
 
 def _dd_coefficients(k0: int, blocks) -> np.ndarray:
     """Frobenius coefficients c_k, k = k0 .. k0 + _CHUNK - 1, for each list of
     Decimal coefficients in `blocks`, as a (_CHUNK, 4, 3, len(blocks)) array:
-    double-double rows (`_dd_rows`) of c_k, k c_k and k(k-1) c_k. Each Decimal
-    c_k becomes hi = float(c_k), lo = float(c_k - hi); its integer multiples
-    are formed from that pair with Dekker's exact product."""
+    double-double rows (`_dd_rows`) of c_k, k c_k and k(k-1) c_k. Each c_k is
+    M 10^e with an integer M of at most DECIMAL_DIGITS digits, which splits
+    exactly into two doubles; c_k is their product with 10^e, and its
+    integer multiples are formed from it, each with Dekker's exact product."""
     cs = [c for block in blocks for c in block]
-    hi = np.array(cs, dtype=float)
-    lo = np.array([float(c - Decimal(h)) for c, h in zip(cs, hi.tolist())])
-    c = _dd_rows(hi.reshape(len(blocks), _CHUNK).T, lo.reshape(len(blocks), _CHUNK).T)
+    exps = [c.adjusted() - (DECIMAL_DIGITS - 1) for c in cs]
+    if max(exps) > 300 - DECIMAL_DIGITS:  # |c_k| >= 1e300
+        raise SeriesError(_BEYOND_SPLIT)
+    try:
+        ms = [int(c.scaleb(-e)) for c, e in zip(cs, exps)]
+    except (ValueError, OverflowError):  # a NaN or infinite c_k
+        raise SeriesError(_BEYOND_SPLIT) from None
+    m_hi = np.array(ms, dtype=float)
+    m_lo = np.array([m - int(h) for m, h in zip(ms, m_hi.tolist())], dtype=float)
+    p_hi, p_lo = np.array([_pow10(e) for e in exps]).T
+    p, e = _dd_product(m_hi, m_lo, *_split(m_hi), p_hi, p_lo, *_split(p_hi))
+    c = _dd_rows(p.reshape(len(blocks), _CHUNK).T, e.reshape(len(blocks), _CHUNK).T)
     ks = np.arange(k0, k0 + _CHUNK, dtype=float)[:, None]
     rows = [c]
     for m in (ks, ks * (ks - 1.0)):

@@ -237,9 +237,11 @@ def test_double_double_sums_equal_the_decimal_sums_on_random_params():
         assert _hex(sums) == _hex(_decimal_sums(p, zs))
 
 
-def test_double_double_sums_refuse_a_coefficient_beyond_the_split_range():
-    # c_1 = -q/gamma = 1e300 > 2^996, where Dekker's split overflows to NaN
-    p = specfun.HeunParams(gamma=1.0, delta=0.5, eps=0.5, lam=0.5, beta=0.5, q=-1e300)
+@pytest.mark.parametrize("q", [-1e300, -7e299, math.nan])
+def test_double_double_sums_refuse_a_coefficient_beyond_the_split_range(q):
+    # c_1 = -q/gamma beyond 2^996 ~ 6.7e299, where Dekker's split overflows
+    # to NaN, or itself NaN; the sums must raise, never return NaN
+    p = specfun.HeunParams(gamma=1.0, delta=0.5, eps=0.5, lam=0.5, beta=0.5, q=q)
     with pytest.raises(specfun.SeriesError, match="2\\^996"):
         specfun._accurate_sums([p], (0.3,))
     with pytest.raises(specfun.SeriesError, match="2\\^996"):
