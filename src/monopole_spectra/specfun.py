@@ -267,8 +267,8 @@ def _dd_coefficients(k0: int, blocks) -> np.ndarray:
     m_hi = np.array(ms, dtype=float)
     m_lo = np.array([m - int(h) for m, h in zip(ms, m_hi.tolist())], dtype=float)
     p_hi, p_lo = np.array([_pow10(e) for e in exps]).T
-    p, e = _dd_product(m_hi, m_lo, *_split(m_hi), p_hi, p_lo, *_split(p_hi))
-    c = _dd_rows(p.reshape(len(blocks), _CHUNK).T, e.reshape(len(blocks), _CHUNK).T)
+    p, err = _dd_product(m_hi, m_lo, *_split(m_hi), p_hi, p_lo, *_split(p_hi))
+    c = _dd_rows(p.reshape(len(blocks), _CHUNK).T, err.reshape(len(blocks), _CHUNK).T)
     ks = np.arange(k0, k0 + _CHUNK, dtype=float)[:, None]
     rows = [c]
     for m in (ks, ks * (ks - 1.0)):
