@@ -95,6 +95,10 @@ CASES.update({
                                                      "--no-monopole", "--j", "1", "--alpha", "10",
                                                      "--channel", "even-1", "--n", "0",
                                                      "--grid", "0.01:2.1:150"],
+    "wavefunction_lob_nomonopole_coulomb_even2_n1": ["wavefunction", "--geometry", "lobachevsky",
+                                                     "--no-monopole", "--j", "1", "--alpha", "10",
+                                                     "--channel", "even-2", "--n", "1",
+                                                     "--grid", "0.01:2.1:150"],
     "wavefunction_flat_oscillator_n1": ["wavefunction", "--potential", "oscillator", "--k", "1",
                                         "--j", "2", "--k-osc", "2", "--mass", "1.5", "--n", "1",
                                         "--channel", "branch-2", "--grid", "0.01:8:150"],
