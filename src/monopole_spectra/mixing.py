@@ -131,7 +131,7 @@ def roots(inv: CubicInvariants) -> RootTriple:
 
     B_i = 2 sqrt(-p/3) cos( arccos((3q/2p) sqrt(-3/p))/3 + (i-1) 2pi/3 ),
     A_i = B_i - r/3. Requires disc < 0 (three distinct real roots); that holds
-    for every admissible (j, k) and is asserted.
+    for every admissible (j, k), and any other discriminant raises MixingError.
     """
     if inv.disc >= 0:
         raise MixingError(f"non-negative cubic discriminant {inv.disc}; trigonometric form invalid")

@@ -304,16 +304,15 @@ def _cosh_oscillator_solution(problem: RadialProblem, level: EnergyLevel, r: np.
 def _even_coulomb_solution(problem: RadialProblem, level: EnergyLevel, r: np.ndarray):
     """Local Heun construction F = z^A (1-z)^(B-1/2) (1+z)^(C-1/2) H(z),
     z = tanh(r/2), valid on the series disc (z <= 0.8)."""
-    from .heunspec import coulomb_exponents, heun_params_coulomb
-    from .specfun import heun_local
+    from .heunspec import heun_params_coulomb
 
-    scen = problem.scenario
     z = np.tanh(r / 2.0)
     if np.any(z > 0.8):
         raise RadialError("even-channel Coulomb sampling restricted to tanh(r/2) <= 0.8")
-    params = heun_params_coulomb(level.energy, scen.alpha, problem.mass, level.j, problem.channel)
-    a_exp, b_exp, c_exp = coulomb_exponents(level.energy, scen.alpha, problem.mass, level.j, problem.channel)
-    h = np.array([heun_local(params, zz) for zz in np.atleast_1d(z)])
+    params = heun_params_coulomb(level.energy, problem.scenario.alpha, problem.mass, level.j, problem.channel)
+    # (gamma, delta, eps) = 2 (A, B, C), so halving gives the exponents exactly
+    a_exp, b_exp, c_exp = params.gamma / 2.0, params.delta / 2.0, params.eps / 2.0
+    h = specfun.heun_local(params, z)
     u = z**a_exp * (1.0 - z) ** (b_exp - 0.5) * (1.0 + z) ** (c_exp - 0.5) * h
     return u, (
         f"F = z^A (1-z)^(B-1/2) (1+z)^(C-1/2) H(z), z = tanh(r/2), "

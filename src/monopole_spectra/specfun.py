@@ -3,11 +3,11 @@
 All three are plain power series around z = 0 with a hard term cap;
 truncation past the cap is an error, never silent. The hypergeometric series
 are summed in double precision. The Heun series (singular points
-{0, 1, -1, inf}, the only configuration needed here) has one coefficient
-generator, run in double precision or in 30-digit decimal arithmetic, and
-two ways to sum its terms: a double-precision loop for one z, and, for the
-residual checks, one numpy pass in double-double arithmetic (about 32
-digits) over many parameter sets and points at once.
+{0, 1, -1, inf}, the only configuration needed here) has one summation
+path: coefficients from one generator in 30-digit decimal arithmetic, summed
+in one numpy pass in double-double arithmetic (about 32 digits) over many
+parameter sets and points at once. The wavefunction values (`heun_local`)
+and the ODE residual checks both read their sums from it.
 """
 
 from __future__ import annotations
@@ -113,69 +113,29 @@ class HeunParams:
         return (self.gamma + self.delta + self.eps) - (self.lam + self.beta + 1.0)
 
 
-def heun_coefficients(p: HeunParams, num=float):
+def heun_coefficients(p: HeunParams):
     """Frobenius coefficients c_0, c_1, ... of the exponent-zero solution at
-    z = 0, generated without end in the arithmetic type `num` (float or
-    decimal.Decimal; Decimal follows the active context's precision):
+    z = 0, generated without end in decimal arithmetic at the active
+    context's precision (`_accurate_sums` sets DECIMAL_DIGITS):
 
         (k+1)(k+gamma) c_{k+1} = (k(delta - eps) - q) c_k
                                  + (k-1+lam)(k-1+beta) c_{k-1},  c_0 = 1.
     """
     if _is_nonpositive_int(p.gamma):
         raise SeriesError(f"Heun series degenerate: gamma = {p.gamma} is a non-positive integer")
-    gamma, delta, eps, lam, beta, q = (num(x) for x in (p.gamma, p.delta, p.eps, p.lam, p.beta, p.q))
-    one = num(1)
-    c_prev, c = num(0), one
+    gamma, delta, eps, lam, beta, q = (Decimal(x) for x in (p.gamma, p.delta, p.eps, p.lam, p.beta, p.q))
+    c_prev, c = Decimal(0), Decimal(1)
     for k in itertools.count():
         yield c
-        num_k = (k * (delta - eps) - q) * c + (k - one + lam) * (k - one + beta) * c_prev
-        c_prev, c = c, num_k / ((k + one) * (k + gamma))
+        num_k = (k * (delta - eps) - q) * c + (k - 1 + lam) * (k - 1 + beta) * c_prev
+        c_prev, c = c, num_k / ((k + 1) * (k + gamma))
 
 
-def _weighted(coefficients):
-    """(c_k, k c_k, k(k-1) c_k) for each coefficient c_k: the z-independent
-    factors of the terms of H, H' and H''."""
-    for k, c in enumerate(coefficients):
-        yield c, k * c, k * (k - 1) * c
-
-
-def _heun_sums(z: float, weighted) -> tuple[float, float, float]:
-    """(H, H', H'') as the sums of c_k z^k, k c_k z^(k-1) and k(k-1) c_k z^(k-2)
-    over the sequence `weighted` of float (c_k, k c_k, k(k-1) c_k).
-    Summation stops once three successive terms of H fall below SERIES_RTOL |H|
-    and the geometric tail estimate is below HEUN_TAIL_TOL; a tail still above
-    it at the term cap raises."""
-    if abs(z) >= 1.0:
-        raise SeriesError(f"Heun local series restricted to |z| < 1, got {z}")
-    az = abs(z)
-    h = h1 = h2 = z1 = z2 = 0.0
-    zk = 1.0  # z^k, with z1 = z^(k-1) and z2 = z^(k-2) (zero below k = 1, 2)
-    quiet = 0
-    for k, (c, kc, kkc) in zip(range(SERIES_CAP), weighted):
-        term = c * zk
-        h += term
-        h1 += kc * z1
-        h2 += kkc * z2
-        if k > 8 and abs(term) <= SERIES_RTOL * max(abs(h), 1e-300):
-            quiet += 1
-            tail = abs(term) * az / max(1.0 - az, 1e-6)
-            if quiet >= 3 and tail <= HEUN_TAIL_TOL * max(abs(h), 1.0):
-                return h, h1, h2
-        else:
-            quiet = 0
-        z2, z1, zk = z1, zk, zk * z
-    raise SeriesError(f"Heun series tail above {HEUN_TAIL_TOL} after {SERIES_CAP} terms at z = {z}")
-
-
-def heun_local(p: HeunParams, z: float) -> float:
-    """Local Heun solution normalized H(0) = 1, valid on |z| < 1."""
-    return heun_local_derivatives(p, z)[0]
-
-
-def heun_local_derivatives(p: HeunParams, z: float) -> tuple[float, float, float]:
-    """The local Heun solution with H' and H'' by term-wise differentiation,
-    summed in double precision. Returns (H, H', H'')."""
-    return _heun_sums(z, _weighted(heun_coefficients(p)))
+def heun_local(p: HeunParams, z):
+    """Local Heun solution normalized H(0) = 1, valid on |z| < 1, summed by
+    `_accurate_sums`: a float for a scalar z, an array for an array of z."""
+    h = _accurate_sums([p], np.ravel(z))[0, :, 0]
+    return h.reshape(np.shape(z)) if np.ndim(z) else float(h[0])
 
 
 # --- double-double sums ---------------------------------------------------------
@@ -295,8 +255,10 @@ def _dd_powers(z: np.ndarray):
 
 
 def _stop_test(term, h, tail_factor, quiet):
-    """The stop rule of `_heun_sums` on a grid, with 1e-30 for SERIES_RTOL:
-    the updated count of quiet terms, and where the sum stops."""
+    """The stop rule on a grid: a sum stops once three successive terms of H
+    fall below 1e-30 |H| and the geometric tail estimate |term| |z|/(1 - |z|)
+    is below HEUN_TAIL_TOL max(|H|, 1). Returns the updated count of quiet
+    terms, and where the sum stops."""
     h = np.abs(h)
     quiet = np.where(term <= 1e-30 * np.maximum(h, 1e-300), quiet + 1, 0)
     return quiet, (quiet >= 3) & (term * tail_factor <= HEUN_TAIL_TOL * np.maximum(h, 1.0))
@@ -314,11 +276,11 @@ def _accurate_sums(params, zs) -> np.ndarray:
 
     The (set, z) pairs form a grid that one numpy pass over k sums, H, H'
     and H'' in turn, so each array holds one value per pair. A pair stops on
-    the rule of `_heun_sums`, with 1e-30 in place of SERIES_RTOL, and its
-    sums are read then; a set leaves the grid once all its points have
-    stopped, and a point once it has stopped for every set. The powers of z
-    are shared by all sets; the coefficients of the sets still in the grid
-    are generated _CHUNK terms at a time."""
+    the rule of `_stop_test`, checked from k = 9 on, and its sums are read
+    then; a set leaves the grid once all its points have stopped, and a
+    point once it has stopped for every set. The powers of z are shared by
+    all sets; the coefficients of the sets still in the grid are generated
+    _CHUNK terms at a time."""
     zs = [float(z) for z in zs]
     for z in zs:
         if abs(z) >= 1.0:
@@ -336,7 +298,7 @@ def _accurate_sums(params, zs) -> np.ndarray:
     powers = _dd_powers(np.array(zs))
     with localcontext() as ctx:
         ctx.prec = DECIMAL_DIGITS
-        series = [heun_coefficients(p, Decimal) for p in params]
+        series = [heun_coefficients(p) for p in params]
         for k in range(SERIES_CAP):
             j = k % _CHUNK
             if j == 0:
@@ -381,7 +343,10 @@ def heun_ode_residuals(params, zs) -> list[list[float]]:
     """Relative pointwise residuals of the defining ODE for each parameter set
     of `params` at each z of `zs`, evaluated from the double-double series
     value and its term-wise derivatives (an independent code path from the
-    coefficient recurrence). All sets and points share one summation pass."""
+    coefficient recurrence). All sets and points share one summation pass.
+    z = 0, a singular point of the ODE, is refused before any summing."""
+    if any(z == 0.0 for z in zs):
+        raise SeriesError("Heun ODE residual undefined at the singular point z = 0")
     out = []
     for p, sums in zip(params, _accurate_sums(params, zs)):
         row = []

@@ -92,8 +92,8 @@ def test_heun_params_fuchs_enforced():
 
 def test_heun_normalization_and_first_coefficient():
     p = specfun.HeunParams(gamma=1.3, delta=0.7, eps=0.5, lam=0.9, beta=0.6, q=0.37)
-    h0, h1, _ = specfun.heun_local_derivatives(p, 0.0)
-    assert h0 == 1.0
+    assert specfun.heun_local(p, 0.0) == 1.0
+    _, h1, _ = specfun._accurate_sums([p], (0.0,))[0, 0]
     assert h1 == pytest.approx(-p.q / p.gamma, abs=1e-15)
     # H'(0) = -q/gamma against a small finite difference
     eps_fd = 1e-6
@@ -102,9 +102,16 @@ def test_heun_normalization_and_first_coefficient():
     assert (hp - hm) / (2 * eps_fd) == pytest.approx(-p.q / p.gamma, abs=1e-6)
 
 
+def _first_coefficients(p, n):
+    """c_0 .. c_(n-1), generated at DECIMAL_DIGITS digits and rounded to float."""
+    with localcontext() as ctx:
+        ctx.prec = specfun.DECIMAL_DIGITS
+        return [float(c) for c in itertools.islice(specfun.heun_coefficients(p), n)]
+
+
 def test_heun_coefficients_recurrence_start():
     p = specfun.HeunParams(gamma=2.0, delta=1.1, eps=0.4, lam=1.5, beta=1.0, q=-0.3)
-    c = list(itertools.islice(specfun.heun_coefficients(p), 3))
+    c = _first_coefficients(p, 3)
     assert c[0] == 1.0 and c[1] == pytest.approx(-p.q / p.gamma, abs=1e-15)
     # k = 1 balance: 2(1+gamma) c2 = (delta - eps - q) c1 + lam*beta c0
     lhs = 2.0 * (1.0 + p.gamma) * c[2]
@@ -116,7 +123,7 @@ def test_heun_accurate_path_at_origin():
     # derivatives come from z^(k-1), z^(k-2) sums, so z = 0 needs no special case
     p = specfun.HeunParams(gamma=1.3, delta=0.7, eps=0.5, lam=0.9, beta=0.6, q=0.37)
     h0, h1, h2 = specfun._accurate_sums([p], (0.0,))[0][0]
-    c = list(itertools.islice(specfun.heun_coefficients(p), 3))
+    c = _first_coefficients(p, 3)
     assert h0 == 1.0
     assert h1 == pytest.approx(c[1], rel=1e-15)
     assert h2 == pytest.approx(2.0 * c[2], rel=1e-15)
@@ -158,20 +165,25 @@ def test_heun_degenerates_to_2f1_when_third_singularity_removable():
         )
 
 
-def test_heun_compensated_path_matches_double_path():
+def test_heun_ode_residuals_refuse_the_singular_point_at_origin():
     p = specfun.HeunParams(gamma=1.3, delta=0.7, eps=0.5, lam=0.9, beta=0.6, q=0.37)
-    for z in (-0.5, 0.3, 0.75):
-        hd = specfun.heun_local(p, z)
-        ha = specfun._accurate_sums([p], (z,))[0][0][0]
-        assert hd == pytest.approx(ha, rel=1e-12)
+    with pytest.raises(specfun.SeriesError, match="z = 0"):
+        specfun.heun_ode_residuals([p], (0.3, 0.0))
 
 
 # --- the double-double pass against the same sums in 30-digit Decimal ----------------
 
 
+def _weighted(coefficients):
+    """(c_k, k c_k, k(k-1) c_k) for each coefficient c_k: the z-independent
+    factors of the terms of H, H' and H''."""
+    for k, c in enumerate(coefficients):
+        yield c, k * c, k * (k - 1) * c
+
+
 def _decimal_heun_sums(z, weighted, rtol):
-    """Reference: the term-sum loop of `specfun._heun_sums`, run on Decimal
-    terms to the 1e-30 relative stop."""
+    """Reference: a plain term-sum loop on Decimal terms, with the stop rule
+    of `specfun._stop_test` (relative stop `rtol`)."""
     az = abs(z)
     zn, floor = Decimal(z), Decimal(1e-300)
     h = h1 = h2 = z1 = z2 = Decimal(0)
@@ -199,7 +211,7 @@ def _decimal_sums(p, zs):
     with localcontext() as ctx:
         ctx.prec = specfun.DECIMAL_DIGITS
         rtol = Decimal(10) ** -specfun.DECIMAL_DIGITS
-        shared = itertools.tee(specfun._weighted(specfun.heun_coefficients(p, Decimal)), len(zs))
+        shared = itertools.tee(_weighted(specfun.heun_coefficients(p)), len(zs))
         return [_decimal_heun_sums(z, weighted, rtol) for z, weighted in zip(zs, shared)]
 
 
@@ -235,6 +247,18 @@ def test_double_double_sums_equal_the_decimal_sums_on_random_params():
     zs = (-0.7, -0.3, 0.0, 0.35, 0.8)
     for p, sums in zip(sets, specfun._accurate_sums(sets, zs)):
         assert _hex(sums) == _hex(_decimal_sums(p, zs))
+
+
+def test_heun_local_on_an_array_equals_the_scalar_calls_and_the_decimal_sums():
+    p = _random_params(np.random.default_rng(11))
+    zs = np.array([[-0.75, -0.2, 0.0], [0.1, 0.45, 0.8]])
+    got = specfun.heun_local(p, zs)
+    assert got.shape == zs.shape
+    scalar = [specfun.heun_local(p, z) for z in zs.ravel().tolist()]
+    assert all(isinstance(h, float) for h in scalar)
+    assert [h.hex() for h in got.ravel().tolist()] == [h.hex() for h in scalar]
+    reference = [h for h, _, _ in _decimal_sums(p, zs.ravel().tolist())]
+    assert [h.hex() for h in scalar] == [h.hex() for h in reference]
 
 
 @pytest.mark.parametrize("q", [-1e300, -7e299, math.nan])
