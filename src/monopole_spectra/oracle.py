@@ -1,9 +1,15 @@
 """Independent numerical eigenvalue machinery used to validate every spectrum.
 
 The discretization is the plain 3-point stencil on a uniform Dirichlet grid,
-turning u'' + (2ME - V)u = 0 into a symmetric tridiagonal eigenproblem whose
-selected eigenvalues come from bisection on Sturm sequences (LAPACK *stebz via
-scipy); an explicit Sturm counter provides exact bound-state counts below a
+turning u'' + (2ME - V)u = 0 into a symmetric tridiagonal eigenproblem. Its
+selected eigenvalues are seeded from the same problem on a 32x coarser grid,
+polished by Rayleigh-quotient iteration on the fine matrix (LAPACK dgtsv
+solves) and certified by Sturm counts: each polished value carries a residual
+radius, the intervals they span are disjoint, and the counts at the two outer
+ends prove the values are exactly the requested indices (Parlett, The
+Symmetric Eigenvalue Problem, 1998; Barth, Martin & Wilkinson, Numer. Math. 9,
+1967). A solve that fails the certificate falls back to bisection (LAPACK
+dstebz). The same compiled Sturm count gives exact bound-state counts below a
 continuum edge. The quadratic-in-energy problem is handled by two-sided
 shooting with log-derivative matching instead.
 """
@@ -16,6 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv, dstebz
 
 from . import ivp
 from .core import GEOMETRY_FLAT, POTENTIAL_OSCILLATOR
@@ -80,38 +87,117 @@ def check_resolution(problem: RadialProblem, grid: Grid) -> None:
 def _tridiagonal(problem: RadialProblem, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     h = grid.h
     diag = 2.0 / (h * h) + problem.v_eff(grid.nodes)
+    if not np.all(np.isfinite(diag)):
+        bad = grid.nodes[~np.isfinite(diag)]
+        raise OracleError(
+            f"{problem.tag}: v_eff is not finite at {bad.size} grid nodes (first at r = {bad[0]:.6g})"
+        )
     off = np.full(grid.n - 1, -1.0 / (h * h))
     return diag, off
 
 
 def sturm_count_below(diag: np.ndarray, off: np.ndarray, x: float) -> int:
-    """Number of eigenvalues of the symmetric tridiagonal matrix strictly
-    below x, by the Sturm sign-agreement count of the shifted LDL^T pivots.
+    """Number of eigenvalues of the symmetric tridiagonal matrix at or below
+    x: LAPACK's Sturm count, in which a zero (or tiny) pivot counts as
+    negative. Away from the eigenvalues by more than rounding this is the
+    count strictly below x.
 
-    The pivot recurrence d_i = (diag_i - x) - off_{i-1}^2 / d_{i-1} runs over
-    memoryviews of the two precomputed arrays, which yield Python floats (a
-    numpy scalar per element costs several times more, and a .tolist() copy
-    raises peak memory)."""
-    shifted = memoryview(np.asarray(diag, dtype=float) - x)
-    off = np.asarray(off, dtype=float)
-    d = shifted[0]
-    count = 1 if d < 0 else 0
-    tiny = 1e-300
-    for s, o2 in zip(shifted[1:], memoryview(off * off)):
-        if d == 0.0:
-            d = tiny
-        d = s - o2 / d
-        if d < 0:
-            count += 1
-    return count
+    One compiled count: dstebz over the value range (-inf, x] with an
+    absolute tolerance of 1e300, so its bisection stops at once and only the
+    count is used. A non-finite x is refused, since LAPACK does not check it."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise OracleError(f"Sturm count needs a finite shift, got {x}")
+    diag = np.asarray(diag, dtype=float)
+    off = np.asarray(off, dtype=float) if len(diag) > 1 else np.zeros(1)
+    return int(dstebz(diag, off, 1, -math.inf, x, 0, 0, 1e300, "E")[0])
+
+
+SEED_COARSENING = 32
+SEED_SHIFT_SOLVES = 2
+POLISH_MAX_ITERATIONS = 12
+_EPS = float(np.finfo(float).eps)
+
+
+def _seeds(problem: RadialProblem, grid: Grid, first: int, last: int) -> np.ndarray:
+    """Eigenvalues first..last of the same problem on a SEED_COARSENING times
+    coarser grid: starting shifts for `_polish` only, so the grid is neither
+    resolution-checked nor returned. NaN seeds, which `_polish` declines, when
+    the coarse grid has fewer than last + 1 levels."""
+    coarse = Grid(r_max=grid.r_max, n=(grid.n + 1) // SEED_COARSENING - 1)
+    if last >= coarse.n:
+        return np.full(last - first + 1, math.nan)
+    return _bisect(*_tridiagonal(problem, coarse), first, last)
+
+
+def _bisect(diag: np.ndarray, off: np.ndarray, first: int, last: int) -> np.ndarray:
+    """Eigenvalues first..last by LAPACK bisection: the seeds' solver on the
+    coarse grid, and the safeguard when `_polish` declines."""
+    return eigh_tridiagonal(diag, off, select="i", select_range=(first, last), eigvals_only=True)
+
+
+def _polish(diag: np.ndarray, off: np.ndarray, first: int, seeds: np.ndarray) -> Optional[np.ndarray]:
+    """Eigenvalues first..first+len(seeds)-1 of the tridiagonal matrix T by
+    shifted inverse / Rayleigh-quotient iteration from the seeds, or None when
+    they cannot be certified.
+
+    Each step solves (T - shift) y = v with dgtsv, in place in reused buffers,
+    and normalizes v = y/|y|; the sums are numpy reductions, not BLAS calls,
+    whose thread pool can stall on a busy machine. The first SEED_SHIFT_SOLVES steps keep the seed
+    as the shift, which turns a fixed random start toward the eigenvector
+    nearest the seed; after that the shift is the Rayleigh quotient v.Tv, until
+    it moves by at most tol = 16 eps |T| (|T| the Gershgorin bound). Each
+    converged sigma_k lies within r_k = |T v - sigma_k v| + tol of an
+    eigenvalue. The certificate: the intervals [sigma_k - r_k, sigma_k + r_k]
+    are disjoint, `first` eigenvalues lie at or below the lowest one's left
+    end and first+len(seeds) at or below the highest one's right end, so each
+    interval holds exactly one eigenvalue, in index order."""
+    n = len(diag)
+    size = np.abs(diag)
+    size[1:] += np.abs(off)
+    size[:-1] += np.abs(off)
+    tol = 16.0 * _EPS * float(np.max(size))
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    shifted, y, tv = np.empty(n), np.empty((n, 1)), np.empty(n)
+    v = y[:, 0]
+    mu, radius = np.empty(len(seeds)), np.empty(len(seeds))
+    for k, seed in enumerate(seeds):
+        shift = float(seed)
+        if not math.isfinite(shift):
+            return None
+        v[:] = start
+        for step in range(POLISH_MAX_ITERATIONS):
+            np.subtract(diag, shift, out=shifted)
+            if dgtsv(off, shifted, off, y, overwrite_d=1, overwrite_b=1)[-1] != 0:
+                return None
+            v /= math.sqrt(np.square(v, out=tv).sum())
+            np.multiply(diag, v, out=tv)
+            tv[:-1] += off * v[1:]
+            tv[1:] += off * v[:-1]
+            sigma = float(np.multiply(v, tv, out=shifted).sum())
+            if step + 1 < SEED_SHIFT_SOLVES:
+                continue
+            if abs(sigma - shift) <= tol:
+                break
+            shift = sigma
+        else:
+            return None
+        tv -= sigma * v
+        mu[k], radius[k] = sigma, math.sqrt(np.square(tv, out=tv).sum()) + tol
+    if not (np.all(mu[1:] - radius[1:] > mu[:-1] + radius[:-1])
+            and sturm_count_below(diag, off, mu[0] - radius[0]) == first
+            and sturm_count_below(diag, off, mu[-1] + radius[-1]) == first + len(mu)):
+        return None
+    return mu
 
 
 def fd_eigen(problem: RadialProblem, grid: Optional[Grid] = None, count: int = 4,
              e_target: Optional[float] = None, first: int = 0) -> np.ndarray:
     """Energies of the Dirichlet-grid levels with indices first..count-1
     (0-based, ascending) of a linear-in-E problem; the default is the lowest
-    `count`. Bisection works only on the requested indices, so
-    `first=n, count=n+1` returns the n-th level alone.
+    `count`. Only the requested indices are solved for (seeded, polished and
+    certified by `_polish`, else bisected), so `first=n, count=n+1` returns
+    the n-th level alone.
 
     For curved problems, eigenvalues at or above the continuum edge are box
     artifacts; requesting more levels than exist below the edge is an error.
@@ -127,7 +213,9 @@ def fd_eigen(problem: RadialProblem, grid: Optional[Grid] = None, count: int = 4
         grid = default_grid(problem, e_target)
     check_resolution(problem, grid)
     diag, off = _tridiagonal(problem, grid)
-    mu = eigh_tridiagonal(diag, off, select="i", select_range=(first, count - 1), eigvals_only=True)
+    mu = _polish(diag, off, first, _seeds(problem, grid, first, count - 1))
+    if mu is None:
+        mu = _bisect(diag, off, first, count - 1)
     if problem.continuum_edge is not None:
         mu_edge = problem.eigenvalue_from_energy(problem.continuum_edge)
         if not mu[-1] < mu_edge:

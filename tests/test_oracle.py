@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from monopole_spectra import core, oracle, radial, spectra
 
@@ -89,6 +90,33 @@ def test_sturm_count_is_an_int_for_lists_and_arrays():
     assert oracle.sturm_count_below([-1.0], [], 0.0) == 1
 
 
+def test_sturm_count_refuses_a_non_finite_shift():
+    diag, off = [2.0, 2.0, 2.0], [-1.0, -1.0]
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(oracle.OracleError, match="finite shift"):
+            oracle.sturm_count_below(diag, off, x)
+
+
+def _nan_near_origin(prob):
+    # v_eff undefined on the inner core only: the outer-half resolution check cannot see it
+    v_eff = prob.v_eff
+    return dataclasses.replace(prob, v_eff=lambda r: np.where(r < 0.05, np.nan, v_eff(r)))
+
+
+def test_count_bound_states_refuses_a_non_finite_potential():
+    scen = core.Scenario("lobachevsky", "oscillator", F(0), 1.0, k_osc=100.0)
+    prob = _nan_near_origin(radial.build_problem(scen, "parity-odd", 0))
+    with pytest.raises(oracle.OracleError, match="not finite"):
+        oracle.count_bound_states(prob)
+
+
+def test_fd_eigen_refuses_a_non_finite_potential():
+    scen = core.Scenario("lobachevsky", "oscillator", F(0), 1.0, k_osc=100.0)
+    prob = _nan_near_origin(radial.build_problem(scen, "parity-odd", 0))
+    with pytest.raises(oracle.OracleError, match="not finite"):
+        oracle.fd_eigen(prob, count=2)
+
+
 def test_flat_coulomb_ground_state_default_grid():
     scen = core.Scenario("flat", "coulomb", F(1), 1.0, alpha=1.0)
     prob = radial.build_problem(scen, "min-j", 0)
@@ -128,11 +156,16 @@ def test_fd_in_edge_solve_needs_no_sturm_count(monkeypatch):
     prob = radial.build_problem(scen, "parity-odd", 0)
     grid = oracle.Grid(r_max=40.0, n=20000)
     expected = oracle.fd_eigen(prob, grid=grid, count=2)
+    mu_edge = prob.eigenvalue_from_energy(prob.continuum_edge)
+    count = oracle.sturm_count_below
 
-    def refuse(*args):
-        raise AssertionError("Sturm count on an in-edge solve")
+    def refuse_edge_count(diag, off, x):
+        # the solve's own certificate counts pass through; a count at the edge may not
+        if x == mu_edge:
+            raise AssertionError("Sturm count at the continuum edge on an in-edge solve")
+        return count(diag, off, x)
 
-    monkeypatch.setattr(oracle, "sturm_count_below", refuse)
+    monkeypatch.setattr(oracle, "sturm_count_below", refuse_edge_count)
     assert np.array_equal(oracle.fd_eigen(prob, grid=grid, count=2), expected)
     assert oracle.fd_eigen(prob, grid=grid, count=2, first=1) == pytest.approx(expected[1:], rel=1e-10)
 
@@ -154,6 +187,133 @@ def test_fd_single_index_solve_matches_the_full_one(scen, channel, j, n):
 def test_fd_rejects_an_empty_or_negative_index_range(first, count):
     with pytest.raises(oracle.OracleError, match="0 <= first < count"):
         oracle.fd_eigen(box_problem(), oracle.Grid(r_max=1.0, n=4000), count=count, first=first)
+
+
+# --- the certified solve against the bisection it replaced ----------------------------
+
+CURVED_COULOMB = core.Scenario("lobachevsky", "coulomb", F(0), 1.0, alpha=10.0)
+CURVED_OSCILLATOR = core.Scenario("lobachevsky", "oscillator", F(0), 1.0, k_osc=100.0)
+
+
+def _arbitration_problem(lval):
+    # the problem arbitrate_oscillator_prefactor builds for K = M = 1
+    return radial.RadialProblem(
+        tag=f"flat/oscillator/L={lval}", scenario=core.Scenario("flat", "oscillator", F(0), 1.0, k_osc=1.0),
+        channel="arbitration", j=0, mass=1.0, v_eff=lambda r: lval * (lval + 1.0) / r**2 + r**2,
+        origin_exponent=lval + 1.0,
+    )
+
+
+def _validate_all_solves():
+    """(problem, grid, first, last) of five `validate --suite all` solves; the
+    curved oscillator's top level sits 0.27 below the next one."""
+    branch_2 = radial.build_problem(core.Scenario("flat", "coulomb", F(1), 1.0, alpha=1.0), "branch-2", 2)
+    e_target = spectra.single_level(branch_2.scenario, 2, 3, "branch-2").energy
+    arbitration = _arbitration_problem(0.0)
+    r_arb = 80.0 / math.sqrt(2.0 * 7.5)
+    return [
+        (branch_2, oracle.default_grid(branch_2, e_target), 3, 3),
+        (arbitration, oracle.Grid(r_max=r_arb, n=16000), 0, 3),
+        (arbitration, oracle.Grid(r_max=r_arb, n=22000), 0, 3),
+        (radial.build_problem(CURVED_COULOMB, "parity-odd", 0), oracle.Grid(r_max=40.0, n=40000), 0, 2),
+        (radial.build_problem(CURVED_OSCILLATOR, "parity-odd", 0), oracle.Grid(r_max=40.0, n=20000), 0, 4),
+        (radial.build_problem(CURVED_OSCILLATOR, "even-2", 0), oracle.Grid(r_max=40.0, n=40000), 0, 4),
+    ]
+
+
+def _bisection_reference(prob, grid, first, last):
+    diag, off = oracle._tridiagonal(prob, grid)
+    mu = eigh_tridiagonal(diag, off, select="i", select_range=(first, last), eigvals_only=True)
+    return mu / (2.0 * prob.mass)
+
+
+@pytest.fixture
+def polish_outcomes(monkeypatch):
+    """Records whether each `_polish` call certified its values (True) or
+    left the solve to the bisection safeguard (False)."""
+    outcomes = []
+    polish = oracle._polish
+
+    def recorded(*args):
+        mu = polish(*args)
+        outcomes.append(mu is not None)
+        return mu
+
+    monkeypatch.setattr(oracle, "_polish", recorded)
+    return outcomes
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_certified_solve_matches_bisection_without_the_safeguard(case, polish_outcomes):
+    prob, grid, first, last = _validate_all_solves()[case]
+    energies = oracle.fd_eigen(prob, grid=grid, count=last + 1, first=first)
+    reference = _bisection_reference(prob, grid, first, last)
+    assert polish_outcomes == [True]
+    assert energies.shape == reference.shape
+    assert np.max(np.abs(energies - reference) / np.abs(reference)) <= 1e-9
+
+
+@pytest.mark.parametrize("bad_seeds", ["one index off", "nan"])
+def test_safeguard_recovers_from_bad_seeds(bad_seeds, monkeypatch, polish_outcomes):
+    seeds = oracle._seeds
+
+    def wrong(problem, grid, first, last):
+        if bad_seeds == "nan":
+            return np.full(last - first + 1, np.nan)
+        return seeds(problem, grid, first + 1, last + 1)
+
+    monkeypatch.setattr(oracle, "_seeds", wrong)
+    for prob, grid, first, last in _validate_all_solves()[3:5]:
+        energies = oracle.fd_eigen(prob, grid=grid, count=last + 1, first=first)
+        assert np.max(np.abs(energies / _bisection_reference(prob, grid, first, last) - 1.0)) <= 1e-9
+    assert polish_outcomes == [False, False]
+
+
+def test_levels_past_the_seed_grid_are_bisected(polish_outcomes):
+    # 2,000 points seed from a 61-point grid, which has no level 69
+    prob, grid = box_problem(), oracle.Grid(r_max=1.0, n=2000)
+    energies = oracle.fd_eigen(prob, grid=grid, count=70, first=66)
+    assert polish_outcomes == [False]
+    assert np.max(np.abs(energies / _bisection_reference(prob, grid, 66, 69) - 1.0)) <= 1e-12
+
+
+def _clustered_tridiagonals(rng):
+    """Random symmetric tridiagonals whose eigenvalues come in tight clusters
+    (a few diagonal levels, weak coupling), plus the Wilkinson matrix W21+,
+    whose top eigenvalues pair up to about 1e-13."""
+    for n in (5, 12, 40, 150):
+        for coupling in (1e-1, 1e-3, 1e-6):
+            diag = rng.choice([-2.0, 0.0, 0.5, 3.0], size=n) + rng.normal(size=n) * coupling
+            yield diag, rng.normal(size=n - 1) * coupling
+    yield np.abs(np.arange(21.0) - 10.0), np.ones(20)
+
+
+def test_polish_certifies_only_the_requested_indices():
+    rng = np.random.default_rng(20261019)
+    certified = 0
+    for diag, off in _clustered_tridiagonals(rng):
+        evs = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        n = len(evs)
+        scale = np.max(np.abs(evs))
+        for _ in range(6):
+            first = int(rng.integers(0, n))
+            last = int(rng.integers(first, min(first + 4, n)))
+            for offset in (0, -1, 1):
+                lo, hi = first + offset, last + offset
+                if lo < 0 or hi >= n:
+                    continue
+                # seeds near eigenvalues lo..hi, a tenth of the local gap away
+                gaps = np.diff(evs, prepend=-np.inf, append=np.inf)
+                local = np.minimum(gaps[lo:hi + 1], gaps[lo + 1:hi + 2])
+                seeds = evs[lo:hi + 1] + 0.1 * np.minimum(local, 1.0) * rng.uniform(-1.0, 1.0, hi - lo + 1)
+                mu = oracle._polish(diag, off, first, seeds)
+                if mu is None:
+                    continue
+                # a certificate names exactly eigenvalues first..last, in order
+                assert offset == 0
+                assert np.max(np.abs(mu - evs[first:last + 1])) <= 1e-12 * scale
+                certified += 1
+    assert certified >= 40
 
 
 def test_resolution_heuristic_enforced():
