@@ -109,6 +109,7 @@ def sturm_count_below(diag: np.ndarray, off: np.ndarray, x: float) -> int:
     if not math.isfinite(x):
         raise OracleError(f"Sturm count needs a finite shift, got {x}")
     diag = np.asarray(diag, dtype=float)
+    # scipy's dstebz wrapper refuses the empty off-diagonal of a 1x1 matrix
     off = np.asarray(off, dtype=float) if len(diag) > 1 else np.zeros(1)
     return int(dstebz(diag, off, 1, -math.inf, x, 0, 0, 1e300, "E")[0])
 
@@ -143,14 +144,15 @@ def _polish(diag: np.ndarray, off: np.ndarray, first: int, seeds: np.ndarray) ->
 
     Each step solves (T - shift) y = v with dgtsv, in place in reused buffers,
     and normalizes v = y/|y|; the sums are numpy reductions, not BLAS calls,
-    whose thread pool can stall on a busy machine. The first SEED_SHIFT_SOLVES steps keep the seed
-    as the shift, which turns a fixed random start toward the eigenvector
-    nearest the seed; after that the shift is the Rayleigh quotient v.Tv, until
-    it moves by at most tol = 16 eps |T| (|T| the Gershgorin bound). Each
-    converged sigma_k lies within r_k = |T v - sigma_k v| + tol of an
-    eigenvalue. The certificate: the intervals [sigma_k - r_k, sigma_k + r_k]
-    are disjoint, `first` eigenvalues lie at or below the lowest one's left
-    end and first+len(seeds) at or below the highest one's right end, so each
+    whose thread pool can stall on a busy machine. The first SEED_SHIFT_SOLVES
+    steps keep the seed as the shift, which turns a fixed random start toward
+    the eigenvector nearest the seed; after that the shift is the Rayleigh
+    quotient v.Tv, until it moves by at most tol = 16 eps |T| (|T| the
+    Gershgorin bound). Each converged sigma_k lies within
+    r_k = |T v - sigma_k v| + tol of an eigenvalue. The certificate: the
+    intervals [sigma_k - r_k, sigma_k + r_k] are disjoint, `first`
+    eigenvalues lie at or below the lowest one's left end and
+    first+len(seeds) at or below the highest one's right end, so each
     interval holds exactly one eigenvalue, in index order."""
     n = len(diag)
     size = np.abs(diag)
@@ -202,8 +204,8 @@ def fd_eigen(problem: RadialProblem, grid: Optional[Grid] = None, count: int = 4
     For curved problems, eigenvalues at or above the continuum edge are box
     artifacts; requesting more levels than exist below the edge is an error.
     The solve comes first: only when the highest returned eigenvalue is not
-    strictly below the edge does a Sturm count decide how many levels lie
-    below it, and the error names that count.
+    strictly below the edge does a Sturm count at the edge decide how many
+    levels lie below it, and the error names that count.
     """
     if problem.linearity != LINEAR_IN_E:
         raise OracleError("fd_eigen handles linear-in-E problems; use shoot_decay for the quadratic one")
@@ -229,8 +231,9 @@ def fd_eigen(problem: RadialProblem, grid: Optional[Grid] = None, count: int = 4
 
 
 def count_bound_states(problem: RadialProblem, grid: Optional[Grid] = None) -> int:
-    """Number of FD eigenvalues strictly below the problem's continuum edge,
-    stabilized against the box size (recomputed at 1.5 r_max; counts must agree)."""
+    """Number of FD eigenvalues below the problem's continuum edge (the
+    `sturm_count_below` count at the edge), stabilized against the box size
+    (recomputed at 1.5 r_max; counts must agree)."""
     edge = problem.continuum_edge
     if edge is None:
         raise OracleError(

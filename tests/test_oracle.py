@@ -74,10 +74,16 @@ def test_sturm_count_matches_eigvalsh_on_random_tridiagonals():
 
 def test_sturm_count_survives_an_exact_zero_pivot():
     # diag = 1, off = 1, x = 0: the first pivot is 1, the second 1 - 1/1 = 0
-    # exactly, so the tiny-pivot branch runs; eigenvalues of the 3x3 matrix
+    # exactly, so the tiny-pivot rule applies; eigenvalues of the 3x3 matrix
     # are 1 - sqrt(2), 1, 1 + sqrt(2), so one lies below 0
     diag, off = [1.0, 1.0, 1.0], [1.0, 1.0]
     assert oracle.sturm_count_below(diag, off, 0.0) == _eigvalsh_count(diag, off, 0.0) == 1
+
+
+def test_sturm_count_includes_an_eigenvalue_at_the_shift():
+    assert oracle.sturm_count_below([0.0, 0.0], [0.0], 0.0) == 2
+    assert oracle.sturm_count_below([3.0], [], 3.0) == 1
+    assert oracle.sturm_count_below([3.0], [], math.nextafter(3.0, 0.0)) == 0
 
 
 def test_sturm_count_is_an_int_for_lists_and_arrays():
@@ -294,24 +300,31 @@ def test_polish_certifies_only_the_requested_indices():
     for diag, off in _clustered_tridiagonals(rng):
         evs = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
         n = len(evs)
-        scale = np.max(np.abs(evs))
+        gaps = np.diff(evs, prepend=-np.inf, append=np.inf)
         for _ in range(6):
             first = int(rng.integers(0, n))
             last = int(rng.integers(first, min(first + 4, n)))
-            for offset in (0, -1, 1):
-                lo, hi = first + offset, last + offset
-                if lo < 0 or hi >= n:
+            wanted = np.arange(first, last + 1)
+            # seeds aimed at the wanted indices, at all of them one lower or
+            # higher, at the bottom one lower or the top one higher alone, and
+            # at the first index twice in place of the second
+            aims = {"wanted": wanted, "lower": wanted - 1, "higher": wanted + 1,
+                    "bottom lower": np.append(first - 1, wanted[1:]),
+                    "top higher": np.append(wanted[:-1], last + 1)}
+            if len(wanted) >= 3:
+                aims["repeat"] = np.concatenate([[first, first], wanted[2:]])
+            for name, aim in aims.items():
+                if aim[0] < 0 or aim[-1] >= n:
                     continue
-                # seeds near eigenvalues lo..hi, a tenth of the local gap away
-                gaps = np.diff(evs, prepend=-np.inf, append=np.inf)
-                local = np.minimum(gaps[lo:hi + 1], gaps[lo + 1:hi + 2])
-                seeds = evs[lo:hi + 1] + 0.1 * np.minimum(local, 1.0) * rng.uniform(-1.0, 1.0, hi - lo + 1)
+                # a tenth of the local gap (at most 0.1) off each aimed eigenvalue
+                local = np.minimum(np.minimum(gaps[aim], gaps[aim + 1]), 1.0)
+                seeds = evs[aim] + 0.1 * local * rng.uniform(-1.0, 1.0, len(aim))
                 mu = oracle._polish(diag, off, first, seeds)
                 if mu is None:
                     continue
                 # a certificate names exactly eigenvalues first..last, in order
-                assert offset == 0
-                assert np.max(np.abs(mu - evs[first:last + 1])) <= 1e-12 * scale
+                assert name == "wanted"
+                assert np.max(np.abs(mu - evs[first:last + 1])) <= 1e-12 * np.max(np.abs(evs))
                 certified += 1
     assert certified >= 40
 
