@@ -18,16 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv, dstebz
 
 from . import ivp
-from .core import GEOMETRY_FLAT, POTENTIAL_OSCILLATOR
+from .core import GEOMETRY_FLAT
 from .radial import LINEAR_IN_E, QUADRATIC_IN_EPSILON, RadialProblem
-from .spectra import oscillator_candidates
 
 
 class OracleError(RuntimeError):
@@ -324,73 +323,3 @@ def shoot_decay(problem: RadialProblem, epsilon: float, r_max: float = 35.0) -> 
     mismatch = (lam_out - lam_in) / (1.0 + abs(lam_out) + abs(lam_in))
     return ShootResult(mismatch=float(mismatch), matching_radius=r_match, far_decay_rate=kappa)
 
-
-# --- arbitration -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ArbitrationVerdict:
-    l_value: float
-    confirmed: str            # 'quantization' (prefactor 1) or 'printed' (prefactor 1/2)
-    matched_rel_dev: float    # worst deviation of the confirmed candidate
-    rejected_rel_dev: float   # best deviation of the other one
-    stable: bool              # same verdict on the refined grid
-
-
-ARBITRATION_TOL = 1e-4
-
-
-def _match_candidates(numeric: np.ndarray, l_value: float, k_osc: float, mass: float) -> dict[str, float]:
-    devs = {"printed": 0.0, "quantization": 0.0}
-    for n, e_num in enumerate(numeric):
-        cands = oscillator_candidates(l_value, n, k_osc, mass)
-        for name in devs:
-            devs[name] = max(devs[name], abs(e_num - cands[name]) / abs(cands[name]))
-    return devs
-
-
-def arbitrate_oscillator_prefactor(k_osc: float, mass: float, l_values: Sequence[float],
-                                   n_max: int = 3) -> list[ArbitrationVerdict]:
-    """Decide which flat-oscillator closed form the FD oracle confirms.
-
-    For each effective L, the lowest n_max+1 FD eigenvalues are compared with
-    both candidates; exactly one must match within 1e-4 relative, with the
-    verdict stable across two grids. Both candidates failing is a hard error.
-    """
-    from .core import Scenario
-
-    verdicts = []
-    omega = math.sqrt(k_osc / mass)
-    for lval in l_values:
-        scen = Scenario(GEOMETRY_FLAT, POTENTIAL_OSCILLATOR, 0, mass, k_osc=k_osc)
-        problem = RadialProblem(
-            tag=f"flat/oscillator/L={lval:.6g}",
-            scenario=scen, channel="arbitration", j=0, mass=mass,
-            v_eff=lambda r, L=lval: L * (L + 1.0) / r**2 + mass * k_osc * r**2,
-            origin_exponent=lval + 1.0,
-        )
-        e_top = omega * (1.5 + lval + 2.0 * n_max)
-        per_grid = []
-        for n_pts in (16000, 22000):
-            grid = Grid(r_max=min(80.0 / math.sqrt(2.0 * mass * e_top), 60.0), n=n_pts)
-            numeric = fd_eigen(problem, grid=grid, count=n_max + 1)
-            devs = _match_candidates(numeric, lval, k_osc, mass)
-            matches = [name for name, dev in devs.items() if dev <= ARBITRATION_TOL]
-            if len(matches) != 1:
-                raise OracleError(
-                    f"oscillator arbitration at L = {lval}: candidates matching within "
-                    f"{ARBITRATION_TOL}: {matches or 'none'} (deviations {devs})"
-                )
-            per_grid.append((matches[0], devs))
-        stable = per_grid[0][0] == per_grid[1][0]
-        name = per_grid[0][0]
-        other = "printed" if name == "quantization" else "quantization"
-        verdict = ArbitrationVerdict(
-            l_value=float(lval),
-            confirmed=name,
-            matched_rel_dev=per_grid[0][1][name],
-            rejected_rel_dev=per_grid[0][1][other],
-            stable=stable,
-        )
-        verdicts.append(verdict)
-    return verdicts

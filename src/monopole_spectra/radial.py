@@ -157,9 +157,18 @@ class RadialSolution:
         return int(np.sum(signs[1:] != signs[:-1]))
 
 
+# The largest sampling grid, default or explicit: 8 MB per float64 array. The
+# flat Coulomb extent cap of 400 at h = 1e-3 takes 400,001 points.
+GRID_POINT_BUDGET = 1_000_000
+
+
 def uniform_grid(r0: float, r1: float, n: int) -> np.ndarray:
+    """n evenly spaced points from r0 to r1; more than GRID_POINT_BUDGET
+    points raise RadialError before anything is allocated."""
     if not (0.0 < r0 < r1) or n < 2:
         raise RadialError("grid needs 0 < r0 < r1 and at least two points")
+    if n > GRID_POINT_BUDGET:
+        raise RadialError(f"grid of {n:,} points is more than the {GRID_POINT_BUDGET:,} allowed")
     return np.linspace(r0, r1, n)
 
 
@@ -173,11 +182,6 @@ def _origin_start(problem: RadialProblem, r0_base: float, h: float) -> float:
         return r0_base
     bound = 1.5 * (h**4 / (90.0 * 3e-10)) ** (1.0 / (6.0 - p))
     return max(r0_base, bound)
-
-
-# The largest default grid: 8 MB per float64 array. The flat Coulomb extent
-# cap of 400 at h = 1e-3 takes 400,001 points.
-GRID_POINT_BUDGET = 1_000_000
 
 
 def default_solution_grid(problem: RadialProblem, level: EnergyLevel, h: float = 1e-3) -> np.ndarray:
@@ -204,7 +208,9 @@ def default_solution_grid(problem: RadialProblem, level: EnergyLevel, h: float =
     else:
         r0 = _origin_start(problem, 1e-3, h)
         edge = problem.continuum_edge if problem.continuum_edge is not None else 0.0
-        gap = max(edge - level.energy, 0.05)
+        # a relativistic level is sized from its epsilon, as it is sampled and checked
+        energy = level.energy if level.epsilon is None else level.epsilon - problem.mass
+        gap = max(edge - energy, 0.05)
         kappa = math.sqrt(2.0 * problem.mass * gap)
         r1 = min(12.0 / kappa + 8.0, 60.0)
     span = (r1 - r0) / h

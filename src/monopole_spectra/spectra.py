@@ -10,8 +10,8 @@ Flat-space oscillator levels are subject to a prefactor arbitration: the
 closed form circulates both with and without a 1/2 prefactor, and only one
 variant is consistent with the series-termination condition it derives from
 (termination implies prefactor 1). `oscillator_candidates` gives both; a
-level's `energy` is the termination-condition value, which the
-finite-difference oracle confirms.
+level's `energy` is the termination-condition value, which validation
+criterion 5 confirms against the finite-difference oracle's levels.
 
 A level stores no inputs of its formula: L, N and the far-field exponent b
 come from `flat_channel_l`, `nomonopole_n_coulomb`, `nomonopole_n_oscillator`,
@@ -182,7 +182,8 @@ def oscillator_candidates(l_value: float, n: int, k_osc: float, mass: float) -> 
 def _flat_oscillator_levels(scen: Scenario, j: Fraction, branch: str) -> LevelAt:
     """Flat-space oscillator level, default value from the termination
     condition (prefactor 1), the 'quantization' value of
-    `oscillator_candidates`; the oracle arbitrates between the two."""
+    `oscillator_candidates`; validation criterion 5 arbitrates between the
+    two with the FD oracle."""
     lval = flat_channel_l(j, scen.charge, branch)
     omega = _flat_omega(scen.k_osc, scen.mass)
     base_0 = 1.5 + lval
@@ -238,6 +239,10 @@ def _lob_minj_coulomb_levels(scen: Scenario, j: Fraction, channel: str) -> Level
         epsilon = M / sqrt(1 + alpha^2/nu^2) * sqrt(1 - (alpha^2 + nu^2)/M^2),
         nu = n + (1 + sqrt(1 - 4 alpha^2))/2,  E = epsilon - M.
 
+    E is formed without the subtraction, which cancels when epsilon is close
+    to M (weak coupling, large M): with y = (alpha^2 + nu^2)/M^2 and
+    x = alpha^2/nu^2, E = M expm1((log1p(-y) - log1p(x))/2), or -M where y = 1.
+
     Admissible only while the energy radicand stays positive (the spectrum is
     finite) AND the far-field exponent b = (eps*alpha - nu^2)/(2 nu) is
     positive; b <= 0 means the regular solution grows at infinity, so the
@@ -254,17 +259,20 @@ def _lob_minj_coulomb_levels(scen: Scenario, j: Fraction, channel: str) -> Level
 
     def level(n: int) -> EnergyLevel:
         nu = n + nu_0
-        rad = 1.0 - (alpha_sq + nu * nu) / mass_sq
+        y = (alpha_sq + nu * nu) / mass_sq
+        rad = 1.0 - y
         if rad < 0.0:
             return EnergyLevel(scen, CH_MIN_J, jf, n, math.nan, DERIV_HYPERGEOMETRIC,
                                False, exhausted, formula)
-        eps = mass / math.sqrt(1.0 + alpha_sq / (nu * nu)) * math.sqrt(rad)
+        x = alpha_sq / (nu * nu)
+        eps = mass / math.sqrt(1.0 + x) * math.sqrt(rad)
         b = minj_coulomb_b(eps, alpha, n)
         admissible = b > 0.0
         reason = "" if admissible else (
             f"far-field exponent b = {b:.6g} <= 0: regular solution is non-decaying, formal level only"
         )
-        return EnergyLevel(scen, CH_MIN_J, jf, n, eps - mass, DERIV_HYPERGEOMETRIC,
+        energy = mass * math.expm1(0.5 * (math.log1p(-y) - math.log1p(x))) if rad else -mass
+        return EnergyLevel(scen, CH_MIN_J, jf, n, energy, DERIV_HYPERGEOMETRIC,
                            admissible, reason, formula, eps)
 
     return level

@@ -161,19 +161,45 @@ def suite_flat_coulomb() -> list[dict]:
 # --- criterion 5: flat oscillator arbitration --------------------------------------
 
 
-def _arbitration_sentence(v) -> str:
+def _oscillator_verdict(scen: core.Scenario, channel: str, j: int) -> dict:
+    """Which candidate of `spectra.oscillator_candidates` the FD levels
+    n = 0..3 of one flat oscillator channel confirm: on each of two grids
+    exactly one candidate must match all four to rel 1e-4, else OracleError.
+    The deviations are the first grid's; `stable` says the second agrees."""
+    prob = radial.build_problem(scen, channel, j)
+    lval = spectra.flat_channel_l(j, scen.charge, channel)
+    levels = spectra.spectrum_levels(scen, j, range(4), [channel])
+    r_max = min(80.0 / math.sqrt(2.0 * scen.mass * levels[-1].energy), 60.0)
+    per_grid = []
+    for n_pts in (16000, 22000):
+        devs = {"printed": 0.0, "quantization": 0.0}
+        for lv, (e_num, _) in zip(levels, _fd_compare(prob, levels, oracle.Grid(r_max=r_max, n=n_pts))):
+            cands = spectra.oscillator_candidates(lval, lv.n, scen.k_osc, scen.mass)
+            for name in devs:
+                devs[name] = max(devs[name], abs(e_num - cands[name]) / abs(cands[name]))
+        matches = [name for name, dev in devs.items() if dev <= 1e-4]
+        if len(matches) != 1:
+            raise oracle.OracleError(f"oscillator arbitration at L = {lval}: candidates matching within "
+                                     f"1e-4: {matches or 'none'} (deviations {devs})")
+        per_grid.append((matches[0], devs))
+    (name, devs), (name_refined, _) = per_grid
+    other = "printed" if name == "quantization" else "quantization"
+    return {"l_value": float(lval), "confirmed": name, "matched_rel_dev": devs[name],
+            "rejected_rel_dev": devs[other], "stable": name == name_refined}
+
+
+def _arbitration_sentence(v: dict) -> str:
     """One arbitration verdict in words, as criterion 5's detail reports it."""
-    other = "printed" if v.confirmed == "quantization" else "quantization"
-    return (f"flat oscillator L = {v.l_value:.6g}: '{v.confirmed}' form confirmed "
-            f"(rel dev {v.matched_rel_dev:.2e}; rejected '{other}' off by "
-            f"{v.rejected_rel_dev:.2e}; stable across grids: {v.stable})")
+    other = "printed" if v["confirmed"] == "quantization" else "quantization"
+    return (f"flat oscillator L = {v['l_value']:.6g}: '{v['confirmed']}' form confirmed "
+            f"(rel dev {v['matched_rel_dev']:.2e}; rejected '{other}' off by "
+            f"{v['rejected_rel_dev']:.2e}; stable across grids: {v['stable']})")
 
 
 def suite_flat_oscillator() -> list[dict]:
-    k_osc = mass = 1.0
-    l2 = mixing.mixing_roots(2, 1).l[1]
+    scen = core.Scenario("flat", "oscillator", Fraction(1), 1.0, k_osc=1.0)
     try:
-        verdicts = oracle.arbitrate_oscillator_prefactor(k_osc, mass, [0.0, l2], n_max=3)
+        verdicts = [_oscillator_verdict(scen, ch, j) for ch, j in ((spectra.CH_MIN_J, 0), (spectra.CH_BRANCH[1], 2))]
     except oracle.OracleError as exc:
         return [
             _criterion(
@@ -183,20 +209,18 @@ def suite_flat_oscillator() -> list[dict]:
                 measured=f"arbitration failed: {exc}",
             )
         ]
-    unanimous = len({v.confirmed for v in verdicts}) == 1
-    stable = all(v.stable for v in verdicts)
     return [
         _criterion(
             cid="5-flat-oscillator",
             description="oscillator prefactor arbitration: exactly one candidate matches FD "
             "to rel 1e-4 at two L values, n = 0..3, stable across two grids",
-            passed=unanimous and stable,
+            passed=len({v["confirmed"] for v in verdicts}) == 1 and all(v["stable"] for v in verdicts),
             measured="; ".join(
-                f"L={v.l_value:.4g}: '{v.confirmed}' (dev {v.matched_rel_dev:.1e}, "
-                f"other {v.rejected_rel_dev:.1e})"
+                f"L={v['l_value']:.4g}: '{v['confirmed']}' (dev {v['matched_rel_dev']:.1e}, "
+                f"other {v['rejected_rel_dev']:.1e})"
                 for v in verdicts
             ),
-            detail={"verdicts": [v.__dict__ for v in verdicts],
+            detail={"verdicts": verdicts,
                     "report": {"tag": "flat-oscillator-arbitration", "counts": {},
                                "verdicts": [_arbitration_sentence(v) for v in verdicts], "notes": []}},
         )

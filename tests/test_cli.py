@@ -230,6 +230,13 @@ def test_wavefunction_oversize_residual_grid_omits_the_residual_exit_0(monkeypat
     assert lines[1] == "r,u" and len(lines) == 2 + 5
 
 
+def test_wavefunction_grid_over_the_point_budget_exit_2(capsys):
+    # 1e13 points asked numpy for 80 TB and ended in a MemoryError traceback
+    code, out, err = run(["wavefunction", "--alpha", "1", "--grid", "0.001:40:10000000000000"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: grid of 10,000,000,000,000 points is more than the 1,000,000 allowed\n"
+
+
 def test_config_file_defaults_and_flag_override(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("geometry = flat\npotential = coulomb\nk = 1\nj = 2\nalpha = 1\nn = 0..1\nformat = csv\n")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from monopole_spectra import core, oracle, radial, spectra
+from monopole_spectra import core, oracle, radial, spectra, validate
 
 F = Fraction
 
@@ -201,21 +201,12 @@ CURVED_COULOMB = core.Scenario("lobachevsky", "coulomb", F(0), 1.0, alpha=10.0)
 CURVED_OSCILLATOR = core.Scenario("lobachevsky", "oscillator", F(0), 1.0, k_osc=100.0)
 
 
-def _arbitration_problem(lval):
-    # the problem arbitrate_oscillator_prefactor builds for K = M = 1
-    return radial.RadialProblem(
-        tag=f"flat/oscillator/L={lval}", scenario=core.Scenario("flat", "oscillator", F(0), 1.0, k_osc=1.0),
-        channel="arbitration", j=0, mass=1.0, v_eff=lambda r: lval * (lval + 1.0) / r**2 + r**2,
-        origin_exponent=lval + 1.0,
-    )
-
-
 def _validate_all_solves():
     """(problem, grid, first, last) of five `validate --suite all` solves; the
     curved oscillator's top level sits 0.27 below the next one."""
     branch_2 = radial.build_problem(core.Scenario("flat", "coulomb", F(1), 1.0, alpha=1.0), "branch-2", 2)
     e_target = spectra.single_level(branch_2.scenario, 2, 3, "branch-2").energy
-    arbitration = _arbitration_problem(0.0)
+    arbitration = radial.build_problem(core.Scenario("flat", "oscillator", F(1), 1.0, k_osc=1.0), "min-j", 0)
     r_arb = 80.0 / math.sqrt(2.0 * 7.5)
     return [
         (branch_2, oracle.default_grid(branch_2, e_target), 3, 3),
@@ -419,11 +410,12 @@ def test_shoot_decay_formal_levels_do_not_match():
 
 
 def test_arbitration_confirms_quantization_form():
-    verdicts = oracle.arbitrate_oscillator_prefactor(1.0, 1.0, [0.0], n_max=3)
-    assert verdicts[0].confirmed == "quantization"
-    assert verdicts[0].stable
-    assert verdicts[0].matched_rel_dev <= 1e-4
-    assert verdicts[0].rejected_rel_dev > 0.1
+    scen = core.Scenario("flat", "oscillator", F(1), 1.0, k_osc=1.0)
+    verdict = validate._oscillator_verdict(scen, "min-j", 0)
+    assert verdict["confirmed"] == "quantization"
+    assert verdict["stable"]
+    assert verdict["matched_rel_dev"] <= 1e-4
+    assert verdict["rejected_rel_dev"] > 0.1
 
 
 def test_arbitration_level_spacing():

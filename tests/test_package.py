@@ -1,8 +1,9 @@
 """The package's public surface: every exported name resolves, lazily, and
 the closed-form commands `spectrum` and `roots` load neither the oracle's
 numpy and scipy nor `dataclasses` and `inspect`, and `wavefunction` loads
-neither the oracle nor scipy."""
+neither the oracle nor scipy. The oracle module imports no closed form."""
 
+import ast
 import json
 import os
 import re
@@ -105,3 +106,19 @@ def test_exports_resolve_lazily_and_unknown_names_raise():
     assert out.returncode == 0, out.stderr
     assert out.stdout.split()[:2] == ["False", "monopole_spectra.oracle"]
     assert "has no attribute 'no_such_name'" in out.stdout
+
+
+def test_oracle_imports_no_closed_form():
+    # the oracle solves the radial problems it is given; the closed forms it
+    # checks live in `spectra`, and `validate` alone compares the two
+    tree = ast.parse(Path(monopole_spectra.__file__).with_name("oracle.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported, "oracle.py has no imports: the parse found the wrong file"
+    assert not {m for m in imported if re.search(r"(^|\.)spectra($|\.)", m)}, sorted(imported)

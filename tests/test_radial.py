@@ -221,6 +221,20 @@ def test_default_grid_refuses_a_grid_over_the_point_budget(monkeypatch):
     assert grid[-1] == 400.0 and 300_000 < len(grid) <= radial.GRID_POINT_BUDGET
 
 
+def test_uniform_grid_refuses_more_points_than_the_budget(monkeypatch):
+    # an explicit grid shares the default grids' budget: one point over it
+    # raises before numpy is asked for the array
+    def refuse(*args, **kwargs):
+        pytest.fail("allocated an over-budget grid")
+
+    monkeypatch.setattr(radial.np, "linspace", refuse)
+    for n in (radial.GRID_POINT_BUDGET + 1, 10**13):
+        with pytest.raises(radial.RadialError, match="more than the 1,000,000 allowed"):
+            radial.uniform_grid(1e-3, 40.0, n)
+    monkeypatch.undo()
+    assert len(radial.uniform_grid(1e-3, 40.0, radial.GRID_POINT_BUDGET)) == radial.GRID_POINT_BUDGET
+
+
 def test_residual_grid_contracts():
     sc = scen("flat", "coulomb", alpha=1.0)
     problem = radial.build_problem(sc, "min-j", 0)

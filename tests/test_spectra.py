@@ -2,6 +2,7 @@
 
 import json
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from operator import attrgetter
 
@@ -68,6 +69,37 @@ def test_lob_minj_coulomb_ground_state():
     assert lv.epsilon == pytest.approx(eps, abs=1e-12)
     assert lv.energy == pytest.approx(eps - 10.0, abs=1e-12)
     assert lv.admissible
+
+
+def _minj_coulomb_energy_decimal(alpha, mass, n):
+    """E = eps - M of the curved min-j Coulomb level at 130 digits: at
+    M = 5.66e261 the subtraction cancels about 50 of them."""
+    with localcontext() as ctx:
+        ctx.prec = 130
+        a, m = Decimal(alpha), Decimal(mass)
+        nu = n + (1 + (1 - 4 * a * a).sqrt()) / 2
+        return m / (1 + a * a / (nu * nu)).sqrt() * (1 - (a * a + nu * nu) / (m * m)).sqrt() - m
+
+
+@pytest.mark.parametrize("alpha, mass, n", [
+    (0.1, 10.0, 0), (0.3, 10.0, 0), (0.317, 7.3, 3), (1e-3, 1e6, 0), (1e-5, 1e6, 0), (2.41e-25, 5.66e261, 0),
+])
+def test_lob_minj_coulomb_energy_keeps_its_digits_where_eps_is_close_to_m(alpha, mass, n):
+    # E = eps - M in floats printed -5.05000352859e-05 at alpha = 1e-5, M = 1e6
+    # (7e-7 relative) and E = 0 at alpha = 2.41e-25, M = 5.66e261
+    scen = core.Scenario("lobachevsky", "coulomb", F(2), mass, alpha=alpha)
+    lv = spectra.single_level(scen, 1, n, "min-j")
+    exact = _minj_coulomb_energy_decimal(alpha, mass, n)
+    assert lv.energy < 0.0
+    assert abs((Decimal(lv.energy) - exact) / exact) <= Decimal("5e-16")
+
+
+def test_lob_minj_coulomb_energy_at_a_zero_radicand_is_minus_m():
+    # (alpha^2 + nu^2)/M^2 rounds to exactly 1: eps = 0, and log1p(-1) is not taken
+    mass = 0.9999968905424292
+    scen = core.Scenario("lobachevsky", "coulomb", F(1), mass, alpha=1 / 401)
+    lv = spectra.single_level(scen, 0, 0, "min-j")
+    assert (lv.epsilon, lv.energy, lv.admissible) == (0.0, -mass, False)
 
 
 def test_lob_minj_coulomb_free_limit():
@@ -604,14 +636,16 @@ def _reference_minj(scen, j, channel, n):
                 "E = N sqrt(K/M + 1/(2M)^2) - (N^2 + 1/4)/(2M), N = 2n + 3/2")
     formula = "eps = M sqrt(1 - (alpha^2+nu^2)/M^2)/sqrt(1 + alpha^2/nu^2); E = eps - M"
     nu = n + (1.0 + math.sqrt(1.0 - 4.0 * alpha * alpha)) / 2.0
-    rad = 1.0 - (alpha * alpha + nu * nu) / (mass * mass)
-    if rad < 0.0:
+    y = (alpha * alpha + nu * nu) / (mass * mass)
+    if 1.0 - y < 0.0:
         return math.nan, None, {}, False, f"{EXHAUSTED}alpha^2 + nu^2 > M^2", formula
-    eps = mass / math.sqrt(1.0 + alpha * alpha / (nu * nu)) * math.sqrt(rad)
+    x = alpha * alpha / (nu * nu)
+    eps = mass / math.sqrt(1.0 + x) * math.sqrt(1.0 - y)
     b = (eps * alpha - nu * nu) / (2.0 * nu)
     reason = "" if b > 0 else (
         f"far-field exponent b = {b:.6g} <= 0: regular solution is non-decaying, formal level only")
-    return eps - mass, eps, {"b": b}, b > 0, reason, formula
+    energy = mass * math.expm1(0.5 * (math.log1p(-y) - math.log1p(x))) if y != 1.0 else -mass
+    return energy, eps, {"b": b}, b > 0, reason, formula
 
 
 def _reference_nomonopole(scen, j, channel, n):
