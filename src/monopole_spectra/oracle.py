@@ -1,16 +1,21 @@
 """Independent numerical eigenvalue machinery used to validate every spectrum.
 
 The discretization is the plain 3-point stencil on a uniform Dirichlet grid,
-turning u'' + (2ME - V)u = 0 into a symmetric tridiagonal eigenproblem. Its
-selected eigenvalues are seeded from the same problem on a 32x coarser grid,
-polished by Rayleigh-quotient iteration on the fine matrix (LAPACK dgtsv
-solves) and certified by Sturm counts: each polished value carries a residual
-radius, the intervals they span are disjoint, and the counts at the two outer
-ends prove the values are exactly the requested indices (Parlett, The
-Symmetric Eigenvalue Problem, 1998; Barth, Martin & Wilkinson, Numer. Math. 9,
-1967). A solve that fails the certificate falls back to bisection (LAPACK
-dstebz). The same compiled Sturm count gives exact bound-state counts below a
-continuum edge. The quadratic-in-energy problem is handled by two-sided
+turning u'' + (2ME - V)u = 0 into a symmetric tridiagonal eigenproblem. Each
+energy comes from a ladder of nested grids with spacings h, 2h, 4h and 8h.
+The 8h rung is bisected (LAPACK dstebz); on each finer rung the selected
+eigenvalues are polished by Rayleigh-quotient iteration on that rung's matrix
+(LAPACK dgtsv solves), seeded from the rung below, and certified by Sturm
+counts: each polished value carries a residual radius, the intervals they
+span are disjoint, and the counts at the two outer ends prove the values are
+exactly the requested indices (Parlett, The Symmetric Eigenvalue Problem,
+1998; Barth, Martin & Wilkinson, Numer. Math. 9, 1967). A rung that fails the
+certificate falls back to bisection. Richardson extrapolation of neighbouring
+rungs, at the order the origin exponent sets, gives the energy, and the
+spread of the extrapolants its error estimate (Pryce, Numerical Solution of
+Sturm-Liouville Problems, 1993); the finest rung doubles until that estimate
+is small. The same compiled Sturm count gives exact bound-state counts below
+a continuum edge. The quadratic-in-energy problem is handled by two-sided
 shooting with log-derivative matching instead.
 """
 
@@ -26,7 +31,7 @@ from scipy.linalg.lapack import dgtsv, dstebz
 
 from . import ivp
 from .core import GEOMETRY_FLAT
-from .radial import LINEAR_IN_E, QUADRATIC_IN_EPSILON, RadialProblem
+from .radial import GRID_POINT_BUDGET, LINEAR_IN_E, QUADRATIC_IN_EPSILON, RadialProblem, minj_coulomb_coefficient
 
 
 class OracleError(RuntimeError):
@@ -58,29 +63,47 @@ class Grid:
 
 MIN_VALIDATION_POINTS = 2000
 RESOLUTION_LIMIT = 0.05
+# the smallest finest rung: n + 1 = 4096, so the 4h rung keeps 1,023 points
+MIN_FINEST_POINTS = 4095
 
 
-def default_grid(problem: RadialProblem, e_target: Optional[float] = None) -> Grid:
-    """Default validation grids: flat r_max = 80/sqrt(2M|E_target|) capped at
-    400 with n = 16000; curved r_max = 40 (curvature units) with n = 20000."""
-    if problem.scenario.geometry == GEOMETRY_FLAT:
-        e_ref = abs(e_target) if e_target else 1.0
-        r_max = min(80.0 / math.sqrt(2.0 * problem.mass * e_ref), 400.0)
-        return Grid(r_max=r_max, n=16000)
-    return Grid(r_max=40.0, n=20000)
+def resolution(problem: RadialProblem, grid: Grid) -> float:
+    """The resolution heuristic h sqrt(max|V|) on the outer half of the grid
+    (the inner centrifugal/Coulomb core diverges but is sampled where u is
+    suppressed)."""
+    nodes = grid.nodes
+    return grid.h * math.sqrt(float(np.max(np.abs(problem.v_eff(nodes[len(nodes) // 2 :])))))
 
 
 def check_resolution(problem: RadialProblem, grid: Grid) -> None:
-    """h sqrt(max|V|) <= 0.05 on the outer half of the grid (the inner
-    centrifugal/Coulomb core diverges but is sampled where u is suppressed)."""
+    """A validation grid needs n >= MIN_VALIDATION_POINTS and
+    h sqrt(max|V|) <= 0.05 on its outer half."""
     if grid.n < MIN_VALIDATION_POINTS:
         raise OracleError(f"validation grids need n >= {MIN_VALIDATION_POINTS}, got {grid.n}")
-    nodes = grid.nodes
-    vmax = float(np.max(np.abs(problem.v_eff(nodes[len(nodes) // 2 :]))))
-    if grid.h * math.sqrt(vmax) > RESOLUTION_LIMIT:
-        raise OracleError(
-            f"resolution heuristic violated: h sqrt(max|V|) = {grid.h * math.sqrt(vmax):.3g} > {RESOLUTION_LIMIT}"
-        )
+    value = resolution(problem, grid)
+    if value > RESOLUTION_LIMIT:
+        raise OracleError(f"resolution heuristic violated: h sqrt(max|V|) = {value:.3g} > {RESOLUTION_LIMIT}")
+
+
+def resolved_grid(problem: RadialProblem, r_max: float) -> Grid:
+    """The smallest nested grid on (0, r_max), n + 1 = 4096 * 2^m, that passes
+    `check_resolution`: the finest rung of a default ladder."""
+    grid = Grid(r_max=r_max, n=MIN_FINEST_POINTS)
+    while resolution(problem, grid) > RESOLUTION_LIMIT:
+        if 2 * grid.n + 1 > GRID_POINT_BUDGET:
+            raise OracleError(f"{problem.tag}: no grid of at most {GRID_POINT_BUDGET:,} points on "
+                              f"(0, {r_max:.6g}) passes the resolution heuristic")
+        grid = Grid(r_max=r_max, n=2 * grid.n + 1)
+    return grid
+
+
+def default_grid(problem: RadialProblem, e_target: Optional[float] = None) -> Grid:
+    """Default finest rung: flat r_max = 80/sqrt(2M|E_target|) capped at 400,
+    curved r_max = 40 (curvature units), each with `resolved_grid`'s size."""
+    if problem.scenario.geometry == GEOMETRY_FLAT:
+        e_ref = abs(e_target) if e_target else 1.0
+        return resolved_grid(problem, min(80.0 / math.sqrt(2.0 * problem.mass * e_ref), 400.0))
+    return resolved_grid(problem, 40.0)
 
 
 def _tridiagonal(problem: RadialProblem, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -113,26 +136,14 @@ def sturm_count_below(diag: np.ndarray, off: np.ndarray, x: float) -> int:
     return int(dstebz(diag, off, 1, -math.inf, x, 0, 0, 1e300, "E")[0])
 
 
-SEED_COARSENING = 32
 SEED_SHIFT_SOLVES = 2
 POLISH_MAX_ITERATIONS = 12
 _EPS = float(np.finfo(float).eps)
 
 
-def _seeds(problem: RadialProblem, grid: Grid, first: int, last: int) -> np.ndarray:
-    """Eigenvalues first..last of the same problem on a SEED_COARSENING times
-    coarser grid: starting shifts for `_polish` only, so the grid is neither
-    resolution-checked nor returned. NaN seeds, which `_polish` declines, when
-    the coarse grid has fewer than last + 1 levels."""
-    coarse = Grid(r_max=grid.r_max, n=(grid.n + 1) // SEED_COARSENING - 1)
-    if last >= coarse.n:
-        return np.full(last - first + 1, math.nan)
-    return _bisect(*_tridiagonal(problem, coarse), first, last)
-
-
 def _bisect(diag: np.ndarray, off: np.ndarray, first: int, last: int) -> np.ndarray:
-    """Eigenvalues first..last by LAPACK bisection: the seeds' solver on the
-    coarse grid, and the safeguard when `_polish` declines."""
+    """Eigenvalues first..last by LAPACK bisection: the solver of a ladder's
+    seed rung, and the safeguard when `_polish` declines."""
     return eigh_tridiagonal(diag, off, select="i", select_range=(first, last), eigvals_only=True)
 
 
@@ -192,29 +203,17 @@ def _polish(diag: np.ndarray, off: np.ndarray, first: int, seeds: np.ndarray) ->
     return mu
 
 
-def fd_eigen(problem: RadialProblem, grid: Optional[Grid] = None, count: int = 4,
-             e_target: Optional[float] = None, first: int = 0) -> np.ndarray:
-    """Energies of the Dirichlet-grid levels with indices first..count-1
-    (0-based, ascending) of a linear-in-E problem; the default is the lowest
-    `count`. Only the requested indices are solved for (seeded, polished and
-    certified by `_polish`, else bisected), so `first=n, count=n+1` returns
-    the n-th level alone.
+def _rung(problem: RadialProblem, grid: Grid, first: int, count: int, seeds: np.ndarray) -> np.ndarray:
+    """Eigenvalues first..count-1 of one grid's matrix (2M E, not E), polished
+    from the seeds and certified, else bisected.
 
     For curved problems, eigenvalues at or above the continuum edge are box
     artifacts; requesting more levels than exist below the edge is an error.
-    The solve comes first: only when the highest returned eigenvalue is not
-    strictly below the edge does a Sturm count at the edge decide how many
-    levels lie below it, and the error names that count.
-    """
-    if problem.linearity != LINEAR_IN_E:
-        raise OracleError("fd_eigen handles linear-in-E problems; use shoot_decay for the quadratic one")
-    if not 0 <= first < count:
-        raise OracleError(f"fd_eigen needs 0 <= first < count, got first = {first}, count = {count}")
-    if grid is None:
-        grid = default_grid(problem, e_target)
-    check_resolution(problem, grid)
+    The solve comes first: only when the highest eigenvalue is not strictly
+    below the edge does a Sturm count at the edge decide how many levels lie
+    below it, and the error names that count."""
     diag, off = _tridiagonal(problem, grid)
-    mu = _polish(diag, off, first, _seeds(problem, grid, first, count - 1))
+    mu = _polish(diag, off, first, seeds)
     if mu is None:
         mu = _bisect(diag, off, first, count - 1)
     if problem.continuum_edge is not None:
@@ -226,13 +225,86 @@ def fd_eigen(problem: RadialProblem, grid: Optional[Grid] = None, count: int = 4
                     f"requested {count} levels but only {available} lie below the continuum edge "
                     f"E = {problem.continuum_edge:.6g}"
                 )
-    return mu / (2.0 * problem.mass)
+    return mu
+
+
+LADDER_TOL = 1e-5
+
+
+def richardson_order(origin_exponent: float) -> float:
+    """Leading order q of the 3-point stencil's eigenvalue error c h^q for a
+    solution u ~ r^p at the origin: 2 when p is an integer (u is then smooth
+    through r = 0) or when 2p - 1 > 2, else the fractional 2p - 1."""
+    p = origin_exponent
+    if abs(p - round(p)) < 1e-9 or 2.0 * p - 1.0 > 2.0:
+        return 2.0
+    return 2.0 * p - 1.0
+
+
+@dataclass(frozen=True)
+class FDSolve:
+    energies: np.ndarray  # Richardson-extrapolated energies of the requested levels
+    rel_err: np.ndarray  # the oracle's own relative error estimate, per level
+    grid: Grid  # the finest rung
+
+
+def fd_eigen(problem: RadialProblem, grid: Optional[Grid] = None, count: int = 4,
+             e_target: Optional[float] = None, first: int = 0) -> FDSolve:
+    """Energies of the levels with indices first..count-1 (0-based, ascending)
+    of a linear-in-E problem, extrapolated from a ladder of nested grids; the
+    default is the lowest `count`. Only the requested indices are solved for.
+
+    The ladder's finest rung is `grid` (by default `default_grid`), which must
+    pass `check_resolution` and have n + 1 divisible by 8. Below it lie rungs
+    of spacing 2h, 4h and 8h (n + 1 halved exactly each time). The 8h rung is
+    the seed grid, solved by bisection; each rung above it is polished and
+    certified by `_rung`, seeded from the rung below. With q the
+    `richardson_order` of the origin exponent, R(h) = (2^q E(h) - E(2h))/(2^q - 1)
+    is the energy, and the estimate is the spread of the extrapolants,
+    max(|R(h) - R(2h)|, |R(h) - R(4h)|)/|R(h)|. While its largest value
+    exceeds LADDER_TOL the finest rung doubles (n + 1 -> 2(n + 1)) and the
+    old rungs move down; a finest rung over GRID_POINT_BUDGET points is an
+    error."""
+    if problem.linearity != LINEAR_IN_E:
+        raise OracleError("fd_eigen handles linear-in-E problems; use shoot_decay for the quadratic one")
+    if not 0 <= first < count:
+        raise OracleError(f"fd_eigen needs 0 <= first < count, got first = {first}, count = {count}")
+    if grid is None:
+        grid = default_grid(problem, e_target)
+    check_resolution(problem, grid)
+    if (grid.n + 1) % 8:
+        raise OracleError(f"a ladder's finest rung needs n + 1 divisible by 8, got n = {grid.n}")
+    points = (grid.n + 1) // 8
+    if count >= points:
+        raise OracleError(f"level {count - 1} needs a seed grid of more than {points - 1} points")
+    weight = 2.0 ** richardson_order(problem.origin_exponent)
+    energies = [_bisect(*_tridiagonal(problem, Grid(r_max=grid.r_max, n=points - 1)), first, count - 1)]
+    extrapolants = []
+    while True:
+        points *= 2
+        rung = Grid(r_max=grid.r_max, n=points - 1)
+        if points > grid.n + 1:
+            check_resolution(problem, rung)
+        # the next rung's value as the last extrapolant predicts it
+        seeds = extrapolants[-1] + (energies[-1] - extrapolants[-1]) / weight if extrapolants else energies[-1]
+        energies.append(_rung(problem, rung, first, count, seeds))
+        extrapolants.append((weight * energies[-1] - energies[-2]) / (weight - 1.0))
+        if rung.n < grid.n:
+            continue
+        best = extrapolants[-1]
+        rel_err = np.max(np.abs(best - np.array(extrapolants[-3:-1])), axis=0) / np.abs(best)
+        if np.max(rel_err) <= LADDER_TOL:
+            return FDSolve(energies=best / (2.0 * problem.mass), rel_err=rel_err, grid=rung)
+        if 2 * points - 1 > GRID_POINT_BUDGET:
+            raise OracleError(f"{problem.tag}: FD error estimate {np.max(rel_err):.2g} > {LADDER_TOL} "
+                              f"on the largest rung of {rung.n:,} points")
 
 
 def count_bound_states(problem: RadialProblem, grid: Optional[Grid] = None) -> int:
     """Number of FD eigenvalues below the problem's continuum edge (the
-    `sturm_count_below` count at the edge), stabilized against the box size
-    (recomputed at 1.5 r_max; counts must agree)."""
+    `sturm_count_below` count at the edge) on `grid`, by default the finest
+    default rung, stabilized against the box size (recomputed at 1.5 r_max;
+    counts must agree)."""
     edge = problem.continuum_edge
     if edge is None:
         raise OracleError(
@@ -270,7 +342,8 @@ SHOOT_R_START = 1e-6
 
 def shoot_decay(problem: RadialProblem, epsilon: float, r_max: float = 35.0) -> ShootResult:
     """Log-derivative mismatch of the regular and decaying solutions of the
-    quadratic channel u'' + w u = 0, w = (eps + alpha/tanh r)^2 - M^2.
+    quadratic channel u'' + w u = 0, w = (eps + alpha/tanh r)^2 - M^2 (the
+    factored `radial.minj_coulomb_coefficient`).
 
     The regular solution is integrated outward from a Frobenius start at
     SHOOT_R_START. The decaying one is integrated inward from r_max as its
@@ -285,7 +358,8 @@ def shoot_decay(problem: RadialProblem, epsilon: float, r_max: float = 35.0) -> 
         raise OracleError("shoot_decay expects the quadratic-in-epsilon problem")
     scen = problem.scenario
     alpha, m = scen.alpha, problem.mass
-    kap2 = m * m - (epsilon + alpha) ** 2
+    energy = epsilon - m
+    kap2 = -minj_coulomb_coefficient(1.0, energy, alpha, m)  # the coefficient's r -> inf limit
     if kap2 <= 0.0:
         raise OracleError(
             f"non-decaying far field: (eps + alpha)^2 >= M^2 at eps = {epsilon:.9g}"
@@ -297,7 +371,7 @@ def shoot_decay(problem: RadialProblem, epsilon: float, r_max: float = 35.0) -> 
     a_exp = problem.origin_exponent
     r_start = SHOOT_R_START
     q_lin = 2.0 * epsilon * alpha
-    w0 = epsilon * epsilon + 2.0 * alpha * alpha / 3.0 - m * m
+    w0 = energy * (energy + 2.0 * m) + 2.0 * alpha * alpha / 3.0
     a1 = -q_lin / (2.0 * a_exp)
     a2 = -(q_lin * a1 + w0) / (2.0 * (2.0 * a_exp + 1.0))
     u0 = r_start**a_exp * (1.0 + a1 * r_start + a2 * r_start**2)
@@ -311,11 +385,8 @@ def shoot_decay(problem: RadialProblem, epsilon: float, r_max: float = 35.0) -> 
     c_turn = (m - epsilon) / alpha
     r_match = min(max(0.5 * math.log((c_turn + 1.0) / (c_turn - 1.0)), 0.05), r_max / 2.0)
 
-    def w(r):
-        return (epsilon + alpha / math.tanh(r)) ** 2 - m * m
-
-    regular = lambda r, y: (y[1], -w(r) * y[0])
-    riccati = lambda r, y: (-w(r) - y[0] * y[0],)
+    regular = lambda r, y: (y[1], -minj_coulomb_coefficient(1.0 / math.tanh(r), energy, alpha, m) * y[0])
+    riccati = lambda r, y: (-minj_coulomb_coefficient(1.0 / math.tanh(r), energy, alpha, m) - y[0] * y[0],)
     y_out, _ = ivp.integrate(regular, r_start, r_match, [u0, du0], max_step=0.05)
     y_in, _ = ivp.integrate(riccati, r_max, r_match, [-kappa], max_step=0.05)
     lam_out = y_out[1] / y_out[0]

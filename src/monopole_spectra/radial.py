@@ -2,7 +2,7 @@
 
 Every channel reduces to Liouville normal form u'' + (2 M E - V_eff(r)) u = 0
 (the flat channels after u = r f), except the curved minimum-j Coulomb channel
-which is quadratic in the relativistic energy:
+which is quadratic in the relativistic energy eps = M + E:
 u'' + ((eps + alpha/tanh r)^2 - M^2) u = 0. Analytic solutions are assembled
 from the closed-form substitutions and validated pointwise by finite-difference
 residuals on their own samples.
@@ -57,7 +57,8 @@ class RadialProblem:
         u'' + (2 * mass * E - v_eff(r)) u = 0,
     and `continuum_edge` (set for curved geometries) is the E value of
     lim_{r->inf} v_eff/(2 M); eigenvalues below it are genuine bound states.
-    For 'quadratic-in-epsilon' the equation is u'' + quad_coeff(r, eps) u = 0.
+    For 'quadratic-in-epsilon' the equation is u'' + quad_coeff(r, E) u = 0,
+    with E = eps - M the level's energy.
     """
 
     tag: str
@@ -110,7 +111,7 @@ def build_problem(scenario: Scenario, channel: str, j: HalfInt) -> RadialProblem
     if row.relativistic:
         return RadialProblem(
             **common,
-            quad_coeff=lambda r, eps: (eps + al * (np.cosh(r) / np.sinh(r))) ** 2 - m * m,
+            quad_coeff=lambda r, e: minj_coulomb_coefficient(np.cosh(r) / np.sinh(r), e, al, m),
             linearity=QUADRATIC_IN_EPSILON,
             origin_exponent=exponent,
         )
@@ -124,6 +125,15 @@ def build_problem(scenario: Scenario, channel: str, j: HalfInt) -> RadialProblem
         angular = lambda r: (jj1 + c * (1.0 + np.cosh(r))) / np.sinh(r) ** 2
     vr, edge = _with_potential(scenario, angular, np.tanh)
     return RadialProblem(**common, v_eff=vr, origin_exponent=exponent, continuum_edge=edge)
+
+
+def minj_coulomb_coefficient(coth_r, energy: float, alpha: float, mass: float):
+    """The relativistic min-j Coulomb coefficient (eps + alpha coth r)^2 - M^2
+    at eps = M + E, factored as (E + alpha coth r)(E + alpha coth r + 2M) so
+    that it does not cancel at large M. coth_r is a float (shooting, through
+    `math`) or an array (sampled residuals)."""
+    a = energy + alpha * coth_r
+    return a * (a + 2.0 * mass)
 
 
 def _with_potential(scenario: Scenario, angular: Callable, x: Callable) -> tuple[Callable, float]:
@@ -364,7 +374,7 @@ def residual(problem: RadialProblem, solution: RadialSolution, level: EnergyLeve
     if problem.linearity == QUADRATIC_IN_EPSILON:
         if level.epsilon is None:
             raise RadialError("quadratic problem needs the relativistic energy on the level")
-        coeff = problem.quad_coeff(ri, level.epsilon)
+        coeff = problem.quad_coeff(ri, level.energy)
     else:
         coeff = problem.eigenvalue_from_energy(level.energy) - problem.v_eff(ri)
     res = d2 + coeff * ui

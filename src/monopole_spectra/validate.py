@@ -32,14 +32,24 @@ def line(record: dict) -> str:
     return f"[{status}] {record['id']}: {record['description']} -- {record['measured']}"
 
 
-def _fd_compare(problem, levels, grid=None) -> list[tuple[float, float]]:
-    """(FD energy, relative deviation) for each closed-form level, from one FD
-    solve; the levels' n must run consecutively. Only the FD levels from the
-    first level's n up are bisected for."""
+def _fd_compare(problem, levels, grid=None) -> list[dict]:
+    """Detail-row fields for each closed-form level from one ladder solve: the
+    FD energy `numeric`, the relative deviation `rel_dev`, the oracle's own
+    error estimate `oracle_rel_err` and the finest rung's size `fd_points`.
+    The levels' n must run consecutively; only the FD levels from the first
+    level's n up are solved for."""
     first = levels[0].n
-    numeric = oracle.fd_eigen(problem, grid=grid, count=first + len(levels), e_target=levels[0].energy,
-                              first=first)
-    return [(float(e), float(abs(e - lv.energy) / abs(lv.energy))) for e, lv in zip(numeric, levels)]
+    solve = oracle.fd_eigen(problem, grid=grid, count=first + len(levels), e_target=levels[0].energy,
+                            first=first)
+    return [{"numeric": float(e), "rel_dev": float(abs(e - lv.energy) / abs(lv.energy)),
+             "oracle_rel_err": float(err), "fd_points": solve.grid.n}
+            for e, err, lv in zip(solve.energies, solve.rel_err, levels)]
+
+
+def _scaled_grid(grid: oracle.Grid, ratio: float) -> oracle.Grid:
+    """`grid` with about `ratio` times its points on the same box, n + 1 kept
+    divisible by 8 so that it can be a ladder's finest rung."""
+    return oracle.Grid(r_max=grid.r_max, n=8 * round((grid.n + 1) * ratio / 8) - 1)
 
 
 # --- criterion 1 + 2: root machinery and parity split ---------------------------
@@ -141,10 +151,9 @@ def suite_flat_coulomb() -> list[dict]:
         lval = spectra.flat_channel_l(j, scen.charge, ch)
         for n in range(4):
             lv = spectra.single_level(scen, j, n, ch)
-            ((e_num, rel),) = _fd_compare(prob, [lv])
-            worst = max(worst, rel)
-            rows.append({"channel": ch, "n": n, "L": lval, "analytic": lv.energy,
-                         "numeric": e_num, "rel_dev": rel})
+            (fd,) = _fd_compare(prob, [lv])
+            worst = max(worst, fd["rel_dev"])
+            rows.append({"channel": ch, "n": n, "L": lval, "analytic": lv.energy, **fd})
     elapsed = time.monotonic() - t0
     return [
         _criterion(
@@ -163,29 +172,34 @@ def suite_flat_coulomb() -> list[dict]:
 
 def _oscillator_verdict(scen: core.Scenario, channel: str, j: int) -> dict:
     """Which candidate of `spectra.oscillator_candidates` the FD levels
-    n = 0..3 of one flat oscillator channel confirm: on each of two grids
-    exactly one candidate must match all four to rel 1e-4, else OracleError.
-    The deviations are the first grid's; `stable` says the second agrees."""
+    n = 0..3 of one flat oscillator channel confirm: on each of two grids, the
+    resolved one and one with 22/16 of its points, exactly one candidate must
+    match all four to rel 1e-4, else OracleError. The deviations and the
+    oracle's worst error estimate are the first grid's; `stable` says the
+    second agrees."""
     prob = radial.build_problem(scen, channel, j)
     lval = spectra.flat_channel_l(j, scen.charge, channel)
     levels = spectra.spectrum_levels(scen, j, range(4), [channel])
-    r_max = min(80.0 / math.sqrt(2.0 * scen.mass * levels[-1].energy), 60.0)
-    per_grid = []
-    for n_pts in (16000, 22000):
+    grid = oracle.resolved_grid(prob, min(80.0 / math.sqrt(2.0 * scen.mass * levels[-1].energy), 60.0))
+    per_grid, fd_points = [], []
+    for g in (grid, _scaled_grid(grid, 22 / 16)):
         devs = {"printed": 0.0, "quantization": 0.0}
-        for lv, (e_num, _) in zip(levels, _fd_compare(prob, levels, oracle.Grid(r_max=r_max, n=n_pts))):
+        fds = _fd_compare(prob, levels, g)
+        for lv, fd in zip(levels, fds):
             cands = spectra.oscillator_candidates(lval, lv.n, scen.k_osc, scen.mass)
             for name in devs:
-                devs[name] = max(devs[name], abs(e_num - cands[name]) / abs(cands[name]))
+                devs[name] = max(devs[name], abs(fd["numeric"] - cands[name]) / abs(cands[name]))
+        fd_points.append(fds[0]["fd_points"])
         matches = [name for name, dev in devs.items() if dev <= 1e-4]
         if len(matches) != 1:
             raise oracle.OracleError(f"oscillator arbitration at L = {lval}: candidates matching within "
                                      f"1e-4: {matches or 'none'} (deviations {devs})")
-        per_grid.append((matches[0], devs))
-    (name, devs), (name_refined, _) = per_grid
+        per_grid.append((matches[0], devs, max(fd["oracle_rel_err"] for fd in fds)))
+    (name, devs, err), (name_refined, _, _) = per_grid
     other = "printed" if name == "quantization" else "quantization"
     return {"l_value": float(lval), "confirmed": name, "matched_rel_dev": devs[name],
-            "rejected_rel_dev": devs[other], "stable": name == name_refined}
+            "rejected_rel_dev": devs[other], "stable": name == name_refined,
+            "oracle_rel_err": err, "fd_points": fd_points}
 
 
 def _arbitration_sentence(v: dict) -> str:
@@ -305,13 +319,13 @@ def _criterion_minj_oscillator() -> dict:
             n = lv.n
             sol = radial.analytic_solution(prob, lv)
             res = radial.residual(prob, sol, lv)
-            ((e_num, rel),) = _fd_compare(prob, [lv])
+            (fd,) = _fd_compare(prob, [lv])
             ident = abs(lv.energy - (k_osc / 2.0 - (s_well - (2 * n + 1)) ** 2 / (2.0 * mass)))
             worst_res = max(worst_res, res)
-            worst_rel = max(worst_rel, rel)
+            worst_rel = max(worst_rel, fd["rel_dev"])
             worst_ident = max(worst_ident, ident)
-            rows.append({"k_osc": k_osc, "n": n, "analytic": lv.energy, "numeric": e_num,
-                         "rel_dev": rel, "ode_residual": res, "well_identity_dev": ident})
+            rows.append({"k_osc": k_osc, "n": n, "analytic": lv.energy, **fd,
+                         "ode_residual": res, "well_identity_dev": ident})
     return _criterion(
         cid="7-lob-minj-oscillator",
         description="curved minimum-j oscillator: analytic residual <= 1e-7, FD match rel 1e-4, "
@@ -327,7 +341,6 @@ def _criterion_minj_oscillator() -> dict:
 
 def suite_lob_coulomb() -> list[dict]:
     alpha, mass = 10.0, 1.0
-    grid = oracle.Grid(r_max=40.0, n=40000)
     worst_rel = 0.0
     rows = []
     counts_ok = True
@@ -337,11 +350,10 @@ def suite_lob_coulomb() -> list[dict]:
         prob = radial.build_problem(scen, spectra.CH_PARITY_ODD, j)
         levels = spectra.admissible_levels(scen, j, spectra.CH_PARITY_ODD)
         big_n_at = spectra.nomonopole_n_coulomb(j, spectra.CH_PARITY_ODD)
-        for lv, (e_num, rel) in zip(levels, _fd_compare(prob, levels, grid)):
-            worst_rel = max(worst_rel, rel)
-            rows.append({"j": j, "n": lv.n, "N": big_n_at(lv.n), "analytic": lv.energy,
-                         "numeric": e_num, "rel_dev": rel})
-        fd_count = oracle.count_bound_states(prob, grid=grid)
+        for lv, fd in zip(levels, _fd_compare(prob, levels)):
+            worst_rel = max(worst_rel, fd["rel_dev"])
+            rows.append({"j": j, "n": lv.n, "N": big_n_at(lv.n), "analytic": lv.energy, **fd})
+        fd_count = oracle.count_bound_states(prob)
         predicted = len(levels)
         counts_ok = counts_ok and fd_count == predicted
         count_rows.append({"j": j, "fd_count": fd_count, "predicted_count": predicted})
@@ -373,22 +385,21 @@ def suite_lob_oscillator() -> list[dict]:
     k_osc, mass = 100.0, 1.0
     worst_rel = 0.0
     rows = []
-    count_rows = []
+    count_rows, count_points = [], []
     stable = True
     scen = core.Scenario("lobachevsky", "oscillator", Fraction(0), mass, k_osc=k_osc)
     for j in range(3):
         prob = radial.build_problem(scen, spectra.CH_PARITY_ODD, j)
         levels = spectra.admissible_levels(scen, j, spectra.CH_PARITY_ODD)
         big_n_at = spectra.nomonopole_n_oscillator(j, spectra.CH_PARITY_ODD)
-        for lv, (e_num, rel) in zip(levels, _fd_compare(prob, levels)):
-            worst_rel = max(worst_rel, rel)
-            rows.append({"j": j, "n": lv.n, "N": big_n_at(lv.n), "analytic": lv.energy,
-                         "numeric": e_num, "rel_dev": rel})
+        for lv, fd in zip(levels, _fd_compare(prob, levels)):
+            worst_rel = max(worst_rel, fd["rel_dev"])
+            rows.append({"j": j, "n": lv.n, "N": big_n_at(lv.n), "analytic": lv.energy, **fd})
         inequality_count = len(levels)
-        fd_counts = [
-            oracle.count_bound_states(prob, grid=oracle.Grid(r_max=40.0, n=n_pts))
-            for n_pts in (20000, 26000)
-        ]
+        grid = oracle.default_grid(prob)
+        grids = (grid, _scaled_grid(grid, 26 / 20))
+        count_points.append([g.n for g in grids])
+        fd_counts = [oracle.count_bound_states(prob, grid=g) for g in grids]
         stable = stable and fd_counts[0] == fd_counts[1]
         count_rows.append({
             "j": j,
@@ -404,7 +415,7 @@ def suite_lob_oscillator() -> list[dict]:
             "stable across grids",
             passed=(worst_rel <= 1e-4 and stable),
             measured=f"worst rel dev {worst_rel:.2e}; counts {count_rows}",
-            detail={"rows": rows, "counts": count_rows},
+            detail={"rows": rows, "counts": count_rows, "count_points": count_points},
         )
     ]
 
@@ -464,12 +475,11 @@ def suite_heun() -> list[dict]:
 
 def _heun_fd_comparison(scen: core.Scenario, channel: str, j: int, formal_levels) -> dict:
     prob = radial.build_problem(scen, channel, j)
-    grid = oracle.Grid(r_max=40.0, n=40000)
-    fd_count = oracle.count_bound_states(prob, grid=grid)
+    fd_count = oracle.count_bound_states(prob)
     compared = formal_levels[:fd_count]
     pairs = [
-        {"n": lv.n, "formal": lv.energy, "numeric": e_num, "rel_dev": rel}
-        for lv, (e_num, rel) in zip(compared, _fd_compare(prob, compared, grid) if compared else [])
+        {"n": lv.n, "formal": lv.energy, **fd}
+        for lv, fd in zip(compared, _fd_compare(prob, compared) if compared else [])
     ]
     return {
         "potential": scen.potential,

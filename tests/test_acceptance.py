@@ -16,6 +16,8 @@ import re
 import time
 from fractions import Fraction
 
+import pytest
+
 from monopole_spectra import core, oracle, radial, spectra, validate
 
 _cache: dict = {}
@@ -128,6 +130,25 @@ def test_criterion_10_heun_channels():
 
 def test_criterion_11_free_particle():
     check(criterion("11-free-particle"))
+
+
+def test_fd_rows_carry_the_oracle_estimate_and_lie_within_it():
+    # the confirmed closed forms (criteria 4, 7, 8, 9) agree with the ladder's
+    # energy to within its own estimate; criterion 10's levels are formal
+    records = full_run()["records"]
+    for cid in ("4-flat-coulomb", "7-lob-minj-oscillator", "8-lob-coulomb", "9-lob-oscillator"):
+        for row in records[cid]["detail"]["rows"]:
+            assert row["rel_dev"] <= row["oracle_rel_err"] <= oracle.LADDER_TOL, (cid, row)
+            assert row["fd_points"] >= oracle.MIN_FINEST_POINTS
+    for comparison in records["10-heun"]["detail"]["comparisons"]:
+        for pair in comparison["pairs"]:
+            assert pair["oracle_rel_err"] <= oracle.LADDER_TOL
+    for verdict in records["5-flat-oscillator"]["detail"]["verdicts"]:
+        assert verdict["oracle_rel_err"] <= oracle.LADDER_TOL
+        small, large = verdict["fd_points"]
+        assert (large + 1) / (small + 1) == 22 / 16
+    for small, large in records["9-lob-oscillator"]["detail"]["count_points"]:
+        assert (large + 1) / (small + 1) == pytest.approx(26 / 20, rel=1e-3)
 
 
 def test_records_are_plain_json():

@@ -170,6 +170,15 @@ def test_wavefunction_peculiar_profile(capsys, tmp_path):
     assert float(first[0]) == pytest.approx(0.001, abs=1e-12)
 
 
+def test_wavefunction_weak_minj_coulomb_residual_does_not_cancel(capsys):
+    # M = 1e6, alpha = 1e-5: (eps + alpha coth r)^2 - M^2 written unfactored
+    # cancels about 12 digits and read 2.2e-7 for this exact closed form
+    code, out, _ = run(["wavefunction", "--geometry", "lobachevsky", "--k", "2", "--j", "1",
+                        "--alpha", "1e-5", "--mass", "1e6"], capsys)
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["ode_residual"] <= 1e-9
+
+
 def test_wavefunction_nodeless_ground_state(capsys, tmp_path):
     out_file = tmp_path / "wf.csv"
     code, _, _ = run(

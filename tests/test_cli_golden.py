@@ -99,6 +99,9 @@ CASES.update({
                                                      "--no-monopole", "--j", "1", "--alpha", "10",
                                                      "--channel", "even-2", "--n", "1",
                                                      "--grid", "0.01:2.1:150"],
+    # the only caller of spectra.peculiar_flat_level: the reduced free channel's e^(-kappa r)/r profile
+    "wavefunction_flat_free_energy": ["wavefunction", "--potential", "none", "--energy", "-0.5",
+                                      "--j", "1", "--k", "1"],
     "wavefunction_flat_oscillator_n1": ["wavefunction", "--potential", "oscillator", "--k", "1",
                                         "--j", "2", "--k-osc", "2", "--mass", "1.5", "--n", "1",
                                         "--channel", "branch-2", "--grid", "0.01:8:150"],

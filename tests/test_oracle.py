@@ -1,4 +1,5 @@
-"""FD eigensolver, Sturm counts, bound-state counting, shooting, arbitration."""
+"""FD eigensolver (its rungs and the extrapolating ladder), Sturm counts,
+bound-state counting, shooting, arbitration."""
 
 import dataclasses
 import math
@@ -21,9 +22,25 @@ def box_problem(l_box=1.0):
     )
 
 
+def _bisection_reference(prob, grid, first, last):
+    diag, off = oracle._tridiagonal(prob, grid)
+    mu = eigh_tridiagonal(diag, off, select="i", select_range=(first, last), eigvals_only=True)
+    return mu / (2.0 * prob.mass)
+
+
+def rung_energies(prob, grid, count, first=0, seeds=None):
+    """Energies first..count-1 of one rung, `oracle._rung`, seeded by default
+    from a grid of half the points, as the ladder seeds each rung from the
+    one below it."""
+    if seeds is None:
+        half = oracle.Grid(r_max=grid.r_max, n=(grid.n + 1) // 2 - 1)
+        seeds = prob.eigenvalue_from_energy(_bisection_reference(prob, half, first, count - 1))
+    return oracle._rung(prob, grid, first, count, seeds) / (2.0 * prob.mass)
+
+
 def test_box_ground_state():
     prob = box_problem()
-    e = oracle.fd_eigen(prob, oracle.Grid(r_max=1.0, n=4000), count=1)
+    e = oracle.fd_eigen(prob, oracle.Grid(r_max=1.0, n=4095), count=1).energies
     exact = math.pi**2 / 2.0
     assert abs(e[0] - exact) / exact <= 1e-3
 
@@ -33,16 +50,85 @@ def test_box_second_order_convergence():
     exact = math.pi**2 / 2.0
     errs = []
     for n in (2000, 4000, 8000):
-        e = oracle.fd_eigen(prob, oracle.Grid(r_max=1.0, n=n), count=1)
+        e = rung_energies(prob, oracle.Grid(r_max=1.0, n=n), count=1)
         errs.append(abs(e[0] - exact))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.1)
 
 
+def test_box_ladder_fourth_order_convergence_within_its_estimate():
+    # level 20 of the unit box, E = 441 pi^2 / 2: with h^2 removed the error
+    # is (k h)^4 / 90, far above rounding on these grids
+    prob = box_problem()
+    exact = 21**2 * math.pi**2 / 2.0
+    errs = []
+    for n in (2047, 4095, 8191):
+        solve = oracle.fd_eigen(prob, oracle.Grid(r_max=1.0, n=n), count=21, first=20)
+        assert solve.grid.n == n
+        errs.append(abs(solve.energies[0] - exact) / exact)
+        assert errs[-1] <= solve.rel_err[0] <= oracle.LADDER_TOL
+    assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.01)
+    assert errs[1] / errs[2] == pytest.approx(16.0, rel=0.01)
+
+
+def test_richardson_order_from_the_origin_exponent():
+    assert oracle.richardson_order(1.0) == oracle.richardson_order(3.0) == 2.0
+    assert oracle.richardson_order(1.7722) == 2.0  # 2p - 1 > 2
+    assert oracle.richardson_order(1.5) == 2.0
+    assert oracle.richardson_order(1.132) == pytest.approx(1.264)
+
+
+def test_ladder_reaches_a_fractional_order_level():
+    # k = j = 1/2, branch-2: L = 0.132, so u ~ r^1.132 and the plain grid
+    # converges only at order 2p - 1 = 1.264 (2.9e-4 at 16,000 points)
+    scen = core.Scenario("flat", "coulomb", F(1, 2), 1.0, alpha=0.5)
+    prob = radial.build_problem(scen, "branch-2", F(1, 2))
+    assert oracle.richardson_order(prob.origin_exponent) == pytest.approx(2.0 * prob.origin_exponent - 1.0)
+    for lv in spectra.spectrum_levels(scen, F(1, 2), range(4), ["branch-2"]):
+        solve = oracle.fd_eigen(prob, count=lv.n + 1, first=lv.n, e_target=lv.energy)
+        dev = abs(solve.energies[0] - lv.energy) / abs(lv.energy)
+        assert dev <= solve.rel_err[0] <= oracle.LADDER_TOL
+        assert dev <= 1e-6
+
+
+def test_ladder_refuses_a_grid_that_does_not_nest():
+    with pytest.raises(oracle.OracleError, match="divisible by 8"):
+        oracle.fd_eigen(box_problem(), oracle.Grid(r_max=1.0, n=4000), count=1)
+
+
+def test_ladder_refuses_levels_past_its_seed_rung():
+    # a finest rung of 2,047 points has a 255-point seed rung (8h)
+    with pytest.raises(oracle.OracleError, match="seed grid of more than 255 points"):
+        oracle.fd_eigen(box_problem(), oracle.Grid(r_max=1.0, n=2047), count=256, first=250)
+
+
+def test_ladder_and_default_rung_stay_within_the_point_budget(monkeypatch):
+    monkeypatch.setattr(oracle, "LADDER_TOL", 0.0)  # an estimate no ladder reaches
+    monkeypatch.setattr(oracle, "GRID_POINT_BUDGET", 8191)
+    with pytest.raises(oracle.OracleError, match="on the largest rung of 8,191 points"):
+        oracle.fd_eigen(box_problem(), oracle.Grid(r_max=1.0, n=4095), count=1)
+    # the curved K M = 100 oscillator needs 8,191 points to pass the resolution heuristic
+    monkeypatch.setattr(oracle, "GRID_POINT_BUDGET", 4095)
+    prob = radial.build_problem(CURVED_OSCILLATOR, "parity-odd", 0)
+    with pytest.raises(oracle.OracleError, match="no grid of at most 4,095 points"):
+        oracle.default_grid(prob)
+
+
+def test_default_rung_is_the_smallest_nested_resolved_grid():
+    # curved oscillator K M = 100: h sqrt(max|V|) <= 0.05 needs h <= 0.005 at r_max = 40
+    prob = radial.build_problem(CURVED_OSCILLATOR, "parity-odd", 0)
+    grid = oracle.default_grid(prob)
+    assert (grid.r_max, grid.n) == (40.0, 8191)
+    oracle.check_resolution(prob, grid)
+    assert oracle.resolution(prob, oracle.Grid(r_max=40.0, n=4095)) > oracle.RESOLUTION_LIMIT
+    box = oracle.default_grid(box_problem(), -1.0)
+    assert box.n == oracle.MIN_FINEST_POINTS == 4095
+
+
 def test_eigenvalues_monotone_and_sturm_consistent():
     prob = box_problem()
     grid = oracle.Grid(r_max=1.0, n=3000)
-    evs = oracle.fd_eigen(prob, grid, count=6)
+    evs = rung_energies(prob, grid, count=6)
     assert np.all(np.diff(evs) > 0)
     diag, off = oracle._tridiagonal(prob, grid)
     for i, e in enumerate(evs):
@@ -126,15 +212,15 @@ def test_fd_eigen_refuses_a_non_finite_potential():
 def test_flat_coulomb_ground_state_default_grid():
     scen = core.Scenario("flat", "coulomb", F(1), 1.0, alpha=1.0)
     prob = radial.build_problem(scen, "min-j", 0)
-    e = oracle.fd_eigen(prob, count=1, e_target=-0.5)
-    assert abs(e[0] + 0.5) / 0.5 <= 1e-4
+    solve = oracle.fd_eigen(prob, count=1, e_target=-0.5)
+    assert abs(solve.energies[0] + 0.5) / 0.5 <= solve.rel_err[0] <= 1e-5
 
 
 def test_lob_coulomb_deep_level():
     scen = core.Scenario("lobachevsky", "coulomb", F(0), 1.0, alpha=10.0)
     prob = radial.build_problem(scen, "parity-odd", 0)
-    e = oracle.fd_eigen(prob, grid=oracle.Grid(r_max=40.0, n=40000), count=1)
-    assert abs(e[0] + 50.5) / 50.5 <= 1e-4
+    solve = oracle.fd_eigen(prob, count=1)
+    assert abs(solve.energies[0] + 50.5) / 50.5 <= solve.rel_err[0] <= 1e-5
 
 
 def test_fd_rejects_quadratic_problem():
@@ -149,7 +235,7 @@ def test_fd_rejects_overcount_beyond_edge():
     prob = radial.build_problem(scen, "parity-odd", 0)
     grid = oracle.Grid(r_max=40.0, n=20000)
     with pytest.raises(oracle.OracleError) as err:
-        oracle.fd_eigen(prob, grid=grid, count=10)
+        rung_energies(prob, grid, count=10)
     available = oracle.sturm_count_below(*oracle._tridiagonal(prob, grid),
                                          prob.eigenvalue_from_energy(prob.continuum_edge))
     assert 0 < available < 10
@@ -161,7 +247,7 @@ def test_fd_in_edge_solve_needs_no_sturm_count(monkeypatch):
     scen = core.Scenario("lobachevsky", "coulomb", F(0), 1.0, alpha=10.0)
     prob = radial.build_problem(scen, "parity-odd", 0)
     grid = oracle.Grid(r_max=40.0, n=20000)
-    expected = oracle.fd_eigen(prob, grid=grid, count=2)
+    expected = rung_energies(prob, grid, count=2)
     mu_edge = prob.eigenvalue_from_energy(prob.continuum_edge)
     count = oracle.sturm_count_below
 
@@ -172,8 +258,10 @@ def test_fd_in_edge_solve_needs_no_sturm_count(monkeypatch):
         return count(diag, off, x)
 
     monkeypatch.setattr(oracle, "sturm_count_below", refuse_edge_count)
-    assert np.array_equal(oracle.fd_eigen(prob, grid=grid, count=2), expected)
-    assert oracle.fd_eigen(prob, grid=grid, count=2, first=1) == pytest.approx(expected[1:], rel=1e-10)
+    assert np.array_equal(rung_energies(prob, grid, count=2), expected)
+    assert rung_energies(prob, grid, count=2, first=1) == pytest.approx(expected[1:], rel=1e-10)
+    # the ladder's rungs are in-edge solves too
+    assert oracle.fd_eigen(prob, count=2).energies == pytest.approx(expected, rel=1e-4)
 
 
 @pytest.mark.parametrize("scen, channel, j, n", [
@@ -185,55 +273,52 @@ def test_fd_single_index_solve_matches_the_full_one(scen, channel, j, n):
     e_target = spectra.single_level(scen, j, n, channel).energy
     full = oracle.fd_eigen(prob, count=n + 1, e_target=e_target)
     alone = oracle.fd_eigen(prob, count=n + 1, e_target=e_target, first=n)
-    assert alone.shape == (1,)
-    assert abs(alone[0] - full[n]) <= 1e-10 * abs(full[n])
+    assert alone.energies.shape == alone.rel_err.shape == (1,)
+    assert alone.grid == full.grid
+    assert abs(alone.energies[0] - full.energies[n]) <= 1e-10 * abs(full.energies[n])
 
 
 @pytest.mark.parametrize("first, count", [(-1, 2), (2, 2), (0, 0)])
 def test_fd_rejects_an_empty_or_negative_index_range(first, count):
     with pytest.raises(oracle.OracleError, match="0 <= first < count"):
-        oracle.fd_eigen(box_problem(), oracle.Grid(r_max=1.0, n=4000), count=count, first=first)
+        oracle.fd_eigen(box_problem(), oracle.Grid(r_max=1.0, n=4095), count=count, first=first)
 
 
-# --- the certified solve against the bisection it replaced ----------------------------
+# --- the certified rungs against the bisection they replaced ----------------------------
 
 CURVED_COULOMB = core.Scenario("lobachevsky", "coulomb", F(0), 1.0, alpha=10.0)
 CURVED_OSCILLATOR = core.Scenario("lobachevsky", "oscillator", F(0), 1.0, k_osc=100.0)
 
 
 def _validate_all_solves():
-    """(problem, grid, first, last) of five `validate --suite all` solves; the
-    curved oscillator's top level sits 0.27 below the next one."""
+    """(problem, finest rung or None for the default, e_target, first, last)
+    of six `validate --suite all` ladders; the curved oscillator's top level
+    sits 0.27 below the next one."""
     branch_2 = radial.build_problem(core.Scenario("flat", "coulomb", F(1), 1.0, alpha=1.0), "branch-2", 2)
     e_target = spectra.single_level(branch_2.scenario, 2, 3, "branch-2").energy
     arbitration = radial.build_problem(core.Scenario("flat", "oscillator", F(1), 1.0, k_osc=1.0), "min-j", 0)
-    r_arb = 80.0 / math.sqrt(2.0 * 7.5)
+    grid = oracle.resolved_grid(arbitration, 80.0 / math.sqrt(2.0 * 7.5))
     return [
-        (branch_2, oracle.default_grid(branch_2, e_target), 3, 3),
-        (arbitration, oracle.Grid(r_max=r_arb, n=16000), 0, 3),
-        (arbitration, oracle.Grid(r_max=r_arb, n=22000), 0, 3),
-        (radial.build_problem(CURVED_COULOMB, "parity-odd", 0), oracle.Grid(r_max=40.0, n=40000), 0, 2),
-        (radial.build_problem(CURVED_OSCILLATOR, "parity-odd", 0), oracle.Grid(r_max=40.0, n=20000), 0, 4),
-        (radial.build_problem(CURVED_OSCILLATOR, "even-2", 0), oracle.Grid(r_max=40.0, n=40000), 0, 4),
+        (branch_2, None, e_target, 3, 3),
+        (arbitration, grid, None, 0, 3),
+        (arbitration, validate._scaled_grid(grid, 22 / 16), None, 0, 3),
+        (radial.build_problem(CURVED_COULOMB, "parity-odd", 0), None, None, 0, 2),
+        (radial.build_problem(CURVED_OSCILLATOR, "parity-odd", 0), None, None, 0, 4),
+        (radial.build_problem(CURVED_OSCILLATOR, "even-2", 0), None, None, 0, 4),
     ]
-
-
-def _bisection_reference(prob, grid, first, last):
-    diag, off = oracle._tridiagonal(prob, grid)
-    mu = eigh_tridiagonal(diag, off, select="i", select_range=(first, last), eigvals_only=True)
-    return mu / (2.0 * prob.mass)
 
 
 @pytest.fixture
 def polish_outcomes(monkeypatch):
-    """Records whether each `_polish` call certified its values (True) or
-    left the solve to the bisection safeguard (False)."""
+    """Records each `_polish` call's matrix, first index and result: the
+    certified values, or None when the rung was left to the bisection
+    safeguard."""
     outcomes = []
     polish = oracle._polish
 
-    def recorded(*args):
-        mu = polish(*args)
-        outcomes.append(mu is not None)
+    def recorded(diag, off, first, seeds):
+        mu = polish(diag, off, first, seeds)
+        outcomes.append((diag, off, first, mu))
         return mu
 
     monkeypatch.setattr(oracle, "_polish", recorded)
@@ -242,36 +327,29 @@ def polish_outcomes(monkeypatch):
 
 @pytest.mark.parametrize("case", range(6))
 def test_certified_solve_matches_bisection_without_the_safeguard(case, polish_outcomes):
-    prob, grid, first, last = _validate_all_solves()[case]
-    energies = oracle.fd_eigen(prob, grid=grid, count=last + 1, first=first)
-    reference = _bisection_reference(prob, grid, first, last)
-    assert polish_outcomes == [True]
-    assert energies.shape == reference.shape
-    assert np.max(np.abs(energies - reference) / np.abs(reference)) <= 1e-9
+    prob, grid, e_target, first, last = _validate_all_solves()[case]
+    solve = oracle.fd_eigen(prob, grid=grid, count=last + 1, e_target=e_target, first=first)
+    assert solve.energies.shape == (last - first + 1,)
+    assert len(polish_outcomes) >= 3  # the 4h, 2h and h rungs at least
+    for diag, off, first_index, mu in polish_outcomes:
+        assert mu is not None
+        reference = eigh_tridiagonal(diag, off, select="i", select_range=(first_index, last), eigvals_only=True)
+        assert np.max(np.abs(mu - reference) / np.abs(reference)) <= 1e-9
 
 
 @pytest.mark.parametrize("bad_seeds", ["one index off", "nan"])
-def test_safeguard_recovers_from_bad_seeds(bad_seeds, monkeypatch, polish_outcomes):
-    seeds = oracle._seeds
-
-    def wrong(problem, grid, first, last):
+def test_safeguard_recovers_from_bad_seeds(bad_seeds, polish_outcomes):
+    for prob, _, _, first, last in _validate_all_solves()[3:5]:
+        grid = oracle.Grid(r_max=40.0, n=8191)
+        reference = _bisection_reference(prob, grid, first, last)
+        half = oracle.Grid(r_max=40.0, n=4095)
         if bad_seeds == "nan":
-            return np.full(last - first + 1, np.nan)
-        return seeds(problem, grid, first + 1, last + 1)
-
-    monkeypatch.setattr(oracle, "_seeds", wrong)
-    for prob, grid, first, last in _validate_all_solves()[3:5]:
-        energies = oracle.fd_eigen(prob, grid=grid, count=last + 1, first=first)
-        assert np.max(np.abs(energies / _bisection_reference(prob, grid, first, last) - 1.0)) <= 1e-9
-    assert polish_outcomes == [False, False]
-
-
-def test_levels_past_the_seed_grid_are_bisected(polish_outcomes):
-    # 2,000 points seed from a 61-point grid, which has no level 69
-    prob, grid = box_problem(), oracle.Grid(r_max=1.0, n=2000)
-    energies = oracle.fd_eigen(prob, grid=grid, count=70, first=66)
-    assert polish_outcomes == [False]
-    assert np.max(np.abs(energies / _bisection_reference(prob, grid, 66, 69) - 1.0)) <= 1e-12
+            seeds = np.full(last - first + 1, np.nan)
+        else:
+            seeds = prob.eigenvalue_from_energy(_bisection_reference(prob, half, first + 1, last + 1))
+        energies = rung_energies(prob, grid, count=last + 1, first=first, seeds=seeds)
+        assert np.max(np.abs(energies / reference - 1.0)) <= 1e-9
+    assert [mu is None for *_, mu in polish_outcomes] == [True, True]
 
 
 def _clustered_tridiagonals(rng):
@@ -421,7 +499,7 @@ def test_arbitration_confirms_quantization_form():
 def test_arbitration_level_spacing():
     scen = core.Scenario("flat", "oscillator", F(1), 1.0, k_osc=1.0)
     prob = radial.build_problem(scen, "min-j", 0)
-    evs = oracle.fd_eigen(prob, oracle.Grid(r_max=12.0, n=16000), count=3)
+    evs = oracle.fd_eigen(prob, oracle.Grid(r_max=12.0, n=16383), count=3).energies
     spacings = np.diff(evs)
     assert spacings == pytest.approx([2.0, 2.0], rel=1e-4)  # 2 sqrt(K/M), not sqrt(K/M)
 
@@ -438,7 +516,26 @@ def test_count_accepts_explicit_edge():
 def test_results_independent_of_box_size():
     scen = core.Scenario("flat", "coulomb", F(1), 1.0, alpha=1.0)
     prob = radial.build_problem(scen, "min-j", 0)
-    # same spacing h = 0.005, two box sizes past the decay-length heuristic
-    e1 = oracle.fd_eigen(prob, oracle.Grid(r_max=80.0, n=16000), count=1)[0]
-    e2 = oracle.fd_eigen(prob, oracle.Grid(r_max=120.0, n=24000), count=1)[0]
+    # same spacing h = 80/16384, two box sizes past the decay-length heuristic
+    e1 = oracle.fd_eigen(prob, oracle.Grid(r_max=80.0, n=16383), count=1).energies[0]
+    e2 = oracle.fd_eigen(prob, oracle.Grid(r_max=120.0, n=24575), count=1).energies[0]
     assert abs(e1 - e2) <= 1e-8
+
+
+# Every FD matrix one `validate.run_suites("all")` builds (seed rungs, polished
+# rungs and count grids), in grid points: 1,051,809 when the ladder landed,
+# against 2,385,477 for the fixed 16,000-60,001-point grids before it.
+VALIDATE_ALL_POINT_BUDGET = 1_100_000
+
+
+def test_validate_all_point_budget(monkeypatch):
+    points = []
+    tridiagonal = oracle._tridiagonal
+
+    def counted(problem, grid):
+        points.append(grid.n)
+        return tridiagonal(problem, grid)
+
+    monkeypatch.setattr(oracle, "_tridiagonal", counted)
+    validate.run_suites("all")
+    assert 0 < sum(points) <= VALIDATE_ALL_POINT_BUDGET

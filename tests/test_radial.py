@@ -117,7 +117,8 @@ def test_lob_minj_coulomb_quadratic_residual():
     level = spectra.single_level(sc, 0, 0, "min-j")
     sol = radial.analytic_solution(problem, level)
     assert radial.residual(problem, sol, level) <= 1e-7
-    worse = level._replace(epsilon=level.epsilon * 1.001)
+    eps = level.epsilon * 1.001
+    worse = level._replace(epsilon=eps, energy=eps - sc.mass)
     assert radial.residual(problem, sol, worse) >= 10.0 * radial.residual(problem, sol, level)
 
 

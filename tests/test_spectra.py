@@ -207,6 +207,17 @@ def test_lob_nomonopole_oscillator_restriction():
     assert not lv.admissible and "restriction" in lv.reason
 
 
+def test_lob_nomonopole_oscillator_restriction_boundary_stays_inadmissible():
+    # K = 2, M = 1, j = 0, n = 0: N = 3/2 = sqrt(1 + 4 K M)/2 exactly, and the
+    # level E = 1 sits on the continuum edge K/2, so N < limit must be strict
+    scen = core.Scenario("lobachevsky", "oscillator", F(0), 1.0, k_osc=2.0)
+    lv = spectra.single_level(scen, 0, 0, "parity-odd")
+    assert spectra.nomonopole_n_oscillator(F(0), "parity-odd")(0) == math.sqrt(1.0 + 4.0 * 2.0) / 2.0 == 1.5
+    assert lv.energy == 1.0 == scen.k_osc / 2.0
+    assert not lv.admissible and "restriction" in lv.reason
+    assert spectra.admissible_levels(scen, 0, "parity-odd") == []
+
+
 def test_admissible_formal_heun_levels_carry_the_formal_marker():
     coulomb = core.Scenario("lobachevsky", "coulomb", F(0), 1.0, alpha=10.0)
     oscillator = core.Scenario("lobachevsky", "oscillator", F(0), 1.0, k_osc=100.0)
@@ -716,3 +727,10 @@ def test_closed_forms_match_the_per_level_formulas(scen, j, reference):
 def test_peculiar_flat_level_needs_a_finite_negative_energy(energy):
     with pytest.raises(spectra.SpectrumError, match="needs a finite E < 0"):
         spectra.peculiar_flat_level(energy, core.Scenario("flat", "none", F(1), 1.0))
+
+
+def test_peculiar_flat_level_sits_in_the_reduced_channel():
+    # the CLI prints its own --j, so only the record itself pins j = |k| - 1
+    for k in (F(1), F(3, 2), F(-2)):
+        lv = spectra.peculiar_flat_level(-0.5, core.Scenario("flat", "none", k, 1.0))
+        assert (lv.channel, lv.j, lv.n, lv.energy) == ("min-j", abs(k) - 1, 0, -0.5)
