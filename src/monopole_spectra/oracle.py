@@ -30,7 +30,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv, dstebz
 
 from . import ivp
-from .core import GEOMETRY_FLAT
+from .core import GEOMETRY_FLAT, POTENTIAL_OSCILLATOR
 from .radial import GRID_POINT_BUDGET, LINEAR_IN_E, QUADRATIC_IN_EPSILON, RadialProblem, minj_coulomb_coefficient
 
 
@@ -85,9 +85,21 @@ def check_resolution(problem: RadialProblem, grid: Grid) -> None:
         raise OracleError(f"resolution heuristic violated: h sqrt(max|V|) = {value:.3g} > {RESOLUTION_LIMIT}")
 
 
-def resolved_grid(problem: RadialProblem, r_max: float) -> Grid:
-    """The smallest nested grid on (0, r_max), n + 1 = 4096 * 2^m, that passes
-    `check_resolution`: the finest rung of a default ladder."""
+def default_grid(problem: RadialProblem, e_target: Optional[float] = None) -> Grid:
+    """The default finest rung: the smallest nested grid, n + 1 = 4096 * 2^m,
+    that passes `check_resolution` on a box holding the level at e_target to 80
+    e-folds of its decay. Curved boxes are r_max = 40 (curvature units); a flat
+    oscillator's is r_max^2 = 2E/K + 160/sqrt(MK), its turning point plus its
+    Gaussian tail; any other flat one's is 80/sqrt(2M|E|), capped at 400."""
+    scen = problem.scenario
+    if scen.geometry != GEOMETRY_FLAT:
+        r_max = 40.0
+    elif scen.potential == POTENTIAL_OSCILLATOR:
+        turning = 2.0 * max(e_target or 0.0, 0.0) / scen.k_osc  # r^2 at the level's turning point
+        r_max = math.sqrt(turning + 160.0 / math.sqrt(problem.mass * scen.k_osc))
+    else:
+        e_ref = abs(e_target) if e_target else 1.0
+        r_max = min(80.0 / math.sqrt(2.0 * problem.mass * e_ref), 400.0)
     grid = Grid(r_max=r_max, n=MIN_FINEST_POINTS)
     while resolution(problem, grid) > RESOLUTION_LIMIT:
         if 2 * grid.n + 1 > GRID_POINT_BUDGET:
@@ -95,15 +107,6 @@ def resolved_grid(problem: RadialProblem, r_max: float) -> Grid:
                               f"(0, {r_max:.6g}) passes the resolution heuristic")
         grid = Grid(r_max=r_max, n=2 * grid.n + 1)
     return grid
-
-
-def default_grid(problem: RadialProblem, e_target: Optional[float] = None) -> Grid:
-    """Default finest rung: flat r_max = 80/sqrt(2M|E_target|) capped at 400,
-    curved r_max = 40 (curvature units), each with `resolved_grid`'s size."""
-    if problem.scenario.geometry == GEOMETRY_FLAT:
-        e_ref = abs(e_target) if e_target else 1.0
-        return resolved_grid(problem, min(80.0 / math.sqrt(2.0 * problem.mass * e_ref), 400.0))
-    return resolved_grid(problem, 40.0)
 
 
 def _tridiagonal(problem: RadialProblem, grid: Grid) -> tuple[np.ndarray, np.ndarray]:

@@ -168,8 +168,9 @@ class RadialSolution:
 
 
 # The largest sampling grid, default or explicit: 8 MB per float64 array. The
-# flat Coulomb extent cap of 400 at h = 1e-3 takes 400,001 points.
+# flat Coulomb extent cap of 400 at the default step takes 400,001 points.
 GRID_POINT_BUDGET = 1_000_000
+SOLUTION_GRID_STEP = 1e-3  # the default sampling grid's spacing
 
 
 def uniform_grid(r0: float, r1: float, n: int) -> np.ndarray:
@@ -182,26 +183,27 @@ def uniform_grid(r0: float, r1: float, n: int) -> np.ndarray:
     return np.linspace(r0, r1, n)
 
 
-def _origin_start(problem: RadialProblem, r0_base: float, h: float) -> float:
+def _origin_start(problem: RadialProblem, r0_base: float) -> float:
     """Push the sampling start away from the origin when the Frobenius exponent
     is non-integer: u ~ r^p then has a singular sixth derivative r^(p-6), and
-    the 4th-order stencil truncation h^4 u''''''/90 must stay below ~3e-10.
-    Analytic (integer-exponent) solutions keep the nominal start."""
+    the 4th-order stencil truncation h^4 u''''''/90 at h = SOLUTION_GRID_STEP
+    must stay below ~3e-10. Analytic (integer-exponent) solutions keep the
+    nominal start."""
     p = problem.origin_exponent
     if abs(p - round(p)) < 1e-9 or p >= 5.5:
         return r0_base
-    bound = 1.5 * (h**4 / (90.0 * 3e-10)) ** (1.0 / (6.0 - p))
+    bound = 1.5 * (SOLUTION_GRID_STEP**4 / (90.0 * 3e-10)) ** (1.0 / (6.0 - p))
     return max(r0_base, bound)
 
 
-def default_solution_grid(problem: RadialProblem, level: EnergyLevel, h: float = 1e-3) -> np.ndarray:
-    """Uniform sampling grid with spacing <= h, spanning the decay region.
-    A grid of more than GRID_POINT_BUDGET points, or one whose extent is
-    undefined because the decay rate underflows to zero, raises RadialError
-    before anything is allocated."""
+def default_solution_grid(problem: RadialProblem, level: EnergyLevel) -> np.ndarray:
+    """Uniform sampling grid with spacing <= SOLUTION_GRID_STEP, spanning the
+    decay region. A grid of more than GRID_POINT_BUDGET points, or one whose
+    extent is undefined because the decay rate underflows to zero, raises
+    RadialError before anything is allocated."""
     e_ref = abs(level.energy) if level.energy and not math.isnan(level.energy) else 1.0
     if problem.scenario.geometry == GEOMETRY_FLAT:
-        r0 = _origin_start(problem, 1e-4, h)
+        r0 = _origin_start(problem, 1e-4)
         if problem.scenario.potential == POTENTIAL_OSCILLATOR:
             k_osc, mass = problem.scenario.k_osc, problem.mass
             om = math.sqrt(k_osc / mass)
@@ -216,14 +218,14 @@ def default_solution_grid(problem: RadialProblem, level: EnergyLevel, h: float =
                 raise RadialError("no default grid: the decay rate sqrt(2M|E|) underflows to 0")
             r1 = min(12.0 / kappa + 10.0, 400.0)
     else:
-        r0 = _origin_start(problem, 1e-3, h)
+        r0 = _origin_start(problem, 1e-3)
         edge = problem.continuum_edge if problem.continuum_edge is not None else 0.0
         # a relativistic level is sized from its epsilon, as it is sampled and checked
         energy = level.energy if level.epsilon is None else level.epsilon - problem.mass
         gap = max(edge - energy, 0.05)
         kappa = math.sqrt(2.0 * problem.mass * gap)
         r1 = min(12.0 / kappa + 8.0, 60.0)
-    span = (r1 - r0) / h
+    span = (r1 - r0) / SOLUTION_GRID_STEP
     if not span < GRID_POINT_BUDGET:
         raise RadialError(f"default grid needs {span + 1:.4g} points, more than the {GRID_POINT_BUDGET:,} allowed")
     return uniform_grid(r0, r1, max(int(span) + 1, 1001))

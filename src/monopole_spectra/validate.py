@@ -36,10 +36,14 @@ def _fd_compare(problem, levels, grid=None) -> list[dict]:
     """Detail-row fields for each closed-form level from one ladder solve: the
     FD energy `numeric`, the relative deviation `rel_dev`, the oracle's own
     error estimate `oracle_rel_err` and the finest rung's size `fd_points`.
-    The levels' n must run consecutively; only the FD levels from the first
-    level's n up are solved for."""
-    first = levels[0].n
-    solve = oracle.fd_eigen(problem, grid=grid, count=first + len(levels), e_target=levels[0].energy,
+    The levels' n must run consecutively (else ValueError); only the FD levels
+    from the first level's n up are solved for, on `grid` or on the default
+    grid of the last level, the one that reaches farthest."""
+    ns = [lv.n for lv in levels]
+    first = ns[0]
+    if ns != list(range(first, first + len(ns))):
+        raise ValueError(f"_fd_compare needs consecutive n, got {ns}")
+    solve = oracle.fd_eigen(problem, grid=grid, count=first + len(levels), e_target=levels[-1].energy,
                             first=first)
     return [{"numeric": float(e), "rel_dev": float(abs(e - lv.energy) / abs(lv.energy)),
              "oracle_rel_err": float(err), "fd_points": solve.grid.n}
@@ -142,7 +146,6 @@ def suite_wigner() -> list[dict]:
 def suite_flat_coulomb() -> list[dict]:
     t0 = time.monotonic()
     alpha = mass = 1.0
-    worst = 0.0
     rows = []
     scen = core.Scenario("flat", "coulomb", Fraction(1), mass, alpha=alpha)
     channels = [(spectra.CH_MIN_J, 0), *((br, 2) for br in spectra.CH_BRANCH)]
@@ -152,9 +155,9 @@ def suite_flat_coulomb() -> list[dict]:
         for n in range(4):
             lv = spectra.single_level(scen, j, n, ch)
             (fd,) = _fd_compare(prob, [lv])
-            worst = max(worst, fd["rel_dev"])
             rows.append({"channel": ch, "n": n, "L": lval, "analytic": lv.energy, **fd})
     elapsed = time.monotonic() - t0
+    worst = max(row["rel_dev"] for row in rows)
     return [
         _criterion(
             cid="4-flat-coulomb",
@@ -173,14 +176,14 @@ def suite_flat_coulomb() -> list[dict]:
 def _oscillator_verdict(scen: core.Scenario, channel: str, j: int) -> dict:
     """Which candidate of `spectra.oscillator_candidates` the FD levels
     n = 0..3 of one flat oscillator channel confirm: on each of two grids, the
-    resolved one and one with 22/16 of its points, exactly one candidate must
+    default one and one with 22/16 of its points, exactly one candidate must
     match all four to rel 1e-4, else OracleError. The deviations and the
     oracle's worst error estimate are the first grid's; `stable` says the
     second agrees."""
     prob = radial.build_problem(scen, channel, j)
     lval = spectra.flat_channel_l(j, scen.charge, channel)
     levels = spectra.spectrum_levels(scen, j, range(4), [channel])
-    grid = oracle.resolved_grid(prob, min(80.0 / math.sqrt(2.0 * scen.mass * levels[-1].energy), 60.0))
+    grid = oracle.default_grid(prob, levels[-1].energy)
     per_grid, fd_points = [], []
     for g in (grid, _scaled_grid(grid, 22 / 16)):
         devs = {"printed": 0.0, "quantization": 0.0}
@@ -309,23 +312,19 @@ def _criterion_minj_coulomb() -> dict:
 
 def _criterion_minj_oscillator() -> dict:
     mass = 1.0
-    worst_res, worst_rel, worst_ident = 0.0, 0.0, 0.0
     rows = []
     for k_osc in (10.0, 100.0):
         scen = core.Scenario("lobachevsky", "oscillator", Fraction(1), mass, k_osc=k_osc)
         prob = radial.build_problem(scen, spectra.CH_MIN_J, 0)
         s_well = (-1.0 + math.sqrt(1.0 + 4.0 * mass * k_osc)) / 2.0
-        for lv in spectra.admissible_levels(scen, 0, spectra.CH_MIN_J):  # while 2n + 1 < s
-            n = lv.n
-            sol = radial.analytic_solution(prob, lv)
-            res = radial.residual(prob, sol, lv)
-            (fd,) = _fd_compare(prob, [lv])
-            ident = abs(lv.energy - (k_osc / 2.0 - (s_well - (2 * n + 1)) ** 2 / (2.0 * mass)))
-            worst_res = max(worst_res, res)
-            worst_rel = max(worst_rel, fd["rel_dev"])
-            worst_ident = max(worst_ident, ident)
-            rows.append({"k_osc": k_osc, "n": n, "analytic": lv.energy, **fd,
+        levels = spectra.admissible_levels(scen, 0, spectra.CH_MIN_J)  # while 2n + 1 < s
+        for lv, fd in zip(levels, _fd_compare(prob, levels)):
+            res = radial.residual(prob, radial.analytic_solution(prob, lv), lv)
+            ident = abs(lv.energy - (k_osc / 2.0 - (s_well - (2 * lv.n + 1)) ** 2 / (2.0 * mass)))
+            rows.append({"k_osc": k_osc, "n": lv.n, "analytic": lv.energy, **fd,
                          "ode_residual": res, "well_identity_dev": ident})
+    worst_res, worst_rel, worst_ident = (max(row[key] for row in rows)
+                                         for key in ("ode_residual", "rel_dev", "well_identity_dev"))
     return _criterion(
         cid="7-lob-minj-oscillator",
         description="curved minimum-j oscillator: analytic residual <= 1e-7, FD match rel 1e-4, "
@@ -341,22 +340,17 @@ def _criterion_minj_oscillator() -> dict:
 
 def suite_lob_coulomb() -> list[dict]:
     alpha, mass = 10.0, 1.0
-    worst_rel = 0.0
-    rows = []
-    counts_ok = True
-    count_rows = []
+    rows, count_rows = [], []
     scen = core.Scenario("lobachevsky", "coulomb", Fraction(0), mass, alpha=alpha)
     for j in range(3):
         prob = radial.build_problem(scen, spectra.CH_PARITY_ODD, j)
         levels = spectra.admissible_levels(scen, j, spectra.CH_PARITY_ODD)
         big_n_at = spectra.nomonopole_n_coulomb(j, spectra.CH_PARITY_ODD)
         for lv, fd in zip(levels, _fd_compare(prob, levels)):
-            worst_rel = max(worst_rel, fd["rel_dev"])
             rows.append({"j": j, "n": lv.n, "N": big_n_at(lv.n), "analytic": lv.energy, **fd})
-        fd_count = oracle.count_bound_states(prob)
-        predicted = len(levels)
-        counts_ok = counts_ok and fd_count == predicted
-        count_rows.append({"j": j, "fd_count": fd_count, "predicted_count": predicted})
+        count_rows.append({"j": j, "fd_count": oracle.count_bound_states(prob), "predicted_count": len(levels)})
+    worst_rel = max(row["rel_dev"] for row in rows)
+    counts_ok = all(c["fd_count"] == c["predicted_count"] for c in count_rows)
     c8 = _criterion(
         cid="8-lob-coulomb",
         description="no-monopole curved Coulomb: FD matches the closed form to rel 1e-4 for "
@@ -383,30 +377,22 @@ def suite_lob_coulomb() -> list[dict]:
 
 def suite_lob_oscillator() -> list[dict]:
     k_osc, mass = 100.0, 1.0
-    worst_rel = 0.0
-    rows = []
-    count_rows, count_points = [], []
-    stable = True
+    rows, count_rows, count_points = [], [], []
     scen = core.Scenario("lobachevsky", "oscillator", Fraction(0), mass, k_osc=k_osc)
     for j in range(3):
         prob = radial.build_problem(scen, spectra.CH_PARITY_ODD, j)
         levels = spectra.admissible_levels(scen, j, spectra.CH_PARITY_ODD)
         big_n_at = spectra.nomonopole_n_oscillator(j, spectra.CH_PARITY_ODD)
         for lv, fd in zip(levels, _fd_compare(prob, levels)):
-            worst_rel = max(worst_rel, fd["rel_dev"])
             rows.append({"j": j, "n": lv.n, "N": big_n_at(lv.n), "analytic": lv.energy, **fd})
-        inequality_count = len(levels)
         grid = oracle.default_grid(prob)
         grids = (grid, _scaled_grid(grid, 26 / 20))
         count_points.append([g.n for g in grids])
         fd_counts = [oracle.count_bound_states(prob, grid=g) for g in grids]
-        stable = stable and fd_counts[0] == fd_counts[1]
-        count_rows.append({
-            "j": j,
-            "inequality_count": inequality_count,
-            "fd_counts": fd_counts,
-            "deviation": fd_counts[0] - inequality_count,
-        })
+        count_rows.append({"j": j, "inequality_count": len(levels), "fd_counts": fd_counts,
+                           "deviation": fd_counts[0] - len(levels)})
+    worst_rel = max(row["rel_dev"] for row in rows)
+    stable = all(c["fd_counts"][0] == c["fd_counts"][1] for c in count_rows)
     return [
         _criterion(
             cid="9-lob-oscillator",

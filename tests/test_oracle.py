@@ -125,6 +125,30 @@ def test_default_rung_is_the_smallest_nested_resolved_grid():
     assert box.n == oracle.MIN_FINEST_POINTS == 4095
 
 
+@pytest.mark.parametrize("k_osc, mass", [(1.0, 1.0), (4.0, 0.5)])
+@pytest.mark.parametrize("n", [20, 30])
+def test_default_rung_holds_a_high_flat_oscillator_level(k_osc, mass, n):
+    # a box sized by the Coulomb rule 80/sqrt(2M E) ends inside the turning
+    # point r^2 = 2E/K at n = 30 (7.2 against 11.1 at K = M = 1), off by 0.63
+    scen = core.Scenario("flat", "oscillator", F(1), mass, k_osc=k_osc)
+    prob = radial.build_problem(scen, "min-j", 0)
+    lv = spectra.single_level(scen, 0, n, "min-j")
+    solve = oracle.fd_eigen(prob, count=n + 1, first=n, e_target=lv.energy)
+    assert solve.grid.r_max**2 > 2.0 * lv.energy / k_osc
+    assert abs(solve.energies[0] - lv.energy) / lv.energy <= 1e-6
+
+
+@pytest.mark.parametrize("channel, j", [("min-j", 0), ("branch-2", 2)])
+def test_flat_oscillator_default_rung_is_the_smallest_nested_size(channel, j):
+    # criterion 5's two channels, sized for their n = 3 level
+    scen = core.Scenario("flat", "oscillator", F(1), 1.0, k_osc=1.0)
+    prob = radial.build_problem(scen, channel, j)
+    e_3 = spectra.single_level(scen, j, 3, channel).energy
+    grid = oracle.default_grid(prob, e_3)
+    assert grid.n == oracle.MIN_FINEST_POINTS == 4095
+    oracle.check_resolution(prob, grid)
+
+
 def test_eigenvalues_monotone_and_sturm_consistent():
     prob = box_problem()
     grid = oracle.Grid(r_max=1.0, n=3000)
@@ -297,7 +321,7 @@ def _validate_all_solves():
     branch_2 = radial.build_problem(core.Scenario("flat", "coulomb", F(1), 1.0, alpha=1.0), "branch-2", 2)
     e_target = spectra.single_level(branch_2.scenario, 2, 3, "branch-2").energy
     arbitration = radial.build_problem(core.Scenario("flat", "oscillator", F(1), 1.0, k_osc=1.0), "min-j", 0)
-    grid = oracle.resolved_grid(arbitration, 80.0 / math.sqrt(2.0 * 7.5))
+    grid = oracle.default_grid(arbitration, 7.5)  # criterion 5's first grid, sized for its n = 3 level
     return [
         (branch_2, None, e_target, 3, 3),
         (arbitration, grid, None, 0, 3),
@@ -523,19 +547,36 @@ def test_results_independent_of_box_size():
 
 
 # Every FD matrix one `validate.run_suites("all")` builds (seed rungs, polished
-# rungs and count grids), in grid points: 1,051,809 when the ladder landed,
-# against 2,385,477 for the fixed 16,000-60,001-point grids before it.
-VALIDATE_ALL_POINT_BUDGET = 1_100_000
+# rungs and count grids), in grid points: 917,425 in 35 ladders since the flat
+# oscillator box follows its own decay (1,051,809 in 39 before, 2,385,477 for
+# the fixed 16,000-60,001-point grids before the ladder).
+VALIDATE_ALL_POINT_BUDGET = 960_000
+VALIDATE_ALL_LADDERS = 35
 
 
 def test_validate_all_point_budget(monkeypatch):
-    points = []
-    tridiagonal = oracle._tridiagonal
+    points, ladders = [], []
+    tridiagonal, fd_eigen = oracle._tridiagonal, oracle.fd_eigen
 
     def counted(problem, grid):
         points.append(grid.n)
         return tridiagonal(problem, grid)
 
+    def counted_ladder(*args, **kwargs):
+        ladders.append(args[0].tag)
+        return fd_eigen(*args, **kwargs)
+
     monkeypatch.setattr(oracle, "_tridiagonal", counted)
+    monkeypatch.setattr(oracle, "fd_eigen", counted_ladder)
     validate.run_suites("all")
     assert 0 < sum(points) <= VALIDATE_ALL_POINT_BUDGET
+    # one ladder per compared run of levels: a per-level split adds ladders
+    assert len(ladders) == VALIDATE_ALL_LADDERS
+
+
+def test_fd_compare_refuses_levels_that_skip_an_n():
+    scen = core.Scenario("lobachevsky", "oscillator", F(1), 1.0, k_osc=100.0)
+    prob = radial.build_problem(scen, "min-j", 0)
+    levels = spectra.admissible_levels(scen, 0, "min-j")
+    with pytest.raises(ValueError, match=r"consecutive n, got \[0, 2\]"):
+        validate._fd_compare(prob, [levels[0], levels[2]])
