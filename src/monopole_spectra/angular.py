@@ -17,10 +17,6 @@ import numpy as np
 from .core import HalfInt, QuantumNumberError, as_half_integer, couplings, j_is_allowed
 
 
-def _doubled(x: HalfInt) -> int:
-    return int(as_half_integer(x) * 2)
-
-
 def _lf(n: int) -> float:
     return math.lgamma(n + 1)
 
@@ -45,7 +41,8 @@ def _d_terms(j2: int, m12: int, m22: int):
 
 def _d_sums(j2: int, m12: int, m22: int, c, s):
     """(d^j_{m1,m2}, its theta-derivative) on doubled in-range indices, from
-    c = cos(theta/2) and s = sin(theta/2)."""
+    c = cos(theta/2) and s = sin(theta/2). The derivative differentiates the
+    sum term by term, a route independent of the recurrences it checks."""
     tot = np.zeros_like(c)
     der = np.zeros_like(c)
     for sign, lg, p, q in _d_terms(j2, m12, m22):
@@ -56,35 +53,6 @@ def _d_sums(j2: int, m12: int, m22: int, c, s):
         if p > 0:
             der = der - coeff * (p / 2.0) * c ** (p - 1) * s ** (q + 1)
     return tot, der
-
-
-def _small_d_pair(j: HalfInt, m1: HalfInt, m2: HalfInt, theta, which: int):
-    j2, m12, m22 = _doubled(j), _doubled(m1), _doubled(m2)
-    th = np.asarray(theta, dtype=float)
-    if abs(m12) > j2 or abs(m22) > j2 or (j2 - m12) % 2 or (j2 - m22) % 2:
-        return np.zeros_like(th) if th.ndim else 0.0
-    out = _d_sums(j2, m12, m22, np.cos(th / 2.0), np.sin(th / 2.0))[which]
-    return out if th.ndim else float(out)
-
-
-def small_d(j: HalfInt, m1: HalfInt, m2: HalfInt, theta):
-    """d^j_{m1,m2}(theta) = <j m1| exp(-i theta J_y) |j m2>.
-
-    theta may be a scalar or an ndarray. Out-of-range (|m| > j) or
-    wrong-parity indices return 0, which is the natural convention for the
-    recurrence identities at edge indices.
-    """
-    return _small_d_pair(j, m1, m2, theta, 0)
-
-
-def small_d_dtheta(j: HalfInt, m1: HalfInt, m2: HalfInt, theta):
-    """d/dtheta of small_d, by term-wise analytic differentiation of the sum.
-
-    Each term C cos^p(t/2) sin^q(t/2) differentiates to
-    C [ q/2 cos^{p+1} sin^{q-1} - p/2 cos^{p-1} sin^{q+1} ], staying exact;
-    this route is independent of the differential recurrences under test.
-    """
-    return _small_d_pair(j, m1, m2, theta, 1)
 
 
 class _Grid(NamedTuple):
@@ -196,15 +164,3 @@ def scan_recurrences(j: HalfInt, theta_grid) -> tuple[float, int]:
         for k2, coeffs in charges:
             worst = max(worst, _recurrence_residual(j2, k2, m2, coeffs, row, grid))
     return worst, len(charges) * (j2 + 1)
-
-
-def orthogonality_defect(j: HalfInt, jp: HalfInt, m1: HalfInt, m2: HalfInt, n_nodes: int = 200) -> float:
-    """| int_0^pi d^j d^j' sin th dth - 2/(2j+1) delta_jj' | via Gauss-Legendre."""
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    th = (x + 1.0) * (math.pi / 2.0)
-    wt = w * (math.pi / 2.0)
-    f = small_d(j, m1, m2, th) * small_d(jp, m1, m2, th) * np.sin(th)
-    val = float(np.sum(wt * f))
-    jf = as_half_integer(j)
-    target = 2.0 / float(2 * jf + 1) if jf == as_half_integer(jp) else 0.0
-    return abs(val - target)

@@ -341,19 +341,20 @@ class ShootResult:
 
 
 SHOOT_R_START = 1e-6
+SHOOT_R_MAX = 35.0
 
 
-def shoot_decay(problem: RadialProblem, epsilon: float, r_max: float = 35.0) -> ShootResult:
+def shoot_decay(problem: RadialProblem, epsilon: float) -> ShootResult:
     """Log-derivative mismatch of the regular and decaying solutions of the
     quadratic channel u'' + w u = 0, w = (eps + alpha/tanh r)^2 - M^2 (the
     factored `radial.minj_coulomb_coefficient`).
 
     The regular solution is integrated outward from a Frobenius start at
-    SHOOT_R_START. The decaying one is integrated inward from r_max as its
-    log-derivative y = u'/u, which obeys the Riccati equation y' = -w - y^2
-    with y(r_max) = -kappa; the legs meet at the outer turning point (kept
-    inside [0.05, r_max/2]), past which w < 0, so y has no poles and stays
-    bounded however large kappa r_max is. A true eigenvalue
+    SHOOT_R_START. The decaying one is integrated inward from SHOOT_R_MAX as
+    its log-derivative y = u'/u, which obeys the Riccati equation y' = -w - y^2
+    with y(SHOOT_R_MAX) = -kappa; the legs meet at the outer turning point
+    (kept inside [0.05, SHOOT_R_MAX/2]), past which w < 0, so y has no poles
+    and stays bounded however large kappa SHOOT_R_MAX is. A true eigenvalue
     gives |mismatch| at integration accuracy, and the mismatch changes sign
     across it. Non-decaying far fields ((eps + alpha)^2 >= M^2) are rejected.
     """
@@ -386,12 +387,12 @@ def shoot_decay(problem: RadialProblem, epsilon: float, r_max: float = 35.0) -> 
     # match at the outer classical turning point coth r = (M - eps)/alpha,
     # which exists whenever the far field decays (|eps + alpha| < M)
     c_turn = (m - epsilon) / alpha
-    r_match = min(max(0.5 * math.log((c_turn + 1.0) / (c_turn - 1.0)), 0.05), r_max / 2.0)
+    r_match = min(max(0.5 * math.log((c_turn + 1.0) / (c_turn - 1.0)), 0.05), SHOOT_R_MAX / 2.0)
 
     regular = lambda r, y: (y[1], -minj_coulomb_coefficient(1.0 / math.tanh(r), energy, alpha, m) * y[0])
     riccati = lambda r, y: (-minj_coulomb_coefficient(1.0 / math.tanh(r), energy, alpha, m) - y[0] * y[0],)
     y_out, _ = ivp.integrate(regular, r_start, r_match, [u0, du0], max_step=0.05)
-    y_in, _ = ivp.integrate(riccati, r_max, r_match, [-kappa], max_step=0.05)
+    y_in, _ = ivp.integrate(riccati, SHOOT_R_MAX, r_match, [-kappa], max_step=0.05)
     lam_out = y_out[1] / y_out[0]
     lam_in = y_in[0]
     mismatch = (lam_out - lam_in) / (1.0 + abs(lam_out) + abs(lam_in))

@@ -42,11 +42,6 @@ def kummer_1f1(a: float, b: float, z: float) -> float:
     return _ratio_series(z, lambda k: (a + k) / ((b + k) * (k + 1.0)), a, b, "1F1")
 
 
-def kummer_1f1_dz(a: float, b: float, z: float) -> float:
-    """d/dz 1F1(a; b; z) = (a/b) 1F1(a+1; b+1; z)."""
-    return a / b * kummer_1f1(a + 1.0, b + 1.0, z)
-
-
 def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric 2F1(a, b; c; z) for |z| < 1, or any z when the
     series terminates (a or b a non-positive integer)."""
@@ -56,11 +51,6 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     if _is_nonpositive_int(b) and not _is_nonpositive_int(a):
         a, b = b, a  # terminate on the first parameter
     return _ratio_series(z, lambda k: (a + k) * (b + k) / ((c + k) * (k + 1.0)), a, c, "2F1")
-
-
-def gauss_2f1_dz(a: float, b: float, c: float, z: float) -> float:
-    """d/dz 2F1 = (ab/c) 2F1(a+1, b+1; c+1; z)."""
-    return a * b / c * gauss_2f1(a + 1.0, b + 1.0, c + 1.0, z)
 
 
 def _ratio_series(z: float, ratio, a: float, denom_param: float, label: str) -> float:
@@ -358,23 +348,3 @@ def heun_ode_residuals(params, zs) -> list[list[float]]:
             row.append(abs(res) / max(scale, 1e-300))
         out.append(row)
     return out
-
-
-def ode_residual_1f1(a: float, b: float, z: float) -> float:
-    """Relative residual of z F'' + (b - z) F' - a F = 0 for the 1F1 series."""
-    f = kummer_1f1(a, b, z)
-    f1 = kummer_1f1_dz(a, b, z)
-    f2 = a / b * kummer_1f1_dz(a + 1.0, b + 1.0, z)
-    res = z * f2 + (b - z) * f1 - a * f
-    scale = abs(z * f2) + abs((b - z) * f1) + abs(a * f)
-    return abs(res) / max(scale, 1e-300)
-
-
-def ode_residual_2f1(a: float, b: float, c: float, z: float) -> float:
-    """Relative residual of z(1-z)F'' + (c - (a+b+1)z)F' - ab F = 0."""
-    f = gauss_2f1(a, b, c, z)
-    f1 = gauss_2f1_dz(a, b, c, z)
-    f2 = a * b / c * gauss_2f1_dz(a + 1.0, b + 1.0, c + 1.0, z)
-    res = z * (1.0 - z) * f2 + (c - (a + b + 1.0) * z) * f1 - a * b * f
-    scale = abs(z * (1.0 - z) * f2) + abs((c - (a + b + 1.0) * z) * f1) + abs(a * b * f)
-    return abs(res) / max(scale, 1e-300)

@@ -629,17 +629,16 @@ def spectrum_levels(
 
 def admissible_levels(scenario: Scenario, j: HalfInt, channel: str) -> list[EnergyLevel]:
     """The levels n = 0, 1, ... of one curved channel up to, not including,
-    the first inadmissible one. Flat spectra never end, so they are refused.
-    Level 0 comes from `single_level`, as in `spectrum_levels`."""
+    the first inadmissible one. Flat spectra never end, so they are refused."""
     if scenario.geometry == GEOMETRY_FLAT:
         raise SpectrumError("flat spectra are infinite; give the radial indices explicitly")
-    lv = single_level(scenario, j, 0, channel)
     level_at = _resolve_channel(scenario, j, channel)
     out: list[EnergyLevel] = []
-    while lv.admissible:
-        out.append(lv)
+    while True:
         (lv,) = _channel_levels(level_at, channel, (len(out),))
-    return out
+        if not lv.admissible:
+            return out
+        out.append(lv)
 
 
 def single_level(scenario: Scenario, j: HalfInt, n: int, channel: str) -> EnergyLevel:

@@ -205,14 +205,6 @@ def _oscillator_verdict(scen: core.Scenario, channel: str, j: int) -> dict:
             "oracle_rel_err": err, "fd_points": fd_points}
 
 
-def _arbitration_sentence(v: dict) -> str:
-    """One arbitration verdict in words, as criterion 5's detail reports it."""
-    other = "printed" if v["confirmed"] == "quantization" else "quantization"
-    return (f"flat oscillator L = {v['l_value']:.6g}: '{v['confirmed']}' form confirmed "
-            f"(rel dev {v['matched_rel_dev']:.2e}; rejected '{other}' off by "
-            f"{v['rejected_rel_dev']:.2e}; stable across grids: {v['stable']})")
-
-
 def suite_flat_oscillator() -> list[dict]:
     scen = core.Scenario("flat", "oscillator", Fraction(1), 1.0, k_osc=1.0)
     try:
@@ -237,9 +229,7 @@ def suite_flat_oscillator() -> list[dict]:
                 f"other {v['rejected_rel_dev']:.1e})"
                 for v in verdicts
             ),
-            detail={"verdicts": verdicts,
-                    "report": {"tag": "flat-oscillator-arbitration", "counts": {},
-                               "verdicts": [_arbitration_sentence(v) for v in verdicts], "notes": []}},
+            detail={"verdicts": verdicts},
         )
     ]
 

@@ -62,16 +62,6 @@ def test_criterion_05_flat_oscillator_arbitration():
     check(criterion("5-flat-oscillator"))
 
 
-def test_criterion_05_detail_states_each_verdict_in_words():
-    detail = criterion("5-flat-oscillator")["detail"]
-    report = detail["report"]
-    assert (report["tag"], report["counts"], report["notes"]) == ("flat-oscillator-arbitration", {}, [])
-    assert len(report["verdicts"]) == len(detail["verdicts"]) == 2
-    for text, v in zip(report["verdicts"], detail["verdicts"]):
-        assert text.startswith(f"flat oscillator L = {v['l_value']:.6g}: '{v['confirmed']}' form confirmed")
-        assert text.endswith(f"; stable across grids: {v['stable']})")
-
-
 def test_criterion_06_lob_minj_coulomb_shooting():
     record = criterion("6-lob-minj-coulomb")
     state = "passes" if record["passed"] else "red as stated"

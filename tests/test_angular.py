@@ -11,63 +11,65 @@ from monopole_spectra import angular, core, validate
 F = Fraction
 
 
+def d(j, m1, m2, theta):
+    """(d^j_{m1,m2}(theta), its theta-derivative) from the production sum."""
+    return angular._d_sums(int(2 * j), int(2 * m1), int(2 * m2), np.cos(theta / 2), np.sin(theta / 2))
+
+
 def test_known_half_integer_value():
     # d^{1/2}_{1/2,1/2} = cos(theta/2)
-    assert angular.small_d(F(1, 2), F(1, 2), F(1, 2), math.pi / 3) == pytest.approx(
-        math.cos(math.pi / 6), abs=1e-15
-    )
+    assert d(F(1, 2), F(1, 2), F(1, 2), math.pi / 3)[0] == pytest.approx(math.cos(math.pi / 6), abs=1e-15)
 
 
 def test_identity_rotation():
     for (j, m) in [(F(1, 2), F(1, 2)), (2, 1), (F(7, 2), F(-3, 2)), (5, 0)]:
-        assert angular.small_d(j, m, m, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert d(j, m, m, 0.0)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_d1_00_is_cos():
     th = 0.9573
-    assert angular.small_d(1, 0, 0, th) == pytest.approx(math.cos(th), abs=1e-14)
-    assert angular.small_d(1, 0, 0, math.pi / 2) == pytest.approx(0.0, abs=1e-15)
+    assert d(1, 0, 0, th)[0] == pytest.approx(math.cos(th), abs=1e-14)
+    assert d(1, 0, 0, math.pi / 2)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_d1_10_sign_convention():
     th = 0.7
-    assert angular.small_d(1, 1, 0, th) == pytest.approx(-math.sin(th) / math.sqrt(2), abs=1e-14)
+    assert d(1, 1, 0, th)[0] == pytest.approx(-math.sin(th) / math.sqrt(2), abs=1e-14)
 
 
 def test_transpose_symmetry():
     th = 1.234
     for (j, m1, m2) in [(2, 1, -1), (F(5, 2), F(3, 2), F(-1, 2)), (3, 2, 0)]:
-        lhs = angular.small_d(j, m1, m2, th)
-        rhs = (-1.0) ** int(m1 - m2) * angular.small_d(j, m2, m1, th)
+        lhs = d(j, m1, m2, th)[0]
+        rhs = (-1.0) ** int(m1 - m2) * d(j, m2, m1, th)[0]
         assert lhs == pytest.approx(rhs, abs=1e-13)
 
 
 def test_vectorized_matches_scalar():
     th = np.array([0.2, 0.9, 2.5])
-    vec = angular.small_d(2, 1, -1, th)
-    assert vec == pytest.approx([angular.small_d(2, 1, -1, t) for t in th], abs=1e-14)
-
-
-def test_out_of_range_indices_are_zero_in_grid_form():
-    assert np.all(angular.small_d(1, 0, 2, np.array([0.4])) == 0.0)
+    assert d(2, 1, -1, th)[0] == pytest.approx([d(2, 1, -1, t)[0] for t in th], abs=1e-14)
 
 
 def test_derivative_matches_finite_difference():
     th = 1.1
     h = 1e-6
     for (j, m1, m2) in [(2, 1, 0), (F(1, 2), F(1, 2), F(1, 2)), (F(5, 2), F(1, 2), F(3, 2)), (4, -2, 3)]:
-        fd = (angular.small_d(j, m1, m2, th + h) - angular.small_d(j, m1, m2, th - h)) / (2 * h)
-        assert angular.small_d_dtheta(j, m1, m2, th) == pytest.approx(fd, abs=1e-9)
+        fd = (d(j, m1, m2, th + h)[0] - d(j, m1, m2, th - h)[0]) / (2 * h)
+        assert d(j, m1, m2, th)[1] == pytest.approx(fd, abs=1e-9)
 
 
 def test_orthogonality_j_up_to_4():
+    # int_0^pi d^j_{m1,m2} d^j'_{m1,m2} sin th dth = 2/(2j + 1) delta_jj', by 200-node Gauss-Legendre
+    x, w = np.polynomial.legendre.leggauss(200)
+    th = (x + 1.0) * (math.pi / 2.0)
     worst = 0.0
     for j2 in range(1, 9):
         for jp2 in range(j2, 9, 2):
-            j, jp = F(j2, 2), F(jp2, 2)
             m1 = F(j2 % 2, 2)
             m2 = -m1 if j2 % 2 else F(0)
-            worst = max(worst, angular.orthogonality_defect(j, jp, m1, m2))
+            f = d(F(j2, 2), m1, m2, th)[0] * d(F(jp2, 2), m1, m2, th)[0] * np.sin(th)
+            target = 2.0 / (j2 + 1) if jp2 == j2 else 0.0
+            worst = max(worst, abs(float(np.sum(w * (math.pi / 2.0) * f)) - target))
     assert worst <= 1e-8
 
 

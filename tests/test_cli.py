@@ -202,6 +202,17 @@ def test_wavefunction_inadmissible_exit_1(capsys):
     assert code == 1 and "inadmissible" in err
 
 
+def test_wavefunction_even2_at_j0_exit_1_for_a_level_spectrum_prints_formal(capsys):
+    # a known limitation: the even-2 row's Heun exponent A = j = 0 gives gamma = 0,
+    # while its origin exponent max(j, 1 - j) is 1; the Heun connection problem owns the fix
+    flags = ["--geometry", "lobachevsky", "--no-monopole", "--j", "0", "--alpha", "10", "--channel", "even-2", "--n", "0"]
+    code, out, err = run(["wavefunction", *flags, "--grid", "0.001:2:100"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: Heun series degenerate: gamma = 0.0 is a non-positive integer\n"
+    code, out, _ = run(["spectrum", *flags, "--format", "csv"], capsys)
+    assert code == 0 and out.splitlines()[1].startswith("even-2,0,0,-200.125,true,heun-formal-beta,")
+
+
 @pytest.mark.parametrize("k_osc, mass", [
     ("1e-200", "1e200"),  # K/M underflows to 0: omega^2 was a division by zero
     ("1e200", "1e-200"),  # K/M overflows: omega = inf made the grid extent NaN

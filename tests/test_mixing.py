@@ -121,11 +121,16 @@ def test_transform_matches_its_entry_formulas_and_the_numpy_residual():
         assert mixing.transform_residual(c, d, triple, s) == reference, (j, k)
 
 
-def test_transform_degenerate_root_reported():
-    cp = core.couplings(2, 1)
-    bad = mixing.RootTriple(a=(0.5, 2.5, 2 * cp.c**2), l=(0.0, 0.0, 0.0))
-    with pytest.raises(mixing.MixingError, match="2c\\^2 - A3"):
-        mixing.transform_matrix(cp.c, cp.d, bad)
+_CP = core.couplings(2, 1)
+
+
+@pytest.mark.parametrize("c, d, a, named", [
+    (_CP.c, _CP.d, (0.5, 2.5, 2 * _CP.c**2), "2c\\^2 - A3"),
+    (1.0, 0.8, (0.1, 1.28, 5.0), "2d\\^2 - A2"),  # every other denominator stays far from zero
+], ids=["2c2-A3", "2d2-A2"])
+def test_transform_degenerate_root_reported(c, d, a, named):
+    with pytest.raises(mixing.MixingError, match=named):
+        mixing.transform_matrix(c, d, mixing.RootTriple(a=a, l=(0.0, 0.0, 0.0)))
 
 
 def test_transform_degenerate_at_j_equals_k():
@@ -176,6 +181,19 @@ def test_roots_rejects_nonnegative_discriminant():
     )
     with pytest.raises(mixing.MixingError):
         mixing.roots(fake)
+
+
+def test_roots_clamp_an_arccos_argument_rounded_past_one():
+    # disc < 0 exactly, yet the float argument (3q/2p) sqrt(-3/p) rounds to 1 + 2.2e-16
+    p, q, r = F(-221311, 372), F(-6140984923343135, 2**40), F(-90)
+    s = p + r * r / 3
+    inv = mixing.CubicInvariants(r=r, s=s, t=q - 2 * r**3 / 27 + r * s / 3, p=p, q=q,
+                                 p_closed=p, q_closed=q, disc=(p / 3) ** 3 + (q / 2) ** 2)
+    assert inv.disc < 0 and (3 * float(q) / (2 * float(p))) * math.sqrt(-3 / float(p)) > 1.0
+    a = np.array(mixing.roots(inv).a)
+    b = a + float(r) / 3  # the reduced cubic's roots
+    assert np.all(a > 0)
+    assert np.all(np.abs(b**3 + float(p) * b + float(q)) <= 1e-12 * (np.abs(b) ** 3 + abs(float(p) * b) + abs(float(q))))
 
 
 @pytest.fixture

@@ -484,10 +484,10 @@ def test_shoot_decay_strong_coupling_full_series():
     for n in range(3):
         level = spectra.single_level(prob.scenario, 0, n, "min-j")
         assert level.admissible
-        assert abs(oracle.shoot_decay(prob, level.epsilon, r_max=25.0).mismatch) <= 1e-5
+        assert abs(oracle.shoot_decay(prob, level.epsilon).mismatch) <= 1e-5
     eps_0 = spectra.single_level(prob.scenario, 0, 0, "min-j").epsilon
-    lo = oracle.shoot_decay(prob, eps_0 * 0.99, r_max=25.0)
-    hi = oracle.shoot_decay(prob, eps_0 * 1.01, r_max=25.0)
+    lo = oracle.shoot_decay(prob, eps_0 * 0.99)
+    hi = oracle.shoot_decay(prob, eps_0 * 1.01)
     assert lo.mismatch * hi.mismatch < 0.0
 
 
@@ -498,7 +498,7 @@ def test_shoot_decay_far_field_past_double_range():
     prob = lob_minj_problem(alpha, mass)
     level = spectra.single_level(prob.scenario, 0, 0, "min-j")
     res = oracle.shoot_decay(prob, level.epsilon)
-    assert res.far_decay_rate * 35.0 > math.log(np.finfo(float).max)
+    assert res.far_decay_rate * oracle.SHOOT_R_MAX > math.log(np.finfo(float).max)
     assert abs(res.mismatch) <= 1e-9
 
 
