@@ -31,7 +31,6 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
-from itertools import groupby
 from operator import attrgetter
 
 from . import mixing, spectra
@@ -197,8 +196,25 @@ _LEVEL_COLUMNS = ("channel", "j2", "n", "E", "admissible", "derivation", "reason
 
 
 def _json_float(x: float) -> str:
-    """`x` rounded to 12 digits and written as `json.dumps` writes a float."""
-    x = float(fmt12(x))
+    """`x` rounded to 12 digits and written as `json.dumps` writes a float,
+    `float.__repr__(float(fmt12(x)))`. That is the `fmt12` text wherever the
+    two provably agree: a normal double written with at most 12 significant
+    digits reads back with those digits as its shortest round-trip ones, and
+    `repr` places them as `.12g` does, in fixed notation for decimal exponents
+    in [-4, 12) (adding `.0` to an integer) and in exponent notation outside
+    [-4, 16), as for an exponent text with |x| < 1 or |x| >= 1e16. Exponents
+    12-15, |x| < 1e-307 (subnormals hold fewer digits) and non-finite values
+    take `repr`."""
+    text = f"{float(x):.12g}"
+    if "e" in text:
+        size = abs(x)
+        if 1e-307 <= size < 1.0 or 1e16 <= size:
+            return text
+    elif "." in text:
+        return text
+    elif text[-1].isdigit():
+        return text + ".0"
+    x = float(text)
     if -math.inf < x < math.inf:
         return float.__repr__(x)
     return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
@@ -266,17 +282,50 @@ def _table_rows(blocks) -> str:
 
 _RENDERERS = {"json": _json_rows, "csv": _csv_rows, "table": _table_rows}
 _ROW_ORDER = attrgetter("channel", "j", "n")
-_BLOCK = attrgetter("channel", "j")
+
+
+def _blocks(levels) -> list | None:
+    """The levels as [((channel, j), rows)], one entry per run of rows with
+    equal channel and j, or None at the first row that comes before the row
+    above it in (channel, j, n) order. Channel and j are compared by `is`
+    before `==`: the rows of a `spectra.spectrum_levels` block share both."""
+    if not levels:
+        return []
+    channel, j, n = levels[0].channel, levels[0].j, levels[0].n
+    rows: list = []
+    blocks = [((channel, j), rows)]
+    for lv in levels:
+        c, jj = lv.channel, lv.j
+        if c is channel or c == channel:
+            if jj is not j and jj != j:
+                if jj < j:
+                    return None
+                j, rows = jj, []
+                blocks.append(((c, jj), rows))
+            elif lv.n < n:
+                return None
+        elif c < channel:
+            return None
+        else:
+            channel, j, rows = c, jj, []
+            blocks.append(((c, jj), rows))
+        n = lv.n
+        rows.append(lv)
+    return blocks
 
 
 def render_levels(levels, fmt: str) -> str:
-    """The levels as one table, rows sorted by (channel, j, n), which for a
-    `spectra.spectrum_levels` table is one linear pass. Each renderer writes
-    the columns shared by a (channel, j) block once per block."""
+    """The levels (a sequence) as one table, rows sorted by (channel, j, n).
+    Rows already in that order, as `spectra.spectrum_levels` returns them,
+    are taken in one pass; others are sorted first. Each renderer writes the
+    columns shared by a (channel, j) block once per block."""
     render = _RENDERERS.get(fmt)
     if render is None:
         raise ValueError(f"unknown format {fmt!r}")
-    return render(groupby(sorted(levels, key=_ROW_ORDER), key=_BLOCK))
+    blocks = _blocks(levels)
+    if blocks is None:
+        blocks = _blocks(sorted(levels, key=_ROW_ORDER))
+    return render(blocks)
 
 
 def _emit(text: str, output: str | None) -> int:

@@ -56,6 +56,9 @@ DERIV_HYPERGEOMETRIC = "hypergeometric-polynomial"
 DERIV_HEUN_FORMAL = "heun-formal-beta"
 
 REASON_EXHAUSTED = "finite spectrum exhausted"
+# `admissible_levels` refuses a channel with more admissible levels than this
+# (their number grows as sqrt(M), without end as M grows)
+MAX_ADMISSIBLE_LEVELS = 100_000
 # carried by admissible heun-formal-beta levels, so every output format shows
 # that the level is not confirmed
 REASON_FORMAL = "formal: beta = -n only, accessory condition unchecked"
@@ -113,10 +116,12 @@ def flat_channel_l(j: Fraction, k: Fraction, branch: str) -> float:
 # float arithmetic of one level. Hoisted values are leading sub-expressions of
 # the formulas, so every float is bit-identical to evaluating the whole formula
 # per level; L, N and b come from the functions that `radial` and `validate` call.
-# Levels are built positionally, in EnergyLevel's field order, so a slip in
-# that order swaps two fields silently: tests/test_spectra.py checks every
-# field of every closed form against a per-level reference.
+# Levels are built by `_new_level` from a tuple of all ten fields in
+# EnergyLevel's order, which skips the NamedTuple's Python-level `__new__`; a
+# slip in that order swaps two fields silently: tests/test_spectra.py checks
+# every field of every closed form against a per-level reference.
 LevelAt = Callable[[int], EnergyLevel]
+_new_level: Callable[[tuple], EnergyLevel] = partial(tuple.__new__, EnergyLevel)
 
 
 # --- flat space --------------------------------------------------------------
@@ -133,8 +138,8 @@ def _flat_coulomb_levels(scen: Scenario, j: Fraction, branch: str) -> LevelAt:
     formula = "E = -alpha^2 M / (2 (n+L+1)^2)"
 
     def level(n: int) -> EnergyLevel:
-        return EnergyLevel(scen, branch, j, n, scale / (n + lval + 1.0) ** 2, DERIV_HYPERGEOMETRIC,
-                           True, "", formula)
+        return _new_level((scen, branch, j, n, scale / (n + lval + 1.0) ** 2, DERIV_HYPERGEOMETRIC,
+                           True, "", formula, None))
 
     return level
 
@@ -190,8 +195,8 @@ def _flat_oscillator_levels(scen: Scenario, j: Fraction, branch: str) -> LevelAt
     formula = "E = sqrt(K/M) (3/2 + L + 2n)  [1/2-prefactor variant kept as metadata]"
 
     def level(n: int) -> EnergyLevel:
-        return EnergyLevel(scen, branch, j, n, omega * (base_0 + 2.0 * n), DERIV_HYPERGEOMETRIC,
-                           True, "", formula)
+        return _new_level((scen, branch, j, n, omega * (base_0 + 2.0 * n), DERIV_HYPERGEOMETRIC,
+                           True, "", formula, None))
 
     return level
 
@@ -262,8 +267,8 @@ def _lob_minj_coulomb_levels(scen: Scenario, j: Fraction, channel: str) -> Level
         y = (alpha_sq + nu * nu) / mass_sq
         rad = 1.0 - y
         if rad < 0.0:
-            return EnergyLevel(scen, CH_MIN_J, jf, n, math.nan, DERIV_HYPERGEOMETRIC,
-                               False, exhausted, formula)
+            return _new_level((scen, CH_MIN_J, jf, n, math.nan, DERIV_HYPERGEOMETRIC,
+                               False, exhausted, formula, None))
         x = alpha_sq / (nu * nu)
         eps = mass / math.sqrt(1.0 + x) * math.sqrt(rad)
         b = minj_coulomb_b(eps, alpha, n)
@@ -272,8 +277,8 @@ def _lob_minj_coulomb_levels(scen: Scenario, j: Fraction, channel: str) -> Level
             f"far-field exponent b = {b:.6g} <= 0: regular solution is non-decaying, formal level only"
         )
         energy = mass * math.expm1(0.5 * (math.log1p(-y) - math.log1p(x))) if rad else -mass
-        return EnergyLevel(scen, CH_MIN_J, jf, n, energy, DERIV_HYPERGEOMETRIC,
-                           admissible, reason, formula, eps)
+        return _new_level((scen, CH_MIN_J, jf, n, energy, DERIV_HYPERGEOMETRIC,
+                           admissible, reason, formula, eps))
 
     return level
 
@@ -304,8 +309,8 @@ def _lob_minj_oscillator_levels(scen: Scenario, j: Fraction, channel: str) -> Le
     def level(n: int) -> EnergyLevel:
         big_n = 2.0 * n + 1.5
         admissible = 2 * n + 1 < s_well
-        return EnergyLevel(scen, CH_MIN_J, jf, n, energy_at(big_n), DERIV_HYPERGEOMETRIC,
-                           admissible, "" if admissible else exhausted, formula)
+        return _new_level((scen, CH_MIN_J, jf, n, energy_at(big_n), DERIV_HYPERGEOMETRIC,
+                           admissible, "" if admissible else exhausted, formula, None))
 
     return level
 
@@ -355,8 +360,8 @@ def _lob_nomonopole_coulomb_levels(scen: Scenario, j: Fraction, channel: str) ->
         admissible = b > 0.0
         reason = bound if admissible else f"{REASON_EXHAUSTED}: M alpha <= N^2 (b = {b:.6g})"
         # (2N) N, not 2 N^2: each formula keeps its operation order
-        return EnergyLevel(scen, channel, j, n, scale / (2.0 * big_n * big_n) - big_n_sq / two_mass,
-                           deriv, admissible, reason, formula)
+        return _new_level((scen, channel, j, n, scale / (2.0 * big_n * big_n) - big_n_sq / two_mass,
+                           deriv, admissible, reason, formula, None))
 
     return level
 
@@ -383,8 +388,8 @@ def _lob_nomonopole_oscillator_levels(scen: Scenario, j: Fraction, channel: str)
     def level(n: int) -> EnergyLevel:
         big_n = big_n_at(n)
         admissible = big_n < limit
-        return EnergyLevel(scen, channel, j, n, energy_at(big_n), deriv,
-                           admissible, bound if admissible else exhausted, formula)
+        return _new_level((scen, channel, j, n, energy_at(big_n), deriv,
+                           admissible, bound if admissible else exhausted, formula, None))
 
     return level
 
@@ -629,16 +634,19 @@ def spectrum_levels(
 
 def admissible_levels(scenario: Scenario, j: HalfInt, channel: str) -> list[EnergyLevel]:
     """The levels n = 0, 1, ... of one curved channel up to, not including,
-    the first inadmissible one. Flat spectra never end, so they are refused."""
+    the first inadmissible one. Flat spectra never end, so they are refused,
+    and so is a curved channel with more than MAX_ADMISSIBLE_LEVELS."""
     if scenario.geometry == GEOMETRY_FLAT:
         raise SpectrumError("flat spectra are infinite; give the radial indices explicitly")
     level_at = _resolve_channel(scenario, j, channel)
     out: list[EnergyLevel] = []
-    while True:
+    while len(out) <= MAX_ADMISSIBLE_LEVELS:
         (lv,) = _channel_levels(level_at, channel, (len(out),))
         if not lv.admissible:
             return out
         out.append(lv)
+    raise SpectrumError(f"channel {channel!r} has more than {MAX_ADMISSIBLE_LEVELS} admissible levels; "
+                        "give the radial indices explicitly")
 
 
 def single_level(scenario: Scenario, j: HalfInt, n: int, channel: str) -> EnergyLevel:

@@ -106,6 +106,15 @@ def test_spectrum_byte_identical(capsys):
             "scenario"} <= set(records[0])
 
 
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_spectrum_rows_do_not_depend_on_the_request_order(fmt, capsys):
+    argv = ["spectrum", "--k", "1", "--j", "2", "--alpha", "1", "--format", fmt]
+    code, shuffled, _ = run(argv + ["--n", "5,0,3", "--channel", "branch-3,branch-1"], capsys)
+    assert code == 0
+    assert (code, shuffled) == run(argv + ["--n", "0,3,5", "--channel", "branch-1,branch-3"], capsys)[:2]
+    assert shuffled.count("branch-1") == shuffled.count("branch-3") == 3
+
+
 def test_spectrum_bad_config_exit_2(capsys):
     code, _, err = run(["spectrum", "--k", "0.3", "--j", "1", "--alpha", "1"], capsys)
     assert code == 2 and "half-integer" in err

@@ -8,6 +8,7 @@ one statement of the JSON record's keys outside the renderer."""
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -100,18 +101,22 @@ scenarios = st.builds(
 texts = st.text(max_size=12) | st.sampled_from(["", spectra.REASON_FORMAL, 'say "no"', "ε → ∞ \\ ü"])
 energies = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300])
 
+_FIELDS = dict(scenario=scenarios, energy=energies, derivation=texts, admissible=st.booleans(),
+               reason=texts, formula=texts, epsilon=st.none() | energies)
 levels = st.builds(
     EnergyLevel,
-    scenario=scenarios,
     channel=st.sampled_from(spectra.CHANNELS),
     j=st.integers(0, 12).map(lambda j2: Fraction(j2, 2)),
     n=st.integers(0, 3) | st.integers(0, 10**6),
-    energy=energies,
-    derivation=texts,
-    admissible=st.booleans(),
-    reason=texts,
-    formula=texts,
-    epsilon=st.none() | energies,
+    **_FIELDS,
+)
+# levels that fall into few (channel, j) blocks, with few distinct n
+blocked_levels = st.builds(
+    EnergyLevel,
+    channel=st.sampled_from(spectra.CH_BRANCH[:2]),
+    j=st.sampled_from([Fraction(1, 2), Fraction(3, 2)]),
+    n=st.integers(0, 3),
+    **_FIELDS,
 )
 
 
@@ -119,6 +124,32 @@ levels = st.builds(
 @given(batch=st.lists(levels, max_size=12), fmt=st.sampled_from(FORMATS))
 def test_render_matches_the_reference_on_generated_levels(batch, fmt):
     assert cli.render_levels(batch, fmt) == reference_render(batch, fmt)
+
+
+def _with_equal_key(lv):
+    """`lv` with a channel string and j equal to its own but not identical."""
+    channel, j = (lv.channel + "#")[:-1], Fraction(lv.j.numerator, lv.j.denominator)
+    assert channel is not lv.channel and j is not lv.j
+    return lv._replace(channel=channel, j=j)
+
+
+@PROPERTY
+@given(batch=st.lists(blocked_levels | levels, min_size=1, max_size=12),
+       repeats=st.lists(st.tuples(st.integers(0, 11), st.booleans()), max_size=8),
+       move=st.tuples(st.integers(0, 19), st.integers(0, 19)),
+       fmt=st.sampled_from(FORMATS))
+def test_render_of_an_ordered_batch_and_of_one_row_moved_matches_the_reference(batch, repeats, move, fmt):
+    """Rows in (channel, j, n) order, with repeated rows, some of them with an
+    equal but not identical channel and j, and the same rows with one moved."""
+    rows = list(batch)
+    for i, equal_key in repeats:
+        lv = batch[i % len(batch)]
+        rows.append(_with_equal_key(lv) if equal_key else lv)
+    rows.sort(key=lambda lv: (lv.channel, lv.j, lv.n))
+    assert cli.render_levels(rows, fmt) == reference_render(rows, fmt)
+    moved = list(rows)
+    moved.insert(move[1] % len(rows), moved.pop(move[0] % len(rows)))
+    assert cli.render_levels(moved, fmt) == reference_render(moved, fmt)
 
 
 def _hand_picked():
@@ -165,3 +196,33 @@ def test_render_of_no_levels_matches_the_reference(fmt):
 def test_render_rejects_an_unknown_format():
     with pytest.raises(ValueError, match="unknown format 'xml'"):
         cli.render_levels([], "xml")
+
+
+def reference_json_float(x: float) -> str:
+    """The JSON E writer before it reused the 12-digit text."""
+    x = float(_fmt12(x))
+    if -math.inf < x < math.inf:
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+JSON_FLOAT_EDGES = [
+    0.0, -0.0,
+    1e-5, 9.99999999999e-05, 1e-4,
+    999999999999.5, 1e12, 9.999999999995e15, 1e16,
+    2.2250738585072014e-308, 5e-324,
+    1e300, 1.797693134865e308, sys.float_info.max,  # the middle one reads as inf
+    math.nan, math.inf, -math.inf,
+]
+
+
+@pytest.mark.parametrize("x", JSON_FLOAT_EDGES + [-x for x in JSON_FLOAT_EDGES], ids=repr)
+def test_json_float_matches_the_reference_on_edge_values(x):
+    assert cli._json_float(x) == reference_json_float(x)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(x=st.floats() | st.integers(-10**13, 10**13).map(float) | st.floats(-1e17, 1e17)
+       | st.floats(-2e-4, 2e-4) | st.floats(-1e-300, 1e-300))
+def test_json_float_matches_the_reference_on_generated_floats(x):
+    assert cli._json_float(x) == reference_json_float(x)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from operator import attrgetter
@@ -525,6 +526,22 @@ def test_admissible_levels_stop_at_first_inadmissible():
     assert not spectra.single_level(scen, 0, 3, "parity-odd").admissible
     minj = spectra.Scenario("lobachevsky", "coulomb", F(1), 10.0, alpha=0.1)
     assert [lv.n for lv in spectra.admissible_levels(minj, 0, "min-j")] == [0]
+
+
+def test_admissible_levels_refuse_a_walk_past_the_level_bound():
+    # the parity-odd Coulomb channel at alpha = 1, j = 0 holds sqrt(M) - 1 admissible levels
+    def walk(mass):
+        return spectra.admissible_levels(spectra.Scenario("lobachevsky", "coulomb", F(0), mass, alpha=1.0),
+                                         0, "parity-odd")
+
+    assert [lv.n for lv in walk(1e6)] == list(range(999))
+    start = time.perf_counter()
+    with pytest.raises(spectra.SpectrumError) as info:
+        walk(1e200)
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == ("channel 'parity-odd' has more than 100000 admissible levels; "
+                               "give the radial indices explicitly")
+    assert spectra.MAX_ADMISSIBLE_LEVELS == 100_000
 
 
 def test_admissible_levels_refuse_flat_spectra():
