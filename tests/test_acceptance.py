@@ -9,6 +9,10 @@ prints that record as an [INFO] line and then asserts the feasible content
 of its detail at the same alpha = 0.1, M = 10, n = 0..2: admissible levels
 shoot to a match with a sign change across them, formal levels are marked
 inadmissible and miss, and admissibility terminates.
+
+The whole report is also pinned: `test_report_matches_the_golden_file`
+compares it with `tests/golden/validate_all_results.json` through
+`tests/report_diff.py`, which also rewrites that file.
 """
 
 import json
@@ -18,6 +22,7 @@ from fractions import Fraction
 
 import pytest
 
+import report_diff
 from monopole_spectra import core, oracle, radial, spectra, validate
 
 _cache: dict = {}
@@ -166,3 +171,28 @@ def test_criterion_12_determinism_and_runtime():
     assert elapsed < 300.0
     hard = set(report["results"]["hard_failures"])
     assert hard <= {"6-lob-minj-coulomb"}, f"unexpected hard failures: {hard}"
+
+
+# Floats of the numerical side (FD ladders, shooting, the IVP, numpy
+# eigensolves, sampled residuals) may differ in their last bits under another
+# LAPACK or numpy build, so they match the golden file to within
+# RTOL |golden| + ATOL, where ATOL covers residuals of roundoff size. Every
+# other float is a closed form or exact arithmetic and matches bit for bit.
+NUMERICAL_FLOATS = {
+    "numeric", "rel_dev", "oracle_rel_err", "worst_rel_dev", "matched_rel_dev", "rejected_rel_dev",
+    "abs_mismatch", "-1%", "+1%", "ode_residual", "slope", "envelope_ratio",
+    "worst_root_dev", "worst_transform_residual", "worst_residual",
+}
+RTOL, ATOL = 1e-6, 1e-12
+
+
+def _tolerated(change: report_diff.Change) -> bool:
+    return (change.kind == "float" and change.path.rsplit(".", 1)[-1] in NUMERICAL_FLOATS
+            and abs(change.new - change.old) <= RTOL * abs(change.old) + ATOL)
+
+
+def test_report_matches_the_golden_file():
+    # any flip, added or removed key, or changed string or integer fails too
+    golden = report_diff.load(report_diff.GOLDEN)
+    changes = report_diff.diff(golden, report_diff.plain(full_run()["report"]["results"]))
+    assert [str(change) for change in changes if not _tolerated(change)] == []

@@ -123,7 +123,8 @@ def test_cli_output_matches_golden(name, capsys):
 
 def test_golden_files_match_cases():
     assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(CASES)
-    assert [p.name for p in GOLDEN.iterdir() if p.suffix != ".txt"] == []
+    # besides the CLI cases, only the validation report (tests/test_acceptance.py)
+    assert [p.name for p in GOLDEN.iterdir() if p.suffix != ".txt"] == ["validate_all_results.json"]
 
 
 def _regenerate(names) -> None:
