@@ -12,9 +12,8 @@ _EXPORTS = {
     "mixing": ("CubicInvariants", "RootTriple", "cubic_invariants", "mixing_roots", "parity_eigenvalues"),
     "oracle": ("Grid", "count_bound_states", "fd_eigen", "shoot_decay"),
     "radial": ("RadialProblem", "RadialSolution", "analytic_solution", "build_problem", "residual"),
-    "spectra": ("EnergyLevel", "UnitSystem", "flat_channel_l", "minj_coulomb_b", "minj_nu_0",
-                "nomonopole_coulomb_b", "nomonopole_n_coulomb", "nomonopole_n_oscillator", "single_level",
-                "spectrum_levels", "to_physical_units"),
+    "spectra": ("EnergyLevel", "ResolvedChannel", "UnitSystem", "flat_channel_l", "resolve_channel",
+                "single_level", "spectrum_levels", "to_physical_units"),
     "specfun": ("HeunParams", "gauss_2f1", "heun_local", "kummer_1f1"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

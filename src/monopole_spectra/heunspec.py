@@ -15,9 +15,8 @@ import math
 
 import numpy as np
 
-from .core import POTENTIAL_COULOMB, POTENTIAL_OSCILLATOR, HalfInt, as_half_integer
-from .spectra import curved_row
 from .specfun import HeunParams, heun_ode_residuals
+from .spectra import EnergyLevel, ResolvedChannel, SpectrumError, resolve_channel
 
 
 class HeunDomainError(ValueError):
@@ -30,32 +29,40 @@ def _sqrt_or_raise(radicand: float, label: str) -> float:
     return math.sqrt(radicand)
 
 
-def coulomb_exponents(energy: float, alpha: float, mass: float, j: HalfInt, channel: str) -> tuple[float, float, float]:
-    """Bound-branch substitution exponents (A, B, C) for the Coulomb channels:
+def _inputs(level: EnergyLevel) -> ResolvedChannel:
+    """The resolved channel of an even-row level, else the error naming it."""
+    inputs = resolve_channel(level.scenario, level.j, level.channel)
+    if inputs.heun_exponents is None:
+        raise SpectrumError(f"unknown even channel {level.channel!r}")
+    return inputs
+
+
+def coulomb_exponents(level: EnergyLevel) -> tuple[float, float, float]:
+    """Bound-branch substitution exponents (A, B, C) of a Coulomb even-row level:
 
         A = j+2 (channel 1) or j (channel 2), the bound z = 0 exponent of
-        {j+2, -(j+1)} and {j, 1-j}, from the channel's row;
+        {j+2, -(j+1)} and {j, 1-j}, from the resolved channel;
         B = 1/2 + sqrt(-2M(E+alpha)),  C = 1/2 - sqrt(-2M(E-alpha)).
 
-    Needs E + alpha < 0 and E - alpha < 0.
+    Needs E + alpha < 0 and E - alpha < 0, checked before the channel.
     """
-    jf = float(as_half_integer(j, "j"))
-    u = _sqrt_or_raise(-2.0 * mass * (energy + alpha), "B: -2M(E+alpha)")
-    v = _sqrt_or_raise(-2.0 * mass * (energy - alpha), "C: -2M(E-alpha)")
-    (a_exp,) = curved_row(POTENTIAL_COULOMB, channel, "heun_exponents", "even").heun_exponents(jf)
+    energy, scen = level.energy, level.scenario
+    u = _sqrt_or_raise(-2.0 * scen.mass * (energy + scen.alpha), "B: -2M(E+alpha)")
+    v = _sqrt_or_raise(-2.0 * scen.mass * (energy - scen.alpha), "C: -2M(E-alpha)")
+    (a_exp,) = _inputs(level).heun_exponents
     return a_exp, 0.5 + u, 0.5 - v
 
 
-def heun_params_coulomb(energy: float, alpha: float, mass: float, j: HalfInt, channel: str) -> HeunParams:
-    """Heun parameters of the transformed Coulomb channel in z = tanh(r/2):
+def heun_params_coulomb(level: EnergyLevel) -> HeunParams:
+    """Heun parameters of a transformed Coulomb even-row level in z = tanh(r/2):
 
         gamma = 2A, delta = 2B, eps = 2C, q = 4 M alpha - 2A(B - C),
         lam = -j - 1 + (A+B+C), beta = j + (A+B+C).
 
     The Fuchs relation holds identically (2A + 2B + 2C = 2(A+B+C) + 1 - 1).
     """
-    jf = float(as_half_integer(j, "j"))
-    a_exp, b_exp, c_exp = coulomb_exponents(energy, alpha, mass, j, channel)
+    jf = float(level.j)
+    a_exp, b_exp, c_exp = coulomb_exponents(level)
     s = a_exp + b_exp + c_exp
     return HeunParams(
         gamma=2.0 * a_exp,
@@ -63,32 +70,32 @@ def heun_params_coulomb(energy: float, alpha: float, mass: float, j: HalfInt, ch
         eps=2.0 * c_exp,
         lam=-jf - 1.0 + s,
         beta=jf + s,
-        q=4.0 * mass * alpha - 2.0 * a_exp * (b_exp - c_exp),
+        q=4.0 * level.scenario.mass * level.scenario.alpha - 2.0 * a_exp * (b_exp - c_exp),
     )
 
 
-def oscillator_exponents(k_osc: float, mass: float, j: HalfInt, channel: str) -> tuple[float, float, float]:
-    """Bound-branch exponents (A, B, C) for the oscillator channels in x = cosh r:
+def oscillator_exponents(level: EnergyLevel) -> tuple[float, float, float]:
+    """Bound-branch exponents (A, B, C) of an oscillator even-row level in x = cosh r:
 
-        A = (1 - sqrt(1 + 4MK))/2, and from the channel's row
+        A = (1 - sqrt(1 + 4MK))/2, and from the resolved channel
         B = 1 + j/2, C = 1/2 + j/2 (channel 1) or B = j/2, C = (1+j)/2 (channel 2).
     """
-    jf = float(as_half_integer(j, "j"))
-    a_exp = 0.5 - 0.5 * _sqrt_or_raise(1.0 + 4.0 * mass * k_osc, "A: 1+4MK")
-    b_exp, c_exp = curved_row(POTENTIAL_OSCILLATOR, channel, "heun_exponents", "even").heun_exponents(jf)
-    return a_exp, b_exp, c_exp
+    inputs = _inputs(level)
+    b_exp, c_exp = inputs.heun_exponents
+    return 0.5 - 0.5 * inputs.root, b_exp, c_exp
 
 
-def heun_params_oscillator(energy: float, k_osc: float, mass: float, j: HalfInt, channel: str) -> HeunParams:
-    """Heun parameters of the transformed oscillator channel in x = cosh r:
+def heun_params_oscillator(level: EnergyLevel) -> HeunParams:
+    """Heun parameters of a transformed oscillator even-row level in x = cosh r:
 
         gamma = 2A, delta = 2B + 1/2, eps = 2C + 1/2, q = -2A(B - C),
         lam/beta = A + B + C +- sqrt(-M(2E - K)).
 
     Needs E <= K/2 (below the continuum edge) for real lam, beta.
     """
-    a_exp, b_exp, c_exp = oscillator_exponents(k_osc, mass, j, channel)
-    w = _sqrt_or_raise(-mass * (2.0 * energy - k_osc), "lam/beta: -M(2E-K)")
+    a_exp, b_exp, c_exp = oscillator_exponents(level)
+    scen = level.scenario
+    w = _sqrt_or_raise(-scen.mass * (2.0 * level.energy - scen.k_osc), "lam/beta: -M(2E-K)")
     s = a_exp + b_exp + c_exp
     return HeunParams(
         gamma=2.0 * a_exp,

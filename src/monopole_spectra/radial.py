@@ -35,10 +35,7 @@ from .spectra import (
     SpectrumError,
     channel_row,
     flat_channel_l,
-    minj_coulomb_b,
-    minj_nu_0,
-    nomonopole_coulomb_b,
-    nomonopole_n_coulomb,
+    resolve_channel,
 )
 
 LINEAR_IN_E = "linear-in-E"
@@ -261,14 +258,14 @@ def analytic_solution(problem: RadialProblem, level: EnergyLevel, grid: Optional
 
 
 def _flat_coulomb_solution(problem: RadialProblem, level: EnergyLevel, r: np.ndarray):
-    lval = flat_channel_l(level.j, problem.scenario.charge, level.channel)
+    lval = resolve_channel(problem.scenario, level.j, level.channel).l
     z = 2.0 * math.sqrt(-2.0 * problem.mass * level.energy) * r
     u = r * z**lval * np.exp(-z / 2.0) * specfun.kummer_1f1(-level.n, 2.0 * lval + 2.0, z)
     return u, f"u = r z^L e^(-z/2) 1F1(-n; 2L+2; z), z = 2 sqrt(-2ME) r, L = {lval:.12g}"
 
 
 def _flat_oscillator_solution(problem: RadialProblem, level: EnergyLevel, r: np.ndarray):
-    lval = flat_channel_l(level.j, problem.scenario.charge, level.channel)
+    lval = resolve_channel(problem.scenario, level.j, level.channel).l
     x = math.sqrt(problem.mass * problem.scenario.k_osc) * r**2
     u = r * x ** (lval / 2.0) * np.exp(-x / 2.0) * specfun.kummer_1f1(-level.n, lval + 1.5, x)
     return u, f"u = r x^(L/2) e^(-x/2) 1F1(-n; L+3/2; x), x = sqrt(MK) r^2, L = {lval:.12g}"
@@ -291,15 +288,16 @@ def _x_series(r: np.ndarray, a_exp: float, b_exp: float, n: int):
 
 
 def _minj_coulomb_solution(problem: RadialProblem, level: EnergyLevel, r: np.ndarray):
-    a_exp = minj_nu_0(problem.scenario.alpha)
-    b_exp = minj_coulomb_b(level.epsilon, problem.scenario.alpha, level.n)
+    inputs = resolve_channel(problem.scenario, level.j, level.channel)
+    a_exp, b_exp = inputs.nu_0, inputs.b(level.epsilon, level.n)
     u, beta = _x_series(r, a_exp, b_exp, level.n)
     return u, (f"F = x^A (1-x)^B 2F1(-n, {beta:.12g}; {2*a_exp:.12g}; x), "
                f"x = 1 - e^(-2r), A = {a_exp:.12g}, B = {b_exp:.12g}")
 
 
 def _parity_odd_coulomb_solution(problem: RadialProblem, level: EnergyLevel, r: np.ndarray):
-    b_exp = nomonopole_coulomb_b(problem.scenario, nomonopole_n_coulomb(level.j, problem.channel)(level.n))
+    inputs = resolve_channel(problem.scenario, level.j, level.channel)
+    b_exp = inputs.b(inputs.big_n(level.n))
     a_exp = float(level.j) + 1.0
     u, beta = _x_series(r, a_exp, b_exp, level.n)
     return u, (f"F = x^(j+1) (1-x)^b 2F1(-n, {beta:.12g}; {2.0 * a_exp:.12g}; x), "
@@ -309,7 +307,7 @@ def _parity_odd_coulomb_solution(problem: RadialProblem, level: EnergyLevel, r: 
 def _cosh_oscillator_solution(problem: RadialProblem, level: EnergyLevel, r: np.ndarray):
     # curved oscillator, min-j and parity-odd: 2b is the origin exponent, 1 and j + 1
     n = level.n
-    a_exp = (1.0 - math.sqrt(1.0 + 4.0 * problem.scenario.k_osc * problem.mass)) / 4.0
+    a_exp = (1.0 - resolve_channel(problem.scenario, level.j, level.channel).root) / 4.0
     b2 = problem.origin_exponent
     y = np.cosh(r) ** 2
     gamma = 2.0 * a_exp + 0.5
@@ -327,7 +325,7 @@ def _even_coulomb_solution(problem: RadialProblem, level: EnergyLevel, r: np.nda
     z = np.tanh(r / 2.0)
     if np.any(z > 0.8):
         raise RadialError("even-channel Coulomb sampling restricted to tanh(r/2) <= 0.8")
-    params = heun_params_coulomb(level.energy, problem.scenario.alpha, problem.mass, level.j, problem.channel)
+    params = heun_params_coulomb(level)
     # (gamma, delta, eps) = 2 (A, B, C), so halving gives the exponents exactly
     a_exp, b_exp, c_exp = params.gamma / 2.0, params.delta / 2.0, params.eps / 2.0
     h = specfun.heun_local(params, z)

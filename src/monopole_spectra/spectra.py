@@ -13,9 +13,10 @@ variant is consistent with the series-termination condition it derives from
 level's `energy` is the termination-condition value, which validation
 criterion 5 confirms against the finite-difference oracle's levels.
 
-A level stores no inputs of its formula: L, N and the far-field exponent b
-come from `flat_channel_l`, `nomonopole_n_coulomb`, `nomonopole_n_oscillator`,
-`minj_coulomb_b` and `nomonopole_coulomb_b`, which the closed forms use too.
+A level stores no inputs of its formula. `resolve_channel` gives a channel's
+`ResolvedChannel`: its levels and the n-independent inputs that the closed
+form uses (L, nu_0, the N and b rules, sqrt(1 + 4MK), the Heun exponents),
+which `radial`, `heunspec` and `validate` read.
 
 `CHANNEL_TABLE` names each (geometry, potential, channel) case of the paper
 once; `radial` and `heunspec` read its rows instead of testing channel names.
@@ -109,13 +110,14 @@ def flat_channel_l(j: Fraction, k: Fraction, branch: str) -> float:
 
 
 # Each closed form below comes in two stages, named by the channel's row in
-# CHANNEL_TABLE and called only by `_channel_levels`, which checks n and each
-# level inline. `_<form>_levels(scenario, j, channel)` does everything that
-# does not depend on n (the channel checks, the mixing root, the n-independent
-# square roots and texts) and returns a LevelAt; the LevelAt then does only the
-# float arithmetic of one level. Hoisted values are leading sub-expressions of
-# the formulas, so every float is bit-identical to evaluating the whole formula
-# per level; L, N and b come from the functions that `radial` and `validate` call.
+# CHANNEL_TABLE and called only by `resolve_channel`. `_<form>_levels(scenario,
+# j, channel)` does everything that does not depend on n (the channel checks,
+# the mixing root, the n-independent square roots and texts) and returns a
+# ResolvedChannel; its `level` then does only the float arithmetic of one
+# level, unchecked (`_channel_levels` checks n and each level inline). Hoisted
+# values are leading sub-expressions of the formulas, so every float is
+# bit-identical to evaluating the whole formula per level; where a level needs
+# N or b, it calls the rule that the record exposes.
 # Levels are built by `_new_level` from a tuple of all ten fields in
 # EnergyLevel's order, which skips the NamedTuple's Python-level `__new__`; a
 # slip in that order swaps two fields silently: tests/test_spectra.py checks
@@ -124,10 +126,24 @@ LevelAt = Callable[[int], EnergyLevel]
 _new_level: Callable[[tuple], EnergyLevel] = partial(tuple.__new__, EnergyLevel)
 
 
+class ResolvedChannel(NamedTuple):
+    """One (scenario, j, channel): its levels, n -> EnergyLevel, and the
+    n-independent inputs of its closed form; a field its form lacks is None."""
+
+    level: LevelAt
+    l: Optional[float] = None  # flat: the effective L
+    nu_0: Optional[float] = None  # curved min-j Coulomb: nu at n = 0, the exponent A of its solution
+    big_n: Optional[Callable[[int], float]] = None  # no-monopole: n -> N
+    # curved Coulomb far-field exponent: (epsilon, n) -> b at min j, N -> b without the monopole
+    b: Optional[Callable[..., float]] = None
+    root: Optional[float] = None  # curved oscillator: sqrt(1 + 4 M K)
+    heun_exponents: Optional[tuple[float, ...]] = None  # even rows: (A,) Coulomb, (B, C) oscillator
+
+
 # --- flat space --------------------------------------------------------------
 
 
-def _flat_coulomb_levels(scen: Scenario, j: Fraction, branch: str) -> LevelAt:
+def _flat_coulomb_levels(scen: Scenario, j: Fraction, branch: str) -> ResolvedChannel:
     """Flat-space Coulomb level E = -alpha^2 M / (2 (n + L + 1)^2).
 
     branch 'min-j' uses L = 0 (valid only at j = |k| - 1); branches 1..3 use
@@ -141,7 +157,7 @@ def _flat_coulomb_levels(scen: Scenario, j: Fraction, branch: str) -> LevelAt:
         return _new_level((scen, branch, j, n, scale / (n + lval + 1.0) ** 2, DERIV_HYPERGEOMETRIC,
                            True, "", formula, None))
 
-    return level
+    return ResolvedChannel(level, l=lval)
 
 
 def _flat_coulomb_scale(alpha: float, mass: float) -> float:
@@ -184,7 +200,7 @@ def oscillator_candidates(l_value: float, n: int, k_osc: float, mass: float) -> 
     return {"printed": 0.5 * omega * base, "quantization": omega * base}
 
 
-def _flat_oscillator_levels(scen: Scenario, j: Fraction, branch: str) -> LevelAt:
+def _flat_oscillator_levels(scen: Scenario, j: Fraction, branch: str) -> ResolvedChannel:
     """Flat-space oscillator level, default value from the termination
     condition (prefactor 1), the 'quantization' value of
     `oscillator_candidates`; validation criterion 5 arbitrates between the
@@ -198,7 +214,7 @@ def _flat_oscillator_levels(scen: Scenario, j: Fraction, branch: str) -> LevelAt
         return _new_level((scen, branch, j, n, omega * (base_0 + 2.0 * n), DERIV_HYPERGEOMETRIC,
                            True, "", formula, None))
 
-    return level
+    return ResolvedChannel(level, l=lval)
 
 
 def peculiar_flat_level(energy: float, scenario: Scenario) -> EnergyLevel:
@@ -224,21 +240,7 @@ def _minj_j(charge: Fraction) -> Fraction:
     return min_allowed_j(charge)
 
 
-def minj_nu_0(alpha: float) -> float:
-    """nu of the minimum-j Coulomb level n = 0, (1 + sqrt(1 - 4 alpha^2))/2;
-    also the exponent A of the closed-form solution x^A (1-x)^B 2F1(...)."""
-    return (1.0 + math.sqrt(1.0 - 4.0 * alpha * alpha)) / 2.0
-
-
-def minj_coulomb_b(epsilon: float, alpha: float, n: int) -> float:
-    """Far-field exponent b = (eps alpha - nu^2)/(2 nu) of the curved minimum-j
-    Coulomb level n, from its epsilon, with nu = n + (1 + sqrt(1 - 4 alpha^2))/2;
-    the level is a bound state only while b > 0."""
-    nu = n + minj_nu_0(alpha)
-    return (epsilon * alpha - nu * nu) / (2.0 * nu)
-
-
-def _lob_minj_coulomb_levels(scen: Scenario, j: Fraction, channel: str) -> LevelAt:
+def _lob_minj_coulomb_levels(scen: Scenario, j: Fraction, channel: str) -> ResolvedChannel:
     """Curved minimum-j Coulomb level (relativistic form).
 
         epsilon = M / sqrt(1 + alpha^2/nu^2) * sqrt(1 - (alpha^2 + nu^2)/M^2),
@@ -257,10 +259,14 @@ def _lob_minj_coulomb_levels(scen: Scenario, j: Fraction, channel: str) -> Level
     if not 0.0 < alpha < 0.5:
         raise SpectrumError(f"curved minimum-j Coulomb needs 0 < alpha < 1/2, got {alpha}")
     jf = _minj_j(scen.charge)
-    nu_0 = minj_nu_0(alpha)
+    nu_0 = (1.0 + math.sqrt(1.0 - 4.0 * alpha * alpha)) / 2.0
     alpha_sq, mass_sq = alpha * alpha, mass * mass
     formula = "eps = M sqrt(1 - (alpha^2+nu^2)/M^2)/sqrt(1 + alpha^2/nu^2); E = eps - M"
     exhausted = f"{REASON_EXHAUSTED}: alpha^2 + nu^2 > M^2"
+
+    def b_at(eps: float, n: int) -> float:
+        nu = n + nu_0
+        return (eps * alpha - nu * nu) / (2.0 * nu)
 
     def level(n: int) -> EnergyLevel:
         nu = n + nu_0
@@ -271,7 +277,7 @@ def _lob_minj_coulomb_levels(scen: Scenario, j: Fraction, channel: str) -> Level
                                False, exhausted, formula, None))
         x = alpha_sq / (nu * nu)
         eps = mass / math.sqrt(1.0 + x) * math.sqrt(rad)
-        b = minj_coulomb_b(eps, alpha, n)
+        b = b_at(eps, n)
         admissible = b > 0.0
         reason = "" if admissible else (
             f"far-field exponent b = {b:.6g} <= 0: regular solution is non-decaying, formal level only"
@@ -280,18 +286,20 @@ def _lob_minj_coulomb_levels(scen: Scenario, j: Fraction, channel: str) -> Level
         return _new_level((scen, CH_MIN_J, jf, n, energy, DERIV_HYPERGEOMETRIC,
                            admissible, reason, formula, eps))
 
-    return level
+    return ResolvedChannel(level, nu_0=nu_0, b=b_at)
 
 
-def _curved_oscillator_energy(k_osc: float, mass: float) -> Callable[[float], float]:
-    """N -> E = N sqrt(K/M + (1/2M)^2) - (N^2 + 1/4)/(2M), shared by the
-    minimum-j and the no-monopole channels; the root and 2M are computed once."""
-    root = math.sqrt(k_osc / mass + 0.25 / (mass * mass))
+def _curved_oscillator(k_osc: float, mass: float) -> tuple[Callable[[float], float], float]:
+    """N -> E = N sqrt(K/M + (1/2M)^2) - (N^2 + 1/4)/(2M), and sqrt(1 + 4MK),
+    shared by the minimum-j and the no-monopole channels; the roots and 2M are
+    computed once."""
+    freq = math.sqrt(k_osc / mass + 0.25 / (mass * mass))
     two_mass = 2.0 * mass
-    return lambda big_n: big_n * root - (big_n**2 + 0.25) / two_mass
+    energy_at = lambda big_n: big_n * freq - (big_n**2 + 0.25) / two_mass
+    return energy_at, math.sqrt(1.0 + 4.0 * mass * k_osc)
 
 
-def _lob_minj_oscillator_levels(scen: Scenario, j: Fraction, channel: str) -> LevelAt:
+def _lob_minj_oscillator_levels(scen: Scenario, j: Fraction, channel: str) -> ResolvedChannel:
     """Curved minimum-j oscillator level
 
         E = N sqrt(K/M + (1/2M)^2) - (N^2 + 1/4)/(2M),  N = 2n + 3/2,
@@ -301,8 +309,8 @@ def _lob_minj_oscillator_levels(scen: Scenario, j: Fraction, channel: str) -> Le
     """
     k_osc, mass = scen.k_osc, scen.mass
     jf = _minj_j(scen.charge)
-    s_well = (-1.0 + math.sqrt(1.0 + 4.0 * mass * k_osc)) / 2.0
-    energy_at = _curved_oscillator_energy(k_osc, mass)
+    energy_at, root = _curved_oscillator(k_osc, mass)
+    s_well = (-1.0 + root) / 2.0
     formula = "E = N sqrt(K/M + 1/(2M)^2) - (N^2 + 1/4)/(2M), N = 2n + 3/2"
     exhausted = f"{REASON_EXHAUSTED}: decaying-well condition 2n+1 < s fails (s = {s_well:.6g})"
 
@@ -312,75 +320,67 @@ def _lob_minj_oscillator_levels(scen: Scenario, j: Fraction, channel: str) -> Le
         return _new_level((scen, CH_MIN_J, jf, n, energy_at(big_n), DERIV_HYPERGEOMETRIC,
                            admissible, "" if admissible else exhausted, formula, None))
 
-    return level
+    return ResolvedChannel(level, root=root)
 
 
 # --- Lobachevsky, no monopole -------------------------------------------------
-
-
-def nomonopole_n_coulomb(j: Fraction, channel: str) -> Callable[[int], float]:
-    """n -> N of a no-monopole Coulomb channel."""
-    return curved_row(POTENTIAL_COULOMB, channel, "big_n", "no-monopole").big_n(float(j))
 
 
 def _n_half_step(offset: float) -> Callable[[int], float]:
     return lambda n: offset + 0.5 * n
 
 
-def nomonopole_coulomb_b(scenario: Scenario, big_n: float) -> float:
-    """Substitution exponent b = (M alpha - N^2)/(2N) of a no-monopole curved
-    Coulomb level, from its N; the level is a bound state only while b > 0."""
-    return (scenario.mass * scenario.alpha - big_n * big_n) / (2.0 * big_n)
-
-
-def _check_nomonopole_j(j: Fraction) -> None:
+def _nomonopole_row(scen: Scenario, j: Fraction, channel: str) -> ChannelRow:
+    """The row of a no-monopole channel, checked, as is j (an integer >= 0)."""
     if j < 0 or j.denominator != 1:
         raise SpectrumError(f"no-monopole channels need integer j >= 0, got {j}")
+    row = channel_row(scen, channel)
+    if row is None:
+        raise SpectrumError(f"unknown no-monopole channel {channel!r}")
+    return row
 
 
-def _lob_nomonopole_coulomb_levels(scen: Scenario, j: Fraction, channel: str) -> LevelAt:
+def _lob_nomonopole_coulomb_levels(scen: Scenario, j: Fraction, channel: str) -> ResolvedChannel:
     """No-monopole curved Coulomb level E = -M alpha^2/(2 N^2) - N^2/(2M), with
     the channel's N from its row (the even channels' N come from the formal
     Heun condition beta = -n). Bound-state admissibility needs the substitution
     exponent b = (M alpha - N^2)/(2N) > 0, i.e. M alpha > N^2 (finite spectrum).
     """
     alpha, mass = scen.alpha, scen.mass
-    _check_nomonopole_j(j)
-    row = curved_row(POTENTIAL_COULOMB, channel, "big_n", "no-monopole")
-    big_n_at = row.big_n(float(j))
+    row, fj = _nomonopole_row(scen, j, channel), float(j)
+    big_n_at = row.big_n(fj)
     scale = -mass * alpha * alpha
     two_mass = 2.0 * mass
+    mass_alpha = mass * alpha
     deriv, bound = row.derivation
     formula = "E = -M alpha^2/(2 N^2) - N^2/(2M)"
+
+    def b_at(big_n: float) -> float:
+        return (mass_alpha - big_n * big_n) / (2.0 * big_n)
 
     def level(n: int) -> EnergyLevel:
         big_n = big_n_at(n)
         big_n_sq = big_n * big_n
-        b = nomonopole_coulomb_b(scen, big_n)
+        b = b_at(big_n)
         admissible = b > 0.0
         reason = bound if admissible else f"{REASON_EXHAUSTED}: M alpha <= N^2 (b = {b:.6g})"
         # (2N) N, not 2 N^2: each formula keeps its operation order
         return _new_level((scen, channel, j, n, scale / (2.0 * big_n * big_n) - big_n_sq / two_mass,
                            deriv, admissible, reason, formula, None))
 
-    return level
+    return ResolvedChannel(level, big_n=big_n_at, b=b_at,
+                           heun_exponents=row.heun_exponents and row.heun_exponents(fj))
 
 
-def nomonopole_n_oscillator(j: Fraction, channel: str) -> Callable[[int], float]:
-    """n -> N of a no-monopole oscillator channel."""
-    return curved_row(POTENTIAL_OSCILLATOR, channel, "big_n", "no-monopole").big_n(float(j))
-
-
-def _lob_nomonopole_oscillator_levels(scen: Scenario, j: Fraction, channel: str) -> LevelAt:
+def _lob_nomonopole_oscillator_levels(scen: Scenario, j: Fraction, channel: str) -> ResolvedChannel:
     """No-monopole curved oscillator level E = N sqrt(K/M + (1/2M)^2) - (N^2 + 1/4)/(2M)
     with the channel's N from its row; the restriction N < sqrt(1+4KM)/2 bounds
     the level count."""
     k_osc, mass = scen.k_osc, scen.mass
-    _check_nomonopole_j(j)
-    row = curved_row(POTENTIAL_OSCILLATOR, channel, "big_n", "no-monopole")
-    big_n_at = row.big_n(float(j))
-    energy_at = _curved_oscillator_energy(k_osc, mass)
-    limit = math.sqrt(1.0 + 4.0 * k_osc * mass) / 2.0
+    row, fj = _nomonopole_row(scen, j, channel), float(j)
+    big_n_at = row.big_n(fj)
+    energy_at, root = _curved_oscillator(k_osc, mass)
+    limit = root / 2.0
     deriv, bound = row.derivation
     exhausted = f"{REASON_EXHAUSTED}: restriction N < sqrt(1 + 4 K M)/2 = {limit:.6g} violated"
     formula = "E = N sqrt(K/M + 1/(2M)^2) - (N^2 + 1/4)/(2M)"
@@ -391,7 +391,8 @@ def _lob_nomonopole_oscillator_levels(scen: Scenario, j: Fraction, channel: str)
         return _new_level((scen, channel, j, n, energy_at(big_n), deriv,
                            admissible, bound if admissible else exhausted, formula, None))
 
-    return level
+    return ResolvedChannel(level, big_n=big_n_at, root=root,
+                           heun_exponents=row.heun_exponents and row.heun_exponents(fj))
 
 
 # --- the channel table --------------------------------------------------------
@@ -401,7 +402,7 @@ class ChannelRow(NamedTuple):
     """One (geometry, potential, channel) case of the paper, as pure-Python
     data that `spectra`, `radial` and `heunspec` read instead of names."""
 
-    levels: Callable[[Scenario, Fraction, str], LevelAt] | str  # the stage one, or why there is none
+    levels: Callable[[Scenario, Fraction, str], ResolvedChannel] | str  # the stage one, or why there is none
     sampler: str  # the name of the `radial` sampler, or why the case has none
     derivation: tuple[str, str] = (DERIV_HYPERGEOMETRIC, "")  # label, and reason an admissible level carries
     monopole: Optional[bool] = None  # curved: the case needs the monopole (min-j), or needs none
@@ -431,7 +432,7 @@ CHANNEL_TABLE: dict[tuple[str, str, str], ChannelRow] = {
         (_COUL, _flat_coulomb_levels, "flat-coulomb"), (_OSC, _flat_oscillator_levels, "flat-oscillator"),
     ) for ch in (CH_MIN_J, *CH_BRANCH)},
     # curved space with the monopole: the min-j channel only; the Coulomb origin exponent is
-    # written apart from `minj_nu_0`, so that the oracle stays independent of the closed form
+    # written apart from the closed form's nu_0, so that the oracle stays independent of it
     (_LOB, _NONE, CH_MIN_J): ChannelRow("the free curved minimum-j channel has no discrete levels", _FREE,
                                         monopole=True),
     (_LOB, _COUL, CH_MIN_J): ChannelRow(
@@ -469,15 +470,6 @@ def channel_row(scenario: Scenario, channel: str) -> Optional[ChannelRow]:
     return None if row is None or row.monopole == scenario.no_monopole else row
 
 
-def curved_row(potential: str, channel: str, field: str, family: str) -> ChannelRow:
-    """The curved row of (potential, channel) if it sets `field`, else the
-    error that names the channel unknown to the `family` of rows that do."""
-    row = CHANNEL_TABLE.get((GEOMETRY_LOBACHEVSKY, potential, channel))
-    if row is None or getattr(row, field) is None:
-        raise SpectrumError(f"unknown {family} channel {channel!r}")
-    return row
-
-
 # --- unit conversion ----------------------------------------------------------
 
 
@@ -499,7 +491,7 @@ class UnitSystem(_UnitFields):
     oscillator constant K = k_phys R^3/(hbar c). For flat scenarios R is an
     arbitrary reference length that drops out of physical observables and may
     stay unset; Lobachevsky conversions require it. alpha_fs is the physical
-    Coulomb coupling e^2/(hbar c), carried for the usual-units expressions.
+    Coulomb coupling e^2/(hbar c).
     An immutable tuple of its 5 fields, checked at construction, as is a
     copy from `_replace`.
     """
@@ -561,35 +553,6 @@ def _map_energies(level: EnergyLevel, units: UnitSystem, convert: Callable[[floa
     return level._replace(energy=convert(level.energy), epsilon=epsilon)
 
 
-def usual_units_coulomb_energy(units: UnitSystem, alpha: Optional[float] = None, big_n: float = 1.0) -> float:
-    """Physical form of the no-monopole curved Coulomb level:
-    eps = -m c^2 alpha^2/(2 N^2) - (hbar^2/(m R^2)) N^2/2, alpha = e^2/(hbar c)
-    by default."""
-    alpha = units.alpha_fs if alpha is None else alpha
-    m, c, hb, r = units.mass, units.c, units.hbar, units.reference_radius
-    return -m * c * c * alpha * alpha / (2.0 * big_n**2) - (hb * hb / (m * r * r)) * big_n**2 / 2.0
-
-
-def usual_units_oscillator_energy(units: UnitSystem, k_phys: float, big_n: float) -> float:
-    """Physical form of the curved oscillator level:
-    eps = hbar (N sqrt(k/m + hbar^2/(4 m^2 R^4)) - hbar (N^2 + 1/4)/(2 m R^2))."""
-    m, hb, r = units.mass, units.hbar, units.reference_radius
-    return hb * (
-        big_n * math.sqrt(k_phys / m + hb * hb / (4.0 * m * m * r**4))
-        - hb / (2.0 * m * r * r) * (big_n**2 + 0.25)
-    )
-
-
-def usual_units_minj_coulomb_epsilon(units: UnitSystem, alpha: float, nu: float) -> float:
-    """Physical form of the curved minimum-j Coulomb level:
-    E = m c^2 / sqrt(1 + alpha^2/nu^2) sqrt(1 - hbar^2 (alpha^2+nu^2)/(m^2 c^2 R^2))."""
-    m, c, hb, r = units.mass, units.c, units.hbar, units.reference_radius
-    return (
-        m * c * c / math.sqrt(1.0 + alpha * alpha / (nu * nu))
-        * math.sqrt(1.0 - hb * hb * (alpha * alpha + nu * nu) / (m * m * c * c * r * r))
-    )
-
-
 # --- scenario-level driver ----------------------------------------------------
 
 
@@ -625,7 +588,7 @@ def spectrum_levels(
         lv = single_level(scenario, jf, ns[0], ch)
         if include_inadmissible or lv.admissible:
             block.append(lv)
-        block += _channel_levels(_resolve_channel(scenario, jf, ch), ch, ns[1:], include_inadmissible)
+        block += _channel_levels(resolve_channel(scenario, jf, ch).level, ch, ns[1:], include_inadmissible)
     if len(blocks) < len(chans) or ns != sorted(ns):
         for block in blocks.values():
             block.sort(key=attrgetter("n"))
@@ -638,7 +601,7 @@ def admissible_levels(scenario: Scenario, j: HalfInt, channel: str) -> list[Ener
     and so is a curved channel with more than MAX_ADMISSIBLE_LEVELS."""
     if scenario.geometry == GEOMETRY_FLAT:
         raise SpectrumError("flat spectra are infinite; give the radial indices explicitly")
-    level_at = _resolve_channel(scenario, j, channel)
+    level_at = resolve_channel(scenario, j, channel).level
     out: list[EnergyLevel] = []
     while len(out) <= MAX_ADMISSIBLE_LEVELS:
         (lv,) = _channel_levels(level_at, channel, (len(out),))
@@ -654,7 +617,7 @@ def single_level(scenario: Scenario, j: HalfInt, n: int, channel: str) -> Energy
     `_channel_levels`, with its errors in order: n < 0 first, then the channel,
     then an overflowing level. Tables take each channel's first level here."""
     _check_radial_index(n)
-    (level,) = _channel_levels(_resolve_channel(scenario, j, channel), channel, (n,))
+    (level,) = _channel_levels(resolve_channel(scenario, j, channel).level, channel, (n,))
     return level
 
 
@@ -686,9 +649,10 @@ def _channel_levels(level_at: LevelAt, channel: str, ns, keep_inadmissible: bool
     return out
 
 
-def _resolve_channel(scenario: Scenario, j: HalfInt, channel: str) -> LevelAt:
-    """(scenario, j, channel) -> the stage one of its row, n -> level, unchecked:
-    `_channel_levels` checks. A channel with no row in the scenario's family
+def resolve_channel(scenario: Scenario, j: HalfInt, channel: str) -> ResolvedChannel:
+    """(scenario, j, channel) -> the ResolvedChannel its row's stage one builds:
+    its n-independent inputs, and its levels n -> level, unchecked
+    (`_channel_levels` checks). A channel with no row in the scenario's family
     goes to the family's first row, whose checks raise the error naming it. A
     division by zero here is an overflow error."""
     jf = as_half_integer(j, "j")

@@ -245,6 +245,7 @@ def _criterion_minj_coulomb() -> dict:
     alpha, mass = 0.1, 10.0
     scen = core.Scenario("lobachevsky", "coulomb", Fraction(1), mass, alpha=alpha)
     prob = radial.build_problem(scen, spectra.CH_MIN_J, 0)
+    b_at = spectra.resolve_channel(scen, 0, spectra.CH_MIN_J).b
     parts: dict = {"mismatch": {}, "bracketing": {}}
     ok = True
     for n in range(3):
@@ -252,8 +253,7 @@ def _criterion_minj_coulomb() -> dict:
         try:
             res = oracle.shoot_decay(prob, lv.epsilon)
             mism = abs(res.mismatch)
-            b = spectra.minj_coulomb_b(lv.epsilon, alpha, n)
-            parts["mismatch"][n] = {"epsilon": lv.epsilon, "abs_mismatch": mism, "b": b}
+            parts["mismatch"][n] = {"epsilon": lv.epsilon, "abs_mismatch": mism, "b": b_at(lv.epsilon, n)}
             ok_n = mism <= 1e-5
         except oracle.OracleError as exc:
             parts["mismatch"][n] = {"epsilon": lv.epsilon, "error": str(exc)}
@@ -335,7 +335,7 @@ def suite_lob_coulomb() -> list[dict]:
     for j in range(3):
         prob = radial.build_problem(scen, spectra.CH_PARITY_ODD, j)
         levels = spectra.admissible_levels(scen, j, spectra.CH_PARITY_ODD)
-        big_n_at = spectra.nomonopole_n_coulomb(j, spectra.CH_PARITY_ODD)
+        big_n_at = spectra.resolve_channel(scen, j, spectra.CH_PARITY_ODD).big_n
         for lv, fd in zip(levels, _fd_compare(prob, levels)):
             rows.append({"j": j, "n": lv.n, "N": big_n_at(lv.n), "analytic": lv.energy, **fd})
         count_rows.append({"j": j, "fd_count": oracle.count_bound_states(prob), "predicted_count": len(levels)})
@@ -372,7 +372,7 @@ def suite_lob_oscillator() -> list[dict]:
     for j in range(3):
         prob = radial.build_problem(scen, spectra.CH_PARITY_ODD, j)
         levels = spectra.admissible_levels(scen, j, spectra.CH_PARITY_ODD)
-        big_n_at = spectra.nomonopole_n_oscillator(j, spectra.CH_PARITY_ODD)
+        big_n_at = spectra.resolve_channel(scen, j, spectra.CH_PARITY_ODD).big_n
         for lv, fd in zip(levels, _fd_compare(prob, levels)):
             rows.append({"j": j, "n": lv.n, "N": big_n_at(lv.n), "analytic": lv.energy, **fd})
         grid = oracle.default_grid(prob)
@@ -402,18 +402,14 @@ def suite_lob_oscillator() -> list[dict]:
 def _heun_cases():
     """Criterion 10's cases, the even channels of both curved potentials at
     j = 0, 1: (scenario, channel, j, formal levels, their Heun parameter sets)."""
-    alpha, mass, k_osc = 10.0, 1.0, 100.0
-    coulomb = core.Scenario("lobachevsky", "coulomb", Fraction(0), mass, alpha=alpha)
-    oscillator = core.Scenario("lobachevsky", "oscillator", Fraction(0), mass, k_osc=k_osc)
+    coulomb = core.Scenario("lobachevsky", "coulomb", Fraction(0), 1.0, alpha=10.0)
+    oscillator = core.Scenario("lobachevsky", "oscillator", Fraction(0), 1.0, k_osc=100.0)
     # even channels of both potentials at the formal termination energies
-    for scen, params_at in (
-        (coulomb, lambda e, j, ch: heunspec.heun_params_coulomb(e, alpha, mass, j, ch)),
-        (oscillator, lambda e, j, ch: heunspec.heun_params_oscillator(e, k_osc, mass, j, ch)),
-    ):
+    for scen, params_at in ((coulomb, heunspec.heun_params_coulomb), (oscillator, heunspec.heun_params_oscillator)):
         for channel in (spectra.CH_EVEN_1, spectra.CH_EVEN_2):
             for j in (0, 1):
                 formal = spectra.admissible_levels(scen, j, channel)
-                yield scen, channel, j, formal, [params_at(lv.energy, j, channel) for lv in formal]
+                yield scen, channel, j, formal, [params_at(lv) for lv in formal]
 
 
 def suite_heun() -> list[dict]:

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from monopole_spectra import radial, spectra
+from monopole_spectra import heunspec, radial, spectra
 from monopole_spectra.core import Scenario
 
 EXPECTED = pathlib.Path(__file__).parent / "channel_walk.json"
@@ -58,15 +58,24 @@ def _problem_record(problem):
     return [problem.tag, repr(problem.origin_exponent), repr(problem.continuum_edge), problem.linearity]
 
 
+def _scenario(case) -> Scenario:
+    geometry, potential, charge, _, _ = case
+    return Scenario(geometry, potential, Fraction(charge), 10.0, **_PARAMS[potential])
+
+
+def _problem_outcome(problem):
+    return problem if isinstance(problem, str) else _problem_record(problem)
+
+
 def walk(case) -> dict:
-    geometry, potential, charge, channel, j = case
-    scen = Scenario(geometry, potential, Fraction(charge), 10.0, **_PARAMS[potential])
+    *_, channel, j = case
+    scen = _scenario(case)
     level = _outcome(lambda: spectra.single_level(scen, j, 0, channel))
     problem = _outcome(lambda: radial.build_problem(scen, channel, j))
     record = {
         "defaults": _outcome(lambda: spectra.default_channels(scen, j)),
         "level": repr(tuple(level)) if isinstance(level, tuple) else level,
-        "problem": problem if isinstance(problem, str) else _problem_record(problem),
+        "problem": _problem_outcome(problem),
     }
     if isinstance(level, tuple) and level.admissible and not isinstance(problem, str):
         record["solution"] = _outcome(lambda: radial.analytic_solution(problem, level, grid=_GRID).closed_form)
@@ -81,6 +90,20 @@ def expected():
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_outcome_matches_the_recorded_walk(case, expected):
     assert walk(case) == expected[_case_id(case)]
+
+
+def test_problems_are_built_without_the_closed_form_inputs(expected, monkeypatch):
+    # the oracle's operator stays independent of the closed forms: with the
+    # resolver of their inputs refusing, every problem comes out as recorded
+    def refuse(*args, **kwargs):
+        raise AssertionError("the radial problem read a resolved channel")
+
+    for module in (spectra, radial, heunspec):
+        monkeypatch.setattr(module, "resolve_channel", refuse)
+    for case in CASES:
+        *_, channel, j = case
+        problem = _outcome(lambda: radial.build_problem(_scenario(case), channel, j))
+        assert _problem_outcome(problem) == expected[_case_id(case)]["problem"], _case_id(case)
 
 
 def test_recorded_walk_names_every_case(expected):

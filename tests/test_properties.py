@@ -107,6 +107,51 @@ def test_flat_levels_increase(mass, coupling, branch, potential):
     assert all(b > a for a, b in zip(energies, energies[1:]))
 
 
+def _bits(levels):
+    """Each level's channel, n, and every float as its bits, scenario aside."""
+    hexed = lambda x: None if x is None else x.hex()
+    return [(lv.channel, lv.j, lv.n, hexed(lv.energy), hexed(lv.epsilon), lv.admissible, lv.reason)
+            for lv in levels]
+
+
+@PROPERTY
+@given(mass=positive, coupling=positive, k2=st.integers(min_value=1, max_value=6), dj=st.integers(0, 2),
+       potential=st.sampled_from(["coulomb", "oscillator"]))
+def test_flat_levels_obey_their_exact_relations(mass, coupling, k2, dj, potential):
+    # E(k) = E(-k); Coulomb E(2M) = 2 E(M), E(2 alpha) = 4 E(alpha); oscillator
+    # E(4K) = 2 E(K): powers of two scale every rounding step exactly
+    j = Fraction(k2, 2) - 1 + dj  # dj = 0: the reduced min-j channel
+    hypothesis.assume(j >= 0 and (dj > 0 or k2 >= 2))
+    coupling_name = "alpha" if potential == "coulomb" else "k_osc"
+
+    def levels(charge, m=mass, g=coupling):
+        scen = core.Scenario("flat", potential, charge, m, **{coupling_name: g})
+        return spectra.spectrum_levels(scen, j, range(6))
+
+    base = levels(Fraction(k2, 2))
+    assert len(base) == 6 * len(spectra.default_channels(base[0].scenario, j))
+    assert _bits(levels(Fraction(-k2, 2))) == _bits(base)
+    scaled = [(lv.energy * 2.0).hex() for lv in base]
+    if potential == "coulomb":
+        assert [lv.energy.hex() for lv in levels(Fraction(k2, 2), m=2.0 * mass)] == scaled
+        assert [lv.energy.hex() for lv in levels(Fraction(k2, 2), g=2.0 * coupling)] == [
+            (lv.energy * 4.0).hex() for lv in base]
+    else:
+        assert [lv.energy.hex() for lv in levels(Fraction(k2, 2), g=4.0 * coupling)] == scaled
+
+
+@PROPERTY
+@given(mass=positive, k_osc=positive, alpha=st.floats(min_value=1e-3, max_value=0.49),
+       k2=st.integers(min_value=2, max_value=6))
+def test_curved_minj_levels_do_not_depend_on_the_sign_of_k(mass, k_osc, alpha, k2):
+    j = Fraction(k2, 2) - 1
+    for potential in ("coulomb", "oscillator"):
+        plus, minus = (core.Scenario("lobachevsky", potential, charge, mass, alpha=alpha, k_osc=k_osc)
+                       for charge in (Fraction(k2, 2), Fraction(-k2, 2)))
+        assert _bits(spectra.spectrum_levels(plus, j, range(6), include_inadmissible=True)) == _bits(
+            spectra.spectrum_levels(minus, j, range(6), include_inadmissible=True))
+
+
 @PROPERTY
 @given(hbar=positive, c=positive, mass=positive, radius=positive, n=st.integers(0, 3))
 def test_unit_round_trip(hbar, c, mass, radius, n):

@@ -130,7 +130,7 @@ def test_lob_minj_coulomb_n0_polynomial_is_constant():
     grid = radial.uniform_grid(0.1, 5.0, 300)
     sol = radial.analytic_solution(problem, level, grid=grid)
     a_exp = (1.0 + math.sqrt(0.96)) / 2.0
-    b_exp = spectra.minj_coulomb_b(level.epsilon, 0.1, 0)
+    b_exp = spectra.resolve_channel(sc, 0, "min-j").b(level.epsilon, 0)
     x = 1.0 - np.exp(-2.0 * grid)
     direct = x**a_exp * (1.0 - x) ** b_exp
     assert sol.values == pytest.approx(direct / np.max(np.abs(direct)), rel=1e-12)

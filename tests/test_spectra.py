@@ -66,7 +66,8 @@ def test_lob_minj_coulomb_ground_state():
     lv = spectra.single_level(MINJ_COULOMB, 0, 0, "min-j")
     nu = (1.0 + math.sqrt(0.96)) / 2.0
     eps = 10.0 / math.sqrt(1 + 0.01 / nu**2) * math.sqrt(1 - (0.01 + nu**2) / 100.0)
-    assert spectra.minj_coulomb_b(lv.epsilon, 0.1, 0) == pytest.approx((eps * 0.1 - nu**2) / (2 * nu), abs=1e-12)
+    b = spectra.resolve_channel(MINJ_COULOMB, 0, "min-j").b(lv.epsilon, 0)
+    assert b == pytest.approx((eps * 0.1 - nu**2) / (2 * nu), abs=1e-12)
     assert lv.epsilon == pytest.approx(eps, abs=1e-12)
     assert lv.energy == pytest.approx(eps - 10.0, abs=1e-12)
     assert lv.admissible
@@ -107,7 +108,7 @@ def test_lob_minj_coulomb_free_limit():
     # alpha -> 0: nu -> 1 and eps -> M sqrt(1 - 1/M^2)
     scen = core.Scenario("lobachevsky", "coulomb", F(1), 10.0, alpha=1e-9)
     lv = spectra.single_level(scen, 0, 0, "min-j")
-    assert spectra.minj_coulomb_b(lv.epsilon, 1e-9, 0) == pytest.approx(-0.5, abs=1e-8)  # b -> -nu/2
+    assert spectra.resolve_channel(scen, 0, "min-j").b(lv.epsilon, 0) == pytest.approx(-0.5, abs=1e-8)  # b -> -nu/2
     assert lv.epsilon == pytest.approx(10.0 * math.sqrt(1 - 0.01), rel=1e-9)
 
 
@@ -119,7 +120,7 @@ def test_lob_minj_coulomb_finite_spectrum():
 def test_lob_minj_coulomb_nondecaying_levels_flagged():
     # n >= 1 at these parameters has b < 0: the closed form is formal only
     lv = spectra.single_level(MINJ_COULOMB, 0, 1, "min-j")
-    assert not lv.admissible and spectra.minj_coulomb_b(lv.epsilon, 0.1, 1) < 0
+    assert not lv.admissible and spectra.resolve_channel(MINJ_COULOMB, 0, "min-j").b(lv.epsilon, 1) < 0
 
 
 def test_lob_minj_coulomb_alpha_domain():
@@ -164,8 +165,8 @@ def test_lob_nomonopole_coulomb_values_and_admissibility():
 
 def test_lob_nomonopole_coulomb_channel_shift():
     # even-1 and even-2 differ only through N shifted by one unit
-    n_even_1 = spectra.nomonopole_n_coulomb(F(1), "even-1")
-    n_even_2 = spectra.nomonopole_n_coulomb(F(1), "even-2")
+    n_even_1 = spectra.resolve_channel(NOMONOPOLE_COULOMB, 1, "even-1").big_n
+    n_even_2 = spectra.resolve_channel(NOMONOPOLE_COULOMB, 1, "even-2").big_n
     for n in range(3):
         l1 = spectra.single_level(NOMONOPOLE_COULOMB, 1, n, "even-1")
         l2 = spectra.single_level(NOMONOPOLE_COULOMB, 1, n + 2, "even-2")
@@ -181,7 +182,8 @@ def test_lob_nomonopole_coulomb_exponent_identity():
     ]:
         scen = core.Scenario("lobachevsky", "coulomb", F(0), mass, alpha=alpha)
         lv = spectra.single_level(scen, j, n, ch)
-        b = spectra.nomonopole_coulomb_b(scen, spectra.nomonopole_n_coulomb(F(j), ch)(n))
+        inputs = spectra.resolve_channel(scen, j, ch)
+        b = inputs.b(inputs.big_n(n))
         assert lv.energy == pytest.approx(-alpha - 2.0 * b * b / mass, abs=1e-12)
 
 
@@ -194,12 +196,12 @@ def test_lob_nomonopole_coulomb_derivation_labels():
 
 def test_lob_nomonopole_oscillator_values():
     lv = spectra.single_level(NOMONOPOLE_OSCILLATOR, 0, 0, "parity-odd")
-    assert spectra.nomonopole_n_oscillator(F(0), "parity-odd")(0) == 1.5
+    assert spectra.resolve_channel(NOMONOPOLE_OSCILLATOR, 0, "parity-odd").big_n(0) == 1.5
     assert lv.energy == pytest.approx(1.5 * math.sqrt(100.25) - (2.25 + 0.25) / 2.0, abs=1e-12)
     assert lv.admissible  # 1.5 < sqrt(401)/2 ~ 10.01
     # even channels: N differs by exactly one at equal (j, n)
-    n1 = spectra.nomonopole_n_oscillator(F(1), "even-1")(2)
-    n2 = spectra.nomonopole_n_oscillator(F(1), "even-2")(2)
+    n1 = spectra.resolve_channel(NOMONOPOLE_OSCILLATOR, 1, "even-1").big_n(2)
+    n2 = spectra.resolve_channel(NOMONOPOLE_OSCILLATOR, 1, "even-2").big_n(2)
     assert n1 - n2 == 1.0
 
 
@@ -213,7 +215,7 @@ def test_lob_nomonopole_oscillator_restriction_boundary_stays_inadmissible():
     # level E = 1 sits on the continuum edge K/2, so N < limit must be strict
     scen = core.Scenario("lobachevsky", "oscillator", F(0), 1.0, k_osc=2.0)
     lv = spectra.single_level(scen, 0, 0, "parity-odd")
-    assert spectra.nomonopole_n_oscillator(F(0), "parity-odd")(0) == math.sqrt(1.0 + 4.0 * 2.0) / 2.0 == 1.5
+    assert spectra.resolve_channel(scen, 0, "parity-odd").big_n(0) == math.sqrt(1.0 + 4.0 * 2.0) / 2.0 == 1.5
     assert lv.energy == 1.0 == scen.k_osc / 2.0
     assert not lv.admissible and "restriction" in lv.reason
     assert spectra.admissible_levels(scen, 0, "parity-odd") == []
@@ -299,10 +301,40 @@ def test_unit_system_is_a_tuple_of_its_constants():
     assert units._replace(c=3.0).energy_unit == 1.5
 
 
+# The printed usual-units forms of the curved levels, references for `to_physical_units`
+def _usual_units_coulomb_energy(units, alpha=None, big_n=1.0):
+    """Physical form of the no-monopole curved Coulomb level:
+    eps = -m c^2 alpha^2/(2 N^2) - (hbar^2/(m R^2)) N^2/2, alpha = e^2/(hbar c)
+    by default."""
+    alpha = units.alpha_fs if alpha is None else alpha
+    m, c, hb, r = units.mass, units.c, units.hbar, units.reference_radius
+    return -m * c * c * alpha * alpha / (2.0 * big_n**2) - (hb * hb / (m * r * r)) * big_n**2 / 2.0
+
+
+def _usual_units_oscillator_energy(units, k_phys, big_n):
+    """Physical form of the curved oscillator level:
+    eps = hbar (N sqrt(k/m + hbar^2/(4 m^2 R^4)) - hbar (N^2 + 1/4)/(2 m R^2))."""
+    m, hb, r = units.mass, units.hbar, units.reference_radius
+    return hb * (
+        big_n * math.sqrt(k_phys / m + hb * hb / (4.0 * m * m * r**4))
+        - hb / (2.0 * m * r * r) * (big_n**2 + 0.25)
+    )
+
+
+def _usual_units_minj_coulomb_epsilon(units, alpha, nu):
+    """Physical form of the curved minimum-j Coulomb level:
+    E = m c^2 / sqrt(1 + alpha^2/nu^2) sqrt(1 - hbar^2 (alpha^2+nu^2)/(m^2 c^2 R^2))."""
+    m, c, hb, r = units.mass, units.c, units.hbar, units.reference_radius
+    return (
+        m * c * c / math.sqrt(1.0 + alpha * alpha / (nu * nu))
+        * math.sqrt(1.0 - hb * hb * (alpha * alpha + nu * nu) / (m * m * c * c * r * r))
+    )
+
+
 def test_fine_structure_default_coupling():
     units = spectra.UnitSystem(radius=2.0)
-    assert spectra.usual_units_coulomb_energy(units, big_n=1.0) == pytest.approx(
-        spectra.usual_units_coulomb_energy(units, alpha=units.alpha_fs, big_n=1.0)
+    assert _usual_units_coulomb_energy(units, big_n=1.0) == pytest.approx(
+        _usual_units_coulomb_energy(units, alpha=units.alpha_fs, big_n=1.0)
     )
     assert units.alpha_fs == pytest.approx(1 / 137.036, rel=1e-5)
 
@@ -327,7 +359,7 @@ def test_unit_conversion_reproduces_printed_coulomb_form():
         lv = spectra.single_level(scen, j, n, "parity-odd")
         phys = spectra.to_physical_units(lv, units)
         assert phys.energy == pytest.approx(
-            spectra.usual_units_coulomb_energy(units, alpha, big_n), rel=1e-12
+            _usual_units_coulomb_energy(units, alpha, big_n), rel=1e-12
         )
 
 
@@ -340,7 +372,7 @@ def test_unit_conversion_reproduces_printed_oscillator_form():
     lv = spectra.single_level(scen, 0, 1, "min-j")
     phys = spectra.to_physical_units(lv, units)
     assert phys.energy == pytest.approx(
-        spectra.usual_units_oscillator_energy(units, k_phys, 2 * 1 + 1.5), rel=1e-12
+        _usual_units_oscillator_energy(units, k_phys, 2 * 1 + 1.5), rel=1e-12
     )
 
 
@@ -352,7 +384,7 @@ def test_unit_conversion_reproduces_printed_relativistic_form():
     lv = spectra.single_level(scen, 0, 0, "min-j")
     phys = spectra.to_physical_units(lv, units)
     nu = (1.0 + math.sqrt(1.0 - 4.0 * alpha * alpha)) / 2.0
-    assert phys.epsilon == pytest.approx(spectra.usual_units_minj_coulomb_epsilon(units, alpha, nu), rel=1e-12)
+    assert phys.epsilon == pytest.approx(_usual_units_minj_coulomb_epsilon(units, alpha, nu), rel=1e-12)
 
 
 def test_level_record_schema():
@@ -463,7 +495,7 @@ def test_flat_no_monopole_j0_rejected_clearly():
 @pytest.fixture
 def resolution_counts(monkeypatch):
     """Count channel resolutions (flat `flat_channel_l`, no-monopole
-    `_check_nomonopole_j`) and half-integer coercions in every module that
+    `_nomonopole_row`) and half-integer coercions in every module that
     binds `as_half_integer`."""
     counts = dict.fromkeys(("flat", "nomonopole", "coerce"), 0)
 
@@ -474,7 +506,7 @@ def resolution_counts(monkeypatch):
         return counted
 
     monkeypatch.setattr(spectra, "flat_channel_l", counting("flat", spectra.flat_channel_l))
-    monkeypatch.setattr(spectra, "_check_nomonopole_j", counting("nomonopole", spectra._check_nomonopole_j))
+    monkeypatch.setattr(spectra, "_nomonopole_row", counting("nomonopole", spectra._nomonopole_row))
     coerce = counting("coerce", core.as_half_integer)
     for module in (core, mixing, spectra):
         monkeypatch.setattr(module, "as_half_integer", coerce)
@@ -629,7 +661,7 @@ def test_single_level_carries_the_callers_scenario(scen, j, channel, closed_form
 # formulas: the two-stage closed forms must reproduce every float bit for bit.
 # Each reference returns (E, epsilon, {input: value}, admissible, reason,
 # formula), so a level built with two fields swapped shows. The inputs are the
-# values that `_inputs` reads from the public L, N and b functions.
+# values that `_inputs` reads from the level's resolved channel.
 EXHAUSTED = "finite spectrum exhausted: "
 
 
@@ -656,23 +688,25 @@ def _reference_minj(scen, j, channel, n):
     alpha, mass = scen.alpha, scen.mass
     if scen.potential == "oscillator":
         big_n = 2.0 * n + 1.5
-        s_well = (-1.0 + math.sqrt(1.0 + 4.0 * mass * scen.k_osc)) / 2.0
+        root = math.sqrt(1.0 + 4.0 * mass * scen.k_osc)
+        s_well = (-1.0 + root) / 2.0
         ok = 2 * n + 1 < s_well
-        return (_reference_curved_oscillator(scen, big_n), None, {}, ok,
+        return (_reference_curved_oscillator(scen, big_n), None, {"root": root}, ok,
                 "" if ok else f"{EXHAUSTED}decaying-well condition 2n+1 < s fails (s = {s_well:.6g})",
                 "E = N sqrt(K/M + 1/(2M)^2) - (N^2 + 1/4)/(2M), N = 2n + 3/2")
     formula = "eps = M sqrt(1 - (alpha^2+nu^2)/M^2)/sqrt(1 + alpha^2/nu^2); E = eps - M"
-    nu = n + (1.0 + math.sqrt(1.0 - 4.0 * alpha * alpha)) / 2.0
+    nu_0 = (1.0 + math.sqrt(1.0 - 4.0 * alpha * alpha)) / 2.0
+    nu = n + nu_0
     y = (alpha * alpha + nu * nu) / (mass * mass)
     if 1.0 - y < 0.0:
-        return math.nan, None, {}, False, f"{EXHAUSTED}alpha^2 + nu^2 > M^2", formula
+        return math.nan, None, {"nu_0": nu_0}, False, f"{EXHAUSTED}alpha^2 + nu^2 > M^2", formula
     x = alpha * alpha / (nu * nu)
     eps = mass / math.sqrt(1.0 + x) * math.sqrt(1.0 - y)
     b = (eps * alpha - nu * nu) / (2.0 * nu)
     reason = "" if b > 0 else (
         f"far-field exponent b = {b:.6g} <= 0: regular solution is non-decaying, formal level only")
     energy = mass * math.expm1(0.5 * (math.log1p(-y) - math.log1p(x))) if y != 1.0 else -mass
-    return energy, eps, {"b": b}, b > 0, reason, formula
+    return energy, eps, {"nu_0": nu_0, "b": b}, b > 0, reason, formula
 
 
 def _reference_nomonopole(scen, j, channel, n):
@@ -680,9 +714,10 @@ def _reference_nomonopole(scen, j, channel, n):
     formal = "" if channel == "parity-odd" else spectra.REASON_FORMAL
     if scen.potential == "oscillator":
         big_n = {"parity-odd": 2.0 * n + fj + 1.5, "even-1": 2.0 + fj + n, "even-2": 1.0 + fj + n}[channel]
-        limit = math.sqrt(1.0 + 4.0 * scen.k_osc * mass) / 2.0
+        root = math.sqrt(1.0 + 4.0 * scen.k_osc * mass)
+        limit = root / 2.0
         ok = big_n < limit
-        return (_reference_curved_oscillator(scen, big_n), None, {"N": big_n}, ok,
+        return (_reference_curved_oscillator(scen, big_n), None, {"N": big_n, "root": root}, ok,
                 formal if ok else f"{EXHAUSTED}restriction N < sqrt(1 + 4 K M)/2 = {limit:.6g} violated",
                 "E = N sqrt(K/M + 1/(2M)^2) - (N^2 + 1/4)/(2M)")
     big_n = {"parity-odd": fj + 1.0 + n, "even-1": fj + 1.5 + 0.5 * n, "even-2": fj + 0.5 + 0.5 * n}[channel]
@@ -693,22 +728,20 @@ def _reference_nomonopole(scen, j, channel, n):
 
 
 def _inputs(lv):
-    """L (with both oscillator candidates), N and b of a level, from the
-    functions that `radial` and `validate` call."""
+    """L (with both oscillator candidates), nu_0, N, b and sqrt(1 + 4MK) of a
+    level, from its resolved channel, which `radial` and `validate` read."""
     scen = lv.scenario
+    inputs = spectra.resolve_channel(scen, lv.j, lv.channel)
     if scen.geometry == "flat":
-        lval = spectra.flat_channel_l(lv.j, scen.charge, lv.channel)
         if scen.potential == "coulomb":
-            return {"L": lval}
-        return {"L": lval, **spectra.oscillator_candidates(lval, lv.n, scen.k_osc, scen.mass)}
-    if not scen.no_monopole:
-        if scen.potential == "oscillator" or lv.epsilon is None:
-            return {}
-        return {"b": spectra.minj_coulomb_b(lv.epsilon, scen.alpha, lv.n)}
+            return {"L": inputs.l}
+        return {"L": inputs.l, **spectra.oscillator_candidates(inputs.l, lv.n, scen.k_osc, scen.mass)}
     if scen.potential == "oscillator":
-        return {"N": spectra.nomonopole_n_oscillator(lv.j, lv.channel)(lv.n)}
-    big_n = spectra.nomonopole_n_coulomb(lv.j, lv.channel)(lv.n)
-    return {"N": big_n, "b": spectra.nomonopole_coulomb_b(scen, big_n)}
+        return {"root": inputs.root} if not scen.no_monopole else {"N": inputs.big_n(lv.n), "root": inputs.root}
+    if not scen.no_monopole:
+        return {"nu_0": inputs.nu_0} if lv.epsilon is None else {"nu_0": inputs.nu_0, "b": inputs.b(lv.epsilon, lv.n)}
+    big_n = inputs.big_n(lv.n)
+    return {"N": big_n, "b": inputs.b(big_n)}
 
 
 @pytest.mark.parametrize("scen, j, reference", [
