@@ -19,7 +19,7 @@ form uses (L, nu_0, the N and b rules, sqrt(1 + 4MK), the Heun exponents),
 which `radial`, `heunspec` and `validate` read.
 
 `CHANNEL_TABLE` names each (geometry, potential, channel) case of the paper
-once; `radial` and `heunspec` read its rows instead of testing channel names.
+once; `spectra` and `radial` read its rows instead of testing channel names.
 """
 
 from __future__ import annotations
@@ -400,7 +400,7 @@ def _lob_nomonopole_oscillator_levels(scen: Scenario, j: Fraction, channel: str)
 
 class ChannelRow(NamedTuple):
     """One (geometry, potential, channel) case of the paper, as pure-Python
-    data that `spectra`, `radial` and `heunspec` read instead of names."""
+    data that `spectra` and `radial` read instead of names."""
 
     levels: Callable[[Scenario, Fraction, str], ResolvedChannel] | str  # the stage one, or why there is none
     sampler: str  # the name of the `radial` sampler, or why the case has none
