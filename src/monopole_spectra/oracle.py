@@ -5,29 +5,35 @@ turning u'' + (2ME - V)u = 0 into a symmetric tridiagonal eigenproblem. Each
 energy comes from a ladder of nested grids with spacings h, 2h, 4h and 8h.
 The 8h rung is bisected (LAPACK dstebz); on each finer rung the selected
 eigenvalues are polished by Rayleigh-quotient iteration on that rung's matrix
-(LAPACK dgtsv solves), seeded from the rung below, and certified by Sturm
-counts: each polished value carries a residual radius, the intervals they
-span are disjoint, and the counts at the two outer ends prove the values are
-exactly the requested indices (Parlett, The Symmetric Eigenvalue Problem,
-1998; Barth, Martin & Wilkinson, Numer. Math. 9, 1967). A rung that fails the
-certificate falls back to bisection. Richardson extrapolation of neighbouring
-rungs, at the order the origin exponent sets, gives the energy, and the
-spread of the extrapolants its error estimate (Pryce, Numerical Solution of
-Sturm-Liouville Problems, 1993); the finest rung doubles until that estimate
-is small. The same compiled Sturm count gives exact bound-state counts below
-a continuum edge. The quadratic-in-energy problem is handled by two-sided
-shooting with log-derivative matching instead.
+(LAPACK dgtsv solves), seeded from the rung below and started from its
+eigenvectors, and certified by Sturm counts: each polished value carries a
+residual radius, the intervals they span are disjoint, and the counts at the
+two outer ends prove the values are exactly the requested indices (Parlett,
+The Symmetric Eigenvalue Problem, 1998; Barth, Martin & Wilkinson, Numer.
+Math. 9, 1967). A count that must be 0 is a Cholesky (LAPACK dpttrf)
+positive-definiteness test. A rung that fails the certificate falls back to
+bisection. Richardson extrapolation of neighbouring rungs, at the order the
+origin exponent sets, gives the energy, and the spread of the extrapolants
+its error estimate (Pryce, Numerical Solution of Sturm-Liouville Problems,
+1993); the finest rung doubles until that estimate is small. The same
+compiled Sturm count gives exact bound-state counts below a continuum edge.
+Inside a `solve_scope`, a ladder or count repeated on the same matrix
+returns the result already solved. The quadratic-in-energy problem is
+handled by two-sided shooting with log-derivative matching instead.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv, dstebz
+from scipy.linalg.lapack import dgtsv, dpttrf, dstebz
 
 from . import ivp
 from .core import GEOMETRY_FLAT, POTENTIAL_OSCILLATOR
@@ -121,6 +127,18 @@ def _tridiagonal(problem: RadialProblem, grid: Grid) -> tuple[np.ndarray, np.nda
     return diag, off
 
 
+def _count_arguments(diag: np.ndarray, off: np.ndarray, x: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """A count's matrix and shift as the LAPACK wrappers take them. A
+    non-finite x is refused, since LAPACK does not check it."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise OracleError(f"Sturm count needs a finite shift, got {x}")
+    diag = np.asarray(diag, dtype=float)
+    # scipy's dstebz and dpttrf wrappers refuse the empty off-diagonal of a 1x1 matrix
+    off = np.asarray(off, dtype=float) if len(diag) > 1 else np.zeros(1)
+    return diag, off, x
+
+
 def sturm_count_below(diag: np.ndarray, off: np.ndarray, x: float) -> int:
     """Number of eigenvalues of the symmetric tridiagonal matrix at or below
     x: LAPACK's Sturm count, in which a zero (or tiny) pivot counts as
@@ -129,14 +147,20 @@ def sturm_count_below(diag: np.ndarray, off: np.ndarray, x: float) -> int:
 
     One compiled count: dstebz over the value range (-inf, x] with an
     absolute tolerance of 1e300, so its bisection stops at once and only the
-    count is used. A non-finite x is refused, since LAPACK does not check it."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise OracleError(f"Sturm count needs a finite shift, got {x}")
-    diag = np.asarray(diag, dtype=float)
-    # scipy's dstebz wrapper refuses the empty off-diagonal of a 1x1 matrix
-    off = np.asarray(off, dtype=float) if len(diag) > 1 else np.zeros(1)
+    count is used. A non-finite x is refused."""
+    diag, off, x = _count_arguments(diag, off, x)
     return int(dstebz(diag, off, 1, -math.inf, x, 0, 0, 1e300, "E")[0])
+
+
+def _none_at_or_below(diag: np.ndarray, off: np.ndarray, x: float) -> bool:
+    """Whether no eigenvalue lies at or below x, i.e. `sturm_count_below(diag,
+    off, x) == 0`, answered by one pivot pass: the LDL^T factorization of
+    T - x (LAPACK dpttrf) stops at the first pivot that is not positive, so
+    info == 0 exactly when T - x is positive definite. Away from the
+    eigenvalues by more than rounding the two agree. A non-finite x is
+    refused."""
+    diag, off, x = _count_arguments(diag, off, x)
+    return dpttrf(diag - x, off)[-1] == 0
 
 
 SEED_SHIFT_SOLVES = 2
@@ -150,37 +174,46 @@ def _bisect(diag: np.ndarray, off: np.ndarray, first: int, last: int) -> np.ndar
     return eigh_tridiagonal(diag, off, select="i", select_range=(first, last), eigvals_only=True)
 
 
-def _polish(diag: np.ndarray, off: np.ndarray, first: int, seeds: np.ndarray) -> Optional[np.ndarray]:
-    """Eigenvalues first..first+len(seeds)-1 of the tridiagonal matrix T by
-    shifted inverse / Rayleigh-quotient iteration from the seeds, or None when
-    they cannot be certified.
+def _polish(diag: np.ndarray, off: np.ndarray, first: int, seeds: np.ndarray,
+            starts: Optional[np.ndarray] = None) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Eigenvalues first..first+len(seeds)-1 of the tridiagonal matrix T and
+    their unit eigenvectors (one row each), by shifted inverse /
+    Rayleigh-quotient iteration from the seeds, or None when the values cannot
+    be certified.
 
     Each step solves (T - shift) y = v with dgtsv, in place in reused buffers,
     and normalizes v = y/|y|; the sums are numpy reductions, not BLAS calls,
-    whose thread pool can stall on a busy machine. The first SEED_SHIFT_SOLVES
-    steps keep the seed as the shift, which turns a fixed random start toward
-    the eigenvector nearest the seed; after that the shift is the Rayleigh
-    quotient v.Tv, until it moves by at most tol = 16 eps |T| (|T| the
-    Gershgorin bound). Each converged sigma_k lies within
+    whose thread pool can stall on a busy machine. Level k starts from
+    starts[k], an approximate eigenvector, and its first step keeps the seed
+    as the shift; without starts it starts from a fixed random vector and
+    the first SEED_SHIFT_SOLVES steps keep the seed, which turns that vector
+    toward the eigenvector nearest the seed. After that the shift is the
+    Rayleigh quotient v.Tv, until it moves by at most tol = 16 eps |T| (|T|
+    the Gershgorin bound). Each converged sigma_k lies within
     r_k = |T v - sigma_k v| + tol of an eigenvalue. The certificate: the
     intervals [sigma_k - r_k, sigma_k + r_k] are disjoint, `first`
     eigenvalues lie at or below the lowest one's left end and
     first+len(seeds) at or below the highest one's right end, so each
-    interval holds exactly one eigenvalue, in index order."""
+    interval holds exactly one eigenvalue, in index order. A start aimed at
+    the wrong eigenvector can only fail the certificate."""
     n = len(diag)
     size = np.abs(diag)
     size[1:] += np.abs(off)
     size[:-1] += np.abs(off)
     tol = 16.0 * _EPS * float(np.max(size))
-    start = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    if starts is None:
+        starts = np.broadcast_to(np.random.default_rng(0).uniform(-1.0, 1.0, n), (len(seeds), n))
+        seed_solves = SEED_SHIFT_SOLVES
+    else:
+        seed_solves = 1
     shifted, y, tv = np.empty(n), np.empty((n, 1)), np.empty(n)
     v = y[:, 0]
-    mu, radius = np.empty(len(seeds)), np.empty(len(seeds))
+    mu, radius, vectors = np.empty(len(seeds)), np.empty(len(seeds)), np.empty((len(seeds), n))
     for k, seed in enumerate(seeds):
         shift = float(seed)
         if not math.isfinite(shift):
             return None
-        v[:] = start
+        v[:] = starts[k]
         for step in range(POLISH_MAX_ITERATIONS):
             np.subtract(diag, shift, out=shifted)
             if dgtsv(off, shifted, off, y, overwrite_d=1, overwrite_b=1)[-1] != 0:
@@ -190,35 +223,49 @@ def _polish(diag: np.ndarray, off: np.ndarray, first: int, seeds: np.ndarray) ->
             tv[:-1] += off * v[1:]
             tv[1:] += off * v[:-1]
             sigma = float(np.multiply(v, tv, out=shifted).sum())
-            if step + 1 < SEED_SHIFT_SOLVES:
+            if step + 1 < seed_solves:
                 continue
             if abs(sigma - shift) <= tol:
                 break
             shift = sigma
         else:
             return None
+        vectors[k] = v
         tv -= sigma * v
         mu[k], radius[k] = sigma, math.sqrt(np.square(tv, out=tv).sum()) + tol
+    low, high = mu[0] - radius[0], mu[-1] + radius[-1]
     if not (np.all(mu[1:] - radius[1:] > mu[:-1] + radius[:-1])
-            and sturm_count_below(diag, off, mu[0] - radius[0]) == first
-            and sturm_count_below(diag, off, mu[-1] + radius[-1]) == first + len(mu)):
+            and (_none_at_or_below(diag, off, low) if first == 0 else sturm_count_below(diag, off, low) == first)
+            and sturm_count_below(diag, off, high) == first + len(mu)):
         return None
-    return mu
+    return mu, vectors
 
 
-def _rung(problem: RadialProblem, grid: Grid, first: int, count: int, seeds: np.ndarray) -> np.ndarray:
+def _refined(vectors: np.ndarray) -> np.ndarray:
+    """Grid vectors (one per row) carried onto the nested grid with twice the
+    intervals: coarse node i becomes fine node 2i, and each new node is the
+    mean of its two neighbours (u = 0 at both ends of the box)."""
+    fine = np.empty((len(vectors), 2 * vectors.shape[1] + 1))
+    fine[:, 1::2] = vectors
+    fine[:, 0] = 0.5 * vectors[:, 0]
+    fine[:, 2:-1:2] = 0.5 * (vectors[:, :-1] + vectors[:, 1:])
+    fine[:, -1] = 0.5 * vectors[:, -1]
+    return fine
+
+
+def _rung(problem: RadialProblem, diag: np.ndarray, off: np.ndarray, first: int, count: int, seeds: np.ndarray,
+          starts: Optional[np.ndarray] = None) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Eigenvalues first..count-1 of one grid's matrix (2M E, not E), polished
-    from the seeds and certified, else bisected.
+    from the seeds and starts and certified, else bisected; with the polished
+    eigenvectors, or None after a bisection.
 
     For curved problems, eigenvalues at or above the continuum edge are box
     artifacts; requesting more levels than exist below the edge is an error.
     The solve comes first: only when the highest eigenvalue is not strictly
     below the edge does a Sturm count at the edge decide how many levels lie
     below it, and the error names that count."""
-    diag, off = _tridiagonal(problem, grid)
-    mu = _polish(diag, off, first, seeds)
-    if mu is None:
-        mu = _bisect(diag, off, first, count - 1)
+    polished = _polish(diag, off, first, seeds, starts)
+    mu, vectors = polished if polished is not None else (_bisect(diag, off, first, count - 1), None)
     if problem.continuum_edge is not None:
         mu_edge = problem.eigenvalue_from_energy(problem.continuum_edge)
         if not mu[-1] < mu_edge:
@@ -228,8 +275,43 @@ def _rung(problem: RadialProblem, grid: Grid, first: int, count: int, seeds: np.
                     f"requested {count} levels but only {available} lie below the continuum edge "
                     f"E = {problem.continuum_edge:.6g}"
                 )
-    return mu
+    return mu, vectors
 
+
+# --- results shared within one run ------------------------------------------------
+
+_SOLVED: ContextVar[Optional[dict]] = ContextVar("solved", default=None)
+
+
+@contextmanager
+def solve_scope() -> Iterator[None]:
+    """Share results among the `fd_eigen` and `count_bound_states` requests
+    made inside the block: a request that repeats one already solved there
+    returns the stored result. A request matches when the digest of its finest
+    grid's diagonal, the grid, the origin exponent, the mass, the continuum
+    edge and the level indices all agree. Only results are kept, never a
+    matrix or an eigenvector; `check_resolution` still runs on every request,
+    and the results are dropped when the block ends."""
+    token = _SOLVED.set({})
+    try:
+        yield
+    finally:
+        _SOLVED.reset(token)
+
+
+def _shared(kind: str, problem: RadialProblem, grid: Grid, diag: np.ndarray, indices: tuple, solve: Callable):
+    """`solve()`, or inside a `solve_scope` the result stored for the same request."""
+    solved = _SOLVED.get()
+    if solved is None:
+        return solve()
+    key = (kind, hashlib.blake2b(diag, digest_size=16).digest(), grid.r_max, grid.n,
+           problem.origin_exponent, problem.mass, problem.continuum_edge, *indices)
+    if key not in solved:
+        solved[key] = solve()
+    return solved[key]
+
+
+# --- the extrapolating ladder and the bound-state count --------------------------
 
 LADDER_TOL = 1e-5
 
@@ -246,6 +328,9 @@ def richardson_order(origin_exponent: float) -> float:
 
 @dataclass(frozen=True)
 class FDSolve:
+    """One ladder's result; its arrays are read-only, since inside a
+    `solve_scope` the same solve answers every repeat of its request."""
+
     energies: np.ndarray  # Richardson-extrapolated energies of the requested levels
     rel_err: np.ndarray  # the oracle's own relative error estimate, per level
     grid: Grid  # the finest rung
@@ -261,13 +346,14 @@ def fd_eigen(problem: RadialProblem, grid: Optional[Grid] = None, count: int = 4
     pass `check_resolution` and have n + 1 divisible by 8. Below it lie rungs
     of spacing 2h, 4h and 8h (n + 1 halved exactly each time). The 8h rung is
     the seed grid, solved by bisection; each rung above it is polished and
-    certified by `_rung`, seeded from the rung below. With q the
+    certified by `_rung`, seeded from the rung below and started from its
+    eigenvectors (`_refined`) when that rung was polished. With q the
     `richardson_order` of the origin exponent, R(h) = (2^q E(h) - E(2h))/(2^q - 1)
     is the energy, and the estimate is the spread of the extrapolants,
     max(|R(h) - R(2h)|, |R(h) - R(4h)|)/|R(h)|. While its largest value
     exceeds LADDER_TOL the finest rung doubles (n + 1 -> 2(n + 1)) and the
     old rungs move down; a finest rung over GRID_POINT_BUDGET points is an
-    error."""
+    error. Inside a `solve_scope` a repeated request is not solved again."""
     if problem.linearity != LINEAR_IN_E:
         raise OracleError("fd_eigen handles linear-in-E problems; use shoot_decay for the quadratic one")
     if not 0 <= first < count:
@@ -280,9 +366,19 @@ def fd_eigen(problem: RadialProblem, grid: Optional[Grid] = None, count: int = 4
     points = (grid.n + 1) // 8
     if count >= points:
         raise OracleError(f"level {count - 1} needs a seed grid of more than {points - 1} points")
+    finest = _tridiagonal(problem, grid)
+    return _shared("fd_eigen", problem, grid, finest[0], (first, count),
+                   lambda: _ladder(problem, grid, finest, first, count))
+
+
+def _ladder(problem: RadialProblem, grid: Grid, finest: tuple[np.ndarray, np.ndarray],
+            first: int, count: int) -> FDSolve:
+    """The ladder of `fd_eigen` under its checked finest rung `grid`, whose
+    matrix is `finest`."""
     weight = 2.0 ** richardson_order(problem.origin_exponent)
+    points = (grid.n + 1) // 8
     energies = [_bisect(*_tridiagonal(problem, Grid(r_max=grid.r_max, n=points - 1)), first, count - 1)]
-    extrapolants = []
+    extrapolants, vectors = [], None
     while True:
         points *= 2
         rung = Grid(r_max=grid.r_max, n=points - 1)
@@ -290,14 +386,20 @@ def fd_eigen(problem: RadialProblem, grid: Optional[Grid] = None, count: int = 4
             check_resolution(problem, rung)
         # the next rung's value as the last extrapolant predicts it
         seeds = extrapolants[-1] + (energies[-1] - extrapolants[-1]) / weight if extrapolants else energies[-1]
-        energies.append(_rung(problem, rung, first, count, seeds))
+        matrix = finest if rung.n == grid.n else _tridiagonal(problem, rung)
+        # the rung below's vectors are dropped once refined: one rung's are held at a time
+        starts, vectors = None if vectors is None else _refined(vectors), None
+        mu, vectors = _rung(problem, *matrix, first, count, seeds, starts)
+        energies.append(mu)
         extrapolants.append((weight * energies[-1] - energies[-2]) / (weight - 1.0))
         if rung.n < grid.n:
             continue
         best = extrapolants[-1]
         rel_err = np.max(np.abs(best - np.array(extrapolants[-3:-1])), axis=0) / np.abs(best)
         if np.max(rel_err) <= LADDER_TOL:
-            return FDSolve(energies=best / (2.0 * problem.mass), rel_err=rel_err, grid=rung)
+            solve = FDSolve(energies=best / (2.0 * problem.mass), rel_err=rel_err, grid=rung)
+            solve.energies.flags.writeable = solve.rel_err.flags.writeable = False
+            return solve
         if 2 * points - 1 > GRID_POINT_BUDGET:
             raise OracleError(f"{problem.tag}: FD error estimate {np.max(rel_err):.2g} > {LADDER_TOL} "
                               f"on the largest rung of {rung.n:,} points")
@@ -307,7 +409,8 @@ def count_bound_states(problem: RadialProblem, grid: Optional[Grid] = None) -> i
     """Number of FD eigenvalues below the problem's continuum edge (the
     `sturm_count_below` count at the edge) on `grid`, by default the finest
     default rung, stabilized against the box size (recomputed at 1.5 r_max;
-    counts must agree)."""
+    counts must agree). Inside a `solve_scope` a repeated request is not
+    counted again."""
     edge = problem.continuum_edge
     if edge is None:
         raise OracleError(
@@ -317,17 +420,19 @@ def count_bound_states(problem: RadialProblem, grid: Optional[Grid] = None) -> i
     if grid is None:
         grid = default_grid(problem)
     check_resolution(problem, grid)
-    mu_edge = problem.eigenvalue_from_energy(edge)
-    counts = []
-    for scale in (1.0, 1.5):
-        g = Grid(r_max=grid.r_max * scale, n=int(round((grid.n + 1) * scale)) - 1)
-        diag, off = _tridiagonal(problem, g)
-        counts.append(sturm_count_below(diag, off, mu_edge))
-    if counts[0] != counts[1]:
-        raise OracleError(
-            f"bound-state count unstable against box size ({counts[0]} vs {counts[1]}); enlarge r_max"
-        )
-    return counts[0]
+    matrix = _tridiagonal(problem, grid)
+
+    def stable_count() -> int:
+        mu_edge = problem.eigenvalue_from_energy(edge)
+        wide = Grid(r_max=grid.r_max * 1.5, n=int(round((grid.n + 1) * 1.5)) - 1)
+        counts = [sturm_count_below(*matrix, mu_edge), sturm_count_below(*_tridiagonal(problem, wide), mu_edge)]
+        if counts[0] != counts[1]:
+            raise OracleError(
+                f"bound-state count unstable against box size ({counts[0]} vs {counts[1]}); enlarge r_max"
+            )
+        return counts[0]
+
+    return _shared("count_bound_states", problem, grid, matrix[0], (), stable_count)
 
 
 # --- two-sided shooting for the quadratic-in-epsilon channel -------------------

@@ -296,7 +296,7 @@ def _curved_oscillator(k_osc: float, mass: float) -> tuple[Callable[[float], flo
     freq = math.sqrt(k_osc / mass + 0.25 / (mass * mass))
     two_mass = 2.0 * mass
     energy_at = lambda big_n: big_n * freq - (big_n**2 + 0.25) / two_mass
-    return energy_at, math.sqrt(1.0 + 4.0 * mass * k_osc)
+    return energy_at, math.sqrt(1.0 + 4.0 * (mass * k_osc))
 
 
 def _lob_minj_oscillator_levels(scen: Scenario, j: Fraction, channel: str) -> ResolvedChannel:

@@ -426,11 +426,12 @@ def suite_heun() -> list[dict]:
                 disc_sets.append(params)
     worst_residual = max([0.0, *heunspec.heun_residual_on_disc(disc_sets)])
     comparisons = [_heun_fd_comparison(scen, channel, j, formal) for scen, channel, j, formal, _ in cases]
-    agreement = [
-        {"potential": c["potential"], "channel": c["channel"], "j": c["j"],
-         "worst_rel_dev": c["worst_rel_dev"]}
+    # three significant digits, so that a rounding-level FD move keeps the text
+    agreement = ", ".join(
+        f"{c['potential']} {c['channel']} j={c['j']} "
+        + ("none" if c["worst_rel_dev"] is None else f"{c['worst_rel_dev']:.2e}")
         for c in comparisons
-    ]
+    )
     return [
         _criterion(
             cid="10-heun",
@@ -439,7 +440,7 @@ def suite_heun() -> list[dict]:
             "(agreement informational: the condition is one of two necessary ones)",
             passed=(worst_fuchs <= 1e-12 and worst_residual <= 1e-9 and worst_involution <= 1e-10),
             measured=f"fuchs {worst_fuchs:.1e}, residual {worst_residual:.1e}, "
-            f"involution {worst_involution:.1e}; formal-vs-FD deviations {agreement}",
+            f"involution {worst_involution:.1e}; formal-vs-FD deviations: {agreement}",
             detail={"comparisons": comparisons},
         )
     ]
@@ -511,13 +512,16 @@ def selected_suites(names) -> list[str]:
 
 def run_suites(names) -> dict:
     """Run the requested suites (see `selected_suites`) and assemble the
-    deterministic report: `envelope` (timing) and `results` (the records)."""
+    deterministic report: `envelope` (timing) and `results` (the records).
+    The suites share one `oracle.solve_scope`, so a ladder or count that
+    several criteria request is solved once per run."""
     results: list[dict] = []
     timing = {}
-    for name in selected_suites(names):
-        t0 = time.monotonic()
-        results.extend(_SUITES[name]())
-        timing[name] = round(time.monotonic() - t0, 3)
+    with oracle.solve_scope():
+        for name in selected_suites(names):
+            t0 = time.monotonic()
+            results.extend(_SUITES[name]())
+            timing[name] = round(time.monotonic() - t0, 3)
     hard_failures = [r["id"] for r in results if not r["passed"]]
     return {
         "envelope": {"tool": "monopole-spectra", "timing_s": timing},

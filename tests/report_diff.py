@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import pathlib
 import sys
 from typing import NamedTuple
@@ -112,8 +113,13 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         sys.exit("usage: report_diff.py OLD NEW | --regenerate")
     changes = diff(load(argv[0]), load(argv[1]))
-    for change in changes:
-        print(change)
+    try:
+        for change in changes:
+            print(change)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early (`| head`): send the unflushed rest to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 1 if changes else 0
 
 

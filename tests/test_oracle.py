@@ -1,6 +1,8 @@
 """FD eigensolver (its rungs and the extrapolating ladder), Sturm counts,
 bound-state counting, shooting, arbitration."""
 
+import collections
+import contextlib
 import dataclasses
 import math
 from fractions import Fraction
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+import report_diff
 from monopole_spectra import core, oracle, radial, spectra, validate
 
 F = Fraction
@@ -35,7 +38,8 @@ def rung_energies(prob, grid, count, first=0, seeds=None):
     if seeds is None:
         half = oracle.Grid(r_max=grid.r_max, n=(grid.n + 1) // 2 - 1)
         seeds = prob.eigenvalue_from_energy(_bisection_reference(prob, half, first, count - 1))
-    return oracle._rung(prob, grid, first, count, seeds) / (2.0 * prob.mass)
+    mu, _ = oracle._rung(prob, *oracle._tridiagonal(prob, grid), first, count, seeds)
+    return mu / (2.0 * prob.mass)
 
 
 def test_box_ground_state():
@@ -334,16 +338,17 @@ def _validate_all_solves():
 
 @pytest.fixture
 def polish_outcomes(monkeypatch):
-    """Records each `_polish` call's matrix, first index and result: the
-    certified values, or None when the rung was left to the bisection
-    safeguard."""
+    """Records each `_polish` call's matrix, first index, start vectors and
+    result: the certified values and their eigenvectors, or None for both when
+    the rung was left to the bisection safeguard."""
     outcomes = []
     polish = oracle._polish
 
-    def recorded(diag, off, first, seeds):
-        mu = polish(diag, off, first, seeds)
-        outcomes.append((diag, off, first, mu))
-        return mu
+    def recorded(diag, off, first, seeds, starts=None):
+        polished = polish(diag, off, first, seeds, starts)
+        mu, vectors = (None, None) if polished is None else polished
+        outcomes.append((diag, off, first, starts, vectors, mu))
+        return polished
 
     monkeypatch.setattr(oracle, "_polish", recorded)
     return outcomes
@@ -355,10 +360,18 @@ def test_certified_solve_matches_bisection_without_the_safeguard(case, polish_ou
     solve = oracle.fd_eigen(prob, grid=grid, count=last + 1, e_target=e_target, first=first)
     assert solve.energies.shape == (last - first + 1,)
     assert len(polish_outcomes) >= 3  # the 4h, 2h and h rungs at least
-    for diag, off, first_index, mu in polish_outcomes:
+    # the first polished rung starts from the random vector, every later one
+    # from the eigenvectors of the rung below
+    assert [starts is None for _, _, _, starts, _, _ in polish_outcomes] == [True] + [False] * (len(polish_outcomes) - 1)
+    for diag, off, first_index, starts, vectors, mu in polish_outcomes:
         assert mu is not None
         reference = eigh_tridiagonal(diag, off, select="i", select_range=(first_index, last), eigvals_only=True)
         assert np.max(np.abs(mu - reference) / np.abs(reference)) <= 1e-9
+        # unit eigenvectors, one per certified value, on this rung's grid
+        assert vectors.shape == (len(mu), len(diag))
+        assert np.allclose(np.linalg.norm(vectors, axis=1), 1.0, rtol=1e-12)
+        if starts is not None:
+            assert starts.shape == vectors.shape
 
 
 @pytest.mark.parametrize("bad_seeds", ["one index off", "nan"])
@@ -412,14 +425,105 @@ def test_polish_certifies_only_the_requested_indices():
                 # a tenth of the local gap (at most 0.1) off each aimed eigenvalue
                 local = np.minimum(np.minimum(gaps[aim], gaps[aim + 1]), 1.0)
                 seeds = evs[aim] + 0.1 * local * rng.uniform(-1.0, 1.0, len(aim))
-                mu = oracle._polish(diag, off, first, seeds)
-                if mu is None:
+                polished = oracle._polish(diag, off, first, seeds)
+                if polished is None:
                     continue
+                mu, _ = polished
                 # a certificate names exactly eigenvalues first..last, in order
                 assert name == "wanted"
                 assert np.max(np.abs(mu - evs[first:last + 1])) <= 1e-12 * np.max(np.abs(evs))
                 certified += 1
     assert certified >= 40
+
+
+def test_polish_from_a_neighbours_eigenvector_certifies_the_wanted_indices_or_declines(monkeypatch):
+    # seeds aimed at the wanted levels, but each start is the exact eigenvector
+    # one level lower or higher: the one seed-shift solve cannot be trusted to
+    # turn it, so the certificate must still name first..last or refuse
+    rng = np.random.default_rng(20261020)
+    outcomes = {"certified": 0, "declined": 0}
+    for diag, off in _clustered_tridiagonals(rng):
+        evs, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        n = len(evs)
+        gaps = np.diff(evs, prepend=-np.inf, append=np.inf)
+        for _ in range(6):
+            first = int(rng.integers(0, n))
+            last = int(rng.integers(first, min(first + 4, n)))
+            wanted = np.arange(first, last + 1)
+            local = np.minimum(np.minimum(gaps[wanted], gaps[wanted + 1]), 1.0)
+            seeds = evs[wanted] + 0.1 * local * rng.uniform(-1.0, 1.0, len(wanted))
+            for aim in (wanted - 1, wanted + 1):
+                if aim[0] < 0 or aim[-1] >= n:
+                    continue
+                polished = oracle._polish(diag, off, first, seeds, np.ascontiguousarray(vecs[:, aim].T))
+                if polished is None:
+                    outcomes["declined"] += 1
+                    continue
+                assert np.max(np.abs(polished[0] - evs[first:last + 1])) <= 1e-12 * np.max(np.abs(evs))
+                outcomes["certified"] += 1
+    assert sum(outcomes.values()) >= 100
+    # a curved oscillator rung started from the rung below's eigenvectors one
+    # level up; the right starts certify the wanted levels, in fewer solves
+    # than the random start
+    solves = []
+    dgtsv = oracle.dgtsv
+    monkeypatch.setattr(oracle, "dgtsv", lambda *args, **kwargs: solves.append(1) or dgtsv(*args, **kwargs))
+    prob = radial.build_problem(CURVED_OSCILLATOR, "parity-odd", 0)
+    coarse, fine = (oracle._tridiagonal(prob, oracle.Grid(r_max=40.0, n=n)) for n in (4095, 8191))
+    mu_coarse, vecs_coarse = eigh_tridiagonal(*coarse, select="i", select_range=(0, 4))
+    starts = oracle._refined(np.ascontiguousarray(vecs_coarse.T))
+    reference = eigh_tridiagonal(*fine, select="i", select_range=(0, 3), eigvals_only=True)
+    solve_counts = []
+    for level_starts in (None, starts[:4]):
+        solves.clear()
+        polished = oracle._polish(*fine, 0, mu_coarse[:4], level_starts)
+        assert np.max(np.abs(polished[0] / reference - 1.0)) <= 1e-12
+        solve_counts.append(len(solves))
+    assert solve_counts[1] < solve_counts[0]
+    polished = oracle._polish(*fine, 0, mu_coarse[:4], starts[1:])
+    assert polished is None or np.max(np.abs(polished[0] / reference - 1.0)) <= 1e-12
+
+
+def test_refined_vectors_keep_the_coarse_nodes_and_average_the_new_ones():
+    coarse = np.array([[1.0, 2.0, 4.0], [-1.0, 0.0, 1.0]])
+    assert np.array_equal(oracle._refined(coarse), [[0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 2.0],
+                                                    [-0.5, -1.0, -0.5, 0.0, 0.5, 1.0, 0.5]])
+    # coarse node i (r = i 2h) is fine node 2i (r = 2i h) on the nested grid
+    coarse_grid, fine_grid = oracle.Grid(r_max=1.0, n=31), oracle.Grid(r_max=1.0, n=63)
+    refined = oracle._refined(np.sin(np.pi * coarse_grid.nodes)[None, :])[0]
+    assert np.array_equal(refined[1::2], np.sin(np.pi * coarse_grid.nodes))
+    assert np.max(np.abs(refined - np.sin(np.pi * fine_grid.nodes))) <= (np.pi * coarse_grid.h) ** 2 / 8
+
+
+def _zero_count_cases(rng):
+    """(diag, off, x): shifts below, between and above the eigenvalues of the
+    clustered tridiagonals and W21+, kept 1e-9 of the spectrum's scale away
+    from every eigenvalue; and shifts at and one ulp either side of exactly
+    known eigenvalues (a 1x1 matrix and a diagonal one)."""
+    for diag, off in _clustered_tridiagonals(rng):
+        evs = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        scale = np.max(np.abs(evs))
+        for x in np.concatenate([[evs[0] - 1.0, evs[-1] + 1.0], 0.5 * (evs[:-1] + evs[1:]),
+                                 evs[0] + scale * np.array([-1e-9, 1e-9, 1e-3])]):
+            if np.min(np.abs(evs - x)) > 1e-9 * scale:
+                yield diag, off, float(x)
+    for diag, off in (([3.0], []), ([-2.0], []), ([2.0, 0.5, 3.0], [0.0, 0.0])):
+        low = min(diag)
+        for x in (math.nextafter(low, -math.inf), low, math.nextafter(low, math.inf)):
+            yield diag, off, x
+
+
+def test_positive_definiteness_test_agrees_with_the_zero_count():
+    cases = list(_zero_count_cases(np.random.default_rng(20261021)))
+    agreed = [oracle._none_at_or_below(diag, off, x) == (oracle.sturm_count_below(diag, off, x) == 0)
+              for diag, off, x in cases]
+    assert all(agreed) and len(agreed) >= 200
+    # both answers occur, at the ulp shifts too
+    assert {oracle._none_at_or_below(d, o, x) for d, o, x in cases} == {True, False}
+    assert oracle._none_at_or_below([3.0], [], math.nextafter(3.0, 0.0))
+    assert not oracle._none_at_or_below([3.0], [], 3.0)
+    with pytest.raises(oracle.OracleError, match="finite shift"):
+        oracle._none_at_or_below([3.0], [], math.nan)
 
 
 def test_resolution_heuristic_enforced():
@@ -547,31 +651,114 @@ def test_results_independent_of_box_size():
 
 
 # Every FD matrix one `validate.run_suites("all")` builds (seed rungs, polished
-# rungs and count grids), in grid points: 917,425 in 35 ladders since the flat
-# oscillator box follows its own decay (1,051,809 in 39 before, 2,385,477 for
-# the fixed 16,000-60,001-point grids before the ladder).
-VALIDATE_ALL_POINT_BUDGET = 960_000
+# rungs and count grids), in grid points: 823,743 in 35 requested ladders, of
+# which 3 repeat an earlier ladder's matrix and are shared, as are 2 of its 17
+# bound-state counts (917,425 before the sharing, 1,051,809 in 39 before the
+# flat oscillator box followed its own decay, 2,385,477 for the fixed
+# 16,000-60,001-point grids before the ladder).
+VALIDATE_ALL_POINT_BUDGET = 830_000
 VALIDATE_ALL_LADDERS = 35
 
 
-def test_validate_all_point_budget(monkeypatch):
-    points, ladders = [], []
-    tridiagonal, fd_eigen = oracle._tridiagonal, oracle.fd_eigen
+@pytest.fixture(scope="module")
+def validate_all_runs():
+    """Three `validate.run_suites("all")` runs: two in a row as `validate`
+    makes them, then one with the solve scope replaced by a no-op. For each,
+    its results, its `fd_eigen`, `_polish` and `_bisect` calls and the grid
+    points of the FD matrices it builds."""
+    runs = []
+    calls, points = collections.Counter(), []
+    with pytest.MonkeyPatch.context() as mp:
+        def counted(name):
+            function = getattr(oracle, name)
 
-    def counted(problem, grid):
-        points.append(grid.n)
-        return tridiagonal(problem, grid)
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return call
 
-    def counted_ladder(*args, **kwargs):
-        ladders.append(args[0].tag)
-        return fd_eigen(*args, **kwargs)
+        for name in ("fd_eigen", "_polish", "_bisect"):
+            mp.setattr(oracle, name, counted(name))
+        tridiagonal = oracle._tridiagonal
 
-    monkeypatch.setattr(oracle, "_tridiagonal", counted)
-    monkeypatch.setattr(oracle, "fd_eigen", counted_ladder)
-    validate.run_suites("all")
-    assert 0 < sum(points) <= VALIDATE_ALL_POINT_BUDGET
+        def counted_matrix(problem, grid):
+            points.append(grid.n)
+            return tridiagonal(problem, grid)
+
+        mp.setattr(oracle, "_tridiagonal", counted_matrix)
+        for sharing in (True, True, False):
+            if not sharing:
+                mp.setattr(oracle, "solve_scope", contextlib.nullcontext)
+            calls.clear()
+            points.clear()
+            results = validate.run_suites("all")["results"]
+            runs.append({"results": results, "calls": dict(calls), "points": sum(points)})
+    return runs
+
+
+def test_validate_all_point_budget(validate_all_runs):
+    shared, _, alone = validate_all_runs
+    assert 0 < shared["points"] <= VALIDATE_ALL_POINT_BUDGET < alone["points"]
     # one ladder per compared run of levels: a per-level split adds ladders
-    assert len(ladders) == VALIDATE_ALL_LADDERS
+    assert shared["calls"]["fd_eigen"] == alone["calls"]["fd_eigen"] == VALIDATE_ALL_LADDERS
+
+
+def test_validate_all_results_do_not_depend_on_sharing(validate_all_runs):
+    shared, _, alone = validate_all_runs
+    assert report_diff.diff(shared["results"], alone["results"]) == []  # floats compared bit for bit
+
+
+def test_consecutive_runs_solve_the_same_ladders(validate_all_runs):
+    # the second run is served nothing from the first; sharing within a run
+    # saves the seed bisection of each repeated ladder
+    first, second, alone = validate_all_runs
+    for name in ("_polish", "_bisect"):
+        assert first["calls"][name] == second["calls"][name] > 0
+    assert first["calls"]["_bisect"] < alone["calls"]["_bisect"]
+
+
+def test_repeated_request_still_checks_resolution(monkeypatch):
+    prob = radial.build_problem(CURVED_OSCILLATOR, "parity-odd", 0)
+    grid = oracle.default_grid(prob)
+    checked, ladders = [], []
+    check, ladder = oracle.check_resolution, oracle._ladder
+
+    def counted_check(problem, g):
+        checked.append(g)
+        check(problem, g)
+
+    def counted_ladder(*args):
+        ladders.append(args)
+        return ladder(*args)
+
+    monkeypatch.setattr(oracle, "check_resolution", counted_check)
+    monkeypatch.setattr(oracle, "_ladder", counted_ladder)
+    with oracle.solve_scope():
+        solve = oracle.fd_eigen(prob, grid=grid, count=2)
+        count = oracle.count_bound_states(prob, grid)
+        checks = len(checked)
+        assert oracle.fd_eigen(prob, grid=grid, count=2) is solve
+        assert oracle.count_bound_states(prob, grid) == count
+        assert checked[checks:] == [grid, grid] and len(ladders) == 1
+        # a check that fails now fails the stored request too
+        monkeypatch.setattr(oracle, "RESOLUTION_LIMIT", 0.0)
+        for request in (lambda: oracle.fd_eigen(prob, grid=grid, count=2),
+                        lambda: oracle.count_bound_states(prob, grid)):
+            with pytest.raises(oracle.OracleError, match="resolution heuristic violated"):
+                request()
+
+
+def test_problems_with_different_potentials_never_share():
+    # the same grid, mass, origin exponent, edge and indices; only v_eff moves,
+    # by 0.5, which lifts every level by 0.5/(2M) and E4 ~ 49.87 past the edge E = 50
+    prob = radial.build_problem(CURVED_OSCILLATOR, "parity-odd", 0)
+    lifted = dataclasses.replace(prob, v_eff=lambda r: prob.v_eff(r) + 0.5)
+    grid = oracle.default_grid(prob)
+    with oracle.solve_scope():
+        base, other = (oracle.fd_eigen(p, grid=grid, count=2) for p in (prob, lifted))
+        counts = [oracle.count_bound_states(p, grid) for p in (prob, lifted)]
+    assert other.energies == pytest.approx(base.energies + 0.25, rel=1e-9)
+    assert counts == [5, 4]
 
 
 def test_fd_compare_refuses_levels_that_skip_an_n():

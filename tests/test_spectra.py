@@ -629,6 +629,18 @@ def test_spectrum_levels_reject_an_overflow_past_the_first_n():
     )
 
 
+def test_curved_oscillator_root_stays_finite_where_4m_overflows():
+    # 4M overflows at M = 1e308, but MK = 1e298 does not: sqrt(1 + 4MK) = 2e149
+    for charge, channel in ((F(0), "parity-odd"), (F(1), "min-j")):
+        scen = spectra.Scenario("lobachevsky", "oscillator", charge, 1e308, k_osc=1e-10)
+        root = spectra.resolve_channel(scen, 0, channel).root
+        assert math.isfinite(root) and root == pytest.approx(2e149, rel=1e-12)
+    # N = 2n + 3/2 = 2e150 + 3/2 breaks the restriction N < root/2 = 1e149
+    level = spectra.single_level(spectra.Scenario("lobachevsky", "oscillator", F(0), 1e308, k_osc=1e-10),
+                                 0, 10**150, "parity-odd")
+    assert not level.admissible
+
+
 @pytest.mark.parametrize("scen, j, channel, closed_form", [
     (spectra.Scenario("flat", "coulomb", F(1), 1.5, alpha=0.7, radius=3.0), 2, "branch-2",
      lambda n: spectra.single_level(spectra.Scenario("flat", "coulomb", F(1), 1.5, alpha=0.7), 2, n, "branch-2")),
