@@ -3,19 +3,21 @@
 The discretization is the plain 3-point stencil on a uniform Dirichlet grid,
 turning u'' + (2ME - V)u = 0 into a symmetric tridiagonal eigenproblem. Each
 energy comes from a ladder of nested grids with spacings h, 2h, 4h and 8h.
-The 8h rung is bisected (LAPACK dstebz); on each finer rung the selected
-eigenvalues are polished by Rayleigh-quotient iteration on that rung's matrix
-(LAPACK dgtsv solves), seeded from the rung below and started from its
-eigenvectors, and certified by Sturm counts: each polished value carries a
-residual radius, the intervals they span are disjoint, and the counts at the
-two outer ends prove the values are exactly the requested indices (Parlett,
-The Symmetric Eigenvalue Problem, 1998; Barth, Martin & Wilkinson, Numer.
-Math. 9, 1967). A count that must be 0 is a Cholesky (LAPACK dpttrf)
-positive-definiteness test. A rung that fails the certificate falls back to
-bisection. Richardson extrapolation of neighbouring rungs, at the order the
-origin exponent sets, gives the energy, and the spread of the extrapolants
-its error estimate (Pryce, Numerical Solution of Sturm-Liouville Problems,
-1993); the finest rung doubles until that estimate is small. The same
+The 8h rung is bisected (LAPACK dstebz), with eigenvectors by inverse
+iteration (LAPACK dstein); on each finer rung the selected eigenvalues are
+polished by Rayleigh-quotient iteration on that rung's matrix (LAPACK dgtsv
+solves), seeded from the rung below and started from its eigenvectors, and
+certified by Sturm counts: each polished value carries a residual radius, the
+intervals they span are disjoint, and the counts at the two outer ends prove
+the values are exactly the requested indices (Parlett, The Symmetric
+Eigenvalue Problem, 1998; Barth, Martin & Wilkinson, Numer. Math. 9, 1967).
+A count that must be 0 is a Cholesky (LAPACK dpttrf) positive-definiteness
+test. A rung that fails the certificate falls back to bisection, which hands
+its eigenvectors up in the same way. Richardson extrapolation of
+neighbouring rungs, at the order the origin exponent sets, gives the energy,
+and the spread of the extrapolants its error estimate (Pryce, Numerical
+Solution of Sturm-Liouville Problems, 1993); the finest rung doubles until
+that estimate is small. The same
 compiled Sturm count gives exact bound-state counts below a continuum edge.
 Inside a `solve_scope`, a ladder or count repeated on the same matrix
 returns the result already solved. The quadratic-in-energy problem is
@@ -163,37 +165,35 @@ def _none_at_or_below(diag: np.ndarray, off: np.ndarray, x: float) -> bool:
     return dpttrf(diag - x, off)[-1] == 0
 
 
-SEED_SHIFT_SOLVES = 2
 POLISH_MAX_ITERATIONS = 12
 _EPS = float(np.finfo(float).eps)
 
 
-def _bisect(diag: np.ndarray, off: np.ndarray, first: int, last: int) -> np.ndarray:
-    """Eigenvalues first..last by LAPACK bisection: the solver of a ladder's
-    seed rung, and the safeguard when `_polish` declines."""
-    return eigh_tridiagonal(diag, off, select="i", select_range=(first, last), eigvals_only=True)
+def _bisect(diag: np.ndarray, off: np.ndarray, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues first..last by LAPACK bisection (dstebz) and their unit
+    eigenvectors, one per row, by inverse iteration (dstein): the solver of a
+    ladder's seed rung, and the safeguard when `_polish` declines."""
+    mu, vectors = eigh_tridiagonal(diag, off, select="i", select_range=(first, last))
+    return mu, vectors.T
 
 
 def _polish(diag: np.ndarray, off: np.ndarray, first: int, seeds: np.ndarray,
-            starts: Optional[np.ndarray] = None) -> Optional[tuple[np.ndarray, np.ndarray]]:
+            starts: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Eigenvalues first..first+len(seeds)-1 of the tridiagonal matrix T and
     their unit eigenvectors (one row each), by shifted inverse /
-    Rayleigh-quotient iteration from the seeds, or None when the values cannot
-    be certified.
+    Rayleigh-quotient iteration from the seeds and starts, or None when the
+    values cannot be certified.
 
     Each step solves (T - shift) y = v with dgtsv, in place in reused buffers,
     and normalizes v = y/|y|; the sums are numpy reductions, not BLAS calls,
     whose thread pool can stall on a busy machine. Level k starts from
     starts[k], an approximate eigenvector, and its first step keeps the seed
-    as the shift; without starts it starts from a fixed random vector and
-    the first SEED_SHIFT_SOLVES steps keep the seed, which turns that vector
-    toward the eigenvector nearest the seed. After that the shift is the
-    Rayleigh quotient v.Tv, until it moves by at most tol = 16 eps |T| (|T|
-    the Gershgorin bound). Each converged sigma_k lies within
-    r_k = |T v - sigma_k v| + tol of an eigenvalue. The certificate: the
-    intervals [sigma_k - r_k, sigma_k + r_k] are disjoint, `first`
-    eigenvalues lie at or below the lowest one's left end and
-    first+len(seeds) at or below the highest one's right end, so each
+    as the shift. After that the shift is the Rayleigh quotient v.Tv, until it
+    moves by at most tol = 16 eps |T| (|T| the Gershgorin bound). Each
+    converged sigma_k lies within r_k = |T v - sigma_k v| + tol of an
+    eigenvalue. The certificate: the intervals [sigma_k - r_k, sigma_k + r_k]
+    are disjoint, `first` eigenvalues lie at or below the lowest one's left
+    end and first+len(seeds) at or below the highest one's right end, so each
     interval holds exactly one eigenvalue, in index order. A start aimed at
     the wrong eigenvector can only fail the certificate."""
     n = len(diag)
@@ -201,11 +201,6 @@ def _polish(diag: np.ndarray, off: np.ndarray, first: int, seeds: np.ndarray,
     size[1:] += np.abs(off)
     size[:-1] += np.abs(off)
     tol = 16.0 * _EPS * float(np.max(size))
-    if starts is None:
-        starts = np.broadcast_to(np.random.default_rng(0).uniform(-1.0, 1.0, n), (len(seeds), n))
-        seed_solves = SEED_SHIFT_SOLVES
-    else:
-        seed_solves = 1
     shifted, y, tv = np.empty(n), np.empty((n, 1)), np.empty(n)
     v = y[:, 0]
     mu, radius, vectors = np.empty(len(seeds)), np.empty(len(seeds)), np.empty((len(seeds), n))
@@ -214,7 +209,7 @@ def _polish(diag: np.ndarray, off: np.ndarray, first: int, seeds: np.ndarray,
         if not math.isfinite(shift):
             return None
         v[:] = starts[k]
-        for step in range(POLISH_MAX_ITERATIONS):
+        for _ in range(POLISH_MAX_ITERATIONS):
             np.subtract(diag, shift, out=shifted)
             if dgtsv(off, shifted, off, y, overwrite_d=1, overwrite_b=1)[-1] != 0:
                 return None
@@ -223,8 +218,6 @@ def _polish(diag: np.ndarray, off: np.ndarray, first: int, seeds: np.ndarray,
             tv[:-1] += off * v[1:]
             tv[1:] += off * v[:-1]
             sigma = float(np.multiply(v, tv, out=shifted).sum())
-            if step + 1 < seed_solves:
-                continue
             if abs(sigma - shift) <= tol:
                 break
             shift = sigma
@@ -254,18 +247,17 @@ def _refined(vectors: np.ndarray) -> np.ndarray:
 
 
 def _rung(problem: RadialProblem, diag: np.ndarray, off: np.ndarray, first: int, count: int, seeds: np.ndarray,
-          starts: Optional[np.ndarray] = None) -> tuple[np.ndarray, Optional[np.ndarray]]:
+          starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues first..count-1 of one grid's matrix (2M E, not E), polished
-    from the seeds and starts and certified, else bisected; with the polished
-    eigenvectors, or None after a bisection.
+    from the seeds and starts and certified, else bisected; with their
+    eigenvectors, one per row, from whichever of the two solved the rung.
 
     For curved problems, eigenvalues at or above the continuum edge are box
     artifacts; requesting more levels than exist below the edge is an error.
     The solve comes first: only when the highest eigenvalue is not strictly
     below the edge does a Sturm count at the edge decide how many levels lie
     below it, and the error names that count."""
-    polished = _polish(diag, off, first, seeds, starts)
-    mu, vectors = polished if polished is not None else (_bisect(diag, off, first, count - 1), None)
+    mu, vectors = _polish(diag, off, first, seeds, starts) or _bisect(diag, off, first, count - 1)
     if problem.continuum_edge is not None:
         mu_edge = problem.eigenvalue_from_energy(problem.continuum_edge)
         if not mu[-1] < mu_edge:
@@ -345,10 +337,10 @@ def fd_eigen(problem: RadialProblem, grid: Optional[Grid] = None, count: int = 4
     The ladder's finest rung is `grid` (by default `default_grid`), which must
     pass `check_resolution` and have n + 1 divisible by 8. Below it lie rungs
     of spacing 2h, 4h and 8h (n + 1 halved exactly each time). The 8h rung is
-    the seed grid, solved by bisection; each rung above it is polished and
-    certified by `_rung`, seeded from the rung below and started from its
-    eigenvectors (`_refined`) when that rung was polished. With q the
-    `richardson_order` of the origin exponent, R(h) = (2^q E(h) - E(2h))/(2^q - 1)
+    the seed grid, solved by bisection with its eigenvectors; each rung above
+    it is polished and certified by `_rung`, seeded from the rung below and
+    started from its eigenvectors (`_refined`). With q the `richardson_order`
+    of the origin exponent, R(h) = (2^q E(h) - E(2h))/(2^q - 1)
     is the energy, and the estimate is the spread of the extrapolants,
     max(|R(h) - R(2h)|, |R(h) - R(4h)|)/|R(h)|. While its largest value
     exceeds LADDER_TOL the finest rung doubles (n + 1 -> 2(n + 1)) and the
@@ -377,8 +369,8 @@ def _ladder(problem: RadialProblem, grid: Grid, finest: tuple[np.ndarray, np.nda
     matrix is `finest`."""
     weight = 2.0 ** richardson_order(problem.origin_exponent)
     points = (grid.n + 1) // 8
-    energies = [_bisect(*_tridiagonal(problem, Grid(r_max=grid.r_max, n=points - 1)), first, count - 1)]
-    extrapolants, vectors = [], None
+    mu, vectors = _bisect(*_tridiagonal(problem, Grid(r_max=grid.r_max, n=points - 1)), first, count - 1)
+    energies, extrapolants = [mu], []
     while True:
         points *= 2
         rung = Grid(r_max=grid.r_max, n=points - 1)
@@ -388,7 +380,7 @@ def _ladder(problem: RadialProblem, grid: Grid, finest: tuple[np.ndarray, np.nda
         seeds = extrapolants[-1] + (energies[-1] - extrapolants[-1]) / weight if extrapolants else energies[-1]
         matrix = finest if rung.n == grid.n else _tridiagonal(problem, rung)
         # the rung below's vectors are dropped once refined: one rung's are held at a time
-        starts, vectors = None if vectors is None else _refined(vectors), None
+        starts, vectors = _refined(vectors), None
         mu, vectors = _rung(problem, *matrix, first, count, seeds, starts)
         energies.append(mu)
         extrapolants.append((weight * energies[-1] - energies[-2]) / (weight - 1.0))

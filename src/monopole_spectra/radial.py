@@ -247,7 +247,9 @@ def analytic_solution(problem: RadialProblem, level: EnergyLevel, grid: Optional
         raise RadialError(
             f"no closed-form sampler for channel {problem.channel!r} with potential {scen.potential!r}; {reason}"
         )
-    u, form = sample(problem, level, r)
+    # a sample that overflows far out is refused by the scale check, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, form = sample(problem, level, r)
     scale = np.max(np.abs(u))
     if not np.isfinite(scale) or scale == 0.0:
         raise RadialError("analytic solution degenerate on this grid")

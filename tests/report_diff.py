@@ -2,9 +2,11 @@
 
 Criteria are matched by id and walked by key path. One line is printed for
 each pass/fail flip, added or removed key, changed string, integer, bool or
-None, and moved float (with its relative change); identical trees print
-nothing. Either argument may be a whole `validate --report` file or a bare
-`results` tree such as `tests/golden/validate_all_results.json`:
+None, and moved float (with its relative change), then a summary line: the
+count of each kind of change and the float with the largest relative move.
+Identical trees print nothing. Either argument may be a whole
+`validate --report` file or a bare `results` tree such as
+`tests/golden/validate_all_results.json`:
 
     PYTHONPATH=src python -m monopole_spectra.cli validate --suite all --report new.json
     python tests/report_diff.py tests/golden/validate_all_results.json new.json
@@ -17,6 +19,7 @@ an intended change (and paste the diff into CHANGES.md):
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 import os
@@ -103,6 +106,18 @@ def _walk(old, new, path: str, out: list[Change]) -> None:
         out.append(Change("flip" if flip else "changed", path, old, new))
 
 
+def summary(changes: list[Change]) -> str:
+    """The count of each kind of change, and the float with the largest
+    relative move."""
+    kinds = collections.Counter(change.kind for change in changes)
+    line = "summary: " + ", ".join(f"{count} {kind}" for kind, count in kinds.items())
+    floats = [change for change in changes if change.kind == "float"]
+    if floats:
+        worst = max(floats, key=lambda change: abs(change.rel))
+        line += f"; largest float move {worst.path} (rel {worst.rel:+.3e})"
+    return line
+
+
 def main(argv: list[str]) -> int:
     if argv == ["--regenerate"]:
         from monopole_spectra import validate
@@ -116,6 +131,8 @@ def main(argv: list[str]) -> int:
     try:
         for change in changes:
             print(change)
+        if changes:
+            print(summary(changes))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed early (`| head`): send the unflushed rest to devnull

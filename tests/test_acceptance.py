@@ -196,3 +196,18 @@ def test_report_matches_the_golden_file():
     golden = report_diff.load(report_diff.GOLDEN)
     changes = report_diff.diff(golden, report_diff.plain(full_run()["report"]["results"]))
     assert [str(change) for change in changes if not _tolerated(change)] == []
+
+
+def test_report_diff_ends_with_a_summary_line(tmp_path, capsys):
+    old = {"criteria": [{"id": "1-a", "passed": True, "x": 1.0, "y": 2.0, "n": 3}], "suite": "all"}
+    new = {"criteria": [{"id": "1-a", "passed": False, "x": 1.5, "y": 0.5, "n": 4}], "suite": "all", "z": None}
+    paths = []
+    for name, tree in (("old", old), ("new", new)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(tree), encoding="utf-8")
+    assert report_diff.main([str(paths[0]), str(paths[0])]) == 0
+    assert capsys.readouterr().out == ""
+    assert report_diff.main([str(p) for p in paths]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6
+    assert lines[-1] == "summary: 1 flip, 2 float, 1 changed, 1 added; largest float move 1-a.y (rel -7.500e-01)"

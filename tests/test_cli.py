@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -209,6 +210,20 @@ def test_wavefunction_inadmissible_exit_1(capsys):
         capsys,
     )
     assert code == 1 and "inadmissible" in err
+
+
+@pytest.mark.parametrize("flags, code", [
+    (["--k-osc", "10", "--n", "0", "--grid", "0.001:400:400"], 0),
+    (["--no-monopole", "--k-osc", "100", "--channel", "parity-odd", "--n", "3", "--grid", "0.001:300:400"], 1),
+])
+def test_wavefunction_curved_oscillator_far_out_prints_no_warnings(flags, code, capsys):
+    # cosh(r)^2 overflows past r ~ 355: the sample is kept or refused, never warned about
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run(["wavefunction", "--geometry", "lobachevsky", "--potential", "oscillator",
+                      "--k", "1", "--j", "0", *flags], capsys)
+    assert result[0] == code
+    assert result[2].splitlines() == ([] if code == 0 else ["error: analytic solution degenerate on this grid"])
 
 
 def test_wavefunction_even2_at_j0_exit_1_for_a_level_spectrum_prints_formal(capsys):

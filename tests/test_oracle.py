@@ -31,14 +31,18 @@ def _bisection_reference(prob, grid, first, last):
     return mu / (2.0 * prob.mass)
 
 
-def rung_energies(prob, grid, count, first=0, seeds=None):
-    """Energies first..count-1 of one rung, `oracle._rung`, seeded by default
-    from a grid of half the points, as the ladder seeds each rung from the
-    one below it."""
-    if seeds is None:
-        half = oracle.Grid(r_max=grid.r_max, n=(grid.n + 1) // 2 - 1)
-        seeds = prob.eigenvalue_from_energy(_bisection_reference(prob, half, first, count - 1))
-    mu, _ = oracle._rung(prob, *oracle._tridiagonal(prob, grid), first, count, seeds)
+def rung_energies(prob, grid, count, first=0, offset=0, seeds=None):
+    """Energies first..count-1 of one rung, `oracle._rung`, seeded (by default)
+    and started from `oracle._bisect` of levels first+offset..count-1+offset
+    on a grid of half the points, as the ladder seeds and starts each rung
+    from the one below it. The half grid's eigenvectors are carried over by
+    linear interpolation, which is `oracle._refined` when the grids nest."""
+    half = oracle.Grid(r_max=grid.r_max, n=(grid.n + 1) // 2 - 1)
+    mu, vectors = oracle._bisect(*oracle._tridiagonal(prob, half), first + offset, count - 1 + offset)
+    knots = np.concatenate([[0.0], half.nodes, [grid.r_max]])
+    starts = np.array([np.interp(grid.nodes, knots, np.pad(v, 1)) for v in vectors])
+    mu, _ = oracle._rung(prob, *oracle._tridiagonal(prob, grid), first, count,
+                         mu if seeds is None else seeds, starts)
     return mu / (2.0 * prob.mass)
 
 
@@ -344,7 +348,7 @@ def polish_outcomes(monkeypatch):
     outcomes = []
     polish = oracle._polish
 
-    def recorded(diag, off, first, seeds, starts=None):
+    def recorded(diag, off, first, seeds, starts):
         polished = polish(diag, off, first, seeds, starts)
         mu, vectors = (None, None) if polished is None else polished
         outcomes.append((diag, off, first, starts, vectors, mu))
@@ -360,9 +364,6 @@ def test_certified_solve_matches_bisection_without_the_safeguard(case, polish_ou
     solve = oracle.fd_eigen(prob, grid=grid, count=last + 1, e_target=e_target, first=first)
     assert solve.energies.shape == (last - first + 1,)
     assert len(polish_outcomes) >= 3  # the 4h, 2h and h rungs at least
-    # the first polished rung starts from the random vector, every later one
-    # from the eigenvectors of the rung below
-    assert [starts is None for _, _, _, starts, _, _ in polish_outcomes] == [True] + [False] * (len(polish_outcomes) - 1)
     for diag, off, first_index, starts, vectors, mu in polish_outcomes:
         assert mu is not None
         reference = eigh_tridiagonal(diag, off, select="i", select_range=(first_index, last), eigvals_only=True)
@@ -370,8 +371,9 @@ def test_certified_solve_matches_bisection_without_the_safeguard(case, polish_ou
         # unit eigenvectors, one per certified value, on this rung's grid
         assert vectors.shape == (len(mu), len(diag))
         assert np.allclose(np.linalg.norm(vectors, axis=1), 1.0, rtol=1e-12)
-        if starts is not None:
-            assert starts.shape == vectors.shape
+        # every polished rung, the first one included, starts from the
+        # eigenvectors of the rung below
+        assert starts.shape == vectors.shape
 
 
 @pytest.mark.parametrize("bad_seeds", ["one index off", "nan"])
@@ -379,12 +381,11 @@ def test_safeguard_recovers_from_bad_seeds(bad_seeds, polish_outcomes):
     for prob, _, _, first, last in _validate_all_solves()[3:5]:
         grid = oracle.Grid(r_max=40.0, n=8191)
         reference = _bisection_reference(prob, grid, first, last)
-        half = oracle.Grid(r_max=40.0, n=4095)
+        # seeds and starts from the half grid's levels one index up, or NaN seeds
         if bad_seeds == "nan":
-            seeds = np.full(last - first + 1, np.nan)
+            energies = rung_energies(prob, grid, count=last + 1, first=first, seeds=np.full(last - first + 1, np.nan))
         else:
-            seeds = prob.eigenvalue_from_energy(_bisection_reference(prob, half, first + 1, last + 1))
-        energies = rung_energies(prob, grid, count=last + 1, first=first, seeds=seeds)
+            energies = rung_energies(prob, grid, count=last + 1, first=first, offset=1)
         assert np.max(np.abs(energies / reference - 1.0)) <= 1e-9
     assert [mu is None for *_, mu in polish_outcomes] == [True, True]
 
@@ -406,6 +407,8 @@ def test_polish_certifies_only_the_requested_indices():
     for diag, off in _clustered_tridiagonals(rng):
         evs = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
         n = len(evs)
+        # one fixed random start for every level: only the seed aims
+        start = np.random.default_rng(0).uniform(-1.0, 1.0, n)
         gaps = np.diff(evs, prepend=-np.inf, append=np.inf)
         for _ in range(6):
             first = int(rng.integers(0, n))
@@ -425,7 +428,7 @@ def test_polish_certifies_only_the_requested_indices():
                 # a tenth of the local gap (at most 0.1) off each aimed eigenvalue
                 local = np.minimum(np.minimum(gaps[aim], gaps[aim + 1]), 1.0)
                 seeds = evs[aim] + 0.1 * local * rng.uniform(-1.0, 1.0, len(aim))
-                polished = oracle._polish(diag, off, first, seeds)
+                polished = oracle._polish(diag, off, first, seeds, np.broadcast_to(start, (len(aim), n)))
                 if polished is None:
                     continue
                 mu, _ = polished
@@ -436,7 +439,7 @@ def test_polish_certifies_only_the_requested_indices():
     assert certified >= 40
 
 
-def test_polish_from_a_neighbours_eigenvector_certifies_the_wanted_indices_or_declines(monkeypatch):
+def test_polish_from_a_neighbours_eigenvector_certifies_the_wanted_indices_or_declines():
     # seeds aimed at the wanted levels, but each start is the exact eigenvector
     # one level lower or higher: the one seed-shift solve cannot be trusted to
     # turn it, so the certificate must still name first..last or refuse
@@ -463,25 +466,36 @@ def test_polish_from_a_neighbours_eigenvector_certifies_the_wanted_indices_or_de
                 outcomes["certified"] += 1
     assert sum(outcomes.values()) >= 100
     # a curved oscillator rung started from the rung below's eigenvectors one
-    # level up; the right starts certify the wanted levels, in fewer solves
-    # than the random start
-    solves = []
-    dgtsv = oracle.dgtsv
-    monkeypatch.setattr(oracle, "dgtsv", lambda *args, **kwargs: solves.append(1) or dgtsv(*args, **kwargs))
+    # level up; the right starts certify the wanted levels
     prob = radial.build_problem(CURVED_OSCILLATOR, "parity-odd", 0)
     coarse, fine = (oracle._tridiagonal(prob, oracle.Grid(r_max=40.0, n=n)) for n in (4095, 8191))
-    mu_coarse, vecs_coarse = eigh_tridiagonal(*coarse, select="i", select_range=(0, 4))
-    starts = oracle._refined(np.ascontiguousarray(vecs_coarse.T))
+    mu_coarse, vecs_coarse = oracle._bisect(*coarse, 0, 4)
+    starts = oracle._refined(vecs_coarse)
     reference = eigh_tridiagonal(*fine, select="i", select_range=(0, 3), eigvals_only=True)
-    solve_counts = []
-    for level_starts in (None, starts[:4]):
-        solves.clear()
-        polished = oracle._polish(*fine, 0, mu_coarse[:4], level_starts)
-        assert np.max(np.abs(polished[0] / reference - 1.0)) <= 1e-12
-        solve_counts.append(len(solves))
-    assert solve_counts[1] < solve_counts[0]
+    polished = oracle._polish(*fine, 0, mu_coarse[:4], starts[:4])
+    assert np.max(np.abs(polished[0] / reference - 1.0)) <= 1e-12
     polished = oracle._polish(*fine, 0, mu_coarse[:4], starts[1:])
     assert polished is None or np.max(np.abs(polished[0] / reference - 1.0)) <= 1e-12
+
+
+def test_bisection_hands_up_unit_eigenvectors():
+    # a curved oscillator seed rung, the clustered tridiagonals and W21+
+    prob = radial.build_problem(CURVED_OSCILLATOR, "parity-odd", 0)
+    matrices = [oracle._tridiagonal(prob, oracle.Grid(r_max=40.0, n=1023))]
+    rng = np.random.default_rng(20261022)
+    matrices += list(_clustered_tridiagonals(rng))
+    for diag, off in matrices:
+        n = len(diag)
+        first = int(rng.integers(0, n))
+        last = int(rng.integers(first, min(first + 5, n)))
+        mu, vectors = oracle._bisect(diag, off, first, last)
+        assert vectors.shape == (last - first + 1, n)
+        assert np.allclose(np.linalg.norm(vectors, axis=1), 1.0, rtol=1e-12)
+        size = np.max(np.abs(diag) + np.pad(np.abs(off), (1, 0)) + np.pad(np.abs(off), (0, 1)))
+        tv = diag * vectors
+        tv[:, :-1] += off * vectors[:, 1:]
+        tv[:, 1:] += off * vectors[:, :-1]
+        assert np.max(np.linalg.norm(tv - mu[:, None] * vectors, axis=1)) <= 1e-10 * size
 
 
 def test_refined_vectors_keep_the_coarse_nodes_and_average_the_new_ones():
@@ -658,14 +672,20 @@ def test_results_independent_of_box_size():
 # 16,000-60,001-point grids before the ladder).
 VALIDATE_ALL_POINT_BUDGET = 830_000
 VALIDATE_ALL_LADDERS = 35
+# The dgtsv solves of the same run's polished rungs: 519, now that the seed
+# rung hands its bisection's eigenvectors up to the first polished rung (602
+# when that rung started from a fixed random vector with two seed-shift
+# solves; 938 before that, when every polished rung did and no ladder was
+# shared).
+VALIDATE_ALL_SOLVE_BUDGET = 519
 
 
 @pytest.fixture(scope="module")
 def validate_all_runs():
     """Three `validate.run_suites("all")` runs: two in a row as `validate`
     makes them, then one with the solve scope replaced by a no-op. For each,
-    its results, its `fd_eigen`, `_polish` and `_bisect` calls and the grid
-    points of the FD matrices it builds."""
+    its results, its `fd_eigen`, `_polish`, `_bisect` and `dgtsv` calls and
+    the grid points of the FD matrices it builds."""
     runs = []
     calls, points = collections.Counter(), []
     with pytest.MonkeyPatch.context() as mp:
@@ -677,7 +697,7 @@ def validate_all_runs():
                 return function(*args, **kwargs)
             return call
 
-        for name in ("fd_eigen", "_polish", "_bisect"):
+        for name in ("fd_eigen", "_polish", "_bisect", "dgtsv"):
             mp.setattr(oracle, name, counted(name))
         tridiagonal = oracle._tridiagonal
 
@@ -701,6 +721,11 @@ def test_validate_all_point_budget(validate_all_runs):
     assert 0 < shared["points"] <= VALIDATE_ALL_POINT_BUDGET < alone["points"]
     # one ladder per compared run of levels: a per-level split adds ladders
     assert shared["calls"]["fd_eigen"] == alone["calls"]["fd_eigen"] == VALIDATE_ALL_LADDERS
+
+
+def test_validate_all_solve_budget(validate_all_runs):
+    shared, _, alone = validate_all_runs
+    assert 0 < shared["calls"]["dgtsv"] <= VALIDATE_ALL_SOLVE_BUDGET < alone["calls"]["dgtsv"]
 
 
 def test_validate_all_results_do_not_depend_on_sharing(validate_all_runs):
