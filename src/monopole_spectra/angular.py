@@ -2,8 +2,13 @@
 
 The angular basis is D^j_{-m,sigma}(phi, theta, 0); only the theta-dependent
 small-d factor matters here because the phi phases cancel within every
-identity checked. d-functions are evaluated by the explicit factorial sum
-with log-factorial stabilization, adequate up to j ~ 20.
+identity checked. The d-functions come from the explicit factorial sum
+(Varshalovich, Moskalev & Khersonskii, *Quantum Theory of Angular Momentum*,
+1988) with log-factorial coefficients, built as one (m1, m2) table per j.
+Cancellation in the alternating sum grows with j: on criterion 3's 50-point
+grid (0.03 <= theta <= pi - 0.03) the worst recurrence residual is 1.5e-13
+at j = 6, 2.4e-12 at j = 10, 9.0e-11 at j = 15 and 6.8e-9 at j = 20, the
+last above the criterion's 1e-10 gate.
 """
 
 from __future__ import annotations
@@ -14,51 +19,49 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import HalfInt, QuantumNumberError, as_half_integer, couplings, j_is_allowed
+from .core import HalfInt, QuantumNumberError, as_half_integer, couplings, j_is_allowed, worst_of
 
 
-def _lf(n: int) -> float:
-    return math.lgamma(n + 1)
-
-
-def _d_terms(j2: int, m12: int, m22: int):
-    """Yield (sign, log_coeff, cos_power, sin_power) of the Jacobi sum terms."""
-    jp1 = (j2 + m12) // 2
-    jm1 = (j2 - m12) // 2
-    jp2 = (j2 + m22) // 2
-    jm2 = (j2 - m22) // 2
-    pref = 0.5 * (_lf(jp1) + _lf(jm1) + _lf(jp2) + _lf(jm2))
-    kmin = max(0, (m22 - m12) // 2)
-    kmax = min(jp2, jm1)
-    base_sign = (m12 - m22) // 2
-    for k in range(kmin, kmax + 1):
-        den = _lf(jp2 - k) + _lf(k) + _lf(jm1 - k) + _lf((m12 - m22) // 2 + k)
-        sign = -1.0 if (base_sign + k) % 2 else 1.0
-        ncos = jp2 + jm1 - 2 * k
-        nsin = 2 * k + (m12 - m22) // 2
-        yield sign, pref - den, ncos, nsin
-
-
-def _d_sums(j2: int, m12: int, m22: int, c, s):
-    """(d^j_{m1,m2}, its theta-derivative) on doubled in-range indices, from
-    c = cos(theta/2) and s = sin(theta/2). The derivative differentiates the
-    sum term by term, a route independent of the recurrences it checks."""
-    tot = np.zeros_like(c)
-    der = np.zeros_like(c)
-    for sign, lg, p, q in _d_terms(j2, m12, m22):
-        coeff = sign * np.exp(lg)
-        tot = tot + coeff * c**p * s**q
-        if q > 0:
-            der = der + coeff * (q / 2.0) * c ** (p + 1) * s ** (q - 1)
-        if p > 0:
-            der = der - coeff * (p / 2.0) * c ** (p - 1) * s ** (q + 1)
-    return tot, der
+def _d_table(j2: int, c, s, rows) -> tuple[np.ndarray, np.ndarray]:
+    """d^j_{m1,m2} and its theta-derivative for m2 = -j..j and each j + m1
+    of the integer array `rows`, as arrays of shape (len(rows), 2j+1, len(c))
+    indexed by (row, j + m2), from 1-D arrays c = cos(theta/2) and
+    s = sin(theta/2). Every term of every element's factorial sum is laid
+    out at once; the sums then run one term index t at a time over the
+    elements that have a term t, so each element sees the operations of a
+    sum over its own terms, in the same order. The derivative differentiates
+    the sum term by term, a route independent of the recurrences it checks."""
+    lf = np.array([math.lgamma(n + 1) for n in range(j2 + 1)])
+    jp1, jp2 = np.meshgrid(rows, np.arange(j2 + 1), indexing="ij")
+    ts = np.arange(j2 + 1)[:, None]  # the sum runs over max(0, m2 - m1) <= t <= min(j + m2, j - m1)
+    t, e = np.nonzero((np.maximum(0, jp2 - jp1).ravel() <= ts) & (ts <= np.minimum(jp2, j2 - jp1).ravel()))
+    a, b = jp1.ravel()[e], jp2.ravel()[e]
+    diff = a - b  # m1 - m2
+    pref = 0.5 * (lf[a] + lf[j2 - a] + lf[b] + lf[j2 - b])
+    den = lf[b - t] + lf[t] + lf[j2 - a - t] + lf[diff + t]
+    coeff = np.where((diff + t) % 2, -1.0, 1.0) * np.exp(pref - den)
+    p, q = b + (j2 - a) - 2 * t, 2 * t + diff  # cos(theta/2) and sin(theta/2) exponents, p + q = 2j
+    c_pow = np.stack([c**n for n in range(j2 + 2)])  # one scalar-exponent power per exponent
+    s_pow = np.stack([s**n for n in range(j2 + 2)])
+    tot = np.zeros((jp1.size, len(c)))
+    der = np.zeros_like(tot)
+    up, down = q > 0, p > 0
+    # (sum, element, factor, exponents, term index) of each update; adding the negated
+    # factor's product is bit for bit the subtraction of the derivative's p > 0 part
+    updates = [(tot, e, coeff, p, q, t),
+               (der, e[up], (coeff * (q / 2.0))[up], p[up] + 1, q[up] - 1, t[up]),
+               (der, e[down], -(coeff * (p / 2.0))[down], p[down] - 1, q[down] + 1, t[down])]
+    bounds = [np.searchsorted(tu, np.arange(j2 + 2)) for *_, tu in updates]
+    for n in range(j2 + 1):  # each t is non-decreasing, so term index n is one slice of each update
+        for (out, eu, fu, pu, qu, _), bu in zip(updates, bounds):
+            i = slice(bu[n], bu[n + 1])
+            out[eu[i]] = out[eu[i]] + fu[i, None] * c_pow[pu[i]] * s_pow[qu[i]]
+    return tot.reshape(jp1.shape + c.shape), der.reshape(jp1.shape + c.shape)
 
 
 class _Grid(NamedTuple):
-    """A theta grid with the trigonometric arrays every row and residual reads."""
+    """A theta grid with the trigonometric arrays every table and residual reads."""
 
-    zero: np.ndarray
     cos_half: np.ndarray
     sin_half: np.ndarray
     cos_t: np.ndarray
@@ -66,17 +69,10 @@ class _Grid(NamedTuple):
 
 
 def _theta_grid(theta_grid) -> _Grid:
-    th = np.asarray(theta_grid, dtype=float)
-    if th.size == 0 or th.min() <= 0.0 or th.max() >= math.pi:
-        raise ValueError("theta grid must be interior to (0, pi)")
-    return _Grid(np.zeros_like(th), np.cos(th / 2.0), np.sin(th / 2.0), np.cos(th), np.sin(th))
-
-
-def _d_row(j2: int, row2: int, grid: _Grid) -> tuple[list, list]:
-    """d^j_{row,sigma} and its theta-derivative for sigma = -j..j, at list
-    index (j2 + sigma2) // 2; one row serves every k at this (j, m)."""
-    pairs = [_d_sums(j2, row2, s2, grid.cos_half, grid.sin_half) for s2 in range(-j2, j2 + 1, 2)]
-    return [v for v, _ in pairs], [d for _, d in pairs]
+    th = np.asarray(theta_grid, dtype=float).ravel()
+    if th.size == 0 or not np.all((th > 0.0) & (th < math.pi)):  # a NaN fails both comparisons
+        raise ValueError("theta grid must be finite and interior to (0, pi)")
+    return _Grid(np.cos(th / 2.0), np.sin(th / 2.0), np.cos(th), np.sin(th))
 
 
 def _coefficients(jf: Fraction, kf: Fraction) -> tuple[float, float, float, float]:
@@ -89,27 +85,25 @@ def _coefficients(jf: Fraction, kf: Fraction) -> tuple[float, float, float, floa
     return a, b, 0.0, 0.0
 
 
-def _recurrence_residual(j2: int, k2: int, m2: int, coeffs, row, grid: _Grid) -> float:
-    """Worst residual of the six identities at (j, k, m), on doubled indices,
-    from the (j, m) row of d^j_{-m,sigma} values and derivatives."""
-    a, b, c, d = coeffs
-    vals, ders = row
-
-    def dval(s2):
-        return vals[(j2 + s2) // 2] if abs(s2) <= j2 else grid.zero
-
-    worst = 0.0
-    rows = ((k2 - 2, a, k2 - 4, c, k2), (k2, c, k2 - 2, d, k2 + 2), (k2 + 2, d, k2, b, k2 + 4))
-    for s2, lo_coeff, lo2, hi_coeff, hi2 in rows:
-        if abs(s2) > j2:  # j and k share parity, so an in-range sigma is a valid index
-            continue
-        lhs_d = ders[(j2 + s2) // 2]
-        lhs_m = (-(m2 / 2) - s2 / 2 * grid.cos_t) / grid.sin_t * dval(s2)
-        lo = lo_coeff * dval(lo2)
-        hi = hi_coeff * dval(hi2)
-        worst = max(worst, float(np.max(np.abs(lhs_d - (lo - hi)))))
-        worst = max(worst, float(np.max(np.abs(lhs_m - (-lo - hi)))))
-    return worst
+def _worst_residual(j2: int, charges: list[tuple], m2: np.ndarray, grid: _Grid) -> float:
+    """The worst residual of the identities of `check_recurrences` at every
+    (k2, coefficients) of `charges` and every doubled m of `m2`, from one
+    d-table. Pair sigma reads dD_sigma/dth = lo D_{sigma-1} - hi D_{sigma+1}
+    and (-m - sigma cos th)/sin th * D_sigma = -lo D_{sigma-1} - hi D_{sigma+1};
+    all are taken at once on arrays (m, pair, theta), each element with the
+    arithmetic of one identity at one (k, m). A NaN anywhere gives NaN."""
+    pairs = [(s2, lo, hi) for k2, (a, b, c, d) in charges
+             for s2, lo, hi in ((k2 - 2, a, c), (k2, c, d), (k2 + 2, d, b))
+             if abs(s2) <= j2]  # j and k share parity, so an in-range sigma is an index
+    s2, lo, hi = (np.array(col) for col in zip(*pairs))
+    # rows d^j_{-m,sigma}, with zero columns for sigma = -j-1 and j+1 either side
+    vals, ders = (np.pad(table, ((0, 0), (1, 1), (0, 0)))
+                  for table in _d_table(j2, grid.cos_half, grid.sin_half, (j2 - m2) // 2))
+    at = (j2 + s2) // 2 + 1  # the column of D_sigma
+    lo = lo[:, None] * vals[:, at - 1]
+    hi = hi[:, None] * vals[:, at + 1]
+    lhs_m = (-(m2 / 2)[:, None, None] - (s2 / 2)[:, None] * grid.cos_t) / grid.sin_t * vals[:, at]
+    return worst_of([float(np.max(np.abs(ders[:, at] - (lo - hi)))), float(np.max(np.abs(lhs_m - (-lo - hi))))])
 
 
 def check_recurrences(j: HalfInt, k: HalfInt, m: HalfInt, theta_grid) -> float:
@@ -138,16 +132,16 @@ def check_recurrences(j: HalfInt, k: HalfInt, m: HalfInt, theta_grid) -> float:
         raise QuantumNumberError(f"m = {mf} invalid for j = {jf}")
     grid = _theta_grid(theta_grid)
     j2, k2, m2 = int(2 * jf), int(2 * kf), int(2 * mf)
-    return _recurrence_residual(j2, k2, m2, _coefficients(jf, kf), _d_row(j2, -m2, grid), grid)
+    return _worst_residual(j2, [(k2, _coefficients(jf, kf))], np.array([m2]), grid)
 
 
 def scan_recurrences(j: HalfInt, theta_grid) -> tuple[float, int]:
     """The worst `check_recurrences` residual over every admissible (k, m)
     at one j, and the number of (k, m) pairs checked.
 
-    Each (j, m) row of d-functions and derivatives is built once and shared
-    by every k, so the result equals the maximum of the per-triple checks
-    bit for bit."""
+    The j's d-table is built once, and the identities of every (k, m) are
+    evaluated at once with the per-triple arithmetic, so the result equals
+    the maximum of the per-triple checks bit for bit."""
     jf = as_half_integer(j, "j")
     if jf < 0:
         raise QuantumNumberError(f"j = {jf} must be non-negative")
@@ -158,9 +152,4 @@ def scan_recurrences(j: HalfInt, theta_grid) -> tuple[float, int]:
         for k2 in range(-j2 - 2, j2 + 3, 2)  # j >= |k| - 1 bounds |k| by j + 1
         if j_is_allowed(jf, Fraction(k2, 2))
     ]
-    worst = 0.0
-    for m2 in range(-j2, j2 + 1, 2):
-        row = _d_row(j2, -m2, grid)
-        for k2, coeffs in charges:
-            worst = max(worst, _recurrence_residual(j2, k2, m2, coeffs, row, grid))
-    return worst, len(charges) * (j2 + 1)
+    return _worst_residual(j2, charges, np.arange(-j2, j2 + 1, 2), grid), len(charges) * (j2 + 1)

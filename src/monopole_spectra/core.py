@@ -227,3 +227,16 @@ class Scenario(_ScenarioFields):
         if self.geometry == GEOMETRY_LOBACHEVSKY:
             rec["radius"] = self.radius
         return rec
+
+
+def worst_of(values, default=None):
+    """The largest of `values`, equal to `max(values)` when none is NaN, and
+    NaN when any is: `max` keeps a NaN only when it comes first, so a gated
+    worst value taken by `max` would let a NaN pass. `default` stands for an
+    empty `values`."""
+    values = list(values)
+    if not values:
+        return default
+    if any(v != v for v in values):
+        return math.nan
+    return max(values)

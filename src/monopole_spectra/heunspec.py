@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from .core import worst_of
 from .specfun import HeunParams, heun_ode_residuals
 from .spectra import EnergyLevel, ResolvedChannel, SpectrumError, resolve_channel
 
@@ -120,4 +121,4 @@ def heun_residual_on_disc(params) -> list[float]:
     """For each parameter set of `params`, the max relative ODE residual of
     the local Heun series over 60 points on [-0.8, 0.8] avoiding 0; all sets
     and points are summed in one pass."""
-    return [max([0.0, *residuals]) for residuals in heun_ode_residuals(params, _DISC_Z)]
+    return [worst_of([0.0, *residuals]) for residuals in heun_ode_residuals(params, _DISC_Z)]

@@ -61,8 +61,7 @@ def _scaled_grid(grid: oracle.Grid, ratio: float) -> oracle.Grid:
 
 def suite_roots() -> list[dict]:
     t0 = time.monotonic()
-    worst_root_dev = 0.0
-    worst_s_res = 0.0
+    root_devs, s_residuals = [0.0], [0.0]
     min_root = math.inf
     zero_root_cases = 0
     cases = 0
@@ -75,23 +74,24 @@ def suite_roots() -> list[dict]:
             inv = mixing.cubic_invariants(j, k)  # raises unless closed forms match exactly
             triple = mixing.roots(inv)
             numeric = np.sort(np.linalg.eigvalsh(mixing.build_matrix(cp.c, cp.d)))
-            worst_root_dev = max(worst_root_dev, float(np.max(np.abs(np.array(triple.a) - numeric))))
+            root_devs.append(float(np.max(np.abs(np.array(triple.a) - numeric))))
             if j == k:
                 zero_root_cases += 1
                 # decoupled row: smallest root is exactly zero, transform degenerate
                 if abs(triple.a[0]) > 1e-12:
-                    worst_root_dev = math.inf
+                    root_devs.append(math.inf)
                 try:
                     mixing.transform_matrix(cp.c, cp.d, triple)
-                    worst_s_res = math.inf  # degeneracy must be reported
+                    s_residuals.append(math.inf)  # degeneracy must be reported
                 except mixing.MixingError:
                     pass
             else:
                 min_root = min(min_root, triple.a[0])
                 s = mixing.transform_matrix(cp.c, cp.d, triple)
-                worst_s_res = max(worst_s_res, mixing.transform_residual(cp.c, cp.d, triple, s))
+                s_residuals.append(mixing.transform_residual(cp.c, cp.d, triple, s))
             j += 1
     elapsed = time.monotonic() - t0
+    worst_root_dev, worst_s_res = core.worst_of(root_devs), core.worst_of(s_residuals)
     c1 = _criterion(
         cid="1-roots",
         description="trigonometric roots vs 3x3 eigensolve (|k| <= 5, j <= |k|+8), "
@@ -122,12 +122,9 @@ def suite_roots() -> list[dict]:
 
 def suite_wigner() -> list[dict]:
     grid = np.linspace(0.03, math.pi - 0.03, 50)
-    worst = 0.0
-    cases = 0
-    for j2 in range(0, 13):
-        worst_j, cases_j = angular.scan_recurrences(Fraction(j2, 2), grid)
-        worst = max(worst, worst_j)
-        cases += cases_j
+    scans = [angular.scan_recurrences(Fraction(j2, 2), grid) for j2 in range(0, 13)]
+    worst = core.worst_of([0.0, *(worst_j for worst_j, _ in scans)])
+    cases = sum(cases_j for _, cases_j in scans)
     return [
         _criterion(
             cid="3-wigner",
@@ -157,7 +154,7 @@ def suite_flat_coulomb() -> list[dict]:
             (fd,) = _fd_compare(prob, [lv])
             rows.append({"channel": ch, "n": n, "L": lval, "analytic": lv.energy, **fd})
     elapsed = time.monotonic() - t0
-    worst = max(row["rel_dev"] for row in rows)
+    worst = core.worst_of(row["rel_dev"] for row in rows)
     return [
         _criterion(
             cid="4-flat-coulomb",
@@ -184,20 +181,19 @@ def _oscillator_verdict(scen: core.Scenario, channel: str, j: int) -> dict:
     lval = spectra.flat_channel_l(j, scen.charge, channel)
     levels = spectra.spectrum_levels(scen, j, range(4), [channel])
     grid = oracle.default_grid(prob, levels[-1].energy)
+    cands = [spectra.oscillator_candidates(lval, lv.n, scen.k_osc, scen.mass) for lv in levels]
     per_grid, fd_points = [], []
     for g in (grid, _scaled_grid(grid, 22 / 16)):
-        devs = {"printed": 0.0, "quantization": 0.0}
         fds = _fd_compare(prob, levels, g)
-        for lv, fd in zip(levels, fds):
-            cands = spectra.oscillator_candidates(lval, lv.n, scen.k_osc, scen.mass)
-            for name in devs:
-                devs[name] = max(devs[name], abs(fd["numeric"] - cands[name]) / abs(cands[name]))
+        devs = {name: core.worst_of([0.0, *(abs(fd["numeric"] - cand[name]) / abs(cand[name])
+                                           for fd, cand in zip(fds, cands))])
+                for name in ("printed", "quantization")}
         fd_points.append(fds[0]["fd_points"])
         matches = [name for name, dev in devs.items() if dev <= 1e-4]
         if len(matches) != 1:
             raise oracle.OracleError(f"oscillator arbitration at L = {lval}: candidates matching within "
                                      f"1e-4: {matches or 'none'} (deviations {devs})")
-        per_grid.append((matches[0], devs, max(fd["oracle_rel_err"] for fd in fds)))
+        per_grid.append((matches[0], devs, core.worst_of(fd["oracle_rel_err"] for fd in fds)))
     (name, devs, err), (name_refined, _, _) = per_grid
     other = "printed" if name == "quantization" else "quantization"
     return {"l_value": float(lval), "confirmed": name, "matched_rel_dev": devs[name],
@@ -313,7 +309,7 @@ def _criterion_minj_oscillator() -> dict:
             ident = abs(lv.energy - (k_osc / 2.0 - (s_well - (2 * lv.n + 1)) ** 2 / (2.0 * mass)))
             rows.append({"k_osc": k_osc, "n": lv.n, "analytic": lv.energy, **fd,
                          "ode_residual": res, "well_identity_dev": ident})
-    worst_res, worst_rel, worst_ident = (max(row[key] for row in rows)
+    worst_res, worst_rel, worst_ident = (core.worst_of(row[key] for row in rows)
                                          for key in ("ode_residual", "rel_dev", "well_identity_dev"))
     return _criterion(
         cid="7-lob-minj-oscillator",
@@ -339,7 +335,7 @@ def suite_lob_coulomb() -> list[dict]:
         for lv, fd in zip(levels, _fd_compare(prob, levels)):
             rows.append({"j": j, "n": lv.n, "N": big_n_at(lv.n), "analytic": lv.energy, **fd})
         count_rows.append({"j": j, "fd_count": oracle.count_bound_states(prob), "predicted_count": len(levels)})
-    worst_rel = max(row["rel_dev"] for row in rows)
+    worst_rel = core.worst_of(row["rel_dev"] for row in rows)
     counts_ok = all(c["fd_count"] == c["predicted_count"] for c in count_rows)
     c8 = _criterion(
         cid="8-lob-coulomb",
@@ -381,7 +377,7 @@ def suite_lob_oscillator() -> list[dict]:
         fd_counts = [oracle.count_bound_states(prob, grid=g) for g in grids]
         count_rows.append({"j": j, "inequality_count": len(levels), "fd_counts": fd_counts,
                            "deviation": fd_counts[0] - len(levels)})
-    worst_rel = max(row["rel_dev"] for row in rows)
+    worst_rel = core.worst_of(row["rel_dev"] for row in rows)
     stable = all(c["fd_counts"][0] == c["fd_counts"][1] for c in count_rows)
     return [
         _criterion(
@@ -413,18 +409,13 @@ def _heun_cases():
 
 
 def suite_heun() -> list[dict]:
-    worst_fuchs = 0.0
-    worst_involution = 0.0
-    disc_sets = []
     cases = list(_heun_cases())
-    for _, _, _, formal, param_sets in cases:
-        for lv, params in zip(formal, param_sets):
-            worst_fuchs = max(worst_fuchs, abs(params.fuchs_residual()))
-            worst_involution = max(worst_involution, heunspec.termination_defect(params, lv.n))
-            # the local series at z = 0 needs gamma off the non-positive integers
-            if params.gamma > 0 or not params.gamma.is_integer():
-                disc_sets.append(params)
-    worst_residual = max([0.0, *heunspec.heun_residual_on_disc(disc_sets)])
+    levels = [(lv, params) for _, _, _, formal, param_sets in cases for lv, params in zip(formal, param_sets)]
+    worst_fuchs = core.worst_of([0.0, *(abs(params.fuchs_residual()) for _, params in levels)])
+    worst_involution = core.worst_of([0.0, *(heunspec.termination_defect(params, lv.n) for lv, params in levels)])
+    # the local series at z = 0 needs gamma off the non-positive integers
+    disc_sets = [params for _, params in levels if params.gamma > 0 or not params.gamma.is_integer()]
+    worst_residual = core.worst_of([0.0, *heunspec.heun_residual_on_disc(disc_sets)])
     comparisons = [_heun_fd_comparison(scen, channel, j, formal) for scen, channel, j, formal, _ in cases]
     # three significant digits, so that a rounding-level FD move keeps the text
     agreement = ", ".join(
@@ -461,7 +452,7 @@ def _heun_fd_comparison(scen: core.Scenario, channel: str, j: int, formal_levels
         "fd_bound_count": fd_count,
         "formal_admissible_count": len(formal_levels),
         "pairs": pairs,
-        "worst_rel_dev": max((p["rel_dev"] for p in pairs), default=None),
+        "worst_rel_dev": core.worst_of((p["rel_dev"] for p in pairs), default=None),
     }
 
 

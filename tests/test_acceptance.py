@@ -16,6 +16,7 @@ compares it with `tests/golden/validate_all_results.json` through
 """
 
 import json
+import math
 import re
 import time
 from fractions import Fraction
@@ -23,7 +24,7 @@ from fractions import Fraction
 import pytest
 
 import report_diff
-from monopole_spectra import core, oracle, radial, spectra, validate
+from monopole_spectra import core, heunspec, oracle, radial, spectra, validate
 
 _cache: dict = {}
 
@@ -144,6 +145,32 @@ def test_fd_rows_carry_the_oracle_estimate_and_lie_within_it():
         assert (large + 1) / (small + 1) == 22 / 16
     for small, large in records["9-lob-oscillator"]["detail"]["count_points"]:
         assert (large + 1) / (small + 1) == pytest.approx(26 / 20, rel=1e-3)
+
+
+def test_a_nan_after_the_first_fd_row_fails_criterion_4(monkeypatch):
+    # max() keeps a NaN only when it comes first, so a worst value taken by max would pass this
+    devs = iter([0.0, math.nan] + [0.0] * 14)
+    monkeypatch.setattr(validate, "_fd_compare", lambda problem, levels, grid=None: [
+        {"numeric": lv.energy, "rel_dev": next(devs), "oracle_rel_err": 0.0, "fd_points": 0} for lv in levels])
+    (record,) = validate.suite_flat_coulomb()
+    assert not record["passed"]
+    assert record["measured"].startswith("worst rel dev nan")
+
+
+def test_a_nan_disc_residual_after_the_first_point_fails_criterion_10(monkeypatch):
+    real = heunspec.heun_ode_residuals
+
+    def residuals(params, zs):
+        out = real(params, zs)
+        out[0][1] = math.nan
+        return out
+
+    monkeypatch.setattr(heunspec, "heun_ode_residuals", residuals)
+    monkeypatch.setattr(validate, "_heun_fd_comparison", lambda scen, channel, j, formal: {
+        "potential": scen.potential, "channel": channel, "j": j, "worst_rel_dev": None})
+    (record,) = validate.suite_heun()
+    assert not record["passed"]
+    assert ", residual nan," in record["measured"]
 
 
 def test_records_are_plain_json():

@@ -12,8 +12,49 @@ F = Fraction
 
 
 def d(j, m1, m2, theta):
-    """(d^j_{m1,m2}(theta), its theta-derivative) from the production sum."""
-    return angular._d_sums(int(2 * j), int(2 * m1), int(2 * m2), np.cos(theta / 2), np.sin(theta / 2))
+    """(d^j_{m1,m2}(theta), its theta-derivative) from the production table,
+    shaped like `theta` (a scalar gives scalars)."""
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    j2 = int(2 * j)
+    vals, ders = angular._d_table(j2, np.cos(th / 2), np.sin(th / 2), np.arange(j2 + 1))
+    at = ((j2 + int(2 * m1)) // 2, (j2 + int(2 * m2)) // 2)
+    return vals[at].reshape(np.shape(theta))[()], ders[at].reshape(np.shape(theta))[()]
+
+
+def reference_d(j2, m12, m22, c, s):
+    """(d^j_{m1,m2}, its theta-derivative) on doubled indices, summed term by
+    term for one (m1, m2): the loop the production table replaced, kept as a
+    bit-for-bit reference for it."""
+    jp1, jm1, jp2, jm2 = (j2 + m12) // 2, (j2 - m12) // 2, (j2 + m22) // 2, (j2 - m22) // 2
+    lf = lambda n: math.lgamma(n + 1)  # noqa: E731
+    pref = 0.5 * (lf(jp1) + lf(jm1) + lf(jp2) + lf(jm2))
+    tot = np.zeros_like(c)
+    der = np.zeros_like(c)
+    for k in range(max(0, (m22 - m12) // 2), min(jp2, jm1) + 1):
+        den = lf(jp2 - k) + lf(k) + lf(jm1 - k) + lf((m12 - m22) // 2 + k)
+        coeff = (-1.0 if ((m12 - m22) // 2 + k) % 2 else 1.0) * np.exp(pref - den)
+        p, q = jp2 + jm1 - 2 * k, 2 * k + (m12 - m22) // 2
+        tot = tot + coeff * c**p * s**q
+        if q > 0:
+            der = der + coeff * (q / 2.0) * c ** (p + 1) * s ** (q - 1)
+        if p > 0:
+            der = der - coeff * (p / 2.0) * c ** (p - 1) * s ** (q + 1)
+    return tot, der
+
+
+@pytest.mark.parametrize("theta", [np.linspace(0.03, math.pi - 0.03, 50), np.linspace(0.05, math.pi - 0.05, 20)],
+                         ids=["criterion-3-grid", "20-point-grid"])
+def test_table_equals_the_term_by_term_sum_bit_for_bit(theta):
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    for j2 in range(0, 13):
+        vals, ders = angular._d_table(j2, c, s, np.arange(j2 + 1))
+        assert vals.shape == ders.shape == (j2 + 1, j2 + 1, len(theta))
+        for a in range(j2 + 1):
+            for b in range(j2 + 1):
+                ref_val, ref_der = reference_d(j2, 2 * a - j2, 2 * b - j2, c, s)
+                # tobytes also tells -0.0 from 0.0
+                assert vals[a, b].tobytes() == ref_val.tobytes(), (j2, a, b)
+                assert ders[a, b].tobytes() == ref_der.tobytes(), (j2, a, b)
 
 
 def test_known_half_integer_value():
@@ -95,6 +136,22 @@ def test_recurrences_reject_endpoint_grid():
         angular.check_recurrences(2, 1, 0, np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         angular.check_recurrences(2, 1, 0, np.array([1.0, math.pi]))
+
+
+@pytest.mark.parametrize("grid", [np.array([0.5, np.nan, 1.0]), np.array([np.nan]), np.array([0.5, np.inf])])
+def test_recurrences_reject_a_non_finite_grid(grid):
+    # NaN compares false both ways, so a range test alone would let it through to a perfect score
+    with pytest.raises(ValueError):
+        angular.check_recurrences(2, 1, 0, grid)
+    with pytest.raises(ValueError):
+        angular.scan_recurrences(2, grid)
+
+
+def test_scan_accuracy_at_j_10():
+    # the alternating sum loses digits as j grows: 2.4e-12 at j = 10 on criterion 3's grid
+    worst, cases = angular.scan_recurrences(10, np.linspace(0.03, math.pi - 0.03, 50))
+    assert worst <= 1e-11
+    assert cases == 483
 
 
 def test_recurrence_scan_residuals():

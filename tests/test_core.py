@@ -206,3 +206,12 @@ def test_shared_root_triple_unpacks_as_roots_and_l():
     a, l = mixing.mixing_roots(2, 1)
     assert a == mixing.mixing_roots(2, 1).a and l == mixing.mixing_roots(2, 1).l
     assert len(a) == len(l) == 3
+
+
+def test_worst_of_keeps_a_nan_wherever_it_stands():
+    assert max([0.0, math.nan, 1e-12]) == 1e-12  # the builtin drops a NaN after the first place
+    assert math.isnan(core.worst_of([0.0, math.nan, 1e-12]))
+    assert math.isnan(core.worst_of(iter([3.0, 1.0, math.nan])))
+    assert core.worst_of([0.0, 2e-13, math.inf, 1.0]) == math.inf
+    assert core.worst_of(x / 8 for x in range(5)) == 0.5
+    assert core.worst_of([], default=None) is None
