@@ -319,15 +319,56 @@ def _cosh_oscillator_solution(problem: RadialProblem, level: EnergyLevel, r: np.
                f"y = cosh^2 r, a = {a_exp:.12g}, 2b = {b2:.12g}")
 
 
+def heun_params(level: EnergyLevel) -> specfun.HeunParams:
+    """Heun parameters of an even-row level of either curved potential, from
+    its exponents (A, B, C) at z = 0, 1, -1. Coulomb, in z = tanh(r/2):
+
+        A = j+2 (channel 1) or j (channel 2), B = 1/2 + sqrt(-2M(E+alpha)),
+        C = 1/2 - sqrt(-2M(E-alpha)); gamma, delta, eps = 2A, 2B, 2C,
+        q = 4 M alpha - 2A(B - C), lam = -j - 1 + (A+B+C), beta = j + (A+B+C).
+
+    Oscillator, in x = cosh r:
+
+        A = (1 - sqrt(1 + 4MK))/2, B = 1 + j/2 (channel 1) or j/2 (channel 2),
+        C = (1+j)/2; gamma, delta, eps = 2A, 2B + 1/2, 2C + 1/2,
+        q = -2A(B - C), lam/beta = A + B + C +- sqrt(-M(2E - K)).
+
+    The Fuchs relation holds identically. A radicand below zero or NaN raises
+    RadialError (the Coulomb ones before the channel is resolved), and a
+    channel without Heun exponents SpectrumError.
+    """
+    scen, energy, jf = level.scenario, level.energy, float(level.j)
+    if scen.potential == POTENTIAL_COULOMB:
+        u = _sqrt_radicand(-2.0 * scen.mass * (energy + scen.alpha), "B: -2M(E+alpha)")
+        v = _sqrt_radicand(-2.0 * scen.mass * (energy - scen.alpha), "C: -2M(E-alpha)")
+    inputs = resolve_channel(scen, level.j, level.channel)
+    if inputs.heun_exponents is None:
+        raise SpectrumError(f"unknown even channel {level.channel!r}")
+    if scen.potential == POTENTIAL_COULOMB:
+        (a_exp,), b_exp, c_exp = inputs.heun_exponents, 0.5 + u, 0.5 - v
+        s = a_exp + b_exp + c_exp
+        return specfun.HeunParams(gamma=2.0 * a_exp, delta=2.0 * b_exp, eps=2.0 * c_exp, lam=-jf - 1.0 + s,
+                                  beta=jf + s, q=4.0 * scen.mass * scen.alpha - 2.0 * a_exp * (b_exp - c_exp))
+    (b_exp, c_exp), a_exp = inputs.heun_exponents, 0.5 - 0.5 * inputs.root
+    w = _sqrt_radicand(-scen.mass * (2.0 * energy - scen.k_osc), "lam/beta: -M(2E-K)")
+    s = a_exp + b_exp + c_exp
+    return specfun.HeunParams(gamma=2.0 * a_exp, delta=2.0 * b_exp + 0.5, eps=2.0 * c_exp + 0.5, lam=s + w,
+                              beta=s - w, q=-2.0 * a_exp * (b_exp - c_exp))
+
+
+def _sqrt_radicand(radicand: float, label: str) -> float:
+    if not radicand >= 0.0:
+        raise RadialError(f"{'negative' if radicand < 0.0 else 'NaN'} radicand in {label}: {radicand:.6g}")
+    return math.sqrt(radicand)
+
+
 def _even_coulomb_solution(problem: RadialProblem, level: EnergyLevel, r: np.ndarray):
     """Local Heun construction F = z^A (1-z)^(B-1/2) (1+z)^(C-1/2) H(z),
     z = tanh(r/2), valid on the series disc (z <= 0.8)."""
-    from .heunspec import heun_params_coulomb
-
     z = np.tanh(r / 2.0)
     if np.any(z > 0.8):
         raise RadialError("even-channel Coulomb sampling restricted to tanh(r/2) <= 0.8")
-    params = heun_params_coulomb(level)
+    params = heun_params(level)
     # (gamma, delta, eps) = 2 (A, B, C), so halving gives the exponents exactly
     a_exp, b_exp, c_exp = params.gamma / 2.0, params.delta / 2.0, params.eps / 2.0
     h = specfun.heun_local(params, z)

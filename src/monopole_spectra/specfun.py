@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -96,7 +97,10 @@ class HeunParams:
     q: float
 
     def __post_init__(self) -> None:
-        if abs(self.fuchs_residual()) > FUCHS_TOL:
+        for name, value in vars(self).items():
+            if math.isnan(value):
+                raise SeriesError(f"Heun parameter {name} is NaN")
+        if not abs(self.fuchs_residual()) <= FUCHS_TOL:
             raise SeriesError(f"Fuchs relation violated by {self.fuchs_residual():.3e}")
 
     def fuchs_residual(self) -> float:

@@ -16,7 +16,7 @@ criterion 5 confirms against the finite-difference oracle's levels.
 A level stores no inputs of its formula. `resolve_channel` gives a channel's
 `ResolvedChannel`: its levels and the n-independent inputs that the closed
 form uses (L, nu_0, the N and b rules, sqrt(1 + 4MK), the Heun exponents),
-which `radial`, `heunspec` and `validate` read.
+which `radial` and `validate` read.
 
 `CHANNEL_TABLE` names each (geometry, potential, channel) case of the paper
 once; `spectra` and `radial` read its rows instead of testing channel names.

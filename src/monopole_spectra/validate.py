@@ -324,16 +324,24 @@ def _criterion_minj_oscillator() -> dict:
 # --- criterion 8 (+11): curved no-monopole Coulomb and the free particle -------------
 
 
+def _parity_odd_rows(scen: core.Scenario, j: int):
+    """Criteria 8 and 9's parity-odd channel at j: its problem, its admissible
+    levels and one FD detail row per level, with the level's N."""
+    prob = radial.build_problem(scen, spectra.CH_PARITY_ODD, j)
+    levels = spectra.admissible_levels(scen, j, spectra.CH_PARITY_ODD)
+    big_n_at = spectra.resolve_channel(scen, j, spectra.CH_PARITY_ODD).big_n
+    rows = [{"j": j, "n": lv.n, "N": big_n_at(lv.n), "analytic": lv.energy, **fd}
+            for lv, fd in zip(levels, _fd_compare(prob, levels))]
+    return prob, levels, rows
+
+
 def suite_lob_coulomb() -> list[dict]:
     alpha, mass = 10.0, 1.0
     rows, count_rows = [], []
     scen = core.Scenario("lobachevsky", "coulomb", Fraction(0), mass, alpha=alpha)
     for j in range(3):
-        prob = radial.build_problem(scen, spectra.CH_PARITY_ODD, j)
-        levels = spectra.admissible_levels(scen, j, spectra.CH_PARITY_ODD)
-        big_n_at = spectra.resolve_channel(scen, j, spectra.CH_PARITY_ODD).big_n
-        for lv, fd in zip(levels, _fd_compare(prob, levels)):
-            rows.append({"j": j, "n": lv.n, "N": big_n_at(lv.n), "analytic": lv.energy, **fd})
+        prob, levels, j_rows = _parity_odd_rows(scen, j)
+        rows.extend(j_rows)
         count_rows.append({"j": j, "fd_count": oracle.count_bound_states(prob), "predicted_count": len(levels)})
     worst_rel = core.worst_of(row["rel_dev"] for row in rows)
     counts_ok = all(c["fd_count"] == c["predicted_count"] for c in count_rows)
@@ -366,11 +374,8 @@ def suite_lob_oscillator() -> list[dict]:
     rows, count_rows, count_points = [], [], []
     scen = core.Scenario("lobachevsky", "oscillator", Fraction(0), mass, k_osc=k_osc)
     for j in range(3):
-        prob = radial.build_problem(scen, spectra.CH_PARITY_ODD, j)
-        levels = spectra.admissible_levels(scen, j, spectra.CH_PARITY_ODD)
-        big_n_at = spectra.resolve_channel(scen, j, spectra.CH_PARITY_ODD).big_n
-        for lv, fd in zip(levels, _fd_compare(prob, levels)):
-            rows.append({"j": j, "n": lv.n, "N": big_n_at(lv.n), "analytic": lv.energy, **fd})
+        prob, levels, j_rows = _parity_odd_rows(scen, j)
+        rows.extend(j_rows)
         grid = oracle.default_grid(prob)
         grids = (grid, _scaled_grid(grid, 26 / 20))
         count_points.append([g.n for g in grids])
@@ -401,18 +406,19 @@ def _heun_cases():
     coulomb = core.Scenario("lobachevsky", "coulomb", Fraction(0), 1.0, alpha=10.0)
     oscillator = core.Scenario("lobachevsky", "oscillator", Fraction(0), 1.0, k_osc=100.0)
     # even channels of both potentials at the formal termination energies
-    for scen, params_at in ((coulomb, heunspec.heun_params_coulomb), (oscillator, heunspec.heun_params_oscillator)):
+    for scen in (coulomb, oscillator):
         for channel in (spectra.CH_EVEN_1, spectra.CH_EVEN_2):
             for j in (0, 1):
                 formal = spectra.admissible_levels(scen, j, channel)
-                yield scen, channel, j, formal, [params_at(lv) for lv in formal]
+                yield scen, channel, j, formal, [radial.heun_params(lv) for lv in formal]
 
 
 def suite_heun() -> list[dict]:
     cases = list(_heun_cases())
     levels = [(lv, params) for _, _, _, formal, param_sets in cases for lv, params in zip(formal, param_sets)]
     worst_fuchs = core.worst_of([0.0, *(abs(params.fuchs_residual()) for _, params in levels)])
-    worst_involution = core.worst_of([0.0, *(heunspec.termination_defect(params, lv.n) for lv, params in levels)])
+    # the termination defect: how far lam or beta is from -n
+    worst_involution = core.worst_of([0.0, *(min(abs(p.lam + lv.n), abs(p.beta + lv.n)) for lv, p in levels)])
     # the local series at z = 0 needs gamma off the non-positive integers
     disc_sets = [params for _, params in levels if params.gamma > 0 or not params.gamma.is_integer()]
     worst_residual = core.worst_of([0.0, *heunspec.heun_residual_on_disc(disc_sets)])

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from monopole_spectra import heunspec, radial, spectra
+from monopole_spectra import radial, spectra
 from monopole_spectra.core import Scenario
 
 EXPECTED = pathlib.Path(__file__).parent / "channel_walk.json"
@@ -98,7 +98,7 @@ def test_problems_are_built_without_the_closed_form_inputs(expected, monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("the radial problem read a resolved channel")
 
-    for module in (spectra, radial, heunspec):
+    for module in (spectra, radial):
         monkeypatch.setattr(module, "resolve_channel", refuse)
     for case in CASES:
         *_, channel, j = case

@@ -89,6 +89,15 @@ def test_heun_params_fuchs_enforced():
         specfun.HeunParams(gamma=1.0, delta=1.0, eps=1.0, lam=0.5, beta=0.5, q=0.0)
 
 
+@pytest.mark.parametrize("field", ["gamma", "delta", "eps", "lam", "beta", "q"])
+def test_heun_params_refuse_a_nan_field_by_name(field):
+    # abs(nan) > tol is False, so a Fuchs check alone would let NaN through
+    valid = dict(gamma=1.0, delta=0.5, eps=0.5, lam=0.5, beta=0.5, q=0.0)
+    specfun.HeunParams(**valid)
+    with pytest.raises(specfun.SeriesError, match=f"^Heun parameter {field} is NaN$"):
+        specfun.HeunParams(**{**valid, field: math.nan})
+
+
 def test_heun_normalization_and_first_coefficient():
     p = specfun.HeunParams(gamma=1.3, delta=0.7, eps=0.5, lam=0.9, beta=0.6, q=0.37)
     assert specfun.heun_local(p, 0.0) == 1.0
@@ -260,10 +269,10 @@ def test_heun_local_on_an_array_equals_the_scalar_calls_and_the_decimal_sums():
     assert [h.hex() for h in scalar] == [h.hex() for h in reference]
 
 
-@pytest.mark.parametrize("q", [-1e300, -7e299, math.nan])
+@pytest.mark.parametrize("q", [-1e300, -7e299])
 def test_double_double_sums_refuse_a_coefficient_beyond_the_split_range(q):
     # c_1 = -q/gamma beyond 2^996 ~ 6.7e299, where Dekker's split overflows
-    # to NaN, or itself NaN; the sums must raise, never return NaN
+    # to NaN; the sums must raise, never return NaN
     p = specfun.HeunParams(gamma=1.0, delta=0.5, eps=0.5, lam=0.5, beta=0.5, q=q)
     with pytest.raises(specfun.SeriesError, match="2\\^996"):
         specfun._accurate_sums([p], (0.3,))
