@@ -433,11 +433,12 @@ def cmd_wavefunction(args) -> int:
         if scen.potential == "none" and (energy is None or energy >= 0.0):
             raise ValueError("the free reduced channel profile needs --energy E < 0")
         channel = args.channel or spectra.default_channels(scen, j)[0]
-    problem = radial.build_problem(scen, channel, j)
+    # the level first: its checks name a bad parameter before the problem's formulas meet it
     if scen.potential == "none":
         level = spectra.peculiar_flat_level(energy, scen)
     else:
         level = spectra.single_level(scen, j, n, channel)
+    problem = radial.build_problem(scen, channel, j)
     if not level.admissible:
         raise spectra.SpectrumError(f"level inadmissible: {level.reason}")
     sol = radial.analytic_solution(problem, level, grid=grid)

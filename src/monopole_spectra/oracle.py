@@ -20,8 +20,14 @@ Solution of Sturm-Liouville Problems, 1993); the finest rung doubles until
 that estimate is small. The same
 compiled Sturm count gives exact bound-state counts below a continuum edge.
 Inside a `solve_scope`, a ladder or count repeated on the same matrix
-returns the result already solved. The quadratic-in-energy problem is
-handled by two-sided shooting with log-derivative matching instead.
+returns the result already solved.
+
+The quadratic-in-energy problem is handled by two-sided shooting with
+log-derivative matching instead, and the free curved particle by its
+regular solution. Both integrate a linear second-order equation by
+Numerov's three-term recurrence, run as one banded triangular solve
+(LAPACK dtbtrs), with Blatt's O(h^4) derivative (Blatt, J. Comput. Phys. 1,
+1967); the shooting legs double until the mismatch settles.
 """
 
 from __future__ import annotations
@@ -31,15 +37,31 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv, dpttrf, dstebz
+from scipy.linalg.lapack import dgtsv, dpttrf, dstebz, dtbtrs
 
-from . import ivp
-from .core import GEOMETRY_FLAT, POTENTIAL_OSCILLATOR
-from .radial import GRID_POINT_BUDGET, LINEAR_IN_E, QUADRATIC_IN_EPSILON, RadialProblem, minj_coulomb_coefficient
+from .core import (
+    GEOMETRY_FLAT,
+    GEOMETRY_LOBACHEVSKY,
+    POTENTIAL_NONE,
+    POTENTIAL_OSCILLATOR,
+    HalfInt,
+    Scenario,
+    as_half_integer,
+)
+from .radial import (
+    GRID_POINT_BUDGET,
+    LINEAR_IN_E,
+    QUADRATIC_IN_EPSILON,
+    RadialError,
+    RadialProblem,
+    build_problem,
+    minj_coulomb_coefficient,
+)
 
 
 class OracleError(RuntimeError):
@@ -427,7 +449,42 @@ def count_bound_states(problem: RadialProblem, grid: Optional[Grid] = None) -> i
     return _shared("count_bound_states", problem, grid, matrix[0], (), stable_count)
 
 
-# --- two-sided shooting for the quadratic-in-epsilon channel -------------------
+# --- Numerov recurrences: two-sided shooting and the free curved solution --------
+
+
+def numerov(g: np.ndarray, h: float, y0: float, y1: float) -> tuple[np.ndarray, np.ndarray]:
+    """The solution of y'' = g y on the uniform grid of spacing h that the
+    array g samples, from y0 and y1 at its first two nodes, and the Numerov
+    weights f = 1 - h^2 g/12 (Blatt, J. Comput. Phys. 1, 1967). The
+    recurrence f[k+1] y[k+1] = (12 - 10 f[k]) y[k] - f[k-1] y[k-1], local
+    error O(h^6), runs in C as one lower-triangular banded solve (LAPACK
+    dtbtrs, two subdiagonals). A zero weight is an error."""
+    f = 1.0 - (h * h / 12.0) * g
+    band = np.zeros((3, len(g)))
+    band[0] = f
+    band[0, :2] = 1.0
+    band[1, 1:-1] = 10.0 * f[1:-1] - 12.0
+    band[2, :-2] = f[:-2]
+    rhs = np.zeros((len(g), 1))
+    rhs[:2, 0] = y0, y1
+    y, info = dtbtrs(band, rhs, uplo="L")
+    if info != 0:
+        raise OracleError(f"Numerov weight 1 - h^2 g/12 vanishes at node {info - 1}")
+    return y[:, 0], f
+
+
+def numerov_derivative(y: np.ndarray, f: np.ndarray, h: float) -> np.ndarray:
+    """y' at the interior nodes 1..len(y)-2 of a `numerov` solution, by
+    Blatt's O(h^4) formula ((2 f[k+1] - 1) y[k+1] - (2 f[k-1] - 1) y[k-1])/(2h)."""
+    weighted = (2.0 * f - 1.0) * y
+    return (weighted[2:] - weighted[:-2]) / (2.0 * h)
+
+
+def _log_grid(r_start: float, r_end: float, points: int) -> tuple[np.ndarray, float]:
+    """`points` nodes evenly spaced in x = ln r from r_start to r_end, plus
+    one more past r_end, as radii; and the step in x."""
+    h = (math.log(r_end) - math.log(r_start)) / (points - 1)
+    return np.exp(math.log(r_start) + h * np.arange(points + 1)), h
 
 
 @dataclass(frozen=True)
@@ -435,10 +492,17 @@ class ShootResult:
     mismatch: float  # signed, normalized log-derivative defect at the match point
     matching_radius: float
     far_decay_rate: float
+    nodes: int  # sign changes of the regular solution below the match point
+    spread: float  # |mismatch| change over the last doubling of the legs
+    points: int  # nodes per leg, start to match, on the final grid
 
 
 SHOOT_R_START = 1e-6
 SHOOT_R_MAX = 35.0
+SHOOT_FAR_EFOLDS = 40.0  # the decaying leg starts this many e-folds of kappa past the match
+SHOOT_POINTS = 2000
+SHOOT_MAX_POINTS = 32000
+SHOOT_SPREAD_TOL = 1e-9
 
 
 def shoot_decay(problem: RadialProblem, epsilon: float) -> ShootResult:
@@ -446,17 +510,27 @@ def shoot_decay(problem: RadialProblem, epsilon: float) -> ShootResult:
     quadratic channel u'' + w u = 0, w = (eps + alpha/tanh r)^2 - M^2 (the
     factored `radial.minj_coulomb_coefficient`).
 
-    The regular solution is integrated outward from a Frobenius start at
-    SHOOT_R_START. The decaying one is integrated inward from SHOOT_R_MAX as
-    its log-derivative y = u'/u, which obeys the Riccati equation y' = -w - y^2
-    with y(SHOOT_R_MAX) = -kappa; the legs meet at the outer turning point
-    (kept inside [0.05, SHOOT_R_MAX/2]), past which w < 0, so y has no poles
-    and stays bounded however large kappa SHOOT_R_MAX is. A true eigenvalue
-    gives |mismatch| at integration accuracy, and the mismatch changes sign
-    across it. Non-decaying far fields ((eps + alpha)^2 >= M^2) are rejected.
+    The legs meet at the outer turning point r_match (kept inside
+    [0.05, SHOOT_R_MAX/2]). The regular leg is a `numerov` run in x = ln r
+    for phi = r^(-1/2) u, which obeys phi'' = (1/4 - r^2 w) phi, from a
+    Frobenius start at SHOOT_R_START. The decaying leg is a `numerov` run in
+    r, inward from r_far = min(SHOOT_R_MAX, r_match + SHOOT_FAR_EFOLDS/kappa)
+    with u(r_far) = 1 and u(r_far - h) = e^(kappa h): it grows by at most
+    e^40 to the match, so it stays in double range however large
+    kappa SHOOT_R_MAX is. Each log-derivative uses `numerov_derivative`.
+    Both legs start at SHOOT_POINTS nodes and double together until two
+    successive mismatches differ by at most SHOOT_SPREAD_TOL; past
+    SHOOT_MAX_POINTS that is an error. (The recurrence's roundoff grows as
+    the square of the points, so the rule stops at the first small change
+    rather than chasing it below that floor.) A true eigenvalue gives
+    |mismatch| at that accuracy, and the mismatch changes sign across it.
+    A non-finite epsilon or a non-decaying far field ((eps + alpha)^2 >= M^2)
+    is refused.
     """
     if problem.linearity != QUADRATIC_IN_EPSILON:
         raise OracleError("shoot_decay expects the quadratic-in-epsilon problem")
+    if not math.isfinite(epsilon):
+        raise OracleError(f"shoot_decay needs a finite epsilon, got {epsilon}")
     scen = problem.scenario
     alpha, m = scen.alpha, problem.mass
     energy = epsilon - m
@@ -470,28 +544,91 @@ def shoot_decay(problem: RadialProblem, epsilon: float) -> ShootResult:
     # Frobenius start u = r^A (1 + a1 r + a2 r^2) from the Laurent expansion
     # (eps + alpha coth r)^2 - M^2 = alpha^2/r^2 + 2 eps alpha / r + W0 + O(r)
     a_exp = problem.origin_exponent
-    r_start = SHOOT_R_START
     q_lin = 2.0 * epsilon * alpha
     w0 = energy * (energy + 2.0 * m) + 2.0 * alpha * alpha / 3.0
     a1 = -q_lin / (2.0 * a_exp)
     a2 = -(q_lin * a1 + w0) / (2.0 * (2.0 * a_exp + 1.0))
-    u0 = r_start**a_exp * (1.0 + a1 * r_start + a2 * r_start**2)
-    du0 = (
-        a_exp * r_start ** (a_exp - 1.0) * (1.0 + a1 * r_start + a2 * r_start**2)
-        + r_start**a_exp * (a1 + 2.0 * a2 * r_start)
-    )
 
     # match at the outer classical turning point coth r = (M - eps)/alpha,
     # which exists whenever the far field decays (|eps + alpha| < M)
     c_turn = (m - epsilon) / alpha
     r_match = min(max(0.5 * math.log((c_turn + 1.0) / (c_turn - 1.0)), 0.05), SHOOT_R_MAX / 2.0)
+    r_far = min(SHOOT_R_MAX, r_match + SHOOT_FAR_EFOLDS / kappa)
+    w = lambda r: minj_coulomb_coefficient(1.0 / np.tanh(r), energy, alpha, m)
 
-    regular = lambda r, y: (y[1], -minj_coulomb_coefficient(1.0 / math.tanh(r), energy, alpha, m) * y[0])
-    riccati = lambda r, y: (-minj_coulomb_coefficient(1.0 / math.tanh(r), energy, alpha, m) - y[0] * y[0],)
-    y_out, _ = ivp.integrate(regular, r_start, r_match, [u0, du0], max_step=0.05)
-    y_in, _ = ivp.integrate(riccati, SHOOT_R_MAX, r_match, [-kappa], max_step=0.05)
-    lam_out = y_out[1] / y_out[0]
-    lam_in = y_in[0]
-    mismatch = (lam_out - lam_in) / (1.0 + abs(lam_out) + abs(lam_in))
-    return ShootResult(mismatch=float(mismatch), matching_radius=r_match, far_decay_rate=kappa)
+    def shot(points: int) -> tuple[float, int]:
+        r, h = _log_grid(SHOOT_R_START, r_match, points)
+        start = r[:2] ** (a_exp - 0.5) * (1.0 + a1 * r[:2] + a2 * r[:2] ** 2)
+        phi, f = numerov(0.25 - r * r * w(r), h, *start)
+        lam_out = (0.5 + numerov_derivative(phi[-3:], f[-3:], h)[0] / phi[-2]) / r_match
+        nodes = int(np.count_nonzero(phi[1:-1] * phi[:-2] < 0.0))
+        h = (r_far - r_match) / (points - 1)
+        r = r_far - h * np.arange(points + 1)
+        u, f = numerov(-w(r), h, 1.0, math.exp(kappa * h))
+        lam_in = -numerov_derivative(u[-3:], f[-3:], h)[0] / u[-2]
+        return (lam_out - lam_in) / (1.0 + abs(lam_out) + abs(lam_in)), nodes
 
+    points, (mismatch, nodes) = SHOOT_POINTS, shot(SHOOT_POINTS)
+    while True:
+        points *= 2
+        previous, (mismatch, nodes) = mismatch, shot(points)
+        spread = abs(mismatch - previous)
+        if spread <= SHOOT_SPREAD_TOL:
+            return ShootResult(mismatch=float(mismatch), matching_radius=r_match, far_decay_rate=kappa,
+                               nodes=nodes, spread=spread, points=points)
+        if 2 * points > SHOOT_MAX_POINTS:
+            raise OracleError(f"shooting mismatch at eps = {epsilon:.9g} still moves by {spread:.2g} "
+                              f"> {SHOOT_SPREAD_TOL} at {points:,} points per leg")
+
+
+# --- the free curved particle: regular solution and its two checks ------------------
+
+FREE_R_START, FREE_R_END = 1e-4, 12.0
+FREE_POINTS = 4000
+
+
+def regular_free_solution(j: HalfInt, energy: float, mass: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Regular solution u ~ r^(j+1) of the free curved parity-odd channel as
+    (r, u, u') at the interior nodes of one `numerov` run of FREE_POINTS
+    nodes in x = ln r from FREE_R_START to FREE_R_END (and one node past it),
+    for phi = r^(-1/2) u, phi'' = (1/4 + r^2 (V_eff - 2ME)) phi, from a series
+    start; u' comes from `numerov_derivative`. A non-finite energy is
+    refused, and so is a grid with h sqrt(max|1/4 + r^2 (V_eff - 2ME)|) over
+    RESOLUTION_LIMIT."""
+    if not math.isfinite(energy):
+        raise RadialError(f"the free solution needs a finite energy, got {energy}")
+    jf = as_half_integer(j, "j")
+    scen = Scenario(GEOMETRY_LOBACHEVSKY, POTENTIAL_NONE, Fraction(0), mass)
+    problem = build_problem(scen, "parity-odd", jf)
+    r, h = _log_grid(FREE_R_START, FREE_R_END, FREE_POINTS)
+    jj1 = float(jf * (jf + 1))
+    # u = r^{j+1} (1 + c2 r^2 + O(r^4)); 1/sinh^2 = 1/r^2 - 1/3 + O(r^2)
+    c2 = -(2.0 * mass * energy + jj1 / 3.0) / (4.0 * float(jf) + 6.0)
+    start = r[:2] ** (float(jf) + 0.5) * (1.0 + c2 * r[:2] ** 2)
+    g = 0.25 + r * r * (problem.v_eff(r) - problem.eigenvalue_from_energy(energy))
+    step = h * math.sqrt(float(np.max(np.abs(g))))
+    if step > RESOLUTION_LIMIT:
+        raise OracleError(f"free solution on {FREE_POINTS:,} nodes unresolved: h sqrt(max|g|) = {step:.3g} "
+                          f"> {RESOLUTION_LIMIT}")
+    phi, f = numerov(g, h, *start)
+    sqrt_r = np.sqrt(r[1:-1])
+    return r[1:-1], sqrt_r * phi[1:-1], (0.5 * phi[1:-1] + numerov_derivative(phi, f, h)) / sqrt_r
+
+
+def standing_wave_check(j: HalfInt, energy: float, mass: float = 1.0) -> float:
+    """Envelope flatness ratio max/min of sqrt(u^2 + (u'/omega)^2) over the
+    `regular_free_solution` nodes in the far window 8 <= r <= 12; a value near
+    1 indicates a pure standing wave. E must be positive (NaN is refused)."""
+    if not energy > 0.0:
+        raise RadialError("standing-wave check needs E > 0")
+    r, u, du = regular_free_solution(j, energy, mass)
+    window = (r >= 8.0) & (r <= 12.0)
+    env = np.hypot(u[window], du[window] / math.sqrt(2.0 * mass * energy))
+    return float(np.max(env) / np.min(env))
+
+
+def origin_exponent_fit(j: HalfInt, energy: float, mass: float = 1.0) -> float:
+    """Log-log slope of the `regular_free_solution` nodes in 1e-3 <= r <= 1e-2."""
+    r, u, _ = regular_free_solution(j, energy, mass)
+    window = (r >= 1e-3) & (r <= 1e-2)
+    return float(np.polyfit(np.log(r[window]), np.log(np.abs(u[window])), 1)[0])

@@ -17,19 +17,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import ivp, specfun
+from . import specfun
 from .core import (
     GEOMETRY_FLAT,
-    GEOMETRY_LOBACHEVSKY,
     POTENTIAL_COULOMB,
-    POTENTIAL_NONE,
     POTENTIAL_OSCILLATOR,
     HalfInt,
     Scenario,
     as_half_integer,
 )
 from .spectra import (
-    CH_PARITY_ODD,
     CHANNEL_TABLE,
     EnergyLevel,
     SpectrumError,
@@ -423,56 +420,3 @@ def residual(problem: RadialProblem, solution: RadialSolution, level: EnergyLeve
     res = d2 + coeff * ui
     scale = np.max(np.abs(d2) + np.abs(coeff * ui))
     return float(np.max(np.abs(res)) / max(scale, 1e-300))
-
-
-# --- free curved particle: regular solution and standing-wave envelope ---------
-
-
-def regular_free_solution(j: HalfInt, energy: float, mass: float, sample_points) -> RadialSolution:
-    """Regular solution of the free curved parity-odd channel, u ~ r^{j+1} at the
-    origin, continued outward by adaptive RK4 from a series start."""
-    jf = as_half_integer(j, "j")
-    scen = Scenario(GEOMETRY_LOBACHEVSKY, POTENTIAL_NONE, Fraction(0), mass)
-    problem = build_problem(scen, CH_PARITY_ODD, jf)
-    pts = np.asarray(sample_points, dtype=float)
-    if pts.ndim != 1 or np.any(np.diff(pts) <= 0):
-        raise RadialError("sample points must be strictly increasing")
-    r0 = min(1e-4, pts[0] / 2.0)
-    jj1 = float(jf * (jf + 1))
-    # u = r^{j+1} (1 + c2 r^2 + O(r^4)); 1/sinh^2 = 1/r^2 - 1/3 + O(r^2)
-    c2 = -(2.0 * mass * energy + jj1 / 3.0) / (4.0 * float(jf) + 6.0)
-    u0 = r0 ** (float(jf) + 1.0) * (1.0 + c2 * r0 * r0)
-    du0 = (float(jf) + 1.0) * r0 ** float(jf) * (1.0 + c2 * r0 * r0) + r0 ** (float(jf) + 1.0) * 2.0 * c2 * r0
-    mu, v = problem.eigenvalue_from_energy(energy), problem.v_eff
-    rhs = lambda r, y: (y[1], (v(r) - mu) * y[0])
-    _, recs = ivp.integrate(rhs, r0, float(pts[-1]), [u0, du0], max_step=0.02, record_at=pts)
-    vals = np.array([rec[0] for rec in recs])
-    ders = np.array([rec[1] for rec in recs])
-    scale = np.max(np.abs(vals))
-    return RadialSolution(
-        grid=pts,
-        values=vals / scale,
-        closed_form=f"regular free curved solution, origin exponent j+1 = {float(jf)+1:.12g}",
-        auxiliary={"derivatives": ders / scale},
-    )
-
-
-def standing_wave_check(j: HalfInt, energy: float, mass: float = 1.0) -> float:
-    """Envelope flatness ratio max/min of sqrt(u^2 + (u'/omega)^2) over the far
-    window 8 <= r <= 12; a value near 1 indicates a pure standing wave."""
-    if energy <= 0.0:
-        raise RadialError("standing-wave check needs E > 0")
-    pts = np.linspace(8.0, 12.0, 81)
-    sol = regular_free_solution(j, energy, mass, pts)
-    omega = math.sqrt(2.0 * mass * energy)
-    env = np.sqrt(sol.values**2 + (sol.auxiliary["derivatives"] / omega) ** 2)
-    return float(np.max(env) / np.min(env))
-
-
-def origin_exponent_fit(j: HalfInt, energy: float, mass: float = 1.0) -> float:
-    """Log-log slope of the regular free curved solution over 1e-3 <= r <= 1e-2."""
-    pts = np.geomspace(1e-3, 1e-2, 25)
-    sol = regular_free_solution(j, energy, mass, pts)
-    slope = np.polyfit(np.log(pts), np.log(np.abs(sol.values)), 1)[0]
-    return float(slope)
-

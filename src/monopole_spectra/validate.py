@@ -249,7 +249,8 @@ def _criterion_minj_coulomb() -> dict:
         try:
             res = oracle.shoot_decay(prob, lv.epsilon)
             mism = abs(res.mismatch)
-            parts["mismatch"][n] = {"epsilon": lv.epsilon, "abs_mismatch": mism, "b": b_at(lv.epsilon, n)}
+            parts["mismatch"][n] = {"epsilon": lv.epsilon, "abs_mismatch": mism, "b": b_at(lv.epsilon, n),
+                                    "nodes": res.nodes}
             ok_n = mism <= 1e-5
         except oracle.OracleError as exc:
             parts["mismatch"][n] = {"epsilon": lv.epsilon, "error": str(exc)}
@@ -353,8 +354,8 @@ def suite_lob_coulomb() -> list[dict]:
         measured=f"worst rel dev {worst_rel:.2e}; counts {count_rows}",
         detail={"rows": rows, "counts": count_rows},
     )
-    flat_ratio = radial.standing_wave_check(1, 0.5, 1.0)
-    slope = radial.origin_exponent_fit(1, 0.5, 1.0)
+    flat_ratio = oracle.standing_wave_check(1, 0.5, 1.0)
+    slope = oracle.origin_exponent_fit(1, 0.5, 1.0)
     c11 = _criterion(
         cid="11-free-particle",
         description="free curved particle (j = 1, 2ME = 1): origin exponent j+1 by slope fit "

@@ -89,6 +89,7 @@ def test_criterion_06_lob_minj_coulomb_shooting():
             continue
         assert level.admissible
         assert row["abs_mismatch"] <= 1e-5, f"n = {n}: |mismatch| {row['abs_mismatch']:.1e}"
+        assert row["nodes"] == n, f"n = {n}: the regular leg has {row['nodes']} nodes"
         # bracket inside the decaying domain eps + alpha < M
         eps = row["epsilon"]
         delta = min(0.01 * eps, 0.5 * (mass - alpha - eps))
@@ -200,7 +201,7 @@ def test_criterion_12_determinism_and_runtime():
     assert hard <= {"6-lob-minj-coulomb"}, f"unexpected hard failures: {hard}"
 
 
-# Floats of the numerical side (FD ladders, shooting, the IVP, numpy
+# Floats of the numerical side (FD ladders, the Numerov recurrences, numpy
 # eigensolves, sampled residuals) may differ in their last bits under another
 # LAPACK or numpy build, so they match the golden file to within
 # RTOL |golden| + ATOL, where ATOL covers residuals of roundoff size. Every

@@ -226,6 +226,15 @@ def test_wavefunction_curved_oscillator_far_out_prints_no_warnings(flags, code, 
     assert result[2].splitlines() == ([] if code == 0 else ["error: analytic solution degenerate on this grid"])
 
 
+def test_wavefunction_names_a_minj_coulomb_coupling_out_of_range_as_spectrum_does(capsys):
+    # the origin exponent (1 + sqrt(1 - 4 alpha^2))/2 has no real value at alpha >= 1/2
+    flags = ["--geometry", "lobachevsky", "--potential", "coulomb", "--alpha", "0.6", "--k", "1", "--j", "0",
+             "--mass", "10"]
+    for command in ("wavefunction", "spectrum"):
+        assert run([command, *flags], capsys) == (
+            1, "", "error: curved minimum-j Coulomb needs 0 < alpha < 1/2, got 0.6\n")
+
+
 def test_wavefunction_even2_at_j0_exit_1_for_a_level_spectrum_prints_formal(capsys):
     # a known limitation: the even-2 row's Heun exponent A = j = 0 gives gamma = 0,
     # while its origin exponent max(j, 1 - j) is 1; the Heun connection problem owns the fix

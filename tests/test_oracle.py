@@ -1,16 +1,21 @@
 """FD eigensolver (its rungs and the extrapolating ladder), Sturm counts,
-bound-state counting, shooting, arbitration."""
+bound-state counting, Numerov recurrences, shooting, the free curved
+particle, arbitration."""
 
 import collections
 import contextlib
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+import monopole_spectra
 import report_diff
 from monopole_spectra import core, oracle, radial, spectra, validate
 
@@ -627,6 +632,146 @@ def test_shoot_decay_formal_levels_do_not_match():
     level = spectra.single_level(prob.scenario, 0, 1, "min-j")
     assert not level.admissible
     assert abs(oracle.shoot_decay(prob, level.epsilon).mismatch) > 0.1
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+def test_shoot_decay_refuses_a_non_finite_epsilon(epsilon):
+    prob = lob_minj_problem(0.1, 10.0)
+    with pytest.raises(oracle.OracleError, match="finite epsilon"):
+        oracle.shoot_decay(prob, epsilon)
+
+
+def test_shoot_decay_counts_the_nodes_of_bound_levels():
+    prob = lob_minj_problem(0.3, 30.0)
+    for n in range(3):
+        res = oracle.shoot_decay(prob, spectra.single_level(prob.scenario, 0, n, "min-j").epsilon)
+        assert res.nodes == n
+        assert res.spread <= oracle.SHOOT_SPREAD_TOL
+        assert res.points in (4000, 8000, 16000, 32000)
+
+
+def test_shoot_decay_formal_levels_do_not_read_their_index():
+    # b < 0 at n = 1, 2 (alpha = 0.1, M = 10): no bound state with n nodes exists there
+    prob = lob_minj_problem(0.1, 10.0)
+    for n in (1, 2):
+        assert oracle.shoot_decay(prob, spectra.single_level(prob.scenario, 0, n, "min-j").epsilon).nodes != n
+
+
+def test_shoot_decay_refuses_a_mismatch_that_does_not_settle(monkeypatch):
+    monkeypatch.setattr(oracle, "SHOOT_SPREAD_TOL", 0.0)
+    prob = lob_minj_problem(0.1, 10.0)
+    with pytest.raises(oracle.OracleError, match="still moves by .* at 32,000 points per leg"):
+        oracle.shoot_decay(prob, spectra.single_level(prob.scenario, 0, 0, "min-j").epsilon)
+
+
+# criterion 6's off-level mismatches at alpha = 0.1, M = 10, as the adaptive
+# RK4 integrator (relative step tolerance 1e-11) that the Numerov legs replaced read them
+RK4_MISMATCHES = [(0, 0.99, 0.7102744533729477), (1, 1.0, 0.7273476481586041), (1, 0.99, 0.8030556526927699),
+                  (1, 1.01, 0.44551176925502606), (2, 1.0, 0.8589345375839891), (2, 0.99, 0.8794113883007987),
+                  (2, 1.01, 0.829020741030734)]
+
+
+@pytest.mark.parametrize("n, factor, rk4", RK4_MISMATCHES)
+def test_shoot_decay_matches_the_rk4_reference_off_the_level(n, factor, rk4):
+    prob = lob_minj_problem(0.1, 10.0)
+    epsilon = spectra.single_level(prob.scenario, 0, n, "min-j").epsilon * factor
+    assert oracle.shoot_decay(prob, epsilon).mismatch == pytest.approx(rk4, rel=1e-9)
+
+
+def test_free_particle_checks_match_the_rk4_reference():
+    # the RK4 run sampled 25 log-spaced points in [1e-3, 1e-2] and 81 even ones in [8, 12]
+    assert oracle.origin_exponent_fit(1, 0.5, 1.0) == pytest.approx(1.9999943219068943, abs=1e-6)
+    assert oracle.standing_wave_check(1, 0.5, 1.0) == pytest.approx(1.0000001066848812, abs=1e-8)
+
+
+def test_numerov_solve_equals_the_recurrence_written_as_a_loop():
+    # LAPACK may round each step differently (an FMA, say); on 401 nodes the
+    # propagated difference stays near 4e-14 (it grows about as N^1.5)
+    x = np.linspace(0.0, 6.0, 401)
+    h = x[1] - x[0]
+    g = -(4.0 + 3.0 * np.sin(x) + x)  # a varying, oscillatory coefficient
+    y, f = oracle.numerov(g, h, 0.0, h)
+    assert np.array_equal(f, 1.0 - h * h * g / 12.0)
+    ref = [0.0, h]
+    for k in range(1, len(x) - 1):
+        ref.append(((12.0 - 10.0 * f[k]) * ref[k] - f[k - 1] * ref[k - 1]) / f[k + 1])
+    ref = np.array(ref)
+    assert np.max(np.abs(y - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_numerov_and_its_derivative_converge_at_fourth_order():
+    # y'' = -y from the exact sin at the first two nodes
+    errors = []
+    for points in (101, 201, 401):
+        x = np.linspace(0.0, 10.0, points)
+        h = x[1] - x[0]
+        y, f = oracle.numerov(np.full(points, -1.0), h, 0.0, math.sin(h))
+        dy = oracle.numerov_derivative(y, f, h)
+        errors.append((np.max(np.abs(y - np.sin(x))), np.max(np.abs(dy - np.cos(x[1:-1])))))
+    for coarse, fine in zip(errors, errors[1:]):
+        for e_coarse, e_fine in zip(coarse, fine):
+            assert 14.0 < e_coarse / e_fine < 18.0
+
+
+def test_numerov_refuses_a_vanishing_weight():
+    h = 0.1
+    g = np.zeros(10)
+    g[5] = 12.0 / (h * h)
+    with pytest.raises(oracle.OracleError, match="vanishes at node 5"):
+        oracle.numerov(g, h, 0.0, 1.0)
+
+
+def test_oracle_paths_do_not_import_scipy_integrate():
+    # scipy.integrate drags in optimize, sparse, spatial and special; the
+    # Numerov recurrences exist to keep that cost off every oracle run
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "import monopole_spectra.cli\n"
+        "from monopole_spectra import core, oracle, radial, spectra\n"
+        "scen = core.Scenario('lobachevsky', 'coulomb', Fraction(1), 10.0, alpha=0.1)\n"
+        "prob = radial.build_problem(scen, spectra.CH_MIN_J, 0)\n"
+        "oracle.shoot_decay(prob, spectra.single_level(scen, 0, 0, spectra.CH_MIN_J).epsilon)\n"
+        "oracle.origin_exponent_fit(1, 0.5, 1.0)\n"
+        "assert 'scipy.linalg' in sys.modules\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(monopole_spectra.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
+
+
+def test_standing_wave_envelope_flat():
+    ratio = oracle.standing_wave_check(1, 0.5, 1.0)
+    assert ratio <= 1.01
+
+
+def test_standing_wave_rejects_bad_requests():
+    with pytest.raises(radial.RadialError):
+        oracle.standing_wave_check(1, 0.0, 1.0)
+
+
+def test_standing_wave_refuses_a_nan_energy():
+    with pytest.raises(radial.RadialError, match="needs E > 0"):
+        oracle.standing_wave_check(1, math.nan, 1.0)
+
+
+@pytest.mark.parametrize("energy, error, message", [
+    (math.nan, radial.RadialError, "finite energy"),
+    (math.inf, radial.RadialError, "finite energy"),
+    (10.0, oracle.OracleError, "unresolved"),  # 12 sqrt(2ME) h = 0.16 on the fixed grid
+])
+def test_free_solution_refuses_a_non_finite_or_unresolved_energy(energy, error, message):
+    with pytest.raises(error, match=message):
+        oracle.regular_free_solution(1, energy, 1.0)
+
+
+def test_origin_exponent_slope():
+    slope = oracle.origin_exponent_fit(1, 0.5, 1.0)
+    assert slope == pytest.approx(2.0, abs=0.05)
+    slope2 = oracle.origin_exponent_fit(2, 0.5, 1.0)
+    assert slope2 == pytest.approx(3.0, abs=0.05)
 
 
 def test_arbitration_confirms_quantization_form():

@@ -1,4 +1,4 @@
-"""Radial problems, analytic wavefunctions, pointwise residuals, free states."""
+"""Radial problems, analytic wavefunctions, pointwise residuals."""
 
 import math
 from fractions import Fraction
@@ -253,20 +253,3 @@ def test_bound_solutions_decay_monotonically_past_last_node():
     u = np.abs(sol.values)
     tail = u[int(0.7 * len(u)):]
     assert np.all(np.diff(tail) <= 0)
-
-
-def test_standing_wave_envelope_flat():
-    ratio = radial.standing_wave_check(1, 0.5, 1.0)
-    assert ratio <= 1.01
-
-
-def test_standing_wave_rejects_bad_requests():
-    with pytest.raises(radial.RadialError):
-        radial.standing_wave_check(1, 0.0, 1.0)
-
-
-def test_origin_exponent_slope():
-    slope = radial.origin_exponent_fit(1, 0.5, 1.0)
-    assert slope == pytest.approx(2.0, abs=0.05)
-    slope2 = radial.origin_exponent_fit(2, 0.5, 1.0)
-    assert slope2 == pytest.approx(3.0, abs=0.05)
